@@ -22,7 +22,6 @@ from .gateway import (
     FilterStatus,
     Gateway,
     RelayAction,
-    RxVia,
 )
 from .latency import (
     DEFAULT_COMPOSED_DELAYS_MS,
@@ -78,7 +77,6 @@ __all__ = [
     "RoadUserId",
     "RoadUserKind",
     "RunResult",
-    "RxVia",
     "SAFETY_APPS",
     "SafetyApp",
     "ScenarioConfig",

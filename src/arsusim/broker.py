@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .messages import MqttEnvelope, Topic, us_to_ms
+from .messages import MqttEnvelope, Topic
 
 #: Client identity of the gateway on the broker.
 ARSU_CLIENT = "A-RSU"
@@ -35,7 +35,6 @@ class Delivery:
     recipient: str
     published_at_us: int
     delivered_at_us: int
-    sequence: int
 
 
 class Broker:
@@ -73,9 +72,6 @@ class Broker:
 
     def subscriptions_of(self, client: str) -> set[Topic]:
         return {t for c, t in self._subscribed if c == client}
-
-    def subscriber_count(self, topic: Topic) -> int:
-        return sum(1 for _, t in self._subscriptions if t is topic)
 
     def published_topics_of(self, publisher: str) -> set[Topic]:
         return set(self._published_topics.get(publisher, set()))
@@ -132,34 +128,7 @@ class Broker:
                 recipient=client,
                 published_at_us=now_us,
                 delivered_at_us=now_us + uplink_us + downlink_us,
-                sequence=len(self.delivery_log),
             )
             self.delivery_log.append(delivery)
             deliveries.append(delivery)
         return deliveries
-
-    def deliveries_between(self, t0_us: int, t1_us: int) -> list[Delivery]:
-        """Deliveries with delivered_at in [t0, t1), ordered by
-        (delivered_at, insertion sequence)."""
-        if t0_us > t1_us:
-            raise ValueError("t0 must not exceed t1")
-        hits = [
-            d for d in self.delivery_log if t0_us <= d.delivered_at_us < t1_us
-        ]
-        hits.sort(key=lambda d: (d.delivered_at_us, d.sequence))
-        return hits
-
-    def delivery_log_csv_rows(self) -> list[list[str]]:
-        rows = [
-            ["topic", "publisher", "recipient", "published_at_ms",
-             "delivered_at_ms"]
-        ]
-        for d in self.delivery_log:
-            rows.append([
-                d.envelope.topic.value,
-                d.publisher,
-                d.recipient,
-                f"{us_to_ms(d.published_at_us):.3f}",
-                f"{us_to_ms(d.delivered_at_us):.3f}",
-            ])
-        return rows

@@ -18,7 +18,7 @@ import csv
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_scenario
+from .config import MAX_SCENARIO_SPEED_KMH, ConfigError, load_scenario
 from .latency import InconsistentDelayTable, LatencyModel
 from .report import (
     build_report_dict,
@@ -63,8 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_mx = sub.add_parser("matrix", help="print the scenario matrix")
     p_mx.add_argument("--speed-range", nargs=2, type=float,
-                      default=(0.0, 120.0), metavar=("LO", "HI"),
-                      help="operating speed range in km/h (default 0 120)")
+                      default=(0.0, MAX_SCENARIO_SPEED_KMH),
+                      metavar=("LO", "HI"),
+                      help="operating speed range in km/h "
+                           f"(default 0 {MAX_SCENARIO_SPEED_KMH:g})")
     p_mx.add_argument("--latency-csv", default=None)
     p_mx.add_argument("--csv", default=None,
                       help="also write the matrix as CSV")
@@ -152,9 +154,9 @@ def _cmd_table4(args) -> int:
 
 def _cmd_matrix(args) -> int:
     lo, hi = args.speed_range
-    if not 0.0 <= lo <= hi <= 120.0:
-        print("config error: speed range must satisfy 0 <= LO <= HI <= 120",
-              file=sys.stderr)
+    if not 0.0 <= lo <= hi <= MAX_SCENARIO_SPEED_KMH:
+        print("config error: speed range must satisfy "
+              f"0 <= LO <= HI <= {MAX_SCENARIO_SPEED_KMH:g}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         model = _load_model(args.latency_csv)

@@ -14,10 +14,12 @@ from typing import Optional
 
 import yaml
 
+from .latency import MAX_ITT_MS, SPEEDS_KMH
 from .messages import SYNTHETIC_ID_PREFIX, ms_to_us
 
-MAX_SCENARIO_SPEED_KMH = 120.0
-MAX_ITT_MS = 600.0
+#: Fastest speed a scenario or a user may run at: the delay table's last
+#: sample, so the latency model never clamps.
+MAX_SCENARIO_SPEED_KMH = SPEEDS_KMH[-1]
 
 GNSS_DEFAULT_STD_M = 5.0 / 3.0
 
@@ -370,7 +372,10 @@ def _build_users(users_raw: list) -> tuple[UserSpec, ...]:
                 f"{context}: explicit id/placement requires count 1"
             )
         heading = _number(entry, "heading_deg", context, 0.0)
-        speed = _number(entry, "speed_kmh", context, None, minimum=0.0)
+        speed = _number(
+            entry, "speed_kmh", context, None,
+            minimum=0.0, maximum=MAX_SCENARIO_SPEED_KMH,
+        )
         gnss = _number(
             entry, "gnss_error_std_m", context, GNSS_DEFAULT_STD_M, minimum=0.0
         )

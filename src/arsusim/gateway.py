@@ -19,26 +19,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from .geo import horizontal_distance_m
 from .messages import (
     Bsm,
     Detection,
+    LinkTech,
     RoadUserId,
     SYNTHETIC_ID_PREFIX,
     Topic,
     make_ipu_bsm,
-    us_to_ms,
 )
-
-
-class RxVia(Enum):
-    """Arrival path of a received BSM."""
-
-    DSRC = "DSRC"
-    CV2X = "CV2X"
-    CELL_TOPIC = "Cell"
 
 
 class ActionKind(Enum):
@@ -113,14 +105,13 @@ class HistoryStore:
     def append(self, bsm: Bsm, received_at_us: int) -> None:
         self._entries.append((bsm, received_at_us))
 
-    def prune(self, now_us: int) -> "HistoryStore":
+    def prune(self, now_us: int) -> None:
         cutoff = now_us - self.window_us
         while self._entries and self._entries[0][1] < cutoff:
             self._entries.popleft()
-        return self
 
-    def entries(self) -> tuple[tuple[Bsm, int], ...]:
-        return tuple(self._entries)
+    def __iter__(self) -> Iterator[tuple[Bsm, int]]:
+        return iter(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -205,8 +196,9 @@ class Gateway:
 
     # --- relaying ---
 
-    def on_rx(self, bsm: Bsm, via: RxVia, now_us: int) -> list[RelayAction]:
-        """Handle one received BSM; returns the relay actions to emit.
+    def on_rx(self, bsm: Bsm, via: LinkTech, now_us: int) -> list[RelayAction]:
+        """Handle one BSM that arrived over ``via``; returns the relay
+        actions to emit.
 
         Duplicates of an already-relayed (id, generated_at) key, such
         as the gateway's own relay echoed back on the other medium,
@@ -228,18 +220,18 @@ class Gateway:
         return actions
 
     @staticmethod
-    def _relay_actions(bsm: Bsm, via: RxVia) -> list[RelayAction]:
-        if via is RxVia.DSRC:
+    def _relay_actions(bsm: Bsm, via: LinkTech) -> list[RelayAction]:
+        if via is LinkTech.DSRC:
             return [
                 RelayAction(ActionKind.TX_CV2X, bsm),
                 RelayAction(ActionKind.PUBLISH_MQTT, bsm, Topic.DSRC),
             ]
-        if via is RxVia.CV2X:
+        if via is LinkTech.CV2X:
             return [
                 RelayAction(ActionKind.TX_DSRC, bsm),
                 RelayAction(ActionKind.PUBLISH_MQTT, bsm, Topic.CV2X),
             ]
-        if via is RxVia.CELL_TOPIC:
+        if via is LinkTech.CELL_MQTT:
             return [
                 RelayAction(ActionKind.TX_DSRC, bsm),
                 RelayAction(ActionKind.TX_CV2X, bsm),
@@ -365,7 +357,7 @@ class Gateway:
 
     def _nearest_history(self, det: Detection) -> Optional[RoadUserId]:
         best = None
-        for bsm, received_at in self.history.entries():
+        for bsm, received_at in self.history:
             d = horizontal_distance_m(det.estimate, bsm.position)
             if d >= self.config.sigma_m:
                 continue
@@ -388,10 +380,7 @@ class Gateway:
                 best = (key, track)
         return best[1] if best else None
 
-    # --- maintenance and introspection ---
-
-    def prune_history(self, now_us: int) -> HistoryStore:
-        return self.history.prune(now_us)
+    # --- introspection ---
 
     def ghost_events(self) -> list[tuple[RoadUserId, RoadUserId]]:
         """(synthetic id, true id) pairs for confirmations of users that
@@ -414,18 +403,6 @@ class Gateway:
         self, at_us: int, event: str, subject: str, outcome: str, actions: str
     ) -> None:
         self.trace.append(DecisionRecord(at_us, event, subject, outcome, actions))
-
-    def trace_csv_rows(self) -> list[list[str]]:
-        rows = [["at_ms", "event", "subject", "outcome", "actions"]]
-        for rec in self.trace:
-            rows.append([
-                f"{us_to_ms(rec.at_us):.3f}",
-                rec.event,
-                rec.subject,
-                rec.outcome,
-                rec.actions,
-            ])
-        return rows
 
 
 def _truth_label(det: Detection) -> str:

@@ -54,14 +54,13 @@ NEAR_REAL_TIME_LIMIT_MS = 100.0
 #: Maximum inter-transmission time; also the end-to-end delay ceiling.
 MAX_ITT_MS = 600.0
 
-_CSV_LABELS = ("DSRC", "CV2X", "Cell", "Cam")
-_LABEL_TO_TECH = {
-    "DSRC": LinkTech.DSRC,
-    "CV2X": LinkTech.CV2X,
-    "Cell": LinkTech.CELL_MQTT,
-    "Cam": LinkTech.CAMERA,
+#: Short technology labels of the delay table, its CSV and the reports.
+TECH_LABEL: Mapping[LinkTech, str] = {
+    LinkTech.DSRC: "DSRC",
+    LinkTech.CV2X: "CV2X",
+    LinkTech.CELL_MQTT: "Cell",
+    LinkTech.CAMERA: "Cam",
 }
-_TECH_TO_LABEL = {v: k for k, v in _LABEL_TO_TECH.items()}
 
 
 class DelayCategory(Enum):
@@ -345,12 +344,12 @@ def load_composed_csv(path) -> list[list[float]]:
     for i, row in enumerate(body):
         up, down = PAIR_ROWS[i]
         if (row[0].strip(), row[1].strip()) != (
-            _TECH_TO_LABEL[up],
-            _TECH_TO_LABEL[down],
+            TECH_LABEL[up],
+            TECH_LABEL[down],
         ):
             raise ValueError(
                 f"{path}: row {i + 1} must be labeled "
-                f"{_TECH_TO_LABEL[up]},{_TECH_TO_LABEL[down]}"
+                f"{TECH_LABEL[up]},{TECH_LABEL[down]}"
             )
         try:
             matrix.append([float(v) for v in row[2:]])
@@ -364,6 +363,6 @@ def composed_csv_rows(matrix: Sequence[Sequence[float]]) -> Iterable[list[str]]:
     """CSV rows (header + 7 data rows) in the loadable format."""
     yield ["uplink", "downlink"] + [f"{s:g}" for s in SPEEDS_KMH]
     for (up, down), row in zip(PAIR_ROWS, matrix):
-        yield [_TECH_TO_LABEL[up], _TECH_TO_LABEL[down]] + [
+        yield [TECH_LABEL[up], TECH_LABEL[down]] + [
             f"{v:.3f}" for v in row
         ]

@@ -18,18 +18,12 @@ from .latency import (
     LatencyModel,
     PAIR_ROWS,
     SPEEDS_KMH,
+    TECH_LABEL,
     classify,
     composed_csv_rows,
 )
 from .messages import LinkTech
 from .sim import RunResult
-
-_TECH_LABEL = {
-    LinkTech.DSRC: "DSRC",
-    LinkTech.CV2X: "CV2X",
-    LinkTech.CELL_MQTT: "Cell",
-    LinkTech.CAMERA: "Cam",
-}
 
 _CATEGORY_MARK = {
     DelayCategory.NEAR_REAL_TIME: "",
@@ -86,7 +80,7 @@ def emit_table4(model: LatencyModel) -> tuple[list[list[float]], str, list[list[
         cells = "".join(
             f"{f'{v:.3f}{_CATEGORY_MARK[classify(v)]}':>12}" for v in row
         )
-        lines.append(f"{_TECH_LABEL[up]:>8} {_TECH_LABEL[down]:>8}{cells}")
+        lines.append(f"{TECH_LABEL[up]:>8} {TECH_LABEL[down]:>8}{cells}")
     lines.append("")
     lines.append("categories: unmarked < 100 ms (near real-time), "
                  "* < 600 ms (reduced latency), ! >= 600 ms (unserviceable)")
@@ -95,7 +89,7 @@ def emit_table4(model: LatencyModel) -> tuple[list[list[float]], str, list[list[
 
 def scenario_matrix(
     model: LatencyModel,
-    speed_range_kmh: tuple[float, float] = (0.0, 120.0),
+    speed_range_kmh: tuple[float, float] = (0.0, SPEEDS_KMH[-1]),
     result: Optional[RunResult] = None,
 ) -> list[dict]:
     """The 10-row scenario matrix with category and serviceable apps.
@@ -119,9 +113,9 @@ def scenario_matrix(
         )
         row = {
             "scenario": sc.number,
-            "uplink": _TECH_LABEL[sc.uplink],
+            "uplink": TECH_LABEL[sc.uplink],
             "internetworking": sc.internetworking,
-            "downlink": _TECH_LABEL[sc.downlink],
+            "downlink": TECH_LABEL[sc.downlink],
             "delays_ms": [
                 round(model.composed_delay(sc.uplink, sc.downlink, s), 3)
                 for s in SPEEDS_KMH
@@ -177,7 +171,7 @@ def matrix_csv_rows(rows: Sequence[dict]) -> list[list[str]]:
 
 def build_report_dict(
     result: RunResult,
-    speed_range_kmh: tuple[float, float] = (0.0, 120.0),
+    speed_range_kmh: tuple[float, float] = (0.0, SPEEDS_KMH[-1]),
 ) -> dict:
     """Assemble the full machine-readable report for one run."""
     metrics = result.metrics
@@ -188,7 +182,7 @@ def build_report_dict(
         else None
     )
     for (up, down), stats in metrics.path_stats.items():
-        label = f"{_TECH_LABEL[up]}->{_TECH_LABEL[down]}"
+        label = f"{TECH_LABEL[up]}->{TECH_LABEL[down]}"
         entry = {
             "count": stats.count,
             "mean_ms": round(stats.mean_ms, 3),
@@ -238,8 +232,8 @@ def build_report_dict(
             "speeds_kmh": list(result.model.halves.speeds_kmh),
             "rows": [
                 {
-                    "uplink": _TECH_LABEL[up],
-                    "downlink": _TECH_LABEL[down],
+                    "uplink": TECH_LABEL[up],
+                    "downlink": TECH_LABEL[down],
                     "delays_ms": [round(v, 3) for v in row],
                 }
                 for (up, down), row in zip(PAIR_ROWS, table_values)

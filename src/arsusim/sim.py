@@ -23,13 +23,7 @@ import numpy as np
 
 from .broker import ARSU_CLIENT, Broker, Delivery
 from .config import ConfigError, RoadUserKind, ScenarioConfig, UserSpec
-from .gateway import (
-    ActionKind,
-    FilterConfig,
-    Gateway,
-    RelayAction,
-    RxVia,
-)
+from .gateway import ActionKind, FilterConfig, Gateway, RelayAction
 from .geo import LocalFrame
 from .latency import LatencyModel
 from .messages import (
@@ -51,12 +45,6 @@ _KIND_TECH = {
     RoadUserKind.NATIVE_DSRC: LinkTech.DSRC,
     RoadUserKind.NATIVE_CV2X: LinkTech.CV2X,
     RoadUserKind.NONNATIVE_CELL: LinkTech.CELL_MQTT,
-}
-
-_VIA_UPLINK = {
-    RxVia.DSRC: LinkTech.DSRC,
-    RxVia.CV2X: LinkTech.CV2X,
-    RxVia.CELL_TOPIC: LinkTech.CELL_MQTT,
 }
 
 
@@ -190,7 +178,6 @@ class _RadioDelivery:
     bsm: Bsm
     uplink: LinkTech
     downlink: LinkTech
-    via: Optional[RxVia]
 
 
 @dataclass(frozen=True)
@@ -236,6 +223,7 @@ class Simulation:
         self.frame_period_us = ms_to_us(config.ipu.frame_period_ms)
         self.freshness_us = ms_to_us(config.freshness_window_ms)
         self.users = [self._make_user(i, s) for i, s in enumerate(config.users)]
+        self._users_by_id = {u.id.value: u for u in self.users}
         self._by_kind: dict[RoadUserKind, list[SimUser]] = {}
         for user in self.users:
             self._by_kind.setdefault(user.kind, []).append(user)
@@ -246,6 +234,15 @@ class Simulation:
         }
         self._heap: list[tuple[int, int, object]] = []
         self._seq = 0
+        self._handlers = {
+            _BsmTx: self._on_bsm_tx,
+            _RadioDelivery: self._on_radio_delivery,
+            _MqttDelivery: self._on_mqtt_delivery,
+            _IpuFrame: self._on_ipu_frame,
+            _DetectionReady: self._on_detection_ready,
+            _GraceDeadline: self._on_grace_deadline,
+            _MetricsTick: self._on_metrics_tick,
+        }
 
         drop = config.mqtt.drop_probability
         self.broker = Broker(
@@ -336,22 +333,10 @@ class Simulation:
         )
 
     def _dispatch(self, now_us: int, payload) -> None:
-        if isinstance(payload, _BsmTx):
-            self._on_bsm_tx(now_us, payload)
-        elif isinstance(payload, _RadioDelivery):
-            self._on_radio_delivery(now_us, payload)
-        elif isinstance(payload, _MqttDelivery):
-            self._on_mqtt_delivery(now_us, payload)
-        elif isinstance(payload, _IpuFrame):
-            self._on_ipu_frame(now_us)
-        elif isinstance(payload, _DetectionReady):
-            self._on_detection_ready(now_us, payload)
-        elif isinstance(payload, _GraceDeadline):
-            self._on_grace_deadline(now_us, payload)
-        elif isinstance(payload, _MetricsTick):
-            self._on_metrics_tick(now_us)
-        else:  # pragma: no cover - construction guarantees coverage
+        handler = self._handlers.get(type(payload))
+        if handler is None:
             raise SimulationInvariantError(f"unknown event {payload!r}")
+        handler(now_us, payload)
 
     # --- link speeds ---
 
@@ -395,20 +380,19 @@ class Simulation:
             self._publish(user, bsm, Topic.CELL, now_us)
         else:
             tech = user.tech
-            via = RxVia.DSRC if tech is LinkTech.DSRC else RxVia.CV2X
             for peer in self._by_kind.get(user.kind, []):
                 if peer.index == user.index:
                     continue
                 delay = 2 * self._half_us(tech, self._link_speed(user, peer))
                 self._schedule(
                     now_us + delay,
-                    _RadioDelivery(peer.index, bsm, tech, tech, None),
+                    _RadioDelivery(peer.index, bsm, tech, tech),
                 )
             if self.gateway is not None and self._in_coverage(user):
                 delay = self._half_us(tech, self._link_speed(user, None))
                 self._schedule(
                     now_us + delay,
-                    _RadioDelivery(None, bsm, tech, tech, via),
+                    _RadioDelivery(None, bsm, tech, tech),
                 )
         self._schedule(now_us + user.bsm_interval_us, _BsmTx(user.index))
 
@@ -421,10 +405,8 @@ class Simulation:
                 LinkTech.CELL_MQTT, self.config.scenario_speed_kmh
             )
         else:
-            users_by_id = {u.id.value: u for u in self.users}
-
             def leg(client: str) -> int:
-                endpoint = users_by_id.get(client)
+                endpoint = self._users_by_id.get(client)
                 return self._half_us(
                     LinkTech.CELL_MQTT, self._link_speed(endpoint, None)
                 )
@@ -442,12 +424,12 @@ class Simulation:
 
     def _on_radio_delivery(self, now_us: int, ev: _RadioDelivery) -> None:
         if ev.recipient_index is None:
-            actions = self.gateway.on_rx(ev.bsm, ev.via, now_us)
+            actions = self.gateway.on_rx(ev.bsm, ev.uplink, now_us)
             self._trace(
                 now_us, "RadioDelivery", ARSU_CLIENT, ev.bsm.id.value,
-                f"via={ev.via.value} actions={len(actions)}",
+                f"via={ev.uplink.value} actions={len(actions)}",
             )
-            self._emit_actions(actions, _VIA_UPLINK[ev.via], now_us)
+            self._emit_actions(actions, ev.uplink, now_us)
             return
         receiver = self.users[ev.recipient_index]
         self._record_user_delivery(
@@ -458,7 +440,7 @@ class Simulation:
         delivery = ev.delivery
         payload = delivery.envelope.payload
         if delivery.recipient == ARSU_CLIENT:
-            actions = self.gateway.on_rx(payload, RxVia.CELL_TOPIC, now_us)
+            actions = self.gateway.on_rx(payload, LinkTech.CELL_MQTT, now_us)
             self._trace(
                 now_us, "MqttDelivery", ARSU_CLIENT, payload.id.value,
                 f"topic={delivery.envelope.topic.value} actions={len(actions)}",
@@ -502,7 +484,7 @@ class Simulation:
             delay = self._half_us(tech, self._link_speed(receiver, None))
             self._schedule(
                 now_us + delay,
-                _RadioDelivery(receiver.index, bsm, uplink, tech, None),
+                _RadioDelivery(receiver.index, bsm, uplink, tech),
             )
 
     def _record_user_delivery(
@@ -549,7 +531,7 @@ class Simulation:
             detail += " duplicate"
         self._trace(now_us, kind_name, receiver.id.value, bsm.id.value, detail)
 
-    def _on_ipu_frame(self, now_us: int) -> None:
+    def _on_ipu_frame(self, now_us: int, ev: _IpuFrame) -> None:
         detected = 0
         for user in self.users:
             self._advance(user, now_us)
@@ -605,7 +587,7 @@ class Simulation:
         )
         self._emit_actions(actions, LinkTech.CAMERA, now_us)
 
-    def _on_metrics_tick(self, now_us: int) -> None:
+    def _on_metrics_tick(self, now_us: int, ev: _MetricsTick) -> None:
         value = self._coverage(now_us)
         self.metrics.coverage_samples.append((now_us, value))
         self._trace(now_us, "MetricsTick", "sim", "", _coverage_label(value))
@@ -623,10 +605,10 @@ class Simulation:
         return math.hypot(dx, dy) <= self.config.arsu.coverage_radius_m
 
     def _user_by_id(self, client: str) -> SimUser:
-        for user in self.users:
-            if user.id.value == client:
-                return user
-        raise SimulationInvariantError(f"unknown broker client {client!r}")
+        user = self._users_by_id.get(client)
+        if user is None:
+            raise SimulationInvariantError(f"unknown broker client {client!r}")
+        return user
 
     def _coverage(self, now_us: int) -> Optional[float]:
         receivers = [u for u in self.users if u.kind.is_connected]

@@ -15,7 +15,7 @@ import pytest
 from arsusim.broker import ARSU_CLIENT
 from arsusim.cli import main
 from arsusim.config import parse_scenario
-from arsusim.gateway import ActionKind, FilterStatus, Gateway, RxVia
+from arsusim.gateway import ActionKind, FilterStatus, Gateway
 from arsusim.latency import LatencyModel, derive_half_delays, recomposition_residuals
 from arsusim.messages import Detection, LinkTech, Topic
 from arsusim.report import emit_table4, scenario_matrix
@@ -233,7 +233,7 @@ def test_criterion_5c_stale_history_never_matches():
     gw = Gateway()
     # inject an entry that would match on distance but is 300 ms old
     stale = bsm_at("U1", x_m=10.0, tech=LinkTech.DSRC, now_us=0)
-    gw.on_rx(stale, RxVia.DSRC, 0)
+    gw.on_rx(stale, LinkTech.DSRC, 0)
     det = Detection(
         estimate=position_at(10.0, 0.0),  # distance 0 to the stale entry
         speed_kmh=0.0,
@@ -248,7 +248,7 @@ def test_criterion_5c_stale_history_never_matches():
     # control: the same entry inside the window does match
     gw2 = Gateway()
     gw2.on_rx(bsm_at("U1", x_m=10.0, tech=LinkTech.DSRC, now_us=150_000),
-              RxVia.DSRC, 150_000)
+              LinkTech.DSRC, 150_000)
     control = gw2.on_detection(det, 300_000)
     assert control.status is FilterStatus.CONNECTED
     _announce("5c", "entry older than 200 ms excluded from matching "
@@ -257,22 +257,17 @@ def test_criterion_5c_stale_history_never_matches():
 
 def test_criterion_6_relay_rule_conformance():
     expectations = {
-        RxVia.DSRC: ["TxCv2x", "PublishMqtt(DSRC)"],
-        RxVia.CV2X: ["TxDsrc", "PublishMqtt(CV2X)"],
-        RxVia.CELL_TOPIC: ["TxDsrc", "TxCv2x"],
-    }
-    via_tech = {
-        RxVia.DSRC: LinkTech.DSRC,
-        RxVia.CV2X: LinkTech.CV2X,
-        RxVia.CELL_TOPIC: LinkTech.CELL_MQTT,
+        LinkTech.DSRC: ["TxCv2x", "PublishMqtt(DSRC)"],
+        LinkTech.CV2X: ["TxDsrc", "PublishMqtt(CV2X)"],
+        LinkTech.CELL_MQTT: ["TxDsrc", "TxCv2x"],
     }
     same_medium = {
-        RxVia.DSRC: ActionKind.TX_DSRC,
-        RxVia.CV2X: ActionKind.TX_CV2X,
+        LinkTech.DSRC: ActionKind.TX_DSRC,
+        LinkTech.CV2X: ActionKind.TX_CV2X,
     }
     for via, expected in expectations.items():
         gw = Gateway()
-        bsm = bsm_at("U1", x_m=1.0, tech=via_tech[via], now_us=1_000)
+        bsm = bsm_at("U1", x_m=1.0, tech=via, now_us=1_000)
         actions = gw.on_rx(bsm, via, 2_000)
         assert [a.label() for a in actions] == expected, f"row for {via}"
         # relay purity: the exact input object is re-emitted
@@ -296,7 +291,7 @@ def test_criterion_6_relay_rule_conformance():
     # loop freedom under a DSRC<->CV2X echo topology
     gw = Gateway()
     origin = bsm_at("U1", tech=LinkTech.DSRC, now_us=0)
-    queue = [(origin, RxVia.DSRC)]
+    queue = [(origin, LinkTech.DSRC)]
     total = 0
     now = 0
     for _ in range(100):
@@ -308,9 +303,9 @@ def test_criterion_6_relay_rule_conformance():
         total += len(actions)
         for action in actions:
             if action.kind is ActionKind.TX_DSRC:
-                queue.append((action.payload, RxVia.DSRC))
+                queue.append((action.payload, LinkTech.DSRC))
             elif action.kind is ActionKind.TX_CV2X:
-                queue.append((action.payload, RxVia.CV2X))
+                queue.append((action.payload, LinkTech.CV2X))
     assert not queue, "echo topology never quiesced"
     assert total <= 3, f"{total} actions for one logical BSM"
     _announce(6, "rows 1-4 exact, payloads untouched, no same-medium echo, "

@@ -38,7 +38,10 @@ class TestSubscribe:
         broker = Broker()
         assert broker.subscribe("U2", Topic.IPU, 0) is True
         assert broker.subscribe("U2", Topic.IPU, 5) is False
-        assert broker.subscriber_count(Topic.IPU) == 1
+        deliveries = broker.publish(
+            ARSU_CLIENT, _arsu_envelope(Topic.IPU), 0, 0
+        )
+        assert [d.recipient for d in deliveries] == ["U2"]
 
     def test_unknown_topic_rejected(self):
         with pytest.raises(ValueError):
@@ -124,40 +127,3 @@ class TestPublish:
         broker.subscribe("U4", Topic.CELL, 0)
         assert broker.publish("U3", _cell_envelope(), 0, 1000) == []
         assert broker.drop_count == 1
-
-
-class TestDeliveriesBetween:
-    def test_empty_log(self):
-        assert Broker().deliveries_between(0, 10_000) == []
-
-    def test_single_delivery_in_window(self):
-        broker = Broker()
-        broker.subscribe("U4", Topic.CELL, 0)
-        broker.publish("U3", _cell_envelope(), 0, 2_500)  # delivered at 5000
-        assert len(broker.deliveries_between(0, 10_000)) == 1
-        assert broker.deliveries_between(0, 5_000) == []
-        assert len(broker.deliveries_between(5_000, 5_001)) == 1
-
-    def test_equal_timestamps_keep_insertion_order(self):
-        broker = Broker()
-        broker.subscribe("U4", Topic.CELL, 0)
-        broker.subscribe("U5", Topic.CELL, 0)
-        broker.publish("U3", _cell_envelope(), 0, 500)
-        hits = broker.deliveries_between(0, 10_000)
-        assert [d.recipient for d in hits] == ["U4", "U5"]
-        assert hits[0].sequence < hits[1].sequence
-
-    def test_reversed_window_rejected(self):
-        with pytest.raises(ValueError):
-            Broker().deliveries_between(10, 0)
-
-
-def test_delivery_log_csv_shape():
-    broker = Broker()
-    broker.subscribe("U4", Topic.CELL, 0)
-    broker.publish("U3", _cell_envelope(now=1_000), 1_000, 500)
-    rows = broker.delivery_log_csv_rows()
-    assert rows[0] == [
-        "topic", "publisher", "recipient", "published_at_ms", "delivered_at_ms"
-    ]
-    assert rows[1] == ["Cell", "U3", "U4", "1.000", "2.000"]

@@ -62,6 +62,10 @@ users:
     def test_speed_range_violation(self):
         with pytest.raises(ConfigError, match="scenario_speed_kmh"):
             parse_scenario(MINIMAL + "scenario_speed_kmh: 130\n")
+        with pytest.raises(ConfigError, match=r"users\[0\]\.speed_kmh"):
+            parse_scenario(MINIMAL + "    speed_kmh: 120.5\n")
+        cfg = parse_scenario(MINIMAL + "    speed_kmh: 120\n")
+        assert cfg.users[0].speed_kmh == 120.0
 
     def test_missing_duration(self):
         with pytest.raises(ConfigError, match="duration_ms"):

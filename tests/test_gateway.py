@@ -6,7 +6,6 @@ from arsusim.gateway import (
     FilterStatus,
     Gateway,
     RelayAction,
-    RxVia,
 )
 from arsusim.messages import (
     Detection,
@@ -40,56 +39,60 @@ def action_labels(actions):
 class TestRelayRules:
     def test_dsrc_rx(self):
         gw = Gateway()
-        actions = gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), RxVia.DSRC, 0)
+        actions = gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), LinkTech.DSRC, 0)
         assert action_labels(actions) == ["TxCv2x", "PublishMqtt(DSRC)"]
 
     def test_cv2x_rx(self):
         gw = Gateway()
-        actions = gw.on_rx(bsm_at("U2", tech=LinkTech.CV2X), RxVia.CV2X, 0)
+        actions = gw.on_rx(bsm_at("U2", tech=LinkTech.CV2X), LinkTech.CV2X, 0)
         assert action_labels(actions) == ["TxDsrc", "PublishMqtt(CV2X)"]
 
     def test_cell_topic_rx(self):
         gw = Gateway()
         actions = gw.on_rx(
-            bsm_at("U3", tech=LinkTech.CELL_MQTT), RxVia.CELL_TOPIC, 0
+            bsm_at("U3", tech=LinkTech.CELL_MQTT), LinkTech.CELL_MQTT, 0
         )
         assert action_labels(actions) == ["TxDsrc", "TxCv2x"]
 
+    def test_camera_arrival_rejected(self):
+        with pytest.raises(ValueError, match="arrival path"):
+            Gateway().on_rx(bsm_at("U4"), LinkTech.CAMERA, 0)
+
     def test_payloads_byte_identical_to_input(self):
         gw = Gateway()
-        for via, tech in [
-            (RxVia.DSRC, LinkTech.DSRC),
-            (RxVia.CV2X, LinkTech.CV2X),
-            (RxVia.CELL_TOPIC, LinkTech.CELL_MQTT),
-        ]:
-            bsm = bsm_at(f"U-{via.value}", x_m=3.0, tech=tech, now_us=100)
-            for action in gw.on_rx(bsm, via, 200):
+        for tech in (LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT):
+            bsm = bsm_at(f"U-{tech.value}", x_m=3.0, tech=tech, now_us=100)
+            for action in gw.on_rx(bsm, tech, 200):
                 assert action.payload is bsm
                 assert canonical_bsm_json(action.payload) == canonical_bsm_json(bsm)
 
     def test_no_same_medium_echo(self):
         gw = Gateway()
-        dsrc_actions = gw.on_rx(bsm_at("A", tech=LinkTech.DSRC), RxVia.DSRC, 0)
+        dsrc_actions = gw.on_rx(
+            bsm_at("A", tech=LinkTech.DSRC), LinkTech.DSRC, 0
+        )
         assert ActionKind.TX_DSRC not in {a.kind for a in dsrc_actions}
-        cv2x_actions = gw.on_rx(bsm_at("B", tech=LinkTech.CV2X), RxVia.CV2X, 0)
+        cv2x_actions = gw.on_rx(
+            bsm_at("B", tech=LinkTech.CV2X), LinkTech.CV2X, 0
+        )
         assert ActionKind.TX_CV2X not in {a.kind for a in cv2x_actions}
         cell_actions = gw.on_rx(
-            bsm_at("C", tech=LinkTech.CELL_MQTT), RxVia.CELL_TOPIC, 0
+            bsm_at("C", tech=LinkTech.CELL_MQTT), LinkTech.CELL_MQTT, 0
         )
         assert all(a.kind is not ActionKind.PUBLISH_MQTT for a in cell_actions)
 
     def test_duplicate_rx_suppressed(self):
         gw = Gateway()
         bsm = bsm_at("U1", tech=LinkTech.DSRC)
-        assert gw.on_rx(bsm, RxVia.DSRC, 0) != []
-        assert gw.on_rx(bsm, RxVia.DSRC, 5_000) == []
+        assert gw.on_rx(bsm, LinkTech.DSRC, 0) != []
+        assert gw.on_rx(bsm, LinkTech.DSRC, 5_000) == []
 
     def test_echo_loop_freedom(self):
         # feed every Tx output back on the opposite medium until quiet
         gw = Gateway()
         origin = bsm_at("U1", tech=LinkTech.DSRC, now_us=0)
         total_actions = 0
-        queue = [(origin, RxVia.DSRC)]
+        queue = [(origin, LinkTech.DSRC)]
         rounds = 0
         now = 0
         while queue and rounds < 50:
@@ -99,9 +102,9 @@ class TestRelayRules:
             total_actions += len(actions)
             for action in actions:
                 if action.kind is ActionKind.TX_DSRC:
-                    queue.append((action.payload, RxVia.DSRC))
+                    queue.append((action.payload, LinkTech.DSRC))
                 elif action.kind is ActionKind.TX_CV2X:
-                    queue.append((action.payload, RxVia.CV2X))
+                    queue.append((action.payload, LinkTech.CV2X))
             rounds += 1
         assert not queue, "echo loop did not quiesce"
         assert total_actions <= 3  # one logical BSM, bounded relay work
@@ -110,8 +113,8 @@ class TestRelayRules:
         gw = Gateway()
         first = bsm_at("U1", tech=LinkTech.DSRC, now_us=0)
         second = bsm_at("U1", tech=LinkTech.DSRC, now_us=100_000)
-        assert gw.on_rx(first, RxVia.DSRC, 2_000) != []
-        assert gw.on_rx(second, RxVia.DSRC, 102_000) != []
+        assert gw.on_rx(first, LinkTech.DSRC, 2_000) != []
+        assert gw.on_rx(second, LinkTech.DSRC, 102_000) != []
 
     def test_publish_topic_never_cell(self):
         with pytest.raises(ValueError):
@@ -121,30 +124,30 @@ class TestRelayRules:
 class TestHistory:
     def test_entry_inside_window_retained(self):
         gw = Gateway()
-        gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), RxVia.DSRC, 0)
-        gw.prune_history(199_000)
+        gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), LinkTech.DSRC, 0)
+        gw.history.prune(199_000)
         assert len(gw.history) == 1
 
     def test_entry_outside_window_removed(self):
         gw = Gateway()
-        gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), RxVia.DSRC, 0)
-        gw.prune_history(201_000)
+        gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), LinkTech.DSRC, 0)
+        gw.history.prune(201_000)
         assert len(gw.history) == 0
 
     def test_empty_store_prunes_to_empty(self):
         gw = Gateway()
-        gw.prune_history(1_000_000)
+        gw.history.prune(1_000_000)
         assert len(gw.history) == 0
 
     def test_survivor_order_preserved(self):
         gw = Gateway()
-        gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC, now_us=0), RxVia.DSRC, 0)
+        gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC, now_us=0), LinkTech.DSRC, 0)
         gw.on_rx(bsm_at("U2", x_m=50, tech=LinkTech.DSRC, now_us=50_000),
-                 RxVia.DSRC, 50_000)
+                 LinkTech.DSRC, 50_000)
         gw.on_rx(bsm_at("U3", x_m=90, tech=LinkTech.DSRC, now_us=150_000),
-                 RxVia.DSRC, 150_000)
-        gw.prune_history(240_000)  # cutoff 40 ms: drops the first only
-        ids = [bsm.id.value for bsm, _ in gw.history.entries()]
+                 LinkTech.DSRC, 150_000)
+        gw.history.prune(240_000)  # cutoff 40 ms: drops the first only
+        ids = [bsm.id.value for bsm, _ in gw.history]
         assert ids == ["U2", "U3"]
 
 
@@ -152,7 +155,7 @@ class TestDetectionFilter:
     def test_exact_position_match_is_connected(self):
         gw = Gateway()
         gw.on_rx(bsm_at("U1", x_m=10.0, tech=LinkTech.DSRC, now_us=250_000),
-                 RxVia.DSRC, 250_000)
+                 LinkTech.DSRC, 250_000)
         outcome = gw.on_detection(detection_at(10.0, 0.0), 300_000)
         assert outcome.status is FilterStatus.CONNECTED
         assert outcome.matched_id == RoadUserId("U1")
@@ -161,7 +164,7 @@ class TestDetectionFilter:
     def test_ten_meters_off_goes_pending_then_non_connected(self):
         gw = Gateway()
         gw.on_rx(bsm_at("U1", x_m=0.0, tech=LinkTech.DSRC, now_us=250_000),
-                 RxVia.DSRC, 250_000)
+                 LinkTech.DSRC, 250_000)
         det = detection_at(10.0, 0.0)
         outcome = gw.on_detection(det, 300_000)
         assert outcome.status is FilterStatus.PENDING
@@ -182,7 +185,7 @@ class TestDetectionFilter:
         assert outcome.status is FilterStatus.PENDING
         # matching BSM (2 m away) arrives 50 ms into the grace period
         gw.on_rx(bsm_at("U9", x_m=12.0, tech=LinkTech.DSRC, now_us=348_000),
-                 RxVia.DSRC, 350_000)
+                 LinkTech.DSRC, 350_000)
         assert gw.on_grace_deadline(outcome.track_id, 400_000) is None
         assert gw.confirmed_tracks == 0
         assert gw.ghost_count == 0
@@ -190,32 +193,32 @@ class TestDetectionFilter:
     def test_stale_history_never_matches(self):
         gw = Gateway()
         # entry at t=0 exactly where the detection will be
-        gw.on_rx(bsm_at("U1", x_m=10.0, tech=LinkTech.DSRC), RxVia.DSRC, 0)
+        gw.on_rx(bsm_at("U1", x_m=10.0, tech=LinkTech.DSRC), LinkTech.DSRC, 0)
         outcome = gw.on_detection(detection_at(10.0, 0.0), 300_000)
         assert outcome.status is FilterStatus.PENDING
 
     def test_nearest_entry_wins(self):
         gw = Gateway()
         gw.on_rx(bsm_at("NEAR", x_m=11.0, tech=LinkTech.DSRC, now_us=250_000),
-                 RxVia.DSRC, 250_000)
+                 LinkTech.DSRC, 250_000)
         gw.on_rx(bsm_at("FAR", x_m=13.0, tech=LinkTech.DSRC, now_us=250_000),
-                 RxVia.DSRC, 251_000)
+                 LinkTech.DSRC, 251_000)
         outcome = gw.on_detection(detection_at(10.0, 0.0), 300_000)
         assert outcome.matched_id == RoadUserId("NEAR")
 
     def test_distance_tie_broken_by_most_recent(self):
         gw = Gateway()
         gw.on_rx(bsm_at("OLD", x_m=12.0, tech=LinkTech.DSRC, now_us=250_000),
-                 RxVia.DSRC, 250_000)
+                 LinkTech.DSRC, 250_000)
         gw.on_rx(bsm_at("NEW", x_m=12.0, tech=LinkTech.DSRC, now_us=251_000),
-                 RxVia.DSRC, 251_000)
+                 LinkTech.DSRC, 251_000)
         outcome = gw.on_detection(detection_at(12.0, 0.0), 300_000)
         assert outcome.matched_id == RoadUserId("NEW")
 
     def test_boundary_distance_is_not_a_match(self):
         gw = Gateway(FilterConfig(sigma_m=5.0))
         gw.on_rx(bsm_at("U1", x_m=5.0, tech=LinkTech.DSRC, now_us=250_000),
-                 RxVia.DSRC, 250_000)
+                 LinkTech.DSRC, 250_000)
         # exactly sigma away: strict less-than, so pending
         outcome = gw.on_detection(detection_at(0.0, 0.0), 300_000)
         assert outcome.status is FilterStatus.PENDING
@@ -269,14 +272,14 @@ class TestDetectionFilter:
 class TestGhosts:
     def test_no_camera_means_no_ghosts(self):
         gw = Gateway(connected_ids=frozenset({RoadUserId("U1")}))
-        gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), RxVia.DSRC, 0)
+        gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), LinkTech.DSRC, 0)
         assert gw.ghost_events() == []
 
     def test_connected_user_beyond_sigma_becomes_ghost(self):
         gw = Gateway(connected_ids=frozenset({RoadUserId("U1")}))
         # reported position 8 m from the camera estimate, sigma 5 m
         gw.on_rx(bsm_at("U1", x_m=8.0, tech=LinkTech.DSRC, now_us=250_000),
-                 RxVia.DSRC, 250_000)
+                 LinkTech.DSRC, 250_000)
         outcome = gw.on_detection(
             detection_at(0.0, 0.0, truth="U1"), 300_000
         )
@@ -292,7 +295,7 @@ class TestGhosts:
     def test_matched_user_is_not_a_ghost(self):
         gw = Gateway(connected_ids=frozenset({RoadUserId("U1")}))
         gw.on_rx(bsm_at("U1", x_m=1.0, tech=LinkTech.DSRC, now_us=250_000),
-                 RxVia.DSRC, 250_000)
+                 LinkTech.DSRC, 250_000)
         outcome = gw.on_detection(
             detection_at(0.0, 0.0, truth="U1"), 300_000
         )
@@ -307,13 +310,3 @@ class TestGhosts:
         gw.on_grace_deadline(outcome.track_id, 400_000)
         assert gw.ghost_count == 0
         assert gw.confirmed_tracks == 1
-
-
-def test_decision_trace_csv_has_expected_columns():
-    gw = Gateway()
-    gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), RxVia.DSRC, 1_000)
-    gw.on_detection(detection_at(40.0, 0.0), 300_000)
-    rows = gw.trace_csv_rows()
-    assert rows[0] == ["at_ms", "event", "subject", "outcome", "actions"]
-    assert rows[1][0] == "1.000"
-    assert rows[1][3] == "Relayed"

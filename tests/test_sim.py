@@ -2,7 +2,13 @@ import pytest
 
 from arsusim.config import RoadUserKind, parse_scenario
 from arsusim.messages import LinkTech, RoadUserId
-from arsusim.sim import SimUser, run, step_mobility
+from arsusim.sim import (
+    Simulation,
+    SimulationInvariantError,
+    SimUser,
+    run,
+    step_mobility,
+)
 
 
 def make_user(speed_kmh=0.0, heading_deg=0.0, x=0.0, y=0.0):
@@ -141,6 +147,17 @@ arsu: {present: false}
         tx_rows = [r for r in result.trace_rows if r[1] == "BsmTx"]
         actors = [r[2] for r in tx_rows[:2]]
         assert actors == ["A", "B"]
+
+    def test_unknown_event_type_is_an_invariant_error(self):
+        sim = Simulation(scenario(self.SCENARIO))
+        with pytest.raises(SimulationInvariantError, match="unknown event"):
+            sim._dispatch(0, object())
+
+    def test_unknown_broker_client_is_an_invariant_error(self):
+        sim = Simulation(scenario(self.SCENARIO))
+        assert sim._user_by_id("U3").id == RoadUserId("U3")
+        with pytest.raises(SimulationInvariantError, match="broker client"):
+            sim._user_by_id("nobody")
 
 
 class TestIpuSampling:
