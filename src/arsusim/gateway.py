@@ -12,20 +12,33 @@ Three responsibilities, all driven by a strictly sequential event feed:
 * message generation: confirmed non-connected users get gateway-built
   BSMs under synthetic ids, relayed on every medium. The gateway never
   generates messages on behalf of connected users.
+
+Every match is "nearest within ``sigma_m`` by :func:`horizontal_distance_m`".
+The history and the pending and confirmed tracks are each indexed by
+latitude band, bands a little taller than ``sigma_m``, and a lookup
+measures only the entries of the query's band and its two neighbours.
+This is exact: the great-circle distance is never less than the meridian
+arc, ``METERS_PER_DEG * |dlat|``, so anything within ``sigma_m`` lies at
+most one band away, at any latitude and across the antimeridian. The
+band height carries a 1e-6 relative margin over ``sigma_m`` against
+float rounding in that bound (about 1e-10 relative). Ties keep the order
+a full scan in insertion order would give.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
 
-from .geo import horizontal_distance_m
+from .geo import METERS_PER_DEG, horizontal_distance_m
 from .messages import (
     Bsm,
     Detection,
     LinkTech,
+    Position,
     RoadUserId,
     SYNTHETIC_ID_PREFIX,
     Topic,
@@ -62,6 +75,20 @@ class RelayAction:
         return self.kind.value
 
 
+#: (kind, topic) of each relay, by the medium a BSM arrived over.
+_RELAY_TARGETS = {
+    LinkTech.DSRC: (
+        (ActionKind.TX_CV2X, None), (ActionKind.PUBLISH_MQTT, Topic.DSRC),
+    ),
+    LinkTech.CV2X: (
+        (ActionKind.TX_DSRC, None), (ActionKind.PUBLISH_MQTT, Topic.CV2X),
+    ),
+    LinkTech.CELL_MQTT: (
+        (ActionKind.TX_DSRC, None), (ActionKind.TX_CV2X, None),
+    ),
+}
+
+
 class FilterStatus(Enum):
     CONNECTED = "Connected"
     PENDING = "Pending"
@@ -95,23 +122,69 @@ class FilterConfig:
             raise ValueError("window and grace must be positive")
 
 
+class _LatitudeBands:
+    """Keyed items bucketed by the latitude band of their position.
+
+    Bands are ``sigma_m * (1 + 1e-6)`` tall, so every item within
+    ``sigma_m`` of a query lies in :meth:`near`'s three bands (see the
+    module docstring). Within a band, items keep insertion order.
+    """
+
+    def __init__(self, sigma_m: float):
+        self._bands_per_deg = METERS_PER_DEG / (sigma_m * (1.0 + 1e-6))
+        self._bands: dict[int, dict[int, object]] = {}
+
+    def band(self, position: Position) -> int:
+        return math.floor(position.lat_deg * self._bands_per_deg)
+
+    def add(self, key: int, band: int, item: object) -> None:
+        self._bands.setdefault(band, {})[key] = item
+
+    def remove(self, key: int, band: int) -> None:
+        items = self._bands[band]
+        del items[key]
+        if not items:
+            del self._bands[band]
+
+    def near(self, position: Position) -> Iterator:
+        """Items of the query's band and its two neighbours."""
+        band = self.band(position)
+        for b in (band - 1, band, band + 1):
+            items = self._bands.get(b)
+            if items:
+                yield from items.values()
+
+
 class HistoryStore:
     """Timestamped BSMs received over the last ``window_us``."""
 
-    def __init__(self, window_us: int):
+    def __init__(self, window_us: int, sigma_m: float):
         self.window_us = window_us
-        self._entries: deque[tuple[Bsm, int]] = deque()
+        #: (bsm, received_at_us, sequence, band), oldest first.
+        self._entries: deque[tuple[Bsm, int, int, int]] = deque()
+        self._index = _LatitudeBands(sigma_m)
+        self._appended = 0
 
     def append(self, bsm: Bsm, received_at_us: int) -> None:
-        self._entries.append((bsm, received_at_us))
+        entry = (
+            bsm, received_at_us, self._appended, self._index.band(bsm.position)
+        )
+        self._appended += 1
+        self._entries.append(entry)
+        self._index.add(entry[2], entry[3], entry)
 
     def prune(self, now_us: int) -> None:
         cutoff = now_us - self.window_us
         while self._entries and self._entries[0][1] < cutoff:
-            self._entries.popleft()
+            _, _, sequence, band = self._entries.popleft()
+            self._index.remove(sequence, band)
+
+    def near(self, position: Position) -> Iterator[tuple[Bsm, int, int, int]]:
+        """Entries that may lie within ``sigma_m`` of ``position``."""
+        return self._index.near(position)
 
     def __iter__(self) -> Iterator[tuple[Bsm, int]]:
-        return iter(self._entries)
+        return ((bsm, received_at) for bsm, received_at, _, _ in self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -160,6 +233,59 @@ class DetectionTrack:
     synthetic_id: Optional[RoadUserId] = None
 
 
+class _TrackSet:
+    """Detection tracks by id, indexed by the latitude band of their
+    latest estimate.
+
+    Ties in a nearest-track search go to the track added to this set
+    first, as a scan of a dict in insertion order would.
+    """
+
+    def __init__(self, sigma_m: float):
+        self._index = _LatitudeBands(sigma_m)
+        #: track id -> (track, sequence, band)
+        self._entries: dict[int, tuple[DetectionTrack, int, int]] = {}
+        self._added = 0
+
+    def add(self, track: DetectionTrack) -> None:
+        entry = (track, self._added, self._index.band(track.latest.estimate))
+        self._added += 1
+        self._entries[track.track_id] = entry
+        self._index.add(track.track_id, entry[2], entry)
+
+    def pop(self, track_id: int) -> Optional[DetectionTrack]:
+        entry = self._entries.pop(track_id, None)
+        if entry is None:
+            return None
+        self._index.remove(track_id, entry[2])
+        return entry[0]
+
+    def move(self, track: DetectionTrack, det: Detection) -> None:
+        """Make ``det`` the track's latest detection. A held track's
+        ``latest`` changes only here, so its band stays current."""
+        track.latest = det
+        _, sequence, old_band = self._entries[track.track_id]
+        band = self._index.band(det.estimate)
+        if band != old_band:
+            self._index.remove(track.track_id, old_band)
+            entry = (track, sequence, band)
+            self._entries[track.track_id] = entry
+            self._index.add(track.track_id, band, entry)
+
+    def near(
+        self, position: Position
+    ) -> Iterator[tuple[DetectionTrack, int, int]]:
+        """Entries that may lie within ``sigma_m`` of ``position``."""
+        return self._index.near(position)
+
+    def __iter__(self) -> Iterator[int]:
+        """Track ids in the order they were added."""
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 @dataclass(frozen=True)
 class DecisionRecord:
     at_us: int
@@ -183,10 +309,10 @@ class Gateway:
         seen_retention_us: int = 1_000_000,
     ):
         self.config = config
-        self.history = HistoryStore(config.window_us)
+        self.history = HistoryStore(config.window_us, config.sigma_m)
         self._seen = SeenSet(seen_retention_us)
-        self._pending: dict[int, DetectionTrack] = {}
-        self._confirmed: dict[int, DetectionTrack] = {}
+        self._pending = _TrackSet(config.sigma_m)
+        self._confirmed = _TrackSet(config.sigma_m)
         self._next_track_id = 1
         self._next_synthetic = 1
         self._connected_ids = connected_ids or frozenset()
@@ -205,48 +331,33 @@ class Gateway:
         yield an empty action list. Every accepted BSM lands in the position
         history and re-evaluates the pending detection tracks, resolving
         any track it position-matches (late-arrival allowance).
+        An unknown ``via`` raises ``ValueError`` and changes nothing.
         """
+        targets = _RELAY_TARGETS.get(via)
+        if targets is None:
+            raise ValueError(f"unknown arrival path {via!r}")
         self.history.prune(now_us)
         if self._seen.check_and_add(bsm, now_us):
             self._record(now_us, "rx", bsm.id.value, "Suppressed", "")
             return []
         self.history.append(bsm, now_us)
         self._resolve_pending_with_bsm(bsm, now_us)
-        actions = self._relay_actions(bsm, via)
+        actions = [RelayAction(kind, bsm, topic) for kind, topic in targets]
         self._record(
             now_us, "rx", bsm.id.value, "Relayed",
             "+".join(a.label() for a in actions),
         )
         return actions
 
-    @staticmethod
-    def _relay_actions(bsm: Bsm, via: LinkTech) -> list[RelayAction]:
-        if via is LinkTech.DSRC:
-            return [
-                RelayAction(ActionKind.TX_CV2X, bsm),
-                RelayAction(ActionKind.PUBLISH_MQTT, bsm, Topic.DSRC),
-            ]
-        if via is LinkTech.CV2X:
-            return [
-                RelayAction(ActionKind.TX_DSRC, bsm),
-                RelayAction(ActionKind.PUBLISH_MQTT, bsm, Topic.CV2X),
-            ]
-        if via is LinkTech.CELL_MQTT:
-            return [
-                RelayAction(ActionKind.TX_DSRC, bsm),
-                RelayAction(ActionKind.TX_CV2X, bsm),
-            ]
-        raise ValueError(f"unknown arrival path {via!r}")
-
     def _resolve_pending_with_bsm(self, bsm: Bsm, now_us: int) -> None:
-        resolved = [
-            tid
-            for tid, track in self._pending.items()
+        resolved = sorted(
+            track.track_id
+            for track, _, _ in self._pending.near(bsm.position)
             if horizontal_distance_m(track.latest.estimate, bsm.position)
             < self.config.sigma_m
-        ]
+        )
         for tid in resolved:
-            del self._pending[tid]
+            self._pending.pop(tid)
             self._record(
                 now_us, "pending_match", bsm.id.value, "Connected",
                 f"track={tid}",
@@ -275,7 +386,7 @@ class Gateway:
 
         track = self._nearest_track(det, self._confirmed)
         if track is not None:
-            track.latest = det
+            self._confirmed.move(track, det)
             actions = self._generation_actions(track)
             self._record(
                 now_us, "detection", _truth_label(det), "NonConnected",
@@ -290,7 +401,7 @@ class Gateway:
 
         track = self._nearest_track(det, self._pending)
         if track is not None:
-            track.latest = det
+            self._pending.move(track, det)
             self._record(
                 now_us, "detection", _truth_label(det), "Pending",
                 f"track={track.track_id}",
@@ -306,7 +417,7 @@ class Gateway:
             latest=det,
         )
         self._next_track_id += 1
-        self._pending[track.track_id] = track
+        self._pending.add(track)
         self._record(
             now_us, "detection", _truth_label(det), "Pending",
             f"track={track.track_id} new",
@@ -325,7 +436,7 @@ class Gateway:
         Returns the generation actions, or None if the track was already
         resolved (a late BSM matched it during the grace period).
         """
-        track = self._pending.pop(track_id, None)
+        track = self._pending.pop(track_id)
         if track is None:
             return None
         track.confirmed = True
@@ -333,7 +444,7 @@ class Gateway:
             f"{SYNTHETIC_ID_PREFIX}{self._next_synthetic}"
         )
         self._next_synthetic += 1
-        self._confirmed[track_id] = track
+        self._confirmed.add(track)
         truth = track.latest.truth_id
         self.synthetic_truth[track.synthetic_id] = truth
         if truth is not None and truth in self._connected_ids:
@@ -357,25 +468,26 @@ class Gateway:
 
     def _nearest_history(self, det: Detection) -> Optional[RoadUserId]:
         best = None
-        for bsm, received_at in self.history:
+        for bsm, received_at, sequence, _ in self.history.near(det.estimate):
             d = horizontal_distance_m(det.estimate, bsm.position)
             if d >= self.config.sigma_m:
                 continue
-            # nearest wins; ties broken by most recent reception
-            key = (d, -received_at)
+            # nearest wins; ties broken by most recent reception, then by
+            # earliest arrival
+            key = (d, -received_at, sequence)
             if best is None or key < best[0]:
                 best = (key, bsm.id)
         return best[1] if best else None
 
     def _nearest_track(
-        self, det: Detection, tracks: dict[int, DetectionTrack]
+        self, det: Detection, tracks: _TrackSet
     ) -> Optional[DetectionTrack]:
         best = None
-        for track in tracks.values():
+        for track, sequence, _ in tracks.near(det.estimate):
             d = horizontal_distance_m(det.estimate, track.latest.estimate)
             if d >= self.config.sigma_m:
                 continue
-            key = (d, -track.latest.available_at_us)
+            key = (d, -track.latest.available_at_us, sequence)
             if best is None or key < best[0]:
                 best = (key, track)
         return best[1] if best else None

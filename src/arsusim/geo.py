@@ -14,7 +14,10 @@ from dataclasses import dataclass
 from .messages import Position
 
 EARTH_RADIUS_M = 6_371_000.0
-_METERS_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
+#: Length of one degree of latitude (a meridian arc) on the model sphere;
+#: :func:`horizontal_distance_m` is never less than this times the
+#: latitude difference in degrees.
+METERS_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
 
 
 @dataclass(frozen=True)
@@ -23,12 +26,12 @@ class LocalFrame:
     origin_lon_deg: float = 0.0
 
     def _lon_scale(self) -> float:
-        return _METERS_PER_DEG * math.cos(math.radians(self.origin_lat_deg))
+        return METERS_PER_DEG * math.cos(math.radians(self.origin_lat_deg))
 
     def position_at(self, x_m: float, y_m: float, elev_m: float = 0.0) -> Position:
         """Geodetic position of local point (x east, y north), meters."""
         return Position(
-            lat_deg=self.origin_lat_deg + y_m / _METERS_PER_DEG,
+            lat_deg=self.origin_lat_deg + y_m / METERS_PER_DEG,
             lon_deg=self.origin_lon_deg + x_m / self._lon_scale(),
             elev_m=elev_m,
         )
@@ -36,7 +39,7 @@ class LocalFrame:
     def xy_of(self, position: Position) -> tuple[float, float]:
         return (
             (position.lon_deg - self.origin_lon_deg) * self._lon_scale(),
-            (position.lat_deg - self.origin_lat_deg) * _METERS_PER_DEG,
+            (position.lat_deg - self.origin_lat_deg) * METERS_PER_DEG,
         )
 
 

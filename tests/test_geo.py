@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from arsusim.geo import LocalFrame, horizontal_distance_m
+from arsusim.geo import METERS_PER_DEG, LocalFrame, horizontal_distance_m
 from arsusim.messages import Position
 
 
@@ -42,3 +43,16 @@ def test_distance_matches_planar_at_small_scale():
     b = frame.position_at(100.0, 100.0)
     expected = math.hypot(100.0, 100.0)
     assert horizontal_distance_m(a, b) == pytest.approx(expected, rel=1e-4)
+
+
+latitudes = st.floats(-90.0, 90.0)
+longitudes = st.floats(-180.0, 180.0)
+
+
+@given(latitudes, longitudes, latitudes, longitudes)
+def test_distance_never_below_meridian_arc(lat1, lon1, lat2, lon2):
+    # The gateway's latitude-band index relies on this bound. The 1 nm
+    # absolute slack covers squared sines that underflow below ~1e-154.
+    a, b = Position(lat1, lon1), Position(lat2, lon2)
+    arc = METERS_PER_DEG * abs(a.lat_deg - b.lat_deg)
+    assert horizontal_distance_m(a, b) >= arc * (1 - 1e-9) - 1e-9
