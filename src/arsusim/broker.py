@@ -1,11 +1,12 @@
 """Simulated four-topic publish/subscribe broker.
 
-The broker owns subscriptions and the delivery log but no timing: every
-delay is supplied by the caller (one cellular half-RTT per road-user
-leg). A road user publishing pays one leg to reach the broker; each
-road-user subscriber pays one more leg; the gateway's own link to the
-broker is free in both directions, mirroring how the composed-delay
-table books exactly one cellular half per bridged direction.
+The broker owns subscriptions and the delivery log but no timing: the
+caller supplies one mapping from each road user's client id to its leg
+delay (its cellular half-RTT). A road user publishing pays its leg to
+reach the broker; each road-user subscriber pays its own leg; the
+gateway's own link to the broker is free in both directions, mirroring
+how the composed-delay table books exactly one cellular half per bridged
+direction.
 
 Delivery is deterministic and loss-free by default; a drop probability
 can be configured for lossy experiments.
@@ -13,6 +14,7 @@ can be configured for lossy experiments.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .messages import MqttEnvelope, Topic
@@ -38,17 +40,11 @@ class Delivery:
 
 
 class Broker:
-    def __init__(
-        self,
-        arsu_client: str = ARSU_CLIENT,
-        drop_probability: float = 0.0,
-        rng=None,
-    ):
+    def __init__(self, drop_probability: float = 0.0, rng=None):
         if not 0.0 <= drop_probability <= 1.0:
             raise ValueError("drop probability must be in [0, 1]")
         if drop_probability > 0.0 and rng is None:
             raise ValueError("a seeded rng is required when drops are enabled")
-        self.arsu_client = arsu_client
         self.drop_probability = drop_probability
         self._rng = rng
         # Insertion-ordered: (client, topic) pairs drive fan-out order.
@@ -59,7 +55,7 @@ class Broker:
         self.drop_count = 0
         self._published_topics: dict[str, set[Topic]] = {}
 
-    def subscribe(self, client: str, topic: Topic, now_us: int) -> bool:
+    def subscribe(self, client: str, topic: Topic) -> bool:
         """Register interest; duplicates are no-ops. Returns True if new."""
         if not isinstance(topic, Topic):
             raise ValueError(f"unknown topic {topic!r}")
@@ -81,19 +77,17 @@ class Broker:
         publisher: str,
         envelope: MqttEnvelope,
         now_us: int,
-        user_leg_delay_us,
+        legs_us: Mapping[str, int],
     ) -> list[Delivery]:
         """Fan a message out to the topic's current subscribers.
 
         Exactly one delivery per subscriber, excluding the publisher
-        itself. Delivery time is ``now`` plus one cellular leg delay per
-        road-user endpoint on the path (0, 1 or 2 legs); the gateway's
-        side of the broker is free. ``user_leg_delay_us`` is either an
-        integer (one delay for everyone) or a callable mapping a client
-        id to its leg delay.
+        itself. Delivery time is ``now`` plus the leg delay
+        ``legs_us[client]`` of each road-user endpoint on the path (0, 1
+        or 2 legs); the gateway's side of the broker is free.
         """
         topic = envelope.topic
-        if publisher == self.arsu_client:
+        if publisher == ARSU_CLIENT:
             if topic not in _ARSU_TOPICS:
                 raise TopicOwnershipError(
                     f"{publisher} may not publish to topic {topic.value}"
@@ -103,15 +97,9 @@ class Broker:
                 f"road user {publisher} may only publish to topic "
                 f"{Topic.CELL.value}, not {topic.value}"
             )
-        if callable(user_leg_delay_us):
-            leg_of = user_leg_delay_us
-        else:
-            def leg_of(client: str, fixed=int(user_leg_delay_us)) -> int:
-                return fixed
-
         self.publish_count += 1
         self._published_topics.setdefault(publisher, set()).add(topic)
-        uplink_us = 0 if publisher == self.arsu_client else leg_of(publisher)
+        uplink_us = 0 if publisher == ARSU_CLIENT else legs_us[publisher]
         deliveries = []
         for client, sub_topic in self._subscriptions:
             if sub_topic is not topic or client == publisher:
@@ -121,7 +109,7 @@ class Broker:
             ):
                 self.drop_count += 1
                 continue
-            downlink_us = 0 if client == self.arsu_client else leg_of(client)
+            downlink_us = 0 if client == ARSU_CLIENT else legs_us[client]
             delivery = Delivery(
                 envelope=envelope,
                 publisher=publisher,

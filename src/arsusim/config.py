@@ -15,7 +15,7 @@ from typing import Optional
 import yaml
 
 from .latency import MAX_ITT_MS, SPEEDS_KMH
-from .messages import SYNTHETIC_ID_PREFIX, ms_to_us
+from .messages import SYNTHETIC_ID_PREFIX, LinkTech, ms_to_us
 
 #: Fastest speed a scenario or a user may run at: the delay table's last
 #: sample, so the latency model never clamps.
@@ -29,10 +29,19 @@ class ConfigError(ValueError):
 
 
 class RoadUserKind(Enum):
-    NATIVE_DSRC = "native_dsrc"
-    NATIVE_CV2X = "native_cv2x"
-    NONNATIVE_CELL = "nonnative_cell"
-    NON_CONNECTED = "non_connected"
+    """A road user's kind, parsed from its ``value``; ``tech`` is the
+    technology it transmits and hears on, None for non-connected users."""
+
+    NATIVE_DSRC = ("native_dsrc", LinkTech.DSRC)
+    NATIVE_CV2X = ("native_cv2x", LinkTech.CV2X)
+    NONNATIVE_CELL = ("nonnative_cell", LinkTech.CELL_MQTT)
+    NON_CONNECTED = ("non_connected", None)
+
+    def __new__(cls, value: str, tech: Optional[LinkTech]):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.tech = tech
+        return kind
 
     @property
     def is_connected(self) -> bool:

@@ -190,16 +190,19 @@ class HistoryStore:
         return len(self._entries)
 
 
+#: How long a relayed (id, generated_at) key suppresses its echoes.
+_SEEN_RETENTION_US = 1_000_000
+
+
 class SeenSet:
     """(id, generated_at) keys already relayed, with bounded retention."""
 
-    def __init__(self, retention_us: int = 1_000_000):
-        self.retention_us = retention_us
+    def __init__(self):
         self._seen: dict[tuple[str, int], int] = {}
         self._order: deque[tuple[str, int]] = deque()
 
     def _prune(self, now_us: int) -> None:
-        cutoff = now_us - self.retention_us
+        cutoff = now_us - _SEEN_RETENTION_US
         while self._order:
             key = self._order[0]
             seen_at = self._seen.get(key)
@@ -226,10 +229,8 @@ class SeenSet:
 @dataclass
 class DetectionTrack:
     track_id: int
-    first_seen_us: int
     deadline_us: int
     latest: Detection
-    confirmed: bool = False
     synthetic_id: Optional[RoadUserId] = None
 
 
@@ -306,11 +307,10 @@ class Gateway:
         self,
         config: FilterConfig = FilterConfig(),
         connected_ids: Optional[frozenset[RoadUserId]] = None,
-        seen_retention_us: int = 1_000_000,
     ):
         self.config = config
         self.history = HistoryStore(config.window_us, config.sigma_m)
-        self._seen = SeenSet(seen_retention_us)
+        self._seen = SeenSet()
         self._pending = _TrackSet(config.sigma_m)
         self._confirmed = _TrackSet(config.sigma_m)
         self._next_track_id = 1
@@ -412,7 +412,6 @@ class Gateway:
 
         track = DetectionTrack(
             track_id=self._next_track_id,
-            first_seen_us=now_us,
             deadline_us=now_us + self.config.grace_us,
             latest=det,
         )
@@ -439,7 +438,6 @@ class Gateway:
         track = self._pending.pop(track_id)
         if track is None:
             return None
-        track.confirmed = True
         track.synthetic_id = RoadUserId(
             f"{SYNTHETIC_ID_PREFIX}{self._next_synthetic}"
         )

@@ -28,12 +28,11 @@ class LocalFrame:
     def _lon_scale(self) -> float:
         return METERS_PER_DEG * math.cos(math.radians(self.origin_lat_deg))
 
-    def position_at(self, x_m: float, y_m: float, elev_m: float = 0.0) -> Position:
+    def position_at(self, x_m: float, y_m: float) -> Position:
         """Geodetic position of local point (x east, y north), meters."""
         return Position(
             lat_deg=self.origin_lat_deg + y_m / METERS_PER_DEG,
             lon_deg=self.origin_lon_deg + x_m / self._lon_scale(),
-            elev_m=elev_m,
         )
 
     def xy_of(self, position: Position) -> tuple[float, float]:

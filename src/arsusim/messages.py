@@ -7,12 +7,11 @@ MQTT envelopes live here too, together with the constructors and the
 validator that enforce field ranges.
 
 Simulation time is integer microseconds everywhere inside the package;
-milliseconds (3 decimals) appear only in serialized/reported form.
+milliseconds (3 decimals) appear only in reports and traces.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -225,53 +224,3 @@ def validate_bsm(bsm: Bsm, now_us: Optional[int] = None) -> list[str]:
         violations.append("camera origin requires a synthetic id")
     return violations
 
-
-# --- JSON-compatible serialization (stable field names) ---
-
-def bsm_to_dict(bsm: Bsm) -> dict:
-    return {
-        "id": bsm.id.value,
-        "lat": bsm.position.lat_deg,
-        "lon": bsm.position.lon_deg,
-        "elev": bsm.position.elev_m,
-        "sigma": bsm.accuracy.horizontal_sigma_m,
-        "dop": bsm.accuracy.dop,
-        "speed_kmh": bsm.speed_kmh,
-        "heading_deg": bsm.heading_deg,
-        "generated_at_ms": round(us_to_ms(bsm.generated_at_us), 3),
-        "origin_tech": bsm.origin_tech.value,
-    }
-
-
-def bsm_from_dict(data: dict) -> Bsm:
-    return Bsm(
-        id=RoadUserId(data["id"]),
-        position=Position(data["lat"], data["lon"], data["elev"]),
-        accuracy=PositionAccuracy(data["sigma"], data["dop"]),
-        speed_kmh=data["speed_kmh"],
-        heading_deg=data["heading_deg"],
-        generated_at_us=ms_to_us(data["generated_at_ms"]),
-        origin_tech=LinkTech(data["origin_tech"]),
-    )
-
-
-def envelope_to_dict(env: MqttEnvelope) -> dict:
-    data = bsm_to_dict(env.payload)
-    data["topic"] = env.topic.value
-    data["published_at_ms"] = round(us_to_ms(env.published_at_us), 3)
-    return data
-
-
-def envelope_from_dict(data: dict) -> MqttEnvelope:
-    payload = bsm_from_dict({k: v for k, v in data.items()
-                             if k not in ("topic", "published_at_ms")})
-    return MqttEnvelope(
-        topic=Topic(data["topic"]),
-        payload=payload,
-        published_at_us=ms_to_us(data["published_at_ms"]),
-    )
-
-
-def canonical_bsm_json(bsm: Bsm) -> str:
-    """Canonical serialized form, used for byte-identity comparisons."""
-    return json.dumps(bsm_to_dict(bsm), sort_keys=True, separators=(",", ":"))

@@ -41,12 +41,6 @@ from .messages import (
 
 _METRICS_TICK_US = 100_000
 
-_KIND_TECH = {
-    RoadUserKind.NATIVE_DSRC: LinkTech.DSRC,
-    RoadUserKind.NATIVE_CV2X: LinkTech.CV2X,
-    RoadUserKind.NONNATIVE_CELL: LinkTech.CELL_MQTT,
-}
-
 
 class SimulationInvariantError(RuntimeError):
     """An internal consistency rule was violated during a run."""
@@ -67,10 +61,10 @@ class SimUser:
     bsm_interval_us: int
     bsm_phase_us: int
     updated_at_us: int = 0
-
-    @property
-    def tech(self) -> Optional[LinkTech]:
-        return _KIND_TECH.get(self.kind)
+    #: One link half (µs) on the user's technology: at the scenario speed,
+    #: or at the user's own speed in ``max_endpoint`` mode. None for
+    #: non-connected users.
+    half_us: Optional[int] = None
 
 
 def step_mobility(user: SimUser, dt_us: int) -> None:
@@ -224,9 +218,12 @@ class Simulation:
         self.freshness_us = ms_to_us(config.freshness_window_ms)
         self.users = [self._make_user(i, s) for i, s in enumerate(config.users)]
         self._users_by_id = {u.id.value: u for u in self.users}
-        self._by_kind: dict[RoadUserKind, list[SimUser]] = {}
+        self._by_tech: dict[LinkTech, list[SimUser]] = {}
         for user in self.users:
-            self._by_kind.setdefault(user.kind, []).append(user)
+            if user.kind.tech is not None:
+                self._by_tech.setdefault(user.kind.tech, []).append(user)
+        cell_users = self._by_tech.get(LinkTech.CELL_MQTT, [])
+        self._cell_legs_us = {u.id.value: u.half_us for u in cell_users}
         self.metrics = Metrics()
         self.trace_rows: list[list[str]] = []
         self._receiver_seen: dict[str, set[tuple[str, int]]] = {
@@ -261,11 +258,11 @@ class Simulation:
                 ),
                 connected_ids=connected,
             )
-            self.broker.subscribe(ARSU_CLIENT, Topic.CELL, 0)
+            self.broker.subscribe(ARSU_CLIENT, Topic.CELL)
         # Nonnative users subscribe to all four topics (their downlink).
-        for user in self._by_kind.get(RoadUserKind.NONNATIVE_CELL, []):
+        for user in cell_users:
             for topic in Topic:
-                self.broker.subscribe(user.id.value, topic, 0)
+                self.broker.subscribe(user.id.value, topic)
 
     def _make_user(self, index: int, spec: UserSpec) -> SimUser:
         speed = (
@@ -273,6 +270,14 @@ class Simulation:
             if spec.speed_kmh is not None
             else self.config.scenario_speed_kmh
         )
+        tech = spec.kind.tech
+        half_us = None
+        if tech is not None:
+            link_speed = (
+                speed if self.config.link_speed_mode == "max_endpoint"
+                else self.config.scenario_speed_kmh
+            )
+            half_us = ms_to_us(self.model.half_delay(tech, link_speed))
         return SimUser(
             index=index,
             id=RoadUserId(spec.user_id),
@@ -284,6 +289,7 @@ class Simulation:
             gnss_error_std_m=spec.gnss_error_std_m,
             bsm_interval_us=ms_to_us(spec.bsm_interval_ms),
             bsm_phase_us=ms_to_us(spec.bsm_phase_ms),
+            half_us=half_us,
         )
 
     # --- scheduling ---
@@ -338,23 +344,11 @@ class Simulation:
             raise SimulationInvariantError(f"unknown event {payload!r}")
         handler(now_us, payload)
 
-    # --- link speeds ---
-
-    def _link_speed(
-        self, a: Optional[SimUser], b: Optional[SimUser]
-    ) -> float:
-        if self.config.link_speed_mode == "scenario":
-            return self.config.scenario_speed_kmh
-        speeds = [u.speed_kmh for u in (a, b) if u is not None]
-        return max(speeds) if speeds else 0.0
-
-    def _half_us(self, tech: LinkTech, speed_kmh: float) -> int:
-        return ms_to_us(self.model.half_delay(tech, speed_kmh))
-
     # --- event handlers ---
 
     def _on_bsm_tx(self, now_us: int, ev: _BsmTx) -> None:
         user = self.users[ev.user_index]
+        tech = user.kind.tech
         self._advance(user, now_us)
         noise = self.rng.normal(0.0, user.gnss_error_std_m, 2)
         reported = self.frame.position_at(
@@ -366,7 +360,7 @@ class Simulation:
             user.speed_kmh,
             user.heading_deg,
             PositionAccuracy(horizontal_sigma_m=user.gnss_error_std_m),
-            user.tech,
+            tech,
             now_us,
         )
         self.metrics.bsm_tx += 1
@@ -376,48 +370,39 @@ class Simulation:
             f"x_m={rep_x:.3f} y_m={rep_y:.3f}",
         )
 
-        if user.kind is RoadUserKind.NONNATIVE_CELL:
-            self._publish(user, bsm, Topic.CELL, now_us)
+        if tech is LinkTech.CELL_MQTT:
+            self._publish(user.id.value, bsm, Topic.CELL, tech, now_us)
         else:
-            tech = user.tech
-            for peer in self._by_kind.get(user.kind, []):
+            for peer in self._by_tech[tech]:
                 if peer.index == user.index:
                     continue
-                delay = 2 * self._half_us(tech, self._link_speed(user, peer))
+                # max(speeds) is always one endpoint's speed, so the
+                # faster endpoint's half is the link's half.
+                faster = user if user.speed_kmh >= peer.speed_kmh else peer
                 self._schedule(
-                    now_us + delay,
+                    now_us + 2 * faster.half_us,
                     _RadioDelivery(peer.index, bsm, tech, tech),
                 )
             if self.gateway is not None and self._in_coverage(user):
-                delay = self._half_us(tech, self._link_speed(user, None))
                 self._schedule(
-                    now_us + delay,
+                    now_us + user.half_us,
                     _RadioDelivery(None, bsm, tech, tech),
                 )
         self._schedule(now_us + user.bsm_interval_us, _BsmTx(user.index))
 
     def _publish(
-        self, publisher: Optional[SimUser], bsm: Bsm, topic: Topic, now_us: int
+        self,
+        publisher: str,
+        bsm: Bsm,
+        topic: Topic,
+        uplink: LinkTech,
+        now_us: int,
     ) -> None:
         envelope = MqttEnvelope(topic=topic, payload=bsm, published_at_us=now_us)
-        if self.config.link_speed_mode == "scenario":
-            leg = self._half_us(
-                LinkTech.CELL_MQTT, self.config.scenario_speed_kmh
-            )
-        else:
-            def leg(client: str) -> int:
-                endpoint = self._users_by_id.get(client)
-                return self._half_us(
-                    LinkTech.CELL_MQTT, self._link_speed(endpoint, None)
-                )
-
-        client = publisher.id.value if publisher else ARSU_CLIENT
-        uplink = (
-            LinkTech.CELL_MQTT
-            if publisher is not None
-            else _TOPIC_UPLINK[topic]
+        deliveries = self.broker.publish(
+            publisher, envelope, now_us, self._cell_legs_us
         )
-        for delivery in self.broker.publish(client, envelope, now_us, leg):
+        for delivery in deliveries:
             self._schedule(
                 delivery.delivered_at_us, _MqttDelivery(delivery, uplink)
             )
@@ -458,32 +443,25 @@ class Simulation:
     ) -> None:
         for action in actions:
             if action.kind is ActionKind.TX_DSRC:
-                self._tx_to_kind(
-                    RoadUserKind.NATIVE_DSRC, LinkTech.DSRC, action.payload,
-                    uplink, now_us,
-                )
+                self._transmit(LinkTech.DSRC, action.payload, uplink, now_us)
             elif action.kind is ActionKind.TX_CV2X:
-                self._tx_to_kind(
-                    RoadUserKind.NATIVE_CV2X, LinkTech.CV2X, action.payload,
-                    uplink, now_us,
-                )
+                self._transmit(LinkTech.CV2X, action.payload, uplink, now_us)
             else:
-                self._publish(None, action.payload, action.topic, now_us)
+                # The gateway publishes a BSM on the topic of the medium
+                # it arrived on, so the delivery's uplink is that medium.
+                self._publish(
+                    ARSU_CLIENT, action.payload, action.topic, uplink, now_us
+                )
 
-    def _tx_to_kind(
-        self,
-        kind: RoadUserKind,
-        tech: LinkTech,
-        bsm: Bsm,
-        uplink: LinkTech,
-        now_us: int,
+    def _transmit(
+        self, tech: LinkTech, bsm: Bsm, uplink: LinkTech, now_us: int
     ) -> None:
-        for receiver in self._by_kind.get(kind, []):
+        """The gateway's radio relay of ``bsm`` to every user on ``tech``."""
+        for receiver in self._by_tech.get(tech, []):
             if receiver.id == bsm.id:
                 continue
-            delay = self._half_us(tech, self._link_speed(receiver, None))
             self._schedule(
-                now_us + delay,
+                now_us + receiver.half_us,
                 _RadioDelivery(receiver.index, bsm, uplink, tech),
             )
 
@@ -634,14 +612,6 @@ class Simulation:
         self.trace_rows.append(
             [f"{us_to_ms(at_us):.3f}", kind, actor, subject, detail]
         )
-
-
-_TOPIC_UPLINK = {
-    Topic.DSRC: LinkTech.DSRC,
-    Topic.CV2X: LinkTech.CV2X,
-    Topic.IPU: LinkTech.CAMERA,
-    Topic.CELL: LinkTech.CELL_MQTT,
-}
 
 
 def _coverage_label(value: Optional[float]) -> str:

@@ -10,16 +10,9 @@ from arsusim.messages import (
     Position,
     PositionAccuracy,
     RoadUserId,
-    Topic,
     ValidationError,
-    bsm_from_dict,
-    bsm_to_dict,
-    canonical_bsm_json,
-    envelope_from_dict,
-    envelope_to_dict,
     make_bsm,
     make_ipu_bsm,
-    ms_to_us,
     validate_bsm,
 )
 
@@ -138,47 +131,6 @@ class TestDetection:
 
 
 class TestSerialization:
-    def test_bsm_dict_round_trip(self):
-        bsm = _make(lat=1.25, lon=-3.5, elev=12.0, speed=88.0,
-                    heading=123.0, now=5_470, tech=LinkTech.CELL_MQTT)
-        assert bsm_from_dict(bsm_to_dict(bsm)) == bsm
-
-    def test_stable_field_names(self):
-        data = bsm_to_dict(_make())
-        assert set(data) == {
-            "id", "lat", "lon", "elev", "sigma", "dop", "speed_kmh",
-            "heading_deg", "generated_at_ms", "origin_tech",
-        }
-
-    def test_envelope_round_trip(self):
-        bsm = _make(now=ms_to_us(123.456))
-        env = MqttEnvelope(Topic.DSRC, bsm, ms_to_us(124.0))
-        restored = envelope_from_dict(envelope_to_dict(env))
-        assert restored == env
-        assert restored.payload == bsm
-
-    def test_envelope_round_trip_random(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            bsm = _make(
-                lat=rng.uniform(-90, 90),
-                lon=rng.uniform(-180, 180),
-                speed=rng.uniform(0, 200),
-                heading=rng.uniform(0, 359.9),
-                now=rng.randrange(0, 10**8) * 1000,  # whole-ms epochs
-                tech=rng.choice(
-                    [LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT]
-                ),
-            )
-            topic = rng.choice(list(Topic))
-            env = MqttEnvelope(topic, bsm, rng.randrange(0, 10**8) * 1000)
-            assert envelope_from_dict(envelope_to_dict(env)) == env
-
-    def test_canonical_json_is_deterministic(self):
-        bsm = _make(lat=10.0, speed=20.0)
-        assert canonical_bsm_json(bsm) == canonical_bsm_json(bsm)
-        assert canonical_bsm_json(bsm) != canonical_bsm_json(_make(lat=11.0))
-
     def test_envelope_topic_closed_set(self):
         with pytest.raises(ValidationError):
             MqttEnvelope("Rogue", _make(), 0)

@@ -1,7 +1,9 @@
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from arsusim.config import RoadUserKind, parse_scenario
-from arsusim.messages import LinkTech, RoadUserId
+from arsusim.messages import LinkTech, RoadUserId, ms_to_us
 from arsusim.sim import (
     Simulation,
     SimulationInvariantError,
@@ -331,6 +333,52 @@ users:
         for d in result.metrics.deliveries:
             expected = result.model.composed_delay(d.uplink, d.downlink, 0.0)
             assert d.latency_ms == pytest.approx(expected, abs=0.001)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_max_endpoint_latency_matches_model(self, data):
+        """Every non-camera delivery of a random ``max_endpoint`` scenario
+        takes the delay worked out from the model and the endpoint
+        speeds: twice the half at the faster speed on a direct link,
+        the sender's half plus the receiver's half otherwise."""
+        speeds = st.integers(0, 1200).map(lambda tenths: tenths / 10)
+        kinds = st.sampled_from([k.value for k in RoadUserKind])
+        users = [
+            {
+                "kind": data.draw(kinds),
+                "id": f"U{i}",
+                "x_m": data.draw(st.integers(-160, 160)),
+                "heading_deg": data.draw(st.integers(0, 359)),
+                "speed_kmh": data.draw(speeds),
+                "bsm_phase_ms": data.draw(st.integers(0, 99)),
+            }
+            for i in range(data.draw(st.integers(2, 8)))
+        ]
+        cfg = parse_scenario(yaml.safe_dump({
+            "duration_ms": 500,
+            "scenario_speed_kmh": data.draw(speeds),
+            "link_speed_mode": "max_endpoint",
+            "seed": data.draw(st.integers(0, 2**16)),
+            "users": users,
+        }))
+        result = run(cfg)
+        speed = {u["id"]: u["speed_kmh"] for u in users}
+
+        def half_us(tech, speed_kmh):
+            return ms_to_us(result.model.half_delay(tech, speed_kmh))
+
+        for d in result.metrics.deliveries:
+            if d.uplink is LinkTech.CAMERA:
+                continue  # carries the IPU processing and grace wait
+            sender_kmh, receiver_kmh = speed[d.subject], speed[d.receiver]
+            if d.uplink is d.downlink and d.uplink is not LinkTech.CELL_MQTT:
+                expected = 2 * half_us(d.uplink, max(sender_kmh, receiver_kmh))
+            else:
+                expected = (
+                    half_us(d.uplink, sender_kmh)
+                    + half_us(d.downlink, receiver_kmh)
+                )
+            assert d.delivered_at_us - d.generated_at_us == expected, d
 
 
 class TestCameraPathTiming:
