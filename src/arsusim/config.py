@@ -8,6 +8,7 @@ is complete and self-describing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -212,7 +213,12 @@ def _number(data: dict, key: str, context: str, default=None,
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{context}.{key} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(
             f"{context}.{key} out of range (< {minimum:g}): {value:g}"

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -80,9 +81,10 @@ def step_mobility(user: SimUser, dt_us: int) -> None:
     user.updated_at_us += dt_us
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One BSM handed to a road user, with its measured path latency."""
+class DeliveryRecord(NamedTuple):
+    """One BSM handed to a road user, with its measured path latency.
+
+    ``topic`` is the broker topic it came through, None over the air."""
 
     receiver: str
     subject: str
@@ -93,6 +95,7 @@ class DeliveryRecord:
     delivered_at_us: int
     latency_ms: float
     duplicate: bool
+    topic: Optional[Topic] = None
 
 
 @dataclass
@@ -105,8 +108,10 @@ class PathStats:
     def add(self, latency_ms: float) -> None:
         self.count += 1
         self.sum_ms += latency_ms
-        self.min_ms = min(self.min_ms, latency_ms)
-        self.max_ms = max(self.max_ms, latency_ms)
+        if latency_ms < self.min_ms:
+            self.min_ms = latency_ms
+        if latency_ms > self.max_ms:
+            self.max_ms = latency_ms
 
     @property
     def mean_ms(self) -> float:
@@ -130,12 +135,63 @@ class Metrics:
 
     def record_delivery(self, record: DeliveryRecord) -> None:
         self.deliveries.append(record)
-        key = (record.uplink, record.downlink)
-        self.path_stats.setdefault(key, PathStats()).add(record.latency_ms)
-        last = self.awareness.get((record.receiver, record.truth_subject), -1)
-        self.awareness[(record.receiver, record.truth_subject)] = max(
-            last, record.delivered_at_us
+        path = (record.uplink, record.downlink)
+        stats = self.path_stats.get(path)
+        if stats is None:
+            stats = self.path_stats[path] = PathStats()
+        stats.add(record.latency_ms)
+        pair = (record.receiver, record.truth_subject)
+        if record.delivered_at_us > self.awareness.get(pair, -1):
+            self.awareness[pair] = record.delivered_at_us
+
+
+class TraceRows(Sequence):
+    """The run's trace, one ``[at_ms, kind, actor, subject, detail]`` row
+    per event, read-only.
+
+    A user delivery is held as its ``DeliveryRecord`` and formatted only
+    when its row is read; every other event is held formatted.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries: list):
+        self._entries = entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_trace_row(e) for e in self._entries[index]]
+        return _trace_row(self._entries[index])
+
+    def __iter__(self):
+        return map(_trace_row, self._entries)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (TraceRows, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
         )
+
+
+def _trace_row(entry) -> list[str]:
+    if type(entry) is not DeliveryRecord:
+        return entry
+    detail = (
+        f"up={entry.uplink.value} down={entry.downlink.value}"
+        f" latency_ms={entry.latency_ms:.3f}"
+    )
+    kind = "RadioDelivery"
+    if entry.topic is not None:
+        kind = "MqttDelivery"
+        detail += f" topic={entry.topic.value}"
+    if entry.duplicate:
+        detail += " duplicate"
+    return [f"{us_to_ms(entry.delivered_at_us):.3f}", kind, entry.receiver,
+            entry.subject, detail]
 
 
 @dataclass
@@ -149,7 +205,7 @@ class RunResult:
     metrics: Metrics
     broker: Broker
     gateway: Optional[Gateway]
-    trace_rows: list[list[str]]
+    trace_rows: TraceRows
     final_coverage: Optional[float]
     mean_coverage: Optional[float]
     ghost_pairs: list[tuple[str, str]]
@@ -160,6 +216,12 @@ class RunResult:
 
 
 # --- event payloads (never compared: heap keys are (time, seq)) ---
+#
+# A send to many road users schedules one delivery event per distinct
+# arrival time, carrying its receivers in send order. That runs them in
+# the order one event per receiver would: a send schedules all of its
+# receivers at once, so no other event's seq falls between two that share
+# a time, and whatever a receiver's handler schedules comes after them.
 
 @dataclass(frozen=True)
 class _BsmTx:
@@ -168,7 +230,7 @@ class _BsmTx:
 
 @dataclass(frozen=True)
 class _RadioDelivery:
-    recipient_index: Optional[int]  # None means the gateway
+    receivers: Optional[list[str]]  # road user ids; None means the gateway
     bsm: Bsm
     uplink: LinkTech
     downlink: LinkTech
@@ -176,7 +238,7 @@ class _RadioDelivery:
 
 @dataclass(frozen=True)
 class _MqttDelivery:
-    delivery: Delivery
+    deliveries: list[Delivery]  # one arrival time; the gateway's alone
     uplink: LinkTech
 
 
@@ -225,7 +287,8 @@ class Simulation:
         cell_users = self._by_tech.get(LinkTech.CELL_MQTT, [])
         self._cell_legs_us = {u.id.value: u.half_us for u in cell_users}
         self.metrics = Metrics()
-        self.trace_rows: list[list[str]] = []
+        #: Trace entries: a formatted row, or a user's ``DeliveryRecord``.
+        self._trace_log: list = []
         self._receiver_seen: dict[str, set[tuple[str, int]]] = {
             u.id.value: set() for u in self.users
         }
@@ -329,7 +392,7 @@ class Simulation:
             metrics=self.metrics,
             broker=self.broker,
             gateway=gateway,
-            trace_rows=self.trace_rows,
+            trace_rows=TraceRows(self._trace_log),
             final_coverage=final,
             mean_coverage=mean_cov,
             ghost_pairs=[
@@ -373,16 +436,18 @@ class Simulation:
         if tech is LinkTech.CELL_MQTT:
             self._publish(user.id.value, bsm, Topic.CELL, tech, now_us)
         else:
+            arrivals = []
             for peer in self._by_tech[tech]:
                 if peer.index == user.index:
                     continue
                 # max(speeds) is always one endpoint's speed, so the
                 # faster endpoint's half is the link's half.
                 faster = user if user.speed_kmh >= peer.speed_kmh else peer
-                self._schedule(
-                    now_us + 2 * faster.half_us,
-                    _RadioDelivery(peer.index, bsm, tech, tech),
-                )
+                arrivals.append((now_us + 2 * faster.half_us, peer.id.value))
+            self._group_cast(
+                arrivals,
+                lambda receivers: _RadioDelivery(receivers, bsm, tech, tech),
+            )
             if self.gateway is not None and self._in_coverage(user):
                 self._schedule(
                     now_us + user.half_us,
@@ -402,13 +467,32 @@ class Simulation:
         deliveries = self.broker.publish(
             publisher, envelope, now_us, self._cell_legs_us
         )
+        # The gateway subscribes before any road user, so scheduling its
+        # delivery first keeps the fan-out order.
         for delivery in deliveries:
-            self._schedule(
-                delivery.delivered_at_us, _MqttDelivery(delivery, uplink)
-            )
+            if delivery.recipient == ARSU_CLIENT:
+                self._schedule(
+                    delivery.delivered_at_us, _MqttDelivery([delivery], uplink)
+                )
+        self._group_cast(
+            (
+                (d.delivered_at_us, d) for d in deliveries
+                if d.recipient != ARSU_CLIENT
+            ),
+            lambda group: _MqttDelivery(group, uplink),
+        )
+
+    def _group_cast(self, arrivals, make_event) -> None:
+        """Schedule ``make_event(members)`` once per distinct time of the
+        (at_us, member) ``arrivals``, members in the order given."""
+        groups: dict[int, list] = {}
+        for at_us, member in arrivals:
+            groups.setdefault(at_us, []).append(member)
+        for at_us, members in groups.items():
+            self._schedule(at_us, make_event(members))
 
     def _on_radio_delivery(self, now_us: int, ev: _RadioDelivery) -> None:
-        if ev.recipient_index is None:
+        if ev.receivers is None:
             actions = self.gateway.on_rx(ev.bsm, ev.uplink, now_us)
             self._trace(
                 now_us, "RadioDelivery", ARSU_CLIENT, ev.bsm.id.value,
@@ -416,26 +500,26 @@ class Simulation:
             )
             self._emit_actions(actions, ev.uplink, now_us)
             return
-        receiver = self.users[ev.recipient_index]
-        self._record_user_delivery(
-            receiver, ev.bsm, ev.uplink, ev.downlink, now_us, "RadioDelivery"
-        )
+        self._deliver(ev.receivers, ev.bsm, ev.uplink, ev.downlink, now_us)
 
     def _on_mqtt_delivery(self, now_us: int, ev: _MqttDelivery) -> None:
-        delivery = ev.delivery
-        payload = delivery.envelope.payload
-        if delivery.recipient == ARSU_CLIENT:
+        first = ev.deliveries[0]
+        envelope = first.envelope
+        payload = envelope.payload
+        if first.recipient == ARSU_CLIENT:
             actions = self.gateway.on_rx(payload, LinkTech.CELL_MQTT, now_us)
             self._trace(
                 now_us, "MqttDelivery", ARSU_CLIENT, payload.id.value,
-                f"topic={delivery.envelope.topic.value} actions={len(actions)}",
+                f"topic={envelope.topic.value} actions={len(actions)}",
             )
             self._emit_actions(actions, LinkTech.CELL_MQTT, now_us)
             return
-        receiver = self._user_by_id(delivery.recipient)
-        self._record_user_delivery(
-            receiver, payload, ev.uplink, LinkTech.CELL_MQTT, now_us,
-            "MqttDelivery", topic=delivery.envelope.topic,
+        receivers = [
+            self._user_by_id(d.recipient).id.value for d in ev.deliveries
+        ]
+        self._deliver(
+            receivers, payload, ev.uplink, LinkTech.CELL_MQTT, now_us,
+            envelope.topic,
         )
 
     def _emit_actions(
@@ -457,57 +541,49 @@ class Simulation:
         self, tech: LinkTech, bsm: Bsm, uplink: LinkTech, now_us: int
     ) -> None:
         """The gateway's radio relay of ``bsm`` to every user on ``tech``."""
-        for receiver in self._by_tech.get(tech, []):
-            if receiver.id == bsm.id:
-                continue
-            self._schedule(
-                now_us + receiver.half_us,
-                _RadioDelivery(receiver.index, bsm, uplink, tech),
-            )
+        subject = bsm.id.value
+        self._group_cast(
+            (
+                (now_us + receiver.half_us, receiver.id.value)
+                for receiver in self._by_tech.get(tech, [])
+                if receiver.id.value != subject
+            ),
+            lambda receivers: _RadioDelivery(receivers, bsm, uplink, tech),
+        )
 
-    def _record_user_delivery(
+    def _deliver(
         self,
-        receiver: SimUser,
+        receivers: list[str],
         bsm: Bsm,
         uplink: LinkTech,
         downlink: LinkTech,
         now_us: int,
-        kind_name: str,
         topic: Optional[Topic] = None,
     ) -> None:
-        key = (bsm.id.value, bsm.generated_at_us)
-        seen = self._receiver_seen[receiver.id.value]
-        duplicate = key in seen
-        seen.add(key)
-        if duplicate:
-            self.metrics.duplicates_suppressed += 1
+        """Hand ``bsm`` to each road user in ``receivers``: one delivery,
+        and one executed event, each."""
+        metrics = self.metrics
+        metrics.events_executed += len(receivers) - 1
+        subject = bsm.id.value
+        key = (subject, bsm.generated_at_us)
         truth = bsm.id
         if bsm.id.is_synthetic and self.gateway is not None:
             truth = self.gateway.synthetic_truth.get(bsm.id) or bsm.id
         latency_ms = us_to_ms(now_us - bsm.generated_at_us)
         if latency_ms < 0:
             raise SimulationInvariantError("delivery precedes generation")
-        record = DeliveryRecord(
-            receiver=receiver.id.value,
-            subject=bsm.id.value,
-            truth_subject=truth.value,
-            uplink=uplink,
-            downlink=downlink,
-            generated_at_us=bsm.generated_at_us,
-            delivered_at_us=now_us,
-            latency_ms=latency_ms,
-            duplicate=duplicate,
-        )
-        self.metrics.record_delivery(record)
-        detail = (
-            f"up={uplink.value} down={downlink.value}"
-            f" latency_ms={latency_ms:.3f}"
-        )
-        if topic is not None:
-            detail += f" topic={topic.value}"
-        if duplicate:
-            detail += " duplicate"
-        self._trace(now_us, kind_name, receiver.id.value, bsm.id.value, detail)
+        for receiver in receivers:
+            seen = self._receiver_seen[receiver]
+            duplicate = key in seen
+            seen.add(key)
+            if duplicate:
+                metrics.duplicates_suppressed += 1
+            record = DeliveryRecord(
+                receiver, subject, truth.value, uplink, downlink,
+                bsm.generated_at_us, now_us, latency_ms, duplicate, topic,
+            )
+            metrics.record_delivery(record)
+            self._trace_log.append(record)
 
     def _on_ipu_frame(self, now_us: int, ev: _IpuFrame) -> None:
         detected = 0
@@ -609,7 +685,7 @@ class Simulation:
     def _trace(
         self, at_us: int, kind: str, actor: str, subject: str, detail: str
     ) -> None:
-        self.trace_rows.append(
+        self._trace_log.append(
             [f"{us_to_ms(at_us):.3f}", kind, actor, subject, detail]
         )
 

@@ -192,3 +192,29 @@ def test_load_scenario_reads_file(tmp_path):
     path.write_text(MINIMAL)
     cfg = load_scenario(path)
     assert cfg.duration_ms == 1000
+
+
+@pytest.mark.parametrize("doc, key", [
+    ("duration_ms: .nan\nusers: [{kind: native_dsrc}]\n", "duration_ms"),
+    ("duration_ms: .inf\nusers: [{kind: native_dsrc}]\n", "duration_ms"),
+    (MINIMAL + "freshness_window_ms: .inf\n", "freshness_window_ms"),
+    (MINIMAL + "scenario_speed_kmh: .nan\n", "scenario_speed_kmh"),
+    ("duration_ms: 1000\nusers: [{kind: native_dsrc, heading_deg: .nan}]\n",
+     "heading_deg"),
+    ("duration_ms: 1000\nusers: [{kind: native_dsrc, x_m: -.inf}]\n", "x_m"),
+    (f"duration_ms: 1{'0' * 400}\n", "duration_ms"),
+], ids=["nan-duration", "inf-duration", "inf-freshness", "nan-speed",
+        "nan-heading", "-inf-x", "int-beyond-float"])
+def test_non_finite_number_rejected(tmp_path, capsys, doc, key):
+    """NaN, ±inf and integers beyond the float range are config errors,
+    so ``validate-config`` and ``run`` exit 2 instead of crashing or
+    writing NaN into a report."""
+    from arsusim.cli import main
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_scenario(doc)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(doc)
+    assert main(["validate-config", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert capsys.readouterr().err.count(f"{key} must be finite") == 2

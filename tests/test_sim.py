@@ -2,12 +2,15 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from arsusim.broker import ARSU_CLIENT
 from arsusim.config import RoadUserKind, parse_scenario
-from arsusim.messages import LinkTech, RoadUserId, ms_to_us
+from arsusim.messages import LinkTech, RoadUserId, Topic, ms_to_us
 from arsusim.sim import (
+    DeliveryRecord,
     Simulation,
     SimulationInvariantError,
     SimUser,
+    TraceRows,
     run,
     step_mobility,
 )
@@ -489,3 +492,114 @@ ipu: {noise_std_m: 0}
         result = run(scenario(doc))
         assert len(result.ghost_pairs) >= 1
         assert all(truth == "U1" for _, truth in result.ghost_pairs)
+
+
+class TestTraceRows:
+    def test_first_and_last_rows(self):
+        result = run(scenario(TWO_USER_STATIC))
+        rows = result.trace_rows
+        assert isinstance(rows, TraceRows)
+        assert rows[0] == ["0.000", "BsmTx", "U1", "",
+                           "x_m=10.000 y_m=0.000"]
+        assert rows[-1] == ["1000.000", "MetricsTick", "sim", "",
+                            f"coverage={result.final_coverage:.4f}"]
+        assert rows[len(rows) - 1] == rows[-1]
+
+    def test_delivery_row_formatted_from_its_record(self):
+        result = run(scenario(MIXED_TABLE1))
+        rows = list(result.trace_rows)
+        topic_rows = [r for r in rows
+                      if r[1] == "MqttDelivery" and r[2] != ARSU_CLIENT]
+        assert topic_rows
+        first = next(d for d in result.metrics.deliveries
+                     if d.topic is not None)
+        assert topic_rows[0] == [
+            f"{first.delivered_at_us / 1000:.3f}", "MqttDelivery",
+            first.receiver, first.subject,
+            f"up={first.uplink.value} down={first.downlink.value}"
+            f" latency_ms={first.latency_ms:.3f} topic={first.topic.value}",
+        ]
+
+    def test_slice_is_a_list_of_lists(self):
+        rows = run(scenario(TWO_USER_STATIC)).trace_rows
+        head = rows[:5]
+        assert type(head) is list and len(head) == 5
+        assert all(type(r) is list for r in head)
+        assert head == [rows[i] for i in range(5)]
+        assert rows[-2:] == [rows[-2], rows[-1]]
+        assert rows[5:3] == []
+
+    def test_equality_with_lists_and_trace_rows(self):
+        cfg = scenario(TestDeterminism.SCENARIO)
+        a, b = run(cfg).trace_rows, run(cfg).trace_rows
+        other = run(cfg, seed=99).trace_rows
+        as_lists = [list(r) for r in a]
+        assert a == b and not a != b
+        assert a == as_lists and as_lists == a
+        assert not a != as_lists
+        assert a != other and not a == other
+        assert a != as_lists[:-1]
+        changed = [list(r) for r in a]
+        changed[-1][4] = "coverage=0.0000"
+        assert a != changed
+        assert a != tuple(as_lists)
+
+    def test_delivery_record_is_read_only(self):
+        result = run(scenario(TWO_USER_STATIC))
+        record = result.metrics.deliveries[0]
+        assert isinstance(record, DeliveryRecord)
+        with pytest.raises(AttributeError):
+            record.latency_ms = 0.0
+        with pytest.raises(AttributeError):
+            record.topic = Topic.CELL
+
+
+class TestTraceProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_trace_matches_events_and_deliveries(self, data):
+        """On random small scenarios, in both link speed modes and with or
+        without broker drops: one trace row per executed event plus the
+        final tick, time never runs backwards, the user delivery rows are
+        the recorded deliveries in order, and reading twice gives the same
+        rows."""
+        speeds = st.integers(0, 1200).map(lambda tenths: tenths / 10)
+        kinds = st.sampled_from([k.value for k in RoadUserKind])
+        users = [
+            {
+                "kind": data.draw(kinds),
+                "id": f"U{i}",
+                "x_m": data.draw(st.integers(-160, 160)),
+                "heading_deg": data.draw(st.integers(0, 359)),
+                "speed_kmh": data.draw(speeds),
+                "bsm_phase_ms": data.draw(st.integers(0, 99)),
+            }
+            for i in range(data.draw(st.integers(1, 8)))
+        ]
+        cfg = parse_scenario(yaml.safe_dump({
+            "duration_ms": data.draw(st.integers(1, 600)),
+            "scenario_speed_kmh": data.draw(speeds),
+            "link_speed_mode": data.draw(
+                st.sampled_from(["scenario", "max_endpoint"])),
+            "seed": data.draw(st.integers(0, 2**16)),
+            "arsu": {"present": data.draw(st.booleans())},
+            "mqtt": {"drop_probability": data.draw(
+                st.sampled_from([0.0, 0.3]))},
+            "users": users,
+        }))
+        result = run(cfg)
+        rows = result.trace_rows
+        assert len(rows) == result.metrics.events_executed + 1
+        times = [float(r[0]) for r in rows]
+        assert times == sorted(times)
+        delivery_rows = [
+            (r[2], r[3], r[0]) for r in rows
+            if r[1] in ("RadioDelivery", "MqttDelivery")
+            and r[2] != ARSU_CLIENT
+        ]
+        assert delivery_rows == [
+            (d.receiver, d.subject, f"{d.delivered_at_us / 1000:.3f}")
+            for d in result.metrics.deliveries
+        ]
+        assert list(rows) == list(rows)
+        assert rows == list(rows)
