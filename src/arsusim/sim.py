@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .broker import ARSU_CLIENT, Broker, Delivery
-from .config import ConfigError, RoadUserKind, ScenarioConfig, UserSpec
+from .config import ConfigError, ScenarioConfig, UserSpec
 from .gateway import ActionKind, FilterConfig, Gateway, RelayAction
 from .geo import LocalFrame
 from .latency import LatencyModel
@@ -49,16 +49,15 @@ class SimulationInvariantError(RuntimeError):
 
 @dataclass
 class SimUser:
-    """Runtime state of one road user."""
+    """Runtime state of one road user: its spec, plus what the run
+    resolves from it (speed, µs timing, link half) or moves."""
 
     index: int
     id: RoadUserId
-    kind: RoadUserKind
+    spec: UserSpec
     x_m: float
     y_m: float
-    heading_deg: float
     speed_kmh: float
-    gnss_error_std_m: float
     bsm_interval_us: int
     bsm_phase_us: int
     updated_at_us: int = 0
@@ -75,7 +74,7 @@ def step_mobility(user: SimUser, dt_us: int) -> None:
     if dt_us == 0:
         return
     meters = user.speed_kmh / 3.6 * (dt_us / 1_000_000.0)
-    heading_rad = math.radians(user.heading_deg)
+    heading_rad = math.radians(user.spec.heading_deg)
     user.x_m += meters * math.sin(heading_rad)
     user.y_m += meters * math.cos(heading_rad)
     user.updated_at_us += dt_us
@@ -210,10 +209,6 @@ class RunResult:
     mean_coverage: Optional[float]
     ghost_pairs: list[tuple[str, str]]
 
-    @property
-    def coverage_defined(self) -> bool:
-        return self.final_coverage is not None
-
 
 # --- event payloads (never compared: heap keys are (time, seq)) ---
 #
@@ -279,11 +274,11 @@ class Simulation:
         self.frame_period_us = ms_to_us(config.ipu.frame_period_ms)
         self.freshness_us = ms_to_us(config.freshness_window_ms)
         self.users = [self._make_user(i, s) for i, s in enumerate(config.users)]
-        self._users_by_id = {u.id.value: u for u in self.users}
         self._by_tech: dict[LinkTech, list[SimUser]] = {}
         for user in self.users:
-            if user.kind.tech is not None:
-                self._by_tech.setdefault(user.kind.tech, []).append(user)
+            tech = user.spec.kind.tech
+            if tech is not None:
+                self._by_tech.setdefault(tech, []).append(user)
         cell_users = self._by_tech.get(LinkTech.CELL_MQTT, [])
         self._cell_legs_us = {u.id.value: u.half_us for u in cell_users}
         self.metrics = Metrics()
@@ -311,7 +306,7 @@ class Simulation:
         self.gateway: Optional[Gateway] = None
         if config.arsu.present:
             connected = frozenset(
-                u.id for u in self.users if u.kind.is_connected
+                u.id for u in self.users if u.spec.kind.is_connected
             )
             self.gateway = Gateway(
                 FilterConfig(
@@ -344,12 +339,10 @@ class Simulation:
         return SimUser(
             index=index,
             id=RoadUserId(spec.user_id),
-            kind=spec.kind,
+            spec=spec,
             x_m=spec.x_m,
             y_m=spec.y_m,
-            heading_deg=spec.heading_deg,
             speed_kmh=speed,
-            gnss_error_std_m=spec.gnss_error_std_m,
             bsm_interval_us=ms_to_us(spec.bsm_interval_ms),
             bsm_phase_us=ms_to_us(spec.bsm_phase_ms),
             half_us=half_us,
@@ -366,7 +359,7 @@ class Simulation:
     def run(self) -> RunResult:
         duration_us = self.config.duration_us
         for user in self.users:
-            if user.kind.is_connected:
+            if user.spec.kind.is_connected:
                 self._schedule(user.bsm_phase_us, _BsmTx(user.index))
         if self.gateway is not None:
             self._schedule(0, _IpuFrame())
@@ -411,9 +404,10 @@ class Simulation:
 
     def _on_bsm_tx(self, now_us: int, ev: _BsmTx) -> None:
         user = self.users[ev.user_index]
-        tech = user.kind.tech
+        spec = user.spec
+        tech = spec.kind.tech
         self._advance(user, now_us)
-        noise = self.rng.normal(0.0, user.gnss_error_std_m, 2)
+        noise = self.rng.normal(0.0, spec.gnss_error_std_m, 2)
         reported = self.frame.position_at(
             user.x_m + noise[0], user.y_m + noise[1]
         )
@@ -421,8 +415,8 @@ class Simulation:
             user.id,
             reported,
             user.speed_kmh,
-            user.heading_deg,
-            PositionAccuracy(horizontal_sigma_m=user.gnss_error_std_m),
+            spec.heading_deg,
+            PositionAccuracy(horizontal_sigma_m=spec.gnss_error_std_m),
             tech,
             now_us,
         )
@@ -514,12 +508,9 @@ class Simulation:
             )
             self._emit_actions(actions, LinkTech.CELL_MQTT, now_us)
             return
-        receivers = [
-            self._user_by_id(d.recipient).id.value for d in ev.deliveries
-        ]
         self._deliver(
-            receivers, payload, ev.uplink, LinkTech.CELL_MQTT, now_us,
-            envelope.topic,
+            [d.recipient for d in ev.deliveries], payload, ev.uplink,
+            LinkTech.CELL_MQTT, now_us, envelope.topic,
         )
 
     def _emit_actions(
@@ -597,7 +588,7 @@ class Simulation:
                     user.x_m + noise[0], user.y_m + noise[1]
                 ),
                 speed_kmh=user.speed_kmh,
-                heading_deg=user.heading_deg,
+                heading_deg=user.spec.heading_deg,
                 captured_at_us=now_us,
                 available_at_us=now_us + self.ipu_processing_us,
                 truth_id=user.id,
@@ -658,14 +649,8 @@ class Simulation:
         dy = user.y_m - self.config.arsu.y_m
         return math.hypot(dx, dy) <= self.config.arsu.coverage_radius_m
 
-    def _user_by_id(self, client: str) -> SimUser:
-        user = self._users_by_id.get(client)
-        if user is None:
-            raise SimulationInvariantError(f"unknown broker client {client!r}")
-        return user
-
     def _coverage(self, now_us: int) -> Optional[float]:
-        receivers = [u for u in self.users if u.kind.is_connected]
+        receivers = [u for u in self.users if u.spec.kind.is_connected]
         pairs = 0
         fresh = 0
         for receiver in receivers:

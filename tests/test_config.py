@@ -1,4 +1,8 @@
+import re
+
 import pytest
+import yaml
+from hypothesis import Phase, given, settings, strategies as st
 
 from arsusim.config import (
     ConfigError,
@@ -70,6 +74,11 @@ users:
     def test_missing_duration(self):
         with pytest.raises(ConfigError, match="duration_ms"):
             parse_scenario("users: []\n")
+
+    def test_null_duration(self):
+        message = "scenario.duration_ms must be a number, got None"
+        with pytest.raises(ConfigError, match=message):
+            parse_scenario("duration_ms: null\n")
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ConfigError, match=r"line \d+"):
@@ -166,6 +175,19 @@ users:
         assert user.heading_deg == 90.0
         assert user.kind.is_connected is False
 
+    def test_heading_wraps_into_0_to_360(self):
+        doc = """
+duration_ms: 1000
+users:
+  - {kind: native_dsrc, heading_deg: -90}
+  - {kind: native_dsrc, heading_deg: 360}
+  - {kind: native_dsrc, heading_deg: 725}
+  - {kind: native_dsrc, heading_deg: -1.0e-20}
+"""
+        got = [u.heading_deg for u in parse_scenario(doc).users]
+        # -1e-20 % 360.0 is 360.0 in float arithmetic.
+        assert got == [270.0, 0.0, 5.0, 0.0]
+
     def test_mixed_kinds_counter_per_kind(self):
         doc = """
 duration_ms: 1000
@@ -218,3 +240,113 @@ def test_non_finite_number_rejected(tmp_path, capsys, doc, key):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out" / "report.json").exists()
     assert capsys.readouterr().err.count(f"{key} must be finite") == 2
+
+
+# One out-of-range value per ranged key, with the bound written out by
+# hand: a bound that moves, or a range check that is lost, fails here.
+@pytest.mark.parametrize("section, key, value, bound", [
+    ("scenario", "duration_ms", 0.5, "< 1"),
+    ("scenario", "scenario_speed_kmh", -1, "< 0"),
+    ("scenario", "scenario_speed_kmh", 121, "> 120"),
+    ("scenario", "freshness_window_ms", 0, "< 0.001"),
+    ("origin", "lat", -90.5, "< -90"),
+    ("origin", "lat", 91, "> 90"),
+    ("origin", "lon", -181, "< -180"),
+    ("origin", "lon", 180.5, "> 180"),
+    ("arsu", "coverage_radius_m", 0.5, "< 1"),
+    ("filter", "sigma_m", 0, "< 1e-09"),
+    ("filter", "window_ms", 0, "< 0.001"),
+    ("filter", "grace_ms", -5, "< 0.001"),
+    ("ipu", "noise_std_m", -0.1, "< 0"),
+    ("ipu", "frame_period_ms", 0, "< 0.001"),
+    ("ipu", "processing_ms", 0, "< 0.001"),
+    ("mqtt", "drop_probability", -0.1, "< 0"),
+    ("mqtt", "drop_probability", 1.5, "> 1"),
+    ("users[0]", "speed_kmh", -1, "< 0"),
+    ("users[0]", "speed_kmh", 130, "> 120"),
+    ("users[0]", "gnss_error_std_m", -1, "< 0"),
+    ("users[0]", "bsm_interval_ms", 0, "< 0.001"),
+    ("users[0]", "bsm_interval_ms", 601, "> 600"),
+    ("users[0]", "bsm_phase_ms", -1, "< 0"),
+])
+def test_out_of_range_value_rejected(section, key, value, bound):
+    doc = {"duration_ms": 1000, "users": [{"kind": "native_dsrc"}]}
+    if section == "scenario":
+        doc[key] = value
+    elif section == "users[0]":
+        doc["users"][0][key] = value
+    else:
+        doc[section] = {key: value}
+    message = f"{section}.{key} out of range ({bound}): {value:g}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_scenario(yaml.safe_dump(doc))
+
+
+def _finite(lo=-1e6, hi=1e6):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_KINDS = st.sampled_from([k.value for k in RoadUserKind])
+
+
+@st.composite
+def _user_entries(draw):
+    entries = []
+    for i in range(draw(st.integers(0, 6))):
+        entry = {"kind": draw(_KINDS)}
+        shape = draw(st.sampled_from(["auto", "count", "explicit"]))
+        if shape == "count":
+            entry["count"] = draw(st.integers(1, 4))
+        elif shape == "explicit":
+            entry["id"] = f"U{i}"
+            entry["x_m"] = draw(_finite())
+            entry["y_m"] = draw(_finite())
+        if draw(st.booleans()):
+            entry["heading_deg"] = draw(_finite(-720.0, 720.0))
+        entry["speed_kmh"] = draw(st.one_of(st.none(), _finite(0.0, 120.0)))
+        if draw(st.booleans()):
+            entry["gnss_error_std_m"] = draw(_finite(0.0, 50.0))
+        interval = draw(_finite(1e-3, 600.0))
+        entry["bsm_interval_ms"] = interval
+        entry["bsm_phase_ms"] = draw(_finite(0.0, interval)
+                                     .filter(lambda p: p < interval))
+        entries.append(entry)
+    return entries
+
+
+_DOCUMENTS = st.fixed_dictionaries({
+    "duration_ms": _finite(1.0, 1e7),
+    "scenario_speed_kmh": _finite(0.0, 120.0),
+    "seed": st.integers(-2**70, 2**70),
+    "link_speed_mode": st.sampled_from(["scenario", "max_endpoint"]),
+    "origin": st.fixed_dictionaries({
+        "lat": _finite(-90.0, 90.0), "lon": _finite(-180.0, 180.0),
+    }),
+    "arsu": st.fixed_dictionaries({
+        "present": st.booleans(), "x_m": _finite(), "y_m": _finite(),
+        "coverage_radius_m": _finite(1.0, 1e5),
+    }),
+    "filter": st.fixed_dictionaries({
+        "sigma_m": _finite(1e-9, 100.0), "window_ms": _finite(1e-3, 1e4),
+        "grace_ms": _finite(1e-3, 1e4),
+    }),
+    "ipu": st.fixed_dictionaries({
+        "noise_std_m": _finite(0.0, 10.0),
+        "frame_period_ms": _finite(1e-3, 1e4),
+        "processing_ms": _finite(1e-3, 1e4),
+    }),
+    "mqtt": st.fixed_dictionaries({"drop_probability": _finite(0.0, 1.0)}),
+    "latency_csv": st.one_of(st.none(), st.just("delays.csv")),
+    "freshness_window_ms": _finite(1e-3, 1e4),
+    "users": _user_entries(),
+})
+
+
+# No explain phase: it traces every line the test runs, which took
+# minutes on a failing example.
+@settings(max_examples=150, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(doc=_DOCUMENTS)
+def test_canonical_dict_round_trips_any_valid_document(doc):
+    cfg = parse_scenario(yaml.safe_dump(doc))
+    assert parse_scenario(yaml.safe_dump(cfg.canonical_dict())) == cfg

@@ -3,7 +3,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from arsusim.broker import ARSU_CLIENT
-from arsusim.config import RoadUserKind, parse_scenario
+from arsusim.config import RoadUserKind, UserSpec, parse_scenario
 from arsusim.messages import LinkTech, RoadUserId, Topic, ms_to_us
 from arsusim.sim import (
     DeliveryRecord,
@@ -17,15 +17,22 @@ from arsusim.sim import (
 
 
 def make_user(speed_kmh=0.0, heading_deg=0.0, x=0.0, y=0.0):
-    return SimUser(
-        index=0,
-        id=RoadUserId("U1"),
+    spec = UserSpec(
         kind=RoadUserKind.NATIVE_DSRC,
+        user_id="U1",
         x_m=x,
         y_m=y,
         heading_deg=heading_deg,
         speed_kmh=speed_kmh,
         gnss_error_std_m=0.0,
+    )
+    return SimUser(
+        index=0,
+        id=RoadUserId("U1"),
+        spec=spec,
+        x_m=x,
+        y_m=y,
+        speed_kmh=speed_kmh,
         bsm_interval_us=100_000,
         bsm_phase_us=0,
     )
@@ -157,12 +164,6 @@ arsu: {present: false}
         sim = Simulation(scenario(self.SCENARIO))
         with pytest.raises(SimulationInvariantError, match="unknown event"):
             sim._dispatch(0, object())
-
-    def test_unknown_broker_client_is_an_invariant_error(self):
-        sim = Simulation(scenario(self.SCENARIO))
-        assert sim._user_by_id("U3").id == RoadUserId("U3")
-        with pytest.raises(SimulationInvariantError, match="broker client"):
-            sim._user_by_id("nobody")
 
 
 class TestIpuSampling:
