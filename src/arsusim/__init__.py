@@ -33,7 +33,6 @@ from .latency import (
     SafetyApp,
     SpeedClampWarning,
     classify,
-    derive_half_delays,
 )
 from .messages import (
     Bsm,
@@ -87,7 +86,6 @@ __all__ = [
     "UserSpec",
     "ValidationError",
     "classify",
-    "derive_half_delays",
     "load_scenario",
     "make_bsm",
     "parse_scenario",

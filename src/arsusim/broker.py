@@ -1,12 +1,12 @@
 """Simulated four-topic publish/subscribe broker.
 
-The broker owns subscriptions and the delivery log but no timing: the
-caller supplies one mapping from each road user's client id to its leg
-delay (its cellular half-RTT). A road user publishing pays its leg to
-reach the broker; each road-user subscriber pays its own leg; the
-gateway's own link to the broker is free in both directions, mirroring
-how the composed-delay table books exactly one cellular half per bridged
-direction.
+The broker owns subscriptions (by topic) and the delivery log but no
+timing: the caller supplies one mapping from each road user's client id
+to its leg delay (its cellular half-RTT). A road user publishing pays
+its leg to reach the broker; each road-user subscriber pays its own leg;
+the gateway's own link to the broker is free in both directions,
+mirroring how the composed-delay table books exactly one cellular half
+per bridged direction.
 
 Delivery is deterministic and loss-free by default; a drop probability
 can be configured for lossy experiments.
@@ -47,9 +47,10 @@ class Broker:
             raise ValueError("a seeded rng is required when drops are enabled")
         self.drop_probability = drop_probability
         self._rng = rng
-        # Insertion-ordered: (client, topic) pairs drive fan-out order.
-        self._subscriptions: list[tuple[str, Topic]] = []
-        self._subscribed: set[tuple[str, Topic]] = set()
+        # Each topic's subscribers, in subscription order: the fan-out order.
+        self._subscribers: dict[Topic, dict[str, None]] = {
+            topic: {} for topic in Topic
+        }
         self.delivery_log: list[Delivery] = []
         self.publish_count = 0
         self.drop_count = 0
@@ -59,15 +60,17 @@ class Broker:
         """Register interest; duplicates are no-ops. Returns True if new."""
         if not isinstance(topic, Topic):
             raise ValueError(f"unknown topic {topic!r}")
-        key = (client, topic)
-        if key in self._subscribed:
+        subscribers = self._subscribers[topic]
+        if client in subscribers:
             return False
-        self._subscribed.add(key)
-        self._subscriptions.append(key)
+        subscribers[client] = None
         return True
 
     def subscriptions_of(self, client: str) -> set[Topic]:
-        return {t for c, t in self._subscribed if c == client}
+        return {
+            topic for topic, clients in self._subscribers.items()
+            if client in clients
+        }
 
     def published_topics_of(self, publisher: str) -> set[Topic]:
         return set(self._published_topics.get(publisher, set()))
@@ -101,8 +104,8 @@ class Broker:
         self._published_topics.setdefault(publisher, set()).add(topic)
         uplink_us = 0 if publisher == ARSU_CLIENT else legs_us[publisher]
         deliveries = []
-        for client, sub_topic in self._subscriptions:
-            if sub_topic is not topic or client == publisher:
+        for client in self._subscribers[topic]:
+            if client == publisher:
                 continue
             if self.drop_probability > 0.0 and (
                 self._rng.random() < self.drop_probability

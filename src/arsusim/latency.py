@@ -7,7 +7,8 @@ camera rows equal a fixed image-processing overhead (300 ms) plus the
 downlink half, which makes the matrix over-determined: subtracting the
 overhead from the camera rows yields every half-delay, and rows 1-4 must
 recompose from those halves. That consistency check runs whenever a
-matrix is loaded.
+matrix is loaded. The decode is fixed: columns at ``SPEEDS_KMH`` and a
+``DEFAULT_IPU_PROCESSING_MS`` overhead.
 
 Between tabulated speeds the model interpolates linearly; above the last
 sample it clamps (with a warning) rather than invent an extrapolation.
@@ -49,6 +50,9 @@ DEFAULT_COMPOSED_DELAYS_MS: tuple[tuple[float, ...], ...] = (
 )
 
 DEFAULT_IPU_PROCESSING_MS = 300.0
+#: Largest residual (ms) a composed matrix may show when rows 1-4 are
+#: recomposed from its own halves.
+RECOMPOSITION_TOLERANCE_MS = 0.01
 
 NEAR_REAL_TIME_LIMIT_MS = 100.0
 #: Maximum inter-transmission time; also the end-to-end delay ceiling.
@@ -112,44 +116,8 @@ class SpeedClampWarning(UserWarning):
     """Queried speed above the last tabulated sample; value clamped."""
 
 
-@dataclass(frozen=True)
-class IpuOverhead:
-    """Camera-path detection/processing latency, charged once per frame."""
-
-    processing_ms: float = DEFAULT_IPU_PROCESSING_MS
-
-    def __post_init__(self):
-        if self.processing_ms <= 0.0:
-            raise ValueError("IPU processing latency must be positive")
-
-
-@dataclass(frozen=True)
-class HalfDelayTable:
-    """Per-technology half-RTT samples indexed by speed."""
-
-    speeds_kmh: tuple[float, ...]
-    half_ms: Mapping[LinkTech, tuple[float, ...]]
-
-    def __post_init__(self):
-        speeds = self.speeds_kmh
-        if any(b <= a for a, b in zip(speeds, speeds[1:])):
-            raise ValueError("speed samples must be strictly increasing")
-        for tech, values in self.half_ms.items():
-            if tech is LinkTech.CAMERA:
-                raise ValueError("camera has no half-RTT")
-            if len(values) != len(speeds):
-                raise ValueError(f"{tech.value}: sample count mismatch")
-            if any(v <= 0.0 for v in values):
-                raise ValueError(f"{tech.value}: half-RTT must be positive")
-            if any(b < a for a, b in zip(values, values[1:])):
-                raise ValueError(
-                    f"{tech.value}: half-RTT must be non-decreasing in speed"
-                )
-
-
 def recomposition_residuals(
     composed_ms: Sequence[Sequence[float]],
-    ipu_processing_ms: float = DEFAULT_IPU_PROCESSING_MS,
 ) -> list[list[float]]:
     """Absolute residuals (ms) of rows 1-4 against the derived halves.
 
@@ -167,45 +135,12 @@ def recomposition_residuals(
         up, down = PAIR_ROWS[i]
         row = []
         for j in range(len(composed_ms[i])):
-            recomposed = (camera_rows[up][j] - ipu_processing_ms) + (
-                camera_rows[down][j] - ipu_processing_ms
+            recomposed = (camera_rows[up][j] - DEFAULT_IPU_PROCESSING_MS) + (
+                camera_rows[down][j] - DEFAULT_IPU_PROCESSING_MS
             )
             row.append(abs(composed_ms[i][j] - recomposed))
         residuals.append(row)
     return residuals
-
-
-def derive_half_delays(
-    composed_ms: Sequence[Sequence[float]],
-    ipu_processing_ms: float = DEFAULT_IPU_PROCESSING_MS,
-    tolerance_ms: float = 0.01,
-    speeds_kmh: Sequence[float] = SPEEDS_KMH,
-) -> HalfDelayTable:
-    """Extract per-technology half-RTTs from a composed 7x5 matrix.
-
-    The camera rows (5-7) equal processing overhead + downlink half, so
-    half(tech) = camera_row(tech) - overhead. Rows 1-4 must then
-    recompose within ``tolerance_ms``; the first offending cell is named
-    in the raised error.
-    """
-    _check_shape(composed_ms)
-    residuals = recomposition_residuals(composed_ms, ipu_processing_ms)
-    for i, row in enumerate(residuals):
-        for j, residual in enumerate(row):
-            if residual > tolerance_ms:
-                up, down = PAIR_ROWS[i]
-                raise InconsistentDelayTable(
-                    f"inconsistent delay table: row {i + 1} "
-                    f"({up.value}-{down.value}) at {speeds_kmh[j]:g} km/h, "
-                    f"residual {residual:.3f} ms exceeds {tolerance_ms} ms"
-                )
-    half_ms = {
-        tech: tuple(v - ipu_processing_ms for v in composed_ms[4 + k])
-        for k, tech in enumerate(
-            (LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT)
-        )
-    }
-    return HalfDelayTable(speeds_kmh=tuple(speeds_kmh), half_ms=half_ms)
 
 
 def _check_shape(composed_ms: Sequence[Sequence[float]]) -> None:
@@ -218,10 +153,19 @@ def _check_shape(composed_ms: Sequence[Sequence[float]]) -> None:
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Half-delay table plus IPU overhead; immutable once built."""
+    """Per-technology half-RTT samples (ms) at ``SPEEDS_KMH``; immutable
+    once built."""
 
-    halves: HalfDelayTable
-    ipu: IpuOverhead = IpuOverhead()
+    half_ms: Mapping[LinkTech, tuple[float, ...]]
+
+    def __post_init__(self):
+        for tech, values in self.half_ms.items():
+            if any(v <= 0.0 for v in values):
+                raise ValueError(f"{tech.value}: half-RTT must be positive")
+            if any(b < a for a, b in zip(values, values[1:])):
+                raise ValueError(
+                    f"{tech.value}: half-RTT must be non-decreasing in speed"
+                )
 
     @classmethod
     def default(cls) -> "LatencyModel":
@@ -229,13 +173,34 @@ class LatencyModel:
 
     @classmethod
     def from_composed(
-        cls,
-        composed_ms: Sequence[Sequence[float]],
-        ipu_processing_ms: float = DEFAULT_IPU_PROCESSING_MS,
-        tolerance_ms: float = 0.01,
+        cls, composed_ms: Sequence[Sequence[float]]
     ) -> "LatencyModel":
-        halves = derive_half_delays(composed_ms, ipu_processing_ms, tolerance_ms)
-        return cls(halves=halves, ipu=IpuOverhead(ipu_processing_ms))
+        """Decode per-technology half-RTTs from a composed 7x5 matrix.
+
+        The camera rows (5-7) equal processing overhead + downlink half,
+        so half(tech) = camera_row(tech) - overhead. Rows 1-4 must then
+        recompose within ``RECOMPOSITION_TOLERANCE_MS``; the first
+        offending cell is named in the raised error.
+        """
+        residuals = recomposition_residuals(composed_ms)
+        for i, row in enumerate(residuals):
+            for j, residual in enumerate(row):
+                if residual > RECOMPOSITION_TOLERANCE_MS:
+                    up, down = PAIR_ROWS[i]
+                    raise InconsistentDelayTable(
+                        f"inconsistent delay table: row {i + 1} "
+                        f"({up.value}-{down.value}) at {SPEEDS_KMH[j]:g} "
+                        f"km/h, residual {residual:.3f} ms exceeds "
+                        f"{RECOMPOSITION_TOLERANCE_MS} ms"
+                    )
+        return cls({
+            tech: tuple(
+                v - DEFAULT_IPU_PROCESSING_MS for v in composed_ms[4 + k]
+            )
+            for k, tech in enumerate(
+                (LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT)
+            )
+        })
 
     @classmethod
     def from_csv(cls, path) -> "LatencyModel":
@@ -248,8 +213,8 @@ class LatencyModel:
             raise ValueError("camera has no half-RTT; use composed_delay")
         if speed_kmh < 0.0:
             raise ValueError("speed must be non-negative")
-        speeds = self.halves.speeds_kmh
-        values = self.halves.half_ms[tech]
+        speeds = SPEEDS_KMH
+        values = self.half_ms[tech]
         if speed_kmh > speeds[-1]:
             warnings.warn(
                 f"speed {speed_kmh:g} km/h above table maximum "
@@ -258,8 +223,6 @@ class LatencyModel:
                 stacklevel=2,
             )
             return values[-1]
-        if speed_kmh < speeds[0]:
-            return values[0]
         i = bisect_left(speeds, speed_kmh)
         if speeds[i] == speed_kmh:
             return values[i]
@@ -279,7 +242,7 @@ class LatencyModel:
             raise ValueError("camera cannot be a downlink")
         down = self.half_delay(downlink, speed_kmh)
         if uplink is LinkTech.CAMERA:
-            return self.ipu.processing_ms + down
+            return DEFAULT_IPU_PROCESSING_MS + down
         return self.half_delay(uplink, speed_kmh) + down
 
     def max_composed_delay(
@@ -293,7 +256,7 @@ class LatencyModel:
         if lo_kmh > hi_kmh:
             raise ValueError("empty speed range")
         points = [lo_kmh, hi_kmh]
-        points += [s for s in self.halves.speeds_kmh if lo_kmh < s < hi_kmh]
+        points += [s for s in SPEEDS_KMH if lo_kmh < s < hi_kmh]
         return max(self.composed_delay(uplink, downlink, v) for v in points)
 
     def serviceable_apps(
@@ -318,7 +281,7 @@ class LatencyModel:
     def composed_matrix(self) -> list[list[float]]:
         """Recomposed 7x5 matrix over PAIR_ROWS x tabulated speeds."""
         return [
-            [self.composed_delay(up, down, v) for v in self.halves.speeds_kmh]
+            [self.composed_delay(up, down, v) for v in SPEEDS_KMH]
             for up, down in PAIR_ROWS
         ]
 

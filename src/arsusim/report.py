@@ -73,7 +73,7 @@ def emit_table4(model: LatencyModel) -> tuple[list[list[float]], str, list[list[
     """
     matrix = model.composed_matrix()
     header = f"{'uplink':>8} {'downlink':>8}" + "".join(
-        f"{f'{s:g} km/h':>12}" for s in model.halves.speeds_kmh
+        f"{f'{s:g} km/h':>12}" for s in SPEEDS_KMH
     )
     lines = [header, "-" * len(header)]
     for (up, down), row in zip(PAIR_ROWS, matrix):
@@ -169,10 +169,7 @@ def matrix_csv_rows(rows: Sequence[dict]) -> list[list[str]]:
     return out
 
 
-def build_report_dict(
-    result: RunResult,
-    speed_range_kmh: tuple[float, float] = (0.0, SPEEDS_KMH[-1]),
-) -> dict:
+def build_report_dict(result: RunResult) -> dict:
     """Assemble the full machine-readable report for one run."""
     metrics = result.metrics
     paths = {}
@@ -229,7 +226,7 @@ def build_report_dict(
         },
         "paths": paths,
         "table4_recomposition": {
-            "speeds_kmh": list(result.model.halves.speeds_kmh),
+            "speeds_kmh": list(SPEEDS_KMH),
             "rows": [
                 {
                     "uplink": TECH_LABEL[up],
@@ -239,9 +236,7 @@ def build_report_dict(
                 for (up, down), row in zip(PAIR_ROWS, table_values)
             ],
         },
-        "scenario_matrix": scenario_matrix(
-            result.model, speed_range_kmh, result
-        ),
+        "scenario_matrix": scenario_matrix(result.model, result=result),
     }
 
 

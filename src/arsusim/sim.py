@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .broker import ARSU_CLIENT, Broker, Delivery
+from .broker import ARSU_CLIENT, Broker
 from .config import ConfigError, ScenarioConfig, UserSpec
 from .gateway import ActionKind, FilterConfig, Gateway, RelayAction
 from .geo import LocalFrame
@@ -224,17 +224,12 @@ class _BsmTx:
 
 
 @dataclass(frozen=True)
-class _RadioDelivery:
+class _Arrival:
     receivers: Optional[list[str]]  # road user ids; None means the gateway
     bsm: Bsm
     uplink: LinkTech
     downlink: LinkTech
-
-
-@dataclass(frozen=True)
-class _MqttDelivery:
-    deliveries: list[Delivery]  # one arrival time; the gateway's alone
-    uplink: LinkTech
+    topic: Optional[Topic] = None  # the broker topic; None over the air
 
 
 @dataclass(frozen=True)
@@ -291,8 +286,7 @@ class Simulation:
         self._seq = 0
         self._handlers = {
             _BsmTx: self._on_bsm_tx,
-            _RadioDelivery: self._on_radio_delivery,
-            _MqttDelivery: self._on_mqtt_delivery,
+            _Arrival: self._on_arrival,
             _IpuFrame: self._on_ipu_frame,
             _DetectionReady: self._on_detection_ready,
             _GraceDeadline: self._on_grace_deadline,
@@ -370,10 +364,7 @@ class Simulation:
             self.metrics.events_executed += 1
             self._dispatch(at_us, payload)
 
-        final = self._coverage(duration_us)
-        self.metrics.coverage_samples.append((duration_us, final))
-        self._trace(duration_us, "MetricsTick", "sim", "",
-                    _coverage_label(final))
+        final = self._sample_coverage(duration_us)
         defined = [v for _, v in self.metrics.coverage_samples if v is not None]
         mean_cov = sum(defined) / len(defined) if defined else None
         gateway = self.gateway
@@ -438,14 +429,10 @@ class Simulation:
                 # faster endpoint's half is the link's half.
                 faster = user if user.speed_kmh >= peer.speed_kmh else peer
                 arrivals.append((now_us + 2 * faster.half_us, peer.id.value))
-            self._group_cast(
-                arrivals,
-                lambda receivers: _RadioDelivery(receivers, bsm, tech, tech),
-            )
+            self._group_cast(arrivals, bsm, tech, tech)
             if self.gateway is not None and self._in_coverage(user):
                 self._schedule(
-                    now_us + user.half_us,
-                    _RadioDelivery(None, bsm, tech, tech),
+                    now_us + user.half_us, _Arrival(None, bsm, tech, tech)
                 )
         self._schedule(now_us + user.bsm_interval_us, _BsmTx(user.index))
 
@@ -463,55 +450,53 @@ class Simulation:
         )
         # The gateway subscribes before any road user, so scheduling its
         # delivery first keeps the fan-out order.
+        arrivals = []
         for delivery in deliveries:
             if delivery.recipient == ARSU_CLIENT:
                 self._schedule(
-                    delivery.delivered_at_us, _MqttDelivery([delivery], uplink)
+                    delivery.delivered_at_us,
+                    _Arrival(None, bsm, uplink, LinkTech.CELL_MQTT, topic),
                 )
-        self._group_cast(
-            (
-                (d.delivered_at_us, d) for d in deliveries
-                if d.recipient != ARSU_CLIENT
-            ),
-            lambda group: _MqttDelivery(group, uplink),
-        )
+            else:
+                arrivals.append(
+                    (delivery.delivered_at_us, delivery.recipient)
+                )
+        self._group_cast(arrivals, bsm, uplink, LinkTech.CELL_MQTT, topic)
 
-    def _group_cast(self, arrivals, make_event) -> None:
-        """Schedule ``make_event(members)`` once per distinct time of the
-        (at_us, member) ``arrivals``, members in the order given."""
-        groups: dict[int, list] = {}
-        for at_us, member in arrivals:
-            groups.setdefault(at_us, []).append(member)
-        for at_us, members in groups.items():
-            self._schedule(at_us, make_event(members))
-
-    def _on_radio_delivery(self, now_us: int, ev: _RadioDelivery) -> None:
-        if ev.receivers is None:
-            actions = self.gateway.on_rx(ev.bsm, ev.uplink, now_us)
-            self._trace(
-                now_us, "RadioDelivery", ARSU_CLIENT, ev.bsm.id.value,
-                f"via={ev.uplink.value} actions={len(actions)}",
+    def _group_cast(
+        self,
+        arrivals,
+        bsm: Bsm,
+        uplink: LinkTech,
+        downlink: LinkTech,
+        topic: Optional[Topic] = None,
+    ) -> None:
+        """Schedule one ``_Arrival`` of ``bsm`` per distinct time of the
+        (at_us, receiver id) ``arrivals``, receivers in the order given."""
+        groups: dict[int, list[str]] = {}
+        for at_us, receiver in arrivals:
+            groups.setdefault(at_us, []).append(receiver)
+        for at_us, receivers in groups.items():
+            self._schedule(
+                at_us, _Arrival(receivers, bsm, uplink, downlink, topic)
             )
-            self._emit_actions(actions, ev.uplink, now_us)
-            return
-        self._deliver(ev.receivers, ev.bsm, ev.uplink, ev.downlink, now_us)
 
-    def _on_mqtt_delivery(self, now_us: int, ev: _MqttDelivery) -> None:
-        first = ev.deliveries[0]
-        envelope = first.envelope
-        payload = envelope.payload
-        if first.recipient == ARSU_CLIENT:
-            actions = self.gateway.on_rx(payload, LinkTech.CELL_MQTT, now_us)
-            self._trace(
-                now_us, "MqttDelivery", ARSU_CLIENT, payload.id.value,
-                f"topic={envelope.topic.value} actions={len(actions)}",
-            )
-            self._emit_actions(actions, LinkTech.CELL_MQTT, now_us)
+    def _on_arrival(self, now_us: int, ev: _Arrival) -> None:
+        if ev.receivers is not None:
+            self._deliver(ev, now_us)
             return
-        self._deliver(
-            [d.recipient for d in ev.deliveries], payload, ev.uplink,
-            LinkTech.CELL_MQTT, now_us, envelope.topic,
+        # The gateway hears a road user's own medium: a radio broadcast, or
+        # the Cell topic only road users publish to. So uplink == downlink.
+        actions = self.gateway.on_rx(ev.bsm, ev.downlink, now_us)
+        if ev.topic is None:
+            kind, detail = "RadioDelivery", f"via={ev.downlink.value}"
+        else:
+            kind, detail = "MqttDelivery", f"topic={ev.topic.value}"
+        self._trace(
+            now_us, kind, ARSU_CLIENT, ev.bsm.id.value,
+            f"{detail} actions={len(actions)}",
         )
+        self._emit_actions(actions, ev.downlink, now_us)
 
     def _emit_actions(
         self, actions: list[RelayAction], uplink: LinkTech, now_us: int
@@ -539,20 +524,14 @@ class Simulation:
                 for receiver in self._by_tech.get(tech, [])
                 if receiver.id.value != subject
             ),
-            lambda receivers: _RadioDelivery(receivers, bsm, uplink, tech),
+            bsm, uplink, tech,
         )
 
-    def _deliver(
-        self,
-        receivers: list[str],
-        bsm: Bsm,
-        uplink: LinkTech,
-        downlink: LinkTech,
-        now_us: int,
-        topic: Optional[Topic] = None,
-    ) -> None:
-        """Hand ``bsm`` to each road user in ``receivers``: one delivery,
-        and one executed event, each."""
+    def _deliver(self, ev: _Arrival, now_us: int) -> None:
+        """Hand ``ev.bsm`` to each road user in ``ev.receivers``: one
+        delivery, and one executed event, each."""
+        receivers = ev.receivers
+        bsm = ev.bsm
         metrics = self.metrics
         metrics.events_executed += len(receivers) - 1
         subject = bsm.id.value
@@ -570,8 +549,8 @@ class Simulation:
             if duplicate:
                 metrics.duplicates_suppressed += 1
             record = DeliveryRecord(
-                receiver, subject, truth.value, uplink, downlink,
-                bsm.generated_at_us, now_us, latency_ms, duplicate, topic,
+                receiver, subject, truth.value, ev.uplink, ev.downlink,
+                bsm.generated_at_us, now_us, latency_ms, duplicate, ev.topic,
             )
             metrics.record_delivery(record)
             self._trace_log.append(record)
@@ -633,10 +612,15 @@ class Simulation:
         self._emit_actions(actions, LinkTech.CAMERA, now_us)
 
     def _on_metrics_tick(self, now_us: int, ev: _MetricsTick) -> None:
+        self._sample_coverage(now_us)
+        self._schedule(now_us + _METRICS_TICK_US, _MetricsTick())
+
+    def _sample_coverage(self, now_us: int) -> Optional[float]:
+        """Record and trace one coverage sample, and return it."""
         value = self._coverage(now_us)
         self.metrics.coverage_samples.append((now_us, value))
         self._trace(now_us, "MetricsTick", "sim", "", _coverage_label(value))
-        self._schedule(now_us + _METRICS_TICK_US, _MetricsTick())
+        return value
 
     # --- helpers ---
 
@@ -650,21 +634,22 @@ class Simulation:
         return math.hypot(dx, dy) <= self.config.arsu.coverage_radius_m
 
     def _coverage(self, now_us: int) -> Optional[float]:
-        receivers = [u for u in self.users if u.spec.kind.is_connected]
-        pairs = 0
-        fresh = 0
-        for receiver in receivers:
-            for subject in self.users:
-                if subject.index == receiver.index:
-                    continue
-                pairs += 1
-                last = self.metrics.awareness.get(
-                    (receiver.id.value, subject.id.value)
-                )
-                if last is not None and now_us - last < self.freshness_us:
-                    fresh += 1
+        """Share of (connected receiver, other user) pairs heard within
+        the freshness window; None when there are no such pairs.
+
+        Only connected users receive and every truth subject is a user,
+        so the awareness entries are exactly those pairs plus the
+        diagonal a ghost adds: (U, U) when U hears its own ghost.
+        """
+        connected = sum(1 for u in self.users if u.spec.kind.is_connected)
+        pairs = connected * (len(self.users) - 1)
         if pairs == 0:
             return None
+        oldest_us = now_us - self.freshness_us
+        fresh = sum(
+            1 for (receiver, subject), last in self.metrics.awareness.items()
+            if last > oldest_us and receiver != subject
+        )
         return fresh / pairs
 
     def _trace(

@@ -16,7 +16,7 @@ from arsusim.broker import ARSU_CLIENT
 from arsusim.cli import main
 from arsusim.config import parse_scenario
 from arsusim.gateway import ActionKind, FilterStatus, Gateway
-from arsusim.latency import LatencyModel, derive_half_delays, recomposition_residuals
+from arsusim.latency import LatencyModel, recomposition_residuals
 from arsusim.messages import Detection, LinkTech, Topic
 from arsusim.report import emit_table4, scenario_matrix
 from arsusim.sim import run
@@ -98,7 +98,7 @@ def test_criterion_1_table4_recomposition(capsys):
 
 
 def test_criterion_2_half_delay_consistency():
-    table = derive_half_delays(PRINTED)  # must not raise
+    table = LatencyModel.from_composed(PRINTED)  # must not raise
     assert set(table.half_ms) == {
         LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT
     }

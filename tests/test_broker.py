@@ -26,6 +26,20 @@ def _arsu_envelope(topic=Topic.DSRC, user="U1", now=0):
     return MqttEnvelope(topic, bsm_at(user, now_us=now), now)
 
 
+INTERLEAVED_LEGS = {**LEGS, "U6": 1000}
+
+
+def _interleaved_broker(drop_probability=0.0, rng=None):
+    """U3, U5 and U6 on IPU, with U4 and the gateway on Cell between."""
+    broker = Broker(drop_probability=drop_probability, rng=rng)
+    broker.subscribe("U3", Topic.IPU)
+    broker.subscribe("U4", Topic.CELL)
+    broker.subscribe("U5", Topic.IPU)
+    broker.subscribe(ARSU_CLIENT, Topic.CELL)
+    broker.subscribe("U6", Topic.IPU)
+    return broker
+
+
 class TestSubscribe:
     def test_nonnative_user_subscribes_all_four(self):
         broker = Broker()
@@ -61,6 +75,24 @@ class TestPublish:
             ARSU_CLIENT, _arsu_envelope(Topic.IPU), 0, LEGS
         )
         assert [d.recipient for d in deliveries] == ["U3", "U4"]
+        # Subscriptions interleaved across topics: only the topic's own
+        # subscribers, in subscription order.
+        deliveries = _interleaved_broker().publish(
+            ARSU_CLIENT, _arsu_envelope(Topic.IPU), 0, INTERLEAVED_LEGS
+        )
+        assert [d.recipient for d in deliveries] == ["U3", "U5", "U6"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_drop_draws_follow_subscription_order(self, seed):
+        broker = _interleaved_broker(0.5, np.random.default_rng(seed))
+        deliveries = broker.publish(
+            ARSU_CLIENT, _arsu_envelope(Topic.IPU), 0, INTERLEAVED_LEGS
+        )
+        draws = np.random.default_rng(seed).random(3)
+        assert [d.recipient for d in deliveries] == [
+            c for c, x in zip(["U3", "U5", "U6"], draws) if x >= 0.5
+        ]
+        assert broker.drop_count == sum(1 for x in draws if x < 0.5)
 
     def test_cell_publish_reaches_arsu_in_one_leg(self):
         broker = Broker()

@@ -24,7 +24,6 @@ from arsusim.latency import (
     SpeedClampWarning,
     classify,
     composed_csv_rows,
-    derive_half_delays,
     load_composed_csv,
     recomposition_residuals,
 )
@@ -55,7 +54,7 @@ def test_embedded_default_matches_transcription():
 
 class TestDeriveHalfDelays:
     def test_halves_at_zero_kmh(self):
-        table = derive_half_delays(PRINTED)
+        table = LatencyModel.from_composed(PRINTED)
         assert table.half_ms[LinkTech.DSRC][0] == pytest.approx(1.728)
         assert table.half_ms[LinkTech.CV2X][0] == pytest.approx(3.742)
         assert table.half_ms[LinkTech.CELL_MQTT][0] == pytest.approx(41.659)
@@ -63,14 +62,14 @@ class TestDeriveHalfDelays:
         assert 1.728 + 3.742 == pytest.approx(PRINTED[0][0])
 
     def test_halves_at_120_kmh(self):
-        table = derive_half_delays(PRINTED)
+        table = LatencyModel.from_composed(PRINTED)
         assert table.half_ms[LinkTech.DSRC][4] == pytest.approx(7.122)
         assert table.half_ms[LinkTech.CV2X][4] == pytest.approx(5.452)
         assert table.half_ms[LinkTech.CELL_MQTT][4] == pytest.approx(82.741)
         assert 2 * 82.741 == pytest.approx(PRINTED[3][4])
 
     def test_all_halves_match_hand_derivation(self):
-        table = derive_half_delays(PRINTED)
+        table = LatencyModel.from_composed(PRINTED)
         for j in range(5):
             assert table.half_ms[LinkTech.DSRC][j] == pytest.approx(HALF_DSRC[j])
             assert table.half_ms[LinkTech.CV2X][j] == pytest.approx(HALF_CV2X[j])
@@ -87,7 +86,7 @@ class TestDeriveHalfDelays:
         altered = [list(row) for row in PRINTED]
         altered[0][0] = 9.000  # true recomposition is 5.470
         with pytest.raises(InconsistentDelayTable) as excinfo:
-            derive_half_delays(altered)
+            LatencyModel.from_composed(altered)
         message = str(excinfo.value)
         assert "row 1" in message and "0 km/h" in message
         # residual named in the error: 9.000 - 5.470 = 3.530
@@ -279,7 +278,7 @@ class TestTableInvariants:
         altered[0][0] = (altered[4][0] - 300.0) + HALF_CV2X[0]
         altered[1][0] = (altered[4][0] - 300.0) + HALF_CELL[0]
         with pytest.raises(ValueError, match="positive"):
-            derive_half_delays(altered)
+            LatencyModel.from_composed(altered)
 
     def test_half_rtt_must_not_decrease_with_speed(self):
         altered = [list(row) for row in PRINTED]
@@ -288,21 +287,7 @@ class TestTableInvariants:
         altered[2][4] = HALF_CV2X[4] + (altered[6][4] - 300.0)
         altered[3][4] = 2 * (altered[6][4] - 300.0)
         with pytest.raises(ValueError, match="non-decreasing"):
-            derive_half_delays(altered)
-
-    def test_speed_samples_strictly_increasing(self):
-        from arsusim.latency import HalfDelayTable
-        with pytest.raises(ValueError, match="strictly increasing"):
-            HalfDelayTable(
-                speeds_kmh=(0.0, 30.0, 30.0),
-                half_ms={LinkTech.DSRC: (1.0, 2.0, 3.0)},
-            )
-
-    def test_ipu_overhead_must_be_positive(self):
-        from arsusim.latency import IpuOverhead
-        with pytest.raises(ValueError):
-            IpuOverhead(0.0)
-        assert IpuOverhead().processing_ms == 300.0
+            LatencyModel.from_composed(altered)
 
 
 class TestCsv:
@@ -315,8 +300,8 @@ class TestCsv:
         reloaded = LatencyModel.from_composed(loaded)
         for tech in NON_CAMERA:
             for j in range(5):
-                assert reloaded.halves.half_ms[tech][j] == pytest.approx(
-                    model.halves.half_ms[tech][j], abs=0.002
+                assert reloaded.half_ms[tech][j] == pytest.approx(
+                    model.half_ms[tech][j], abs=0.002
                 )
 
     def test_bad_header_rejected(self, tmp_path):

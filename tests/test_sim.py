@@ -555,15 +555,37 @@ class TestTraceRows:
             record.topic = Topic.CELL
 
 
+def _final_coverage_oracle(result):
+    """Final coverage by brute force: the share of (connected receiver,
+    other user) pairs whose awareness entry is within the freshness
+    window at the end of the run."""
+    ids = [u.id.value for u in result.users]
+    connected = [u.id.value for u in result.users if u.spec.kind.is_connected]
+    end_us = result.config.duration_us
+    freshness_us = ms_to_us(result.config.freshness_window_ms)
+    pairs = fresh = 0
+    for receiver in connected:
+        for subject in ids:
+            if subject == receiver:
+                continue
+            pairs += 1
+            last = result.metrics.awareness.get((receiver, subject))
+            if last is not None and end_us - last < freshness_us:
+                fresh += 1
+    return fresh / pairs if pairs else None
+
+
 class TestTraceProperties:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_trace_matches_events_and_deliveries(self, data):
-        """On random small scenarios, in both link speed modes and with or
-        without broker drops: one trace row per executed event plus the
-        final tick, time never runs backwards, the user delivery rows are
-        the recorded deliveries in order, and reading twice gives the same
-        rows."""
+        """On random small scenarios, in both link speed modes, with or
+        without broker drops and with or without ghosts: one trace row per
+        executed event plus the final tick, time never runs backwards, the
+        user delivery rows are the recorded deliveries in order, reading
+        twice gives the same rows, and the final coverage is the share of
+        (connected receiver, other user) pairs heard within the freshness
+        window."""
         speeds = st.integers(0, 1200).map(lambda tenths: tenths / 10)
         kinds = st.sampled_from([k.value for k in RoadUserKind])
         users = [
@@ -574,6 +596,9 @@ class TestTraceProperties:
                 "heading_deg": data.draw(st.integers(0, 359)),
                 "speed_kmh": data.draw(speeds),
                 "bsm_phase_ms": data.draw(st.integers(0, 99)),
+                # A 12 m GNSS error lets the camera confirm a connected
+                # user as non-connected: a ghost.
+                "gnss_error_std_m": data.draw(st.sampled_from([0, 12])),
             }
             for i in range(data.draw(st.integers(1, 8)))
         ]
@@ -604,3 +629,24 @@ class TestTraceProperties:
         ]
         assert list(rows) == list(rows)
         assert rows == list(rows)
+        assert result.final_coverage == _final_coverage_oracle(result)
+
+    def test_coverage_ignores_a_receiver_hearing_its_own_ghost(self):
+        """U2's 12 m GNSS error makes the camera confirm it as
+        non-connected, so U2 hears its own ghost: (U2, U2) is in the
+        awareness but is no pair of the coverage."""
+        cfg = parse_scenario(yaml.safe_dump({
+            "duration_ms": 402,
+            "scenario_speed_kmh": 0,
+            "seed": 1,
+            "users": [
+                {"kind": "non_connected", "id": "U0", "x_m": 0},
+                {"kind": "native_dsrc", "id": "U1", "x_m": -5,
+                 "gnss_error_std_m": 0},
+                {"kind": "native_dsrc", "id": "U2", "x_m": 0,
+                 "gnss_error_std_m": 12},
+            ],
+        }))
+        result = run(cfg)
+        assert ("U2", "U2") in result.metrics.awareness
+        assert result.final_coverage == _final_coverage_oracle(result)
