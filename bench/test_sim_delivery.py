@@ -1,9 +1,12 @@
-"""Microbenchmark of delivery: a radio-only run and a read of its trace.
+"""Microbenchmark of delivery: a radio-only run, a read of its trace, and
+a run of the four-kind mix.
 
 Times one 0.5 s run of 20 DSRC and 20 C-V2X cars in gateway coverage
 (direct broadcasts and the gateway's cross-technology relays: delivery
-dominates), and one full iteration of that run's ``trace_rows``, which
-formats every delivery row. Run from the root of a checkout:
+dominates), one full iteration of that run's ``trace_rows``, which
+formats every delivery row, and one 1 s run of 100 users, 25 of each
+kind, placed by ``count:`` at 30 km/h (a point of the users x seconds
+ladder). Run from the root of a checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-only -q
 
@@ -27,6 +30,18 @@ ipu: {noise_std_m: 1.0}
 """
 
 
+MIX_100 = """
+duration_ms: 1000
+scenario_speed_kmh: 30
+seed: 7
+users:
+  - {kind: native_dsrc, count: 25}
+  - {kind: native_cv2x, count: 25}
+  - {kind: nonnative_cell, count: 25}
+  - {kind: non_connected, count: 25}
+"""
+
+
 @pytest.fixture(scope="module")
 def config():
     return parse_scenario(SCENARIO)
@@ -41,3 +56,10 @@ def test_iterate_trace(benchmark, config):
     rows = run(config).trace_rows
     count = benchmark(lambda: sum(1 for _ in rows))
     assert count == len(rows)
+
+
+def test_run_mix_100_users(benchmark):
+    result = benchmark.pedantic(
+        run, (parse_scenario(MIX_100),), rounds=5, warmup_rounds=1
+    )
+    assert len(result.metrics.deliveries) > 10_000

@@ -306,7 +306,7 @@ def load_composed_csv(path) -> list[list[float]]:
     matrix = []
     for i, row in enumerate(body):
         up, down = PAIR_ROWS[i]
-        if (row[0].strip(), row[1].strip()) != (
+        if len(row) < 2 or (row[0].strip(), row[1].strip()) != (
             TECH_LABEL[up],
             TECH_LABEL[down],
         ):

@@ -10,14 +10,23 @@ Every delay is injected from the latency model, never emergent, so a
 run's measured path latencies are exactly the model's composed values.
 Event order is strictly (time, insertion sequence); one seeded generator
 drives all noise. Identical (config, seed) runs are bit-identical.
+
+A send to many road users arrives as one event per arrival time and is
+recorded once, as a ``DeliveryGroup``. ``Metrics.deliveries`` and
+``RunResult.trace_rows`` are read-only views that expand the groups one
+delivery or row per receiver; ``Metrics.awareness`` is a read-only view
+of the ``last_heard`` matrix.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from collections import deque
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -97,6 +106,26 @@ class DeliveryRecord(NamedTuple):
     topic: Optional[Topic] = None
 
 
+class DeliveryGroup(NamedTuple):
+    """One BSM handed to several road users at the same instant: the
+    fields its deliveries share, held once.
+
+    ``receivers`` and ``truth_index`` are user indices. ``duplicates``
+    holds one flag per receiver, or is None when no receiver already
+    had the BSM."""
+
+    receivers: list[int]
+    subject: str
+    truth_index: int
+    uplink: LinkTech
+    downlink: LinkTech
+    generated_at_us: int
+    delivered_at_us: int
+    latency_ms: float
+    topic: Optional[Topic]
+    duplicates: Optional[tuple[bool, ...]]
+
+
 @dataclass
 class PathStats:
     count: int = 0
@@ -104,9 +133,15 @@ class PathStats:
     min_ms: float = math.inf
     max_ms: float = -math.inf
 
-    def add(self, latency_ms: float) -> None:
-        self.count += 1
-        self.sum_ms += latency_ms
+    def add(self, latency_ms: float, n: int = 1) -> None:
+        """Add ``n`` deliveries of ``latency_ms``."""
+        self.count += n
+        # One addition per delivery keeps the float sum of a per-delivery
+        # accumulation; ``latency_ms * n`` may round differently.
+        total = self.sum_ms
+        for _ in range(n):
+            total += latency_ms
+        self.sum_ms = total
         if latency_ms < self.min_ms:
             self.min_ms = latency_ms
         if latency_ms > self.max_ms:
@@ -117,80 +152,239 @@ class PathStats:
         return self.sum_ms / self.count if self.count else math.nan
 
 
-@dataclass
-class Metrics:
-    deliveries: list[DeliveryRecord] = field(default_factory=list)
-    path_stats: dict[tuple[LinkTech, LinkTech], PathStats] = field(
-        default_factory=dict
-    )
-    awareness: dict[tuple[str, str], int] = field(default_factory=dict)
-    coverage_samples: list[tuple[int, Optional[float]]] = field(
-        default_factory=list
-    )
-    duplicates_suppressed: int = 0
-    detections: int = 0
-    bsm_tx: int = 0
-    events_executed: int = 0
+class _GroupLog(Sequence):
+    """Read-only rows expanded from a log of entries, each one row or
+    one ``DeliveryGroup`` (one row per receiver), in order.
 
-    def record_delivery(self, record: DeliveryRecord) -> None:
-        self.deliveries.append(record)
-        path = (record.uplink, record.downlink)
-        stats = self.path_stats.get(path)
-        if stats is None:
-            stats = self.path_stats[path] = PathStats()
-        stats.add(record.latency_ms)
-        pair = (record.receiver, record.truth_subject)
-        if record.delivered_at_us > self.awareness.get(pair, -1):
-            self.awareness[pair] = record.delivered_at_us
+    The length is kept as a running count. Indexing finds its entry from
+    the first row of each entry, worked out when first needed."""
 
+    __slots__ = ("_entries", "_ids", "_extra", "_starts")
 
-class TraceRows(Sequence):
-    """The run's trace, one ``[at_ms, kind, actor, subject, detail]`` row
-    per event, read-only.
+    def __init__(self, ids: list[str]):
+        self._entries: list = []
+        self._ids = ids  # user id by index
+        self._extra = 0  # rows beyond one per entry
+        self._starts: list[int] = []  # first row of each entry, on demand
 
-    A user delivery is held as its ``DeliveryRecord`` and formatted only
-    when its row is read; every other event is held formatted.
-    """
+    def _add_group(self, group: DeliveryGroup) -> None:
+        self._entries.append(group)
+        self._extra += len(group.receivers) - 1
 
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: list):
-        self._entries = entries
+    def _expand(self, entry) -> list:
+        raise NotImplementedError
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [_trace_row(e) for e in self._entries[index]]
-        return _trace_row(self._entries[index])
+        return len(self._entries) + self._extra
 
     def __iter__(self):
-        return map(_trace_row, self._entries)
+        for entry in self._entries:
+            yield from self._expand(entry)
+
+    def _locate(self, row: int) -> tuple[int, int]:
+        """(entry index, row within it) of ``0 <= row < len(self)``."""
+        entries = self._entries
+        if len(self._starts) != len(entries):
+            sizes = (
+                len(e.receivers) if type(e) is DeliveryGroup else 1
+                for e in entries
+            )
+            self._starts = list(accumulate(sizes, initial=0))[:-1]
+        j = bisect_right(self._starts, row) - 1
+        return j, row - self._starts[j]
+
+    def __getitem__(self, index):
+        count = len(self)
+        if isinstance(index, slice):
+            start, stop, step = index.indices(count)
+            if step != 1:
+                return [self[i] for i in range(start, stop, step)]
+            if start >= stop:
+                return []
+            j, k = self._locate(start)
+            rows: list = []
+            wanted = k + stop - start
+            for entry in islice(self._entries, j, None):
+                rows.extend(self._expand(entry))
+                if len(rows) >= wanted:
+                    break
+            return rows[k:wanted]
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("row index out of range")
+        j, k = self._locate(index)
+        return self._expand(self._entries[j])[k]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (TraceRows, list)):
+        if not isinstance(other, (type(self), list)):
             return NotImplemented
         return len(self) == len(other) and all(
             a == b for a, b in zip(self, other)
         )
 
 
-def _trace_row(entry) -> list[str]:
-    if type(entry) is not DeliveryRecord:
-        return entry
-    detail = (
-        f"up={entry.uplink.value} down={entry.downlink.value}"
-        f" latency_ms={entry.latency_ms:.3f}"
-    )
-    kind = "RadioDelivery"
-    if entry.topic is not None:
-        kind = "MqttDelivery"
-        detail += f" topic={entry.topic.value}"
-    if entry.duplicate:
-        detail += " duplicate"
-    return [f"{us_to_ms(entry.delivered_at_us):.3f}", kind, entry.receiver,
-            entry.subject, detail]
+class Deliveries(_GroupLog):
+    """Every delivery to a road user, one ``DeliveryRecord`` each,
+    read-only and in delivery order."""
+
+    __slots__ = ()
+
+    def _expand(self, group: DeliveryGroup) -> list[DeliveryRecord]:
+        ids = self._ids
+        shared = (
+            group.subject, ids[group.truth_index], group.uplink,
+            group.downlink, group.generated_at_us, group.delivered_at_us,
+            group.latency_ms,
+        )
+        flags = group.duplicates or (False,) * len(group.receivers)
+        return [
+            DeliveryRecord(ids[r], *shared, duplicate, group.topic)
+            for r, duplicate in zip(group.receivers, flags)
+        ]
+
+
+class TraceRows(_GroupLog):
+    """The run's trace, one ``[at_ms, kind, actor, subject, detail]`` row
+    per event, read-only.
+
+    A group of user deliveries is held as its ``DeliveryGroup`` and
+    formatted only when its rows are read, each string once per group;
+    every other event is held formatted.
+    """
+
+    __slots__ = ()
+
+    def _expand(self, entry) -> list[list[str]]:
+        if type(entry) is not DeliveryGroup:
+            return [entry]
+        detail = (
+            f"up={entry.uplink.value} down={entry.downlink.value}"
+            f" latency_ms={entry.latency_ms:.3f}"
+        )
+        kind = "RadioDelivery"
+        if entry.topic is not None:
+            kind = "MqttDelivery"
+            detail += f" topic={entry.topic.value}"
+        at_ms = f"{us_to_ms(entry.delivered_at_us):.3f}"
+        ids = self._ids
+        subject = entry.subject
+        if entry.duplicates is None:
+            return [[at_ms, kind, ids[r], subject, detail]
+                    for r in entry.receivers]
+        duplicate = detail + " duplicate"
+        return [
+            [at_ms, kind, ids[r], subject, duplicate if dup else detail]
+            for r, dup in zip(entry.receivers, entry.duplicates)
+        ]
+
+
+#: ``last_heard`` of a (receiver, subject) pair never heard.
+NEVER_HEARD = -1
+
+
+class Awareness(Mapping):
+    """(receiver id, subject id) -> when the receiver last heard the
+    subject, in µs, for every pair heard; a read-only view of
+    ``Metrics.last_heard``."""
+
+    __slots__ = ("_last_heard", "_ids", "_index_of")
+
+    def __init__(self, last_heard: np.ndarray, ids: list[str]):
+        self._last_heard = last_heard
+        self._ids = ids
+        self._index_of = {user_id: i for i, user_id in enumerate(ids)}
+
+    def __getitem__(self, pair: tuple[str, str]) -> int:
+        receiver, subject = pair
+        try:
+            last = self._last_heard[
+                self._index_of[receiver], self._index_of[subject]
+            ]
+        except KeyError:
+            raise KeyError(pair) from None
+        if last == NEVER_HEARD:
+            raise KeyError(pair)
+        return int(last)
+
+    def __iter__(self):
+        ids = self._ids
+        for r, s in zip(*np.nonzero(self._last_heard != NEVER_HEARD)):
+            yield ids[r], ids[s]
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._last_heard != NEVER_HEARD))
+
+
+class Metrics:
+    """What a run measures. ``deliveries`` and ``awareness`` are views
+    over the per-group entries and the ``last_heard`` matrix."""
+
+    def __init__(self, user_ids: list[str]):
+        n = len(user_ids)
+        self.deliveries = Deliveries(user_ids)
+        self.path_stats: dict[tuple[LinkTech, LinkTech], PathStats] = {}
+        #: last_heard[receiver, truth subject]: µs of the latest delivery,
+        #: or NEVER_HEARD.
+        self.last_heard = np.full((n, n), NEVER_HEARD, dtype=np.int64)
+        self.awareness = Awareness(self.last_heard, user_ids)
+        self.coverage_samples: list[tuple[int, Optional[float]]] = []
+        self.duplicates_suppressed = 0
+        self.detections = 0
+        self.bsm_tx = 0
+        self.events_executed = 0
+
+    def record_delivery(self, group: DeliveryGroup) -> None:
+        """Record one group of deliveries."""
+        self.deliveries._add_group(group)
+        path = (group.uplink, group.downlink)
+        stats = self.path_stats.get(path)
+        if stats is None:
+            stats = self.path_stats[path] = PathStats()
+        stats.add(group.latency_ms, len(group.receivers))
+        # Events run in time order, so this delivery is the latest.
+        self.last_heard[group.receivers, group.truth_index] = (
+            group.delivered_at_us
+        )
+
+
+class _SeenWindow:
+    """Which receivers already have each BSM, by (subject id,
+    generated_at) key, for as long as a delivery of it can arrive.
+
+    No path takes longer than ``horizon_us``, so a key generated more
+    than that before now is dropped. A delivery of a key generated
+    before the latest drop's cutoff raises: the bound is checked, not
+    assumed."""
+
+    def __init__(self, horizon_us: int):
+        self.horizon_us = horizon_us
+        self.watermark_us = 0  # keys generated before this may be dropped
+        self._receivers: dict[tuple[str, int], set[int]] = {}
+        self._order: deque[tuple[str, int]] = deque()
+
+    def __len__(self) -> int:
+        return len(self._receivers)
+
+    def receivers_of(self, key: tuple[str, int], now_us: int) -> set[int]:
+        """The receivers that already have ``key``; the caller adds to it."""
+        order = self._order
+        cutoff = now_us - self.horizon_us
+        if order and order[0][1] < cutoff:
+            self.watermark_us = cutoff
+            receivers = self._receivers
+            while order and order[0][1] < cutoff:
+                del receivers[order.popleft()]
+        if key[1] < self.watermark_us:
+            raise SimulationInvariantError(
+                f"delivery of {key} arrived after its duplicate window "
+                f"closed at {self.watermark_us} us"
+            )
+        seen = self._receivers.get(key)
+        if seen is None:
+            seen = self._receivers[key] = set()
+            order.append(key)
+        return seen
 
 
 @dataclass
@@ -225,7 +419,7 @@ class _BsmTx:
 
 @dataclass(frozen=True)
 class _Arrival:
-    receivers: Optional[list[str]]  # road user ids; None means the gateway
+    receivers: Optional[list[int]]  # user indices; None means the gateway
     bsm: Bsm
     uplink: LinkTech
     downlink: LinkTech
@@ -276,12 +470,25 @@ class Simulation:
                 self._by_tech.setdefault(tech, []).append(user)
         cell_users = self._by_tech.get(LinkTech.CELL_MQTT, [])
         self._cell_legs_us = {u.id.value: u.half_us for u in cell_users}
-        self.metrics = Metrics()
-        #: Trace entries: a formatted row, or a user's ``DeliveryRecord``.
-        self._trace_log: list = []
-        self._receiver_seen: dict[str, set[tuple[str, int]]] = {
-            u.id.value: set() for u in self.users
-        }
+        ids = [u.id.value for u in self.users]
+        self._index_of = {user_id: i for i, user_id in enumerate(ids)}
+        self._connected_rows = np.array(
+            [u.index for u in self.users if u.spec.kind.is_connected],
+            dtype=np.intp,
+        )
+        self.metrics = Metrics(ids)
+        self._trace_rows = TraceRows(ids)
+        #: Trace entries: a formatted row, or a ``DeliveryGroup``.
+        self._trace_log = self._trace_rows._entries
+        # The longest path: one link half at each end, plus the camera's
+        # processing and grace wait on a camera path.
+        self._seen = _SeenWindow(
+            2 * max(
+                (u.half_us for u in self.users if u.half_us is not None),
+                default=0,
+            )
+            + self.ipu_processing_us + ms_to_us(config.filter.grace_ms)
+        )
         self._heap: list[tuple[int, int, object]] = []
         self._seq = 0
         self._handlers = {
@@ -376,7 +583,7 @@ class Simulation:
             metrics=self.metrics,
             broker=self.broker,
             gateway=gateway,
-            trace_rows=TraceRows(self._trace_log),
+            trace_rows=self._trace_rows,
             final_coverage=final,
             mean_coverage=mean_cov,
             ghost_pairs=[
@@ -428,7 +635,7 @@ class Simulation:
                 # max(speeds) is always one endpoint's speed, so the
                 # faster endpoint's half is the link's half.
                 faster = user if user.speed_kmh >= peer.speed_kmh else peer
-                arrivals.append((now_us + 2 * faster.half_us, peer.id.value))
+                arrivals.append((now_us + 2 * faster.half_us, peer.index))
             self._group_cast(arrivals, bsm, tech, tech)
             if self.gateway is not None and self._in_coverage(user):
                 self._schedule(
@@ -451,6 +658,7 @@ class Simulation:
         # The gateway subscribes before any road user, so scheduling its
         # delivery first keeps the fan-out order.
         arrivals = []
+        index_of = self._index_of
         for delivery in deliveries:
             if delivery.recipient == ARSU_CLIENT:
                 self._schedule(
@@ -459,7 +667,7 @@ class Simulation:
                 )
             else:
                 arrivals.append(
-                    (delivery.delivered_at_us, delivery.recipient)
+                    (delivery.delivered_at_us, index_of[delivery.recipient])
                 )
         self._group_cast(arrivals, bsm, uplink, LinkTech.CELL_MQTT, topic)
 
@@ -472,8 +680,9 @@ class Simulation:
         topic: Optional[Topic] = None,
     ) -> None:
         """Schedule one ``_Arrival`` of ``bsm`` per distinct time of the
-        (at_us, receiver id) ``arrivals``, receivers in the order given."""
-        groups: dict[int, list[str]] = {}
+        (at_us, receiver index) ``arrivals``, receivers in the order
+        given."""
+        groups: dict[int, list[int]] = {}
         for at_us, receiver in arrivals:
             groups.setdefault(at_us, []).append(receiver)
         for at_us, receivers in groups.items():
@@ -520,7 +729,7 @@ class Simulation:
         subject = bsm.id.value
         self._group_cast(
             (
-                (now_us + receiver.half_us, receiver.id.value)
+                (now_us + receiver.half_us, receiver.index)
                 for receiver in self._by_tech.get(tech, [])
                 if receiver.id.value != subject
             ),
@@ -529,31 +738,33 @@ class Simulation:
 
     def _deliver(self, ev: _Arrival, now_us: int) -> None:
         """Hand ``ev.bsm`` to each road user in ``ev.receivers``: one
-        delivery, and one executed event, each."""
+        delivery, and one executed event, each; recorded as one group."""
         receivers = ev.receivers
         bsm = ev.bsm
         metrics = self.metrics
         metrics.events_executed += len(receivers) - 1
         subject = bsm.id.value
-        key = (subject, bsm.generated_at_us)
         truth = bsm.id
         if bsm.id.is_synthetic and self.gateway is not None:
             truth = self.gateway.synthetic_truth.get(bsm.id) or bsm.id
+        truth_index = self._index_of.get(truth.value)
+        if truth_index is None:
+            raise SimulationInvariantError(f"{truth} is no road user")
         latency_ms = us_to_ms(now_us - bsm.generated_at_us)
         if latency_ms < 0:
             raise SimulationInvariantError("delivery precedes generation")
-        for receiver in receivers:
-            seen = self._receiver_seen[receiver]
-            duplicate = key in seen
-            seen.add(key)
-            if duplicate:
-                metrics.duplicates_suppressed += 1
-            record = DeliveryRecord(
-                receiver, subject, truth.value, ev.uplink, ev.downlink,
-                bsm.generated_at_us, now_us, latency_ms, duplicate, ev.topic,
-            )
-            metrics.record_delivery(record)
-            self._trace_log.append(record)
+        seen = self._seen.receivers_of((subject, bsm.generated_at_us), now_us)
+        duplicates = None
+        if not seen.isdisjoint(receivers):
+            duplicates = tuple(r in seen for r in receivers)
+            metrics.duplicates_suppressed += sum(duplicates)
+        seen.update(receivers)
+        group = DeliveryGroup(
+            receivers, subject, truth_index, ev.uplink, ev.downlink,
+            bsm.generated_at_us, now_us, latency_ms, ev.topic, duplicates,
+        )
+        metrics.record_delivery(group)
+        self._trace_rows._add_group(group)
 
     def _on_ipu_frame(self, now_us: int, ev: _IpuFrame) -> None:
         detected = 0
@@ -637,20 +848,22 @@ class Simulation:
         """Share of (connected receiver, other user) pairs heard within
         the freshness window; None when there are no such pairs.
 
-        Only connected users receive and every truth subject is a user,
-        so the awareness entries are exactly those pairs plus the
-        diagonal a ghost adds: (U, U) when U hears its own ghost.
+        Only connected users receive, so the connected rows of
+        ``last_heard`` hold every pair, plus the diagonal a ghost fills:
+        (U, U) when U hears its own ghost.
         """
-        connected = sum(1 for u in self.users if u.spec.kind.is_connected)
-        pairs = connected * (len(self.users) - 1)
+        rows = self._connected_rows
+        pairs = len(rows) * (len(self.users) - 1)
         if pairs == 0:
             return None
-        oldest_us = now_us - self.freshness_us
-        fresh = sum(
-            1 for (receiver, subject), last in self.metrics.awareness.items()
-            if last > oldest_us and receiver != subject
-        )
-        return fresh / pairs
+        # Before a whole window has passed, now − freshness is below
+        # NEVER_HEARD; the cutoff never drops below it, so a pair never
+        # heard is never fresh.
+        oldest_us = max(now_us - self.freshness_us, NEVER_HEARD)
+        last_heard = self.metrics.last_heard
+        fresh = np.count_nonzero(last_heard[rows] > oldest_us)
+        fresh -= np.count_nonzero(last_heard[rows, rows] > oldest_us)
+        return int(fresh) / pairs
 
     def _trace(
         self, at_us: int, kind: str, actor: str, subject: str, detail: str

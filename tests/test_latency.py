@@ -317,3 +317,11 @@ class TestCsv:
         path.write_text("\n".join(",".join(r) for r in rows) + "\n")
         with pytest.raises(ValueError, match="row 1"):
             load_composed_csv(path)
+
+    def test_row_with_one_cell_rejected(self, tmp_path):
+        rows = list(composed_csv_rows(DEFAULT_COMPOSED_DELAYS_MS))
+        rows[3] = ["DSRC"]
+        path = tmp_path / "short.csv"
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        with pytest.raises(ValueError, match="row 3 must be labeled"):
+            load_composed_csv(path)

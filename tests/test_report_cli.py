@@ -6,7 +6,7 @@ import pytest
 
 from arsusim.cli import main
 from arsusim.config import parse_scenario
-from arsusim.latency import LatencyModel
+from arsusim.latency import LatencyModel, composed_csv_rows
 from arsusim.report import (
     build_report_dict,
     emit_table4,
@@ -220,6 +220,15 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n")
         assert main(["table4", "--latency-csv", str(bad)]) == 2
+
+    def test_table4_csv_with_one_cell_row_exits_two(self, tmp_path, capsys):
+        rows = [",".join(r) for r in composed_csv_rows(
+            LatencyModel.default().composed_matrix())]
+        rows[3] = "DSRC"
+        bad = tmp_path / "short.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        assert main(["table4", "--latency-csv", str(bad)]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_matrix_prints_ten_rows(self, capsys):
         assert main(["matrix"]) == 0

@@ -4,9 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from arsusim.broker import ARSU_CLIENT
 from arsusim.config import RoadUserKind, UserSpec, parse_scenario
-from arsusim.messages import LinkTech, RoadUserId, Topic, ms_to_us
+from arsusim.messages import (
+    LinkTech,
+    PositionAccuracy,
+    RoadUserId,
+    Topic,
+    make_bsm,
+    ms_to_us,
+)
 from arsusim.sim import (
     DeliveryRecord,
+    _Arrival,
     Simulation,
     SimulationInvariantError,
     SimUser,
@@ -252,6 +260,23 @@ users:
         result = run(scenario(doc))
         assert result.final_coverage == 0.0
 
+    def test_never_heard_is_not_fresh_before_a_window_has_passed(self):
+        """At the 100 ms tick, before the 600 ms freshness window has
+        passed, U1 and U2 have heard each other and U3, alone on its
+        technology without a gateway, has heard nobody: 2 of 6 pairs."""
+        doc = """
+duration_ms: 150
+seed: 0
+arsu: {present: false}
+users:
+  - {kind: native_dsrc, id: U1, x_m: 0}
+  - {kind: native_dsrc, id: U2, x_m: 30}
+  - {kind: native_cv2x, id: U3, x_m: 60}
+"""
+        result = run(scenario(doc))
+        assert result.metrics.coverage_samples[0] == (100_000, 2 / 6)
+        assert set(result.metrics.awareness) == {("U1", "U2"), ("U2", "U1")}
+
 
 MIXED_TABLE1 = """
 duration_ms: 4000
@@ -480,6 +505,24 @@ users:
             run(scenario(doc))
 
 
+    def test_table_row_with_one_cell_is_a_config_error(self, tmp_path):
+        from arsusim.config import ConfigError
+        from arsusim.latency import LatencyModel, composed_csv_rows
+        rows = [",".join(r) for r in composed_csv_rows(
+            LatencyModel.default().composed_matrix())]
+        rows[2] = "DSRC"
+        path = tmp_path / "short.csv"
+        path.write_text("\n".join(rows) + "\n")
+        doc = f"""
+duration_ms: 500
+latency_csv: {path}
+users:
+  - {{kind: native_dsrc}}
+"""
+        with pytest.raises(ConfigError, match="latency_csv: .*row 2"):
+            run(scenario(doc))
+
+
 class TestGhostTail:
     def test_gnss_error_beyond_sigma_produces_ghosts(self):
         # reported positions are pushed ~12 m off truth: never match sigma=5
@@ -545,6 +588,28 @@ class TestTraceRows:
         assert a != changed
         assert a != tuple(as_lists)
 
+    def test_index_and_slice_across_groups(self):
+        result = run(scenario(MIXED_TABLE1))
+        for view in (result.trace_rows, result.metrics.deliveries):
+            expanded = list(view)
+            n = len(expanded)
+            assert len(view) == n > 100
+            indices = [0, 1, 2, 3, 5, 7, 11, n // 3, n // 2, n - 2, n - 1,
+                       -1, -2, -3, -7, -n]
+            for i in indices:
+                assert view[i] == expanded[i], i
+            bounds = [None, 0, 1, 2, 3, 4, 9, n // 2, n - 3, n, n + 5,
+                      -1, -4, -n, -n - 5]
+            for a in bounds:
+                for b in bounds:
+                    assert view[a:b] == expanded[a:b], (a, b)
+            for step in (2, 3, -1, -4):
+                assert view[1:n - 1:step] == expanded[1:n - 1:step]
+                assert view[::step] == expanded[::step]
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    view[i]
+
     def test_delivery_record_is_read_only(self):
         result = run(scenario(TWO_USER_STATIC))
         record = result.metrics.deliveries[0]
@@ -575,6 +640,38 @@ def _final_coverage_oracle(result):
     return fresh / pairs if pairs else None
 
 
+def _random_scenario(data):
+    """A small random scenario: 1-8 users of any kind, either link speed
+    mode, with or without the gateway, broker drops and ghosts."""
+    speeds = st.integers(0, 1200).map(lambda tenths: tenths / 10)
+    kinds = st.sampled_from([k.value for k in RoadUserKind])
+    users = [
+        {
+            "kind": data.draw(kinds),
+            "id": f"U{i}",
+            "x_m": data.draw(st.integers(-160, 160)),
+            "heading_deg": data.draw(st.integers(0, 359)),
+            "speed_kmh": data.draw(speeds),
+            "bsm_phase_ms": data.draw(st.integers(0, 99)),
+            # A 12 m GNSS error lets the camera confirm a connected
+            # user as non-connected: a ghost.
+            "gnss_error_std_m": data.draw(st.sampled_from([0, 12])),
+        }
+        for i in range(data.draw(st.integers(1, 8)))
+    ]
+    return parse_scenario(yaml.safe_dump({
+        "duration_ms": data.draw(st.integers(1, 600)),
+        "scenario_speed_kmh": data.draw(speeds),
+        "link_speed_mode": data.draw(
+            st.sampled_from(["scenario", "max_endpoint"])),
+        "seed": data.draw(st.integers(0, 2**16)),
+        "arsu": {"present": data.draw(st.booleans())},
+        "mqtt": {"drop_probability": data.draw(
+            st.sampled_from([0.0, 0.3]))},
+        "users": users,
+    }))
+
+
 class TestTraceProperties:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -586,33 +683,7 @@ class TestTraceProperties:
         twice gives the same rows, and the final coverage is the share of
         (connected receiver, other user) pairs heard within the freshness
         window."""
-        speeds = st.integers(0, 1200).map(lambda tenths: tenths / 10)
-        kinds = st.sampled_from([k.value for k in RoadUserKind])
-        users = [
-            {
-                "kind": data.draw(kinds),
-                "id": f"U{i}",
-                "x_m": data.draw(st.integers(-160, 160)),
-                "heading_deg": data.draw(st.integers(0, 359)),
-                "speed_kmh": data.draw(speeds),
-                "bsm_phase_ms": data.draw(st.integers(0, 99)),
-                # A 12 m GNSS error lets the camera confirm a connected
-                # user as non-connected: a ghost.
-                "gnss_error_std_m": data.draw(st.sampled_from([0, 12])),
-            }
-            for i in range(data.draw(st.integers(1, 8)))
-        ]
-        cfg = parse_scenario(yaml.safe_dump({
-            "duration_ms": data.draw(st.integers(1, 600)),
-            "scenario_speed_kmh": data.draw(speeds),
-            "link_speed_mode": data.draw(
-                st.sampled_from(["scenario", "max_endpoint"])),
-            "seed": data.draw(st.integers(0, 2**16)),
-            "arsu": {"present": data.draw(st.booleans())},
-            "mqtt": {"drop_probability": data.draw(
-                st.sampled_from([0.0, 0.3]))},
-            "users": users,
-        }))
+        cfg = _random_scenario(data)
         result = run(cfg)
         rows = result.trace_rows
         assert len(rows) == result.metrics.events_executed + 1
@@ -650,3 +721,134 @@ class TestTraceProperties:
         result = run(cfg)
         assert ("U2", "U2") in result.metrics.awareness
         assert result.final_coverage == _final_coverage_oracle(result)
+
+
+def _per_delivery_reference(result):
+    """Path statistics (count, sum, min, max), awareness and duplicate
+    flags, worked out one delivery at a time, in delivery order, from
+    the expanded deliveries."""
+    stats = {}
+    awareness = {}
+    seen = set()
+    flags = []
+    for d in result.metrics.deliveries:
+        entry = stats.setdefault(
+            (d.uplink, d.downlink), [0, 0.0, float("inf"), float("-inf")]
+        )
+        entry[0] += 1
+        entry[1] += d.latency_ms
+        entry[2] = min(entry[2], d.latency_ms)
+        entry[3] = max(entry[3], d.latency_ms)
+        pair = (d.receiver, d.truth_subject)
+        awareness[pair] = max(awareness.get(pair, -1), d.delivered_at_us)
+        key = (d.receiver, d.subject, d.generated_at_us)
+        flags.append(key in seen)
+        seen.add(key)
+    return stats, awareness, flags
+
+
+def _assert_matches_per_delivery_reference(result):
+    stats, awareness, flags = _per_delivery_reference(result)
+    recorded = {
+        path: [s.count, s.sum_ms, s.min_ms, s.max_ms]
+        for path, s in result.metrics.path_stats.items()
+    }
+    assert list(recorded) == list(stats)  # first-seen order
+    assert recorded == stats
+    assert dict(result.metrics.awareness) == awareness
+    assert len(result.metrics.awareness) == len(awareness)
+    assert [d.duplicate for d in result.metrics.deliveries] == flags
+    assert result.metrics.duplicates_suppressed == sum(flags)
+
+
+#: Found by a random search: the camera confirms U4 (a ghost) and then
+#: relays the same detection again, so five deliveries are duplicates.
+DUPLICATES = """
+duration_ms: 594
+scenario_speed_kmh: 7.6
+seed: 1941
+mqtt: {drop_probability: 0.3}
+users:
+  - {kind: nonnative_cell, id: U0, x_m: 1, heading_deg: 47, speed_kmh: 49.6, bsm_phase_ms: 41, gnss_error_std_m: 12}
+  - {kind: native_dsrc, id: U1, x_m: -49, heading_deg: 7, speed_kmh: 79.8, bsm_phase_ms: 64, gnss_error_std_m: 12}
+  - {kind: non_connected, id: U2, x_m: -99, heading_deg: 265, speed_kmh: 71.7}
+  - {kind: native_dsrc, id: U3, x_m: -67, heading_deg: 235, speed_kmh: 64.4, bsm_phase_ms: 22, gnss_error_std_m: 12}
+  - {kind: native_cv2x, id: U4, x_m: -71, heading_deg: 165, speed_kmh: 0.4, bsm_phase_ms: 98, gnss_error_std_m: 12}
+  - {kind: native_dsrc, id: U5, x_m: 75, heading_deg: 279, speed_kmh: 117.6, bsm_phase_ms: 14, gnss_error_std_m: 12}
+"""
+
+
+class TestGroupRecords:
+    """Deliveries are recorded one group-cast at a time; a reference
+    worked out one delivery at a time must agree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batched_metrics_match_per_delivery_reference(self, data):
+        _assert_matches_per_delivery_reference(run(_random_scenario(data)))
+
+    def test_duplicate_flags_match_reference(self):
+        result = run(scenario(DUPLICATES))
+        assert result.metrics.duplicates_suppressed == 5
+        _assert_matches_per_delivery_reference(result)
+        rows = [r for r in result.trace_rows if r[4].endswith(" duplicate")]
+        assert len(rows) == 5
+
+
+def _relay_bsm(simulation, generated_at_us):
+    return make_bsm(
+        RoadUserId("U1"), simulation.frame.position_at(10.0, 0.0), 0.0, 0.0,
+        PositionAccuracy(horizontal_sigma_m=0.0), LinkTech.DSRC,
+        generated_at_us,
+    )
+
+
+class TestDuplicateWindow:
+    def test_delivery_of_a_dropped_key_raises(self):
+        simulation = Simulation(scenario(TWO_USER_STATIC))
+        horizon_us = simulation._seen.horizon_us
+        old = _relay_bsm(simulation, 0)
+        new = _relay_bsm(simulation, horizon_us + 1_000)
+        deliver = simulation._deliver
+        deliver(_Arrival([1], old, LinkTech.DSRC, LinkTech.CV2X), 5_000)
+        deliver(_Arrival([1], new, LinkTech.DSRC, LinkTech.CV2X),
+                horizon_us + 2_000)
+        assert len(simulation._seen) == 1  # the old key is dropped
+        with pytest.raises(SimulationInvariantError, match="window"):
+            deliver(_Arrival([1], old, LinkTech.DSRC, LinkTech.CV2X),
+                    horizon_us + 3_000)
+
+    def test_flags_only_the_receivers_that_already_had_the_bsm(self):
+        simulation = Simulation(scenario(MIXED_TABLE1))
+        bsm = _relay_bsm(simulation, 0)
+        simulation._deliver(
+            _Arrival([2], bsm, LinkTech.DSRC, LinkTech.CELL_MQTT), 40_000)
+        simulation._deliver(
+            _Arrival([3, 2], bsm, LinkTech.DSRC, LinkTech.CELL_MQTT), 50_000)
+        metrics = simulation.metrics
+        assert [(d.receiver, d.duplicate) for d in metrics.deliveries] == [
+            ("U3", False), ("U4", False), ("U3", True),
+        ]
+        assert metrics.duplicates_suppressed == 1
+        assert [r[4].endswith(" duplicate")
+                for r in simulation._trace_rows] == [False, False, True]
+
+    def test_held_keys_do_not_grow_with_run_length(self):
+        doc = """
+duration_ms: {duration_ms}
+scenario_speed_kmh: 30
+seed: 4
+arsu: {{coverage_radius_m: 400}}
+users:
+  - {{kind: native_dsrc, count: 4}}
+  - {{kind: native_cv2x, count: 4}}
+  - {{kind: nonnative_cell, count: 4}}
+  - {{kind: non_connected, count: 4}}
+"""
+        held = {}
+        for duration_ms in (2_000, 10_000):
+            simulation = Simulation(
+                scenario(doc.format(duration_ms=duration_ms)))
+            simulation.run()
+            held[duration_ms] = len(simulation._seen)
+        assert 0 < held[10_000] <= 1.5 * held[2_000], held
