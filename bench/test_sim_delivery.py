@@ -5,8 +5,9 @@ Times one 0.5 s run of 20 DSRC and 20 C-V2X cars in gateway coverage
 (direct broadcasts and the gateway's cross-technology relays: delivery
 dominates), one full iteration of that run's ``trace_rows``, which
 formats every delivery row, and one 1 s run of 100 users, 25 of each
-kind, placed by ``count:`` at 30 km/h (a point of the users x seconds
-ladder). Run from the root of a checkout:
+kind, placed by ``count:`` at 30 km/h in 400 m of gateway coverage (the
+scenario of the users x seconds ladder). Run from the root of a
+checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-only -q
 
@@ -34,6 +35,7 @@ MIX_100 = """
 duration_ms: 1000
 scenario_speed_kmh: 30
 seed: 7
+arsu: {coverage_radius_m: 400}
 users:
   - {kind: native_dsrc, count: 25}
   - {kind: native_cv2x, count: 25}

@@ -761,8 +761,10 @@ def _assert_matches_per_delivery_reference(result):
     assert result.metrics.duplicates_suppressed == sum(flags)
 
 
-#: Found by a random search: the camera confirms U4 (a ghost) and then
-#: relays the same detection again, so five deliveries are duplicates.
+#: Found by a random search: the detections of U3 and U4 in the 200 ms
+#: frame both match the confirmed track ``ipu:4``, so the gateway relays
+#: that track twice with one (id, generated_at) key; the second relay's
+#: five deliveries are duplicates.
 DUPLICATES = """
 duration_ms: 594
 scenario_speed_kmh: 7.6
