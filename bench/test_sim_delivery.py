@@ -1,13 +1,14 @@
-"""Microbenchmark of delivery: a radio-only run, a read of its trace, and
-a run of the four-kind mix.
+"""Microbenchmark of delivery: a radio-only run, reads of its log, and a
+run of the four-kind mix.
 
 Times one 0.5 s run of 20 DSRC and 20 C-V2X cars in gateway coverage
 (direct broadcasts and the gateway's cross-technology relays: delivery
 dominates), one full iteration of that run's ``trace_rows``, which
-formats every delivery row, and one 1 s run of 100 users, 25 of each
-kind, placed by ``count:`` at 30 km/h in 400 m of gateway coverage (the
-scenario of the users x seconds ladder). Run from the root of a
-checkout:
+formats every delivery row, one of its ``metrics.deliveries``, which
+walks the same log and builds one record per delivery, and one 1 s run
+of 100 users, 25 of each kind, placed by ``count:`` at 30 km/h in 400 m
+of gateway coverage (the scenario of the users x seconds ladder). Run
+from the root of a checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-only -q
 
@@ -58,6 +59,12 @@ def test_iterate_trace(benchmark, config):
     rows = run(config).trace_rows
     count = benchmark(lambda: sum(1 for _ in rows))
     assert count == len(rows)
+
+
+def test_iterate_deliveries(benchmark, config):
+    deliveries = run(config).metrics.deliveries
+    count = benchmark(lambda: sum(1 for _ in deliveries))
+    assert count == len(deliveries)
 
 
 def test_run_mix_100_users(benchmark):

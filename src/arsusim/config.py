@@ -72,6 +72,15 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _seed(value, where: str) -> int:
+    value = _integer(value, where)
+    if value < 0:
+        raise ConfigError(
+            f"{where} must be a non-negative integer, got {value}"
+        )
+    return value
+
+
 def _boolean(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where} must be a boolean")
@@ -154,7 +163,7 @@ class ScenarioConfig:
     scenario_speed_kmh: float = _setting(
         0.0, minimum=0.0, maximum=MAX_SCENARIO_SPEED_KMH
     )
-    seed: int = _setting(0, parse=_integer)
+    seed: int = _setting(0, parse=_seed)
     link_speed_mode: str = _setting("scenario", parse=_link_speed_mode)
     origin: OriginSettings = OriginSettings()
     arsu: ArsuSettings = ArsuSettings()

@@ -32,14 +32,23 @@ class LocalFrame:
         """Geodetic position of local point (x east, y north), meters."""
         return Position(
             lat_deg=self.origin_lat_deg + y_m / METERS_PER_DEG,
-            lon_deg=self.origin_lon_deg + x_m / self._lon_scale(),
+            lon_deg=_wrap_lon(self.origin_lon_deg + x_m / self._lon_scale()),
         )
 
     def xy_of(self, position: Position) -> tuple[float, float]:
         return (
-            (position.lon_deg - self.origin_lon_deg) * self._lon_scale(),
+            _wrap_lon(position.lon_deg - self.origin_lon_deg)
+            * self._lon_scale(),
             (position.lat_deg - self.origin_lat_deg) * METERS_PER_DEG,
         )
+
+
+def _wrap_lon(lon_deg: float) -> float:
+    """``lon_deg`` in [-180, 180]: a value already in range is returned
+    as it is, bit for bit; one past the antimeridian is wrapped."""
+    if -180.0 <= lon_deg <= 180.0:
+        return lon_deg
+    return (lon_deg + 180.0) % 360.0 - 180.0
 
 
 def horizontal_distance_m(a: Position, b: Position) -> float:

@@ -12,21 +12,22 @@ Event order is strictly (time, insertion sequence); one seeded generator
 drives all noise. Identical (config, seed) runs are bit-identical.
 
 A send to many road users arrives as one event per arrival time and is
-recorded once, as a ``DeliveryGroup``. ``Metrics.deliveries`` and
-``RunResult.trace_rows`` are read-only views that expand the groups one
-delivery or row per receiver; ``Metrics.awareness`` is a read-only view
-of the ``last_heard`` matrix.
+recorded once, as a ``DeliveryGroup``. A run keeps one log,
+``Metrics.log``: every trace entry in event order, a formatted row or a
+``DeliveryGroup``. ``Metrics.deliveries`` and ``RunResult.trace_rows``
+are views of it that support only ``len()`` and iteration; they expand
+each group one delivery or row per receiver as they are read.
+``Metrics.awareness()`` builds the heard pairs from the ``last_heard``
+matrix when it is called.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -152,182 +153,96 @@ class PathStats:
         return self.sum_ms / self.count if self.count else math.nan
 
 
-class _GroupLog(Sequence):
-    """Read-only rows expanded from a log of entries, each one row or
-    one ``DeliveryGroup`` (one row per receiver), in order.
+class _LogView:
+    """A sized, iterable view of a run's log, expanded one row per
+    receiver of each ``DeliveryGroup``. Its length is kept as a running
+    count; it is read only by iteration."""
 
-    The length is kept as a running count. Indexing finds its entry from
-    the first row of each entry, worked out when first needed."""
+    def __init__(self, metrics: Metrics):
+        self._metrics = metrics
 
-    __slots__ = ("_entries", "_ids", "_extra", "_starts")
 
-    def __init__(self, ids: list[str]):
-        self._entries: list = []
-        self._ids = ids  # user id by index
-        self._extra = 0  # rows beyond one per entry
-        self._starts: list[int] = []  # first row of each entry, on demand
-
-    def _add_group(self, group: DeliveryGroup) -> None:
-        self._entries.append(group)
-        self._extra += len(group.receivers) - 1
-
-    def _expand(self, entry) -> list:
-        raise NotImplementedError
+class Deliveries(_LogView):
+    """Every delivery to a road user, one ``DeliveryRecord`` each, in
+    delivery order."""
 
     def __len__(self) -> int:
-        return len(self._entries) + self._extra
+        return self._metrics.delivered
 
-    def __iter__(self):
-        for entry in self._entries:
-            yield from self._expand(entry)
-
-    def _locate(self, row: int) -> tuple[int, int]:
-        """(entry index, row within it) of ``0 <= row < len(self)``."""
-        entries = self._entries
-        if len(self._starts) != len(entries):
-            sizes = (
-                len(e.receivers) if type(e) is DeliveryGroup else 1
-                for e in entries
+    def __iter__(self) -> Iterator[DeliveryRecord]:
+        ids = self._metrics.ids
+        for group in self._metrics.log:
+            if type(group) is not DeliveryGroup:
+                continue
+            shared = (
+                group.subject, ids[group.truth_index], group.uplink,
+                group.downlink, group.generated_at_us, group.delivered_at_us,
+                group.latency_ms,
             )
-            self._starts = list(accumulate(sizes, initial=0))[:-1]
-        j = bisect_right(self._starts, row) - 1
-        return j, row - self._starts[j]
-
-    def __getitem__(self, index):
-        count = len(self)
-        if isinstance(index, slice):
-            start, stop, step = index.indices(count)
-            if step != 1:
-                return [self[i] for i in range(start, stop, step)]
-            if start >= stop:
-                return []
-            j, k = self._locate(start)
-            rows: list = []
-            wanted = k + stop - start
-            for entry in islice(self._entries, j, None):
-                rows.extend(self._expand(entry))
-                if len(rows) >= wanted:
-                    break
-            return rows[k:wanted]
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("row index out of range")
-        j, k = self._locate(index)
-        return self._expand(self._entries[j])[k]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (type(self), list)):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other)
-        )
+            flags = group.duplicates or (False,) * len(group.receivers)
+            for r, duplicate in zip(group.receivers, flags):
+                yield DeliveryRecord(ids[r], *shared, duplicate, group.topic)
 
 
-class Deliveries(_GroupLog):
-    """Every delivery to a road user, one ``DeliveryRecord`` each,
-    read-only and in delivery order."""
-
-    __slots__ = ()
-
-    def _expand(self, group: DeliveryGroup) -> list[DeliveryRecord]:
-        ids = self._ids
-        shared = (
-            group.subject, ids[group.truth_index], group.uplink,
-            group.downlink, group.generated_at_us, group.delivered_at_us,
-            group.latency_ms,
-        )
-        flags = group.duplicates or (False,) * len(group.receivers)
-        return [
-            DeliveryRecord(ids[r], *shared, duplicate, group.topic)
-            for r, duplicate in zip(group.receivers, flags)
-        ]
-
-
-class TraceRows(_GroupLog):
+class TraceRows(_LogView):
     """The run's trace, one ``[at_ms, kind, actor, subject, detail]`` row
-    per event, read-only.
+    per event.
 
     A group of user deliveries is held as its ``DeliveryGroup`` and
     formatted only when its rows are read, each string once per group;
     every other event is held formatted.
     """
 
-    __slots__ = ()
+    def __len__(self) -> int:
+        metrics = self._metrics
+        return len(metrics.log) - metrics.groups + metrics.delivered
 
-    def _expand(self, entry) -> list[list[str]]:
-        if type(entry) is not DeliveryGroup:
-            return [entry]
-        detail = (
-            f"up={entry.uplink.value} down={entry.downlink.value}"
-            f" latency_ms={entry.latency_ms:.3f}"
-        )
-        kind = "RadioDelivery"
-        if entry.topic is not None:
-            kind = "MqttDelivery"
-            detail += f" topic={entry.topic.value}"
-        at_ms = f"{us_to_ms(entry.delivered_at_us):.3f}"
-        ids = self._ids
-        subject = entry.subject
-        if entry.duplicates is None:
-            return [[at_ms, kind, ids[r], subject, detail]
-                    for r in entry.receivers]
-        duplicate = detail + " duplicate"
-        return [
-            [at_ms, kind, ids[r], subject, duplicate if dup else detail]
-            for r, dup in zip(entry.receivers, entry.duplicates)
-        ]
+    def __iter__(self) -> Iterator[list[str]]:
+        ids = self._metrics.ids
+        for entry in self._metrics.log:
+            if type(entry) is not DeliveryGroup:
+                yield entry
+                continue
+            detail = (
+                f"up={entry.uplink.value} down={entry.downlink.value}"
+                f" latency_ms={entry.latency_ms:.3f}"
+            )
+            kind = "RadioDelivery"
+            if entry.topic is not None:
+                kind = "MqttDelivery"
+                detail += f" topic={entry.topic.value}"
+            at_ms = f"{us_to_ms(entry.delivered_at_us):.3f}"
+            subject = entry.subject
+            if entry.duplicates is None:
+                for r in entry.receivers:
+                    yield [at_ms, kind, ids[r], subject, detail]
+                continue
+            duplicate = detail + " duplicate"
+            for r, dup in zip(entry.receivers, entry.duplicates):
+                yield [at_ms, kind, ids[r], subject,
+                       duplicate if dup else detail]
 
 
 #: ``last_heard`` of a (receiver, subject) pair never heard.
 NEVER_HEARD = -1
 
 
-class Awareness(Mapping):
-    """(receiver id, subject id) -> when the receiver last heard the
-    subject, in µs, for every pair heard; a read-only view of
-    ``Metrics.last_heard``."""
-
-    __slots__ = ("_last_heard", "_ids", "_index_of")
-
-    def __init__(self, last_heard: np.ndarray, ids: list[str]):
-        self._last_heard = last_heard
-        self._ids = ids
-        self._index_of = {user_id: i for i, user_id in enumerate(ids)}
-
-    def __getitem__(self, pair: tuple[str, str]) -> int:
-        receiver, subject = pair
-        try:
-            last = self._last_heard[
-                self._index_of[receiver], self._index_of[subject]
-            ]
-        except KeyError:
-            raise KeyError(pair) from None
-        if last == NEVER_HEARD:
-            raise KeyError(pair)
-        return int(last)
-
-    def __iter__(self):
-        ids = self._ids
-        for r, s in zip(*np.nonzero(self._last_heard != NEVER_HEARD)):
-            yield ids[r], ids[s]
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._last_heard != NEVER_HEARD))
-
-
 class Metrics:
-    """What a run measures. ``deliveries`` and ``awareness`` are views
-    over the per-group entries and the ``last_heard`` matrix."""
+    """What a run measures, and its log: every trace entry in event
+    order, a formatted row or a ``DeliveryGroup``. ``deliveries`` is a
+    view of the log's groups."""
 
     def __init__(self, user_ids: list[str]):
         n = len(user_ids)
-        self.deliveries = Deliveries(user_ids)
+        self.ids = user_ids  # user id by index
+        self.log: list = []
+        self.groups = 0  # DeliveryGroups in the log
+        self.delivered = 0  # their receivers
+        self.deliveries = Deliveries(self)
         self.path_stats: dict[tuple[LinkTech, LinkTech], PathStats] = {}
         #: last_heard[receiver, truth subject]: µs of the latest delivery,
         #: or NEVER_HEARD.
         self.last_heard = np.full((n, n), NEVER_HEARD, dtype=np.int64)
-        self.awareness = Awareness(self.last_heard, user_ids)
         self.coverage_samples: list[tuple[int, Optional[float]]] = []
         self.duplicates_suppressed = 0
         self.detections = 0
@@ -336,7 +251,9 @@ class Metrics:
 
     def record_delivery(self, group: DeliveryGroup) -> None:
         """Record one group of deliveries."""
-        self.deliveries._add_group(group)
+        self.log.append(group)
+        self.groups += 1
+        self.delivered += len(group.receivers)
         path = (group.uplink, group.downlink)
         stats = self.path_stats.get(path)
         if stats is None:
@@ -346,6 +263,16 @@ class Metrics:
         self.last_heard[group.receivers, group.truth_index] = (
             group.delivered_at_us
         )
+
+    def awareness(self) -> dict[tuple[str, str], int]:
+        """(receiver id, subject id) -> when the receiver last heard the
+        subject, in µs, for every pair heard."""
+        ids = self.ids
+        last_heard = self.last_heard
+        return {
+            (ids[r], ids[s]): int(last_heard[r, s])
+            for r, s in zip(*np.nonzero(last_heard != NEVER_HEARD))
+        }
 
 
 class _SeenWindow:
@@ -450,6 +377,10 @@ class Simulation:
     def __init__(self, config: ScenarioConfig, seed: Optional[int] = None):
         self.config = config
         self.seed = config.seed if seed is None else seed
+        if self.seed < 0:  # numpy takes only a non-negative seed
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed}"
+            )
         self.rng = np.random.default_rng(self.seed)
         self.frame = LocalFrame(config.origin.lat, config.origin.lon)
         if config.latency_csv:
@@ -477,9 +408,6 @@ class Simulation:
             dtype=np.intp,
         )
         self.metrics = Metrics(ids)
-        self._trace_rows = TraceRows(ids)
-        #: Trace entries: a formatted row, or a ``DeliveryGroup``.
-        self._trace_log = self._trace_rows._entries
         # The longest path: one link half at each end, plus the camera's
         # processing and grace wait on a camera path.
         self._seen = _SeenWindow(
@@ -583,7 +511,7 @@ class Simulation:
             metrics=self.metrics,
             broker=self.broker,
             gateway=gateway,
-            trace_rows=self._trace_rows,
+            trace_rows=TraceRows(self.metrics),
             final_coverage=final,
             mean_coverage=mean_cov,
             ghost_pairs=[
@@ -764,7 +692,6 @@ class Simulation:
             bsm.generated_at_us, now_us, latency_ms, ev.topic, duplicates,
         )
         metrics.record_delivery(group)
-        self._trace_rows._add_group(group)
 
     def _on_ipu_frame(self, now_us: int, ev: _IpuFrame) -> None:
         detected = 0
@@ -868,7 +795,7 @@ class Simulation:
     def _trace(
         self, at_us: int, kind: str, actor: str, subject: str, detail: str
     ) -> None:
-        self._trace_log.append(
+        self.metrics.log.append(
             [f"{us_to_ms(at_us):.3f}", kind, actor, subject, detail]
         )
 

@@ -151,7 +151,7 @@ def test_criterion_4_end_to_end_latency_fidelity():
             f"model {expected} ms"
         )
 
-    aware = result.metrics.awareness
+    aware = result.metrics.awareness()
     everyone = {"U1", "U2", "U3", "P1"}
     for receiver in ("U1", "U2", "U3"):
         peers = {s for (r, s) in aware if r == receiver} - {receiver}

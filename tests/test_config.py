@@ -145,6 +145,10 @@ users:
         with pytest.raises(ConfigError, match="drop_probability"):
             parse_scenario(MINIMAL + "mqtt: {drop_probability: 1.5}\n")
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be a non-negative"):
+            parse_scenario(MINIMAL + "seed: -3\n")
+
     def test_empty_document(self):
         with pytest.raises(ConfigError, match="empty"):
             parse_scenario("")
@@ -317,7 +321,7 @@ def _user_entries(draw):
 _DOCUMENTS = st.fixed_dictionaries({
     "duration_ms": _finite(1.0, 1e7),
     "scenario_speed_kmh": _finite(0.0, 120.0),
-    "seed": st.integers(-2**70, 2**70),
+    "seed": st.integers(0, 2**70),
     "link_speed_mode": st.sampled_from(["scenario", "max_endpoint"]),
     "origin": st.fixed_dictionaries({
         "lat": _finite(-90.0, 90.0), "lon": _finite(-180.0, 180.0),

@@ -15,6 +15,17 @@ def test_frame_round_trip():
     assert y == pytest.approx(-56.7, abs=1e-6)
 
 
+@pytest.mark.parametrize("origin_lon", [180.0, -180.0, 179.99995])
+def test_frame_round_trip_across_the_antimeridian(origin_lon):
+    frame = LocalFrame(10.0, origin_lon)
+    for x in (-10.0, 10.0):
+        pos = frame.position_at(x, 3.0)
+        assert -180.0 <= pos.lon_deg <= 180.0
+        assert frame.xy_of(pos) == pytest.approx((x, 3.0), abs=1e-6)
+    east, west = frame.position_at(10.0, 0.0), frame.position_at(-10.0, 0.0)
+    assert horizontal_distance_m(east, west) == pytest.approx(20.0, abs=1e-6)
+
+
 def test_known_offset_distance():
     frame = LocalFrame(0.0, 0.0)
     a = frame.position_at(0.0, 0.0)

@@ -170,6 +170,20 @@ class TestCli:
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        config = self._write_scenario(tmp_path)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(RUN_SCENARIO.replace("seed: 9", "seed: -1"))
+        out = tmp_path / "out"
+        assert main(["validate-config", str(bad)]) == 2
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        assert main(["run", str(config), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("config error: ") == 3
+        assert err.count("must be a non-negative integer") == 3
+
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 
