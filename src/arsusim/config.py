@@ -23,6 +23,7 @@ from typing import Optional
 
 import yaml
 
+from .geo import METERS_PER_DEG
 from .latency import DEFAULT_IPU_PROCESSING_MS, MAX_ITT_MS, SPEEDS_KMH
 from .messages import SYNTHETIC_ID_PREFIX, LinkTech, ms_to_us
 
@@ -223,7 +224,30 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioConfig:
         raise ConfigError(f"{source}: empty document")
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a mapping")
-    return _read(ScenarioConfig, raw, "scenario")
+    config = _read(ScenarioConfig, raw, "scenario")
+    _check_pole_reach(config)
+    return config
+
+
+def _check_pole_reach(config: ScenarioConfig) -> None:
+    """Reject a user whose start plus its travel over the run can cross
+    a pole: the local frame maps north-south meters straight onto
+    latitude, so a BSM from past ±90° could not be built."""
+    origin_lat = config.origin.lat
+    duration_s = config.duration_ms / 1000.0
+    for user in config.users:
+        speed_kmh = user.speed_kmh
+        if speed_kmh is None:
+            speed_kmh = config.scenario_speed_kmh
+        travel_m = speed_kmh / 3.6 * duration_s
+        for y_m in (user.y_m + travel_m, user.y_m - travel_m):
+            lat = origin_lat + y_m / METERS_PER_DEG
+            if not -90.0 <= lat <= 90.0:
+                raise ConfigError(
+                    f"user {user.user_id!r} can reach latitude {lat:.6f}, "
+                    f"past a pole: y_m {user.y_m:g} ± {travel_m:g} m of "
+                    f"travel from origin.lat {origin_lat:g}"
+                )
 
 
 def load_scenario(path) -> ScenarioConfig:

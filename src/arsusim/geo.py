@@ -31,7 +31,7 @@ class LocalFrame:
     def position_at(self, x_m: float, y_m: float) -> Position:
         """Geodetic position of local point (x east, y north), meters."""
         return Position(
-            lat_deg=self.origin_lat_deg + y_m / METERS_PER_DEG,
+            lat_deg=_clamp_lat(self.origin_lat_deg + y_m / METERS_PER_DEG),
             lon_deg=_wrap_lon(self.origin_lon_deg + x_m / self._lon_scale()),
         )
 
@@ -41,6 +41,14 @@ class LocalFrame:
             * self._lon_scale(),
             (position.lat_deg - self.origin_lat_deg) * METERS_PER_DEG,
         )
+
+
+def _clamp_lat(lat_deg: float) -> float:
+    """``lat_deg`` in [-90, 90]: a value already in range is returned as
+    it is, bit for bit; a noisy sample past a pole is held at the pole."""
+    if -90.0 <= lat_deg <= 90.0:
+        return lat_deg
+    return 90.0 if lat_deg > 0.0 else -90.0
 
 
 def _wrap_lon(lon_deg: float) -> float:

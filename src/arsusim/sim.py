@@ -556,15 +556,17 @@ class Simulation:
         if tech is LinkTech.CELL_MQTT:
             self._publish(user.id.value, bsm, Topic.CELL, tech, now_us)
         else:
-            arrivals = []
-            for peer in self._by_tech[tech]:
-                if peer.index == user.index:
-                    continue
-                # max(speeds) is always one endpoint's speed, so the
-                # faster endpoint's half is the link's half.
-                faster = user if user.speed_kmh >= peer.speed_kmh else peer
-                arrivals.append((now_us + 2 * faster.half_us, peer.index))
-            self._group_cast(arrivals, bsm, tech, tech)
+            peers = [p for p in self._by_tech[tech] if p is not user]
+            # max(speeds) is always one endpoint's speed, so the faster
+            # endpoint's half is the link's half.
+            speed, half_us = user.speed_kmh, user.half_us
+            times = [
+                now_us + 2 * (half_us if speed >= p.speed_kmh else p.half_us)
+                for p in peers
+            ]
+            self._group_cast(
+                times, [p.index for p in peers], bsm, tech, tech
+            )
             if self.gateway is not None and self._in_coverage(user):
                 self._schedule(
                     now_us + user.half_us, _Arrival(None, bsm, tech, tech)
@@ -580,42 +582,51 @@ class Simulation:
         now_us: int,
     ) -> None:
         envelope = MqttEnvelope(topic=topic, payload=bsm, published_at_us=now_us)
-        deliveries = self.broker.publish(
+        fan_out = self.broker.publish(
             publisher, envelope, now_us, self._cell_legs_us
         )
-        # The gateway subscribes before any road user, so scheduling its
-        # delivery first keeps the fan-out order.
-        arrivals = []
-        index_of = self._index_of
-        for delivery in deliveries:
-            if delivery.recipient == ARSU_CLIENT:
-                self._schedule(
-                    delivery.delivered_at_us,
-                    _Arrival(None, bsm, uplink, LinkTech.CELL_MQTT, topic),
-                )
-            else:
-                arrivals.append(
-                    (delivery.delivered_at_us, index_of[delivery.recipient])
-                )
-        self._group_cast(arrivals, bsm, uplink, LinkTech.CELL_MQTT, topic)
+        recipients = list(fan_out.recipients)
+        times = fan_out.delivered_at_us()
+        # Only the gateway is no road user. Scheduling its delivery before
+        # the road users' keeps the fan-out order, as it subscribes first.
+        if ARSU_CLIENT in recipients:
+            i = recipients.index(ARSU_CLIENT)
+            del recipients[i]
+            self._schedule(
+                times.pop(i),
+                _Arrival(None, bsm, uplink, LinkTech.CELL_MQTT, topic),
+            )
+        self._group_cast(
+            times, list(map(self._index_of.__getitem__, recipients)),
+            bsm, uplink, LinkTech.CELL_MQTT, topic,
+        )
 
     def _group_cast(
         self,
-        arrivals,
+        times: list[int],
+        receivers: list[int],
         bsm: Bsm,
         uplink: LinkTech,
         downlink: LinkTech,
         topic: Optional[Topic] = None,
     ) -> None:
-        """Schedule one ``_Arrival`` of ``bsm`` per distinct time of the
-        (at_us, receiver index) ``arrivals``, receivers in the order
-        given."""
-        groups: dict[int, list[int]] = {}
-        for at_us, receiver in arrivals:
-            groups.setdefault(at_us, []).append(receiver)
-        for at_us, receivers in groups.items():
+        """Schedule one ``_Arrival`` of ``bsm`` per distinct arrival time
+        in ``times``, with the ``receivers`` (user indices, parallel to
+        ``times``) that share it, in the order given."""
+        if not receivers:
+            return
+        # One time, as for every send in scenario mode.
+        if times.count(times[0]) == len(times):
             self._schedule(
-                at_us, _Arrival(receivers, bsm, uplink, downlink, topic)
+                times[0], _Arrival(receivers, bsm, uplink, downlink, topic)
+            )
+            return
+        groups: dict[int, list[int]] = {}
+        for at_us, receiver in zip(times, receivers):
+            groups.setdefault(at_us, []).append(receiver)
+        for at_us, group in groups.items():
+            self._schedule(
+                at_us, _Arrival(group, bsm, uplink, downlink, topic)
             )
 
     def _on_arrival(self, now_us: int, ev: _Arrival) -> None:
@@ -655,13 +666,12 @@ class Simulation:
     ) -> None:
         """The gateway's radio relay of ``bsm`` to every user on ``tech``."""
         subject = bsm.id.value
+        receivers = [
+            r for r in self._by_tech.get(tech, []) if r.id.value != subject
+        ]
         self._group_cast(
-            (
-                (now_us + receiver.half_us, receiver.index)
-                for receiver in self._by_tech.get(tech, [])
-                if receiver.id.value != subject
-            ),
-            bsm, uplink, tech,
+            [now_us + r.half_us for r in receivers],
+            [r.index for r in receivers], bsm, uplink, tech,
         )
 
     def _deliver(self, ev: _Arrival, now_us: int) -> None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arsusim.broker import ARSU_CLIENT, Broker, TopicOwnershipError
 from arsusim.messages import MqttEnvelope, Topic
@@ -101,7 +102,7 @@ class TestPublish:
             "U3", _cell_envelope(), 10_000, {"U3": 41_659}
         )
         assert len(deliveries) == 1
-        d = deliveries[0]
+        d = list(deliveries)[0]
         assert d.recipient == ARSU_CLIENT
         assert d.delivered_at_us == 10_000 + 41_659
 
@@ -122,7 +123,7 @@ class TestPublish:
         deliveries = broker.publish(
             ARSU_CLIENT, _arsu_envelope(), 500, {"U3": 41_659}
         )
-        assert deliveries[0].delivered_at_us == 500 + 41_659
+        assert list(deliveries)[0].delivered_at_us == 500 + 41_659
 
     def test_no_self_delivery(self):
         broker = Broker()
@@ -165,5 +166,74 @@ class TestPublish:
         rng = np.random.default_rng(3)
         broker = Broker(drop_probability=1.0, rng=rng)
         broker.subscribe("U4", Topic.CELL)
-        assert broker.publish("U3", _cell_envelope(), 0, LEGS) == []
+        assert len(broker.publish("U3", _cell_envelope(), 0, LEGS)) == 0
         assert broker.drop_count == 1
+
+
+def _reference_publish(subscribers, publisher, now, legs, p, rng):
+    """One publish worked out one subscriber at a time, with one scalar
+    drop draw each: (recipient, delivery time) pairs and the drops."""
+    uplink = 0 if publisher == ARSU_CLIENT else legs[publisher]
+    kept, drops = [], 0
+    for client in subscribers:
+        if client == publisher:
+            continue
+        if p > 0.0 and rng.random() < p:
+            drops += 1
+            continue
+        downlink = 0 if client == ARSU_CLIENT else legs[client]
+        kept.append((client, now + uplink + downlink))
+    return kept, drops
+
+
+_ROAD_USERS = [f"U{i}" for i in range(8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_batched_draws_match_scalar_reference(data):
+    """Drop draws taken in one batch per publish give the recipients,
+    times, drop count and rng stream of one scalar draw per subscriber."""
+    topic = data.draw(st.sampled_from(list(Topic)))
+    clients = data.draw(st.permutations(_ROAD_USERS + [ARSU_CLIENT]))
+    subscribers = clients[:data.draw(st.integers(0, len(clients)))]
+    legs = {u: data.draw(st.integers(0, 200_000)) for u in _ROAD_USERS}
+    p = data.draw(st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.floats(0.0, 1.0, allow_nan=False),
+    ))
+    seed = data.draw(st.integers(0, 2**32))
+    rng = np.random.default_rng(seed)
+    broker = Broker(drop_probability=p, rng=rng)
+    for client in subscribers:
+        broker.subscribe(client, topic)
+    reference_rng = np.random.default_rng(seed)
+    reference_drops = 0
+    logged = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if topic is Topic.CELL:
+            publisher = data.draw(st.sampled_from(_ROAD_USERS))
+        else:
+            publisher = ARSU_CLIENT
+        now = data.draw(st.integers(0, 10**9))
+        envelope = MqttEnvelope(topic, bsm_at("U0", now_us=now), now)
+        fan_out = broker.publish(publisher, envelope, now, legs)
+        kept, drops = _reference_publish(
+            subscribers, publisher, now, legs, p, reference_rng
+        )
+        reference_drops += drops
+        assert list(fan_out.recipients) == [c for c, _ in kept]
+        assert fan_out.delivered_at_us() == [t for _, t in kept]
+        assert len(fan_out) == len(kept)
+        deliveries = list(fan_out)
+        assert [(d.recipient, d.delivered_at_us) for d in deliveries] == kept
+        assert all(
+            (d.envelope, d.publisher, d.published_at_us)
+            == (envelope, publisher, now)
+            for d in deliveries
+        )
+        assert broker.drop_count == reference_drops
+        logged += deliveries
+    assert list(broker.delivery_log) == logged
+    assert len(broker.delivery_log) == len(logged)
+    assert rng.random() == reference_rng.random()

@@ -153,6 +153,24 @@ users:
         with pytest.raises(ConfigError, match="empty"):
             parse_scenario("")
 
+    @pytest.mark.parametrize("origin_lat, user", [
+        (89.9999, "{kind: native_dsrc, id: U1, y_m: 20}"),
+        (-89.9999, "{kind: native_dsrc, id: U1, y_m: -20}"),
+        # 100 km/h for 10 s is 278 m of travel; the user starts 111 m
+        # from the north pole.
+        (89.999, "{kind: non_connected, id: U1, speed_kmh: 100}"),
+    ], ids=["start-north", "start-south", "travel"])
+    def test_user_reaching_past_a_pole(self, origin_lat, user):
+        doc = (f"duration_ms: 10000\norigin: {{lat: {origin_lat}}}\n"
+               f"users:\n  - {user}\n")
+        with pytest.raises(ConfigError, match="'U1' can reach latitude"):
+            parse_scenario(doc)
+
+    def test_user_short_of_a_pole_accepted(self):
+        doc = ("duration_ms: 10000\norigin: {lat: 89.9999}\n"
+               "users:\n  - {kind: native_dsrc, y_m: -20, speed_kmh: 1}\n")
+        assert parse_scenario(doc).origin.lat == 89.9999
+
 
 class TestUsers:
     def test_count_expands_with_auto_ids_and_spacing(self):
@@ -323,8 +341,11 @@ _DOCUMENTS = st.fixed_dictionaries({
     "scenario_speed_kmh": _finite(0.0, 120.0),
     "seed": st.integers(0, 2**70),
     "link_speed_mode": st.sampled_from(["scenario", "max_endpoint"]),
+    # Users start up to 9° and travel up to 3° from the origin, so an
+    # origin within 77° of the equator keeps them off the poles, which
+    # the parser rejects (TestRejection.test_user_reaching_past_a_pole).
     "origin": st.fixed_dictionaries({
-        "lat": _finite(-90.0, 90.0), "lon": _finite(-180.0, 180.0),
+        "lat": _finite(-77.0, 77.0), "lon": _finite(-180.0, 180.0),
     }),
     "arsu": st.fixed_dictionaries({
         "present": st.booleans(), "x_m": _finite(), "y_m": _finite(),

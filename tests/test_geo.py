@@ -26,6 +26,16 @@ def test_frame_round_trip_across_the_antimeridian(origin_lon):
     assert horizontal_distance_m(east, west) == pytest.approx(20.0, abs=1e-6)
 
 
+def test_position_past_a_pole_is_held_at_it():
+    frame = LocalFrame(89.9999, 0.0)
+    assert frame.position_at(0.0, 20.0).lat_deg == 90.0
+    assert LocalFrame(-89.9999, 0.0).position_at(0.0, -20.0).lat_deg == -90.0
+    # In range: bit for bit the unclamped value.
+    assert frame.position_at(0.0, -20.0).lat_deg == (
+        89.9999 + -20.0 / METERS_PER_DEG
+    )
+
+
 def test_known_offset_distance():
     frame = LocalFrame(0.0, 0.0)
     a = frame.position_at(0.0, 0.0)

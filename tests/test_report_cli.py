@@ -184,6 +184,16 @@ class TestCli:
         assert err.count("config error: ") == 3
         assert err.count("must be a non-negative integer") == 3
 
+    def test_user_past_a_pole_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("duration_ms: 1000\norigin: {lat: 89.9999, lon: 0}\n"
+                       "users:\n  - {kind: native_dsrc, id: U1, y_m: 20}\n")
+        out = tmp_path / "out"
+        assert main(["validate-config", str(bad)]) == 2
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("past a pole") == 2
+
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 

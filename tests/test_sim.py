@@ -15,6 +15,7 @@ from arsusim.messages import (
 from arsusim.sim import (
     DeliveryRecord,
     _Arrival,
+    _BsmTx,
     Simulation,
     SimulationInvariantError,
     SimUser,
@@ -771,6 +772,64 @@ class TestGroupRecords:
         _assert_matches_per_delivery_reference(result)
         rows = [r for r in result.trace_rows if r[4].endswith(" duplicate")]
         assert len(rows) == 5
+
+
+class TestGroupCast:
+    """A send schedules one ``_Arrival`` per distinct arrival time, with
+    the receivers that share it in send order."""
+
+    DOC = """
+duration_ms: 1000
+scenario_speed_kmh: 30
+link_speed_mode: {mode}
+seed: 0
+arsu: {{present: false}}
+users:
+  - {{kind: native_dsrc, id: U0, speed_kmh: 30, gnss_error_std_m: 0}}
+  - {{kind: native_dsrc, id: U1, x_m: 10, speed_kmh: 10}}
+  - {{kind: native_dsrc, id: U2, x_m: 20, speed_kmh: 50}}
+  - {{kind: native_dsrc, id: U3, x_m: 30, speed_kmh: 30}}
+  - {{kind: native_dsrc, id: U4, x_m: 40, speed_kmh: 50}}
+"""
+
+    @staticmethod
+    def _arrivals(simulation):
+        """(time, receivers) of each scheduled arrival, in send order."""
+        return [
+            (at_us, payload.receivers)
+            for at_us, _, payload in sorted(
+                simulation._heap, key=lambda entry: entry[1])
+            if isinstance(payload, _Arrival)
+        ]
+
+    def _broadcast_from_u0(self, mode):
+        simulation = Simulation(scenario(self.DOC.format(mode=mode)))
+        simulation._on_bsm_tx(0, _BsmTx(0))
+        return simulation, self._arrivals(simulation)
+
+    def test_scenario_mode_is_one_event(self):
+        simulation, arrivals = self._broadcast_from_u0("scenario")
+        half_us = simulation.users[0].half_us
+        assert arrivals == [(2 * half_us, [1, 2, 3, 4])]
+
+    def test_max_endpoint_mode_is_one_event_per_time(self):
+        simulation, arrivals = self._broadcast_from_u0("max_endpoint")
+        at_30, at_50 = (2 * simulation.users[i].half_us for i in (0, 2))
+        assert at_30 != at_50
+        # U1 (10 km/h) and U3 (30) take U0's 30 km/h half; U2 and U4 (50)
+        # take their own.
+        assert arrivals == [(at_30, [1, 3]), (at_50, [2, 4])]
+
+    def test_mixed_times_group_in_first_seen_order(self):
+        simulation = Simulation(scenario(self.DOC.format(mode="scenario")))
+        bsm = _relay_bsm(simulation, 0)
+        simulation._group_cast(
+            [700, 300, 700, 300, 900], [4, 1, 2, 3, 0], bsm,
+            LinkTech.DSRC, LinkTech.DSRC,
+        )
+        assert self._arrivals(simulation) == [
+            (700, [4, 2]), (300, [1, 3]), (900, [0]),
+        ]
 
 
 def _relay_bsm(simulation, generated_at_us):
