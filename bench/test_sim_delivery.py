@@ -7,7 +7,11 @@ dominates), one full iteration of that run's ``trace_rows``, which
 formats every delivery row, one of its ``metrics.deliveries``, which
 walks the same log and builds one record per delivery, and one 1 s run
 of 100 users, 25 of each kind, placed by ``count:`` at 30 km/h in 400 m
-of gateway coverage (the scenario of the users x seconds ladder). Run
+of gateway coverage (the scenario of the users x seconds ladder), in
+each link-speed mode. In ``max_endpoint`` mode about half of each
+connected kind runs at 50 km/h, so a radio send or relay reaches its
+receivers at two times, one per link half; in ``scenario`` mode they all
+run at 30 km/h, and every send reaches its receivers at one time. Run
 from the root of a checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-only -q
@@ -35,13 +39,17 @@ ipu: {noise_std_m: 1.0}
 MIX_100 = """
 duration_ms: 1000
 scenario_speed_kmh: 30
+link_speed_mode: {mode}
 seed: 7
-arsu: {coverage_radius_m: 400}
+arsu: {{coverage_radius_m: 400}}
 users:
-  - {kind: native_dsrc, count: 25}
-  - {kind: native_cv2x, count: 25}
-  - {kind: nonnative_cell, count: 25}
-  - {kind: non_connected, count: 25}
+  - {{kind: native_dsrc, count: 13}}
+  - {{kind: native_dsrc, count: 12, speed_kmh: {fast_kmh}}}
+  - {{kind: native_cv2x, count: 13}}
+  - {{kind: native_cv2x, count: 12, speed_kmh: {fast_kmh}}}
+  - {{kind: nonnative_cell, count: 13}}
+  - {{kind: nonnative_cell, count: 12, speed_kmh: {fast_kmh}}}
+  - {{kind: non_connected, count: 25}}
 """
 
 
@@ -67,8 +75,11 @@ def test_iterate_deliveries(benchmark, config):
     assert count == len(deliveries)
 
 
-def test_run_mix_100_users(benchmark):
-    result = benchmark.pedantic(
-        run, (parse_scenario(MIX_100),), rounds=5, warmup_rounds=1
-    )
+@pytest.mark.parametrize(
+    "mode, fast_kmh", [("scenario", 30), ("max_endpoint", 50)],
+    ids=["scenario", "max_endpoint"],
+)
+def test_run_mix_100_users(benchmark, mode, fast_kmh):
+    cfg = parse_scenario(MIX_100.format(mode=mode, fast_kmh=fast_kmh))
+    result = benchmark.pedantic(run, (cfg,), rounds=5, warmup_rounds=1)
     assert len(result.metrics.deliveries) > 10_000

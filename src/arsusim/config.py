@@ -211,7 +211,9 @@ def _echo(value):
 def parse_scenario(text: str, source: str = "<string>") -> ScenarioConfig:
     """Parse and fully validate a scenario document."""
     try:
-        raw = yaml.safe_load(text)
+        # libyaml's safe loader, where PyYAML has it, builds the same
+        # document as the pure-Python one, several times faster.
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = (

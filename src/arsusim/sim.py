@@ -8,11 +8,16 @@ feeds the gateway's detection filter.
 
 Every delay is injected from the latency model, never emergent, so a
 run's measured path latencies are exactly the model's composed values.
-Event order is strictly (time, insertion sequence); one seeded generator
-drives all noise. Identical (config, seed) runs are bit-identical.
+An event is a heap entry ``(at_us, seq, handler, arg)``, run as
+``handler(at_us, arg)`` in (time, insertion sequence) order; one seeded
+generator drives all noise. Identical (config, seed) runs are
+bit-identical.
 
-A send to many road users arrives as one event per arrival time and is
-recorded once, as a ``DeliveryGroup``. A run keeps one log,
+Road users are fixed for a run, so ``Simulation.__init__`` plans each
+radio broadcast and gateway relay once: ``(offset_us, receivers)``
+groups, one per distinct arrival time. A broker fan-out, whose drops
+vary, is grouped at each publish. A send schedules one arrival per
+group, recorded once, as a ``DeliveryGroup``. A run keeps one log,
 ``Metrics.log``: every trace entry in event order, a formatted row or a
 ``DeliveryGroup``. ``Metrics.deliveries`` and ``RunResult.trace_rows``
 are views of it that support only ``len()`` and iteration; they expand
@@ -26,9 +31,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -111,11 +116,11 @@ class DeliveryGroup(NamedTuple):
     """One BSM handed to several road users at the same instant: the
     fields its deliveries share, held once.
 
-    ``receivers`` and ``truth_index`` are user indices. ``duplicates``
-    holds one flag per receiver, or is None when no receiver already
-    had the BSM."""
+    ``receivers`` (shared with the send's plan) and ``truth_index`` are
+    user indices. ``duplicates`` holds one flag per receiver, or is None
+    when no receiver already had the BSM."""
 
-    receivers: list[int]
+    receivers: tuple[int, ...]
     subject: str
     truth_index: int
     uplink: LinkTech
@@ -129,20 +134,18 @@ class DeliveryGroup(NamedTuple):
 
 @dataclass
 class PathStats:
+    """Latencies of one path's deliveries; the sum is exact, in µs."""
+
     count: int = 0
-    sum_ms: float = 0.0
+    sum_us: int = 0
     min_ms: float = math.inf
     max_ms: float = -math.inf
 
-    def add(self, latency_ms: float, n: int = 1) -> None:
-        """Add ``n`` deliveries of ``latency_ms``."""
+    def add(self, latency_us: int, n: int = 1) -> None:
+        """Add ``n`` deliveries of ``latency_us``."""
         self.count += n
-        # One addition per delivery keeps the float sum of a per-delivery
-        # accumulation; ``latency_ms * n`` may round differently.
-        total = self.sum_ms
-        for _ in range(n):
-            total += latency_ms
-        self.sum_ms = total
+        self.sum_us += latency_us * n
+        latency_ms = us_to_ms(latency_us)
         if latency_ms < self.min_ms:
             self.min_ms = latency_ms
         if latency_ms > self.max_ms:
@@ -150,7 +153,7 @@ class PathStats:
 
     @property
     def mean_ms(self) -> float:
-        return self.sum_ms / self.count if self.count else math.nan
+        return self.sum_us / self.count / 1000 if self.count else math.nan
 
 
 class _LogView:
@@ -251,14 +254,15 @@ class Metrics:
 
     def record_delivery(self, group: DeliveryGroup) -> None:
         """Record one group of deliveries."""
+        n = len(group.receivers)
         self.log.append(group)
         self.groups += 1
-        self.delivered += len(group.receivers)
+        self.delivered += n
         path = (group.uplink, group.downlink)
         stats = self.path_stats.get(path)
         if stats is None:
             stats = self.path_stats[path] = PathStats()
-        stats.add(group.latency_ms, len(group.receivers))
+        stats.add(group.delivered_at_us - group.generated_at_us, n)
         # Events run in time order, so this delivery is the latest.
         self.last_heard[group.receivers, group.truth_index] = (
             group.delivered_at_us
@@ -331,46 +335,36 @@ class RunResult:
     ghost_pairs: list[tuple[str, str]]
 
 
-# --- event payloads (never compared: heap keys are (time, seq)) ---
+# --- events ---
 #
-# A send to many road users schedules one delivery event per distinct
-# arrival time, carrying its receivers in send order. That runs them in
-# the order one event per receiver would: a send schedules all of its
-# receivers at once, so no other event's seq falls between two that share
-# a time, and whatever a receiver's handler schedules comes after them.
+# A heap entry is (at_us, seq, handler, arg); seq is unique, so handlers
+# and args are never compared. A send schedules one ``_Arrival`` per group
+# of its plan, in send order. That runs them in the order one event per
+# receiver would: a send schedules all of its receivers at once, so no
+# other event's seq falls between two that share a time, and whatever a
+# receiver's handler schedules comes after them.
 
-@dataclass(frozen=True)
-class _BsmTx:
-    user_index: int
+class _Arrival(NamedTuple):
+    """A BSM reaching some road users at one instant."""
 
-
-@dataclass(frozen=True)
-class _Arrival:
-    receivers: Optional[list[int]]  # user indices; None means the gateway
+    receivers: tuple[int, ...]  # user indices
     bsm: Bsm
     uplink: LinkTech
     downlink: LinkTech
     topic: Optional[Topic] = None  # the broker topic; None over the air
 
 
-@dataclass(frozen=True)
-class _IpuFrame:
-    pass
+#: A send's ``(µs, receivers)`` groups, one per distinct arrival time.
+_Plan = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class _DetectionReady:
-    detection: Detection
-
-
-@dataclass(frozen=True)
-class _GraceDeadline:
-    track_id: int
-
-
-@dataclass(frozen=True)
-class _MetricsTick:
-    pass
+def _group_by_time(arrivals: Iterable[tuple[int, int]]) -> _Plan:
+    """``(µs, user index)`` pairs grouped by time, the groups and their
+    receivers in first-seen order."""
+    groups: dict[int, list[int]] = {}
+    for at_us, receiver in arrivals:
+        groups.setdefault(at_us, []).append(receiver)
+    return tuple((at_us, tuple(group)) for at_us, group in groups.items())
 
 
 class Simulation:
@@ -394,13 +388,31 @@ class Simulation:
         self.frame_period_us = ms_to_us(config.ipu.frame_period_ms)
         self.freshness_us = ms_to_us(config.freshness_window_ms)
         self.users = [self._make_user(i, s) for i, s in enumerate(config.users)]
-        self._by_tech: dict[LinkTech, list[SimUser]] = {}
+        by_tech: dict[LinkTech, list[SimUser]] = {}
         for user in self.users:
             tech = user.spec.kind.tech
             if tech is not None:
-                self._by_tech.setdefault(tech, []).append(user)
-        cell_users = self._by_tech.get(LinkTech.CELL_MQTT, [])
+                by_tech.setdefault(tech, []).append(user)
+        cell_users = by_tech.get(LinkTech.CELL_MQTT, [])
         self._cell_legs_us = {u.id.value: u.half_us for u in cell_users}
+        # A broadcast reaches the other users on its technology over a link
+        # whose half is its faster endpoint's: max(speeds) is always one
+        # endpoint's speed. A gateway relay reaches each user on the
+        # technology after that user's own half.
+        self._direct_plans: list[_Plan] = [()] * len(self.users)
+        self._relays: dict[ActionKind, tuple[LinkTech, _Plan]] = {}
+        for kind, tech in ((ActionKind.TX_DSRC, LinkTech.DSRC),
+                           (ActionKind.TX_CV2X, LinkTech.CV2X)):
+            on_tech = by_tech.get(tech, [])
+            for u in on_tech:
+                self._direct_plans[u.index] = _group_by_time(
+                    (2 * (u.half_us if u.speed_kmh >= p.speed_kmh
+                          else p.half_us), p.index)
+                    for p in on_tech if p is not u
+                )
+            self._relays[kind] = tech, _group_by_time(
+                (u.half_us, u.index) for u in on_tech
+            )
         ids = [u.id.value for u in self.users]
         self._index_of = {user_id: i for i, user_id in enumerate(ids)}
         self._connected_rows = np.array(
@@ -417,16 +429,8 @@ class Simulation:
             )
             + self.ipu_processing_us + ms_to_us(config.filter.grace_ms)
         )
-        self._heap: list[tuple[int, int, object]] = []
+        self._heap: list[tuple[int, int, Callable[[int, Any], None], Any]] = []
         self._seq = 0
-        self._handlers = {
-            _BsmTx: self._on_bsm_tx,
-            _Arrival: self._on_arrival,
-            _IpuFrame: self._on_ipu_frame,
-            _DetectionReady: self._on_detection_ready,
-            _GraceDeadline: self._on_grace_deadline,
-            _MetricsTick: self._on_metrics_tick,
-        }
 
         drop = config.mqtt.drop_probability
         self.broker = Broker(
@@ -479,25 +483,28 @@ class Simulation:
 
     # --- scheduling ---
 
-    def _schedule(self, at_us: int, payload) -> None:
+    def _schedule(
+        self, at_us: int, handler: Callable[[int, Any], None], arg: Any = None
+    ) -> None:
         if at_us < 0:
             raise SimulationInvariantError("event scheduled before time zero")
-        heapq.heappush(self._heap, (at_us, self._seq, payload))
+        heapq.heappush(self._heap, (at_us, self._seq, handler, arg))
         self._seq += 1
 
     def run(self) -> RunResult:
         duration_us = self.config.duration_us
         for user in self.users:
             if user.spec.kind.is_connected:
-                self._schedule(user.bsm_phase_us, _BsmTx(user.index))
+                self._schedule(user.bsm_phase_us, self._on_bsm_tx, user)
         if self.gateway is not None:
-            self._schedule(0, _IpuFrame())
-        self._schedule(_METRICS_TICK_US, _MetricsTick())
+            self._schedule(0, self._on_ipu_frame)
+        self._schedule(_METRICS_TICK_US, self._on_metrics_tick)
 
-        while self._heap and self._heap[0][0] < duration_us:
-            at_us, _, payload = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] < duration_us:
+            at_us, _, handler, arg = heapq.heappop(heap)
             self.metrics.events_executed += 1
-            self._dispatch(at_us, payload)
+            handler(at_us, arg)
 
         final = self._sample_coverage(duration_us)
         defined = [v for _, v in self.metrics.coverage_samples if v is not None]
@@ -520,16 +527,9 @@ class Simulation:
             ],
         )
 
-    def _dispatch(self, now_us: int, payload) -> None:
-        handler = self._handlers.get(type(payload))
-        if handler is None:
-            raise SimulationInvariantError(f"unknown event {payload!r}")
-        handler(now_us, payload)
-
     # --- event handlers ---
 
-    def _on_bsm_tx(self, now_us: int, ev: _BsmTx) -> None:
-        user = self.users[ev.user_index]
+    def _on_bsm_tx(self, now_us: int, user: SimUser) -> None:
         spec = user.spec
         tech = spec.kind.tech
         self._advance(user, now_us)
@@ -556,22 +556,13 @@ class Simulation:
         if tech is LinkTech.CELL_MQTT:
             self._publish(user.id.value, bsm, Topic.CELL, tech, now_us)
         else:
-            peers = [p for p in self._by_tech[tech] if p is not user]
-            # max(speeds) is always one endpoint's speed, so the faster
-            # endpoint's half is the link's half.
-            speed, half_us = user.speed_kmh, user.half_us
-            times = [
-                now_us + 2 * (half_us if speed >= p.speed_kmh else p.half_us)
-                for p in peers
-            ]
-            self._group_cast(
-                times, [p.index for p in peers], bsm, tech, tech
-            )
+            self._cast(self._direct_plans[user.index], now_us, bsm, tech, tech)
             if self.gateway is not None and self._in_coverage(user):
                 self._schedule(
-                    now_us + user.half_us, _Arrival(None, bsm, tech, tech)
+                    now_us + user.half_us, self._on_gateway_rx,
+                    (bsm, tech, None),
                 )
-        self._schedule(now_us + user.bsm_interval_us, _BsmTx(user.index))
+        self._schedule(now_us + user.bsm_interval_us, self._on_bsm_tx, user)
 
     def _publish(
         self,
@@ -585,96 +576,64 @@ class Simulation:
         fan_out = self.broker.publish(
             publisher, envelope, now_us, self._cell_legs_us
         )
-        recipients = list(fan_out.recipients)
+        recipients = fan_out.recipients
         times = fan_out.delivered_at_us()
-        # Only the gateway is no road user. Scheduling its delivery before
-        # the road users' keeps the fan-out order, as it subscribes first.
-        if ARSU_CLIENT in recipients:
-            i = recipients.index(ARSU_CLIENT)
-            del recipients[i]
-            self._schedule(
-                times.pop(i),
-                _Arrival(None, bsm, uplink, LinkTech.CELL_MQTT, topic),
-            )
-        self._group_cast(
-            times, list(map(self._index_of.__getitem__, recipients)),
-            bsm, uplink, LinkTech.CELL_MQTT, topic,
-        )
+        # Only the gateway is no road user. It subscribes first, so it leads
+        # the fan-out, and its arrival is scheduled before the road users'.
+        if recipients and recipients[0] == ARSU_CLIENT:
+            self._schedule(times[0], self._on_gateway_rx,
+                           (bsm, LinkTech.CELL_MQTT, topic))
+            recipients, times = recipients[1:], times[1:]
+        # Fan-out times are absolute: a plan sent at time zero.
+        plan = _group_by_time(
+            zip(times, map(self._index_of.__getitem__, recipients)))
+        self._cast(plan, 0, bsm, uplink, LinkTech.CELL_MQTT, topic)
 
-    def _group_cast(
-        self,
-        times: list[int],
-        receivers: list[int],
-        bsm: Bsm,
-        uplink: LinkTech,
-        downlink: LinkTech,
-        topic: Optional[Topic] = None,
+    def _cast(self, plan: _Plan, sent_us: int, bsm: Bsm, uplink: LinkTech,
+              downlink: LinkTech, topic: Optional[Topic] = None) -> None:
+        """Schedule one ``_Arrival`` of ``bsm`` per group of ``plan``."""
+        for offset_us, receivers in plan:
+            self._schedule(
+                sent_us + offset_us, self._deliver,
+                _Arrival(receivers, bsm, uplink, downlink, topic),
+            )
+
+    def _on_gateway_rx(
+        self, now_us: int, arg: tuple[Bsm, LinkTech, Optional[Topic]]
     ) -> None:
-        """Schedule one ``_Arrival`` of ``bsm`` per distinct arrival time
-        in ``times``, with the ``receivers`` (user indices, parallel to
-        ``times``) that share it, in the order given."""
-        if not receivers:
-            return
-        # One time, as for every send in scenario mode.
-        if times.count(times[0]) == len(times):
-            self._schedule(
-                times[0], _Arrival(receivers, bsm, uplink, downlink, topic)
-            )
-            return
-        groups: dict[int, list[int]] = {}
-        for at_us, receiver in zip(times, receivers):
-            groups.setdefault(at_us, []).append(receiver)
-        for at_us, group in groups.items():
-            self._schedule(
-                at_us, _Arrival(group, bsm, uplink, downlink, topic)
-            )
-
-    def _on_arrival(self, now_us: int, ev: _Arrival) -> None:
-        if ev.receivers is not None:
-            self._deliver(ev, now_us)
-            return
-        # The gateway hears a road user's own medium: a radio broadcast, or
-        # the Cell topic only road users publish to. So uplink == downlink.
-        actions = self.gateway.on_rx(ev.bsm, ev.downlink, now_us)
-        if ev.topic is None:
-            kind, detail = "RadioDelivery", f"via={ev.downlink.value}"
+        """The gateway hears ``bsm`` on ``medium``: a road user's own radio
+        broadcast, or the Cell topic only road users publish to. So the
+        uplink is the downlink."""
+        bsm, medium, topic = arg
+        actions = self.gateway.on_rx(bsm, medium, now_us)
+        if topic is None:
+            kind, detail = "RadioDelivery", f"via={medium.value}"
         else:
-            kind, detail = "MqttDelivery", f"topic={ev.topic.value}"
+            kind, detail = "MqttDelivery", f"topic={topic.value}"
         self._trace(
-            now_us, kind, ARSU_CLIENT, ev.bsm.id.value,
+            now_us, kind, ARSU_CLIENT, bsm.id.value,
             f"{detail} actions={len(actions)}",
         )
-        self._emit_actions(actions, ev.downlink, now_us)
+        self._emit_actions(actions, medium, now_us)
 
     def _emit_actions(
         self, actions: list[RelayAction], uplink: LinkTech, now_us: int
     ) -> None:
         for action in actions:
-            if action.kind is ActionKind.TX_DSRC:
-                self._transmit(LinkTech.DSRC, action.payload, uplink, now_us)
-            elif action.kind is ActionKind.TX_CV2X:
-                self._transmit(LinkTech.CV2X, action.payload, uplink, now_us)
-            else:
+            if action.kind is ActionKind.PUBLISH_MQTT:
                 # The gateway publishes a BSM on the topic of the medium
                 # it arrived on, so the delivery's uplink is that medium.
                 self._publish(
                     ARSU_CLIENT, action.payload, action.topic, uplink, now_us
                 )
+                continue
+            # A radio relay to every user on ``tech``. The gateway relays a
+            # road user's BSM only onto the other media, and the camera's
+            # under a synthetic id, so the subject is never on ``tech``.
+            tech, plan = self._relays[action.kind]
+            self._cast(plan, now_us, action.payload, uplink, tech)
 
-    def _transmit(
-        self, tech: LinkTech, bsm: Bsm, uplink: LinkTech, now_us: int
-    ) -> None:
-        """The gateway's radio relay of ``bsm`` to every user on ``tech``."""
-        subject = bsm.id.value
-        receivers = [
-            r for r in self._by_tech.get(tech, []) if r.id.value != subject
-        ]
-        self._group_cast(
-            [now_us + r.half_us for r in receivers],
-            [r.index for r in receivers], bsm, uplink, tech,
-        )
-
-    def _deliver(self, ev: _Arrival, now_us: int) -> None:
+    def _deliver(self, now_us: int, ev: _Arrival) -> None:
         """Hand ``ev.bsm`` to each road user in ``ev.receivers``: one
         delivery, and one executed event, each; recorded as one group."""
         receivers = ev.receivers
@@ -703,7 +662,7 @@ class Simulation:
         )
         metrics.record_delivery(group)
 
-    def _on_ipu_frame(self, now_us: int, ev: _IpuFrame) -> None:
+    def _on_ipu_frame(self, now_us: int, _: None) -> None:
         detected = 0
         for user in self.users:
             self._advance(user, now_us)
@@ -721,19 +680,17 @@ class Simulation:
                 truth_id=user.id,
             )
             self._schedule(
-                detection.available_at_us, _DetectionReady(detection)
+                detection.available_at_us, self._on_detection_ready, detection
             )
             detected += 1
         self.metrics.detections += detected
         self._trace(now_us, "IpuFrame", ARSU_CLIENT, "",
                     f"detections={detected}")
-        self._schedule(now_us + self.frame_period_us, _IpuFrame())
+        self._schedule(now_us + self.frame_period_us, self._on_ipu_frame)
 
-    def _on_detection_ready(self, now_us: int, ev: _DetectionReady) -> None:
-        outcome = self.gateway.on_detection(ev.detection, now_us)
-        subject = (
-            ev.detection.truth_id.value if ev.detection.truth_id else "?"
-        )
+    def _on_detection_ready(self, now_us: int, detection: Detection) -> None:
+        outcome = self.gateway.on_detection(detection, now_us)
+        subject = detection.truth_id.value if detection.truth_id else "?"
         detail = outcome.status.value
         if outcome.matched_id is not None:
             detail += f" matched={outcome.matched_id.value}"
@@ -742,26 +699,26 @@ class Simulation:
         self._trace(now_us, "DetectionReady", ARSU_CLIENT, subject, detail)
         if outcome.deadline_us is not None:
             self._schedule(
-                outcome.deadline_us, _GraceDeadline(outcome.track_id)
+                outcome.deadline_us, self._on_grace_deadline, outcome.track_id
             )
         if outcome.actions:
             self._emit_actions(outcome.actions, LinkTech.CAMERA, now_us)
 
-    def _on_grace_deadline(self, now_us: int, ev: _GraceDeadline) -> None:
-        actions = self.gateway.on_grace_deadline(ev.track_id, now_us)
+    def _on_grace_deadline(self, now_us: int, track_id: int) -> None:
+        actions = self.gateway.on_grace_deadline(track_id, now_us)
         if actions is None:
             self._trace(now_us, "GraceDeadline", ARSU_CLIENT,
-                        f"track={ev.track_id}", "resolved earlier")
+                        f"track={track_id}", "resolved earlier")
             return
         self._trace(
-            now_us, "GraceDeadline", ARSU_CLIENT, f"track={ev.track_id}",
+            now_us, "GraceDeadline", ARSU_CLIENT, f"track={track_id}",
             f"confirmed NonConnected actions={len(actions)}",
         )
         self._emit_actions(actions, LinkTech.CAMERA, now_us)
 
-    def _on_metrics_tick(self, now_us: int, ev: _MetricsTick) -> None:
+    def _on_metrics_tick(self, now_us: int, _: None) -> None:
         self._sample_coverage(now_us)
-        self._schedule(now_us + _METRICS_TICK_US, _MetricsTick())
+        self._schedule(now_us + _METRICS_TICK_US, self._on_metrics_tick)
 
     def _sample_coverage(self, now_us: int) -> Optional[float]:
         """Record and trace one coverage sample, and return it."""

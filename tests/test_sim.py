@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from arsusim.broker import ARSU_CLIENT
 from arsusim.config import RoadUserKind, UserSpec, parse_scenario
+from arsusim.gateway import ActionKind, RelayAction
 from arsusim.messages import (
     LinkTech,
     PositionAccuracy,
@@ -15,7 +16,7 @@ from arsusim.messages import (
 from arsusim.sim import (
     DeliveryRecord,
     _Arrival,
-    _BsmTx,
+    _group_by_time,
     Simulation,
     SimulationInvariantError,
     SimUser,
@@ -182,11 +183,6 @@ arsu: {present: false}
         tx_rows = [r for r in result.trace_rows if r[1] == "BsmTx"]
         actors = [r[2] for r in tx_rows[:2]]
         assert actors == ["A", "B"]
-
-    def test_unknown_event_type_is_an_invariant_error(self):
-        sim = Simulation(scenario(self.SCENARIO))
-        with pytest.raises(SimulationInvariantError, match="unknown event"):
-            sim._dispatch(0, object())
 
 
 class TestIpuSampling:
@@ -656,10 +652,10 @@ class TestTraceProperties:
         """On random small scenarios, in both link speed modes, with or
         without broker drops and with or without ghosts: one trace row per
         executed event plus the final tick, time never runs backwards, the
-        user delivery rows are the recorded deliveries in order, reading
-        twice gives the same rows, and the final coverage is the share of
-        (connected receiver, other user) pairs heard within the freshness
-        window."""
+        user delivery rows are the recorded deliveries in order, no user
+        is handed its own BSM, reading twice gives the same rows, and the
+        final coverage is the share of (connected receiver, other user)
+        pairs heard within the freshness window."""
         cfg = _random_scenario(data)
         result = run(cfg)
         rows = result.trace_rows
@@ -675,6 +671,7 @@ class TestTraceProperties:
             (d.receiver, d.subject, f"{d.delivered_at_us / 1000:.3f}")
             for d in result.metrics.deliveries
         ]
+        assert all(d.receiver != d.subject for d in result.metrics.deliveries)
         assert list(rows) == list(rows)
         assert len(list(rows)) == len(rows)
         assert result.final_coverage == _final_coverage_oracle(result)
@@ -701,19 +698,19 @@ class TestTraceProperties:
 
 
 def _per_delivery_reference(result):
-    """Path statistics (count, sum, min, max), awareness and duplicate
-    flags, worked out one delivery at a time, in delivery order, from
-    the expanded deliveries."""
+    """Path statistics (count, sum in µs, min and max in ms), awareness
+    and duplicate flags, worked out one delivery at a time, in delivery
+    order, from the expanded deliveries."""
     stats = {}
     awareness = {}
     seen = set()
     flags = []
     for d in result.metrics.deliveries:
         entry = stats.setdefault(
-            (d.uplink, d.downlink), [0, 0.0, float("inf"), float("-inf")]
+            (d.uplink, d.downlink), [0, 0, float("inf"), float("-inf")]
         )
         entry[0] += 1
-        entry[1] += d.latency_ms
+        entry[1] += d.delivered_at_us - d.generated_at_us
         entry[2] = min(entry[2], d.latency_ms)
         entry[3] = max(entry[3], d.latency_ms)
         pair = (d.receiver, d.truth_subject)
@@ -727,7 +724,7 @@ def _per_delivery_reference(result):
 def _assert_matches_per_delivery_reference(result):
     stats, awareness, flags = _per_delivery_reference(result)
     recorded = {
-        path: [s.count, s.sum_ms, s.min_ms, s.max_ms]
+        path: [s.count, s.sum_us, s.min_ms, s.max_ms]
         for path, s in result.metrics.path_stats.items()
     }
     assert list(recorded) == list(stats)  # first-seen order
@@ -794,23 +791,28 @@ users:
 
     @staticmethod
     def _arrivals(simulation):
-        """(time, receivers) of each scheduled arrival, in send order."""
+        """(time, receivers) of each scheduled user arrival, in send
+        order."""
         return [
-            (at_us, payload.receivers)
-            for at_us, _, payload in sorted(
+            (at_us, arg.receivers)
+            for at_us, _, handler, arg in sorted(
                 simulation._heap, key=lambda entry: entry[1])
-            if isinstance(payload, _Arrival)
+            if handler == simulation._deliver
         ]
 
     def _broadcast_from_u0(self, mode):
         simulation = Simulation(scenario(self.DOC.format(mode=mode)))
-        simulation._on_bsm_tx(0, _BsmTx(0))
+        simulation._on_bsm_tx(0, simulation.users[0])
         return simulation, self._arrivals(simulation)
 
     def test_scenario_mode_is_one_event(self):
         simulation, arrivals = self._broadcast_from_u0("scenario")
         half_us = simulation.users[0].half_us
-        assert arrivals == [(2 * half_us, [1, 2, 3, 4])]
+        assert arrivals == [(2 * half_us, (1, 2, 3, 4))]
+        # The next broadcast hands on the same receivers, not a copy.
+        simulation._on_bsm_tx(100_000, simulation.users[0])
+        first, second = self._arrivals(simulation)
+        assert second[1] is first[1]
 
     def test_max_endpoint_mode_is_one_event_per_time(self):
         simulation, arrivals = self._broadcast_from_u0("max_endpoint")
@@ -818,24 +820,34 @@ users:
         assert at_30 != at_50
         # U1 (10 km/h) and U3 (30) take U0's 30 km/h half; U2 and U4 (50)
         # take their own.
-        assert arrivals == [(at_30, [1, 3]), (at_50, [2, 4])]
+        assert arrivals == [(at_30, (1, 3)), (at_50, (2, 4))]
 
-    def test_mixed_times_group_in_first_seen_order(self):
-        simulation = Simulation(scenario(self.DOC.format(mode="scenario")))
-        bsm = _relay_bsm(simulation, 0)
-        simulation._group_cast(
-            [700, 300, 700, 300, 900], [4, 1, 2, 3, 0], bsm,
-            LinkTech.DSRC, LinkTech.DSRC,
-        )
+    def test_max_endpoint_relay_is_one_event_per_receiver_half(self):
+        """The gateway's relay reaches each user on the medium after that
+        user's own half: U0 and U3 (30 km/h) share one arrival, U2 and U4
+        (50) another, U1 (10) has its own."""
+        simulation = Simulation(scenario(self.DOC.format(mode="max_endpoint")))
+        halves = [u.half_us for u in simulation.users]
+        assert len(set(halves)) == 3
+        bsm = _relay_bsm(simulation, 1_000, "ipu:1")
+        simulation._emit_actions(
+            [RelayAction(ActionKind.TX_DSRC, bsm)], LinkTech.CAMERA, 1_000)
         assert self._arrivals(simulation) == [
-            (700, [4, 2]), (300, [1, 3]), (900, [0]),
+            (1_000 + halves[0], (0, 3)),
+            (1_000 + halves[1], (1,)),
+            (1_000 + halves[2], (2, 4)),
         ]
 
+    def test_mixed_times_group_in_first_seen_order(self):
+        assert _group_by_time(
+            zip([700, 300, 700, 300, 900], [4, 1, 2, 3, 0])
+        ) == ((700, (4, 2)), (300, (1, 3)), (900, (0,)))
 
-def _relay_bsm(simulation, generated_at_us):
+
+def _relay_bsm(simulation, generated_at_us, user_id="U1"):
     return make_bsm(
-        RoadUserId("U1"), simulation.frame.position_at(10.0, 0.0), 0.0, 0.0,
-        PositionAccuracy(horizontal_sigma_m=0.0), LinkTech.DSRC,
+        RoadUserId(user_id), simulation.frame.position_at(10.0, 0.0), 0.0,
+        0.0, PositionAccuracy(horizontal_sigma_m=0.0), LinkTech.DSRC,
         generated_at_us,
     )
 
@@ -847,21 +859,21 @@ class TestDuplicateWindow:
         old = _relay_bsm(simulation, 0)
         new = _relay_bsm(simulation, horizon_us + 1_000)
         deliver = simulation._deliver
-        deliver(_Arrival([1], old, LinkTech.DSRC, LinkTech.CV2X), 5_000)
-        deliver(_Arrival([1], new, LinkTech.DSRC, LinkTech.CV2X),
-                horizon_us + 2_000)
+        deliver(5_000, _Arrival((1,), old, LinkTech.DSRC, LinkTech.CV2X))
+        deliver(horizon_us + 2_000,
+                _Arrival((1,), new, LinkTech.DSRC, LinkTech.CV2X))
         assert len(simulation._seen) == 1  # the old key is dropped
         with pytest.raises(SimulationInvariantError, match="window"):
-            deliver(_Arrival([1], old, LinkTech.DSRC, LinkTech.CV2X),
-                    horizon_us + 3_000)
+            deliver(horizon_us + 3_000,
+                    _Arrival((1,), old, LinkTech.DSRC, LinkTech.CV2X))
 
     def test_flags_only_the_receivers_that_already_had_the_bsm(self):
         simulation = Simulation(scenario(MIXED_TABLE1))
         bsm = _relay_bsm(simulation, 0)
         simulation._deliver(
-            _Arrival([2], bsm, LinkTech.DSRC, LinkTech.CELL_MQTT), 40_000)
+            40_000, _Arrival((2,), bsm, LinkTech.DSRC, LinkTech.CELL_MQTT))
         simulation._deliver(
-            _Arrival([3, 2], bsm, LinkTech.DSRC, LinkTech.CELL_MQTT), 50_000)
+            50_000, _Arrival((3, 2), bsm, LinkTech.DSRC, LinkTech.CELL_MQTT))
         metrics = simulation.metrics
         assert [(d.receiver, d.duplicate) for d in metrics.deliveries] == [
             ("U3", False), ("U4", False), ("U3", True),
