@@ -232,10 +232,17 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioConfig:
 
 
 def _check_pole_reach(config: ScenarioConfig) -> None:
-    """Reject a user whose start plus its travel over the run can cross
-    a pole: the local frame maps north-south meters straight onto
+    """Reject an origin on a pole, and a user whose start plus its travel
+    over the run can cross one. The local frame's meters per degree of
+    longitude are about 6e-17 at a pole, so every east offset would land
+    on an arbitrary meridian. It maps north-south meters straight onto
     latitude, so a BSM from past ±90° could not be built."""
     origin_lat = config.origin.lat
+    if abs(origin_lat) == 90.0:
+        raise ConfigError(
+            f"origin.lat {origin_lat:g} is a pole: the local frame has no "
+            f"east there; move the origin off the pole"
+        )
     duration_s = config.duration_ms / 1000.0
     for user in config.users:
         speed_kmh = user.speed_kmh

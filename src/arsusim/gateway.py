@@ -14,14 +14,35 @@ Three responsibilities, all driven by a strictly sequential event feed:
   generates messages on behalf of connected users.
 
 Every match is "nearest within ``sigma_m`` by :func:`horizontal_distance_m`".
-The history and the pending and confirmed tracks are each indexed by
-latitude band, bands a little taller than ``sigma_m``, and a lookup
-measures only the entries of the query's band and its two neighbours.
-This is exact: the great-circle distance is never less than the meridian
-arc, ``METERS_PER_DEG * |dlat|``, so anything within ``sigma_m`` lies at
-most one band away, at any latitude and across the antimeridian. The
-band height carries a 1e-6 relative margin over ``sigma_m`` against
-float rounding in that bound (about 1e-10 relative). Ties keep the order
+The history and the pending and confirmed tracks are each indexed in one
+grid of degrees, and a lookup measures only the few entries the grid
+cannot rule out. Rows are latitude bands ``h = sigma_m * (1 + 1e-6) /
+METERS_PER_DEG + 1e-12`` degrees tall; columns are longitude cells at
+least ``h`` wide, ``n = floor(360 / h)`` of them, so that a whole number
+of columns spans the circle and the antimeridian is a column edge. The
+grid needs no local frame, and it is exact at any latitude and across
+the antimeridian:
+
+* Rows. The great-circle distance is never less than the meridian arc,
+  ``R * |dphi|``, so anything within ``sigma_m`` lies at most one row
+  away.
+* Longitude. By the haversine formula, ``sin²(d/2R) = sin²(dphi/2) +
+  cos phi1 * cos phi2 * sin²(dlam/2) >= cos phi1 * cos phi2 *
+  sin²(dlam/2)``. A match has ``d < sigma_m`` and so ``|dphi| <=
+  sigma_m / R``: ``|phi2| <= |phi1| + sigma_m / R = phi_far``, and
+  ``cos phi2 >= cos phi_far`` while ``phi_far < 90°``. Hence
+  ``sin²(dlam/2) < sin²(sigma_m/2R) / (cos phi1 * cos phi_far)``, and as
+  ``sin²(x/2)`` rises on [0, 180°], the wrapped ``|dlam|`` is below
+  ``2 * asin(sqrt(...))``: the reach. A lookup works it out once per
+  query, visits the three rows and the columns that cover ``lam1 ±
+  reach``, wrapped modulo ``n``, and passes on only entries whose
+  wrapped ``|dlam|`` is within the reach. Where ``phi_far`` reaches a
+  pole, or the ratio reaches 1, the reach passes 180° and the lookup
+  reads whole rows.
+
+The row height, ``phi_far`` and the reach carry a 1e-6 relative and a
+1e-12 degree absolute margin, far more than float rounding in the bounds
+(a few 1e-16 relative, about 1e-14 degrees absolute). Ties keep the order
 a full scan in insertion order would give.
 """
 
@@ -31,9 +52,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .geo import METERS_PER_DEG, horizontal_distance_m
+from .geo import EARTH_RADIUS_M, METERS_PER_DEG, horizontal_distance_m
 from .messages import (
     Bsm,
     Detection,
@@ -52,22 +73,28 @@ class ActionKind(Enum):
     PUBLISH_MQTT = "PublishMqtt"
 
 
-@dataclass(frozen=True)
-class RelayAction:
-    """One gateway output instruction: a radio transmit or a publish."""
-
+class _RelayActionFields(NamedTuple):
     kind: ActionKind
     payload: Bsm
     topic: Optional[Topic] = None
 
-    def __post_init__(self):
-        if self.kind is ActionKind.PUBLISH_MQTT:
-            if self.topic not in (Topic.IPU, Topic.DSRC, Topic.CV2X):
+
+class RelayAction(_RelayActionFields):
+    """One gateway output instruction: a radio transmit or a publish."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, kind: ActionKind, payload: Bsm, topic: Optional[Topic] = None
+    ):
+        if kind is ActionKind.PUBLISH_MQTT:
+            if topic not in (Topic.IPU, Topic.DSRC, Topic.CV2X):
                 raise ValueError(
                     "gateway publishes only to IPU/DSRC/CV2X, never Cell"
                 )
-        elif self.topic is not None:
+        elif topic is not None:
             raise ValueError("radio transmits carry no topic")
+        return tuple.__new__(cls, (kind, payload, topic))
 
     def label(self) -> str:
         if self.kind is ActionKind.PUBLISH_MQTT:
@@ -122,66 +149,157 @@ class FilterConfig:
             raise ValueError("window and grace must be positive")
 
 
-class _LatitudeBands:
-    """Keyed items bucketed by the latitude band of their position.
+#: Relative and absolute (degrees) widening of the grid's cells and of a
+#: lookup's longitude reach, against float rounding.
+_MARGIN = 1e-6
+_MARGIN_DEG = 1e-12
 
-    Bands are ``sigma_m * (1 + 1e-6)`` tall, so every item within
-    ``sigma_m`` of a query lies in :meth:`near`'s three bands (see the
-    module docstring). Within a band, items keep insertion order.
-    """
+
+class _Reach(NamedTuple):
+    """Where a lookup around one position looks: the position's row and
+    longitude, the largest longitude difference (degrees) a match can
+    have, and the columns that cover it in each of the three rows, as
+    one or two ranges (two across the antimeridian), ``width`` of them
+    in all. A reach of 180 degrees covers every column."""
+
+    row: int
+    lon_deg: float
+    reach_deg: float
+    columns: tuple[range, ...]
+    width: int
+
+
+class _GridShape:
+    """The filter grid's geometry: rows of latitude a little taller than
+    ``sigma_m``, and columns of longitude at least as wide, as many as
+    make up 360 degrees exactly (see the module docstring)."""
 
     def __init__(self, sigma_m: float):
-        self._bands_per_deg = METERS_PER_DEG / (sigma_m * (1.0 + 1e-6))
-        self._bands: dict[int, dict[int, object]] = {}
+        cell_deg = sigma_m * (1.0 + _MARGIN) / METERS_PER_DEG + _MARGIN_DEG
+        self._rows_per_deg = 1.0 / cell_deg
+        self._columns = max(1, math.floor(360.0 / cell_deg))
+        self._columns_per_deg = self._columns / 360.0
+        gate_rad = sigma_m / EARTH_RADIUS_M
+        self._gate_deg = math.degrees(gate_rad) * (1.0 + _MARGIN) + _MARGIN_DEG
+        self._sin2_half_gate = math.sin(gate_rad / 2.0) ** 2
 
-    def band(self, position: Position) -> int:
-        return math.floor(position.lat_deg * self._bands_per_deg)
+    def cell(self, position: Position) -> tuple[int, int]:
+        return (
+            math.floor(position.lat_deg * self._rows_per_deg),
+            math.floor((position.lon_deg + 180.0) * self._columns_per_deg)
+            % self._columns,
+        )
 
-    def add(self, key: int, band: int, item: object) -> None:
-        self._bands.setdefault(band, {})[key] = item
+    def reach(self, position: Position) -> _Reach:
+        """The lookup around ``position``: its longitude reach from
+        sin²(d/2R) ≥ cos φ₁·cos φ₂·sin²(Δλ/2), with φ₂ as far from the
+        equator as a match can lie."""
+        lat, lon = position.lat_deg, position.lon_deg
+        row = math.floor(lat * self._rows_per_deg)
+        n = self._columns
+        per_deg = self._columns_per_deg
+        far_deg = abs(lat) + self._gate_deg
+        if far_deg < 90.0:
+            cos_product = (math.cos(math.radians(lat))
+                           * math.cos(math.radians(far_deg)))
+            if cos_product > self._sin2_half_gate:
+                reach_deg = math.degrees(2.0 * math.asin(math.sqrt(
+                    self._sin2_half_gate / cos_product
+                ))) * (1.0 + _MARGIN) + _MARGIN_DEG
+                first = math.floor((lon - reach_deg + 180.0) * per_deg)
+                last = math.floor((lon + reach_deg + 180.0) * per_deg)
+                width = last - first + 1
+                if 0 <= first and last < n:
+                    return _Reach(row, lon, reach_deg,
+                                  (range(first, last + 1),), width)
+                if width < n:  # across the antimeridian
+                    return _Reach(row, lon, reach_deg, (
+                        range(first % n, n), range(0, last % n + 1)
+                    ), width)
+        # Near a pole the reach passes 180 degrees: every column.
+        return _Reach(row, lon, 180.0, (range(n),), n)
 
-    def remove(self, key: int, band: int) -> None:
-        items = self._bands[band]
+
+class _Grid:
+    """Keyed items bucketed by the grid cell of their position, each held
+    with its longitude. Within a cell, items keep insertion order."""
+
+    def __init__(self):
+        self._rows: dict[int, dict[int, dict[int, tuple[float, object]]]] = {}
+
+    def add(self, key: int, cell: tuple[int, int], lon_deg: float,
+            item: object) -> None:
+        row, column = cell
+        self._rows.setdefault(row, {}).setdefault(column, {})[key] = (
+            lon_deg, item
+        )
+
+    def remove(self, key: int, cell: tuple[int, int]) -> None:
+        row, column = cell
+        columns = self._rows[row]
+        items = columns[column]
         del items[key]
         if not items:
-            del self._bands[band]
+            del columns[column]
+            if not columns:
+                del self._rows[row]
 
-    def near(self, position: Position) -> Iterator:
-        """Items of the query's band and its two neighbours."""
-        band = self.band(position)
-        for b in (band - 1, band, band + 1):
-            items = self._bands.get(b)
-            if items:
-                yield from items.values()
+    def near(self, reach: _Reach) -> list:
+        """Items in the reach's three rows and columns whose longitude
+        lies within its reach: every item within ``sigma_m``, and a few
+        more. A row with no more occupied cells than the reach has
+        columns is read whole."""
+        found = []
+        row, lon_deg, reach_deg, wanted, width = reach
+        for r in (row - 1, row, row + 1):
+            columns = self._rows.get(r)
+            if columns is None:
+                continue
+            if width >= len(columns):
+                cells = columns.values()
+            else:
+                cells = [columns[c] for span in wanted for c in span
+                         if c in columns]
+            for items in cells:
+                for item_lon, item in items.values():
+                    d_lon = abs(item_lon - lon_deg)
+                    if d_lon > 180.0:
+                        d_lon = 360.0 - d_lon
+                    if d_lon <= reach_deg:
+                        found.append(item)
+        return found
 
 
 class HistoryStore:
     """Timestamped BSMs received over the last ``window_us``."""
 
-    def __init__(self, window_us: int, sigma_m: float):
+    def __init__(self, window_us: int, shape: _GridShape):
         self.window_us = window_us
-        #: (bsm, received_at_us, sequence, band), oldest first.
-        self._entries: deque[tuple[Bsm, int, int, int]] = deque()
-        self._index = _LatitudeBands(sigma_m)
+        #: (bsm, received_at_us, sequence, cell), oldest first.
+        self._entries: deque[tuple[Bsm, int, int, tuple[int, int]]] = deque()
+        self._shape = shape
+        self._index = _Grid()
         self._appended = 0
 
     def append(self, bsm: Bsm, received_at_us: int) -> None:
+        position = bsm.position
         entry = (
-            bsm, received_at_us, self._appended, self._index.band(bsm.position)
+            bsm, received_at_us, self._appended, self._shape.cell(position)
         )
         self._appended += 1
         self._entries.append(entry)
-        self._index.add(entry[2], entry[3], entry)
+        self._index.add(entry[2], entry[3], position.lon_deg, entry)
 
     def prune(self, now_us: int) -> None:
         cutoff = now_us - self.window_us
         while self._entries and self._entries[0][1] < cutoff:
-            _, _, sequence, band = self._entries.popleft()
-            self._index.remove(sequence, band)
+            _, _, sequence, cell = self._entries.popleft()
+            self._index.remove(sequence, cell)
 
-    def near(self, position: Position) -> Iterator[tuple[Bsm, int, int, int]]:
-        """Entries that may lie within ``sigma_m`` of ``position``."""
-        return self._index.near(position)
+    def near(self, reach: _Reach) -> list[tuple[Bsm, int, int, tuple]]:
+        """Entries that may lie within ``sigma_m`` of the reach's
+        position."""
+        return self._index.near(reach)
 
     def __iter__(self) -> Iterator[tuple[Bsm, int]]:
         return ((bsm, received_at) for bsm, received_at, _, _ in self._entries)
@@ -235,24 +353,26 @@ class DetectionTrack:
 
 
 class _TrackSet:
-    """Detection tracks by id, indexed by the latitude band of their
-    latest estimate.
+    """Detection tracks by id, indexed by the grid cell of their latest
+    estimate.
 
     Ties in a nearest-track search go to the track added to this set
     first, as a scan of a dict in insertion order would.
     """
 
-    def __init__(self, sigma_m: float):
-        self._index = _LatitudeBands(sigma_m)
-        #: track id -> (track, sequence, band)
-        self._entries: dict[int, tuple[DetectionTrack, int, int]] = {}
+    def __init__(self, shape: _GridShape):
+        self._shape = shape
+        self._index = _Grid()
+        #: track id -> (track, sequence, cell)
+        self._entries: dict[int, tuple[DetectionTrack, int, tuple]] = {}
         self._added = 0
 
     def add(self, track: DetectionTrack) -> None:
-        entry = (track, self._added, self._index.band(track.latest.estimate))
+        estimate = track.latest.estimate
+        entry = (track, self._added, self._shape.cell(estimate))
         self._added += 1
         self._entries[track.track_id] = entry
-        self._index.add(track.track_id, entry[2], entry)
+        self._index.add(track.track_id, entry[2], estimate.lon_deg, entry)
 
     def pop(self, track_id: int) -> Optional[DetectionTrack]:
         entry = self._entries.pop(track_id, None)
@@ -263,21 +383,23 @@ class _TrackSet:
 
     def move(self, track: DetectionTrack, det: Detection) -> None:
         """Make ``det`` the track's latest detection. A held track's
-        ``latest`` changes only here, so its band stays current."""
+        ``latest`` changes only here, so its cell and longitude stay
+        current."""
         track.latest = det
-        _, sequence, old_band = self._entries[track.track_id]
-        band = self._index.band(det.estimate)
-        if band != old_band:
-            self._index.remove(track.track_id, old_band)
-            entry = (track, sequence, band)
+        cell = self._shape.cell(det.estimate)
+        entry = self._entries[track.track_id]
+        if cell != entry[2]:
+            self._index.remove(track.track_id, entry[2])
+            entry = (track, entry[1], cell)
             self._entries[track.track_id] = entry
-            self._index.add(track.track_id, band, entry)
+        self._index.add(track.track_id, cell, det.estimate.lon_deg, entry)
 
     def near(
-        self, position: Position
-    ) -> Iterator[tuple[DetectionTrack, int, int]]:
-        """Entries that may lie within ``sigma_m`` of ``position``."""
-        return self._index.near(position)
+        self, reach: _Reach
+    ) -> list[tuple[DetectionTrack, int, tuple[int, int]]]:
+        """Entries that may lie within ``sigma_m`` of the reach's
+        position."""
+        return self._index.near(reach)
 
     def __iter__(self) -> Iterator[int]:
         """Track ids in the order they were added."""
@@ -287,8 +409,7 @@ class _TrackSet:
         return len(self._entries)
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
+class DecisionRecord(NamedTuple):
     at_us: int
     event: str
     subject: str
@@ -309,10 +430,11 @@ class Gateway:
         connected_ids: Optional[frozenset[RoadUserId]] = None,
     ):
         self.config = config
-        self.history = HistoryStore(config.window_us, config.sigma_m)
+        self._shape = _GridShape(config.sigma_m)
+        self.history = HistoryStore(config.window_us, self._shape)
         self._seen = SeenSet()
-        self._pending = _TrackSet(config.sigma_m)
-        self._confirmed = _TrackSet(config.sigma_m)
+        self._pending = _TrackSet(self._shape)
+        self._confirmed = _TrackSet(self._shape)
         self._next_track_id = 1
         self._next_synthetic = 1
         self._connected_ids = connected_ids or frozenset()
@@ -350,9 +472,12 @@ class Gateway:
         return actions
 
     def _resolve_pending_with_bsm(self, bsm: Bsm, now_us: int) -> None:
+        if not self._pending:
+            return
         resolved = sorted(
             track.track_id
-            for track, _, _ in self._pending.near(bsm.position)
+            for track, _, _ in self._pending.near(
+                self._shape.reach(bsm.position))
             if horizontal_distance_m(track.latest.estimate, bsm.position)
             < self.config.sigma_m
         )
@@ -376,7 +501,8 @@ class Gateway:
             raise ValueError("detection processed before it is available")
         self.history.prune(now_us)
 
-        match = self._nearest_history(det)
+        reach = self._shape.reach(det.estimate)
+        match = self._nearest_history(det, reach)
         if match is not None:
             self._record(
                 now_us, "detection", _truth_label(det), "Connected",
@@ -384,7 +510,7 @@ class Gateway:
             )
             return DetectionOutcome(FilterStatus.CONNECTED, matched_id=match)
 
-        track = self._nearest_track(det, self._confirmed)
+        track = self._nearest_track(det, self._confirmed, reach)
         if track is not None:
             self._confirmed.move(track, det)
             actions = self._generation_actions(track)
@@ -399,7 +525,7 @@ class Gateway:
                 actions=actions,
             )
 
-        track = self._nearest_track(det, self._pending)
+        track = self._nearest_track(det, self._pending, reach)
         if track is not None:
             self._pending.move(track, det)
             self._record(
@@ -464,9 +590,11 @@ class Gateway:
             RelayAction(ActionKind.PUBLISH_MQTT, bsm, Topic.IPU),
         ]
 
-    def _nearest_history(self, det: Detection) -> Optional[RoadUserId]:
+    def _nearest_history(
+        self, det: Detection, reach: _Reach
+    ) -> Optional[RoadUserId]:
         best = None
-        for bsm, received_at, sequence, _ in self.history.near(det.estimate):
+        for bsm, received_at, sequence, _ in self.history.near(reach):
             d = horizontal_distance_m(det.estimate, bsm.position)
             if d >= self.config.sigma_m:
                 continue
@@ -478,10 +606,10 @@ class Gateway:
         return best[1] if best else None
 
     def _nearest_track(
-        self, det: Detection, tracks: _TrackSet
+        self, det: Detection, tracks: _TrackSet, reach: _Reach
     ) -> Optional[DetectionTrack]:
         best = None
-        for track, sequence, _ in tracks.near(det.estimate):
+        for track, sequence, _ in tracks.near(reach):
             d = horizontal_distance_m(det.estimate, track.latest.estimate)
             if d >= self.config.sigma_m:
                 continue

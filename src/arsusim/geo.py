@@ -9,7 +9,7 @@ scales this simulator works at (an intersection, not a continent).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .messages import Position
 
@@ -24,21 +24,26 @@ METERS_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
 class LocalFrame:
     origin_lat_deg: float = 0.0
     origin_lon_deg: float = 0.0
+    #: Meters per degree of longitude at the origin, set with it.
+    _lon_scale: float = field(init=False, repr=False, compare=False)
 
-    def _lon_scale(self) -> float:
-        return METERS_PER_DEG * math.cos(math.radians(self.origin_lat_deg))
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_lon_scale",
+            METERS_PER_DEG * math.cos(math.radians(self.origin_lat_deg)),
+        )
 
     def position_at(self, x_m: float, y_m: float) -> Position:
         """Geodetic position of local point (x east, y north), meters."""
         return Position(
             lat_deg=_clamp_lat(self.origin_lat_deg + y_m / METERS_PER_DEG),
-            lon_deg=_wrap_lon(self.origin_lon_deg + x_m / self._lon_scale()),
+            lon_deg=_wrap_lon(self.origin_lon_deg + x_m / self._lon_scale),
         )
 
     def xy_of(self, position: Position) -> tuple[float, float]:
         return (
             _wrap_lon(position.lon_deg - self.origin_lon_deg)
-            * self._lon_scale(),
+            * self._lon_scale,
             (position.lat_deg - self.origin_lat_deg) * METERS_PER_DEG,
         )
 

@@ -4,7 +4,9 @@ Basic safety messages (BSM) are modeled as typed records carrying the
 semantic field subset (position, accuracy, speed, heading, timestamp,
 origin technology) rather than a wire encoding. Camera detections and
 MQTT envelopes live here too, together with the constructors and the
-validator that enforce field ranges.
+validator that enforce field ranges. The records a run builds by the
+thousand are immutable named tuples; a record with a field rule checks
+it in ``__new__``.
 
 Simulation time is integer microseconds everywhere inside the package;
 milliseconds (3 decimals) appear only in reports and traces.
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 US_PER_MS = 1000
 
@@ -77,23 +80,20 @@ class ValidationError(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
     lat_deg: float
     lon_deg: float
     elev_m: float = 0.0
 
 
-@dataclass(frozen=True)
-class PositionAccuracy:
+class PositionAccuracy(NamedTuple):
     """Reported positioning quality: 1-sigma horizontal error and DOP."""
 
     horizontal_sigma_m: float
     dop: float = 1.0
 
 
-@dataclass(frozen=True)
-class Bsm:
+class Bsm(NamedTuple):
     """One road user's basic safety message (semantic subset)."""
 
     id: RoadUserId
@@ -105,8 +105,16 @@ class Bsm:
     origin_tech: LinkTech
 
 
-@dataclass(frozen=True)
-class Detection:
+class _DetectionFields(NamedTuple):
+    estimate: Position
+    speed_kmh: float
+    heading_deg: float
+    captured_at_us: int
+    available_at_us: int
+    truth_id: Optional[RoadUserId] = None
+
+
+class Detection(_DetectionFields):
     """A camera/IPU estimate of one road user's kinematic state.
 
     ``available_at_us`` is when the estimate leaves the image-processing
@@ -115,29 +123,40 @@ class Detection:
     never serialized and never consulted by the matching filter.
     """
 
-    estimate: Position
-    speed_kmh: float
-    heading_deg: float
-    captured_at_us: int
-    available_at_us: int
-    truth_id: Optional[RoadUserId] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.available_at_us < self.captured_at_us:
+    def __new__(
+        cls,
+        estimate: Position,
+        speed_kmh: float,
+        heading_deg: float,
+        captured_at_us: int,
+        available_at_us: int,
+        truth_id: Optional[RoadUserId] = None,
+    ):
+        if available_at_us < captured_at_us:
             raise ValidationError(
                 "available_at", "detection available before capture"
             )
+        return tuple.__new__(cls, (
+            estimate, speed_kmh, heading_deg, captured_at_us,
+            available_at_us, truth_id,
+        ))
 
 
-@dataclass(frozen=True)
-class MqttEnvelope:
+class _MqttEnvelopeFields(NamedTuple):
     topic: Topic
     payload: Bsm
     published_at_us: int
 
-    def __post_init__(self):
-        if not isinstance(self.topic, Topic):
-            raise ValidationError("topic", f"unknown topic {self.topic!r}")
+
+class MqttEnvelope(_MqttEnvelopeFields):
+    __slots__ = ()
+
+    def __new__(cls, topic: Topic, payload: Bsm, published_at_us: int):
+        if not isinstance(topic, Topic):
+            raise ValidationError("topic", f"unknown topic {topic!r}")
+        return tuple.__new__(cls, (topic, payload, published_at_us))
 
 
 def make_bsm(
@@ -190,12 +209,19 @@ def make_ipu_bsm(
     return Bsm(
         id=synthetic_id,
         position=detection.estimate,
-        accuracy=PositionAccuracy(horizontal_sigma_m=sigma_m, dop=1.0),
+        accuracy=_camera_accuracy(sigma_m),
         speed_kmh=detection.speed_kmh,
         heading_deg=detection.heading_deg % 360.0,
         generated_at_us=detection.captured_at_us,
         origin_tech=LinkTech.CAMERA,
     )
+
+
+@lru_cache(maxsize=8, typed=True)
+def _camera_accuracy(sigma_m: float) -> PositionAccuracy:
+    """The accuracy of every camera BSM built with ``sigma_m``: one
+    shared, immutable record per calibration error."""
+    return PositionAccuracy(horizontal_sigma_m=sigma_m, dop=1.0)
 
 
 def validate_bsm(bsm: Bsm, now_us: Optional[int] = None) -> list[str]:

@@ -17,13 +17,16 @@ Road users are fixed for a run, so ``Simulation.__init__`` plans each
 radio broadcast and gateway relay once: ``(offset_us, receivers)``
 groups, one per distinct arrival time. A broker fan-out, whose drops
 vary, is grouped at each publish. A send schedules one arrival per
-group, recorded once, as a ``DeliveryGroup``. A run keeps one log,
-``Metrics.log``: every trace entry in event order, a formatted row or a
-``DeliveryGroup``. ``Metrics.deliveries`` and ``RunResult.trace_rows``
-are views of it that support only ``len()`` and iteration; they expand
-each group one delivery or row per receiver as they are read.
-``Metrics.awareness()`` builds the heard pairs from the ``last_heard``
-matrix when it is called.
+group, recorded once, as a ``DeliveryGroup``. The arrivals one handler
+call schedules for one instant share one heap entry, a block, and a
+camera frame's detections share one ready event; ``events_executed``
+still counts one event per receiver and one per detection. A run keeps
+one log, ``Metrics.log``: every trace entry in event order, a formatted
+row or a ``DeliveryGroup``. ``Metrics.deliveries`` and
+``RunResult.trace_rows`` are views of it that support only ``len()``
+and iteration; they expand each group one delivery or row per receiver
+as they are read. ``Metrics.awareness()`` builds the heard pairs from
+the ``last_heard`` matrix when it is called.
 """
 
 from __future__ import annotations
@@ -252,21 +255,31 @@ class Metrics:
         self.bsm_tx = 0
         self.events_executed = 0
 
-    def record_delivery(self, group: DeliveryGroup) -> None:
-        """Record one group of deliveries."""
-        n = len(group.receivers)
-        self.log.append(group)
-        self.groups += 1
-        self.delivered += n
-        path = (group.uplink, group.downlink)
-        stats = self.path_stats.get(path)
-        if stats is None:
-            stats = self.path_stats[path] = PathStats()
-        stats.add(group.delivered_at_us - group.generated_at_us, n)
-        # Events run in time order, so this delivery is the latest.
-        self.last_heard[group.receivers, group.truth_index] = (
-            group.delivered_at_us
-        )
+    def record_delivery(
+        self, groups: list[DeliveryGroup], delivered_at_us: int
+    ) -> None:
+        """Record the groups of deliveries made at ``delivered_at_us``."""
+        self.log += groups
+        self.groups += len(groups)
+        path_stats = self.path_stats
+        receivers = []
+        subjects = []
+        for group in groups:
+            n = len(group.receivers)
+            self.delivered += n
+            path = (group.uplink, group.downlink)
+            stats = path_stats.get(path)
+            if stats is None:
+                stats = path_stats[path] = PathStats()
+            stats.add(delivered_at_us - group.generated_at_us, n)
+            receivers += group.receivers
+            subjects += [group.truth_index] * n
+        # Events run in time order, so these deliveries are the latest.
+        total = len(receivers)
+        self.last_heard[
+            np.fromiter(receivers, np.intp, total),
+            np.fromiter(subjects, np.intp, total),
+        ] = delivered_at_us
 
     def awareness(self) -> dict[tuple[str, str], int]:
         """(receiver id, subject id) -> when the receiver last heard the
@@ -338,11 +351,27 @@ class RunResult:
 # --- events ---
 #
 # A heap entry is (at_us, seq, handler, arg); seq is unique, so handlers
-# and args are never compared. A send schedules one ``_Arrival`` per group
-# of its plan, in send order. That runs them in the order one event per
-# receiver would: a send schedules all of its receivers at once, so no
-# other event's seq falls between two that share a time, and whatever a
-# receiver's handler schedules comes after them.
+# and args are never compared. One handler call's ``_schedule`` calls
+# take consecutive seqs, so no other call's event falls between two of
+# them; and the loop runs a handler to the end before it pops the next
+# entry.
+#
+# Blocks. A send schedules one ``_Arrival`` per group of its plan. All
+# the arrivals one handler call schedules for one instant go into one
+# list, a block, whose heap entry takes the seq of its first arrival;
+# any other event that call schedules for that instant closes the block,
+# and a later arrival opens a new one. Run in order, a block's arrivals
+# are the entries one event per arrival would have been: those took
+# consecutive seqs at that instant, with no event of their own call
+# between them (it would have closed the block), and none of another
+# call's (it would have a lower or a higher seq than all of them). A
+# delivery schedules nothing, so nothing can run between them either.
+# The loop closes every block when the handler returns.
+#
+# Frames. Every detection of a camera frame becomes available at the same
+# instant, and the frame scheduled them one after another, so one ready
+# event that classifies them in capture order runs them as one event
+# each would.
 
 class _Arrival(NamedTuple):
     """A BSM reaching some road users at one instant."""
@@ -431,6 +460,8 @@ class Simulation:
         )
         self._heap: list[tuple[int, int, Callable[[int, Any], None], Any]] = []
         self._seq = 0
+        #: The arrival blocks the running handler has open, by time.
+        self._blocks: dict[int, list[_Arrival]] = {}
 
         drop = config.mqtt.drop_probability
         self.broker = Broker(
@@ -490,6 +521,9 @@ class Simulation:
             raise SimulationInvariantError("event scheduled before time zero")
         heapq.heappush(self._heap, (at_us, self._seq, handler, arg))
         self._seq += 1
+        # Any other event closes the arrival block open at its instant.
+        if self._blocks:
+            self._blocks.pop(at_us, None)
 
     def run(self) -> RunResult:
         duration_us = self.config.duration_us
@@ -501,10 +535,14 @@ class Simulation:
         self._schedule(_METRICS_TICK_US, self._on_metrics_tick)
 
         heap = self._heap
+        blocks = self._blocks
+        metrics = self.metrics
         while heap and heap[0][0] < duration_us:
             at_us, _, handler, arg = heapq.heappop(heap)
-            self.metrics.events_executed += 1
+            metrics.events_executed += 1
             handler(at_us, arg)
+            if blocks:
+                blocks.clear()
 
         final = self._sample_coverage(duration_us)
         defined = [v for _, v in self.metrics.coverage_samples if v is not None]
@@ -591,12 +629,19 @@ class Simulation:
 
     def _cast(self, plan: _Plan, sent_us: int, bsm: Bsm, uplink: LinkTech,
               downlink: LinkTech, topic: Optional[Topic] = None) -> None:
-        """Schedule one ``_Arrival`` of ``bsm`` per group of ``plan``."""
+        """Schedule one ``_Arrival`` of ``bsm`` per group of ``plan``, into
+        the block this handler has open at its instant, or a new one."""
+        blocks = self._blocks
         for offset_us, receivers in plan:
-            self._schedule(
-                sent_us + offset_us, self._deliver,
-                _Arrival(receivers, bsm, uplink, downlink, topic),
-            )
+            at_us = sent_us + offset_us
+            arrival = _Arrival(receivers, bsm, uplink, downlink, topic)
+            block = blocks.get(at_us)
+            if block is None:
+                block = [arrival]
+                self._schedule(at_us, self._deliver, block)
+                blocks[at_us] = block
+            else:
+                block.append(arrival)
 
     def _on_gateway_rx(
         self, now_us: int, arg: tuple[Bsm, LinkTech, Optional[Topic]]
@@ -633,76 +678,97 @@ class Simulation:
             tech, plan = self._relays[action.kind]
             self._cast(plan, now_us, action.payload, uplink, tech)
 
-    def _deliver(self, now_us: int, ev: _Arrival) -> None:
-        """Hand ``ev.bsm`` to each road user in ``ev.receivers``: one
-        delivery, and one executed event, each; recorded as one group."""
-        receivers = ev.receivers
-        bsm = ev.bsm
+    def _deliver(self, now_us: int, arrivals: list[_Arrival]) -> None:
+        """Hand each arrival's BSM to its receivers, in schedule order: one
+        delivery, and one executed event, per receiver; each arrival is
+        recorded as one group."""
         metrics = self.metrics
-        metrics.events_executed += len(receivers) - 1
-        subject = bsm.id.value
-        truth = bsm.id
-        if bsm.id.is_synthetic and self.gateway is not None:
-            truth = self.gateway.synthetic_truth.get(bsm.id) or bsm.id
-        truth_index = self._index_of.get(truth.value)
-        if truth_index is None:
-            raise SimulationInvariantError(f"{truth} is no road user")
-        latency_ms = us_to_ms(now_us - bsm.generated_at_us)
-        if latency_ms < 0:
-            raise SimulationInvariantError("delivery precedes generation")
-        seen = self._seen.receivers_of((subject, bsm.generated_at_us), now_us)
-        duplicates = None
-        if not seen.isdisjoint(receivers):
-            duplicates = tuple(r in seen for r in receivers)
-            metrics.duplicates_suppressed += sum(duplicates)
-        seen.update(receivers)
-        group = DeliveryGroup(
-            receivers, subject, truth_index, ev.uplink, ev.downlink,
-            bsm.generated_at_us, now_us, latency_ms, ev.topic, duplicates,
+        synthetic_truth = (
+            self.gateway.synthetic_truth if self.gateway is not None else {}
         )
-        metrics.record_delivery(group)
+        groups = []
+        delivered = 0
+        for ev in arrivals:
+            receivers = ev.receivers
+            bsm = ev.bsm
+            truth = bsm.id
+            if truth.is_synthetic:
+                truth = synthetic_truth.get(truth) or truth
+            truth_index = self._index_of.get(truth.value)
+            if truth_index is None:
+                raise SimulationInvariantError(f"{truth} is no road user")
+            generated_at_us = bsm.generated_at_us
+            latency_ms = us_to_ms(now_us - generated_at_us)
+            if latency_ms < 0:
+                raise SimulationInvariantError("delivery precedes generation")
+            subject = bsm.id.value
+            seen = self._seen.receivers_of((subject, generated_at_us), now_us)
+            duplicates = None
+            if not seen.isdisjoint(receivers):
+                duplicates = tuple(r in seen for r in receivers)
+                metrics.duplicates_suppressed += sum(duplicates)
+            seen.update(receivers)
+            groups.append(DeliveryGroup(
+                receivers, subject, truth_index, ev.uplink, ev.downlink,
+                generated_at_us, now_us, latency_ms, ev.topic, duplicates,
+            ))
+            delivered += len(receivers)
+        metrics.events_executed += delivered - 1
+        metrics.record_delivery(groups, now_us)
 
     def _on_ipu_frame(self, now_us: int, _: None) -> None:
-        detected = 0
+        in_view = []
         for user in self.users:
             self._advance(user, now_us)
-            if not self._in_coverage(user):
-                continue
-            noise = self.rng.normal(0.0, self.config.ipu.noise_std_m, 2)
-            detection = Detection(
-                estimate=self.frame.position_at(
-                    user.x_m + noise[0], user.y_m + noise[1]
-                ),
-                speed_kmh=user.speed_kmh,
-                heading_deg=user.spec.heading_deg,
-                captured_at_us=now_us,
-                available_at_us=now_us + self.ipu_processing_us,
-                truth_id=user.id,
-            )
+            if self._in_coverage(user):
+                in_view.append(user)
+        if in_view:
+            # One draw for the frame gives the numbers one per user would.
+            noise = self.rng.normal(
+                0.0, self.config.ipu.noise_std_m, (len(in_view), 2)
+            ).tolist()
+            available_at_us = now_us + self.ipu_processing_us
+            position_at = self.frame.position_at
+            detections = [
+                Detection(
+                    estimate=position_at(user.x_m + dx, user.y_m + dy),
+                    speed_kmh=user.speed_kmh,
+                    heading_deg=user.spec.heading_deg,
+                    captured_at_us=now_us,
+                    available_at_us=available_at_us,
+                    truth_id=user.id,
+                )
+                for user, (dx, dy) in zip(in_view, noise)
+            ]
             self._schedule(
-                detection.available_at_us, self._on_detection_ready, detection
+                available_at_us, self._on_detections_ready, detections
             )
-            detected += 1
-        self.metrics.detections += detected
+        self.metrics.detections += len(in_view)
         self._trace(now_us, "IpuFrame", ARSU_CLIENT, "",
-                    f"detections={detected}")
+                    f"detections={len(in_view)}")
         self._schedule(now_us + self.frame_period_us, self._on_ipu_frame)
 
-    def _on_detection_ready(self, now_us: int, detection: Detection) -> None:
-        outcome = self.gateway.on_detection(detection, now_us)
-        subject = detection.truth_id.value if detection.truth_id else "?"
-        detail = outcome.status.value
-        if outcome.matched_id is not None:
-            detail += f" matched={outcome.matched_id.value}"
-        if outcome.track_id is not None:
-            detail += f" track={outcome.track_id}"
-        self._trace(now_us, "DetectionReady", ARSU_CLIENT, subject, detail)
-        if outcome.deadline_us is not None:
-            self._schedule(
-                outcome.deadline_us, self._on_grace_deadline, outcome.track_id
-            )
-        if outcome.actions:
-            self._emit_actions(outcome.actions, LinkTech.CAMERA, now_us)
+    def _on_detections_ready(
+        self, now_us: int, detections: list[Detection]
+    ) -> None:
+        """A frame's detections leave the IPU: the gateway classifies each,
+        in capture order; one executed event per detection."""
+        self.metrics.events_executed += len(detections) - 1
+        on_detection = self.gateway.on_detection
+        for detection in detections:
+            outcome = on_detection(detection, now_us)
+            subject = detection.truth_id.value if detection.truth_id else "?"
+            detail = outcome.status.value
+            if outcome.matched_id is not None:
+                detail += f" matched={outcome.matched_id.value}"
+            if outcome.track_id is not None:
+                detail += f" track={outcome.track_id}"
+            self._trace(now_us, "DetectionReady", ARSU_CLIENT, subject, detail)
+            if outcome.deadline_us is not None:
+                self._schedule(outcome.deadline_us, self._on_grace_deadline,
+                               outcome.track_id)
+            if outcome.actions:
+                self._emit_actions(outcome.actions, LinkTech.CAMERA, now_us)
 
     def _on_grace_deadline(self, now_us: int, track_id: int) -> None:
         actions = self.gateway.on_grace_deadline(track_id, now_us)

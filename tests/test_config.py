@@ -166,6 +166,13 @@ users:
         with pytest.raises(ConfigError, match="'U1' can reach latitude"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("origin_lat", [90, -90.0])
+    def test_origin_on_a_pole(self, origin_lat):
+        doc = (f"duration_ms: 1000\norigin: {{lat: {origin_lat}}}\n"
+               "users:\n  - {kind: native_dsrc, id: U1, y_m: -20}\n")
+        with pytest.raises(ConfigError, match="origin.lat .* is a pole"):
+            parse_scenario(doc)
+
     def test_user_short_of_a_pole_accepted(self):
         doc = ("duration_ms: 10000\norigin: {lat: 89.9999}\n"
                "users:\n  - {kind: native_dsrc, y_m: -20, speed_kmh: 1}\n")

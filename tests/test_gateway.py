@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arsusim import gateway as gateway_module
 from arsusim.gateway import (
     ActionKind,
     FilterConfig,
@@ -288,15 +289,50 @@ class TestDetectionFilter:
         assert ids == {"ipu:1", "ipu:2"}
 
 
-class TestLatitudeBands:
-    """Matches across the edges of the filter's latitude bands, which are
-    a little over sigma tall and start at the equator."""
+def _gateway_at(sigma_m, bsms=(), detections=()):
+    """A gateway that heard ``bsms`` (user id, position) and then
+    classified ``detections`` (positions), all at 300 ms; returns it and
+    the detections' outcomes."""
+    gw = Gateway(FilterConfig(sigma_m=sigma_m))
+    for user, position in bsms:
+        bsm = make_bsm(RoadUserId(user), position, 0.0, 0.0,
+                       PositionAccuracy(1.0), LinkTech.DSRC, 300_000)
+        gw.on_rx(bsm, LinkTech.DSRC, 300_000)
+    outcomes = [
+        gw.on_detection(Detection(position, 0.0, 0.0, 0, 300_000), 300_000)
+        for position in detections
+    ]
+    return gw, outcomes
+
+
+def _east_of(position, meters):
+    """The point ``meters`` due east of ``position``, wrapped."""
+    lon = position.lon_deg + meters / (
+        METERS_PER_DEG * math.cos(math.radians(position.lat_deg)))
+    return Position(position.lat_deg, (lon + 180.0) % 360.0 - 180.0)
+
+
+class TestFilterGrid:
+    """Matches across the edges of the filter's grid: rows a little over
+    sigma tall that start at the equator, and longitude columns at least
+    as wide whose edges include the antimeridian."""
 
     SIGMA = 5.0
-    EDGE_Y = SIGMA * (1 + 1e-6)  # first band edge north of the frame origin
+    EDGE_Y = SIGMA * (1 + 1e-6)  # first row edge north of the frame origin
+
+    def _column_edge(self, lat_deg):
+        """A column edge near longitude 10 degrees east, at ``lat_deg``."""
+        shape = Gateway(FilterConfig(sigma_m=self.SIGMA))._shape
+        columns = shape._columns
+        edge = round((10.0 + 180.0) * columns / 360.0)
+        lon = edge * 360.0 / columns - 180.0
+        return Position(lat_deg, lon), shape
 
     def test_match_due_north_across_band_edge(self):
-        below_edge = self.EDGE_Y - 0.0005
+        shape = Gateway(FilterConfig(sigma_m=self.SIGMA))._shape
+        edge_y = METERS_PER_DEG / shape._rows_per_deg
+        assert edge_y == pytest.approx(self.EDGE_Y)
+        below_edge = edge_y - 0.0005
         for offset, status in (
             (self.SIGMA - 0.001, FilterStatus.CONNECTED),
             (self.SIGMA, FilterStatus.PENDING),  # strict less-than
@@ -307,25 +343,80 @@ class TestLatitudeBands:
             outcome = gw.on_detection(detection_at(0.0, below_edge), 300_000)
             assert outcome.status is status
 
+    def test_match_due_east_across_column_edge(self):
+        for lat in (0.0, 60.0, -89.0):
+            edge, shape = self._column_edge(lat)
+            west = _east_of(edge, -0.001)
+            assert shape.cell(west)[1] + 1 == shape.cell(edge)[1]
+            for offset, status in (
+                (self.SIGMA - 0.001, FilterStatus.CONNECTED),
+                (self.SIGMA + 0.001, FilterStatus.PENDING),
+            ):
+                east = _east_of(west, offset)
+                assert (horizontal_distance_m(west, east) < self.SIGMA) is (
+                    status is FilterStatus.CONNECTED)
+                _, (outcome,) = _gateway_at(
+                    self.SIGMA, bsms=[("U1", east)], detections=[west])
+                assert outcome.status is status
+
     def test_confirmed_track_found_after_moving_two_bands(self):
         gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
         first = gw.on_detection(detection_at(0.0, 0.0), 300_000)
         synthetic = gw.on_grace_deadline(first.track_id, 400_000)[0].payload.id
-        # each step stays within sigma; the last lands two bands north
+        # each step stays within sigma; the last lands two rows north and
+        # two columns east
         for step in range(1, 5):
-            y_m = 0.9 * self.SIGMA * step
+            offset = 0.6 * self.SIGMA * step
             now = 400_000 + 100_000 * step
             outcome = gw.on_detection(
-                detection_at(0.0, y_m, captured_us=now - 300_000), now
+                detection_at(offset, offset, captured_us=now - 300_000), now
             )
             assert outcome.status is FilterStatus.NON_CONNECTED
             assert outcome.synthetic_id == synthetic
         assert gw.pending_tracks == 0
         assert gw.confirmed_tracks == 1
 
+    def test_match_across_the_antimeridian(self):
+        shape = Gateway(FilterConfig(sigma_m=self.SIGMA))._shape
+        west = Position(45.0, 180.0 - 1e-6)
+        east = _east_of(west, self.SIGMA - 0.01)
+        assert east.lon_deg < -179.0
+        assert shape.cell(Position(45.0, 180.0)) == shape.cell(
+            Position(45.0, -180.0))
+        # Users further east fill more of the row than a lookup's reach
+        # has columns, so the lookup reads the row column by column.
+        fillers = [(f"F{i}", _east_of(east, 4.0 * self.SIGMA * i))
+                   for i in range(1, 11)]
+        for bsm_at_, det_at in ((east, west), (west, east)):
+            _, (outcome,) = _gateway_at(
+                self.SIGMA, bsms=[("U1", bsm_at_)] + fillers,
+                detections=[det_at])
+            assert outcome.matched_id == RoadUserId("U1")
+        # A confirmed track follows its user across the antimeridian.
+        gw, outcomes = _gateway_at(
+            self.SIGMA, detections=[west] + [p for _, p in fillers])
+        for outcome in outcomes:
+            gw.on_grace_deadline(outcome.track_id, 400_000)
+        outcome = gw.on_detection(
+            Detection(east, 0.0, 0.0, 200_000, 500_000), 500_000)
+        assert outcome.status is FilterStatus.NON_CONNECTED
+        assert outcome.track_id == outcomes[0].track_id
+
+    def test_pole_row_reads_every_column(self):
+        # 2 m short of the north pole on opposite meridians: 4 m apart
+        lat = 90.0 - 2.0 / METERS_PER_DEG
+        here, there = Position(lat, 30.0), Position(lat, -150.0)
+        assert horizontal_distance_m(here, there) == pytest.approx(4.0)
+        shape = Gateway(FilterConfig(sigma_m=self.SIGMA))._shape
+        assert shape.reach(here).width == shape._columns
+        assert shape.reach(Position(60.0, 30.0)).width < 10
+        _, (outcome,) = _gateway_at(
+            self.SIGMA, bsms=[("U1", there)], detections=[here])
+        assert outcome.matched_id == RoadUserId("U1")
+
     def test_full_tie_goes_to_first_added(self):
         # mirror images about the equator are exactly equidistant from it;
-        # the first added lies in the band a lookup reads last
+        # the first added lies in the row a lookup reads last
         gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
         gw.on_rx(bsm_at("NORTH", y_m=3.0, now_us=300_000),
                  LinkTech.DSRC, 300_000)
@@ -340,9 +431,20 @@ class TestLatitudeBands:
         outcome = gw.on_detection(detection_at(0.0, 0.0), 300_000)
         assert outcome.track_id == north.track_id
 
+    def test_full_tie_across_a_column_edge_goes_to_first_added(self):
+        # at this sigma the prime meridian is a column edge, and mirror
+        # images about it are exactly equidistant from it
+        shape = Gateway(FilterConfig(sigma_m=self.SIGMA))._shape
+        east, west = position_at(3.0, 0.0), position_at(-3.0, 0.0)
+        assert shape.cell(east)[1] == shape.cell(west)[1] + 1
+        _, (outcome,) = _gateway_at(
+            self.SIGMA, bsms=[("EAST", east), ("WEST", west)],
+            detections=[position_at(0.0, 0.0)])
+        assert outcome.matched_id == RoadUserId("EAST")
+
     def test_one_bsm_resolves_pending_tracks_in_track_id_order(self):
         gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
-        # track 1 lies in the band north of the equator, track 2 south
+        # track 1 lies in the row north of the equator, track 2 south
         north = gw.on_detection(detection_at(0.0, 3.0), 300_000)
         south = gw.on_detection(detection_at(0.0, -3.0), 300_000)
         assert (north.track_id, south.track_id) == (1, 2)
@@ -351,6 +453,32 @@ class TestLatitudeBands:
         assert [r.actions for r in gw.trace if r.event == "pending_match"] == [
             "track=1", "track=2"
         ]
+
+    def test_line_of_users_costs_at_most_two_distance_calls(
+        self, monkeypatch
+    ):
+        """1,000 confirmed tracks 10 m apart on one latitude and BSMs
+        halfway between them, outside a 4 m gate: a detection at a track
+        measures at most two entries, not the whole line."""
+        gw = Gateway(FilterConfig(sigma_m=4.0))
+        for i in range(1000):
+            outcome = gw.on_detection(detection_at(10.0 * i, 0.0), 300_000)
+            gw.on_grace_deadline(outcome.track_id, 400_000)
+            gw.on_rx(bsm_at(f"U{i}", x_m=10.0 * i + 5.0, now_us=400_000),
+                     LinkTech.DSRC, 400_000)
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return horizontal_distance_m(a, b)
+
+        monkeypatch.setattr(gateway_module, "horizontal_distance_m", counted)
+        for i in (0, 500, 999):
+            outcome = gw.on_detection(
+                detection_at(10.0 * i, 0.0, captured_us=100_000), 400_000)
+            assert outcome.status is FilterStatus.NON_CONNECTED
+            assert outcome.track_id == i + 1
+        assert len(calls) <= 2 * 3
 
 
 class TestGhosts:
@@ -494,12 +622,20 @@ def actions_tuple(actions):
 
 
 # Offsets in units of sigma from a walker that some detections follow,
-# so its track crosses bands. Half-sigma steps give equal distances and
-# exact-sigma gaps; floats give everything in between.
+# so its track crosses rows and columns. Half-sigma steps give equal
+# distances and exact-sigma gaps; offsets within 1e-6 m of sigma (sigma
+# is at most 20 m) land on either side of the gate; floats give
+# everything in between.
+near_gate = st.builds(
+    lambda sign, d: sign * (1.0 + d),
+    st.sampled_from([-1.0, 1.0]), st.floats(-5e-8, 5e-8),
+)
 sigma_units = st.one_of(
-    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0)
+    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), near_gate,
+    st.floats(-2.0, 2.0),
 )
 time_steps = st.one_of(st.just(0), st.integers(1, 120_000))
+kinds = st.sampled_from(["rx", "detection"])
 rx_ops = st.tuples(
     st.just("rx"), time_steps, sigma_units, sigma_units,
     st.sampled_from(["U1", "U2", "U3"]), st.sampled_from([0, 100_000]),
@@ -511,17 +647,33 @@ detection_ops = st.tuples(
 )
 grace_ops = st.tuples(st.just("grace"), time_steps,
                       st.integers(1, 12))
+# BSMs or detections along one latitude, east from a start.
+line_ops = st.tuples(
+    st.just("line"), time_steps, sigma_units, sigma_units,
+    st.integers(3, 12),
+    st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.3, 3.0)),
+    kinds,
+)
+# Five or more BSMs or detections, each within sigma of the others.
+cluster_ops = st.tuples(
+    st.just("cluster"), time_steps, sigma_units, sigma_units,
+    st.lists(st.tuples(st.floats(-0.35, 0.35), st.floats(-0.35, 0.35)),
+             min_size=5, max_size=10),
+    kinds,
+)
 
 
 @settings(deadline=None)
 @given(
-    origin_lat=st.floats(-89.9, 89.9),
+    origin_lat=st.one_of(st.floats(-89.9, 89.9),
+                         st.sampled_from([-89.99999, 89.99999])),
     origin_lon=st.one_of(st.floats(179.9999, 180.0),
                          st.floats(-180.0, -179.9999)),
     sigma=st.floats(0.5, 20.0),
     walk=st.one_of(st.sampled_from([-0.9, 0.9]), st.floats(-0.95, 0.95)),
     ops=st.lists(
-        st.one_of(rx_ops, detection_ops, detection_ops, grace_ops),
+        st.one_of(rx_ops, detection_ops, detection_ops, grace_ops,
+                  line_ops, cluster_ops),
         min_size=5, max_size=60,
     ),
 )
@@ -534,33 +686,50 @@ def test_indexed_filter_matches_linear_scan(
         lat = walker.lat_deg + north * sigma / METERS_PER_DEG
         lon = walker.lon_deg + east * sigma / (
             METERS_PER_DEG * math.cos(math.radians(lat)))
-        if lon > 180.0:
-            lon -= 360.0
-        elif lon < -180.0:
-            lon += 360.0
+        if not -180.0 <= lon <= 180.0:
+            lon = (lon + 180.0) % 360.0 - 180.0
         return Position(max(-90.0, min(90.0, lat)), lon)
 
     config = FilterConfig(sigma_m=sigma)
     gw, ref = Gateway(config), LinearScanGateway(config)
+
+    def rx(user, where, generated_at, via):
+        bsm = make_bsm(RoadUserId(user), where, 0.0, 0.0,
+                       PositionAccuracy(1.0), via, generated_at)
+        got = tuple(action_labels(gw.on_rx(bsm, via, now)))
+        assert got == ref.on_rx(bsm, via, now)
+
+    def detect(where, lag):
+        det = Detection(where, 0.0, 0.0,
+                        captured_at_us=now - lag - 300_000,
+                        available_at_us=now - lag)
+        got = outcome_tuple(gw.on_detection(det, now))
+        assert got == ref.on_detection(det, now)
+
+    def place(kind, points):
+        for i, (east, north) in enumerate(points):
+            if kind == "rx":
+                rx(f"L{i}", position(east, north), now, LinkTech.DSRC)
+            else:
+                detect(position(east, north), 0)
+
     now = 1_000_000
     for op in ops:
         now += op[1]
         if op[0] == "rx":
             _, _, east, north, user, generated_at, via = op
-            bsm = make_bsm(RoadUserId(user), position(east, north), 0.0, 0.0,
-                           PositionAccuracy(1.0), via, generated_at)
-            got = tuple(action_labels(gw.on_rx(bsm, via, now)))
-            assert got == ref.on_rx(bsm, via, now)
+            rx(user, position(east, north), generated_at, via)
         elif op[0] == "detection":
             _, _, east, north, lag, follow = op
             if follow:
                 walker = position(0.0, walk)
-            det = Detection(walker if follow else position(east, north),
-                            0.0, 0.0,
-                            captured_at_us=now - lag - 300_000,
-                            available_at_us=now - lag)
-            got = outcome_tuple(gw.on_detection(det, now))
-            assert got == ref.on_detection(det, now)
+            detect(walker if follow else position(east, north), lag)
+        elif op[0] == "line":
+            _, _, east, north, count, spacing, kind = op
+            place(kind, [(east + i * spacing, north) for i in range(count)])
+        elif op[0] == "cluster":
+            _, _, east, north, offsets, kind = op
+            place(kind, [(east + e, north + n) for e, n in offsets])
         else:
             track_id = op[2]
             got = actions_tuple(gw.on_grace_deadline(track_id, now))

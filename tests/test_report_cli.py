@@ -1,9 +1,13 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arsusim
 from arsusim.cli import main
 from arsusim.config import parse_scenario
 from arsusim.latency import LatencyModel, composed_csv_rows
@@ -193,6 +197,45 @@ class TestCli:
         assert main(["run", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.count("past a pole") == 2
+
+    def test_origin_on_a_pole_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("duration_ms: 1000\norigin: {lat: 90, lon: 0}\n"
+                       "users:\n  - {kind: native_dsrc, id: U1}\n"
+                       "  - {kind: non_connected, id: P1, x_m: 100}\n")
+        out = tmp_path / "out"
+        assert main(["validate-config", str(bad)]) == 2
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("is a pole") == 2
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        """``python -m arsusim`` from a source checkout runs the same CLI,
+        exit code included."""
+        config = self._write_scenario(tmp_path)
+        src = str(Path(arsusim.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+
+        def python_m(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "arsusim", *args], env=env,
+                cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            )
+
+        done = python_m("run", str(config), "--out", "sub", "--trace")
+        assert done.returncode == 0, done.stderr
+        assert main(["run", str(config), "--out", str(tmp_path / "in"),
+                     "--trace"]) == 0
+        for name in ("report.json", "trace.csv"):
+            assert (tmp_path / "sub" / name).read_bytes() == (
+                tmp_path / "in" / name).read_bytes()
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("duration_ms: 100\nspede: 1\n")
+        done = python_m("validate-config", str(bad))
+        assert done.returncode == 2
+        assert "config error" in done.stderr
 
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2

@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -773,7 +775,9 @@ class TestGroupRecords:
 
 class TestGroupCast:
     """A send schedules one ``_Arrival`` per distinct arrival time, with
-    the receivers that share it in send order."""
+    the receivers that share it in send order. The arrivals one handler
+    call schedules for one instant share one heap entry, a block, until
+    another event that call schedules for that instant closes it."""
 
     DOC = """
 duration_ms: 1000
@@ -790,14 +794,27 @@ users:
 """
 
     @staticmethod
-    def _arrivals(simulation):
-        """(time, receivers) of each scheduled user arrival, in send
+    def _entries(simulation):
+        """The heap entries, in schedule order."""
+        return sorted(simulation._heap, key=lambda entry: entry[1])
+
+    @classmethod
+    def _blocks(cls, simulation):
+        """(time, arrivals) of each scheduled block of user arrivals."""
+        return [
+            (at_us, block)
+            for at_us, _, handler, block in cls._entries(simulation)
+            if handler == simulation._deliver
+        ]
+
+    @classmethod
+    def _arrivals(cls, simulation):
+        """(time, receivers) of each scheduled user arrival, in schedule
         order."""
         return [
-            (at_us, arg.receivers)
-            for at_us, _, handler, arg in sorted(
-                simulation._heap, key=lambda entry: entry[1])
-            if handler == simulation._deliver
+            (at_us, arrival.receivers)
+            for at_us, block in cls._blocks(simulation)
+            for arrival in block
         ]
 
     def _broadcast_from_u0(self, mode):
@@ -809,6 +826,7 @@ users:
         simulation, arrivals = self._broadcast_from_u0("scenario")
         half_us = simulation.users[0].half_us
         assert arrivals == [(2 * half_us, (1, 2, 3, 4))]
+        assert len(self._blocks(simulation)) == 1
         # The next broadcast hands on the same receivers, not a copy.
         simulation._on_bsm_tx(100_000, simulation.users[0])
         first, second = self._arrivals(simulation)
@@ -821,6 +839,7 @@ users:
         # U1 (10 km/h) and U3 (30) take U0's 30 km/h half; U2 and U4 (50)
         # take their own.
         assert arrivals == [(at_30, (1, 3)), (at_50, (2, 4))]
+        assert len(self._blocks(simulation)) == 2
 
     def test_max_endpoint_relay_is_one_event_per_receiver_half(self):
         """The gateway's relay reaches each user on the medium after that
@@ -837,11 +856,94 @@ users:
             (1_000 + halves[1], (1,)),
             (1_000 + halves[2], (2, 4)),
         ]
+        assert len(self._blocks(simulation)) == 3
 
     def test_mixed_times_group_in_first_seen_order(self):
         assert _group_by_time(
             zip([700, 300, 700, 300, 900], [4, 1, 2, 3, 0])
         ) == ((700, (4, 2)), (300, (1, 3)), (900, (0,)))
+
+    def test_block_closed_by_other_event_at_same_instant(self):
+        """Arrivals A1 and A2 at T, then a grace deadline at T, then
+        arrival B at T: A1 and A2 share a block, B opens its own after the
+        deadline, and the three run in schedule order."""
+        simulation = Simulation(scenario(MIXED_TABLE1))
+        at_us = 50_000
+        plan = ((at_us - 1_000, (0,)),)
+        a1, a2, b = (_relay_bsm(simulation, 1_000, f"U{i}") for i in (2, 3, 4))
+        simulation._cast(plan, 1_000, a1, LinkTech.CELL_MQTT, LinkTech.DSRC)
+        simulation._cast(plan, 1_000, a2, LinkTech.CELL_MQTT, LinkTech.DSRC)
+        simulation._schedule(at_us, simulation._on_grace_deadline, 7)
+        simulation._cast(plan, 1_000, b, LinkTech.CELL_MQTT, LinkTech.DSRC)
+        entries = self._entries(simulation)
+        assert [(at, handler) for at, _, handler, _ in entries] == [
+            (at_us, simulation._deliver),
+            (at_us, simulation._on_grace_deadline),
+            (at_us, simulation._deliver),
+        ]
+        assert [a.bsm for a in entries[0][3]] == [a1, a2]
+        assert [a.bsm for a in entries[2][3]] == [b]
+        # The heap runs them in that order.
+        heap = simulation._heap
+        while heap:
+            at, _, handler, arg = heapq.heappop(heap)
+            handler(at, arg)
+        rows = [(r[1], r[3]) for r in TraceRows(simulation.metrics)]
+        assert rows == [
+            ("RadioDelivery", "U2"), ("RadioDelivery", "U3"),
+            ("GraceDeadline", "track=7"), ("RadioDelivery", "U4"),
+        ]
+
+    FRAME_DOC = """
+duration_ms: 3000
+scenario_speed_kmh: 30
+seed: 8
+arsu: {coverage_radius_m: 300}
+filter: {sigma_m: 4}
+users:
+  - {kind: native_dsrc, count: 3}
+  - {kind: native_cv2x, count: 3}
+  - {kind: nonnative_cell, count: 2}
+  - {kind: non_connected, count: 6}
+  - {kind: non_connected, id: P-twin, x_m: 110, y_m: 1}
+"""
+
+    def test_frame_is_one_event(self):
+        """k detections in a frame give one heap entry. A run gives the
+        same trace, report counts and ``events_executed`` as one where
+        every detection is its own event."""
+        simulation = Simulation(scenario(self.FRAME_DOC))
+        simulation._on_ipu_frame(0, None)
+        ready = [
+            (at_us, arg)
+            for at_us, _, handler, arg in self._entries(simulation)
+            if handler == simulation._on_detections_ready
+        ]
+        assert len(ready) == 1
+        at_us, detections = ready[0]
+        assert at_us == simulation.ipu_processing_us
+        assert [d.truth_id.value for d in detections] == [
+            u.id.value for u in simulation.users]
+
+        class EventPerDetection(Simulation):
+            def _schedule(self, at_us, handler, arg=None):
+                if handler == self._on_detections_ready:
+                    for detection in arg:
+                        super()._schedule(at_us, handler, [detection])
+                    return
+                super()._schedule(at_us, handler, arg)
+
+        cfg = scenario(self.FRAME_DOC)
+        batched, apart = Simulation(cfg).run(), EventPerDetection(cfg).run()
+        assert batched.metrics.events_executed == (
+            apart.metrics.events_executed)
+        rows = list(batched.trace_rows)
+        assert rows == list(apart.trace_rows)
+        ready_rows = [r for r in rows if r[1] == "DetectionReady"]
+        assert len(ready_rows) > 13
+        assert {r[4].split()[0] for r in ready_rows} == {
+            "Connected", "Pending", "NonConnected"}
+        assert len(rows) == batched.metrics.events_executed + 1
 
 
 def _relay_bsm(simulation, generated_at_us, user_id="U1"):
@@ -859,21 +961,21 @@ class TestDuplicateWindow:
         old = _relay_bsm(simulation, 0)
         new = _relay_bsm(simulation, horizon_us + 1_000)
         deliver = simulation._deliver
-        deliver(5_000, _Arrival((1,), old, LinkTech.DSRC, LinkTech.CV2X))
+        deliver(5_000, [_Arrival((1,), old, LinkTech.DSRC, LinkTech.CV2X)])
         deliver(horizon_us + 2_000,
-                _Arrival((1,), new, LinkTech.DSRC, LinkTech.CV2X))
+                [_Arrival((1,), new, LinkTech.DSRC, LinkTech.CV2X)])
         assert len(simulation._seen) == 1  # the old key is dropped
         with pytest.raises(SimulationInvariantError, match="window"):
             deliver(horizon_us + 3_000,
-                    _Arrival((1,), old, LinkTech.DSRC, LinkTech.CV2X))
+                    [_Arrival((1,), old, LinkTech.DSRC, LinkTech.CV2X)])
 
     def test_flags_only_the_receivers_that_already_had_the_bsm(self):
         simulation = Simulation(scenario(MIXED_TABLE1))
         bsm = _relay_bsm(simulation, 0)
         simulation._deliver(
-            40_000, _Arrival((2,), bsm, LinkTech.DSRC, LinkTech.CELL_MQTT))
+            40_000, [_Arrival((2,), bsm, LinkTech.DSRC, LinkTech.CELL_MQTT)])
         simulation._deliver(
-            50_000, _Arrival((3, 2), bsm, LinkTech.DSRC, LinkTech.CELL_MQTT))
+            50_000, [_Arrival((3, 2), bsm, LinkTech.DSRC, LinkTech.CELL_MQTT)])
         metrics = simulation.metrics
         assert [(d.receiver, d.duplicate) for d in metrics.deliveries] == [
             ("U3", False), ("U4", False), ("U3", True),
