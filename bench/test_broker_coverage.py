@@ -3,16 +3,15 @@
 Times one ``Broker.publish`` of a Cell message from one of 60 road users
 that each subscribe to all four topics, with the gateway subscribed to
 Cell (59 road-user deliveries and the gateway's), loss-free and with 5%
-drops; a publish returns its recipients, and the caller asks for their
-delivery times afterwards, so these time the fan-out and drop draws
-only. It also times one
+drops; a publish returns the recipients it kept, and the broker keeps no
+clock, so these time the fan-out and drop draws only. It also times one
 ``Simulation._coverage`` call after a 1 s run of 40 DSRC and 40 C-V2X
 cars, whose awareness then holds every pair of each technology. Run
 from the root of a checkout:
 
-    PYTHONPATH=src python -m pytest bench --benchmark-only -q
+    PYTHONPATH=src python -m pytest bench --benchmark-enable --benchmark-only -q
 
-``testpaths`` in ``pyproject.toml`` keeps this file out of the test suite.
+The test suite runs each body once, with timing off.
 """
 
 import numpy as np
@@ -31,7 +30,6 @@ from arsusim.messages import (
 from arsusim.sim import Simulation
 
 USERS = [f"U{i}" for i in range(60)]
-LEGS_US = {user: 41_659 for user in USERS}
 
 SCENARIO = """
 duration_ms: 1000
@@ -68,7 +66,7 @@ def _time_publish(benchmark, drop_probability):
     # A fresh broker each round, with a freshly seeded rng when it drops,
     # makes every round the same publish from the same state.
     return benchmark.pedantic(
-        lambda broker: broker.publish(USERS[0], envelope, 0, LEGS_US),
+        lambda broker: broker.publish(USERS[0], envelope),
         setup=lambda: ((subscribed_broker(drop_probability),), {}),
         rounds=2000,
         warmup_rounds=20,

@@ -14,9 +14,9 @@ confirmed non-connected tracks, in two layouts:
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src python -m pytest bench --benchmark-only -q
+    PYTHONPATH=src python -m pytest bench --benchmark-enable --benchmark-only -q
 
-``testpaths`` in ``pyproject.toml`` keeps this file out of the test suite.
+The test suite runs each body once, with timing off.
 """
 
 import math

@@ -14,9 +14,9 @@ receivers at two times, one per link half; in ``scenario`` mode they all
 run at 30 km/h, and every send reaches its receivers at one time. Run
 from the root of a checkout:
 
-    PYTHONPATH=src python -m pytest bench --benchmark-only -q
+    PYTHONPATH=src python -m pytest bench --benchmark-enable --benchmark-only -q
 
-``testpaths`` in ``pyproject.toml`` keeps this file out of the test suite.
+The test suite runs each body once, with timing off.
 """
 
 import pytest

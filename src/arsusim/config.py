@@ -233,10 +233,12 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioConfig:
 
 def _check_pole_reach(config: ScenarioConfig) -> None:
     """Reject an origin on a pole, and a user whose start plus its travel
-    over the run can cross one. The local frame's meters per degree of
-    longitude are about 6e-17 at a pole, so every east offset would land
-    on an arbitrary meridian. It maps north-south meters straight onto
-    latitude, so a BSM from past ±90° could not be built."""
+    over the run can cross one or lie more than 90° of longitude east or
+    west of the origin. The local frame's meters per degree of longitude
+    are about 6e-17 at a pole, so every east offset would land on an
+    arbitrary meridian; near one, an offset of 180° or more would wrap
+    onto another user's meridian. It maps north-south meters straight
+    onto latitude, so a BSM from past ±90° could not be built."""
     origin_lat = config.origin.lat
     if abs(origin_lat) == 90.0:
         raise ConfigError(
@@ -244,6 +246,7 @@ def _check_pole_reach(config: ScenarioConfig) -> None:
             f"east there; move the origin off the pole"
         )
     duration_s = config.duration_ms / 1000.0
+    quarter_m = 90.0 * METERS_PER_DEG * math.cos(math.radians(origin_lat))
     for user in config.users:
         speed_kmh = user.speed_kmh
         if speed_kmh is None:
@@ -257,6 +260,13 @@ def _check_pole_reach(config: ScenarioConfig) -> None:
                     f"past a pole: y_m {user.y_m:g} ± {travel_m:g} m of "
                     f"travel from origin.lat {origin_lat:g}"
                 )
+        reach_m = abs(user.x_m) + travel_m
+        if reach_m > quarter_m:
+            raise ConfigError(
+                f"user {user.user_id!r} can reach {reach_m:g} m east or west "
+                f"of the origin, past 90° of longitude ({quarter_m:g} m) at "
+                f"origin.lat {origin_lat}"
+            )
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -13,10 +13,12 @@ An event is a heap entry ``(at_us, seq, handler, arg)``, run as
 generator drives all noise. Identical (config, seed) runs are
 bit-identical.
 
-Road users are fixed for a run, so ``Simulation.__init__`` plans each
-radio broadcast and gateway relay once: ``(offset_us, receivers)``
-groups, one per distinct arrival time. A broker fan-out, whose drops
-vary, is grouped at each publish. A send schedules one arrival per
+Road users and their subscriptions are fixed for a run, so
+``Simulation.__init__`` plans every send once: a road user's broadcast
+or Cell publish, and a gateway relay or publish, as ``(offset_us,
+receivers)`` groups, one per distinct arrival time. Only the simulation
+works out arrival times; a publish that dropped some subscribers keeps
+only the receivers the broker kept. A send schedules one arrival per
 group, recorded once, as a ``DeliveryGroup``. The arrivals one handler
 call schedules for one instant share one heap entry, a block, and a
 camera frame's detections share one ready event; ``events_executed``
@@ -119,9 +121,10 @@ class DeliveryGroup(NamedTuple):
     """One BSM handed to several road users at the same instant: the
     fields its deliveries share, held once.
 
-    ``receivers`` (shared with the send's plan) and ``truth_index`` are
-    user indices. ``duplicates`` holds one flag per receiver, or is None
-    when no receiver already had the BSM."""
+    ``receivers`` (the send's plan's tuple, unless a broker drop cut
+    it) and ``truth_index`` are user indices. ``duplicates`` holds one
+    flag per receiver, or is None when no receiver already had the
+    BSM."""
 
     receivers: tuple[int, ...]
     subject: str
@@ -368,6 +371,13 @@ class RunResult:
 # delivery schedules nothing, so nothing can run between them either.
 # The loop closes every block when the handler returns.
 #
+# Drops. A publish that dropped some subscribers casts each group of its
+# plan cut to the receivers kept, skipping the groups left empty. In
+# ``max_endpoint`` mode the groups' order can then differ from that of
+# their first kept receivers; but that only swaps seqs between entries at
+# distinct instants, which the heap orders by time, and one ``_cast``'s
+# seqs are consecutive, so the run order is the same.
+#
 # Frames. Every detection of a camera frame becomes available at the same
 # instant, and the frame scheduled them one after another, so one ready
 # event that classifies them in capture order runs them as one event
@@ -423,25 +433,6 @@ class Simulation:
             if tech is not None:
                 by_tech.setdefault(tech, []).append(user)
         cell_users = by_tech.get(LinkTech.CELL_MQTT, [])
-        self._cell_legs_us = {u.id.value: u.half_us for u in cell_users}
-        # A broadcast reaches the other users on its technology over a link
-        # whose half is its faster endpoint's: max(speeds) is always one
-        # endpoint's speed. A gateway relay reaches each user on the
-        # technology after that user's own half.
-        self._direct_plans: list[_Plan] = [()] * len(self.users)
-        self._relays: dict[ActionKind, tuple[LinkTech, _Plan]] = {}
-        for kind, tech in ((ActionKind.TX_DSRC, LinkTech.DSRC),
-                           (ActionKind.TX_CV2X, LinkTech.CV2X)):
-            on_tech = by_tech.get(tech, [])
-            for u in on_tech:
-                self._direct_plans[u.index] = _group_by_time(
-                    (2 * (u.half_us if u.speed_kmh >= p.speed_kmh
-                          else p.half_us), p.index)
-                    for p in on_tech if p is not u
-                )
-            self._relays[kind] = tech, _group_by_time(
-                (u.half_us, u.index) for u in on_tech
-            )
         ids = [u.id.value for u in self.users]
         self._index_of = {user_id: i for i, user_id in enumerate(ids)}
         self._connected_rows = np.array(
@@ -485,6 +476,28 @@ class Simulation:
         for user in cell_users:
             for topic in Topic:
                 self.broker.subscribe(user.id.value, topic)
+
+        # Plans follow those subscriptions' order. A broadcast's link half
+        # is its faster endpoint's (max(speeds) is one endpoint's speed); a
+        # Cell publish pays its publisher's half and each receiver's, the
+        # gateway's side of the broker being free; a gateway relay or
+        # publish pays each receiver's own half.
+        self._plans: list[_Plan] = [()] * len(self.users)
+        self._relays: dict[ActionKind, tuple[LinkTech, _Plan]] = {}
+        for kind, tech in ((ActionKind.TX_DSRC, LinkTech.DSRC),
+                           (ActionKind.TX_CV2X, LinkTech.CV2X),
+                           (ActionKind.PUBLISH_MQTT, LinkTech.CELL_MQTT)):
+            on_tech = by_tech.get(tech, [])
+            for u in on_tech:
+                self._plans[u.index] = _group_by_time(
+                    (u.half_us + p.half_us if tech is LinkTech.CELL_MQTT
+                     else 2 * (u.half_us if u.speed_kmh >= p.speed_kmh
+                               else p.half_us), p.index)
+                    for p in on_tech if p is not u
+                )
+            self._relays[kind] = tech, _group_by_time(
+                (u.half_us, u.index) for u in on_tech
+            )
 
     def _make_user(self, index: int, spec: UserSpec) -> SimUser:
         speed = (
@@ -591,10 +604,11 @@ class Simulation:
             f"x_m={rep_x:.3f} y_m={rep_y:.3f}",
         )
 
+        plan = self._plans[user.index]
         if tech is LinkTech.CELL_MQTT:
-            self._publish(user.id.value, bsm, Topic.CELL, tech, now_us)
+            self._publish(user, plan, bsm, Topic.CELL, tech, now_us)
         else:
-            self._cast(self._direct_plans[user.index], now_us, bsm, tech, tech)
+            self._cast(plan, now_us, bsm, tech, tech)
             if self.gateway is not None and self._in_coverage(user):
                 self._schedule(
                     now_us + user.half_us, self._on_gateway_rx,
@@ -602,30 +616,30 @@ class Simulation:
                 )
         self._schedule(now_us + user.bsm_interval_us, self._on_bsm_tx, user)
 
-    def _publish(
-        self,
-        publisher: str,
-        bsm: Bsm,
-        topic: Topic,
-        uplink: LinkTech,
-        now_us: int,
-    ) -> None:
-        envelope = MqttEnvelope(topic=topic, payload=bsm, published_at_us=now_us)
-        fan_out = self.broker.publish(
-            publisher, envelope, now_us, self._cell_legs_us
+    def _publish(self, publisher: Optional[SimUser], plan: _Plan, bsm: Bsm,
+                 topic: Topic, uplink: LinkTech, now_us: int) -> None:
+        """Publish ``bsm`` on ``topic`` for a road user, or for the gateway
+        when ``publisher`` is None, and cast ``plan`` to the road users
+        the broker kept."""
+        broker = self.broker
+        drops = broker.drop_count
+        kept = broker.publish(
+            ARSU_CLIENT if publisher is None else publisher.id.value,
+            MqttEnvelope(topic=topic, payload=bsm, published_at_us=now_us),
         )
-        recipients = fan_out.recipients
-        times = fan_out.delivered_at_us()
-        # Only the gateway is no road user. It subscribes first, so it leads
-        # the fan-out, and its arrival is scheduled before the road users'.
-        if recipients and recipients[0] == ARSU_CLIENT:
-            self._schedule(times[0], self._on_gateway_rx,
+        # The gateway subscribes only to Cell, which only road users
+        # publish to; it hears a publish after the publisher's half, before
+        # any road user does.
+        if ARSU_CLIENT in kept:
+            self._schedule(now_us + publisher.half_us, self._on_gateway_rx,
                            (bsm, LinkTech.CELL_MQTT, topic))
-            recipients, times = recipients[1:], times[1:]
-        # Fan-out times are absolute: a plan sent at time zero.
-        plan = _group_by_time(
-            zip(times, map(self._index_of.__getitem__, recipients)))
-        self._cast(plan, 0, bsm, uplink, LinkTech.CELL_MQTT, topic)
+        if broker.drop_count != drops:
+            ids, kept_ids = self.metrics.ids, set(kept)
+            plan = tuple(
+                (offset_us, group) for offset_us, receivers in plan
+                if (group := tuple(r for r in receivers if ids[r] in kept_ids))
+            )
+        self._cast(plan, now_us, bsm, uplink, LinkTech.CELL_MQTT, topic)
 
     def _cast(self, plan: _Plan, sent_us: int, bsm: Bsm, uplink: LinkTech,
               downlink: LinkTech, topic: Optional[Topic] = None) -> None:
@@ -665,17 +679,17 @@ class Simulation:
         self, actions: list[RelayAction], uplink: LinkTech, now_us: int
     ) -> None:
         for action in actions:
+            tech, plan = self._relays[action.kind]
             if action.kind is ActionKind.PUBLISH_MQTT:
                 # The gateway publishes a BSM on the topic of the medium
                 # it arrived on, so the delivery's uplink is that medium.
                 self._publish(
-                    ARSU_CLIENT, action.payload, action.topic, uplink, now_us
+                    None, plan, action.payload, action.topic, uplink, now_us
                 )
                 continue
             # A radio relay to every user on ``tech``. The gateway relays a
             # road user's BSM only onto the other media, and the camera's
             # under a synthetic id, so the subject is never on ``tech``.
-            tech, plan = self._relays[action.kind]
             self._cast(plan, now_us, action.payload, uplink, tech)
 
     def _deliver(self, now_us: int, arrivals: list[_Arrival]) -> None:

@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arsusim.broker import ARSU_CLIENT, Broker, TopicOwnershipError
+from arsusim.broker import ARSU_CLIENT, Broker, Delivery, TopicOwnershipError
 from arsusim.messages import MqttEnvelope, Topic
 
 from conftest import bsm_at
-
-
-#: A 1 ms leg for every road-user client the tests use.
-LEGS = {"U3": 1000, "U4": 1000, "U5": 1000}
 
 
 def _cell_envelope(user="U3", now=0):
@@ -25,9 +21,6 @@ def _cell_tech():
 
 def _arsu_envelope(topic=Topic.DSRC, user="U1", now=0):
     return MqttEnvelope(topic, bsm_at(user, now_us=now), now)
-
-
-INTERLEAVED_LEGS = {**LEGS, "U6": 1000}
 
 
 def _interleaved_broker(drop_probability=0.0, rng=None):
@@ -57,10 +50,8 @@ class TestSubscribe:
         broker = Broker()
         assert broker.subscribe("U2", Topic.IPU) is True
         assert broker.subscribe("U2", Topic.IPU) is False
-        deliveries = broker.publish(
-            ARSU_CLIENT, _arsu_envelope(Topic.IPU), 0, {"U2": 0}
-        )
-        assert [d.recipient for d in deliveries] == ["U2"]
+        deliveries = broker.publish(ARSU_CLIENT, _arsu_envelope(Topic.IPU))
+        assert deliveries == ("U2",)
 
     def test_unknown_topic_rejected(self):
         with pytest.raises(ValueError):
@@ -72,108 +63,61 @@ class TestPublish:
         broker = Broker()
         broker.subscribe("U3", Topic.IPU)
         broker.subscribe("U4", Topic.IPU)
-        deliveries = broker.publish(
-            ARSU_CLIENT, _arsu_envelope(Topic.IPU), 0, LEGS
-        )
-        assert [d.recipient for d in deliveries] == ["U3", "U4"]
+        deliveries = broker.publish(ARSU_CLIENT, _arsu_envelope(Topic.IPU))
+        assert deliveries == ("U3", "U4")
         # Subscriptions interleaved across topics: only the topic's own
         # subscribers, in subscription order.
         deliveries = _interleaved_broker().publish(
-            ARSU_CLIENT, _arsu_envelope(Topic.IPU), 0, INTERLEAVED_LEGS
+            ARSU_CLIENT, _arsu_envelope(Topic.IPU)
         )
-        assert [d.recipient for d in deliveries] == ["U3", "U5", "U6"]
+        assert deliveries == ("U3", "U5", "U6")
 
     @pytest.mark.parametrize("seed", range(8))
     def test_drop_draws_follow_subscription_order(self, seed):
         broker = _interleaved_broker(0.5, np.random.default_rng(seed))
-        deliveries = broker.publish(
-            ARSU_CLIENT, _arsu_envelope(Topic.IPU), 0, INTERLEAVED_LEGS
-        )
+        deliveries = broker.publish(ARSU_CLIENT, _arsu_envelope(Topic.IPU))
         draws = np.random.default_rng(seed).random(3)
-        assert [d.recipient for d in deliveries] == [
+        assert list(deliveries) == [
             c for c, x in zip(["U3", "U5", "U6"], draws) if x >= 0.5
         ]
         assert broker.drop_count == sum(1 for x in draws if x < 0.5)
-
-    def test_cell_publish_reaches_arsu_in_one_leg(self):
-        broker = Broker()
-        broker.subscribe(ARSU_CLIENT, Topic.CELL)
-        deliveries = broker.publish(
-            "U3", _cell_envelope(), 10_000, {"U3": 41_659}
-        )
-        assert len(deliveries) == 1
-        d = list(deliveries)[0]
-        assert d.recipient == ARSU_CLIENT
-        assert d.delivered_at_us == 10_000 + 41_659
-
-    def test_user_to_user_pays_two_legs(self):
-        broker = Broker()
-        broker.subscribe(ARSU_CLIENT, Topic.CELL)
-        broker.subscribe("U4", Topic.CELL)
-        deliveries = broker.publish(
-            "U3", _cell_envelope(), 0, {"U3": 41_659, "U4": 41_659}
-        )
-        by_recipient = {d.recipient: d.delivered_at_us for d in deliveries}
-        assert by_recipient[ARSU_CLIENT] == 41_659
-        assert by_recipient["U4"] == 2 * 41_659
-
-    def test_arsu_publish_pays_one_leg_per_user(self):
-        broker = Broker()
-        broker.subscribe("U3", Topic.DSRC)
-        deliveries = broker.publish(
-            ARSU_CLIENT, _arsu_envelope(), 500, {"U3": 41_659}
-        )
-        assert list(deliveries)[0].delivered_at_us == 500 + 41_659
 
     def test_no_self_delivery(self):
         broker = Broker()
         broker.subscribe("U3", Topic.CELL)
         broker.subscribe("U4", Topic.CELL)
-        deliveries = broker.publish("U3", _cell_envelope(), 0, LEGS)
-        assert [d.recipient for d in deliveries] == ["U4"]
+        deliveries = broker.publish("U3", _cell_envelope())
+        assert deliveries == ("U4",)
 
     def test_road_user_cannot_publish_to_gateway_topics(self):
         broker = Broker()
         for topic in (Topic.IPU, Topic.DSRC, Topic.CV2X):
             with pytest.raises(TopicOwnershipError):
-                broker.publish(
-                    "U3", MqttEnvelope(topic, bsm_at("U3"), 0), 0, LEGS
-                )
+                broker.publish("U3", MqttEnvelope(topic, bsm_at("U3"), 0))
 
     def test_gateway_cannot_publish_to_cell(self):
         broker = Broker()
         with pytest.raises(TopicOwnershipError):
-            broker.publish(ARSU_CLIENT, _cell_envelope(), 0, LEGS)
-
-    def test_per_client_leg_delays(self):
-        broker = Broker()
-        broker.subscribe(ARSU_CLIENT, Topic.CELL)
-        broker.subscribe("U4", Topic.CELL)
-        legs = {"U3": 1000, "U4": 7000}
-        deliveries = broker.publish("U3", _cell_envelope(), 0, legs)
-        by_recipient = {d.recipient: d.delivered_at_us for d in deliveries}
-        assert by_recipient[ARSU_CLIENT] == 1000  # publisher leg only
-        assert by_recipient["U4"] == 1000 + 7000
+            broker.publish(ARSU_CLIENT, _cell_envelope())
 
     def test_subscription_snapshot_at_publish(self):
         broker = Broker()
         broker.subscribe("U4", Topic.CELL)
-        deliveries = broker.publish("U3", _cell_envelope(), 0, LEGS)
+        deliveries = broker.publish("U3", _cell_envelope())
         broker.subscribe("U5", Topic.CELL)  # too late for that publish
-        assert [d.recipient for d in deliveries] == ["U4"]
+        assert deliveries == ("U4",)
 
     def test_drop_probability_drops_deterministically(self):
         rng = np.random.default_rng(3)
         broker = Broker(drop_probability=1.0, rng=rng)
         broker.subscribe("U4", Topic.CELL)
-        assert len(broker.publish("U3", _cell_envelope(), 0, LEGS)) == 0
+        assert len(broker.publish("U3", _cell_envelope())) == 0
         assert broker.drop_count == 1
 
 
-def _reference_publish(subscribers, publisher, now, legs, p, rng):
+def _reference_publish(subscribers, publisher, p, rng):
     """One publish worked out one subscriber at a time, with one scalar
-    drop draw each: (recipient, delivery time) pairs and the drops."""
-    uplink = 0 if publisher == ARSU_CLIENT else legs[publisher]
+    drop draw each: the recipients kept and the drops."""
     kept, drops = [], 0
     for client in subscribers:
         if client == publisher:
@@ -181,8 +125,7 @@ def _reference_publish(subscribers, publisher, now, legs, p, rng):
         if p > 0.0 and rng.random() < p:
             drops += 1
             continue
-        downlink = 0 if client == ARSU_CLIENT else legs[client]
-        kept.append((client, now + uplink + downlink))
+        kept.append(client)
     return kept, drops
 
 
@@ -193,11 +136,10 @@ _ROAD_USERS = [f"U{i}" for i in range(8)]
 @given(data=st.data())
 def test_batched_draws_match_scalar_reference(data):
     """Drop draws taken in one batch per publish give the recipients,
-    times, drop count and rng stream of one scalar draw per subscriber."""
+    drop count, log and rng stream of one scalar draw per subscriber."""
     topic = data.draw(st.sampled_from(list(Topic)))
     clients = data.draw(st.permutations(_ROAD_USERS + [ARSU_CLIENT]))
     subscribers = clients[:data.draw(st.integers(0, len(clients)))]
-    legs = {u: data.draw(st.integers(0, 200_000)) for u in _ROAD_USERS}
     p = data.draw(st.one_of(
         st.sampled_from([0.0, 1.0]),
         st.floats(0.0, 1.0, allow_nan=False),
@@ -217,23 +159,16 @@ def test_batched_draws_match_scalar_reference(data):
             publisher = ARSU_CLIENT
         now = data.draw(st.integers(0, 10**9))
         envelope = MqttEnvelope(topic, bsm_at("U0", now_us=now), now)
-        fan_out = broker.publish(publisher, envelope, now, legs)
+        recipients = broker.publish(publisher, envelope)
         kept, drops = _reference_publish(
-            subscribers, publisher, now, legs, p, reference_rng
+            subscribers, publisher, p, reference_rng
         )
         reference_drops += drops
-        assert list(fan_out.recipients) == [c for c, _ in kept]
-        assert fan_out.delivered_at_us() == [t for _, t in kept]
-        assert len(fan_out) == len(kept)
-        deliveries = list(fan_out)
-        assert [(d.recipient, d.delivered_at_us) for d in deliveries] == kept
-        assert all(
-            (d.envelope, d.publisher, d.published_at_us)
-            == (envelope, publisher, now)
-            for d in deliveries
-        )
+        assert recipients == tuple(kept)
         assert broker.drop_count == reference_drops
-        logged += deliveries
+        logged += [
+            Delivery(envelope, publisher, recipient, now) for recipient in kept
+        ]
     assert list(broker.delivery_log) == logged
     assert len(broker.delivery_log) == len(logged)
     assert rng.random() == reference_rng.random()

@@ -166,6 +166,22 @@ users:
         with pytest.raises(ConfigError, match="'U1' can reach latitude"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("origin_lat, user", [
+        # 90° of longitude at 89.99999° is 1.75 m.
+        (89.99999, "{kind: non_connected, id: U1, x_m: 100}"),
+        (-89.99999, "{kind: native_dsrc, id: U1, x_m: -100}"),
+        # 90° of longitude at 89.999° is 175 m: a user 100 m east that
+        # travels 100 km/h for 10 s (278 m) can reach past it.
+        (89.999, "{kind: native_dsrc, id: U1, x_m: 100, y_m: -400, "
+                 "speed_kmh: 100}"),
+    ], ids=["start-east", "start-west", "travel"])
+    def test_user_reaching_past_a_quarter_turn_east(self, origin_lat, user):
+        doc = (f"duration_ms: 10000\norigin: {{lat: {origin_lat}}}\n"
+               f"users:\n  - {user}\n")
+        with pytest.raises(ConfigError,
+                           match="'U1' can reach .* past 90° of longitude"):
+            parse_scenario(doc)
+
     @pytest.mark.parametrize("origin_lat", [90, -90.0])
     def test_origin_on_a_pole(self, origin_lat):
         doc = (f"duration_ms: 1000\norigin: {{lat: {origin_lat}}}\n"

@@ -198,6 +198,18 @@ class TestCli:
         assert not out.exists()
         assert capsys.readouterr().err.count("past a pole") == 2
 
+    def test_user_past_a_quarter_turn_east_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("duration_ms: 2000\nscenario_speed_kmh: 0\n"
+                       "origin: {lat: 89.99999, lon: 0}\n"
+                       "users:\n  - {kind: native_dsrc, id: U1}\n"
+                       "  - {kind: non_connected, id: P1, x_m: 100}\n")
+        out = tmp_path / "out"
+        assert main(["validate-config", str(bad)]) == 2
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("past 90° of longitude") == 2
+
     def test_origin_on_a_pole_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("duration_ms: 1000\norigin: {lat: 90, lon: 0}\n"

@@ -231,6 +231,25 @@ users:
         # frame at 1000 ms becomes available at 1300 ms
         assert any(r[0] == "1300.000" for r in ready)
 
+    def test_pedestrian_near_a_pole_is_confirmed(self):
+        """100 m east of an origin 111 m from the north pole, well short of
+        90° of longitude (175 m there), the pedestrian keeps its own
+        meridian: it is confirmed, and every pair is heard, as at the
+        equator. At 89.99999° the same scenario is a config error."""
+        doc = """
+duration_ms: 2000
+seed: 3
+origin: {lat: 89.999, lon: 0}
+users:
+  - {kind: native_dsrc, id: U1, gnss_error_std_m: 0}
+  - {kind: native_cv2x, id: U2, y_m: -20, gnss_error_std_m: 0}
+  - {kind: non_connected, id: P1, x_m: 100}
+ipu: {noise_std_m: 0}
+"""
+        result = run(scenario(doc))
+        assert result.gateway.confirmed_tracks == 1
+        assert result.final_coverage == 1.0
+
     def test_out_of_coverage_not_detected(self):
         doc = """
 duration_ms: 250
@@ -384,7 +403,8 @@ users:
         """Every non-camera delivery of a random ``max_endpoint`` scenario
         takes the delay worked out from the model and the endpoint
         speeds: twice the half at the faster speed on a direct link,
-        the sender's half plus the receiver's half otherwise."""
+        the sender's half plus the receiver's half otherwise. With broker
+        drops, a publish's plan is cut to the receivers kept."""
         speeds = st.integers(0, 1200).map(lambda tenths: tenths / 10)
         kinds = st.sampled_from([k.value for k in RoadUserKind])
         users = [
@@ -403,6 +423,8 @@ users:
             "scenario_speed_kmh": data.draw(speeds),
             "link_speed_mode": "max_endpoint",
             "seed": data.draw(st.integers(0, 2**16)),
+            "mqtt": {"drop_probability": data.draw(
+                st.sampled_from([0.0, 0.3, 1.0]))},
             "users": users,
         }))
         result = run(cfg)
@@ -461,6 +483,19 @@ class TestBrokerContract:
             assert len(publishes) == 40, (
                 f"{client} published {len(publishes)} times in 40 intervals"
             )
+
+    def test_all_dropped_gateway_hears_no_cell_publish(self):
+        result = run(scenario(
+            MIXED_TABLE1 + "mqtt: {drop_probability: 1.0}\n"))
+        paths = {(d.uplink, d.downlink) for d in result.metrics.deliveries}
+        assert (LinkTech.DSRC, LinkTech.CV2X) in paths
+        assert (LinkTech.CELL_MQTT, LinkTech.DSRC) not in paths
+        assert (LinkTech.CELL_MQTT, LinkTech.CV2X) not in paths
+        # No MqttDelivery row at all: neither the A-RSU nor a road user
+        # gets a publish.
+        assert not any(r[1] == "MqttDelivery" for r in result.trace_rows)
+        assert result.broker.drop_count > 0
+        assert len(result.broker.delivery_log) == 0
 
 
 class TestNoRegeneration:
@@ -857,6 +892,95 @@ users:
             (1_000 + halves[2], (2, 4)),
         ]
         assert len(self._blocks(simulation)) == 3
+
+    MQTT_DOC = """
+duration_ms: 1000
+scenario_speed_kmh: 30
+link_speed_mode: {mode}
+seed: 0
+arsu: {{coverage_radius_m: 400}}
+users:
+  - {{kind: nonnative_cell, id: C0, speed_kmh: 30}}
+  - {{kind: native_dsrc, id: D0, x_m: 10}}
+  - {{kind: nonnative_cell, id: C1, x_m: 20, speed_kmh: 10}}
+  - {{kind: nonnative_cell, id: C2, x_m: 30, speed_kmh: 50}}
+"""
+
+    def _mqtt(self, mode="scenario"):
+        """C0, C1 and C2 on Cell (user indices 0, 2 and 3), each at its
+        own speed, with a DSRC user between."""
+        return Simulation(scenario(self.MQTT_DOC.format(mode=mode)))
+
+    def test_cell_publish_reaches_arsu_in_one_leg(self):
+        """The gateway hears a Cell publish after the publisher's half
+        alone: its own side of the broker is free."""
+        simulation = self._mqtt("max_endpoint")
+        c0 = simulation.users[0]
+        simulation._on_bsm_tx(10_000, c0)
+        heard = [
+            (at_us, arg[1:])
+            for at_us, _, handler, arg in self._entries(simulation)
+            if handler == simulation._on_gateway_rx
+        ]
+        assert heard == [
+            (10_000 + c0.half_us, (LinkTech.CELL_MQTT, Topic.CELL))]
+
+    def test_user_to_user_pays_two_legs(self):
+        simulation = self._mqtt()
+        half_us = simulation.users[0].half_us
+        assert simulation._plans[0] == ((2 * half_us, (2, 3)),)
+
+    def test_arsu_publish_pays_one_leg_per_user(self):
+        simulation = self._mqtt()
+        half_us = simulation.users[0].half_us
+        assert simulation._relays[ActionKind.PUBLISH_MQTT] == (
+            LinkTech.CELL_MQTT, ((half_us, (0, 2, 3)),))
+
+    def test_per_client_leg_delays(self):
+        """Each Cell user's half is its own: a road user's publish reaches
+        another after the publisher's half plus the receiver's, a gateway
+        publish after the receiver's alone."""
+        simulation = self._mqtt("max_endpoint")
+        h0, h1, h2 = (simulation.users[i].half_us for i in (0, 2, 3))
+        assert len({h0, h1, h2}) == 3
+        assert simulation._plans[0] == ((h0 + h1, (2,)), (h0 + h2, (3,)))
+        assert simulation._plans[2] == ((h1 + h0, (0,)), (h1 + h2, (3,)))
+        assert simulation._relays[ActionKind.PUBLISH_MQTT] == (
+            LinkTech.CELL_MQTT, ((h0, (0,)), (h1, (2,)), (h2, (3,))))
+
+    @pytest.mark.parametrize("doc", [
+        MQTT_DOC.format(mode="scenario"),
+        MQTT_DOC.format(mode="max_endpoint"),
+        MIXED_TABLE1,
+        DUPLICATES,
+    ], ids=["mqtt-scenario", "mqtt-max_endpoint", "mixed", "duplicates"])
+    def test_mqtt_plans_match_subscriptions(self, doc):
+        """A Cell user's plan reaches the Cell subscribers but itself and
+        the gateway, and the gateway's publish plan the IPU subscribers,
+        each once, every group in subscription order."""
+        simulation = Simulation(scenario(doc))
+        ids = simulation.metrics.ids
+        subscribers = simulation.broker._subscribers
+
+        def reached(plan, order):
+            for _, group in plan:
+                assert list(group) == sorted(
+                    group, key=lambda r: order.index(ids[r]))
+            return sorted((ids[r] for _, group in plan for r in group),
+                          key=order.index)
+
+        cell = list(subscribers[Topic.CELL])
+        cell_users = [
+            u for u in simulation.users
+            if u.spec.kind.tech is LinkTech.CELL_MQTT
+        ]
+        assert cell_users
+        for user in cell_users:
+            assert reached(simulation._plans[user.index], cell) == [
+                c for c in cell if c not in (user.id.value, ARSU_CLIENT)]
+        ipu = list(subscribers[Topic.IPU])
+        _, plan = simulation._relays[ActionKind.PUBLISH_MQTT]
+        assert reached(plan, ipu) == ipu
 
     def test_mixed_times_group_in_first_seen_order(self):
         assert _group_by_time(
