@@ -12,6 +12,13 @@ confirmed non-connected tracks, in two layouts:
   gives. The gate is 4 m, so the BSMs 5 m away lie outside it and the
   timed detection refreshes the track in the middle of the line.
 
+``test_on_rx`` times one ``Gateway.on_rx`` of a fresh BSM with N BSMs in
+the history and N pending tracks on the square, for N in 100 and 1000.
+BSMs arrive one window / N apart, so each timed arrival prunes the
+oldest, appends itself and checks the pending tracks near it, each
+7.1 m away, outside the gate. Each carries its own id, so none is
+suppressed as a duplicate.
+
 Run from the root of a checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-enable --benchmark-only -q
@@ -19,6 +26,7 @@ Run from the root of a checkout:
 The test suite runs each body once, with timing off.
 """
 
+import itertools
 import math
 
 import pytest
@@ -98,3 +106,36 @@ def test_on_detection(benchmark, n):
 def test_on_detection_line(benchmark, n):
     gw = loaded_gateway(line(n), (SPACING_M / 2, 0.0), sigma_m=4.0)
     time_refresh(benchmark, gw, line(n))
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_on_rx(benchmark, n):
+    config = FilterConfig()
+    gw = Gateway(config)
+    step_us = config.window_us // n
+    half = SPACING_M / 2
+    points = grid(n)
+    for x, y in points:
+        gw.on_detection(detection(x, y, 0), PROCESSING_US)
+
+    def arrival(i, x_m, y_m):
+        """The i-th BSM to arrive, at (x_m, y_m), as on_rx arguments."""
+        at = PROCESSING_US + i * step_us
+        bsm = make_bsm(
+            RoadUserId(f"U{i}"), FRAME.position_at(x_m, y_m),
+            0.0, 0.0, PositionAccuracy(1.0), LinkTech.DSRC, at,
+        )
+        return (bsm, LinkTech.DSRC, at), {}
+
+    for i, (x, y) in enumerate(points):
+        args, _ = arrival(i, x + half, y + half)
+        gw.on_rx(*args)
+    assert len(gw.history) == n and gw.pending_tracks == n
+    x, y = points[n // 2]
+    arrivals = itertools.count(n)
+    actions = benchmark.pedantic(
+        gw.on_rx, rounds=1000,
+        setup=lambda: arrival(next(arrivals), x + half, y + half),
+    )
+    assert [a.label() for a in actions] == ["TxCv2x", "PublishMqtt(DSRC)"]
+    assert len(gw.history) == n + 1 and gw.pending_tracks == n

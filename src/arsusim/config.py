@@ -258,7 +258,7 @@ def _check_pole_reach(config: ScenarioConfig) -> None:
                 raise ConfigError(
                     f"user {user.user_id!r} can reach latitude {lat:.6f}, "
                     f"past a pole: y_m {user.y_m:g} ± {travel_m:g} m of "
-                    f"travel from origin.lat {origin_lat:g}"
+                    f"travel from origin.lat {origin_lat}"
                 )
         reach_m = abs(user.x_m) + travel_m
         if reach_m > quarter_m:

@@ -14,7 +14,7 @@ Three responsibilities, all driven by a strictly sequential event feed:
   generates messages on behalf of connected users.
 
 Every match is "nearest within ``sigma_m`` by :func:`horizontal_distance_m`".
-The history and the pending and confirmed tracks are each indexed in one
+The history and the pending and confirmed tracks are each indexed in a
 grid of degrees, and a lookup measures only the few entries the grid
 cannot rule out. Rows are latitude bands ``h = sigma_m * (1 + 1e-6) /
 METERS_PER_DEG + 1e-12`` degrees tall; columns are longitude cells at
@@ -42,8 +42,15 @@ the antimeridian:
 
 The row height, ``phi_far`` and the reach carry a 1e-6 relative and a
 1e-12 degree absolute margin, far more than float rounding in the bounds
-(a few 1e-16 relative, about 1e-14 degrees absolute). Ties keep the order
-a full scan in insertion order would give.
+(a few 1e-16 relative, about 1e-14 degrees absolute).
+
+One index class, :class:`_Index`, holds all three stores: the history
+keyed by arrival count, the tracks by track id. It owns each key's cell
+and first-put sequence, and its items share one shape, ``(position,
+recency_us, sequence, value)``, so one nearest search, keyed ``(distance,
+-recency_us, sequence)``, serves all three in the order a full scan in
+insertion order would give. The history also keeps its arrivals in a
+deque for pruning: a dict used as a FIFO scans past its deleted slots.
 """
 
 from __future__ import annotations
@@ -220,31 +227,59 @@ class _GridShape:
         return _Reach(row, lon, 180.0, (range(n),), n)
 
 
-class _Grid:
-    """Keyed items bucketed by the grid cell of their position, each held
-    with its longitude. Within a cell, items keep insertion order."""
+class _Index:
+    """Keyed items in the grid cell of their position, each item
+    ``(position, recency_us, sequence, value)``. The sequence numbers
+    keys in the order they were first put; a key keeps it when it moves.
+    Iteration gives the held keys in that order."""
 
-    def __init__(self):
-        self._rows: dict[int, dict[int, dict[int, tuple[float, object]]]] = {}
+    def __init__(self, shape: _GridShape):
+        self._shape = shape
+        #: row -> column -> key -> (longitude, item)
+        self._rows: dict[int, dict[int, dict[int, tuple[float, tuple]]]] = {}
+        #: key -> (cell, sequence, the cell's dict of items)
+        self._held: dict[int, tuple[tuple[int, int], int, dict]] = {}
+        self._puts = 0
 
-    def add(self, key: int, cell: tuple[int, int], lon_deg: float,
-            item: object) -> None:
-        row, column = cell
-        self._rows.setdefault(row, {}).setdefault(column, {})[key] = (
-            lon_deg, item
-        )
+    def put(
+        self, key: int, position: Position, recency_us: int, value: object
+    ) -> None:
+        """Add ``key``, or move it if it is held."""
+        cell = self._shape.cell(position)
+        held = self._held.get(key)
+        if held is not None and held[0] == cell:
+            _, sequence, items = held
+        else:
+            if held is None:
+                sequence = self._puts
+                self._puts += 1
+            else:
+                sequence = held[1]
+                self._leave(key, held)
+            row, column = cell
+            items = self._rows.setdefault(row, {}).setdefault(column, {})
+            self._held[key] = (cell, sequence, items)
+        items[key] = (position.lon_deg, (position, recency_us, sequence, value))
 
-    def remove(self, key: int, cell: tuple[int, int]) -> None:
-        row, column = cell
-        columns = self._rows[row]
-        items = columns[column]
-        del items[key]
+    def pop(self, key: int) -> Optional[object]:
+        """Remove ``key``; returns its value, or None if it is not held."""
+        held = self._held.pop(key, None)
+        if held is None:
+            return None
+        return self._leave(key, held)[3]
+
+    def _leave(self, key: int, held: tuple) -> tuple:
+        """Take ``key``'s item out of its cell; returns the item."""
+        (row, column), _, items = held
+        _, item = items.pop(key)
         if not items:
+            columns = self._rows[row]
             del columns[column]
             if not columns:
                 del self._rows[row]
+        return item
 
-    def near(self, reach: _Reach) -> list:
+    def near(self, reach: _Reach) -> list[tuple]:
         """Items in the reach's three rows and columns whose longitude
         lies within its reach: every item within ``sigma_m``, and a few
         more. A row with no more occupied cells than the reach has
@@ -269,43 +304,37 @@ class _Grid:
                         found.append(item)
         return found
 
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._held)
 
-class HistoryStore:
-    """Timestamped BSMs received over the last ``window_us``."""
+    def __len__(self) -> int:
+        return len(self._held)
+
+
+class HistoryStore(_Index):
+    """BSMs received over the last ``window_us``, keyed by arrival count,
+    each item ``(bsm.position, received_at_us, sequence, bsm)``.
+    Iteration gives ``(bsm, received_at_us)``, oldest first."""
 
     def __init__(self, window_us: int, shape: _GridShape):
+        super().__init__(shape)
         self.window_us = window_us
-        #: (bsm, received_at_us, sequence, cell), oldest first.
-        self._entries: deque[tuple[Bsm, int, int, tuple[int, int]]] = deque()
-        self._shape = shape
-        self._index = _Grid()
-        self._appended = 0
+        #: (bsm, received_at_us, key), oldest first: the pruning order.
+        self._arrivals: deque[tuple[Bsm, int, int]] = deque()
 
     def append(self, bsm: Bsm, received_at_us: int) -> None:
-        position = bsm.position
-        entry = (
-            bsm, received_at_us, self._appended, self._shape.cell(position)
-        )
-        self._appended += 1
-        self._entries.append(entry)
-        self._index.add(entry[2], entry[3], position.lon_deg, entry)
+        key = self._puts  # the arrival count
+        self.put(key, bsm.position, received_at_us, bsm)
+        self._arrivals.append((bsm, received_at_us, key))
 
     def prune(self, now_us: int) -> None:
         cutoff = now_us - self.window_us
-        while self._entries and self._entries[0][1] < cutoff:
-            _, _, sequence, cell = self._entries.popleft()
-            self._index.remove(sequence, cell)
-
-    def near(self, reach: _Reach) -> list[tuple[Bsm, int, int, tuple]]:
-        """Entries that may lie within ``sigma_m`` of the reach's
-        position."""
-        return self._index.near(reach)
+        arrivals = self._arrivals
+        while arrivals and arrivals[0][1] < cutoff:
+            self.pop(arrivals.popleft()[2])
 
     def __iter__(self) -> Iterator[tuple[Bsm, int]]:
-        return ((bsm, received_at) for bsm, received_at, _, _ in self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return ((bsm, received_at) for bsm, received_at, _ in self._arrivals)
 
 
 #: How long a relayed (id, generated_at) key suppresses its echoes.
@@ -317,18 +346,13 @@ class SeenSet:
 
     def __init__(self):
         self._seen: dict[tuple[str, int], int] = {}
+        #: Keys in the order first seen; each is in ``_seen``.
         self._order: deque[tuple[str, int]] = deque()
 
     def _prune(self, now_us: int) -> None:
         cutoff = now_us - _SEEN_RETENTION_US
-        while self._order:
-            key = self._order[0]
-            seen_at = self._seen.get(key)
-            if seen_at is not None and seen_at >= cutoff:
-                break
-            self._order.popleft()
-            if seen_at is not None and seen_at < cutoff:
-                del self._seen[key]
+        while self._order and self._seen[self._order[0]] < cutoff:
+            del self._seen[self._order.popleft()]
 
     def check_and_add(self, bsm: Bsm, now_us: int) -> bool:
         """True if this logical BSM was already seen (and refresh it)."""
@@ -347,66 +371,15 @@ class SeenSet:
 @dataclass
 class DetectionTrack:
     track_id: int
-    deadline_us: int
     latest: Detection
     synthetic_id: Optional[RoadUserId] = None
 
 
-class _TrackSet:
-    """Detection tracks by id, indexed by the grid cell of their latest
-    estimate.
-
-    Ties in a nearest-track search go to the track added to this set
-    first, as a scan of a dict in insertion order would.
-    """
-
-    def __init__(self, shape: _GridShape):
-        self._shape = shape
-        self._index = _Grid()
-        #: track id -> (track, sequence, cell)
-        self._entries: dict[int, tuple[DetectionTrack, int, tuple]] = {}
-        self._added = 0
-
-    def add(self, track: DetectionTrack) -> None:
-        estimate = track.latest.estimate
-        entry = (track, self._added, self._shape.cell(estimate))
-        self._added += 1
-        self._entries[track.track_id] = entry
-        self._index.add(track.track_id, entry[2], estimate.lon_deg, entry)
-
-    def pop(self, track_id: int) -> Optional[DetectionTrack]:
-        entry = self._entries.pop(track_id, None)
-        if entry is None:
-            return None
-        self._index.remove(track_id, entry[2])
-        return entry[0]
-
-    def move(self, track: DetectionTrack, det: Detection) -> None:
-        """Make ``det`` the track's latest detection. A held track's
-        ``latest`` changes only here, so its cell and longitude stay
-        current."""
-        track.latest = det
-        cell = self._shape.cell(det.estimate)
-        entry = self._entries[track.track_id]
-        if cell != entry[2]:
-            self._index.remove(track.track_id, entry[2])
-            entry = (track, entry[1], cell)
-            self._entries[track.track_id] = entry
-        self._index.add(track.track_id, cell, det.estimate.lon_deg, entry)
-
-    def near(
-        self, reach: _Reach
-    ) -> list[tuple[DetectionTrack, int, tuple[int, int]]]:
-        """Entries that may lie within ``sigma_m`` of the reach's
-        position."""
-        return self._index.near(reach)
-
-    def __iter__(self) -> Iterator[int]:
-        """Track ids in the order they were added."""
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
+def _hold(index: _Index, track: DetectionTrack, det: Detection) -> None:
+    """Make ``det`` the track's latest detection and put the track in
+    ``index`` there; only here, so its place in the index stays current."""
+    track.latest = det
+    index.put(track.track_id, det.estimate, det.available_at_us, track)
 
 
 class DecisionRecord(NamedTuple):
@@ -433,8 +406,8 @@ class Gateway:
         self._shape = _GridShape(config.sigma_m)
         self.history = HistoryStore(config.window_us, self._shape)
         self._seen = SeenSet()
-        self._pending = _TrackSet(self._shape)
-        self._confirmed = _TrackSet(self._shape)
+        self._pending = _Index(self._shape)
+        self._confirmed = _Index(self._shape)
         self._next_track_id = 1
         self._next_synthetic = 1
         self._connected_ids = connected_ids or frozenset()
@@ -476,9 +449,9 @@ class Gateway:
             return
         resolved = sorted(
             track.track_id
-            for track, _, _ in self._pending.near(
+            for position, _, _, track in self._pending.near(
                 self._shape.reach(bsm.position))
-            if horizontal_distance_m(track.latest.estimate, bsm.position)
+            if horizontal_distance_m(position, bsm.position)
             < self.config.sigma_m
         )
         for tid in resolved:
@@ -502,17 +475,17 @@ class Gateway:
         self.history.prune(now_us)
 
         reach = self._shape.reach(det.estimate)
-        match = self._nearest_history(det, reach)
-        if match is not None:
+        bsm = self._nearest(det, self.history, reach)
+        if bsm is not None:
             self._record(
                 now_us, "detection", _truth_label(det), "Connected",
-                f"matched={match.value}",
+                f"matched={bsm.id.value}",
             )
-            return DetectionOutcome(FilterStatus.CONNECTED, matched_id=match)
+            return DetectionOutcome(FilterStatus.CONNECTED, matched_id=bsm.id)
 
-        track = self._nearest_track(det, self._confirmed, reach)
+        track = self._nearest(det, self._confirmed, reach)
         if track is not None:
-            self._confirmed.move(track, det)
+            _hold(self._confirmed, track, det)
             actions = self._generation_actions(track)
             self._record(
                 now_us, "detection", _truth_label(det), "NonConnected",
@@ -525,9 +498,9 @@ class Gateway:
                 actions=actions,
             )
 
-        track = self._nearest_track(det, self._pending, reach)
+        track = self._nearest(det, self._pending, reach)
         if track is not None:
-            self._pending.move(track, det)
+            _hold(self._pending, track, det)
             self._record(
                 now_us, "detection", _truth_label(det), "Pending",
                 f"track={track.track_id}",
@@ -536,13 +509,9 @@ class Gateway:
                 FilterStatus.PENDING, track_id=track.track_id
             )
 
-        track = DetectionTrack(
-            track_id=self._next_track_id,
-            deadline_us=now_us + self.config.grace_us,
-            latest=det,
-        )
+        track = DetectionTrack(track_id=self._next_track_id, latest=det)
         self._next_track_id += 1
-        self._pending.add(track)
+        _hold(self._pending, track, det)
         self._record(
             now_us, "detection", _truth_label(det), "Pending",
             f"track={track.track_id} new",
@@ -550,7 +519,7 @@ class Gateway:
         return DetectionOutcome(
             FilterStatus.PENDING,
             track_id=track.track_id,
-            deadline_us=track.deadline_us,
+            deadline_us=now_us + self.config.grace_us,
         )
 
     def on_grace_deadline(
@@ -568,7 +537,7 @@ class Gateway:
             f"{SYNTHETIC_ID_PREFIX}{self._next_synthetic}"
         )
         self._next_synthetic += 1
-        self._confirmed.add(track)
+        _hold(self._confirmed, track, track.latest)
         truth = track.latest.truth_id
         self.synthetic_truth[track.synthetic_id] = truth
         if truth is not None and truth in self._connected_ids:
@@ -590,32 +559,19 @@ class Gateway:
             RelayAction(ActionKind.PUBLISH_MQTT, bsm, Topic.IPU),
         ]
 
-    def _nearest_history(
-        self, det: Detection, reach: _Reach
-    ) -> Optional[RoadUserId]:
+    def _nearest(self, det: Detection, index: _Index,
+                 reach: _Reach) -> Optional[object]:
+        """The value of the item nearest ``det`` within ``sigma_m``. Ties
+        go to the most recent item, then to the first put."""
         best = None
-        for bsm, received_at, sequence, _ in self.history.near(reach):
-            d = horizontal_distance_m(det.estimate, bsm.position)
+        estimate = det.estimate
+        for position, recency_us, sequence, value in index.near(reach):
+            d = horizontal_distance_m(estimate, position)
             if d >= self.config.sigma_m:
                 continue
-            # nearest wins; ties broken by most recent reception, then by
-            # earliest arrival
-            key = (d, -received_at, sequence)
+            key = (d, -recency_us, sequence)
             if best is None or key < best[0]:
-                best = (key, bsm.id)
-        return best[1] if best else None
-
-    def _nearest_track(
-        self, det: Detection, tracks: _TrackSet, reach: _Reach
-    ) -> Optional[DetectionTrack]:
-        best = None
-        for track, sequence, _ in tracks.near(reach):
-            d = horizontal_distance_m(det.estimate, track.latest.estimate)
-            if d >= self.config.sigma_m:
-                continue
-            key = (d, -track.latest.available_at_us, sequence)
-            if best is None or key < best[0]:
-                best = (key, track)
+                best = (key, value)
         return best[1] if best else None
 
     # --- introspection ---

@@ -17,6 +17,7 @@ sample it clamps (with a warning) rather than invent an extrapolation.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -149,6 +150,11 @@ def _check_shape(composed_ms: Sequence[Sequence[float]]) -> None:
     widths = {len(row) for row in composed_ms}
     if widths != {len(SPEEDS_KMH)}:
         raise ValueError(f"expected {len(SPEEDS_KMH)} delay columns per row")
+    for i, row in enumerate(composed_ms):
+        for j, value in enumerate(row):
+            if not math.isfinite(value):
+                raise ValueError(f"row {i + 1} at {SPEEDS_KMH[j]:g} km/h: "
+                                 f"delay {value} is not finite")
 
 
 @dataclass(frozen=True)

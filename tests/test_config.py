@@ -159,12 +159,16 @@ users:
         # 100 km/h for 10 s is 278 m of travel; the user starts 111 m
         # from the north pole.
         (89.999, "{kind: non_connected, id: U1, speed_kmh: 100}"),
-    ], ids=["start-north", "start-south", "travel"])
+        # Printed in full, not rounded to the pole at 90.
+        (89.99999, "{kind: native_cv2x, id: U1, y_m: 20}"),
+    ], ids=["start-north", "start-south", "travel", "next-to-pole"])
     def test_user_reaching_past_a_pole(self, origin_lat, user):
         doc = (f"duration_ms: 10000\norigin: {{lat: {origin_lat}}}\n"
                f"users:\n  - {user}\n")
-        with pytest.raises(ConfigError, match="'U1' can reach latitude"):
+        with pytest.raises(ConfigError, match="'U1' can reach latitude"
+                           ) as excinfo:
             parse_scenario(doc)
+        assert str(excinfo.value).endswith(f"from origin.lat {origin_lat}")
 
     @pytest.mark.parametrize("origin_lat, user", [
         # 90° of longitude at 89.99999° is 1.75 m.

@@ -11,6 +11,7 @@ from arsusim.gateway import (
     Gateway,
     RelayAction,
     SeenSet,
+    _SEEN_RETENTION_US,
 )
 from arsusim.geo import METERS_PER_DEG, horizontal_distance_m
 from arsusim.messages import (
@@ -141,12 +142,55 @@ class TestRelayRules:
             RelayAction(ActionKind.PUBLISH_MQTT, bsm_at("U1"), Topic.CELL)
 
 
+class TestSeenSet:
+    """Retention of relayed keys. The reference filter below uses the
+    same SeenSet, so the differential test cannot catch a change here."""
+
+    RETENTION = _SEEN_RETENTION_US
+
+    def test_duplicate_within_retention(self):
+        seen, bsm = SeenSet(), bsm_at("U1")
+        assert not seen.check_and_add(bsm, 0)
+        assert seen.check_and_add(bsm, self.RETENTION)
+
+    def test_refresh_extends_retention(self):
+        seen, bsm = SeenSet(), bsm_at("U1")
+        assert not seen.check_and_add(bsm, 0)
+        assert seen.check_and_add(bsm, 600_000)
+        assert seen.check_and_add(bsm, 600_000 + self.RETENTION)
+
+    def test_forgotten_after_retention(self):
+        seen, bsm = SeenSet(), bsm_at("U1")
+        assert not seen.check_and_add(bsm, 0)
+        assert not seen.check_and_add(bsm, self.RETENTION + 1)
+        assert len(seen) == 1
+
+    def test_len_falls_once_pruned(self):
+        seen = SeenSet()
+        for i, user in enumerate(["U1", "U2", "U3"]):
+            seen.check_and_add(bsm_at(user), i * 1_000)
+        assert len(seen) == 3
+        # Past U1's and U2's retention, not U3's.
+        seen.check_and_add(bsm_at("U4"), 1_500 + self.RETENTION)
+        assert len(seen) == 2
+        seen.check_and_add(bsm_at("U4"), 10 * self.RETENTION)
+        assert len(seen) == 1
+
+
 class TestHistory:
     def test_entry_inside_window_retained(self):
         gw = Gateway()
         gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), LinkTech.DSRC, 0)
         gw.history.prune(199_000)
         assert len(gw.history) == 1
+
+    def test_entry_at_window_edge_retained(self):
+        gw = Gateway()
+        gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), LinkTech.DSRC, 0)
+        gw.history.prune(200_000)
+        assert len(gw.history) == 1
+        gw.history.prune(200_001)
+        assert len(gw.history) == 0
 
     def test_entry_outside_window_removed(self):
         gw = Gateway()
@@ -736,3 +780,5 @@ def test_indexed_filter_matches_linear_scan(
             assert got == ref.on_grace_deadline(track_id, now)
         assert list(gw._pending) == list(ref.pending)
         assert list(gw._confirmed) == list(ref.confirmed)
+        assert [(bsm.id, at) for bsm, at in gw.history] == [
+            (bsm.id, at) for bsm, at in ref.history]

@@ -8,6 +8,7 @@ against its own output.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -91,6 +92,18 @@ class TestDeriveHalfDelays:
         assert "row 1" in message and "0 km/h" in message
         # residual named in the error: 9.000 - 5.470 = 3.530
         assert "3.530" in message
+
+    # A NaN residual is never above the tolerance, and an infinite camera
+    # cell would otherwise be reported as an inconsistency of row 1-4.
+    @pytest.mark.parametrize("row, value", [
+        (0, math.nan), (4, math.nan), (5, math.inf), (6, -math.inf),
+    ], ids=["nan-row1", "nan-camera", "inf-camera", "minus-inf-camera"])
+    def test_non_finite_cell_rejected(self, row, value):
+        altered = [list(r) for r in PRINTED]
+        altered[row][2] = value
+        with pytest.raises(ValueError, match=(
+                f"^row {row + 1} at 60 km/h: delay .* is not finite$")):
+            LatencyModel.from_composed(altered)
 
 
 class TestHalfDelay:
@@ -324,4 +337,16 @@ class TestCsv:
         path = tmp_path / "short.csv"
         path.write_text("\n".join(",".join(r) for r in rows) + "\n")
         with pytest.raises(ValueError, match="row 3 must be labeled"):
+            load_composed_csv(path)
+
+    @pytest.mark.parametrize("row, text", [
+        (1, "nan"), (5, "NaN"), (6, "inf"), (7, "-inf"),
+    ])
+    def test_non_finite_cell_rejected(self, tmp_path, row, text):
+        rows = list(composed_csv_rows(DEFAULT_COMPOSED_DELAYS_MS))
+        rows[row][2] = text
+        path = tmp_path / "non_finite.csv"
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        with pytest.raises(ValueError,
+                           match=f"^row {row} at 0 km/h: .* not finite$"):
             load_composed_csv(path)

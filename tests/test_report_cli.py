@@ -309,6 +309,34 @@ class TestCli:
         assert main(["table4", "--latency-csv", str(bad)]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @staticmethod
+    def _csv_with_nan(tmp_path, row):
+        """The default delay table as CSV, with NaN in data row ``row``
+        at 0 km/h."""
+        rows = list(composed_csv_rows(
+            LatencyModel.default().composed_matrix()))
+        rows[row][2] = "nan"
+        path = tmp_path / "nan.csv"
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        return path
+
+    def test_table4_csv_with_nan_exits_two(self, tmp_path, capsys):
+        path = self._csv_with_nan(tmp_path, 1)  # DSRC,CV2X
+        assert main(["table4", "--latency-csv", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: row 1 at 0 km/h" in err
+
+    def test_run_with_nan_latency_csv_exits_two(self, tmp_path, capsys):
+        path = self._csv_with_nan(tmp_path, 5)  # Cam,DSRC
+        config = tmp_path / "scenario.yaml"
+        config.write_text(f"latency_csv: {path}\n" + RUN_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error:" in err and "row 5 at 0 km/h" in err
+        assert "Traceback" not in err
+
     def test_matrix_prints_ten_rows(self, capsys):
         assert main(["matrix"]) == 0
         out = capsys.readouterr().out
