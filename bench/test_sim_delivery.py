@@ -1,5 +1,5 @@
-"""Microbenchmark of delivery: a radio-only run, reads of its log, and a
-run of the four-kind mix.
+"""Microbenchmark of delivery: a radio-only run, reads of its log, a
+run of the four-kind mix, and a camera-crowd run.
 
 Times one 0.5 s run of 20 DSRC and 20 C-V2X cars in gateway coverage
 (direct broadcasts and the gateway's cross-technology relays: delivery
@@ -11,8 +11,12 @@ of gateway coverage (the scenario of the users x seconds ladder), in
 each link-speed mode. In ``max_endpoint`` mode about half of each
 connected kind runs at 50 km/h, so a radio send or relay reaches its
 receivers at two times, one per link half; in ``scenario`` mode they all
-run at 30 km/h, and every send reaches its receivers at one time. Run
-from the root of a checkout:
+run at 30 km/h, and every send reaches its receivers at one time. The camera-crowd run is
+1 s of 150 pedestrians on a 10 m grid around the gateway, with 3 DSRC,
+3 C-V2X and 2 Cell users out of their way: from 200 ms on, every camera
+frame refreshes most pedestrians' tracks, and the frame's generated BSMs
+reach each plan group as one arrival, recorded once. Run from the root
+of a checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-enable --benchmark-only -q
 
@@ -20,6 +24,7 @@ The test suite runs each body once, with timing off.
 """
 
 import pytest
+import yaml
 
 from arsusim.config import parse_scenario
 from arsusim.sim import run
@@ -83,3 +88,35 @@ def test_run_mix_100_users(benchmark, mode, fast_kmh):
     cfg = parse_scenario(MIX_100.format(mode=mode, fast_kmh=fast_kmh))
     result = benchmark.pedantic(run, (cfg,), rounds=5, warmup_rounds=1)
     assert len(result.metrics.deliveries) > 10_000
+
+
+def _camera_crowd():
+    pedestrians = [
+        {"kind": "non_connected", "id": f"P{i}",
+         "x_m": 10.0 * (i % 15) - 70.0, "y_m": 10.0 * (i // 15) - 45.0,
+         "heading_deg": 24 * i % 360, "speed_kmh": 3 + i % 4}
+        for i in range(150)
+    ]
+    connected = [
+        {"kind": kind, "id": f"{kind}-{i}", "x_m": 30.0 * i - 100.0,
+         "y_m": 120.0, "heading_deg": 90, "speed_kmh": 40}
+        for kind, n in (("native_dsrc", 3), ("native_cv2x", 3),
+                        ("nonnative_cell", 2))
+        for i in range(n)
+    ]
+    return parse_scenario(yaml.safe_dump({
+        "duration_ms": 1000, "scenario_speed_kmh": 40, "seed": 101,
+        "arsu": {"coverage_radius_m": 300},
+        "users": pedestrians + connected,
+    }))
+
+
+def test_run_camera_crowd(benchmark):
+    result = benchmark.pedantic(run, (_camera_crowd(),), rounds=5,
+                                warmup_rounds=1)
+    metrics = result.metrics
+    assert len(metrics.deliveries) == 7_758
+    assert len(metrics.log) < len(metrics.deliveries)
+    # One arrival of one BSM reaches at most 3 users here (one plan
+    # group); merged arrivals hold 11 deliveries a record on average.
+    assert len(metrics.deliveries) > 3 * metrics.records

@@ -10,8 +10,9 @@ Three responsibilities, all driven by a strictly sequential event feed:
   detections wait one grace period for late BSMs before being confirmed
   non-connected;
 * message generation: confirmed non-connected users get gateway-built
-  BSMs under synthetic ids, relayed on every medium. The gateway never
-  generates messages on behalf of connected users.
+  BSMs under synthetic ids, sent to each of ``_GENERATION_TARGETS``; a
+  refresh returns just the BSM, ``DetectionOutcome.generated``. The
+  gateway never generates messages on behalf of connected users.
 
 Every match is "nearest within ``sigma_m`` by :func:`horizontal_distance_m`".
 The history and the pending and confirmed tracks are each indexed in a
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional
 
@@ -122,6 +123,17 @@ _RELAY_TARGETS = {
     ),
 }
 
+#: (kind, topic) of each send of a gateway-generated BSM, in order.
+_GENERATION_TARGETS = (
+    (ActionKind.TX_DSRC, None), (ActionKind.TX_CV2X, None),
+    (ActionKind.PUBLISH_MQTT, Topic.IPU),
+)
+
+
+def _generation_actions(bsm: Bsm) -> list[RelayAction]:
+    """The sends of a gateway-generated BSM, as relay actions."""
+    return [RelayAction(kind, bsm, topic) for kind, topic in _GENERATION_TARGETS]
+
 
 class FilterStatus(Enum):
     CONNECTED = "Connected"
@@ -138,7 +150,14 @@ class DetectionOutcome:
     #: caller is expected to schedule a grace-deadline event.
     deadline_us: Optional[int] = None
     synthetic_id: Optional[RoadUserId] = None
-    actions: list[RelayAction] = field(default_factory=list)
+    #: The BSM a refresh of a confirmed track generated.
+    generated: Optional[Bsm] = None
+
+    @property
+    def actions(self) -> list[RelayAction]:
+        if self.generated is None:
+            return []
+        return _generation_actions(self.generated)
 
 
 @dataclass(frozen=True)
@@ -342,27 +361,28 @@ _SEEN_RETENTION_US = 1_000_000
 
 
 class SeenSet:
-    """(id, generated_at) keys already relayed, with bounded retention."""
+    """(id, generated_at) keys already relayed, each a duplicate until
+    ``_SEEN_RETENTION_US`` after it was last seen. A lookup checks that
+    time, so the prune, in first-seen order, only bounds memory."""
 
     def __init__(self):
         self._seen: dict[tuple[str, int], int] = {}
         #: Keys in the order first seen; each is in ``_seen``.
         self._order: deque[tuple[str, int]] = deque()
 
-    def _prune(self, now_us: int) -> None:
-        cutoff = now_us - _SEEN_RETENTION_US
-        while self._order and self._seen[self._order[0]] < cutoff:
-            del self._seen[self._order.popleft()]
-
     def check_and_add(self, bsm: Bsm, now_us: int) -> bool:
-        """True if this logical BSM was already seen (and refresh it)."""
-        self._prune(now_us)
+        """True if this logical BSM was seen within the retention (and
+        refresh it)."""
+        cutoff = now_us - _SEEN_RETENTION_US
+        seen, order = self._seen, self._order
+        while order and seen[order[0]] < cutoff:
+            del seen[order.popleft()]
         key = (bsm.id.value, bsm.generated_at_us)
-        duplicate = key in self._seen
-        self._seen[key] = now_us
-        if not duplicate:
-            self._order.append(key)
-        return duplicate
+        last_us = seen.get(key)
+        seen[key] = now_us
+        if last_us is None:
+            order.append(key)
+        return last_us is not None and last_us >= cutoff
 
     def __len__(self) -> int:
         return len(self._seen)
@@ -486,7 +506,6 @@ class Gateway:
         track = self._nearest(det, self._confirmed, reach)
         if track is not None:
             _hold(self._confirmed, track, det)
-            actions = self._generation_actions(track)
             self._record(
                 now_us, "detection", _truth_label(det), "NonConnected",
                 f"refresh={track.synthetic_id.value}",
@@ -495,7 +514,7 @@ class Gateway:
                 FilterStatus.NON_CONNECTED,
                 track_id=track.track_id,
                 synthetic_id=track.synthetic_id,
-                actions=actions,
+                generated=self._generate(track),
             )
 
         track = self._nearest(det, self._pending, reach)
@@ -542,22 +561,18 @@ class Gateway:
         self.synthetic_truth[track.synthetic_id] = truth
         if truth is not None and truth in self._connected_ids:
             self._ghosts.append((track.synthetic_id, truth))
-        actions = self._generation_actions(track)
+        actions = _generation_actions(self._generate(track))
         self._record(
             now_us, "grace_deadline", track.synthetic_id.value,
             "NonConnected", "+".join(a.label() for a in actions),
         )
         return actions
 
-    def _generation_actions(self, track: DetectionTrack) -> list[RelayAction]:
+    def _generate(self, track: DetectionTrack) -> Bsm:
         bsm = make_ipu_bsm(track.synthetic_id, track.latest, self.config.sigma_m)
         # Guard against the generated message echoing back through on_rx.
         self._seen.check_and_add(bsm, track.latest.available_at_us)
-        return [
-            RelayAction(ActionKind.TX_DSRC, bsm),
-            RelayAction(ActionKind.TX_CV2X, bsm),
-            RelayAction(ActionKind.PUBLISH_MQTT, bsm, Topic.IPU),
-        ]
+        return bsm
 
     def _nearest(self, det: Detection, index: _Index,
                  reach: _Reach) -> Optional[object]:

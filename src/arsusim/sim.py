@@ -19,16 +19,18 @@ or Cell publish, and a gateway relay or publish, as ``(offset_us,
 receivers)`` groups, one per distinct arrival time. Only the simulation
 works out arrival times; a publish that dropped some subscribers keeps
 only the receivers the broker kept. A send schedules one arrival per
-group, recorded once, as a ``DeliveryGroup``. The arrivals one handler
-call schedules for one instant share one heap entry, a block, and a
-camera frame's detections share one ready event; ``events_executed``
-still counts one event per receiver and one per detection. A run keeps
-one log, ``Metrics.log``: every trace entry in event order, a formatted
-row or a ``DeliveryGroup``. ``Metrics.deliveries`` and
+group. The arrivals one handler call schedules for one instant share one
+heap entry, a block, and a camera frame's detections share one ready
+event; ``events_executed`` still counts one event per receiver and one
+per detection. A camera frame's generated BSMs join into one arrival
+per plan group (see "Merging"). An arrival is recorded once: as a
+``DeliveryGroup``, or with several BSMs as a ``DeliveryBatch``. A run
+keeps one log, ``Metrics.log``: every trace entry in event order, a
+formatted row or a delivery record. ``Metrics.deliveries`` and
 ``RunResult.trace_rows`` are views of it that support only ``len()``
-and iteration; they expand each group one delivery or row per receiver
-as they are read. ``Metrics.awareness()`` builds the heard pairs from
-the ``last_heard`` matrix when it is called.
+and iteration; they expand each record one delivery or row per
+(subject, receiver) as they are read. ``Metrics.awareness()`` builds
+the heard pairs from the ``last_heard`` matrix when it is called.
 """
 
 from __future__ import annotations
@@ -37,14 +39,16 @@ import heapq
 import math
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
 from .broker import ARSU_CLIENT, Broker
 from .config import ConfigError, ScenarioConfig, UserSpec
-from .gateway import ActionKind, FilterConfig, Gateway, RelayAction
+from .gateway import (_GENERATION_TARGETS, ActionKind, FilterConfig,
+                      Gateway, RelayAction)
 from .geo import LocalFrame
 from .latency import LatencyModel
 from .messages import (
@@ -85,6 +89,13 @@ class SimUser:
     #: or at the user's own speed in ``max_endpoint`` mode. None for
     #: non-connected users.
     half_us: Optional[int] = None
+    #: sin and cos of the heading, worked out once.
+    sin_heading: float = field(init=False)
+    cos_heading: float = field(init=False)
+
+    def __post_init__(self):
+        rad = math.radians(self.spec.heading_deg)
+        self.sin_heading, self.cos_heading = math.sin(rad), math.cos(rad)
 
 
 def step_mobility(user: SimUser, dt_us: int) -> None:
@@ -94,9 +105,8 @@ def step_mobility(user: SimUser, dt_us: int) -> None:
     if dt_us == 0:
         return
     meters = user.speed_kmh / 3.6 * (dt_us / 1_000_000.0)
-    heading_rad = math.radians(user.spec.heading_deg)
-    user.x_m += meters * math.sin(heading_rad)
-    user.y_m += meters * math.cos(heading_rad)
+    user.x_m += meters * user.sin_heading
+    user.y_m += meters * user.cos_heading
     user.updated_at_us += dt_us
 
 
@@ -138,6 +148,36 @@ class DeliveryGroup(NamedTuple):
     duplicates: Optional[tuple[bool, ...]]
 
 
+class DeliveryBatch(NamedTuple):
+    """Several BSMs generated at one instant handed to the same road
+    users at one instant: a ``DeliveryGroup`` per subject, in order,
+    their shared fields held once. ``duplicates`` holds each group's
+    flags, or is None when no receiver already had any of the BSMs."""
+
+    receivers: tuple[int, ...]
+    subjects: tuple[str, ...]
+    truth_indices: tuple[int, ...]
+    uplink: LinkTech
+    downlink: LinkTech
+    generated_at_us: int
+    delivered_at_us: int
+    latency_ms: float
+    topic: Optional[Topic]
+    duplicates: Optional[tuple[Optional[tuple[bool, ...]], ...]]
+
+
+def _by_subject(entry) -> Optional[Iterable[tuple]]:
+    """``(subject, truth index, duplicate flags or None)`` of each BSM of
+    a delivery record, in order; None for any other log entry."""
+    kind = type(entry)
+    if kind is DeliveryGroup:
+        return ((entry.subject, entry.truth_index, entry.duplicates),)
+    if kind is DeliveryBatch:
+        return zip(entry.subjects, entry.truth_indices,
+                   entry.duplicates or repeat(None))
+    return None
+
+
 @dataclass
 class PathStats:
     """Latencies of one path's deliveries; the sum is exact, in µs."""
@@ -164,8 +204,8 @@ class PathStats:
 
 class _LogView:
     """A sized, iterable view of a run's log, expanded one row per
-    receiver of each ``DeliveryGroup``. Its length is kept as a running
-    count; it is read only by iteration."""
+    (subject, receiver) of each delivery record. Its length is kept as
+    a running count; it is read only by iteration."""
 
     def __init__(self, metrics: Metrics):
         self._metrics = metrics
@@ -180,36 +220,37 @@ class Deliveries(_LogView):
 
     def __iter__(self) -> Iterator[DeliveryRecord]:
         ids = self._metrics.ids
-        for group in self._metrics.log:
-            if type(group) is not DeliveryGroup:
+        for entry in self._metrics.log:
+            subjects = _by_subject(entry)
+            if subjects is None:
                 continue
-            shared = (
-                group.subject, ids[group.truth_index], group.uplink,
-                group.downlink, group.generated_at_us, group.delivered_at_us,
-                group.latency_ms,
-            )
-            flags = group.duplicates or (False,) * len(group.receivers)
-            for r, duplicate in zip(group.receivers, flags):
-                yield DeliveryRecord(ids[r], *shared, duplicate, group.topic)
+            # uplink to latency_ms, the same fields in both records
+            receivers, shared = entry.receivers, entry[3:8]
+            for subject, truth_index, duplicates in subjects:
+                flags = duplicates or (False,) * len(receivers)
+                for r, duplicate in zip(receivers, flags):
+                    yield DeliveryRecord(ids[r], subject, ids[truth_index],
+                                         *shared, duplicate, entry.topic)
 
 
 class TraceRows(_LogView):
     """The run's trace, one ``[at_ms, kind, actor, subject, detail]`` row
     per event.
 
-    A group of user deliveries is held as its ``DeliveryGroup`` and
-    formatted only when its rows are read, each string once per group;
-    every other event is held formatted.
+    User deliveries are held as their delivery record and formatted
+    only when their rows are read, each string once per record; every
+    other event is held formatted.
     """
 
     def __len__(self) -> int:
         metrics = self._metrics
-        return len(metrics.log) - metrics.groups + metrics.delivered
+        return len(metrics.log) - metrics.records + metrics.delivered
 
     def __iter__(self) -> Iterator[list[str]]:
         ids = self._metrics.ids
         for entry in self._metrics.log:
-            if type(entry) is not DeliveryGroup:
+            subjects = _by_subject(entry)
+            if subjects is None:
                 yield entry
                 continue
             detail = (
@@ -221,15 +262,15 @@ class TraceRows(_LogView):
                 kind = "MqttDelivery"
                 detail += f" topic={entry.topic.value}"
             at_ms = f"{us_to_ms(entry.delivered_at_us):.3f}"
-            subject = entry.subject
-            if entry.duplicates is None:
-                for r in entry.receivers:
-                    yield [at_ms, kind, ids[r], subject, detail]
-                continue
             duplicate = detail + " duplicate"
-            for r, dup in zip(entry.receivers, entry.duplicates):
-                yield [at_ms, kind, ids[r], subject,
-                       duplicate if dup else detail]
+            for subject, _, flags in subjects:
+                if flags is None:
+                    for r in entry.receivers:
+                        yield [at_ms, kind, ids[r], subject, detail]
+                    continue
+                for r, dup in zip(entry.receivers, flags):
+                    yield [at_ms, kind, ids[r], subject,
+                           duplicate if dup else detail]
 
 
 #: ``last_heard`` of a (receiver, subject) pair never heard.
@@ -238,15 +279,15 @@ NEVER_HEARD = -1
 
 class Metrics:
     """What a run measures, and its log: every trace entry in event
-    order, a formatted row or a ``DeliveryGroup``. ``deliveries`` is a
-    view of the log's groups."""
+    order, a formatted row or a delivery record. ``deliveries`` is a
+    view of the log's records."""
 
     def __init__(self, user_ids: list[str]):
         n = len(user_ids)
         self.ids = user_ids  # user id by index
         self.log: list = []
-        self.groups = 0  # DeliveryGroups in the log
-        self.delivered = 0  # their receivers
+        self.records = 0  # delivery records in the log
+        self.delivered = 0  # their (subject, receiver) pairs
         self.deliveries = Deliveries(self)
         self.path_stats: dict[tuple[LinkTech, LinkTech], PathStats] = {}
         #: last_heard[receiver, truth subject]: µs of the latest delivery,
@@ -258,25 +299,28 @@ class Metrics:
         self.bsm_tx = 0
         self.events_executed = 0
 
-    def record_delivery(
-        self, groups: list[DeliveryGroup], delivered_at_us: int
-    ) -> None:
-        """Record the groups of deliveries made at ``delivered_at_us``."""
-        self.log += groups
-        self.groups += len(groups)
+    def record_delivery(self, records: list, delivered_at_us: int) -> None:
+        """Record the deliveries made at ``delivered_at_us``: a
+        ``DeliveryGroup`` or ``DeliveryBatch`` per arrival."""
+        self.log += records
+        self.records += len(records)
         path_stats = self.path_stats
         receivers = []
         subjects = []
-        for group in groups:
-            n = len(group.receivers)
+        for record in records:
+            width = len(record.receivers)
+            truth = (record.truth_indices if type(record) is DeliveryBatch
+                     else (record.truth_index,))
+            receivers += record.receivers * len(truth)
+            for truth_index in truth:
+                subjects += [truth_index] * width
+            n = width * len(truth)
             self.delivered += n
-            path = (group.uplink, group.downlink)
+            path = (record.uplink, record.downlink)
             stats = path_stats.get(path)
             if stats is None:
                 stats = path_stats[path] = PathStats()
-            stats.add(delivered_at_us - group.generated_at_us, n)
-            receivers += group.receivers
-            subjects += [group.truth_index] * n
+            stats.add(delivered_at_us - record.generated_at_us, n)
         # Events run in time order, so these deliveries are the latest.
         total = len(receivers)
         self.last_heard[
@@ -371,6 +415,17 @@ class RunResult:
 # delivery schedules nothing, so nothing can run between them either.
 # The loop closes every block when the handler returns.
 #
+# Merging. An arrival that would go at the end of its block joins the
+# block's last arrival instead when both have the same receivers tuple
+# (plan group), uplink, downlink and topic and an equal generation time.
+# Only the last arrival is ever extended, so nothing comes between its
+# BSMs, and expanding it BSM by BSM gives the order separate arrivals
+# give. Its deliveries share one latency; its ``DeliveryBatch`` expands
+# to the rows of the ``DeliveryGroup`` each BSM alone would give. So a
+# camera frame's refreshes give one arrival per plan group, unless an
+# event at that instant (a grace deadline) closes the block or two
+# groups share an instant and interleave.
+#
 # Drops. A publish that dropped some subscribers casts each group of its
 # plan cut to the receivers kept, skipping the groups left empty. In
 # ``max_endpoint`` mode the groups' order can then differ from that of
@@ -384,10 +439,10 @@ class RunResult:
 # each would.
 
 class _Arrival(NamedTuple):
-    """A BSM reaching some road users at one instant."""
+    """BSMs generated at one instant reaching some road users at one."""
 
     receivers: tuple[int, ...]  # user indices
-    bsm: Bsm
+    bsms: list[Bsm]
     uplink: LinkTech
     downlink: LinkTech
     topic: Optional[Topic] = None  # the broker topic; None over the air
@@ -434,7 +489,9 @@ class Simulation:
                 by_tech.setdefault(tech, []).append(user)
         cell_users = by_tech.get(LinkTech.CELL_MQTT, [])
         ids = [u.id.value for u in self.users]
-        self._index_of = {user_id: i for i, user_id in enumerate(ids)}
+        #: The user index of each subject id's road user: its own, or the
+        #: detected user of a synthetic id, added when it is confirmed.
+        self._truth_of = {user_id: i for i, user_id in enumerate(ids)}
         self._connected_rows = np.array(
             [u.index for u in self.users if u.spec.kind.is_connected],
             dtype=np.intp,
@@ -643,19 +700,25 @@ class Simulation:
 
     def _cast(self, plan: _Plan, sent_us: int, bsm: Bsm, uplink: LinkTech,
               downlink: LinkTech, topic: Optional[Topic] = None) -> None:
-        """Schedule one ``_Arrival`` of ``bsm`` per group of ``plan``, into
-        the block this handler has open at its instant, or a new one."""
+        """Schedule ``bsm``'s arrival at each group of ``plan``, into the
+        block this handler has open at its instant, or a new one; it
+        joins the block's last arrival if that one is of the same group,
+        links and generation time."""
         blocks = self._blocks
+        generated_at_us = bsm.generated_at_us
         for offset_us, receivers in plan:
             at_us = sent_us + offset_us
-            arrival = _Arrival(receivers, bsm, uplink, downlink, topic)
             block = blocks.get(at_us)
             if block is None:
-                block = [arrival]
+                block = []
                 self._schedule(at_us, self._deliver, block)
                 blocks[at_us] = block
-            else:
-                block.append(arrival)
+            elif ((last := block[-1]).receivers is receivers
+                  and last[2:] == (uplink, downlink, topic)
+                  and last.bsms[0].generated_at_us == generated_at_us):
+                last.bsms.append(bsm)
+                continue
+            block.append(_Arrival(receivers, [bsm], uplink, downlink, topic))
 
     def _on_gateway_rx(
         self, now_us: int, arg: tuple[Bsm, LinkTech, Optional[Topic]]
@@ -678,57 +741,65 @@ class Simulation:
     def _emit_actions(
         self, actions: list[RelayAction], uplink: LinkTech, now_us: int
     ) -> None:
-        for action in actions:
-            tech, plan = self._relays[action.kind]
-            if action.kind is ActionKind.PUBLISH_MQTT:
-                # The gateway publishes a BSM on the topic of the medium
-                # it arrived on, so the delivery's uplink is that medium.
-                self._publish(
-                    None, plan, action.payload, action.topic, uplink, now_us
-                )
-                continue
-            # A radio relay to every user on ``tech``. The gateway relays a
-            # road user's BSM only onto the other media, and the camera's
-            # under a synthetic id, so the subject is never on ``tech``.
-            self._cast(plan, now_us, action.payload, uplink, tech)
+        for kind, payload, topic in actions:
+            self._send(kind, payload, topic, uplink, now_us)
+
+    def _send(self, kind: ActionKind, bsm: Bsm, topic: Optional[Topic],
+              uplink: LinkTech, now_us: int) -> None:
+        """Send a gateway relay or generated BSM through its plan."""
+        tech, plan = self._relays[kind]
+        if kind is ActionKind.PUBLISH_MQTT:
+            # The gateway publishes a BSM on the topic of the medium it
+            # arrived on, so the delivery's uplink is that medium.
+            self._publish(None, plan, bsm, topic, uplink, now_us)
+            return
+        # A radio relay to every user on ``tech``. The gateway relays a
+        # road user's BSM only onto the other media, and the camera's
+        # under a synthetic id, so the subject is never on ``tech``.
+        self._cast(plan, now_us, bsm, uplink, tech)
 
     def _deliver(self, now_us: int, arrivals: list[_Arrival]) -> None:
-        """Hand each arrival's BSM to its receivers, in schedule order: one
-        delivery, and one executed event, per receiver; each arrival is
-        recorded as one group."""
+        """Hand each arrival's BSMs to its receivers, in schedule order:
+        one delivery, and one executed event, per (BSM, receiver); each
+        arrival is recorded as one ``DeliveryGroup`` or, with several
+        BSMs, one ``DeliveryBatch``."""
         metrics = self.metrics
-        synthetic_truth = (
-            self.gateway.synthetic_truth if self.gateway is not None else {}
-        )
-        groups = []
+        truth_of = self._truth_of
+        receivers_of = self._seen.receivers_of
+        records = []
         delivered = 0
         for ev in arrivals:
             receivers = ev.receivers
-            bsm = ev.bsm
-            truth = bsm.id
-            if truth.is_synthetic:
-                truth = synthetic_truth.get(truth) or truth
-            truth_index = self._index_of.get(truth.value)
-            if truth_index is None:
-                raise SimulationInvariantError(f"{truth} is no road user")
-            generated_at_us = bsm.generated_at_us
+            generated_at_us = ev.bsms[0].generated_at_us
             latency_ms = us_to_ms(now_us - generated_at_us)
             if latency_ms < 0:
                 raise SimulationInvariantError("delivery precedes generation")
-            subject = bsm.id.value
-            seen = self._seen.receivers_of((subject, generated_at_us), now_us)
-            duplicates = None
-            if not seen.isdisjoint(receivers):
-                duplicates = tuple(r in seen for r in receivers)
-                metrics.duplicates_suppressed += sum(duplicates)
-            seen.update(receivers)
-            groups.append(DeliveryGroup(
-                receivers, subject, truth_index, ev.uplink, ev.downlink,
-                generated_at_us, now_us, latency_ms, ev.topic, duplicates,
-            ))
-            delivered += len(receivers)
+            rows = []
+            for bsm in ev.bsms:
+                subject = bsm.id.value
+                truth_index = truth_of.get(subject)
+                if truth_index is None:
+                    raise SimulationInvariantError(f"{bsm.id} is no road user")
+                seen = receivers_of((subject, generated_at_us), now_us)
+                duplicates = None
+                if not seen.isdisjoint(receivers):
+                    duplicates = tuple(r in seen for r in receivers)
+                    metrics.duplicates_suppressed += sum(duplicates)
+                seen.update(receivers)
+                rows.append((subject, truth_index, duplicates))
+            shared = (ev.uplink, ev.downlink, generated_at_us, now_us,
+                      latency_ms, ev.topic)
+            if len(rows) == 1:
+                records.append(DeliveryGroup(
+                    receivers, subject, truth_index, *shared, duplicates))
+            else:
+                subjects, truth, flags = zip(*rows)
+                records.append(DeliveryBatch(
+                    receivers, subjects, truth, *shared,
+                    flags if any(flags) else None))
+            delivered += len(receivers) * len(rows)
         metrics.events_executed += delivered - 1
-        metrics.record_delivery(groups, now_us)
+        metrics.record_delivery(records, now_us)
 
     def _on_ipu_frame(self, now_us: int, _: None) -> None:
         in_view = []
@@ -766,7 +837,9 @@ class Simulation:
         self, now_us: int, detections: list[Detection]
     ) -> None:
         """A frame's detections leave the IPU: the gateway classifies each,
-        in capture order; one executed event per detection."""
+        in capture order, and a refresh's generated BSM goes to every
+        target of ``_GENERATION_TARGETS`` through the relay plans; one
+        executed event per detection."""
         self.metrics.events_executed += len(detections) - 1
         on_detection = self.gateway.on_detection
         for detection in detections:
@@ -781,8 +854,10 @@ class Simulation:
             if outcome.deadline_us is not None:
                 self._schedule(outcome.deadline_us, self._on_grace_deadline,
                                outcome.track_id)
-            if outcome.actions:
-                self._emit_actions(outcome.actions, LinkTech.CAMERA, now_us)
+            bsm = outcome.generated
+            if bsm is not None:
+                for kind, topic in _GENERATION_TARGETS:
+                    self._send(kind, bsm, topic, LinkTech.CAMERA, now_us)
 
     def _on_grace_deadline(self, now_us: int, track_id: int) -> None:
         actions = self.gateway.on_grace_deadline(track_id, now_us)
@@ -794,6 +869,10 @@ class Simulation:
             now_us, "GraceDeadline", ARSU_CLIENT, f"track={track_id}",
             f"confirmed NonConnected actions={len(actions)}",
         )
+        synthetic = actions[0].payload.id
+        truth = self.gateway.synthetic_truth[synthetic]
+        if truth is not None:
+            self._truth_of[synthetic.value] = self._truth_of[truth.value]
         self._emit_actions(actions, LinkTech.CAMERA, now_us)
 
     def _on_metrics_tick(self, now_us: int, _: None) -> None:

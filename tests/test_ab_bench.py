@@ -1,0 +1,63 @@
+"""The summary and claim rule of ``tools/ab_bench.py``."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab_bench.py"
+_SPEC = importlib.util.spec_from_file_location("ab_bench", _PATH)
+ab_bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_bench)
+
+PARENT = [0.20, 0.22, 0.19, 0.21, 0.20, 0.23, 0.18, 0.21, 0.20, 0.22]
+
+
+def test_summary_of_a_lower_is_better_metric():
+    change = [v - 0.05 for v in PARENT]
+    change[3] = 0.25  # one pair lost
+    change[5] = PARENT[5]  # one tied
+    summary = ab_bench.summarize(PARENT, change, "lower", "s/s", 0.25)
+    assert summary["parent"] == {
+        "median": 0.205, "q1": 0.2, "q3": 0.2175, "iqr": 0.0175,
+        "runs": PARENT,
+    }
+    assert summary["change"]["median"] == 0.155
+    assert summary["change_better_pairs"] == 8
+    assert summary["tied_pairs"] == 1
+    assert summary["relative_change"] == round((0.155 - 0.205) / 0.205, 4)
+    assert (summary["unit"], summary["better"], summary["bound"]) == (
+        "s/s", "lower", 0.25)
+
+
+def test_higher_is_better_counts_the_other_way():
+    summary = ab_bench.summarize([1.0, 2.0], [1.5, 1.0], "higher", "x", 0.1)
+    assert summary["change_better_pairs"] == 1
+    assert summary["tied_pairs"] == 0
+
+
+def test_unpaired_runs_are_rejected():
+    with pytest.raises(ValueError):
+        ab_bench.summarize([1.0, 2.0], [1.0], "lower", "s", 0.1)
+
+
+@pytest.mark.parametrize("shift, lost, met", [
+    (0.05, 0, True),   # 24% better, 10 of 10 pairs
+    (0.05, 2, False),  # 8 of 10 pairs
+    (0.02, 0, False),  # 10% better: below the 15% gain
+])
+def test_claim_rule(shift, lost, met):
+    change = [v - shift for v in PARENT]
+    for i in range(lost):
+        change[i] = PARENT[i] + 0.01
+    summary = ab_bench.summarize(PARENT, change, "lower", "s/s", 0.25)
+    assert ab_bench.claim_met(summary, 0.15) is met
+
+
+def test_claim_needs_a_gap_wider_than_the_parent_iqr():
+    parent = [1.0, 2.0, 3.0, 4.0]
+    summary = ab_bench.summarize(parent, [v - 0.5 for v in parent],
+                                 "lower", "s", 0.25)
+    assert summary["parent"]["iqr"] == 1.5
+    assert summary["relative_change"] == -0.2
+    assert not ab_bench.claim_met(summary, 0.15)

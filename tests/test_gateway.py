@@ -165,6 +165,17 @@ class TestSeenSet:
         assert not seen.check_and_add(bsm, self.RETENTION + 1)
         assert len(seen) == 1
 
+    def test_expires_behind_a_refreshed_key(self):
+        """U1, refreshed at 500 ms, heads the first-seen order and stops
+        the prune; U2, last seen at 10 us, is past its retention at
+        1,000,020 us all the same."""
+        seen, u1, u2 = SeenSet(), bsm_at("U1"), bsm_at("U2")
+        assert not seen.check_and_add(u1, 0)
+        assert not seen.check_and_add(u2, 10)
+        assert seen.check_and_add(u1, 500_000)
+        assert not seen.check_and_add(u2, 20 + self.RETENTION)
+        assert seen.check_and_add(u2, 30 + self.RETENTION)
+
     def test_len_falls_once_pruned(self):
         seen = SeenSet()
         for i, user in enumerate(["U1", "U2", "U3"]):

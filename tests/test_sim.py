@@ -1,5 +1,6 @@
 import heapq
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from arsusim.broker import ARSU_CLIENT
 from arsusim.config import RoadUserKind, UserSpec, parse_scenario
 from arsusim.gateway import ActionKind, RelayAction
+from arsusim.report import build_report_dict
 from arsusim.messages import (
     LinkTech,
     PositionAccuracy,
@@ -1005,8 +1007,8 @@ users:
             (at_us, simulation._on_grace_deadline),
             (at_us, simulation._deliver),
         ]
-        assert [a.bsm for a in entries[0][3]] == [a1, a2]
-        assert [a.bsm for a in entries[2][3]] == [b]
+        assert [a.bsms for a in entries[0][3]] == [[a1, a2]]
+        assert [a.bsms for a in entries[2][3]] == [[b]]
         # The heap runs them in that order.
         heap = simulation._heap
         while heap:
@@ -1017,6 +1019,55 @@ users:
             ("RadioDelivery", "U2"), ("RadioDelivery", "U3"),
             ("GraceDeadline", "track=7"), ("RadioDelivery", "U4"),
         ]
+
+    @classmethod
+    def _cast_and_deliver(cls, casts):
+        """Run ``_cast`` for each (plan, BSM, generated_at_us) at 1 ms on
+        MIXED_TABLE1, then deliver the one block: (the block's arrivals
+        as BSM subjects, the log's length, the deliveries as (receiver,
+        subject))."""
+        simulation = Simulation(scenario(MIXED_TABLE1))
+        for plan, subject, generated_at_us in casts:
+            bsm = _relay_bsm(simulation, generated_at_us, subject)
+            simulation._cast(plan, 1_000, bsm, LinkTech.DSRC, LinkTech.CV2X)
+        (block,) = [arg for _, _, _, arg in cls._entries(simulation)]
+        subjects = [[b.id.value for b in a.bsms] for a in block]
+        simulation._deliver(9_000, block)
+        metrics = simulation.metrics
+        return subjects, len(metrics.log), [
+            (d.receiver, d.subject) for d in metrics.deliveries]
+
+    def test_cast_of_the_same_group_joins_its_arrival(self):
+        """Two BSMs generated at one instant, cast one after the other
+        through one plan group, make one arrival, recorded once; it
+        expands to the deliveries of two arrivals."""
+        plan = ((8_000, (0, 1)),)
+        subjects, records, deliveries = self._cast_and_deliver(
+            [(plan, "U3", 500), (plan, "U4", 500)])
+        assert subjects == [["U3", "U4"]]
+        assert records == 1
+        assert deliveries == [
+            ("U1", "U3"), ("U2", "U3"), ("U1", "U4"), ("U2", "U4")]
+
+    def test_interleaved_plans_do_not_join(self):
+        """Casts through two groups of one instant alternate, so each BSM
+        only ever follows another group's arrival."""
+        dsrc, cv2x = ((8_000, (0,)),), ((8_000, (1,)),)
+        subjects, records, deliveries = self._cast_and_deliver([
+            (dsrc, "U3", 500), (cv2x, "U3", 500),
+            (dsrc, "U4", 500), (cv2x, "U4", 500),
+        ])
+        assert subjects == [["U3"], ["U3"], ["U4"], ["U4"]]
+        assert records == 4
+        assert deliveries == [
+            ("U1", "U3"), ("U2", "U3"), ("U1", "U4"), ("U2", "U4")]
+
+    def test_other_generation_time_does_not_join(self):
+        plan = ((8_000, (0, 1)),)
+        subjects, records, _ = self._cast_and_deliver(
+            [(plan, "U3", 500), (plan, "U4", 600)])
+        assert subjects == [["U3"], ["U4"]]
+        assert records == 2
 
     FRAME_DOC = """
 duration_ms: 3000
@@ -1057,17 +1108,67 @@ users:
                     return
                 super()._schedule(at_us, handler, arg)
 
-        cfg = scenario(self.FRAME_DOC)
-        batched, apart = Simulation(cfg).run(), EventPerDetection(cfg).run()
-        assert batched.metrics.events_executed == (
-            apart.metrics.events_executed)
+        batched, apart = self._batched_and_apart(self.FRAME_DOC)
         rows = list(batched.trace_rows)
-        assert rows == list(apart.trace_rows)
         ready_rows = [r for r in rows if r[1] == "DetectionReady"]
         assert len(ready_rows) > 13
         assert {r[4].split()[0] for r in ready_rows} == {
             "Connected", "Pending", "NonConnected"}
         assert len(rows) == batched.metrics.events_executed + 1
+
+    @staticmethod
+    def _batched_and_apart(doc):
+        """Runs of ``doc`` as it is and with every detection its own
+        event, checked equal; a frame's generated BSMs then never share
+        an arrival, so every merged arrival is checked against separate
+        ones."""
+
+        class EventPerDetection(Simulation):
+            def _schedule(self, at_us, handler, arg=None):
+                if handler == self._on_detections_ready:
+                    for detection in arg:
+                        super()._schedule(at_us, handler, [detection])
+                    return
+                super()._schedule(at_us, handler, arg)
+
+        cfg = scenario(doc)
+        batched, apart = Simulation(cfg).run(), EventPerDetection(cfg).run()
+        one, other = batched.metrics, apart.metrics
+        assert one.events_executed == other.events_executed
+        assert list(batched.trace_rows) == list(apart.trace_rows)
+        assert build_report_dict(batched) == build_report_dict(apart)
+        assert np.array_equal(one.last_heard, other.last_heard)
+        assert list(one.path_stats.items()) == list(other.path_stats.items())
+        assert one.duplicates_suppressed == other.duplicates_suppressed
+        assert len(one.log) < len(other.log)  # some arrivals merged
+        return batched, apart
+
+    @pytest.mark.parametrize("edit", [
+        # DSRC and C-V2X halves are both 4,611 us: their groups share an
+        # instant and interleave.
+        {"scenario_speed_kmh": 60.95},
+        # The grace deadline falls at the instant of the frame's DSRC and
+        # C-V2X arrivals and closes their block mid-frame.
+        {"scenario_speed_kmh": 60.95, "filter": {"sigma_m": 4,
+                                                 "grace_ms": 4.611}},
+        # A publish that drops subscribers casts new, cut groups.
+        {"mqtt": {"drop_probability": 0.3}},
+        # Each receiver's own half: a relay plan has a group per half.
+        {"link_speed_mode": "max_endpoint", "users": [
+            {"kind": "native_dsrc", "count": 2},
+            {"kind": "native_dsrc", "count": 1, "speed_kmh": 50},
+            {"kind": "native_cv2x", "count": 2, "speed_kmh": 50},
+            {"kind": "native_cv2x", "count": 1},
+            {"kind": "nonnative_cell", "count": 1},
+            {"kind": "nonnative_cell", "count": 1, "speed_kmh": 50},
+            {"kind": "non_connected", "count": 6},
+            {"kind": "non_connected", "id": "P-twin", "x_m": 110, "y_m": 1},
+        ]},
+    ], ids=["equal-halves", "grace-at-arrival", "drops", "max_endpoint"])
+    def test_merged_frame_matches_event_per_detection(self, edit):
+        doc = yaml.safe_load(self.FRAME_DOC)
+        doc.update(edit)
+        self._batched_and_apart(yaml.safe_dump(doc))
 
 
 def _relay_bsm(simulation, generated_at_us, user_id="U1"):
@@ -1085,21 +1186,22 @@ class TestDuplicateWindow:
         old = _relay_bsm(simulation, 0)
         new = _relay_bsm(simulation, horizon_us + 1_000)
         deliver = simulation._deliver
-        deliver(5_000, [_Arrival((1,), old, LinkTech.DSRC, LinkTech.CV2X)])
+        deliver(5_000, [_Arrival((1,), [old], LinkTech.DSRC, LinkTech.CV2X)])
         deliver(horizon_us + 2_000,
-                [_Arrival((1,), new, LinkTech.DSRC, LinkTech.CV2X)])
+                [_Arrival((1,), [new], LinkTech.DSRC, LinkTech.CV2X)])
         assert len(simulation._seen) == 1  # the old key is dropped
         with pytest.raises(SimulationInvariantError, match="window"):
             deliver(horizon_us + 3_000,
-                    [_Arrival((1,), old, LinkTech.DSRC, LinkTech.CV2X)])
+                    [_Arrival((1,), [old], LinkTech.DSRC, LinkTech.CV2X)])
 
     def test_flags_only_the_receivers_that_already_had_the_bsm(self):
         simulation = Simulation(scenario(MIXED_TABLE1))
         bsm = _relay_bsm(simulation, 0)
         simulation._deliver(
-            40_000, [_Arrival((2,), bsm, LinkTech.DSRC, LinkTech.CELL_MQTT)])
+            40_000, [_Arrival((2,), [bsm], LinkTech.DSRC, LinkTech.CELL_MQTT)])
         simulation._deliver(
-            50_000, [_Arrival((3, 2), bsm, LinkTech.DSRC, LinkTech.CELL_MQTT)])
+            50_000,
+            [_Arrival((3, 2), [bsm], LinkTech.DSRC, LinkTech.CELL_MQTT)])
         metrics = simulation.metrics
         assert [(d.receiver, d.duplicate) for d in metrics.deliveries] == [
             ("U3", False), ("U4", False), ("U3", True),
