@@ -9,8 +9,8 @@ can be configured for lossy experiments. A publish is one batch: the
 drop draws for all of the topic's subscribers (the publisher excluded)
 are taken in one ``rng.random(k)`` call, in subscription order, which
 gives the same doubles as ``k`` scalar draws. ``publish`` returns the
-kept recipients as a tuple, in subscription order, from a tuple per
-(topic, publisher) kept until the next new subscription.
+kept recipients as a tuple, in subscription order; a publisher not
+subscribed to its topic gets the topic's cached tuple of subscribers.
 ``Broker.delivery_log`` holds one ``(envelope, publisher, recipients)``
 record per publish that delivered, and expands them into ``Delivery``
 records only when read.
@@ -74,8 +74,8 @@ class Broker:
         self._subscribers: dict[Topic, dict[str, None]] = {
             topic: {} for topic in Topic
         }
-        #: (topic, publisher) -> recipients before drops.
-        self._recipients: dict[tuple[Topic, str], tuple[str, ...]] = {}
+        #: Each topic's subscribers as a tuple, taken at its first publish.
+        self._recipients: dict[Topic, tuple[str, ...]] = {}
         self.delivery_log = DeliveryLog()
         self.publish_count = 0
         self.drop_count = 0
@@ -89,7 +89,7 @@ class Broker:
         if client in subscribers:
             return False
         subscribers[client] = None
-        self._recipients.clear()
+        self._recipients.pop(topic, None)
         return True
 
     def subscriptions_of(self, client: str) -> set[Topic]:
@@ -111,23 +111,24 @@ class Broker:
         itself.
         """
         topic = envelope.topic
-        recipients = self._recipients.get((topic, publisher))
-        if recipients is None:
-            if publisher == ARSU_CLIENT:
-                if topic not in _ARSU_TOPICS:
-                    raise TopicOwnershipError(
-                        f"{publisher} may not publish to topic {topic.value}"
-                    )
-            elif topic is not Topic.CELL:
+        if publisher == ARSU_CLIENT:
+            if topic not in _ARSU_TOPICS:
                 raise TopicOwnershipError(
-                    f"road user {publisher} may only publish to topic "
-                    f"{Topic.CELL.value}, not {topic.value}"
+                    f"{publisher} may not publish to topic {topic.value}"
                 )
-            self._published_topics.setdefault(publisher, set()).add(topic)
-            recipients = self._recipients[topic, publisher] = tuple(
-                c for c in self._subscribers[topic] if c != publisher
+        elif topic is not Topic.CELL:
+            raise TopicOwnershipError(
+                f"road user {publisher} may only publish to topic "
+                f"{Topic.CELL.value}, not {topic.value}"
             )
         self.publish_count += 1
+        self._published_topics.setdefault(publisher, set()).add(topic)
+        subscribers = self._subscribers[topic]
+        recipients = self._recipients.get(topic)
+        if recipients is None:
+            recipients = self._recipients[topic] = tuple(subscribers)
+        if publisher in subscribers:
+            recipients = tuple(c for c in recipients if c != publisher)
         if self.drop_probability > 0.0 and recipients:
             kept = self._rng.random(len(recipients)) >= self.drop_probability
             survivors = tuple(compress(recipients, kept.tolist()))

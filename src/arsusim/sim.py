@@ -224,13 +224,13 @@ class Deliveries(_LogView):
             subjects = _by_subject(entry)
             if subjects is None:
                 continue
-            # uplink to latency_ms, the same fields in both records
-            receivers, shared = entry.receivers, entry[3:8]
+            receivers, topic = entry.receivers, entry.topic
             for subject, truth_index, duplicates in subjects:
+                # entry[3:8]: uplink to latency_ms, in either record
+                shared = (subject, ids[truth_index], *entry[3:8])
                 flags = duplicates or (False,) * len(receivers)
                 for r, duplicate in zip(receivers, flags):
-                    yield DeliveryRecord(ids[r], subject, ids[truth_index],
-                                         *shared, duplicate, entry.topic)
+                    yield DeliveryRecord(ids[r], *shared, duplicate, topic)
 
 
 class TraceRows(_LogView):
@@ -305,27 +305,28 @@ class Metrics:
         self.log += records
         self.records += len(records)
         path_stats = self.path_stats
-        receivers = []
-        subjects = []
+        rows = []  # of last_heard: receivers
+        columns = []  # truth subjects
         for record in records:
-            width = len(record.receivers)
-            truth = (record.truth_indices if type(record) is DeliveryBatch
-                     else (record.truth_index,))
-            receivers += record.receivers * len(truth)
+            # Both kinds of record begin with these fields.
+            receivers, _, truth, uplink, downlink, generated_at_us = record[:6]
+            if type(record) is DeliveryGroup:
+                truth = (truth,)
+            width = len(receivers)
+            rows += receivers * len(truth)
             for truth_index in truth:
-                subjects += [truth_index] * width
+                columns += [truth_index] * width
             n = width * len(truth)
             self.delivered += n
-            path = (record.uplink, record.downlink)
-            stats = path_stats.get(path)
+            stats = path_stats.get((uplink, downlink))
             if stats is None:
-                stats = path_stats[path] = PathStats()
-            stats.add(delivered_at_us - record.generated_at_us, n)
+                stats = path_stats[uplink, downlink] = PathStats()
+            stats.add(delivered_at_us - generated_at_us, n)
         # Events run in time order, so these deliveries are the latest.
-        total = len(receivers)
+        total = len(rows)
         self.last_heard[
-            np.fromiter(receivers, np.intp, total),
-            np.fromiter(subjects, np.intp, total),
+            np.fromiter(rows, np.intp, total),
+            np.fromiter(columns, np.intp, total),
         ] = delivered_at_us
 
     def awareness(self) -> dict[tuple[str, str], int]:
@@ -700,10 +701,9 @@ class Simulation:
 
     def _cast(self, plan: _Plan, sent_us: int, bsm: Bsm, uplink: LinkTech,
               downlink: LinkTech, topic: Optional[Topic] = None) -> None:
-        """Schedule ``bsm``'s arrival at each group of ``plan``, into the
-        block this handler has open at its instant, or a new one; it
-        joins the block's last arrival if that one is of the same group,
-        links and generation time."""
+        """Schedule ``bsm``'s arrival at each group of ``plan`` into the
+        block this handler has open at its instant, or a new one, joining
+        the block's last arrival if of the same group, links and time."""
         blocks = self._blocks
         generated_at_us = bsm.generated_at_us
         for offset_us, receivers in plan:
@@ -761,21 +761,19 @@ class Simulation:
     def _deliver(self, now_us: int, arrivals: list[_Arrival]) -> None:
         """Hand each arrival's BSMs to its receivers, in schedule order:
         one delivery, and one executed event, per (BSM, receiver); each
-        arrival is recorded as one ``DeliveryGroup`` or, with several
-        BSMs, one ``DeliveryBatch``."""
+        arrival is recorded once (see ``DeliveryBatch``)."""
         metrics = self.metrics
         truth_of = self._truth_of
         receivers_of = self._seen.receivers_of
         records = []
         delivered = 0
-        for ev in arrivals:
-            receivers = ev.receivers
-            generated_at_us = ev.bsms[0].generated_at_us
+        for receivers, bsms, uplink, downlink, topic in arrivals:
+            generated_at_us = bsms[0].generated_at_us
             latency_ms = us_to_ms(now_us - generated_at_us)
             if latency_ms < 0:
                 raise SimulationInvariantError("delivery precedes generation")
             rows = []
-            for bsm in ev.bsms:
+            for bsm in bsms:
                 subject = bsm.id.value
                 truth_index = truth_of.get(subject)
                 if truth_index is None:
@@ -787,15 +785,15 @@ class Simulation:
                     metrics.duplicates_suppressed += sum(duplicates)
                 seen.update(receivers)
                 rows.append((subject, truth_index, duplicates))
-            shared = (ev.uplink, ev.downlink, generated_at_us, now_us,
-                      latency_ms, ev.topic)
             if len(rows) == 1:
                 records.append(DeliveryGroup(
-                    receivers, subject, truth_index, *shared, duplicates))
+                    receivers, subject, truth_index, uplink, downlink,
+                    generated_at_us, now_us, latency_ms, topic, duplicates))
             else:
                 subjects, truth, flags = zip(*rows)
                 records.append(DeliveryBatch(
-                    receivers, subjects, truth, *shared,
+                    receivers, subjects, truth, uplink, downlink,
+                    generated_at_us, now_us, latency_ms, topic,
                     flags if any(flags) else None))
             delivered += len(receivers) * len(rows)
         metrics.events_executed += delivered - 1
@@ -837,9 +835,8 @@ class Simulation:
         self, now_us: int, detections: list[Detection]
     ) -> None:
         """A frame's detections leave the IPU: the gateway classifies each,
-        in capture order, and a refresh's generated BSM goes to every
-        target of ``_GENERATION_TARGETS`` through the relay plans; one
-        executed event per detection."""
+        in capture order, and a refresh's BSM goes to each generation
+        target; one executed event per detection."""
         self.metrics.events_executed += len(detections) - 1
         on_detection = self.gateway.on_detection
         for detection in detections:
