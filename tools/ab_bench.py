@@ -4,7 +4,7 @@
 Usage, from the root of a checkout, with the two sides already unpacked
 (``git archive <sha> | tar -x -C <dir>``) at paths of equal length:
 
-    python3 tools/ab_bench.py --parent ../a/parent --change ../a/change \\
+    python3 tools/ab_bench.py --parent ../ab/p --change ../ab/c \\
         --parent-sha e39cde7 --change-sha HEAD --pairs 10 --seconds 10 \\
         --run camera-crowd@101 --run camera-crowd@102 --run radio-dense@101 \\
         --claim camera-crowd:wall_s_per_sim_s:0.15 --out BENCH_15.json
@@ -17,8 +17,7 @@ is won by the side whose value is better by the metric's direction in
 ``BENCHMARK.json``; equal values tie. The record also holds failed
 operations, whether every run wrote the same ``report.json`` and
 ``trace.csv``, the provenance perfbench printed, and the net lines of
-``src/`` between the two shas (``git diff --numstat`` in this checkout;
-a ``--change-sha`` of ``WORKTREE`` diffs the working tree).
+``src/`` between the two shas (``git diff --numstat`` in this checkout).
 
 A claim ``workload:metric:gain`` is met when, on every seed run of that
 workload, the change's median is better than the parent's by at least
@@ -114,9 +113,7 @@ def _perfbench(checkout: Path, workload: str, seed: int,
 
 
 def _net_lines(parent_sha: str, change_sha: str) -> dict:
-    revisions = [parent_sha] if change_sha == "WORKTREE" else [
-        parent_sha, change_sha]
-    command = ["git", "diff", "--numstat", *revisions, "--", "src"]
+    command = ["git", "diff", "--numstat", parent_sha, change_sha, "--", "src"]
     out = subprocess.run(command, cwd=ROOT, capture_output=True, text=True,
                          check=True).stdout
     by_file, added, deleted = {}, 0, 0
