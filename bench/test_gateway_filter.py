@@ -38,6 +38,7 @@ from arsusim.messages import (
     LinkTech,
     PositionAccuracy,
     RoadUserId,
+    Topic,
     make_bsm,
 )
 
@@ -133,9 +134,9 @@ def test_on_rx(benchmark, n):
     assert len(gw.history) == n and gw.pending_tracks == n
     x, y = points[n // 2]
     arrivals = itertools.count(n)
-    actions = benchmark.pedantic(
+    targets = benchmark.pedantic(
         gw.on_rx, rounds=1000,
         setup=lambda: arrival(next(arrivals), x + half, y + half),
     )
-    assert [a.label() for a in actions] == ["TxCv2x", "PublishMqtt(DSRC)"]
+    assert targets == ((LinkTech.CV2X, None), (LinkTech.CELL_MQTT, Topic.DSRC))
     assert len(gw.history) == n + 1 and gw.pending_tracks == n

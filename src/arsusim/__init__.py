@@ -3,7 +3,9 @@
 The package models a gateway that translates and relays basic safety
 messages among DSRC, C-V2X and cellular/MQTT road users, generates
 messages for camera-detected non-connected users, and evaluates the
-resulting link latencies against safety-application requirements.
+resulting link latencies against safety-application requirements. The
+gateway names each send as a ``(medium, topic)`` target, in
+``LinkTech`` and ``Topic`` terms; the simulation carries it out.
 """
 
 from .broker import ARSU_CLIENT, Broker, Delivery, TopicOwnershipError
@@ -15,14 +17,7 @@ from .config import (
     load_scenario,
     parse_scenario,
 )
-from .gateway import (
-    ActionKind,
-    DetectionOutcome,
-    FilterConfig,
-    FilterStatus,
-    Gateway,
-    RelayAction,
-)
+from .gateway import DetectionOutcome, FilterConfig, FilterStatus, Gateway
 from .latency import (
     DEFAULT_COMPOSED_DELAYS_MS,
     DelayCategory,
@@ -53,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ARSU_CLIENT",
-    "ActionKind",
     "Broker",
     "Bsm",
     "ConfigError",
@@ -72,7 +66,6 @@ __all__ = [
     "MqttEnvelope",
     "Position",
     "PositionAccuracy",
-    "RelayAction",
     "RoadUserId",
     "RoadUserKind",
     "RunResult",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .config import MAX_SCENARIO_SPEED_KMH, ConfigError, load_scenario
@@ -118,9 +119,10 @@ def _cmd_run(args) -> int:
         _write_csv(out_dir / "table4.csv", table_rows)
         _write_csv(out_dir / "matrix.csv", matrix_rows)
         if args.trace:
-            trace_rows = [["at_ms", "kind", "actor", "subject", "detail"]]
-            trace_rows.extend(result.trace_rows)
-            _write_csv(out_dir / "trace.csv", trace_rows)
+            _write_csv(out_dir / "trace.csv", chain(
+                [["at_ms", "kind", "actor", "subject", "detail"]],
+                result.trace_rows,
+            ))
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

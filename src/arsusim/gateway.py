@@ -3,15 +3,14 @@
 Three responsibilities, all driven by a strictly sequential event feed:
 
 * translate-and-relay: a BSM heard on one medium is re-emitted on the
-  other media per the relaying rules, payload untouched, with a seen-set
-  suppressing copies that echo back;
+  other media per the relaying rules, payload untouched; a seen-set,
+  the unit's loop guard, suppresses a BSM already relayed;
 * connected/non-connected filtering: camera detections are matched
   against a short history of received BSM positions; unmatched
   detections wait one grace period for late BSMs before being confirmed
   non-connected;
 * message generation: confirmed non-connected users get gateway-built
-  BSMs under synthetic ids, sent to each of ``_GENERATION_TARGETS``; a
-  refresh returns just the BSM, ``DetectionOutcome.generated``. The
+  BSMs under synthetic ids, sent to each of ``GENERATION_TARGETS``. The
   gateway never generates messages on behalf of connected users.
 
 Every match is "nearest within ``sigma_m`` by :func:`horizontal_distance_m`".
@@ -75,64 +74,35 @@ from .messages import (
 )
 
 
-class ActionKind(Enum):
-    TX_DSRC = "TxDsrc"
-    TX_CV2X = "TxCv2x"
-    PUBLISH_MQTT = "PublishMqtt"
+#: A send: a radio broadcast on ``medium`` when ``topic`` is None, else a
+#: publish on ``topic`` (``medium`` is then ``LinkTech.CELL_MQTT``).
+Target = tuple[LinkTech, Optional[Topic]]
 
-
-class _RelayActionFields(NamedTuple):
-    kind: ActionKind
-    payload: Bsm
-    topic: Optional[Topic] = None
-
-
-class RelayAction(_RelayActionFields):
-    """One gateway output instruction: a radio transmit or a publish."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, kind: ActionKind, payload: Bsm, topic: Optional[Topic] = None
-    ):
-        if kind is ActionKind.PUBLISH_MQTT:
-            if topic not in (Topic.IPU, Topic.DSRC, Topic.CV2X):
-                raise ValueError(
-                    "gateway publishes only to IPU/DSRC/CV2X, never Cell"
-                )
-        elif topic is not None:
-            raise ValueError("radio transmits carry no topic")
-        return tuple.__new__(cls, (kind, payload, topic))
-
-    def label(self) -> str:
-        if self.kind is ActionKind.PUBLISH_MQTT:
-            return f"PublishMqtt({self.topic.value})"
-        return self.kind.value
-
-
-#: (kind, topic) of each relay, by the medium a BSM arrived over.
-_RELAY_TARGETS = {
-    LinkTech.DSRC: (
-        (ActionKind.TX_CV2X, None), (ActionKind.PUBLISH_MQTT, Topic.DSRC),
-    ),
-    LinkTech.CV2X: (
-        (ActionKind.TX_DSRC, None), (ActionKind.PUBLISH_MQTT, Topic.CV2X),
-    ),
-    LinkTech.CELL_MQTT: (
-        (ActionKind.TX_DSRC, None), (ActionKind.TX_CV2X, None),
-    ),
+#: The sends of a relay, by the medium a BSM arrived over.
+_RELAY_TARGETS: dict[LinkTech, tuple[Target, ...]] = {
+    LinkTech.DSRC: ((LinkTech.CV2X, None), (LinkTech.CELL_MQTT, Topic.DSRC)),
+    LinkTech.CV2X: ((LinkTech.DSRC, None), (LinkTech.CELL_MQTT, Topic.CV2X)),
+    LinkTech.CELL_MQTT: ((LinkTech.DSRC, None), (LinkTech.CV2X, None)),
 }
 
-#: (kind, topic) of each send of a gateway-generated BSM, in order.
-_GENERATION_TARGETS = (
-    (ActionKind.TX_DSRC, None), (ActionKind.TX_CV2X, None),
-    (ActionKind.PUBLISH_MQTT, Topic.IPU),
+#: The sends of a gateway-generated BSM, in order.
+GENERATION_TARGETS: tuple[Target, ...] = (
+    (LinkTech.DSRC, None), (LinkTech.CV2X, None),
+    (LinkTech.CELL_MQTT, Topic.IPU),
 )
 
 
-def _generation_actions(bsm: Bsm) -> list[RelayAction]:
-    """The sends of a gateway-generated BSM, as relay actions."""
-    return [RelayAction(kind, bsm, topic) for kind, topic in _GENERATION_TARGETS]
+def _label(targets: tuple[Target, ...]) -> str:
+    """A decision record's name for ``targets``: ``TxDsrc+PublishMqtt(IPU)``."""
+    return "+".join(
+        f"Tx{medium.value.capitalize()}" if topic is None
+        else f"PublishMqtt({topic.value})"
+        for medium, topic in targets
+    )
+
+
+_RELAY_LABELS = {via: _label(t) for via, t in _RELAY_TARGETS.items()}
+_GENERATION_LABEL = _label(GENERATION_TARGETS)
 
 
 class FilterStatus(Enum):
@@ -150,14 +120,8 @@ class DetectionOutcome:
     #: caller is expected to schedule a grace-deadline event.
     deadline_us: Optional[int] = None
     synthetic_id: Optional[RoadUserId] = None
-    #: The BSM a refresh of a confirmed track generated.
+    #: The BSM a refresh generated, for each of ``GENERATION_TARGETS``.
     generated: Optional[Bsm] = None
-
-    @property
-    def actions(self) -> list[RelayAction]:
-        if self.generated is None:
-            return []
-        return _generation_actions(self.generated)
 
 
 @dataclass(frozen=True)
@@ -437,16 +401,20 @@ class Gateway:
 
     # --- relaying ---
 
-    def on_rx(self, bsm: Bsm, via: LinkTech, now_us: int) -> list[RelayAction]:
-        """Handle one BSM that arrived over ``via``; returns the relay
-        actions to emit.
+    def on_rx(
+        self, bsm: Bsm, via: LinkTech, now_us: int
+    ) -> tuple[Target, ...]:
+        """Handle one BSM that arrived over ``via``; returns the targets
+        to relay it to, or ``()`` when it is suppressed.
 
-        Duplicates of an already-relayed (id, generated_at) key, such
-        as the gateway's own relay echoed back on the other medium,
-        yield an empty action list. Every accepted BSM lands in the position
-        history and re-evaluates the pending detection tracks, resolving
-        any track it position-matches (late-arrival allowance).
-        An unknown ``via`` raises ``ValueError`` and changes nothing.
+        The seen-set is the unit's loop guard: a BSM whose (id,
+        generated_at) key was already relayed is suppressed, so a relay
+        fed back into the gateway quiesces (acceptance criterion 6 pins
+        this). In a simulated run the gateway never hears its own
+        relays. Every accepted BSM lands in the position history and
+        re-evaluates the pending detection tracks, resolving any track
+        it position-matches (late-arrival allowance). An unknown ``via``
+        raises ``ValueError`` and changes nothing.
         """
         targets = _RELAY_TARGETS.get(via)
         if targets is None:
@@ -454,15 +422,11 @@ class Gateway:
         self.history.prune(now_us)
         if self._seen.check_and_add(bsm, now_us):
             self._record(now_us, "rx", bsm.id.value, "Suppressed", "")
-            return []
+            return ()
         self.history.append(bsm, now_us)
         self._resolve_pending_with_bsm(bsm, now_us)
-        actions = [RelayAction(kind, bsm, topic) for kind, topic in targets]
-        self._record(
-            now_us, "rx", bsm.id.value, "Relayed",
-            "+".join(a.label() for a in actions),
-        )
-        return actions
+        self._record(now_us, "rx", bsm.id.value, "Relayed", _RELAY_LABELS[via])
+        return targets
 
     def _resolve_pending_with_bsm(self, bsm: Bsm, now_us: int) -> None:
         if not self._pending:
@@ -541,13 +505,12 @@ class Gateway:
             deadline_us=now_us + self.config.grace_us,
         )
 
-    def on_grace_deadline(
-        self, track_id: int, now_us: int
-    ) -> Optional[list[RelayAction]]:
+    def on_grace_deadline(self, track_id: int, now_us: int) -> Optional[Bsm]:
         """Confirm a still-pending track as non-connected.
 
-        Returns the generation actions, or None if the track was already
-        resolved (a late BSM matched it during the grace period).
+        Returns the BSM generated for it, to be sent to each of
+        ``GENERATION_TARGETS``, or None if the track was already resolved
+        (a late BSM matched it during the grace period).
         """
         track = self._pending.pop(track_id)
         if track is None:
@@ -561,12 +524,12 @@ class Gateway:
         self.synthetic_truth[track.synthetic_id] = truth
         if truth is not None and truth in self._connected_ids:
             self._ghosts.append((track.synthetic_id, truth))
-        actions = _generation_actions(self._generate(track))
+        bsm = self._generate(track)
         self._record(
             now_us, "grace_deadline", track.synthetic_id.value,
-            "NonConnected", "+".join(a.label() for a in actions),
+            "NonConnected", _GENERATION_LABEL,
         )
-        return actions
+        return bsm
 
     def _generate(self, track: DetectionTrack) -> Bsm:
         bsm = make_ipu_bsm(track.synthetic_id, track.latest, self.config.sigma_m)

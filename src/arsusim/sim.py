@@ -47,8 +47,7 @@ import numpy as np
 
 from .broker import ARSU_CLIENT, Broker
 from .config import ConfigError, ScenarioConfig, UserSpec
-from .gateway import (_GENERATION_TARGETS, ActionKind, FilterConfig,
-                      Gateway, RelayAction)
+from .gateway import GENERATION_TARGETS, FilterConfig, Gateway, Target
 from .geo import LocalFrame
 from .latency import LatencyModel
 from .messages import (
@@ -541,10 +540,9 @@ class Simulation:
         # gateway's side of the broker being free; a gateway relay or
         # publish pays each receiver's own half.
         self._plans: list[_Plan] = [()] * len(self.users)
-        self._relays: dict[ActionKind, tuple[LinkTech, _Plan]] = {}
-        for kind, tech in ((ActionKind.TX_DSRC, LinkTech.DSRC),
-                           (ActionKind.TX_CV2X, LinkTech.CV2X),
-                           (ActionKind.PUBLISH_MQTT, LinkTech.CELL_MQTT)):
+        #: The gateway's send plan on each medium: a relay or a publish.
+        self._relays: dict[LinkTech, _Plan] = {}
+        for tech in (LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT):
             on_tech = by_tech.get(tech, [])
             for u in on_tech:
                 self._plans[u.index] = _group_by_time(
@@ -553,7 +551,7 @@ class Simulation:
                                else p.half_us), p.index)
                     for p in on_tech if p is not u
                 )
-            self._relays[kind] = tech, _group_by_time(
+            self._relays[tech] = _group_by_time(
                 (u.half_us, u.index) for u in on_tech
             )
 
@@ -727,36 +725,32 @@ class Simulation:
         broadcast, or the Cell topic only road users publish to. So the
         uplink is the downlink."""
         bsm, medium, topic = arg
-        actions = self.gateway.on_rx(bsm, medium, now_us)
+        targets = self.gateway.on_rx(bsm, medium, now_us)
         if topic is None:
             kind, detail = "RadioDelivery", f"via={medium.value}"
         else:
             kind, detail = "MqttDelivery", f"topic={topic.value}"
         self._trace(
             now_us, kind, ARSU_CLIENT, bsm.id.value,
-            f"{detail} actions={len(actions)}",
+            f"{detail} actions={len(targets)}",
         )
-        self._emit_actions(actions, medium, now_us)
+        self._send(bsm, targets, medium, now_us)
 
-    def _emit_actions(
-        self, actions: list[RelayAction], uplink: LinkTech, now_us: int
-    ) -> None:
-        for kind, payload, topic in actions:
-            self._send(kind, payload, topic, uplink, now_us)
-
-    def _send(self, kind: ActionKind, bsm: Bsm, topic: Optional[Topic],
-              uplink: LinkTech, now_us: int) -> None:
-        """Send a gateway relay or generated BSM through its plan."""
-        tech, plan = self._relays[kind]
-        if kind is ActionKind.PUBLISH_MQTT:
-            # The gateway publishes a BSM on the topic of the medium it
-            # arrived on, so the delivery's uplink is that medium.
-            self._publish(None, plan, bsm, topic, uplink, now_us)
-            return
-        # A radio relay to every user on ``tech``. The gateway relays a
-        # road user's BSM only onto the other media, and the camera's
-        # under a synthetic id, so the subject is never on ``tech``.
-        self._cast(plan, now_us, bsm, uplink, tech)
+    def _send(self, bsm: Bsm, targets: tuple[Target, ...], uplink: LinkTech,
+              now_us: int) -> None:
+        """Send a gateway relay or generated BSM, which reached the
+        gateway over ``uplink``, to each target through its plan."""
+        relays = self._relays
+        for medium, topic in targets:
+            if topic is None:
+                # A radio relay to every user on ``medium``. The gateway
+                # relays a road user's BSM only onto the other media, and
+                # the camera's under a synthetic id, so the subject is
+                # never on ``medium``.
+                self._cast(relays[medium], now_us, bsm, uplink, medium)
+            else:
+                self._publish(None, relays[medium], bsm, topic, uplink,
+                              now_us)
 
     def _deliver(self, now_us: int, arrivals: list[_Arrival]) -> None:
         """Hand each arrival's BSMs to its receivers, in schedule order:
@@ -851,26 +845,24 @@ class Simulation:
             if outcome.deadline_us is not None:
                 self._schedule(outcome.deadline_us, self._on_grace_deadline,
                                outcome.track_id)
-            bsm = outcome.generated
-            if bsm is not None:
-                for kind, topic in _GENERATION_TARGETS:
-                    self._send(kind, bsm, topic, LinkTech.CAMERA, now_us)
+            if outcome.generated is not None:
+                self._send(outcome.generated, GENERATION_TARGETS,
+                           LinkTech.CAMERA, now_us)
 
     def _on_grace_deadline(self, now_us: int, track_id: int) -> None:
-        actions = self.gateway.on_grace_deadline(track_id, now_us)
-        if actions is None:
+        bsm = self.gateway.on_grace_deadline(track_id, now_us)
+        if bsm is None:
             self._trace(now_us, "GraceDeadline", ARSU_CLIENT,
                         f"track={track_id}", "resolved earlier")
             return
         self._trace(
             now_us, "GraceDeadline", ARSU_CLIENT, f"track={track_id}",
-            f"confirmed NonConnected actions={len(actions)}",
+            f"confirmed NonConnected actions={len(GENERATION_TARGETS)}",
         )
-        synthetic = actions[0].payload.id
-        truth = self.gateway.synthetic_truth[synthetic]
+        truth = self.gateway.synthetic_truth[bsm.id]
         if truth is not None:
-            self._truth_of[synthetic.value] = self._truth_of[truth.value]
-        self._emit_actions(actions, LinkTech.CAMERA, now_us)
+            self._truth_of[bsm.id.value] = self._truth_of[truth.value]
+        self._send(bsm, GENERATION_TARGETS, LinkTech.CAMERA, now_us)
 
     def _on_metrics_tick(self, now_us: int, _: None) -> None:
         self._sample_coverage(now_us)

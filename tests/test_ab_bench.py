@@ -61,3 +61,11 @@ def test_claim_needs_a_gap_wider_than_the_parent_iqr():
     assert summary["parent"]["iqr"] == 1.5
     assert summary["relative_change"] == -0.2
     assert not ab_bench.claim_met(summary, 0.15)
+
+
+def test_count_diff_names_changed_and_one_sided_counts():
+    parent = {"sim.events": 10, "gateway.relayed": 4, "broker.drops": 0}
+    change = {"sim.events": 10, "gateway.relayed": 5, "gateway.ghosts": 1}
+    assert ab_bench.count_diff(parent, change) == [
+        "broker.drops", "gateway.ghosts", "gateway.relayed"]
+    assert ab_bench.count_diff(parent, dict(parent)) == []

@@ -15,11 +15,11 @@ import pytest
 from arsusim.broker import ARSU_CLIENT
 from arsusim.cli import main
 from arsusim.config import parse_scenario
-from arsusim.gateway import ActionKind, FilterStatus, Gateway
+from arsusim.gateway import GENERATION_TARGETS, FilterStatus, Gateway
 from arsusim.latency import LatencyModel, recomposition_residuals
 from arsusim.messages import Detection, LinkTech, Topic
 from arsusim.report import emit_table4, scenario_matrix
-from arsusim.sim import run
+from arsusim.sim import Simulation, run
 
 from conftest import bsm_at, position_at
 
@@ -200,11 +200,11 @@ def test_criterion_5b_filter_completeness_exact_grace():
     assert outcome.status is FilterStatus.PENDING
     assert outcome.deadline_us == 300_000 + 100_000
     # not confirmable earlier: a deadline event fires only at the deadline
-    actions = gw.on_grace_deadline(outcome.track_id, 400_000)
-    assert actions is not None
-    assert [a.label() for a in actions] == [
-        "TxDsrc", "TxCv2x", "PublishMqtt(IPU)"
-    ]
+    assert gw.on_grace_deadline(outcome.track_id, 400_000) is not None
+    assert GENERATION_TARGETS == (
+        (LinkTech.DSRC, None), (LinkTech.CV2X, None),
+        (LinkTech.CELL_MQTT, Topic.IPU),
+    )
 
     # end-to-end: the simulated confirmation lands exactly at
     # first-evaluation + 100 ms
@@ -256,37 +256,55 @@ def test_criterion_5c_stale_history_never_matches():
 
 
 def test_criterion_6_relay_rule_conformance():
+    # a send target is (medium, topic): a radio broadcast, or a publish
+    tx_dsrc, tx_cv2x = (LinkTech.DSRC, None), (LinkTech.CV2X, None)
     expectations = {
-        LinkTech.DSRC: ["TxCv2x", "PublishMqtt(DSRC)"],
-        LinkTech.CV2X: ["TxDsrc", "PublishMqtt(CV2X)"],
-        LinkTech.CELL_MQTT: ["TxDsrc", "TxCv2x"],
-    }
-    same_medium = {
-        LinkTech.DSRC: ActionKind.TX_DSRC,
-        LinkTech.CV2X: ActionKind.TX_CV2X,
+        LinkTech.DSRC: (tx_cv2x, (LinkTech.CELL_MQTT, Topic.DSRC)),
+        LinkTech.CV2X: (tx_dsrc, (LinkTech.CELL_MQTT, Topic.CV2X)),
+        LinkTech.CELL_MQTT: (tx_dsrc, tx_cv2x),
     }
     for via, expected in expectations.items():
         gw = Gateway()
         bsm = bsm_at("U1", x_m=1.0, tech=via, now_us=1_000)
-        actions = gw.on_rx(bsm, via, 2_000)
-        assert [a.label() for a in actions] == expected, f"row for {via}"
-        # relay purity: the exact input object is re-emitted
-        assert all(a.payload is bsm for a in actions)
-        if via in same_medium:
-            assert same_medium[via] not in {a.kind for a in actions}
+        targets = gw.on_rx(bsm, via, 2_000)
+        assert targets == expected, f"row for {via}"
+        if via is LinkTech.CELL_MQTT:
+            assert all(topic is None for _, topic in targets), (
+                "cell arrival must not re-publish")
         else:
-            assert all(
-                a.kind is not ActionKind.PUBLISH_MQTT for a in actions
-            ), "cell arrival must not re-publish"
+            assert (via, None) not in targets
 
     # row 4: a confirmed detection emits all three media
     gw = Gateway()
     det = Detection(position_at(40.0, 0.0), 0.0, 0.0, 0, 300_000)
     pending = gw.on_detection(det, 300_000)
-    row4 = gw.on_grace_deadline(pending.track_id, 400_000)
-    assert [a.label() for a in row4] == [
-        "TxDsrc", "TxCv2x", "PublishMqtt(IPU)"
+    assert gw.on_grace_deadline(pending.track_id, 400_000) is not None
+    assert GENERATION_TARGETS == (
+        tx_dsrc, tx_cv2x, (LinkTech.CELL_MQTT, Topic.IPU)
+    )
+
+    # relay purity: in a run, every envelope the gateway publishes on the
+    # DSRC or CV2X topic carries the very BSM object it heard
+    simulation = Simulation(parse_scenario(NOISY_MIXED))
+    heard = []
+    on_rx = simulation.gateway.on_rx
+
+    def hearing(bsm, via, now_us):
+        heard.append(bsm)
+        return on_rx(bsm, via, now_us)
+
+    simulation.gateway.on_rx = hearing
+    publishes = simulation.run().broker.delivery_log.publishes
+    relayed = [
+        envelope.payload for envelope, publisher, _ in publishes
+        if publisher == ARSU_CLIENT
+        and envelope.topic in (Topic.DSRC, Topic.CV2X)
     ]
+    assert {bsm.origin_tech for bsm in relayed} == {
+        LinkTech.DSRC, LinkTech.CV2X}
+    heard_ids = {id(bsm) for bsm in heard}
+    assert all(id(bsm) in heard_ids for bsm in relayed), (
+        "a relay re-encoded its payload")
 
     # loop freedom under a DSRC<->CV2X echo topology
     gw = Gateway()
@@ -299,15 +317,13 @@ def test_criterion_6_relay_rule_conformance():
             break
         bsm, via = queue.pop(0)
         now += 500
-        actions = gw.on_rx(bsm, via, now)
-        total += len(actions)
-        for action in actions:
-            if action.kind is ActionKind.TX_DSRC:
-                queue.append((action.payload, LinkTech.DSRC))
-            elif action.kind is ActionKind.TX_CV2X:
-                queue.append((action.payload, LinkTech.CV2X))
+        targets = gw.on_rx(bsm, via, now)
+        total += len(targets)
+        for medium, topic in targets:
+            if topic is None:
+                queue.append((bsm, medium))
     assert not queue, "echo topology never quiesced"
-    assert total <= 3, f"{total} actions for one logical BSM"
+    assert total <= 3, f"{total} sends for one logical BSM"
     _announce(6, "rows 1-4 exact, payloads untouched, no same-medium echo, "
                  f"echo topology quiesced after {total} actions")
 

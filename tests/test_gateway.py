@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arsusim import gateway as gateway_module
+from arsusim.broker import ARSU_CLIENT
+from arsusim.config import parse_scenario
 from arsusim.gateway import (
-    ActionKind,
+    GENERATION_TARGETS,
     FilterConfig,
     FilterStatus,
     Gateway,
-    RelayAction,
     SeenSet,
     _SEEN_RETENTION_US,
 )
@@ -25,6 +26,8 @@ from arsusim.messages import (
     make_bsm,
     make_ipu_bsm,
 )
+
+from arsusim.sim import Simulation
 
 from conftest import bsm_at, position_at
 
@@ -43,27 +46,35 @@ def detection_at(
     )
 
 
-def action_labels(actions):
-    return [a.label() for a in actions]
+#: Send targets, ``(medium, topic)``.
+TX_DSRC = (LinkTech.DSRC, None)
+TX_CV2X = (LinkTech.CV2X, None)
+
+
+def publish(topic):
+    return (LinkTech.CELL_MQTT, topic)
 
 
 class TestRelayRules:
     def test_dsrc_rx(self):
         gw = Gateway()
-        actions = gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), LinkTech.DSRC, 0)
-        assert action_labels(actions) == ["TxCv2x", "PublishMqtt(DSRC)"]
+        targets = gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), LinkTech.DSRC, 0)
+        assert targets == (TX_CV2X, publish(Topic.DSRC))
+        assert gw.trace[-1].actions == "TxCv2x+PublishMqtt(DSRC)"
 
     def test_cv2x_rx(self):
         gw = Gateway()
-        actions = gw.on_rx(bsm_at("U2", tech=LinkTech.CV2X), LinkTech.CV2X, 0)
-        assert action_labels(actions) == ["TxDsrc", "PublishMqtt(CV2X)"]
+        targets = gw.on_rx(bsm_at("U2", tech=LinkTech.CV2X), LinkTech.CV2X, 0)
+        assert targets == (TX_DSRC, publish(Topic.CV2X))
+        assert gw.trace[-1].actions == "TxDsrc+PublishMqtt(CV2X)"
 
     def test_cell_topic_rx(self):
         gw = Gateway()
-        actions = gw.on_rx(
+        targets = gw.on_rx(
             bsm_at("U3", tech=LinkTech.CELL_MQTT), LinkTech.CELL_MQTT, 0
         )
-        assert action_labels(actions) == ["TxDsrc", "TxCv2x"]
+        assert targets == (TX_DSRC, TX_CV2X)
+        assert gw.trace[-1].actions == "TxDsrc+TxCv2x"
 
     def test_camera_arrival_rejected(self):
         gw = Gateway()
@@ -81,65 +92,93 @@ class TestRelayRules:
         assert gw.pending_tracks == 0
 
     def test_payloads_byte_identical_to_input(self):
-        gw = Gateway()
-        for tech in (LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT):
-            bsm = bsm_at(f"U-{tech.value}", x_m=3.0, tech=tech, now_us=100)
-            for action in gw.on_rx(bsm, tech, 200):
-                assert action.payload is bsm
+        """In a run, every relay the gateway casts or publishes carries the
+        very BSM object it heard, on each of the three arrival media."""
+        simulation = Simulation(parse_scenario("""
+duration_ms: 500
+seed: 3
+arsu: {coverage_radius_m: 400}
+users:
+  - {kind: native_dsrc, id: D1}
+  - {kind: native_cv2x, id: V1, x_m: 20}
+  - {kind: nonnative_cell, id: C1, x_m: 40}
+"""))
+        heard, relayed = [], []
+        on_rx, cast = simulation.gateway.on_rx, simulation._cast
+        radio_relays = [simulation._relays[LinkTech.DSRC],
+                        simulation._relays[LinkTech.CV2X]]
+
+        def hearing(bsm, via, now_us):
+            heard.append(bsm)
+            return on_rx(bsm, via, now_us)
+
+        def casting(plan, sent_us, bsm, uplink, *rest):
+            if any(plan is relay for relay in radio_relays):
+                relayed.append(bsm)
+            cast(plan, sent_us, bsm, uplink, *rest)
+
+        simulation.gateway.on_rx = hearing
+        simulation._cast = casting
+        result = simulation.run()
+        published = [
+            envelope.payload
+            for envelope, publisher, _ in result.broker.delivery_log.publishes
+            if publisher == ARSU_CLIENT and envelope.topic is not Topic.IPU
+        ]
+        media = {LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT}
+        assert {bsm.origin_tech for bsm in relayed} == media
+        assert {bsm.origin_tech for bsm in published} == media - {
+            LinkTech.CELL_MQTT}
+        heard_ids = {id(bsm) for bsm in heard}
+        assert all(id(bsm) in heard_ids for bsm in published + relayed)
 
     def test_no_same_medium_echo(self):
         gw = Gateway()
-        dsrc_actions = gw.on_rx(
+        dsrc_targets = gw.on_rx(
             bsm_at("A", tech=LinkTech.DSRC), LinkTech.DSRC, 0
         )
-        assert ActionKind.TX_DSRC not in {a.kind for a in dsrc_actions}
-        cv2x_actions = gw.on_rx(
+        assert TX_DSRC not in dsrc_targets
+        cv2x_targets = gw.on_rx(
             bsm_at("B", tech=LinkTech.CV2X), LinkTech.CV2X, 0
         )
-        assert ActionKind.TX_CV2X not in {a.kind for a in cv2x_actions}
-        cell_actions = gw.on_rx(
+        assert TX_CV2X not in cv2x_targets
+        cell_targets = gw.on_rx(
             bsm_at("C", tech=LinkTech.CELL_MQTT), LinkTech.CELL_MQTT, 0
         )
-        assert all(a.kind is not ActionKind.PUBLISH_MQTT for a in cell_actions)
+        assert all(topic is None for _, topic in cell_targets)
 
     def test_duplicate_rx_suppressed(self):
         gw = Gateway()
         bsm = bsm_at("U1", tech=LinkTech.DSRC)
-        assert gw.on_rx(bsm, LinkTech.DSRC, 0) != []
-        assert gw.on_rx(bsm, LinkTech.DSRC, 5_000) == []
+        assert gw.on_rx(bsm, LinkTech.DSRC, 0) != ()
+        assert gw.on_rx(bsm, LinkTech.DSRC, 5_000) == ()
 
     def test_echo_loop_freedom(self):
         # feed every Tx output back on the opposite medium until quiet
         gw = Gateway()
         origin = bsm_at("U1", tech=LinkTech.DSRC, now_us=0)
-        total_actions = 0
+        total_targets = 0
         queue = [(origin, LinkTech.DSRC)]
         rounds = 0
         now = 0
         while queue and rounds < 50:
             bsm, via = queue.pop(0)
             now += 1_000
-            actions = gw.on_rx(bsm, via, now)
-            total_actions += len(actions)
-            for action in actions:
-                if action.kind is ActionKind.TX_DSRC:
-                    queue.append((action.payload, LinkTech.DSRC))
-                elif action.kind is ActionKind.TX_CV2X:
-                    queue.append((action.payload, LinkTech.CV2X))
+            targets = gw.on_rx(bsm, via, now)
+            total_targets += len(targets)
+            for medium, topic in targets:
+                if topic is None:
+                    queue.append((bsm, medium))
             rounds += 1
         assert not queue, "echo loop did not quiesce"
-        assert total_actions <= 3  # one logical BSM, bounded relay work
+        assert total_targets <= 3  # one logical BSM, bounded relay work
 
     def test_new_bsm_from_same_user_still_relayed(self):
         gw = Gateway()
         first = bsm_at("U1", tech=LinkTech.DSRC, now_us=0)
         second = bsm_at("U1", tech=LinkTech.DSRC, now_us=100_000)
-        assert gw.on_rx(first, LinkTech.DSRC, 2_000) != []
-        assert gw.on_rx(second, LinkTech.DSRC, 102_000) != []
-
-    def test_publish_topic_never_cell(self):
-        with pytest.raises(ValueError):
-            RelayAction(ActionKind.PUBLISH_MQTT, bsm_at("U1"), Topic.CELL)
+        assert gw.on_rx(first, LinkTech.DSRC, 2_000) != ()
+        assert gw.on_rx(second, LinkTech.DSRC, 102_000) != ()
 
 
 class TestSeenSet:
@@ -234,7 +273,7 @@ class TestDetectionFilter:
         outcome = gw.on_detection(detection_at(10.0, 0.0), 300_000)
         assert outcome.status is FilterStatus.CONNECTED
         assert outcome.matched_id == RoadUserId("U1")
-        assert outcome.actions == []
+        assert outcome.generated is None
 
     def test_ten_meters_off_goes_pending_then_non_connected(self):
         gw = Gateway()
@@ -244,11 +283,9 @@ class TestDetectionFilter:
         outcome = gw.on_detection(det, 300_000)
         assert outcome.status is FilterStatus.PENDING
         assert outcome.deadline_us == 400_000
-        actions = gw.on_grace_deadline(outcome.track_id, 400_000)
-        assert action_labels(actions) == [
-            "TxDsrc", "TxCv2x", "PublishMqtt(IPU)"
-        ]
-        payload = actions[0].payload
+        payload = gw.on_grace_deadline(outcome.track_id, 400_000)
+        assert GENERATION_TARGETS == (TX_DSRC, TX_CV2X, publish(Topic.IPU))
+        assert gw.trace[-1].actions == "TxDsrc+TxCv2x+PublishMqtt(IPU)"
         assert payload.id.is_synthetic
         assert payload.origin_tech is LinkTech.CAMERA
         assert payload.generated_at_us == det.captured_at_us
@@ -301,15 +338,14 @@ class TestDetectionFilter:
     def test_confirmed_track_refresh_keeps_synthetic_id(self):
         gw = Gateway()
         first = gw.on_detection(detection_at(10.0, 0.0, captured_us=0), 300_000)
-        actions = gw.on_grace_deadline(first.track_id, 400_000)
-        synthetic = actions[0].payload.id
+        synthetic = gw.on_grace_deadline(first.track_id, 400_000).id
         refresh = gw.on_detection(
             detection_at(10.5, 0.0, captured_us=100_000), 400_000
         )
         assert refresh.status is FilterStatus.NON_CONNECTED
         assert refresh.synthetic_id == synthetic
-        assert refresh.actions[0].payload.id == synthetic
-        assert refresh.actions[0].payload.generated_at_us == 100_000
+        assert refresh.generated.id == synthetic
+        assert refresh.generated.generated_at_us == 100_000
         assert gw.confirmed_tracks == 1
 
     def test_second_detection_absorbed_by_pending_track(self):
@@ -326,8 +362,8 @@ class TestDetectionFilter:
         gw = Gateway()
         first = gw.on_detection(detection_at(10.0, 0.0, captured_us=0), 300_000)
         gw.on_detection(detection_at(10.2, 0.0, captured_us=100_000), 400_000)
-        actions = gw.on_grace_deadline(first.track_id, 400_000)
-        assert actions[0].payload.generated_at_us == 100_000
+        bsm = gw.on_grace_deadline(first.track_id, 400_000)
+        assert bsm.generated_at_us == 100_000
 
     def test_detection_before_available_rejected(self):
         gw = Gateway()
@@ -338,9 +374,9 @@ class TestDetectionFilter:
         gw = Gateway()
         a = gw.on_detection(detection_at(10.0, 0.0), 300_000)
         b = gw.on_detection(detection_at(80.0, 0.0), 300_000)
-        acts_a = gw.on_grace_deadline(a.track_id, 400_000)
-        acts_b = gw.on_grace_deadline(b.track_id, 400_000)
-        ids = {acts_a[0].payload.id.value, acts_b[0].payload.id.value}
+        bsm_a = gw.on_grace_deadline(a.track_id, 400_000)
+        bsm_b = gw.on_grace_deadline(b.track_id, 400_000)
+        ids = {bsm_a.id.value, bsm_b.id.value}
         assert ids == {"ipu:1", "ipu:2"}
 
 
@@ -417,7 +453,7 @@ class TestFilterGrid:
     def test_confirmed_track_found_after_moving_two_bands(self):
         gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
         first = gw.on_detection(detection_at(0.0, 0.0), 300_000)
-        synthetic = gw.on_grace_deadline(first.track_id, 400_000)[0].payload.id
+        synthetic = gw.on_grace_deadline(first.track_id, 400_000).id
         # each step stays within sigma; the last lands two rows north and
         # two columns east
         for step in range(1, 5):
@@ -551,8 +587,7 @@ class TestGhosts:
             detection_at(0.0, 0.0, truth="U1"), 300_000
         )
         assert outcome.status is FilterStatus.PENDING
-        actions = gw.on_grace_deadline(outcome.track_id, 400_000)
-        assert actions is not None
+        assert gw.on_grace_deadline(outcome.track_id, 400_000) is not None
         ghosts = gw.ghost_events()
         assert len(ghosts) == 1
         synthetic, truth = ghosts[0]
@@ -582,8 +617,8 @@ class TestGhosts:
 class LinearScanGateway:
     """Reference detection filter: every lookup scans the whole history
     and every track in insertion order. Returns plain tuples that
-    :func:`outcome_tuple` and :func:`actions_tuple` also build from the
-    gateway's results."""
+    :func:`outcome_tuple` also builds from the gateway's outcomes, relay
+    targets, and generated BSMs."""
 
     def __init__(self, config: FilterConfig):
         self.config = config
@@ -612,7 +647,7 @@ class LinearScanGateway:
     def _generate(self, synthetic, det):
         bsm = make_ipu_bsm(synthetic, det, self.config.sigma_m)
         self.seen.check_and_add(bsm, det.available_at_us)
-        return ("TxDsrc", "TxCv2x", "PublishMqtt(IPU)")
+        return bsm
 
     def on_rx(self, bsm, via, now_us):
         self._prune(now_us)
@@ -624,8 +659,8 @@ class LinearScanGateway:
                     < self.config.sigma_m]:
             del self.pending[tid]
         return {
-            LinkTech.DSRC: ("TxCv2x", "PublishMqtt(DSRC)"),
-            LinkTech.CV2X: ("TxDsrc", "PublishMqtt(CV2X)"),
+            LinkTech.DSRC: (TX_CV2X, publish(Topic.DSRC)),
+            LinkTech.CV2X: (TX_DSRC, publish(Topic.CV2X)),
         }[via]
 
     def on_detection(self, det, now_us):
@@ -633,7 +668,7 @@ class LinearScanGateway:
         matched = self._nearest(
             det, [(b.position, at, b.id) for b, at in self.history])
         if matched is not None:
-            return ("Connected", matched, None, None, None, ())
+            return ("Connected", matched, None, None, None, None)
         tid = self._nearest(det, [
             (d.estimate, d.available_at_us, t)
             for t, (d, _) in self.confirmed.items()
@@ -648,11 +683,12 @@ class LinearScanGateway:
         ])
         if tid is not None:
             self.pending[tid] = det
-            return ("Pending", None, tid, None, None, ())
+            return ("Pending", None, tid, None, None, None)
         tid = self.next_track
         self.next_track += 1
         self.pending[tid] = det
-        return ("Pending", None, tid, now_us + self.config.grace_us, None, ())
+        return ("Pending", None, tid, now_us + self.config.grace_us, None,
+                None)
 
     def on_grace_deadline(self, track_id, now_us):
         det = self.pending.pop(track_id, None)
@@ -661,19 +697,12 @@ class LinearScanGateway:
         synthetic = RoadUserId(f"{SYNTHETIC_ID_PREFIX}{self.next_synthetic}")
         self.next_synthetic += 1
         self.confirmed[track_id] = [det, synthetic]
-        return synthetic, self._generate(synthetic, det)
+        return self._generate(synthetic, det)
 
 
 def outcome_tuple(outcome):
     return (outcome.status.value, outcome.matched_id, outcome.track_id,
-            outcome.deadline_us, outcome.synthetic_id,
-            tuple(action_labels(outcome.actions)))
-
-
-def actions_tuple(actions):
-    if actions is None:
-        return None
-    return actions[0].payload.id, tuple(action_labels(actions))
+            outcome.deadline_us, outcome.synthetic_id, outcome.generated)
 
 
 # Offsets in units of sigma from a walker that some detections follow,
@@ -751,8 +780,7 @@ def test_indexed_filter_matches_linear_scan(
     def rx(user, where, generated_at, via):
         bsm = make_bsm(RoadUserId(user), where, 0.0, 0.0,
                        PositionAccuracy(1.0), via, generated_at)
-        got = tuple(action_labels(gw.on_rx(bsm, via, now)))
-        assert got == ref.on_rx(bsm, via, now)
+        assert gw.on_rx(bsm, via, now) == ref.on_rx(bsm, via, now)
 
     def detect(where, lag):
         det = Detection(where, 0.0, 0.0,
@@ -787,7 +815,7 @@ def test_indexed_filter_matches_linear_scan(
             place(kind, [(east + e, north + n) for e, n in offsets])
         else:
             track_id = op[2]
-            got = actions_tuple(gw.on_grace_deadline(track_id, now))
+            got = gw.on_grace_deadline(track_id, now)
             assert got == ref.on_grace_deadline(track_id, now)
         assert list(gw._pending) == list(ref.pending)
         assert list(gw._confirmed) == list(ref.confirmed)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from arsusim.broker import ARSU_CLIENT
 from arsusim.config import RoadUserKind, UserSpec, parse_scenario
-from arsusim.gateway import ActionKind, RelayAction
 from arsusim.report import build_report_dict
 from arsusim.messages import (
     LinkTech,
@@ -715,6 +714,28 @@ class TestTraceProperties:
         assert len(list(rows)) == len(rows)
         assert result.final_coverage == _final_coverage_oracle(result)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_gateway_never_hears_a_key_twice(self, data):
+        """On random small scenarios the gateway hears each (id,
+        generated_at) key once, so ``on_rx`` never suppresses a BSM: it
+        hears only road users' own sends, and sends only to road users."""
+        simulation = Simulation(_random_scenario(data))
+        gateway = simulation.gateway
+        if gateway is None:
+            return
+        heard = []
+        on_rx = gateway.on_rx
+
+        def hearing(bsm, via, now_us):
+            heard.append((bsm.id, bsm.generated_at_us))
+            return on_rx(bsm, via, now_us)
+
+        gateway.on_rx = hearing
+        simulation.run()
+        assert len(set(heard)) == len(heard)
+        assert all(r.outcome != "Suppressed" for r in gateway.trace)
+
     def test_coverage_ignores_a_receiver_hearing_its_own_ghost(self):
         """U2's 12 m GNSS error makes the camera confirm it as
         non-connected, so U2 hears its own ghost: (U2, U2) is in the
@@ -886,8 +907,7 @@ users:
         halves = [u.half_us for u in simulation.users]
         assert len(set(halves)) == 3
         bsm = _relay_bsm(simulation, 1_000, "ipu:1")
-        simulation._emit_actions(
-            [RelayAction(ActionKind.TX_DSRC, bsm)], LinkTech.CAMERA, 1_000)
+        simulation._send(bsm, ((LinkTech.DSRC, None),), LinkTech.CAMERA, 1_000)
         assert self._arrivals(simulation) == [
             (1_000 + halves[0], (0, 3)),
             (1_000 + halves[1], (1,)),
@@ -935,8 +955,8 @@ users:
     def test_arsu_publish_pays_one_leg_per_user(self):
         simulation = self._mqtt()
         half_us = simulation.users[0].half_us
-        assert simulation._relays[ActionKind.PUBLISH_MQTT] == (
-            LinkTech.CELL_MQTT, ((half_us, (0, 2, 3)),))
+        assert simulation._relays[LinkTech.CELL_MQTT] == (
+            (half_us, (0, 2, 3)),)
 
     def test_per_client_leg_delays(self):
         """Each Cell user's half is its own: a road user's publish reaches
@@ -947,8 +967,8 @@ users:
         assert len({h0, h1, h2}) == 3
         assert simulation._plans[0] == ((h0 + h1, (2,)), (h0 + h2, (3,)))
         assert simulation._plans[2] == ((h1 + h0, (0,)), (h1 + h2, (3,)))
-        assert simulation._relays[ActionKind.PUBLISH_MQTT] == (
-            LinkTech.CELL_MQTT, ((h0, (0,)), (h1, (2,)), (h2, (3,))))
+        assert simulation._relays[LinkTech.CELL_MQTT] == (
+            (h0, (0,)), (h1, (2,)), (h2, (3,)))
 
     @pytest.mark.parametrize("doc", [
         MQTT_DOC.format(mode="scenario"),
@@ -981,8 +1001,7 @@ users:
             assert reached(simulation._plans[user.index], cell) == [
                 c for c in cell if c not in (user.id.value, ARSU_CLIENT)]
         ipu = list(subscribers[Topic.IPU])
-        _, plan = simulation._relays[ActionKind.PUBLISH_MQTT]
-        assert reached(plan, ipu) == ipu
+        assert reached(simulation._relays[LinkTech.CELL_MQTT], ipu) == ipu
 
     def test_mixed_times_group_in_first_seen_order(self):
         assert _group_by_time(

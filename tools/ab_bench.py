@@ -10,7 +10,10 @@ Usage, from the root of a checkout, with the two sides already unpacked
         --claim camera-crowd:wall_s_per_sim_s:0.15 --out BENCH_15.json
 
 For each ``workload@seed`` it runs ``perfbench/run.py --trace 0`` in each
-checkout, ``--pairs`` times, alternating which side goes first. A run's
+checkout, ``--pairs`` times, alternating which side goes first; then
+``--trace 1`` once per side, whose count-valued per-layer metrics (unit
+``count`` in ``BENCHMARK.json``) go into the record with the names of
+those that differ between the sides. A run's
 value of a metric is perfbench's median over its simulations; each side's
 median and quartiles over the runs are numpy linear percentiles. A pair
 is won by the side whose value is better by the metric's direction in
@@ -90,13 +93,21 @@ def claim_met(summary: dict, gain: float) -> bool:
     )
 
 
+def count_diff(parent: dict, change: dict) -> list[str]:
+    """The names of the per-layer counts whose values differ between the
+    two sides, or that only one side has, sorted."""
+    return sorted(name for name in parent.keys() | change.keys()
+                  if parent.get(name) != change.get(name))
+
+
 def _perfbench(checkout: Path, workload: str, seed: int,
-               seconds: float) -> dict:
+               seconds: float, trace: int = 0) -> dict:
     """One ``perfbench/run.py`` run: its result line, provenance and
     output digests."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, timeout=600,
     )
     lines = done.stdout.strip().splitlines()
@@ -144,6 +155,8 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
+    count_names = {m["name"] for m in spec["per_layer"]
+                   if m["unit"] == "count"}
     checkouts = {"parent": args.parent, "change": args.change}
     record = {side: {} for side in SIDES}
     workloads = {}
@@ -186,6 +199,20 @@ def main(argv=None) -> int:
                 entry[metric] = summarize(
                     values["parent"], values["change"], meta["better"],
                     meta["unit"], meta["bound"])
+        counts = {}
+        for side in SIDES:
+            traced = _perfbench(checkouts[side], workload, int(seed),
+                                args.seconds, trace=1)
+            counts[side] = {
+                metric: value["value"]
+                for metric, value in traced["metrics"].items()
+                if metric in count_names
+            }
+        entry["layer_counts"] = {
+            **counts, "differ": count_diff(counts["parent"], counts["change"])
+        }
+        print(f"{name} per-layer counts differing: "
+              f"{entry['layer_counts']['differ'] or 'none'}", flush=True)
         workloads[name] = entry
         for side in SIDES:
             provenance = runs[side][0]["provenance"]
@@ -201,7 +228,8 @@ def main(argv=None) -> int:
         f"each side run from its own checkout; {args.pairs} pairs per "
         "workload, alternating which side runs first; each run's value is "
         "perfbench's median over its simulations; median and quartiles "
-        "over the runs are numpy linear percentiles (tools/ab_bench.py)"
+        "over the runs are numpy linear percentiles; per-layer counts "
+        "from one --trace 1 run per side (tools/ab_bench.py)"
     )
     record["net_src_lines"] = _net_lines(args.parent_sha, args.change_sha)
     if args.claim:
