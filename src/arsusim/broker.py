@@ -9,8 +9,9 @@ can be configured for lossy experiments. A publish is one batch: the
 drop draws for all of the topic's subscribers (the publisher excluded)
 are taken in one ``rng.random(k)`` call, in subscription order, which
 gives the same doubles as ``k`` scalar draws. ``publish`` returns the
-kept recipients as a tuple, in subscription order; a publisher not
-subscribed to its topic gets the topic's cached tuple of subscribers.
+kept recipients as a tuple, in subscription order: the topic's cached
+tuple of subscribers, sliced around the publisher when it subscribes to
+its own topic.
 ``Broker.delivery_log`` holds one ``(envelope, publisher, recipients)``
 record per publish that delivered, and expands them into ``Delivery``
 records only when read.
@@ -128,7 +129,8 @@ class Broker:
         if recipients is None:
             recipients = self._recipients[topic] = tuple(subscribers)
         if publisher in subscribers:
-            recipients = tuple(c for c in recipients if c != publisher)
+            at = recipients.index(publisher)
+            recipients = recipients[:at] + recipients[at + 1:]
         if self.drop_probability > 0.0 and recipients:
             kept = self._rng.random(len(recipients)) >= self.drop_probability
             survivors = tuple(compress(recipients, kept.tolist()))

@@ -16,9 +16,12 @@ bit-identical.
 Road users and their subscriptions are fixed for a run, so
 ``Simulation.__init__`` plans every send once: a road user's broadcast
 or Cell publish, and a gateway relay or publish, as ``(offset_us,
-receivers)`` groups, one per distinct arrival time. Only the simulation
-works out arrival times; a publish that dropped some subscribers keeps
-only the receivers the broker kept. A send schedules one arrival per
+receivers)`` groups, one per distinct arrival time. A plan group also
+carries, built once, its receivers' rows of ``last_heard`` as an index
+array and their bitmask (bit ``r`` for user index ``r``). Only the
+simulation works out arrival times; a publish that dropped some
+subscribers cuts each group that lost one to the receivers the broker
+kept, and keeps the others as they are. A send schedules one arrival per
 group. The arrivals one handler call schedules for one instant share one
 heap entry, a block, and a camera frame's detections share one ready
 event; ``events_executed`` still counts one event per receiver and one
@@ -31,6 +34,9 @@ formatted row or a delivery record. ``Metrics.deliveries`` and
 and iteration; they expand each record one delivery or row per
 (subject, receiver) as they are read. ``Metrics.awareness()`` builds
 the heard pairs from the ``last_heard`` matrix when it is called.
+Delivery bookkeeping is per arrival, not per (BSM, receiver): the
+duplicate window holds one bitmask per BSM key, and ``last_heard`` is
+written through the group's index array.
 """
 
 from __future__ import annotations
@@ -287,7 +293,6 @@ class Metrics:
         self.log: list = []
         self.records = 0  # delivery records in the log
         self.delivered = 0  # their (subject, receiver) pairs
-        self.deliveries = Deliveries(self)
         self.path_stats: dict[tuple[LinkTech, LinkTech], PathStats] = {}
         #: last_heard[receiver, truth subject]: µs of the latest delivery,
         #: or NEVER_HEARD.
@@ -298,35 +303,35 @@ class Metrics:
         self.bsm_tx = 0
         self.events_executed = 0
 
-    def record_delivery(self, records: list, delivered_at_us: int) -> None:
+    @property
+    def deliveries(self) -> Deliveries:
+        """Every delivery to a road user, read from the log."""
+        return Deliveries(self)
+
+    def record_delivery(self, records: list, arrays: list[np.ndarray],
+                        delivered_at_us: int) -> None:
         """Record the deliveries made at ``delivered_at_us``: a
-        ``DeliveryGroup`` or ``DeliveryBatch`` per arrival."""
+        ``DeliveryGroup`` or ``DeliveryBatch`` per arrival, and beside
+        each, in ``arrays``, its receivers as rows of ``last_heard``."""
         self.log += records
         self.records += len(records)
         path_stats = self.path_stats
-        rows = []  # of last_heard: receivers
-        columns = []  # truth subjects
-        for record in records:
-            # Both kinds of record begin with these fields.
-            receivers, _, truth, uplink, downlink, generated_at_us = record[:6]
+        last_heard = self.last_heard
+        # Events run in time order, so these deliveries are the latest.
+        for record, receivers in zip(records, arrays):
+            # Both kinds of record hold these fields here.
+            truth, uplink, downlink, generated_at_us = record[2:6]
             if type(record) is DeliveryGroup:
-                truth = (truth,)
-            width = len(receivers)
-            rows += receivers * len(truth)
-            for truth_index in truth:
-                columns += [truth_index] * width
-            n = width * len(truth)
+                n = len(receivers)
+                last_heard[receivers, truth] = delivered_at_us
+            else:
+                n = len(receivers) * len(truth)
+                last_heard[np.ix_(receivers, truth)] = delivered_at_us
             self.delivered += n
             stats = path_stats.get((uplink, downlink))
             if stats is None:
                 stats = path_stats[uplink, downlink] = PathStats()
             stats.add(delivered_at_us - generated_at_us, n)
-        # Events run in time order, so these deliveries are the latest.
-        total = len(rows)
-        self.last_heard[
-            np.fromiter(rows, np.intp, total),
-            np.fromiter(columns, np.intp, total),
-        ] = delivered_at_us
 
     def awareness(self) -> dict[tuple[str, str], int]:
         """(receiver id, subject id) -> when the receiver last heard the
@@ -341,7 +346,8 @@ class Metrics:
 
 class _SeenWindow:
     """Which receivers already have each BSM, by (subject id,
-    generated_at) key, for as long as a delivery of it can arrive.
+    generated_at) key, for as long as a delivery of it can arrive: one
+    int per key, bit ``r`` set once user index ``r`` has it.
 
     No path takes longer than ``horizon_us``, so a key generated more
     than that before now is dropped. A delivery of a key generated
@@ -351,19 +357,20 @@ class _SeenWindow:
     def __init__(self, horizon_us: int):
         self.horizon_us = horizon_us
         self.watermark_us = 0  # keys generated before this may be dropped
-        self._receivers: dict[tuple[str, int], set[int]] = {}
+        self._receivers: dict[tuple[str, int], int] = {}
         self._order: deque[tuple[str, int]] = deque()
 
     def __len__(self) -> int:
         return len(self._receivers)
 
-    def receivers_of(self, key: tuple[str, int], now_us: int) -> set[int]:
-        """The receivers that already have ``key``; the caller adds to it."""
+    def add(self, key: tuple[str, int], mask: int, now_us: int) -> int:
+        """Add the receivers of ``mask`` to ``key``'s; return the mask of
+        those that had it before."""
         order = self._order
+        receivers = self._receivers
         cutoff = now_us - self.horizon_us
         if order and order[0][1] < cutoff:
             self.watermark_us = cutoff
-            receivers = self._receivers
             while order and order[0][1] < cutoff:
                 del receivers[order.popleft()]
         if key[1] < self.watermark_us:
@@ -371,10 +378,11 @@ class _SeenWindow:
                 f"delivery of {key} arrived after its duplicate window "
                 f"closed at {self.watermark_us} us"
             )
-        seen = self._receivers.get(key)
+        seen = receivers.get(key)
         if seen is None:
-            seen = self._receivers[key] = set()
             order.append(key)
+            seen = 0
+        receivers[key] = seen | mask
         return seen
 
 
@@ -403,6 +411,14 @@ class RunResult:
 # them; and the loop runs a handler to the end before it pops the next
 # entry.
 #
+# Groups. A plan group is a ``_Group``: its receivers' tuple, with their
+# ``last_heard`` rows as an index array and their bitmask, built once at
+# setup. A delivery of it tests and updates the duplicate window with one
+# int operation per BSM, and writes ``last_heard`` through the array; it
+# works out per-receiver flags only when some receiver already had the
+# BSM. A group cut by a drop, or an arrival built by hand, is a plain
+# tuple, whose array and mask the delivery builds and does not keep.
+#
 # Blocks. A send schedules one ``_Arrival`` per group of its plan. All
 # the arrivals one handler call schedules for one instant go into one
 # list, a block, whose heap entry takes the seq of its first arrival;
@@ -427,7 +443,8 @@ class RunResult:
 # groups share an instant and interleave.
 #
 # Drops. A publish that dropped some subscribers casts each group of its
-# plan cut to the receivers kept, skipping the groups left empty. In
+# plan cut to the receivers kept, skipping the groups left empty; a group
+# that lost none is cast as the plan's own, so it still merges. In
 # ``max_endpoint`` mode the groups' order can then differ from that of
 # their first kept receivers; but that only swaps seqs between entries at
 # distinct instants, which the heap orders by time, and one ``_cast``'s
@@ -438,10 +455,32 @@ class RunResult:
 # event that classifies them in capture order runs them as one event
 # each would.
 
+class _Group(tuple):
+    """A plan group's receivers (user indices), carrying their rows of
+    ``last_heard`` as an index array and their bitmask."""
+
+    rows: np.ndarray
+    mask: int
+
+    def __new__(cls, receivers: Iterable[int]) -> _Group:
+        group = super().__new__(cls, receivers)
+        group.rows, group.mask = _rows_and_mask(group)
+        return group
+
+
+def _rows_and_mask(receivers: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """``receivers`` as an index array of ``last_heard`` rows, and as a
+    bitmask."""
+    mask = 0
+    for r in receivers:
+        mask |= 1 << r
+    return np.array(receivers, dtype=np.intp), mask
+
+
 class _Arrival(NamedTuple):
     """BSMs generated at one instant reaching some road users at one."""
 
-    receivers: tuple[int, ...]  # user indices
+    receivers: tuple[int, ...]  # user indices: a _Group, or a cut of one
     bsms: list[Bsm]
     uplink: LinkTech
     downlink: LinkTech
@@ -458,7 +497,7 @@ def _group_by_time(arrivals: Iterable[tuple[int, int]]) -> _Plan:
     groups: dict[int, list[int]] = {}
     for at_us, receiver in arrivals:
         groups.setdefault(at_us, []).append(receiver)
-    return tuple((at_us, tuple(group)) for at_us, group in groups.items())
+    return tuple((at_us, _Group(group)) for at_us, group in groups.items())
 
 
 class Simulation:
@@ -612,6 +651,9 @@ class Simulation:
             handler(at_us, arg)
             if blocks:
                 blocks.clear()
+        # The events left hold bound handlers: without them, nothing the
+        # run made refers back to this simulation.
+        heap.clear()
 
         final = self._sample_coverage(duration_us)
         defined = [v for _, v in self.metrics.coverage_samples if v is not None]
@@ -690,10 +732,13 @@ class Simulation:
             self._schedule(now_us + publisher.half_us, self._on_gateway_rx,
                            (bsm, LinkTech.CELL_MQTT, topic))
         if broker.drop_count != drops:
-            ids, kept_ids = self.metrics.ids, set(kept)
+            # A road user's client name is its id, its own truth.
+            kept_rows = set(map(self._truth_of.get, kept)).__contains__
             plan = tuple(
-                (offset_us, group) for offset_us, receivers in plan
-                if (group := tuple(r for r in receivers if ids[r] in kept_ids))
+                (offset_us,
+                 receivers if len(group) == len(receivers) else group)
+                for offset_us, receivers in plan
+                if (group := tuple(filter(kept_rows, receivers)))
             )
         self._cast(plan, now_us, bsm, uplink, LinkTech.CELL_MQTT, topic)
 
@@ -758,26 +803,33 @@ class Simulation:
         arrival is recorded once (see ``DeliveryBatch``)."""
         metrics = self.metrics
         truth_of = self._truth_of
-        receivers_of = self._seen.receivers_of
+        add_seen = self._seen.add
         records = []
+        arrays = []  # each record's receivers as rows of last_heard
         delivered = 0
         for receivers, bsms, uplink, downlink, topic in arrivals:
             generated_at_us = bsms[0].generated_at_us
             latency_ms = us_to_ms(now_us - generated_at_us)
             if latency_ms < 0:
                 raise SimulationInvariantError("delivery precedes generation")
+            if type(receivers) is _Group:
+                arrays.append(receivers.rows)
+                mask = receivers.mask
+            else:
+                array, mask = _rows_and_mask(receivers)
+                arrays.append(array)
             rows = []
             for bsm in bsms:
                 subject = bsm.id.value
                 truth_index = truth_of.get(subject)
                 if truth_index is None:
                     raise SimulationInvariantError(f"{bsm.id} is no road user")
-                seen = receivers_of((subject, generated_at_us), now_us)
+                # Read per BSM: two BSMs of one arrival can share a key.
+                seen = add_seen((subject, generated_at_us), mask, now_us)
                 duplicates = None
-                if not seen.isdisjoint(receivers):
-                    duplicates = tuple(r in seen for r in receivers)
+                if seen & mask:
+                    duplicates = tuple(bool(seen >> r & 1) for r in receivers)
                     metrics.duplicates_suppressed += sum(duplicates)
-                seen.update(receivers)
                 rows.append((subject, truth_index, duplicates))
             if len(rows) == 1:
                 records.append(DeliveryGroup(
@@ -791,7 +843,7 @@ class Simulation:
                     flags if any(flags) else None))
             delivered += len(receivers) * len(rows)
         metrics.events_executed += delivered - 1
-        metrics.record_delivery(records, now_us)
+        metrics.record_delivery(records, arrays, now_us)
 
     def _on_ipu_frame(self, now_us: int, _: None) -> None:
         in_view = []

@@ -69,3 +69,34 @@ def test_count_diff_names_changed_and_one_sided_counts():
     assert ab_bench.count_diff(parent, change) == [
         "broker.drops", "gateway.ghosts", "gateway.relayed"]
     assert ab_bench.count_diff(parent, dict(parent)) == []
+
+
+def test_ratio_interval_is_seeded_and_brackets_the_median_ratio():
+    change = [v * 0.8 for v in PARENT]
+    change[2] = PARENT[2] * 1.1
+    low, high = ab_bench.ratio_ci95(PARENT, change)
+    assert ab_bench.ratio_ci95(PARENT, change) == [low, high]
+    assert low <= 0.8 <= high < 1.0
+    summary = ab_bench.summarize(PARENT, change, "lower", "s/s", 0.25)
+    assert summary["ratio_ci95"] == [low, high]
+
+
+def test_ratio_interval_of_a_zero_parent_is_none():
+    assert ab_bench.ratio_ci95([0.0, 1.0], [1.0, 1.0]) is None
+
+
+@pytest.mark.parametrize("better, interval, met", [
+    ("lower", [0.7, 0.9], True),
+    ("lower", [0.7, 1.01], False),  # the interval reaches 1
+    ("lower", None, False),  # no interval: a parent value was 0
+    ("higher", [1.1, 1.3], True),
+    ("higher", [0.99, 1.3], False),
+])
+def test_claim_needs_the_ratio_interval_to_exclude_one(better, interval,
+                                                       met):
+    sign = -1 if better == "lower" else 1
+    change = [v * (1 + sign * 0.3) for v in PARENT]
+    summary = ab_bench.summarize(PARENT, change, better, "s/s", 0.25)
+    assert ab_bench.claim_met(summary, 0.15)  # every other condition holds
+    summary["ratio_ci95"] = interval
+    assert ab_bench.claim_met(summary, 0.15) is met

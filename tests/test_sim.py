@@ -1,4 +1,6 @@
+import gc
 import heapq
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from arsusim.messages import (
 from arsusim.sim import (
     DeliveryRecord,
     _Arrival,
+    _Group,
     _group_by_time,
     Simulation,
     SimulationInvariantError,
@@ -814,6 +817,22 @@ users:
 """
 
 
+#: Found by a random search: U1 and U2 refresh one track in each frame,
+#: so the track's BSM goes out twice under one key, the second copy in
+#: the same arrival as the first; drops at 0.3 cut the group of the IPU
+#: publish at 765.872 ms to U2 alone, whose delivery is a duplicate.
+DROPPED_DUPLICATES = """
+duration_ms: 800
+scenario_speed_kmh: 50
+seed: 43
+mqtt: {drop_probability: 0.3}
+users:
+  - {kind: nonnative_cell, id: U0, x_m: -11, heading_deg: 236, speed_kmh: 23, bsm_phase_ms: 85, gnss_error_std_m: 0}
+  - {kind: non_connected, id: U1, x_m: 18, heading_deg: 255, speed_kmh: 38}
+  - {kind: nonnative_cell, id: U2, x_m: 19, heading_deg: 280, speed_kmh: 56, bsm_phase_ms: 96, gnss_error_std_m: 12}
+"""
+
+
 class TestGroupRecords:
     """Deliveries are recorded one group-cast at a time; a reference
     worked out one delivery at a time must agree."""
@@ -829,6 +848,17 @@ class TestGroupRecords:
         _assert_matches_per_delivery_reference(result)
         rows = [r for r in result.trace_rows if r[4].endswith(" duplicate")]
         assert len(rows) == 5
+
+    def test_duplicate_flags_of_a_group_cut_by_drops(self):
+        """A cut group's mask is built when it is delivered: its
+        duplicate flags match the reference too."""
+        result = run(scenario(DROPPED_DUPLICATES))
+        assert result.metrics.duplicates_suppressed == 3
+        _assert_matches_per_delivery_reference(result)
+        assert any(
+            type(entry.receivers) is not _Group and entry.duplicates
+            for entry in result.metrics.log if isinstance(entry, tuple)
+        )
 
 
 class TestGroupCast:
@@ -946,6 +976,41 @@ users:
         ]
         assert heard == [
             (10_000 + c0.half_us, (LinkTech.CELL_MQTT, Topic.CELL))]
+
+    class _Draws:
+        """A broker's drop draws, fixed in advance."""
+
+        def __init__(self, values):
+            self.values = values
+
+        def random(self, k):
+            return np.array(self.values[:k])
+
+    @pytest.mark.parametrize("mode", ["scenario", "max_endpoint"])
+    def test_drop_cuts_only_the_groups_that_lost_a_receiver(self, mode):
+        """A gateway IPU publish that drops C1 casts C0's and C2's groups
+        as the plan's own in ``max_endpoint`` mode, where each has its
+        own; in ``scenario`` mode the one group is cut to C0 and C2. A
+        delivery of either writes ``last_heard`` for exactly the kept."""
+        simulation = self._mqtt(mode)
+        broker = simulation.broker
+        broker.drop_probability = 0.5
+        broker._rng = self._Draws([0.9, 0.1, 0.9])  # IPU: C0, C1, C2
+        bsm = _relay_bsm(simulation, 1_000, "D0")
+        simulation._send(bsm, ((LinkTech.CELL_MQTT, Topic.IPU),),
+                         LinkTech.CAMERA, 1_000)
+        plan = [group for _, group in simulation._relays[LinkTech.CELL_MQTT]]
+        cast = [receivers for _, receivers in self._arrivals(simulation)]
+        if mode == "max_endpoint":
+            assert cast == [(0,), (3,)]
+            assert cast[0] is plan[0] and cast[1] is plan[2]
+        else:
+            assert cast == [(0, 3)]
+            assert type(cast[0]) is tuple
+        for at_us, block in self._blocks(simulation):
+            simulation._deliver(at_us, block)
+        heard = simulation.metrics.last_heard[:, 1]
+        assert list(heard != -1) == [True, False, False, True]
 
     def test_user_to_user_pays_two_legs(self):
         simulation = self._mqtt()
@@ -1248,3 +1313,22 @@ users:
             simulation.run()
             held[duration_ms] = len(simulation._seen)
         assert 0 < held[10_000] <= 1.5 * held[2_000], held
+
+
+class TestRunIsFreed:
+    def test_dropped_run_is_freed_without_the_cyclic_collector(self):
+        """Nothing a finished run made refers back to it in a cycle, so
+        dropping the simulation and its result frees the run by
+        reference counting alone."""
+        gc.collect()
+        gc.disable()
+        try:
+            simulation = Simulation(scenario(MIXED_TABLE1))
+            result = simulation.run()
+            assert result.gateway is not None
+            held = [weakref.ref(obj) for obj in (
+                simulation, result.metrics, result.gateway, result.broker)]
+            del simulation, result
+            assert [ref() for ref in held] == [None] * len(held)
+        finally:
+            gc.enable()

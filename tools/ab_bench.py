@@ -17,7 +17,11 @@ those that differ between the sides. A run's
 value of a metric is perfbench's median over its simulations; each side's
 median and quartiles over the runs are numpy linear percentiles. A pair
 is won by the side whose value is better by the metric's direction in
-``BENCHMARK.json``; equal values tie. The record also holds failed
+``BENCHMARK.json``; equal values tie. ``ratio_ci95`` is a 95% bootstrap
+interval of the median of the paired change/parent ratios: the pairs
+resampled with replacement 10,000 times from a fixed seed, and the 2.5th
+and 97.5th percentiles of the resamples' medians; it is None when a
+parent value is 0. The record also holds failed
 operations, whether every run wrote the same ``report.json`` and
 ``trace.csv``, the provenance perfbench printed, and the net lines of
 ``src/`` between the two shas (``git diff --numstat`` in this checkout).
@@ -25,8 +29,8 @@ operations, whether every run wrote the same ``report.json`` and
 A claim ``workload:metric:gain`` is met when, on every seed run of that
 workload, the change's median is better than the parent's by at least
 ``gain`` (a fraction of the parent's median) and by more than the
-parent's interquartile range, and the change wins at least nine tenths
-of the pairs.
+parent's interquartile range, the change wins at least nine tenths of
+the pairs, and ``ratio_ci95`` lies wholly on the better side of 1.
 """
 
 from __future__ import annotations
@@ -37,11 +41,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+#: Bootstrap resamples of the paired ratios, and their seed.
+RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0
 
 
 def _stats(values: list[float]) -> dict:
@@ -55,11 +63,25 @@ def _stats(values: list[float]) -> dict:
     }
 
 
+def ratio_ci95(parent: list[float], change: list[float]) -> Optional[list]:
+    """The 95% bootstrap interval of the median change/parent ratio over
+    the pairs, or None when a parent value is 0."""
+    parent_values = np.asarray(parent, dtype=float)
+    if not parent_values.all():
+        return None
+    ratios = np.asarray(change, dtype=float) / parent_values
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    picks = rng.integers(0, len(ratios), (RESAMPLES, len(ratios)))
+    low, high = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
+    return [round(float(low), 4), round(float(high), 4)]
+
+
 def summarize(parent: list[float], change: list[float], better: str,
               unit: str, bound: float) -> dict:
     """One metric's parent and change runs, paired in order: each side's
-    median, quartiles and runs, the pairs the change won and tied, and
-    the change's median relative to the parent's."""
+    median, quartiles and runs, the pairs the change won and tied, the
+    change's median relative to the parent's, and the bootstrap interval
+    of the paired ratio."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same, non-zero number of runs per side")
     sign = -1.0 if better == "lower" else 1.0
@@ -77,6 +99,7 @@ def summarize(parent: list[float], change: list[float], better: str,
         "change_better_pairs": int(won),
         "tied_pairs": int(tied),
         "relative_change": round(relative, 4),
+        "ratio_ci95": ratio_ci95(parent, change),
     }
 
 
@@ -86,10 +109,13 @@ def claim_met(summary: dict, gain: float) -> bool:
     sign = -1.0 if summary["better"] == "lower" else 1.0
     improvement = sign * (change["median"] - parent["median"])
     pairs = len(parent["runs"])
+    interval = summary["ratio_ci95"]
     return (
         sign * summary["relative_change"] >= gain
         and improvement > parent["iqr"]
         and summary["change_better_pairs"] >= 0.9 * pairs
+        and interval is not None
+        and (interval[1] < 1.0 if sign < 0 else interval[0] > 1.0)
     )
 
 
@@ -240,11 +266,13 @@ def main(argv=None) -> int:
             "metric": f"{metric} on {workload}",
             "target": f"at least {float(gain):.0%} better on every seed run, "
                       "at least 9 of 10 pairs, median difference above the "
-                      "parent's IQR",
+                      "parent's IQR, bootstrap 95% interval of the paired "
+                      "ratio excluding 1",
             "met": bool(claimed) and all(
                 claim_met(s, float(gain)) for s in claimed.values()),
             **{name: {"relative_change": s["relative_change"],
-                      "change_better_pairs": s["change_better_pairs"]}
+                      "change_better_pairs": s["change_better_pairs"],
+                      "ratio_ci95": s["ratio_ci95"]}
                for name, s in claimed.items()},
         }
     record["workloads"] = workloads
