@@ -123,7 +123,10 @@ class Broker:
                 f"{Topic.CELL.value}, not {topic.value}"
             )
         self.publish_count += 1
-        self._published_topics.setdefault(publisher, set()).add(topic)
+        published = self._published_topics.get(publisher)
+        if published is None:
+            published = self._published_topics[publisher] = set()
+        published.add(topic)
         subscribers = self._subscribers[topic]
         recipients = self._recipients.get(topic)
         if recipients is None:

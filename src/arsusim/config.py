@@ -23,6 +23,7 @@ from typing import Optional
 
 import yaml
 
+from .broker import ARSU_CLIENT
 from .geo import METERS_PER_DEG
 from .latency import DEFAULT_IPU_PROCESSING_MS, MAX_ITT_MS, SPEEDS_KMH
 from .messages import SYNTHETIC_ID_PREFIX, LinkTech, ms_to_us
@@ -409,6 +410,11 @@ def _build_users(users_raw: list) -> tuple[UserSpec, ...]:
                 raise ConfigError(
                     f"{context}.id must not use the reserved "
                     f"{SYNTHETIC_ID_PREFIX!r} namespace"
+                )
+            if user_id == ARSU_CLIENT:
+                raise ConfigError(
+                    f"{context}.id {ARSU_CLIENT!r} is reserved for the "
+                    "gateway's broker client"
                 )
             if user_id in seen_ids:
                 raise ConfigError(f"duplicate user id {user_id!r}")

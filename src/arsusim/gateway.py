@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional
 
@@ -357,6 +357,12 @@ class DetectionTrack:
     track_id: int
     latest: Detection
     synthetic_id: Optional[RoadUserId] = None
+    #: Its decision records' label, built once per state: ``track=N``
+    #: while pending, ``refresh=<synthetic id>`` once confirmed.
+    label: str = field(init=False)
+
+    def __post_init__(self):
+        self.label = f"track={self.track_id}"
 
 
 def _hold(index: _Index, track: DetectionTrack, det: Detection) -> None:
@@ -398,6 +404,8 @@ class Gateway:
         self._ghosts: list[tuple[RoadUserId, RoadUserId]] = []
         self.synthetic_truth: dict[RoadUserId, Optional[RoadUserId]] = {}
         self.trace: list[DecisionRecord] = []
+        #: ``matched=<id>`` by BSM id, each built once.
+        self._matched_labels: dict[str, str] = {}
 
     # --- relaying ---
 
@@ -439,11 +447,9 @@ class Gateway:
             < self.config.sigma_m
         )
         for tid in resolved:
-            self._pending.pop(tid)
-            self._record(
-                now_us, "pending_match", bsm.id.value, "Connected",
-                f"track={tid}",
-            )
+            track = self._pending.pop(tid)
+            self._record(now_us, "pending_match", bsm.id.value, "Connected",
+                         track.label)
 
     # --- detection filtering ---
 
@@ -461,19 +467,19 @@ class Gateway:
         reach = self._shape.reach(det.estimate)
         bsm = self._nearest(det, self.history, reach)
         if bsm is not None:
-            self._record(
-                now_us, "detection", _truth_label(det), "Connected",
-                f"matched={bsm.id.value}",
-            )
+            labels = self._matched_labels
+            label = labels.get(bsm.id.value)
+            if label is None:
+                label = labels[bsm.id.value] = f"matched={bsm.id.value}"
+            self._record(now_us, "detection", _truth_label(det), "Connected",
+                         label)
             return DetectionOutcome(FilterStatus.CONNECTED, matched_id=bsm.id)
 
         track = self._nearest(det, self._confirmed, reach)
         if track is not None:
             _hold(self._confirmed, track, det)
-            self._record(
-                now_us, "detection", _truth_label(det), "NonConnected",
-                f"refresh={track.synthetic_id.value}",
-            )
+            self._record(now_us, "detection", _truth_label(det),
+                         "NonConnected", track.label)
             return DetectionOutcome(
                 FilterStatus.NON_CONNECTED,
                 track_id=track.track_id,
@@ -484,10 +490,8 @@ class Gateway:
         track = self._nearest(det, self._pending, reach)
         if track is not None:
             _hold(self._pending, track, det)
-            self._record(
-                now_us, "detection", _truth_label(det), "Pending",
-                f"track={track.track_id}",
-            )
+            self._record(now_us, "detection", _truth_label(det), "Pending",
+                         track.label)
             return DetectionOutcome(
                 FilterStatus.PENDING, track_id=track.track_id
             )
@@ -495,10 +499,8 @@ class Gateway:
         track = DetectionTrack(track_id=self._next_track_id, latest=det)
         self._next_track_id += 1
         _hold(self._pending, track, det)
-        self._record(
-            now_us, "detection", _truth_label(det), "Pending",
-            f"track={track.track_id} new",
-        )
+        self._record(now_us, "detection", _truth_label(det), "Pending",
+                     f"{track.label} new")
         return DetectionOutcome(
             FilterStatus.PENDING,
             track_id=track.track_id,
@@ -518,6 +520,7 @@ class Gateway:
         track.synthetic_id = RoadUserId(
             f"{SYNTHETIC_ID_PREFIX}{self._next_synthetic}"
         )
+        track.label = f"refresh={track.synthetic_id.value}"
         self._next_synthetic += 1
         _hold(self._confirmed, track, track.latest)
         truth = track.latest.truth_id

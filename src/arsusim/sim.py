@@ -29,11 +29,16 @@ per detection. A camera frame's generated BSMs join into one arrival
 per plan group (see "Merging"). An arrival is recorded once: as a
 ``DeliveryGroup``, or with several BSMs as a ``DeliveryBatch``. A run
 keeps one log, ``Metrics.log``: every trace entry in event order, a
-formatted row or a delivery record. ``Metrics.deliveries`` and
-``RunResult.trace_rows`` are views of it that support only ``len()``
-and iteration; they expand each record one delivery or row per
-(subject, receiver) as they are read. ``Metrics.awareness()`` builds
-the heard pairs from the ``last_heard`` matrix when it is called.
+formatted row or a delivery record. What the log holds is built of
+objects shared between entries: a row is a tuple of strings, the rows
+of one instant share one ``at_ms``, each distinct detection outcome or
+gateway arrival has one detail string, built the first time it is seen,
+and a frame's batches on the three media share one tuple of subjects.
+``Metrics.deliveries`` and ``RunResult.trace_rows`` are views of the
+log that support only ``len()`` and iteration; they expand each record
+one delivery or row per (subject, receiver) as they are read.
+``Metrics.awareness()`` builds the heard pairs from the ``last_heard``
+matrix when it is called.
 Delivery bookkeeping is per arrival, not per (BSM, receiver): the
 duplicate window holds one bitmask per BSM key, and ``last_heard`` is
 written through the group's index array.
@@ -239,43 +244,61 @@ class Deliveries(_LogView):
 
 
 class TraceRows(_LogView):
-    """The run's trace, one ``[at_ms, kind, actor, subject, detail]`` row
-    per event.
+    """The run's trace, one ``(at_ms, kind, actor, subject, detail)``
+    tuple per event.
 
     User deliveries are held as their delivery record and formatted
-    only when their rows are read, each string once per record; every
-    other event is held formatted.
+    only when their rows are read: a record's rows share its strings,
+    and records share each ``at_ms`` and detail string, formatted once
+    per distinct value as the rows are read. Every other event is held
+    formatted, as a row of strings it shares with the run's other rows.
     """
 
     def __len__(self) -> int:
         metrics = self._metrics
         return len(metrics.log) - metrics.records + metrics.delivered
 
-    def __iter__(self) -> Iterator[list[str]]:
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
         ids = self._metrics.ids
+        #: (kind, detail, duplicate detail) by (uplink, downlink,
+        #: latency_ms, topic): bounded by the run's paths.
+        labels: dict[tuple, tuple[str, str, str]] = {}
+        at_us, at_ms = None, ""  # the log is in time order
         for entry in self._metrics.log:
             subjects = _by_subject(entry)
             if subjects is None:
                 yield entry
                 continue
-            detail = (
-                f"up={entry.uplink.value} down={entry.downlink.value}"
-                f" latency_ms={entry.latency_ms:.3f}"
-            )
-            kind = "RadioDelivery"
-            if entry.topic is not None:
-                kind = "MqttDelivery"
-                detail += f" topic={entry.topic.value}"
-            at_ms = f"{us_to_ms(entry.delivered_at_us):.3f}"
-            duplicate = detail + " duplicate"
+            path = (entry.uplink, entry.downlink, entry.latency_ms,
+                    entry.topic)
+            label = labels.get(path)
+            if label is None:
+                label = labels[path] = _delivery_label(*path)
+            kind, detail, duplicate = label
+            if entry.delivered_at_us != at_us:
+                at_us = entry.delivered_at_us
+                at_ms = f"{us_to_ms(at_us):.3f}"
             for subject, _, flags in subjects:
                 if flags is None:
                     for r in entry.receivers:
-                        yield [at_ms, kind, ids[r], subject, detail]
+                        yield (at_ms, kind, ids[r], subject, detail)
                     continue
                 for r, dup in zip(entry.receivers, flags):
-                    yield [at_ms, kind, ids[r], subject,
-                           duplicate if dup else detail]
+                    yield (at_ms, kind, ids[r], subject,
+                           duplicate if dup else detail)
+
+
+def _delivery_label(uplink: LinkTech, downlink: LinkTech, latency_ms: float,
+                    topic: Optional[Topic]) -> tuple[str, str, str]:
+    """A delivery row's kind, detail, and detail when it is a
+    duplicate."""
+    detail = (f"up={uplink.value} down={downlink.value}"
+              f" latency_ms={latency_ms:.3f}")
+    kind = "RadioDelivery"
+    if topic is not None:
+        kind = "MqttDelivery"
+        detail += f" topic={topic.value}"
+    return kind, detail, detail + " duplicate"
 
 
 #: ``last_heard`` of a (receiver, subject) pair never heard.
@@ -284,8 +307,10 @@ NEVER_HEARD = -1
 
 class Metrics:
     """What a run measures, and its log: every trace entry in event
-    order, a formatted row or a delivery record. ``deliveries`` is a
-    view of the log's records."""
+    order, a formatted row (a tuple of strings, shared with the other
+    rows where equal: one ``at_ms`` per instant, one detail per distinct
+    detection outcome or gateway arrival) or a delivery record.
+    ``deliveries`` is a view of the log's records."""
 
     def __init__(self, user_ids: list[str]):
         n = len(user_ids)
@@ -549,6 +574,15 @@ class Simulation:
         self._seq = 0
         #: The arrival blocks the running handler has open, by time.
         self._blocks: dict[int, list[_Arrival]] = {}
+        #: The last batch's subjects and truth indices.
+        self._batched: tuple[tuple, tuple] = ((), ())
+        #: The instant last traced, and its ``at_ms`` string.
+        self._traced_at: tuple[int, str] = (-1, "")
+        #: Trace details built once each, bounded by users and tracks:
+        #: a detection's by (status, matched id, track id), and a gateway
+        #: arrival's ``(kind, detail)`` by (medium, topic, target count).
+        self._detection_details: dict[tuple, str] = {}
+        self._rx_labels: dict[tuple, tuple[str, str]] = {}
 
         drop = config.mqtt.drop_probability
         self.broker = Broker(
@@ -771,14 +805,16 @@ class Simulation:
         uplink is the downlink."""
         bsm, medium, topic = arg
         targets = self.gateway.on_rx(bsm, medium, now_us)
-        if topic is None:
-            kind, detail = "RadioDelivery", f"via={medium.value}"
-        else:
-            kind, detail = "MqttDelivery", f"topic={topic.value}"
-        self._trace(
-            now_us, kind, ARSU_CLIENT, bsm.id.value,
-            f"{detail} actions={len(targets)}",
-        )
+        key = (medium, topic, len(targets))
+        label = self._rx_labels.get(key)
+        if label is None:
+            if topic is None:
+                kind, detail = "RadioDelivery", f"via={medium.value}"
+            else:
+                kind, detail = "MqttDelivery", f"topic={topic.value}"
+            label = self._rx_labels[key] = (
+                kind, f"{detail} actions={len(targets)}")
+        self._trace(now_us, label[0], ARSU_CLIENT, bsm.id.value, label[1])
         self._send(bsm, targets, medium, now_us)
 
     def _send(self, bsm: Bsm, targets: tuple[Target, ...], uplink: LinkTech,
@@ -837,6 +873,11 @@ class Simulation:
                     generated_at_us, now_us, latency_ms, topic, duplicates))
             else:
                 subjects, truth, flags = zip(*rows)
+                # A frame's batches on each medium carry the same BSMs.
+                if (subjects, truth) == self._batched:
+                    subjects, truth = self._batched
+                else:
+                    self._batched = (subjects, truth)
                 records.append(DeliveryBatch(
                     receivers, subjects, truth, uplink, downlink,
                     generated_at_us, now_us, latency_ms, topic,
@@ -885,14 +926,19 @@ class Simulation:
         target; one executed event per detection."""
         self.metrics.events_executed += len(detections) - 1
         on_detection = self.gateway.on_detection
+        details = self._detection_details
         for detection in detections:
             outcome = on_detection(detection, now_us)
             subject = detection.truth_id.value if detection.truth_id else "?"
-            detail = outcome.status.value
-            if outcome.matched_id is not None:
-                detail += f" matched={outcome.matched_id.value}"
-            if outcome.track_id is not None:
-                detail += f" track={outcome.track_id}"
+            key = (outcome.status, outcome.matched_id, outcome.track_id)
+            detail = details.get(key)
+            if detail is None:
+                detail = outcome.status.value
+                if outcome.matched_id is not None:
+                    detail += f" matched={outcome.matched_id.value}"
+                if outcome.track_id is not None:
+                    detail += f" track={outcome.track_id}"
+                details[key] = detail
             self._trace(now_us, "DetectionReady", ARSU_CLIENT, subject, detail)
             if outcome.deadline_us is not None:
                 self._schedule(outcome.deadline_us, self._on_grace_deadline,
@@ -962,9 +1008,13 @@ class Simulation:
     def _trace(
         self, at_us: int, kind: str, actor: str, subject: str, detail: str
     ) -> None:
-        self.metrics.log.append(
-            [f"{us_to_ms(at_us):.3f}", kind, actor, subject, detail]
-        )
+        """Log one formatted row. Events run in time order, so the rows
+        of one instant share the one ``at_ms`` string."""
+        traced_us, at_ms = self._traced_at
+        if at_us != traced_us:
+            at_ms = f"{us_to_ms(at_us):.3f}"
+            self._traced_at = (at_us, at_ms)
+        self.metrics.log.append((at_ms, kind, actor, subject, detail))
 
 
 def _coverage_label(value: Optional[float]) -> str:

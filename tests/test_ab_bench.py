@@ -100,3 +100,19 @@ def test_claim_needs_the_ratio_interval_to_exclude_one(better, interval,
     assert ab_bench.claim_met(summary, 0.15)  # every other condition holds
     summary["ratio_ci95"] = interval
     assert ab_bench.claim_met(summary, 0.15) is met
+
+
+def test_checkouts_at_paths_of_unequal_length_are_refused(tmp_path, capsys):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "cc").mkdir()
+    common = ["--parent-sha", "a", "--change-sha", "b", "--run",
+              "camera-crowd@101", "--out", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.main(["--parent", str(tmp_path / "p"),
+                       "--change", str(tmp_path / "cc"), *common])
+    assert exit_info.value.code == 2
+    assert "paths of equal length" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+    args = ab_bench._parse_args(["--parent", str(tmp_path / "p"),
+                                 "--change", str(tmp_path / "p"), *common])
+    assert args.change == tmp_path / "p"

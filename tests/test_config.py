@@ -4,6 +4,7 @@ import pytest
 import yaml
 from hypothesis import Phase, given, settings, strategies as st
 
+from arsusim.broker import ARSU_CLIENT
 from arsusim.config import (
     ConfigError,
     RoadUserKind,
@@ -124,13 +125,16 @@ users:
             parse_scenario(doc)
 
     def test_reserved_id_namespace(self):
-        doc = """
+        """The synthetic-id namespace, and the gateway's broker client
+        name, which a user's Cell publishes would otherwise pass for."""
+        for user_id in ("ipu:7", ARSU_CLIENT):
+            doc = f"""
 duration_ms: 1000
 users:
-  - {kind: native_dsrc, id: "ipu:7"}
+  - {{kind: native_dsrc, id: "{user_id}"}}
 """
-        with pytest.raises(ConfigError, match="reserved"):
-            parse_scenario(doc)
+            with pytest.raises(ConfigError, match="reserved"):
+                parse_scenario(doc)
 
     def test_count_with_placement_rejected(self):
         doc = """

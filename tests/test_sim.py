@@ -19,6 +19,8 @@ from arsusim.messages import (
     ms_to_us,
 )
 from arsusim.sim import (
+    DeliveryBatch,
+    DeliveryGroup,
     DeliveryRecord,
     _Arrival,
     _Group,
@@ -597,10 +599,10 @@ class TestTraceRows:
         result = run(scenario(TWO_USER_STATIC))
         assert isinstance(result.trace_rows, TraceRows)
         rows = list(result.trace_rows)
-        assert rows[0] == ["0.000", "BsmTx", "U1", "",
-                           "x_m=10.000 y_m=0.000"]
-        assert rows[-1] == ["1000.000", "MetricsTick", "sim", "",
-                            f"coverage={result.final_coverage:.4f}"]
+        assert rows[0] == ("0.000", "BsmTx", "U1", "",
+                           "x_m=10.000 y_m=0.000")
+        assert rows[-1] == ("1000.000", "MetricsTick", "sim", "",
+                            f"coverage={result.final_coverage:.4f}")
         assert rows[len(result.trace_rows) - 1] == rows[-1]
 
     def test_delivery_row_formatted_from_its_record(self):
@@ -611,12 +613,12 @@ class TestTraceRows:
         assert topic_rows
         first = next(d for d in result.metrics.deliveries
                      if d.topic is not None)
-        assert topic_rows[0] == [
+        assert topic_rows[0] == (
             f"{first.delivered_at_us / 1000:.3f}", "MqttDelivery",
             first.receiver, first.subject,
             f"up={first.uplink.value} down={first.downlink.value}"
             f" latency_ms={first.latency_ms:.3f} topic={first.topic.value}",
-        ]
+        )
 
     def test_len_counts_the_expanded_rows(self):
         result = run(scenario(MIXED_TABLE1))
@@ -631,6 +633,82 @@ class TestTraceRows:
             record.latency_ms = 0.0
         with pytest.raises(AttributeError):
             record.topic = Topic.CELL
+
+
+#: Two pedestrians, confirmed and then refreshed in every frame, next to
+#: a connected user of each technology.
+SHARED = """
+duration_ms: 1500
+scenario_speed_kmh: 0
+seed: 5
+arsu: {coverage_radius_m: 400}
+users:
+  - {kind: native_dsrc, id: U1, x_m: 0, gnss_error_std_m: 0}
+  - {kind: native_cv2x, id: U2, x_m: 15, gnss_error_std_m: 0}
+  - {kind: nonnative_cell, id: U3, x_m: 30, gnss_error_std_m: 0}
+  - {kind: non_connected, id: P1, x_m: 60}
+  - {kind: non_connected, id: P2, x_m: 80}
+ipu: {noise_std_m: 0}
+"""
+
+
+def _assert_one_object_per_value(strings):
+    """Each distinct value among ``strings`` is one object; returns how
+    many values there are."""
+    first = {}
+    for text in strings:
+        assert first.setdefault(text, text) is text, text
+    return len(first)
+
+
+class TestSharedStrings:
+    """What a run holds is built of shared objects: the log's rows are
+    tuples, the rows of one instant share one time string, and each
+    repeating detail, label or batch of subjects is one object."""
+
+    def test_rows_of_one_instant_share_one_time_string(self):
+        result = run(scenario(SHARED))
+        rows = [e for e in result.metrics.log if type(e) is tuple]
+        instants = _assert_one_object_per_value(row[0] for row in rows)
+        assert instants < len(rows)  # some instants hold several rows
+        trace = list(result.trace_rows)
+        assert all(type(row) is tuple for row in trace)
+        deliveries = [row for row in trace
+                      if row[1].endswith("Delivery") and row[2] != ARSU_CLIENT]
+        assert _assert_one_object_per_value(
+            row[0] for row in deliveries) < len(deliveries)
+        assert _assert_one_object_per_value(
+            row[4] for row in deliveries) < len(deliveries)
+
+    def test_refreshes_of_a_track_share_their_labels(self):
+        result = run(scenario(SHARED))
+        decisions = [r for r in result.gateway.trace if r.event == "detection"]
+        _assert_one_object_per_value(r.actions for r in decisions)
+        refreshes = [r.actions for r in decisions
+                     if r.outcome == "NonConnected"]
+        assert sorted(set(refreshes)) == ["refresh=ipu:1", "refresh=ipu:2"]
+        assert len(refreshes) > 10
+        ready = [row[4] for row in result.metrics.log
+                 if type(row) is tuple and row[1] == "DetectionReady"]
+        _assert_one_object_per_value(ready)
+        assert {"NonConnected track=1", "NonConnected track=2",
+                "Connected matched=U1"} <= set(ready)
+        assert len(ready) > 2 * len(set(ready))
+
+    def test_batches_of_one_frame_share_their_subjects(self):
+        result = run(scenario(SHARED))
+        frames = {}
+        for entry in result.metrics.log:
+            if type(entry) is DeliveryBatch:
+                frames.setdefault(entry.generated_at_us, []).append(entry)
+        assert len(frames) > 5
+        for batches in frames.values():
+            assert [b.downlink for b in batches] == [
+                LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT]
+            first = batches[0]
+            assert all(b.subjects is first.subjects
+                       and b.truth_indices is first.truth_indices
+                       for b in batches)
 
 
 def _final_coverage_oracle(result):
@@ -857,7 +935,8 @@ class TestGroupRecords:
         _assert_matches_per_delivery_reference(result)
         assert any(
             type(entry.receivers) is not _Group and entry.duplicates
-            for entry in result.metrics.log if isinstance(entry, tuple)
+            for entry in result.metrics.log
+            if type(entry) in (DeliveryGroup, DeliveryBatch)
         )
 
 

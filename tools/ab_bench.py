@@ -9,6 +9,9 @@ Usage, from the root of a checkout, with the two sides already unpacked
         --run camera-crowd@101 --run camera-crowd@102 --run radio-dense@101 \\
         --claim camera-crowd:wall_s_per_sim_s:0.15 --out BENCH_15.json
 
+It refuses checkouts whose resolved paths differ in length: a run's
+``peak_rss_mb`` moves with the length of its checkout's path.
+
 For each ``workload@seed`` it runs ``perfbench/run.py --trace 0`` in each
 checkout, ``--pairs`` times, alternating which side goes first; then
 ``--trace 1`` once per side, whose count-valued per-layer metrics (unit
@@ -174,7 +177,13 @@ def _parse_args(argv):
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC:GAIN")
     parser.add_argument("--out", type=Path, required=True)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    lengths = [len(str(path.resolve())) for path in (args.parent, args.change)]
+    if lengths[0] != lengths[1]:
+        parser.error(f"--parent and --change resolve to paths of "
+                     f"{lengths[0]} and {lengths[1]} characters; unpack "
+                     "them at paths of equal length")
+    return args
 
 
 def main(argv=None) -> int:
