@@ -12,9 +12,11 @@ gives the same doubles as ``k`` scalar draws. ``publish`` returns the
 kept recipients as a tuple, in subscription order: the topic's cached
 tuple of subscribers, sliced around the publisher when it subscribes to
 its own topic.
-``Broker.delivery_log`` holds one ``(envelope, publisher, recipients)``
-record per publish that delivered, and expands them into ``Delivery``
-records only when read.
+``Broker.delivery_log`` is a sink that holds nothing by default
+(``NO_LOG``): a publish then pays one identity check for it, and
+``len()`` of it is 0. Attach a collecting ``DeliveryLog`` before a run
+to keep one ``(envelope, publisher, recipients)`` record per publish that
+delivered; it expands them into ``Delivery`` records only when read.
 """
 
 from __future__ import annotations
@@ -43,18 +45,21 @@ class Delivery(NamedTuple):
     published_at_us: int
 
 
+#: ``Broker.delivery_log`` while nothing collects: empty, and it stays so.
+NO_LOG: tuple = ()
+
+
 class DeliveryLog:
-    """Every delivery the broker made, one ``Delivery`` each, in order;
-    held as one ``(envelope, publisher, recipients)`` record per publish
-    that delivered. Its length is a running count; it is read only by
-    iteration."""
+    """A collector of every delivery the broker made, one ``Delivery``
+    each, in order; held as one ``(envelope, publisher, recipients)``
+    record per publish that delivered. Attach it as
+    ``Broker.delivery_log`` before the run."""
 
     def __init__(self):
         self.publishes: list[tuple[MqttEnvelope, str, tuple[str, ...]]] = []
-        self.delivered = 0
 
     def __len__(self) -> int:
-        return self.delivered
+        return sum(len(recipients) for _, _, recipients in self.publishes)
 
     def __iter__(self) -> Iterator[Delivery]:
         for envelope, publisher, recipients in self.publishes:
@@ -77,7 +82,7 @@ class Broker:
         }
         #: Each topic's subscribers as a tuple, taken at its first publish.
         self._recipients: dict[Topic, tuple[str, ...]] = {}
-        self.delivery_log = DeliveryLog()
+        self.delivery_log: DeliveryLog | tuple = NO_LOG
         self.publish_count = 0
         self.drop_count = 0
         self._published_topics: dict[str, set[Topic]] = {}
@@ -139,8 +144,7 @@ class Broker:
             survivors = tuple(compress(recipients, kept.tolist()))
             self.drop_count += len(recipients) - len(survivors)
             recipients = survivors
-        if recipients:
-            log = self.delivery_log
-            log.publishes.append((envelope, publisher, recipients))
-            log.delivered += len(recipients)
+        if self.delivery_log is not NO_LOG and recipients:
+            self.delivery_log.publishes.append(
+                (envelope, publisher, recipients))
         return recipients

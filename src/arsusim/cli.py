@@ -5,7 +5,8 @@ Subcommands:
                    matrix.csv (plus trace.csv with --trace)
   table4           print the composed-delay table, optionally as CSV
   matrix           print/write the 10-scenario serviceability matrix
-  validate-config  parse a scenario document and report problems
+  validate-config  parse a scenario document, load its delay table and
+                   report problems
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 internal
 invariant violation.
@@ -28,7 +29,11 @@ from .report import (
     report_json,
     scenario_matrix,
 )
-from .sim import SimulationInvariantError, run as run_simulation
+from .sim import (
+    SimulationInvariantError,
+    load_latency_model,
+    run as run_simulation,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,6 +191,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         config = load_scenario(args.config)
+        load_latency_model(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,6 +13,11 @@ Three responsibilities, all driven by a strictly sequential event feed:
   BSMs under synthetic ids, sent to each of ``GENERATION_TARGETS``. The
   gateway never generates messages on behalf of connected users.
 
+Each relay and detection decision can be kept as a ``DecisionRecord`` in
+``Gateway.trace``, a sink that holds nothing by default (``NO_TRACE``): a
+decision then pays one identity check and builds no record or label, and
+``len()`` of it is 0. Attach a list before a run to collect them.
+
 Every match is "nearest within ``sigma_m`` by :func:`horizontal_distance_m`".
 The history and the pending and confirmed tracks are each indexed in a
 grid of degrees, and a lookup measures only the few entries the grid
@@ -380,6 +385,10 @@ class DecisionRecord(NamedTuple):
     actions: str
 
 
+#: ``Gateway.trace`` while nothing collects: empty, and it stays so.
+NO_TRACE: tuple = ()
+
+
 class Gateway:
     """Sequential state machine fed by the simulation's event loop.
 
@@ -403,7 +412,7 @@ class Gateway:
         self._connected_ids = connected_ids or frozenset()
         self._ghosts: list[tuple[RoadUserId, RoadUserId]] = []
         self.synthetic_truth: dict[RoadUserId, Optional[RoadUserId]] = {}
-        self.trace: list[DecisionRecord] = []
+        self.trace: list[DecisionRecord] | tuple = NO_TRACE
         #: ``matched=<id>`` by BSM id, each built once.
         self._matched_labels: dict[str, str] = {}
 
@@ -429,11 +438,14 @@ class Gateway:
             raise ValueError(f"unknown arrival path {via!r}")
         self.history.prune(now_us)
         if self._seen.check_and_add(bsm, now_us):
-            self._record(now_us, "rx", bsm.id.value, "Suppressed", "")
+            if self.trace is not NO_TRACE:
+                self._record(now_us, "rx", bsm.id.value, "Suppressed", "")
             return ()
         self.history.append(bsm, now_us)
         self._resolve_pending_with_bsm(bsm, now_us)
-        self._record(now_us, "rx", bsm.id.value, "Relayed", _RELAY_LABELS[via])
+        if self.trace is not NO_TRACE:
+            self._record(now_us, "rx", bsm.id.value, "Relayed",
+                         _RELAY_LABELS[via])
         return targets
 
     def _resolve_pending_with_bsm(self, bsm: Bsm, now_us: int) -> None:
@@ -448,8 +460,9 @@ class Gateway:
         )
         for tid in resolved:
             track = self._pending.pop(tid)
-            self._record(now_us, "pending_match", bsm.id.value, "Connected",
-                         track.label)
+            if self.trace is not NO_TRACE:
+                self._record(now_us, "pending_match", bsm.id.value,
+                             "Connected", track.label)
 
     # --- detection filtering ---
 
@@ -467,19 +480,21 @@ class Gateway:
         reach = self._shape.reach(det.estimate)
         bsm = self._nearest(det, self.history, reach)
         if bsm is not None:
-            labels = self._matched_labels
-            label = labels.get(bsm.id.value)
-            if label is None:
-                label = labels[bsm.id.value] = f"matched={bsm.id.value}"
-            self._record(now_us, "detection", _truth_label(det), "Connected",
-                         label)
+            if self.trace is not NO_TRACE:
+                labels = self._matched_labels
+                label = labels.get(bsm.id.value)
+                if label is None:
+                    label = labels[bsm.id.value] = f"matched={bsm.id.value}"
+                self._record(now_us, "detection", _truth_label(det),
+                             "Connected", label)
             return DetectionOutcome(FilterStatus.CONNECTED, matched_id=bsm.id)
 
         track = self._nearest(det, self._confirmed, reach)
         if track is not None:
             _hold(self._confirmed, track, det)
-            self._record(now_us, "detection", _truth_label(det),
-                         "NonConnected", track.label)
+            if self.trace is not NO_TRACE:
+                self._record(now_us, "detection", _truth_label(det),
+                             "NonConnected", track.label)
             return DetectionOutcome(
                 FilterStatus.NON_CONNECTED,
                 track_id=track.track_id,
@@ -490,8 +505,9 @@ class Gateway:
         track = self._nearest(det, self._pending, reach)
         if track is not None:
             _hold(self._pending, track, det)
-            self._record(now_us, "detection", _truth_label(det), "Pending",
-                         track.label)
+            if self.trace is not NO_TRACE:
+                self._record(now_us, "detection", _truth_label(det),
+                             "Pending", track.label)
             return DetectionOutcome(
                 FilterStatus.PENDING, track_id=track.track_id
             )
@@ -499,8 +515,9 @@ class Gateway:
         track = DetectionTrack(track_id=self._next_track_id, latest=det)
         self._next_track_id += 1
         _hold(self._pending, track, det)
-        self._record(now_us, "detection", _truth_label(det), "Pending",
-                     f"{track.label} new")
+        if self.trace is not NO_TRACE:
+            self._record(now_us, "detection", _truth_label(det), "Pending",
+                         f"{track.label} new")
         return DetectionOutcome(
             FilterStatus.PENDING,
             track_id=track.track_id,
@@ -528,10 +545,9 @@ class Gateway:
         if truth is not None and truth in self._connected_ids:
             self._ghosts.append((track.synthetic_id, truth))
         bsm = self._generate(track)
-        self._record(
-            now_us, "grace_deadline", track.synthetic_id.value,
-            "NonConnected", _GENERATION_LABEL,
-        )
+        if self.trace is not NO_TRACE:
+            self._record(now_us, "grace_deadline", track.synthetic_id.value,
+                         "NonConnected", _GENERATION_LABEL)
         return bsm
 
     def _generate(self, track: DetectionTrack) -> Bsm:

@@ -535,13 +535,7 @@ class Simulation:
             )
         self.rng = np.random.default_rng(self.seed)
         self.frame = LocalFrame(config.origin.lat, config.origin.lon)
-        if config.latency_csv:
-            try:
-                self.model = LatencyModel.from_csv(config.latency_csv)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"latency_csv: {exc}") from None
-        else:
-            self.model = LatencyModel.default()
+        self.model = load_latency_model(config)
         self.ipu_processing_us = ms_to_us(config.ipu.processing_ms)
         self.frame_period_us = ms_to_us(config.ipu.frame_period_ms)
         self.freshness_us = ms_to_us(config.freshness_window_ms)
@@ -1021,6 +1015,17 @@ def _coverage_label(value: Optional[float]) -> str:
     if value is None:
         return "coverage=no-pairs"
     return f"coverage={value:.4f}"
+
+
+def load_latency_model(config: ScenarioConfig) -> LatencyModel:
+    """The scenario's delay table: its ``latency_csv``, else the default.
+    A table that cannot be read or fails its checks is a ConfigError."""
+    if not config.latency_csv:
+        return LatencyModel.default()
+    try:
+        return LatencyModel.from_csv(config.latency_csv)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"latency_csv: {exc}") from None
 
 
 def run(config: ScenarioConfig, seed: Optional[int] = None) -> RunResult:

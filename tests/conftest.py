@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from arsusim.broker import DeliveryLog
 from arsusim.geo import LocalFrame
 from arsusim.messages import (
     Bsm,
@@ -11,6 +12,7 @@ from arsusim.messages import (
     RoadUserId,
     make_bsm,
 )
+from arsusim.sim import Simulation
 
 FRAME = LocalFrame(0.0, 0.0)
 
@@ -39,6 +41,16 @@ def bsm_at(
 
 def position_at(x_m: float, y_m: float) -> Position:
     return FRAME.position_at(x_m, y_m)
+
+
+def collecting(simulation: Simulation) -> Simulation:
+    """``simulation`` with collectors attached to both of its logs, which
+    hold nothing by default: a ``DeliveryLog`` for the broker's publishes
+    and a list for the gateway's decisions."""
+    simulation.broker.delivery_log = DeliveryLog()
+    if simulation.gateway is not None:
+        simulation.gateway.trace = []
+    return simulation
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from arsusim.messages import Detection, LinkTech, Topic
 from arsusim.report import emit_table4, scenario_matrix
 from arsusim.sim import Simulation, run
 
-from conftest import bsm_at, position_at
+from conftest import bsm_at, collecting, position_at
 
 # Independent transcription of the published composed-delay table (ms).
 PRINTED = (
@@ -285,7 +285,7 @@ def test_criterion_6_relay_rule_conformance():
 
     # relay purity: in a run, every envelope the gateway publishes on the
     # DSRC or CV2X topic carries the very BSM object it heard
-    simulation = Simulation(parse_scenario(NOISY_MIXED))
+    simulation = collecting(Simulation(parse_scenario(NOISY_MIXED)))
     heard = []
     on_rx = simulation.gateway.on_rx
 

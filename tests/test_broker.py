@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arsusim.broker import ARSU_CLIENT, Broker, Delivery, TopicOwnershipError
+from arsusim.broker import (
+    ARSU_CLIENT,
+    Broker,
+    Delivery,
+    DeliveryLog,
+    TopicOwnershipError,
+)
 from arsusim.messages import MqttEnvelope, Topic
 
 from conftest import bsm_at
@@ -147,6 +153,7 @@ def test_batched_draws_match_scalar_reference(data):
     seed = data.draw(st.integers(0, 2**32))
     rng = np.random.default_rng(seed)
     broker = Broker(drop_probability=p, rng=rng)
+    broker.delivery_log = DeliveryLog()
     for client in subscribers:
         broker.subscribe(client, topic)
     reference_rng = np.random.default_rng(seed)

@@ -29,7 +29,7 @@ from arsusim.messages import (
 
 from arsusim.sim import Simulation
 
-from conftest import bsm_at, position_at
+from conftest import bsm_at, collecting, position_at
 
 
 def detection_at(
@@ -58,18 +58,21 @@ def publish(topic):
 class TestRelayRules:
     def test_dsrc_rx(self):
         gw = Gateway()
+        gw.trace = []
         targets = gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), LinkTech.DSRC, 0)
         assert targets == (TX_CV2X, publish(Topic.DSRC))
         assert gw.trace[-1].actions == "TxCv2x+PublishMqtt(DSRC)"
 
     def test_cv2x_rx(self):
         gw = Gateway()
+        gw.trace = []
         targets = gw.on_rx(bsm_at("U2", tech=LinkTech.CV2X), LinkTech.CV2X, 0)
         assert targets == (TX_DSRC, publish(Topic.CV2X))
         assert gw.trace[-1].actions == "TxDsrc+PublishMqtt(CV2X)"
 
     def test_cell_topic_rx(self):
         gw = Gateway()
+        gw.trace = []
         targets = gw.on_rx(
             bsm_at("U3", tech=LinkTech.CELL_MQTT), LinkTech.CELL_MQTT, 0
         )
@@ -78,6 +81,7 @@ class TestRelayRules:
 
     def test_camera_arrival_rejected(self):
         gw = Gateway()
+        gw.trace = []
         gw.on_detection(detection_at(0.0, 0.0), 300_000)
         trace = list(gw.trace)
         bsm = bsm_at("U4", tech=LinkTech.DSRC, now_us=300_000)
@@ -94,7 +98,7 @@ class TestRelayRules:
     def test_payloads_byte_identical_to_input(self):
         """In a run, every relay the gateway casts or publishes carries the
         very BSM object it heard, on each of the three arrival media."""
-        simulation = Simulation(parse_scenario("""
+        simulation = collecting(Simulation(parse_scenario("""
 duration_ms: 500
 seed: 3
 arsu: {coverage_radius_m: 400}
@@ -102,7 +106,7 @@ users:
   - {kind: native_dsrc, id: D1}
   - {kind: native_cv2x, id: V1, x_m: 20}
   - {kind: nonnative_cell, id: C1, x_m: 40}
-"""))
+""")))
         heard, relayed = [], []
         on_rx, cast = simulation.gateway.on_rx, simulation._cast
         radio_relays = [simulation._relays[LinkTech.DSRC],
@@ -277,6 +281,7 @@ class TestDetectionFilter:
 
     def test_ten_meters_off_goes_pending_then_non_connected(self):
         gw = Gateway()
+        gw.trace = []
         gw.on_rx(bsm_at("U1", x_m=0.0, tech=LinkTech.DSRC, now_us=250_000),
                  LinkTech.DSRC, 250_000)
         det = detection_at(10.0, 0.0)
@@ -535,6 +540,7 @@ class TestFilterGrid:
 
     def test_one_bsm_resolves_pending_tracks_in_track_id_order(self):
         gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
+        gw.trace = []
         # track 1 lies in the row north of the equator, track 2 south
         north = gw.on_detection(detection_at(0.0, 3.0), 300_000)
         south = gw.on_detection(detection_at(0.0, -3.0), 300_000)

@@ -261,6 +261,33 @@ class TestCli:
         assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "latency_csv" in capsys.readouterr().err
 
+    def _latency_csv_scenario(self, tmp_path, case):
+        if case == "missing":
+            table = "/nonexistent/table.csv"
+        else:  # a bad header
+            rows = [list(r) for r in composed_csv_rows(
+                LatencyModel.default().composed_matrix())]
+            rows[0][0] = "from"
+            table = tmp_path / "header.csv"
+            table.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        config = tmp_path / "scenario.yaml"
+        config.write_text(f"latency_csv: {table}\n" + RUN_SCENARIO)
+        return config
+
+    @pytest.mark.parametrize("case", ["missing", "bad header"])
+    def test_validate_config_rejects_the_latency_csv_run_rejects(
+        self, tmp_path, capsys, case
+    ):
+        config = self._latency_csv_scenario(tmp_path, case)
+        assert main(["validate-config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: latency_csv: ")
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == captured.err
+
     def test_unwritable_output_exits_three(self, tmp_path):
         config = self._write_scenario(tmp_path)
         blocker = tmp_path / "blocker"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from arsusim.broker import ARSU_CLIENT
 from arsusim.config import RoadUserKind, UserSpec, parse_scenario
-from arsusim.report import build_report_dict
+from arsusim.report import build_report_dict, report_json
 from arsusim.messages import (
     LinkTech,
     PositionAccuracy,
@@ -32,6 +32,8 @@ from arsusim.sim import (
     run,
     step_mobility,
 )
+
+from conftest import collecting
 
 
 def make_user(speed_kmh=0.0, heading_deg=0.0, x=0.0, y=0.0):
@@ -479,7 +481,7 @@ ipu: {noise_std_m: 0}
 class TestBrokerContract:
     def test_one_cell_publish_per_bsm_interval(self):
         # 4 s at 10 Hz: each nonnative user publishes exactly 40 times
-        result = run(scenario(MIXED_TABLE1))
+        result = collecting(Simulation(scenario(MIXED_TABLE1))).run()
         for client in ("U3", "U4"):
             publishes = {
                 d.published_at_us
@@ -491,8 +493,8 @@ class TestBrokerContract:
             )
 
     def test_all_dropped_gateway_hears_no_cell_publish(self):
-        result = run(scenario(
-            MIXED_TABLE1 + "mqtt: {drop_probability: 1.0}\n"))
+        result = collecting(Simulation(scenario(
+            MIXED_TABLE1 + "mqtt: {drop_probability: 1.0}\n"))).run()
         paths = {(d.uplink, d.downlink) for d in result.metrics.deliveries}
         assert (LinkTech.DSRC, LinkTech.CV2X) in paths
         assert (LinkTech.CELL_MQTT, LinkTech.DSRC) not in paths
@@ -681,7 +683,7 @@ class TestSharedStrings:
             row[4] for row in deliveries) < len(deliveries)
 
     def test_refreshes_of_a_track_share_their_labels(self):
-        result = run(scenario(SHARED))
+        result = collecting(Simulation(scenario(SHARED))).run()
         decisions = [r for r in result.gateway.trace if r.event == "detection"]
         _assert_one_object_per_value(r.actions for r in decisions)
         refreshes = [r.actions for r in decisions
@@ -801,7 +803,7 @@ class TestTraceProperties:
         """On random small scenarios the gateway hears each (id,
         generated_at) key once, so ``on_rx`` never suppresses a BSM: it
         hears only road users' own sends, and sends only to road users."""
-        simulation = Simulation(_random_scenario(data))
+        simulation = collecting(Simulation(_random_scenario(data)))
         gateway = simulation.gateway
         if gateway is None:
             return
@@ -1411,3 +1413,43 @@ class TestRunIsFreed:
             assert [ref() for ref in held] == [None] * len(held)
         finally:
             gc.enable()
+
+
+class TestLogSinks:
+    """The broker's publish log and the gateway's decision log hold
+    nothing unless a collector is attached before the run."""
+
+    def test_default_run_holds_no_records(self):
+        # MIXED_TABLE1 has radio relays, Cell publishes and a pedestrian
+        # the camera confirms, refreshed and published on IPU.
+        result = run(scenario(MIXED_TABLE1))
+        broker, gateway = result.broker, result.gateway
+        assert broker.publish_count > 0
+        assert gateway.confirmed_tracks > 0
+        assert len(broker.delivery_log) == 0
+        assert list(broker.delivery_log) == []
+        assert len(gateway.trace) == 0
+        assert list(gateway.trace) == []
+
+        collected = collecting(Simulation(scenario(MIXED_TABLE1))).run()
+        events = {r.event for r in collected.gateway.trace}
+        assert {"rx", "detection", "grace_deadline"} <= events
+        topics = {(d.publisher, d.envelope.topic)
+                  for d in collected.broker.delivery_log}
+        assert {("U3", Topic.CELL), (ARSU_CLIENT, Topic.IPU),
+                (ARSU_CLIENT, Topic.DSRC)} <= topics
+        assert len(collected.broker.delivery_log) == len(
+            list(collected.broker.delivery_log))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_collectors_change_no_output(self, data):
+        cfg = _random_scenario(data)
+        plain = run(cfg)
+        collected = collecting(Simulation(cfg)).run()
+        assert list(collected.trace_rows) == list(plain.trace_rows)
+        assert report_json(build_report_dict(collected)) == report_json(
+            build_report_dict(plain))
+        assert np.array_equal(collected.metrics.last_heard,
+                              plain.metrics.last_heard)
+        assert collected.metrics.path_stats == plain.metrics.path_stats
