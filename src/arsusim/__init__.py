@@ -8,7 +8,7 @@ gateway names each send as a ``(medium, topic)`` target, in
 ``LinkTech`` and ``Topic`` terms; the simulation carries it out.
 """
 
-from .broker import ARSU_CLIENT, Broker, Delivery, TopicOwnershipError
+from .broker import ARSU_CLIENT, Broker, TopicOwnershipError
 from .config import (
     ConfigError,
     RoadUserKind,
@@ -53,7 +53,6 @@ __all__ = [
     "ConfigError",
     "DEFAULT_COMPOSED_DELAYS_MS",
     "DelayCategory",
-    "Delivery",
     "Detection",
     "DetectionOutcome",
     "FilterConfig",

@@ -21,7 +21,7 @@ from itertools import chain
 from pathlib import Path
 
 from .config import MAX_SCENARIO_SPEED_KMH, ConfigError, load_scenario
-from .latency import InconsistentDelayTable, LatencyModel
+from .latency import LatencyModel
 from .report import (
     build_report_dict,
     emit_table4,
@@ -102,12 +102,9 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         result = run_simulation(config, seed=args.seed)
-    except (ConfigError, InconsistentDelayTable) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except SimulationInvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -13,10 +13,9 @@ Three responsibilities, all driven by a strictly sequential event feed:
   BSMs under synthetic ids, sent to each of ``GENERATION_TARGETS``. The
   gateway never generates messages on behalf of connected users.
 
-Each relay and detection decision can be kept as a ``DecisionRecord`` in
-``Gateway.trace``, a sink that holds nothing by default (``NO_TRACE``): a
-decision then pays one identity check and builds no record or label, and
-``len()`` of it is 0. Attach a list before a run to collect them.
+The gateway keeps no log of its decisions: each call returns what it
+decided (the relay targets, a ``DetectionOutcome``, a generated BSM), and
+a caller that wants a record keeps what the calls return.
 
 Every match is "nearest within ``sigma_m`` by :func:`horizontal_distance_m`".
 The history and the pending and confirmed tracks are each indexed in a
@@ -62,7 +61,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional
 
@@ -95,19 +94,6 @@ GENERATION_TARGETS: tuple[Target, ...] = (
     (LinkTech.DSRC, None), (LinkTech.CV2X, None),
     (LinkTech.CELL_MQTT, Topic.IPU),
 )
-
-
-def _label(targets: tuple[Target, ...]) -> str:
-    """A decision record's name for ``targets``: ``TxDsrc+PublishMqtt(IPU)``."""
-    return "+".join(
-        f"Tx{medium.value.capitalize()}" if topic is None
-        else f"PublishMqtt({topic.value})"
-        for medium, topic in targets
-    )
-
-
-_RELAY_LABELS = {via: _label(t) for via, t in _RELAY_TARGETS.items()}
-_GENERATION_LABEL = _label(GENERATION_TARGETS)
 
 
 class FilterStatus(Enum):
@@ -362,12 +348,6 @@ class DetectionTrack:
     track_id: int
     latest: Detection
     synthetic_id: Optional[RoadUserId] = None
-    #: Its decision records' label, built once per state: ``track=N``
-    #: while pending, ``refresh=<synthetic id>`` once confirmed.
-    label: str = field(init=False)
-
-    def __post_init__(self):
-        self.label = f"track={self.track_id}"
 
 
 def _hold(index: _Index, track: DetectionTrack, det: Detection) -> None:
@@ -377,24 +357,16 @@ def _hold(index: _Index, track: DetectionTrack, det: Detection) -> None:
     index.put(track.track_id, det.estimate, det.available_at_us, track)
 
 
-class DecisionRecord(NamedTuple):
-    at_us: int
-    event: str
-    subject: str
-    outcome: str
-    actions: str
-
-
-#: ``Gateway.trace`` while nothing collects: empty, and it stays so.
-NO_TRACE: tuple = ()
-
-
 class Gateway:
     """Sequential state machine fed by the simulation's event loop.
 
     ``connected_ids`` is the simulation's ground-truth oracle used only
     by the ghost metric; the filter itself never consults it.
     """
+
+    #: Always empty: kept only because perfbench's
+    #: ``gateway.decisions_held`` reads its len() (ROADMAP item 9).
+    trace = ()
 
     def __init__(
         self,
@@ -412,9 +384,6 @@ class Gateway:
         self._connected_ids = connected_ids or frozenset()
         self._ghosts: list[tuple[RoadUserId, RoadUserId]] = []
         self.synthetic_truth: dict[RoadUserId, Optional[RoadUserId]] = {}
-        self.trace: list[DecisionRecord] | tuple = NO_TRACE
-        #: ``matched=<id>`` by BSM id, each built once.
-        self._matched_labels: dict[str, str] = {}
 
     # --- relaying ---
 
@@ -422,7 +391,8 @@ class Gateway:
         self, bsm: Bsm, via: LinkTech, now_us: int
     ) -> tuple[Target, ...]:
         """Handle one BSM that arrived over ``via``; returns the targets
-        to relay it to, or ``()`` when it is suppressed.
+        to relay it to, or ``()`` when it is suppressed. The return value
+        is the only record of the decision: the gateway keeps no log.
 
         The seen-set is the unit's loop guard: a BSM whose (id,
         generated_at) key was already relayed is suppressed, so a relay
@@ -438,31 +408,19 @@ class Gateway:
             raise ValueError(f"unknown arrival path {via!r}")
         self.history.prune(now_us)
         if self._seen.check_and_add(bsm, now_us):
-            if self.trace is not NO_TRACE:
-                self._record(now_us, "rx", bsm.id.value, "Suppressed", "")
             return ()
         self.history.append(bsm, now_us)
-        self._resolve_pending_with_bsm(bsm, now_us)
-        if self.trace is not NO_TRACE:
-            self._record(now_us, "rx", bsm.id.value, "Relayed",
-                         _RELAY_LABELS[via])
+        self._resolve_pending_with_bsm(bsm)
         return targets
 
-    def _resolve_pending_with_bsm(self, bsm: Bsm, now_us: int) -> None:
+    def _resolve_pending_with_bsm(self, bsm: Bsm) -> None:
         if not self._pending:
             return
-        resolved = sorted(
-            track.track_id
-            for position, _, _, track in self._pending.near(
-                self._shape.reach(bsm.position))
-            if horizontal_distance_m(position, bsm.position)
-            < self.config.sigma_m
-        )
-        for tid in resolved:
-            track = self._pending.pop(tid)
-            if self.trace is not NO_TRACE:
-                self._record(now_us, "pending_match", bsm.id.value,
-                             "Connected", track.label)
+        sigma_m = self.config.sigma_m
+        for position, _, _, track in self._pending.near(
+                self._shape.reach(bsm.position)):
+            if horizontal_distance_m(position, bsm.position) < sigma_m:
+                self._pending.pop(track.track_id)
 
     # --- detection filtering ---
 
@@ -480,21 +438,11 @@ class Gateway:
         reach = self._shape.reach(det.estimate)
         bsm = self._nearest(det, self.history, reach)
         if bsm is not None:
-            if self.trace is not NO_TRACE:
-                labels = self._matched_labels
-                label = labels.get(bsm.id.value)
-                if label is None:
-                    label = labels[bsm.id.value] = f"matched={bsm.id.value}"
-                self._record(now_us, "detection", _truth_label(det),
-                             "Connected", label)
             return DetectionOutcome(FilterStatus.CONNECTED, matched_id=bsm.id)
 
         track = self._nearest(det, self._confirmed, reach)
         if track is not None:
             _hold(self._confirmed, track, det)
-            if self.trace is not NO_TRACE:
-                self._record(now_us, "detection", _truth_label(det),
-                             "NonConnected", track.label)
             return DetectionOutcome(
                 FilterStatus.NON_CONNECTED,
                 track_id=track.track_id,
@@ -505,9 +453,6 @@ class Gateway:
         track = self._nearest(det, self._pending, reach)
         if track is not None:
             _hold(self._pending, track, det)
-            if self.trace is not NO_TRACE:
-                self._record(now_us, "detection", _truth_label(det),
-                             "Pending", track.label)
             return DetectionOutcome(
                 FilterStatus.PENDING, track_id=track.track_id
             )
@@ -515,9 +460,6 @@ class Gateway:
         track = DetectionTrack(track_id=self._next_track_id, latest=det)
         self._next_track_id += 1
         _hold(self._pending, track, det)
-        if self.trace is not NO_TRACE:
-            self._record(now_us, "detection", _truth_label(det), "Pending",
-                         f"{track.label} new")
         return DetectionOutcome(
             FilterStatus.PENDING,
             track_id=track.track_id,
@@ -537,18 +479,13 @@ class Gateway:
         track.synthetic_id = RoadUserId(
             f"{SYNTHETIC_ID_PREFIX}{self._next_synthetic}"
         )
-        track.label = f"refresh={track.synthetic_id.value}"
         self._next_synthetic += 1
         _hold(self._confirmed, track, track.latest)
         truth = track.latest.truth_id
         self.synthetic_truth[track.synthetic_id] = truth
         if truth is not None and truth in self._connected_ids:
             self._ghosts.append((track.synthetic_id, truth))
-        bsm = self._generate(track)
-        if self.trace is not NO_TRACE:
-            self._record(now_us, "grace_deadline", track.synthetic_id.value,
-                         "NonConnected", _GENERATION_LABEL)
-        return bsm
+        return self._generate(track)
 
     def _generate(self, track: DetectionTrack) -> Bsm:
         bsm = make_ipu_bsm(track.synthetic_id, track.latest, self.config.sigma_m)
@@ -589,12 +526,3 @@ class Gateway:
     @property
     def confirmed_tracks(self) -> int:
         return len(self._confirmed)
-
-    def _record(
-        self, at_us: int, event: str, subject: str, outcome: str, actions: str
-    ) -> None:
-        self.trace.append(DecisionRecord(at_us, event, subject, outcome, actions))
-
-
-def _truth_label(det: Detection) -> str:
-    return det.truth_id.value if det.truth_id else "?"

@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from arsusim.broker import DeliveryLog
 from arsusim.geo import LocalFrame
 from arsusim.messages import (
     Bsm,
     LinkTech,
+    MqttEnvelope,
     Position,
     PositionAccuracy,
     RoadUserId,
@@ -43,14 +43,39 @@ def position_at(x_m: float, y_m: float) -> Position:
     return FRAME.position_at(x_m, y_m)
 
 
-def collecting(simulation: Simulation) -> Simulation:
-    """``simulation`` with collectors attached to both of its logs, which
-    hold nothing by default: a ``DeliveryLog`` for the broker's publishes
-    and a list for the gateway's decisions."""
-    simulation.broker.delivery_log = DeliveryLog()
-    if simulation.gateway is not None:
-        simulation.gateway.trace = []
-    return simulation
+def record_publishes(
+    simulation: Simulation,
+) -> list[tuple[str, MqttEnvelope, tuple[str, ...]]]:
+    """Wrap ``simulation.broker.publish``; returns the list to which each
+    call that returns appends ``(publisher, envelope, recipients)``. A
+    call that raises appends nothing."""
+    published = []
+    publish = simulation.broker.publish
+
+    def recording(publisher, envelope):
+        recipients = publish(publisher, envelope)
+        published.append((publisher, envelope, recipients))
+        return recipients
+
+    simulation.broker.publish = recording
+    return published
+
+
+def record_on_rx(
+    simulation: Simulation,
+) -> list[tuple[Bsm, LinkTech, int, tuple]]:
+    """Wrap ``simulation.gateway.on_rx``; returns the list to which each
+    call that returns appends ``(bsm, via, now_us, targets)``."""
+    heard = []
+    on_rx = simulation.gateway.on_rx
+
+    def hearing(bsm, via, now_us):
+        targets = on_rx(bsm, via, now_us)
+        heard.append((bsm, via, now_us, targets))
+        return targets
+
+    simulation.gateway.on_rx = hearing
+    return heard
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from arsusim.messages import Detection, LinkTech, Topic
 from arsusim.report import emit_table4, scenario_matrix
 from arsusim.sim import Simulation, run
 
-from conftest import bsm_at, collecting, position_at
+from conftest import bsm_at, position_at, record_on_rx, record_publishes
 
 # Independent transcription of the published composed-delay table (ms).
 PRINTED = (
@@ -285,24 +285,18 @@ def test_criterion_6_relay_rule_conformance():
 
     # relay purity: in a run, every envelope the gateway publishes on the
     # DSRC or CV2X topic carries the very BSM object it heard
-    simulation = collecting(Simulation(parse_scenario(NOISY_MIXED)))
-    heard = []
-    on_rx = simulation.gateway.on_rx
-
-    def hearing(bsm, via, now_us):
-        heard.append(bsm)
-        return on_rx(bsm, via, now_us)
-
-    simulation.gateway.on_rx = hearing
-    publishes = simulation.run().broker.delivery_log.publishes
+    simulation = Simulation(parse_scenario(NOISY_MIXED))
+    heard = record_on_rx(simulation)
+    publishes = record_publishes(simulation)
+    simulation.run()
     relayed = [
-        envelope.payload for envelope, publisher, _ in publishes
+        envelope.payload for publisher, envelope, _ in publishes
         if publisher == ARSU_CLIENT
         and envelope.topic in (Topic.DSRC, Topic.CV2X)
     ]
     assert {bsm.origin_tech for bsm in relayed} == {
         LinkTech.DSRC, LinkTech.CV2X}
-    heard_ids = {id(bsm) for bsm in heard}
+    heard_ids = {id(bsm) for bsm, *_ in heard}
     assert all(id(bsm) in heard_ids for bsm in relayed), (
         "a relay re-encoded its payload")
 
@@ -329,19 +323,24 @@ def test_criterion_6_relay_rule_conformance():
 
 
 def test_criterion_7_mqtt_contract():
-    result = run(parse_scenario(NOISY_MIXED))
-    broker = result.broker
+    simulation = Simulation(parse_scenario(NOISY_MIXED))
+    publishes = record_publishes(simulation)
+    broker = simulation.run().broker
+
+    def topics_published_by(client):
+        return {envelope.topic for publisher, envelope, _ in publishes
+                if publisher == client}
 
     nonnative = ["U3"]
     for client in nonnative:
         subs = broker.subscriptions_of(client)
         assert subs == set(Topic), f"{client} subscriptions {subs}"
-        published = broker.published_topics_of(client)
+        published = topics_published_by(client)
         assert published == {Topic.CELL}, f"{client} published {published}"
 
     arsu_subs = broker.subscriptions_of(ARSU_CLIENT)
     assert arsu_subs == {Topic.CELL}
-    arsu_published = broker.published_topics_of(ARSU_CLIENT)
+    arsu_published = topics_published_by(ARSU_CLIENT)
     assert arsu_published == {Topic.IPU, Topic.DSRC, Topic.CV2X}, (
         f"gateway published {arsu_published}"
     )

@@ -29,7 +29,7 @@ from arsusim.messages import (
 
 from arsusim.sim import Simulation
 
-from conftest import bsm_at, collecting, position_at
+from conftest import bsm_at, position_at, record_on_rx, record_publishes
 
 
 def detection_at(
@@ -58,38 +58,29 @@ def publish(topic):
 class TestRelayRules:
     def test_dsrc_rx(self):
         gw = Gateway()
-        gw.trace = []
         targets = gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), LinkTech.DSRC, 0)
         assert targets == (TX_CV2X, publish(Topic.DSRC))
-        assert gw.trace[-1].actions == "TxCv2x+PublishMqtt(DSRC)"
 
     def test_cv2x_rx(self):
         gw = Gateway()
-        gw.trace = []
         targets = gw.on_rx(bsm_at("U2", tech=LinkTech.CV2X), LinkTech.CV2X, 0)
         assert targets == (TX_DSRC, publish(Topic.CV2X))
-        assert gw.trace[-1].actions == "TxDsrc+PublishMqtt(CV2X)"
 
     def test_cell_topic_rx(self):
         gw = Gateway()
-        gw.trace = []
         targets = gw.on_rx(
             bsm_at("U3", tech=LinkTech.CELL_MQTT), LinkTech.CELL_MQTT, 0
         )
         assert targets == (TX_DSRC, TX_CV2X)
-        assert gw.trace[-1].actions == "TxDsrc+TxCv2x"
 
     def test_camera_arrival_rejected(self):
         gw = Gateway()
-        gw.trace = []
         gw.on_detection(detection_at(0.0, 0.0), 300_000)
-        trace = list(gw.trace)
         bsm = bsm_at("U4", tech=LinkTech.DSRC, now_us=300_000)
         with pytest.raises(ValueError, match="arrival path"):
             gw.on_rx(bsm, LinkTech.CAMERA, 300_000)
         # the rejected call changed nothing ...
         assert len(gw.history) == 0
-        assert gw.trace == trace
         assert gw.pending_tracks == 1
         # ... so the same BSM over DSRC is relayed and resolves the track
         assert len(gw.on_rx(bsm, LinkTech.DSRC, 300_000)) == 2
@@ -98,7 +89,7 @@ class TestRelayRules:
     def test_payloads_byte_identical_to_input(self):
         """In a run, every relay the gateway casts or publishes carries the
         very BSM object it heard, on each of the three arrival media."""
-        simulation = collecting(Simulation(parse_scenario("""
+        simulation = Simulation(parse_scenario("""
 duration_ms: 500
 seed: 3
 arsu: {coverage_radius_m: 400}
@@ -106,34 +97,30 @@ users:
   - {kind: native_dsrc, id: D1}
   - {kind: native_cv2x, id: V1, x_m: 20}
   - {kind: nonnative_cell, id: C1, x_m: 40}
-""")))
-        heard, relayed = [], []
-        on_rx, cast = simulation.gateway.on_rx, simulation._cast
+"""))
+        heard = record_on_rx(simulation)
+        publishes = record_publishes(simulation)
+        relayed = []
+        cast = simulation._cast
         radio_relays = [simulation._relays[LinkTech.DSRC],
                         simulation._relays[LinkTech.CV2X]]
-
-        def hearing(bsm, via, now_us):
-            heard.append(bsm)
-            return on_rx(bsm, via, now_us)
 
         def casting(plan, sent_us, bsm, uplink, *rest):
             if any(plan is relay for relay in radio_relays):
                 relayed.append(bsm)
             cast(plan, sent_us, bsm, uplink, *rest)
 
-        simulation.gateway.on_rx = hearing
         simulation._cast = casting
-        result = simulation.run()
+        simulation.run()
         published = [
-            envelope.payload
-            for envelope, publisher, _ in result.broker.delivery_log.publishes
+            envelope.payload for publisher, envelope, _ in publishes
             if publisher == ARSU_CLIENT and envelope.topic is not Topic.IPU
         ]
         media = {LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT}
         assert {bsm.origin_tech for bsm in relayed} == media
         assert {bsm.origin_tech for bsm in published} == media - {
             LinkTech.CELL_MQTT}
-        heard_ids = {id(bsm) for bsm in heard}
+        heard_ids = {id(bsm) for bsm, *_ in heard}
         assert all(id(bsm) in heard_ids for bsm in published + relayed)
 
     def test_no_same_medium_echo(self):
@@ -281,7 +268,6 @@ class TestDetectionFilter:
 
     def test_ten_meters_off_goes_pending_then_non_connected(self):
         gw = Gateway()
-        gw.trace = []
         gw.on_rx(bsm_at("U1", x_m=0.0, tech=LinkTech.DSRC, now_us=250_000),
                  LinkTech.DSRC, 250_000)
         det = detection_at(10.0, 0.0)
@@ -290,7 +276,6 @@ class TestDetectionFilter:
         assert outcome.deadline_us == 400_000
         payload = gw.on_grace_deadline(outcome.track_id, 400_000)
         assert GENERATION_TARGETS == (TX_DSRC, TX_CV2X, publish(Topic.IPU))
-        assert gw.trace[-1].actions == "TxDsrc+TxCv2x+PublishMqtt(IPU)"
         assert payload.id.is_synthetic
         assert payload.origin_tech is LinkTech.CAMERA
         assert payload.generated_at_us == det.captured_at_us
@@ -538,18 +523,16 @@ class TestFilterGrid:
             detections=[position_at(0.0, 0.0)])
         assert outcome.matched_id == RoadUserId("EAST")
 
-    def test_one_bsm_resolves_pending_tracks_in_track_id_order(self):
+    def test_one_bsm_resolves_pending_tracks_in_two_rows(self):
         gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
-        gw.trace = []
         # track 1 lies in the row north of the equator, track 2 south
         north = gw.on_detection(detection_at(0.0, 3.0), 300_000)
         south = gw.on_detection(detection_at(0.0, -3.0), 300_000)
         assert (north.track_id, south.track_id) == (1, 2)
         gw.on_rx(bsm_at("U1", now_us=300_000), LinkTech.DSRC, 300_000)
         assert gw.pending_tracks == 0
-        assert [r.actions for r in gw.trace if r.event == "pending_match"] == [
-            "track=1", "track=2"
-        ]
+        assert gw.on_grace_deadline(north.track_id, 400_000) is None
+        assert gw.on_grace_deadline(south.track_id, 400_000) is None
 
     def test_line_of_users_costs_at_most_two_distance_calls(
         self, monkeypatch

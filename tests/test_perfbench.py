@@ -58,6 +58,6 @@ def test_traced_worker_reports_every_per_layer_metric(tmp_path):
         metric["name"] for metric in spec["per_layer"]}
     assert counts["broker.publish.calls"] > 0
     assert counts["gateway.on_detection.calls"] > 0
-    # Neither log holds anything unless a collector is attached.
+    # The broker and the gateway keep no log; both names read empty.
     assert counts["broker.log_held"] == 0
     assert counts["gateway.decisions_held"] == 0

@@ -264,17 +264,24 @@ class TestCli:
     def _latency_csv_scenario(self, tmp_path, case):
         if case == "missing":
             table = "/nonexistent/table.csv"
-        else:  # a bad header
+        elif case == "directory":
+            table = tmp_path / "tables"
+            table.mkdir()
+        else:
             rows = [list(r) for r in composed_csv_rows(
                 LatencyModel.default().composed_matrix())]
-            rows[0][0] = "from"
-            table = tmp_path / "header.csv"
+            if case == "bad header":
+                rows[0][0] = "from"
+            else:  # inconsistent: row 1 no longer recomposes from halves
+                rows[1][2] = f"{float(rows[1][2]) + 5.0:.3f}"
+            table = tmp_path / "table.csv"
             table.write_text("\n".join(",".join(r) for r in rows) + "\n")
         config = tmp_path / "scenario.yaml"
         config.write_text(f"latency_csv: {table}\n" + RUN_SCENARIO)
         return config
 
-    @pytest.mark.parametrize("case", ["missing", "bad header"])
+    @pytest.mark.parametrize(
+        "case", ["missing", "bad header", "inconsistent", "directory"])
     def test_validate_config_rejects_the_latency_csv_run_rejects(
         self, tmp_path, capsys, case
     ):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from arsusim.broker import ARSU_CLIENT
 from arsusim.config import RoadUserKind, UserSpec, parse_scenario
-from arsusim.report import build_report_dict, report_json
+from arsusim.report import build_report_dict
 from arsusim.messages import (
     LinkTech,
     PositionAccuracy,
@@ -33,7 +33,7 @@ from arsusim.sim import (
     step_mobility,
 )
 
-from conftest import collecting
+from conftest import record_on_rx, record_publishes
 
 
 def make_user(speed_kmh=0.0, heading_deg=0.0, x=0.0, y=0.0):
@@ -481,20 +481,24 @@ ipu: {noise_std_m: 0}
 class TestBrokerContract:
     def test_one_cell_publish_per_bsm_interval(self):
         # 4 s at 10 Hz: each nonnative user publishes exactly 40 times
-        result = collecting(Simulation(scenario(MIXED_TABLE1))).run()
+        simulation = Simulation(scenario(MIXED_TABLE1))
+        published = record_publishes(simulation)
+        simulation.run()
         for client in ("U3", "U4"):
             publishes = {
-                d.published_at_us
-                for d in result.broker.delivery_log
-                if d.publisher == client
+                envelope.published_at_us
+                for publisher, envelope, recipients in published
+                if publisher == client and recipients
             }
             assert len(publishes) == 40, (
                 f"{client} published {len(publishes)} times in 40 intervals"
             )
 
     def test_all_dropped_gateway_hears_no_cell_publish(self):
-        result = collecting(Simulation(scenario(
-            MIXED_TABLE1 + "mqtt: {drop_probability: 1.0}\n"))).run()
+        simulation = Simulation(scenario(
+            MIXED_TABLE1 + "mqtt: {drop_probability: 1.0}\n"))
+        published = record_publishes(simulation)
+        result = simulation.run()
         paths = {(d.uplink, d.downlink) for d in result.metrics.deliveries}
         assert (LinkTech.DSRC, LinkTech.CV2X) in paths
         assert (LinkTech.CELL_MQTT, LinkTech.DSRC) not in paths
@@ -503,7 +507,8 @@ class TestBrokerContract:
         # gets a publish.
         assert not any(r[1] == "MqttDelivery" for r in result.trace_rows)
         assert result.broker.drop_count > 0
-        assert len(result.broker.delivery_log) == 0
+        assert published
+        assert all(recipients == () for _, _, recipients in published)
 
 
 class TestNoRegeneration:
@@ -683,13 +688,7 @@ class TestSharedStrings:
             row[4] for row in deliveries) < len(deliveries)
 
     def test_refreshes_of_a_track_share_their_labels(self):
-        result = collecting(Simulation(scenario(SHARED))).run()
-        decisions = [r for r in result.gateway.trace if r.event == "detection"]
-        _assert_one_object_per_value(r.actions for r in decisions)
-        refreshes = [r.actions for r in decisions
-                     if r.outcome == "NonConnected"]
-        assert sorted(set(refreshes)) == ["refresh=ipu:1", "refresh=ipu:2"]
-        assert len(refreshes) > 10
+        result = run(scenario(SHARED))
         ready = [row[4] for row in result.metrics.log
                  if type(row) is tuple and row[1] == "DetectionReady"]
         _assert_one_object_per_value(ready)
@@ -803,21 +802,37 @@ class TestTraceProperties:
         """On random small scenarios the gateway hears each (id,
         generated_at) key once, so ``on_rx`` never suppresses a BSM: it
         hears only road users' own sends, and sends only to road users."""
-        simulation = collecting(Simulation(_random_scenario(data)))
-        gateway = simulation.gateway
-        if gateway is None:
+        simulation = Simulation(_random_scenario(data))
+        if simulation.gateway is None:
             return
-        heard = []
-        on_rx = gateway.on_rx
-
-        def hearing(bsm, via, now_us):
-            heard.append((bsm.id, bsm.generated_at_us))
-            return on_rx(bsm, via, now_us)
-
-        gateway.on_rx = hearing
+        heard = record_on_rx(simulation)
         simulation.run()
-        assert len(set(heard)) == len(heard)
-        assert all(r.outcome != "Suppressed" for r in gateway.trace)
+        keys = [(bsm.id, bsm.generated_at_us) for bsm, *_ in heard]
+        assert len(set(keys)) == len(keys)
+        assert all(targets != () for *_, targets in heard)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_gateway_sends_only_what_it_heard_or_generated(self, data):
+        """On random small scenarios a road user publishes only on Cell;
+        the gateway publishes on IPU only camera BSMs under ``ipu:`` ids,
+        and on DSRC or CV2X only a BSM object it heard, of that origin."""
+        simulation = Simulation(_random_scenario(data))
+        heard = [] if simulation.gateway is None else record_on_rx(simulation)
+        published = record_publishes(simulation)
+        simulation.run()
+        heard_ids = {id(bsm) for bsm, *_ in heard}
+        topic_tech = {Topic.DSRC: LinkTech.DSRC, Topic.CV2X: LinkTech.CV2X}
+        for publisher, envelope, _ in published:
+            topic, bsm = envelope.topic, envelope.payload
+            if publisher != ARSU_CLIENT:
+                assert topic is Topic.CELL
+            elif topic is Topic.IPU:
+                assert bsm.id.is_synthetic
+                assert bsm.origin_tech is LinkTech.CAMERA
+            else:
+                assert id(bsm) in heard_ids
+                assert bsm.origin_tech is topic_tech[topic]
 
     def test_coverage_ignores_a_receiver_hearing_its_own_ghost(self):
         """U2's 12 m GNSS error makes the camera confirm it as
@@ -1413,43 +1428,3 @@ class TestRunIsFreed:
             assert [ref() for ref in held] == [None] * len(held)
         finally:
             gc.enable()
-
-
-class TestLogSinks:
-    """The broker's publish log and the gateway's decision log hold
-    nothing unless a collector is attached before the run."""
-
-    def test_default_run_holds_no_records(self):
-        # MIXED_TABLE1 has radio relays, Cell publishes and a pedestrian
-        # the camera confirms, refreshed and published on IPU.
-        result = run(scenario(MIXED_TABLE1))
-        broker, gateway = result.broker, result.gateway
-        assert broker.publish_count > 0
-        assert gateway.confirmed_tracks > 0
-        assert len(broker.delivery_log) == 0
-        assert list(broker.delivery_log) == []
-        assert len(gateway.trace) == 0
-        assert list(gateway.trace) == []
-
-        collected = collecting(Simulation(scenario(MIXED_TABLE1))).run()
-        events = {r.event for r in collected.gateway.trace}
-        assert {"rx", "detection", "grace_deadline"} <= events
-        topics = {(d.publisher, d.envelope.topic)
-                  for d in collected.broker.delivery_log}
-        assert {("U3", Topic.CELL), (ARSU_CLIENT, Topic.IPU),
-                (ARSU_CLIENT, Topic.DSRC)} <= topics
-        assert len(collected.broker.delivery_log) == len(
-            list(collected.broker.delivery_log))
-
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_collectors_change_no_output(self, data):
-        cfg = _random_scenario(data)
-        plain = run(cfg)
-        collected = collecting(Simulation(cfg)).run()
-        assert list(collected.trace_rows) == list(plain.trace_rows)
-        assert report_json(build_report_dict(collected)) == report_json(
-            build_report_dict(plain))
-        assert np.array_equal(collected.metrics.last_heard,
-                              plain.metrics.last_heard)
-        assert collected.metrics.path_stats == plain.metrics.path_stats
