@@ -74,7 +74,7 @@ def loaded_gateway(points, bsm_offset, sigma_m=5.0):
     gw = Gateway(FilterConfig(sigma_m=sigma_m))
     for x, y in points:
         outcome = gw.on_detection(detection(x, y, 0), PROCESSING_US)
-        gw.on_grace_deadline(outcome.track_id, 400_000)
+        gw.on_grace_deadline(outcome.track_id)
     dx, dy = bsm_offset
     for i, (x, y) in enumerate(points):
         bsm = make_bsm(

@@ -1,18 +1,16 @@
-"""Microbenchmark of delivery: a radio-only run, reads of its log, a
+"""Microbenchmark of delivery: a radio-only run, a read of its trace, a
 run of the four-kind mix, and a camera-crowd run.
 
 Times one 0.5 s run of 20 DSRC and 20 C-V2X cars in gateway coverage
 (direct broadcasts and the gateway's cross-technology relays: delivery
 dominates), one full iteration of that run's ``trace_rows``, which
-formats every delivery row, one of its ``metrics.deliveries``, which
-walks the same log and builds one record per delivery, and one 1 s run
-of 100 users, 25 of each kind, placed by ``count:`` at 30 km/h in 400 m
-of gateway coverage (the scenario of the users x seconds ladder), in
-each link-speed mode. In ``max_endpoint`` mode about half of each
-connected kind runs at 50 km/h, so a radio send or relay reaches its
-receivers at two times, one per link half; in ``scenario`` mode they all
-run at 30 km/h, and every send reaches its receivers at one time. The camera-crowd run is
-1 s of 150 pedestrians on a 10 m grid around the gateway, with 3 DSRC,
+formats every delivery row, and one 1 s run of 100 users, 25 of each
+kind, placed by ``count:`` at 30 km/h in 400 m of gateway coverage (the
+scenario of the users x seconds ladder), in each link-speed mode. In
+``max_endpoint`` mode about half of each connected kind runs at 50 km/h,
+so a radio send or relay reaches its receivers at two times, one per
+link half; in ``scenario`` mode they all run at 30 km/h, and every send
+reaches its receivers at one time. The camera-crowd run is 1 s of 150 pedestrians on a 10 m grid around the gateway, with 3 DSRC,
 3 C-V2X and 2 Cell users out of their way: from 200 ms on, every camera
 frame refreshes most pedestrians' tracks, and the frame's generated BSMs
 reach each plan group as one arrival, recorded once. Run from the root
@@ -65,19 +63,13 @@ def config():
 
 def test_run(benchmark, config):
     result = benchmark(run, config)
-    assert len(result.metrics.deliveries) > 5_000
+    assert result.metrics.delivered > 5_000
 
 
 def test_iterate_trace(benchmark, config):
     rows = run(config).trace_rows
     count = benchmark(lambda: sum(1 for _ in rows))
     assert count == len(rows)
-
-
-def test_iterate_deliveries(benchmark, config):
-    deliveries = run(config).metrics.deliveries
-    count = benchmark(lambda: sum(1 for _ in deliveries))
-    assert count == len(deliveries)
 
 
 @pytest.mark.parametrize(
@@ -87,7 +79,7 @@ def test_iterate_deliveries(benchmark, config):
 def test_run_mix_100_users(benchmark, mode, fast_kmh):
     cfg = parse_scenario(MIX_100.format(mode=mode, fast_kmh=fast_kmh))
     result = benchmark.pedantic(run, (cfg,), rounds=5, warmup_rounds=1)
-    assert len(result.metrics.deliveries) > 10_000
+    assert result.metrics.delivered > 10_000
 
 
 def _camera_crowd():
@@ -115,8 +107,8 @@ def test_run_camera_crowd(benchmark):
     result = benchmark.pedantic(run, (_camera_crowd(),), rounds=5,
                                 warmup_rounds=1)
     metrics = result.metrics
-    assert len(metrics.deliveries) == 7_758
-    assert len(metrics.log) < len(metrics.deliveries)
+    assert metrics.delivered == 7_758
+    assert len(metrics.log) < metrics.delivered
     # One arrival of one BSM reaches at most 3 users here (one plan
     # group); merged arrivals hold 11 deliveries a record on average.
-    assert len(metrics.deliveries) > 3 * metrics.records
+    assert metrics.delivered > 3 * metrics.records

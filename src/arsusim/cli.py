@@ -21,7 +21,6 @@ from itertools import chain
 from pathlib import Path
 
 from .config import MAX_SCENARIO_SPEED_KMH, ConfigError, load_scenario
-from .latency import LatencyModel
 from .report import (
     build_report_dict,
     emit_table4,
@@ -83,12 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_model(latency_csv) -> LatencyModel:
-    if latency_csv is None:
-        return LatencyModel.default()
-    return LatencyModel.from_csv(latency_csv)
-
-
 def _write_csv(path: Path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
@@ -141,8 +134,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_table4(args) -> int:
     try:
-        model = _load_model(args.latency_csv)
-    except (ValueError, OSError) as exc:
+        model = load_latency_model(args.latency_csv)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _, text, rows = emit_table4(model)
@@ -163,8 +156,8 @@ def _cmd_matrix(args) -> int:
               f"0 <= LO <= HI <= {MAX_SCENARIO_SPEED_KMH:g}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        model = _load_model(args.latency_csv)
-    except (ValueError, OSError) as exc:
+        model = load_latency_model(args.latency_csv)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     rows = scenario_matrix(model, (lo, hi))
@@ -188,7 +181,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         config = load_scenario(args.config)
-        load_latency_model(config)
+        load_latency_model(config.latency_csv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -466,7 +466,7 @@ class Gateway:
             deadline_us=now_us + self.config.grace_us,
         )
 
-    def on_grace_deadline(self, track_id: int, now_us: int) -> Optional[Bsm]:
+    def on_grace_deadline(self, track_id: int) -> Optional[Bsm]:
         """Confirm a still-pending track as non-connected.
 
         Returns the BSM generated for it, to be sent to each of

@@ -204,7 +204,7 @@ def build_report_dict(result: RunResult) -> dict:
         "counts": {
             "events_executed": metrics.events_executed,
             "bsm_tx": metrics.bsm_tx,
-            "deliveries_to_users": len(metrics.deliveries),
+            "deliveries_to_users": metrics.delivered,
             "duplicates_suppressed": metrics.duplicates_suppressed,
             "detections": metrics.detections,
             "broker_publishes": result.broker.publish_count,

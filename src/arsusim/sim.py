@@ -34,11 +34,11 @@ objects shared between entries: a row is a tuple of strings, the rows
 of one instant share one ``at_ms``, each distinct detection outcome or
 gateway arrival has one detail string, built the first time it is seen,
 and a frame's batches on the three media share one tuple of subjects.
-``Metrics.deliveries`` and ``RunResult.trace_rows`` are views of the
-log that support only ``len()`` and iteration; they expand each record
-one delivery or row per (subject, receiver) as they are read.
-``Metrics.awareness()`` builds the heard pairs from the ``last_heard``
-matrix when it is called.
+``RunResult.trace_rows`` is a view of the log that supports only
+``len()`` and iteration; it expands each record one row per (subject,
+receiver) as it is read. Awareness is the ``last_heard`` matrix. The
+tests see each delivery by wrapping ``Metrics.record_delivery``, which
+is passed every record as it is made.
 Delivery bookkeeping is per arrival, not per (BSM, receiver): the
 duplicate window holds one bitmask per BSM key, and ``last_heard`` is
 written through the group's index array.
@@ -120,23 +120,6 @@ def step_mobility(user: SimUser, dt_us: int) -> None:
     user.updated_at_us += dt_us
 
 
-class DeliveryRecord(NamedTuple):
-    """One BSM handed to a road user, with its measured path latency.
-
-    ``topic`` is the broker topic it came through, None over the air."""
-
-    receiver: str
-    subject: str
-    truth_subject: str
-    uplink: LinkTech
-    downlink: LinkTech
-    generated_at_us: int
-    delivered_at_us: int
-    latency_ms: float
-    duplicate: bool
-    topic: Optional[Topic] = None
-
-
 class DeliveryGroup(NamedTuple):
     """One BSM handed to several road users at the same instant: the
     fields its deliveries share, held once.
@@ -212,40 +195,10 @@ class PathStats:
         return self.sum_us / self.count / 1000 if self.count else math.nan
 
 
-class _LogView:
-    """A sized, iterable view of a run's log, expanded one row per
-    (subject, receiver) of each delivery record. Its length is kept as
-    a running count; it is read only by iteration."""
-
-    def __init__(self, metrics: Metrics):
-        self._metrics = metrics
-
-
-class Deliveries(_LogView):
-    """Every delivery to a road user, one ``DeliveryRecord`` each, in
-    delivery order."""
-
-    def __len__(self) -> int:
-        return self._metrics.delivered
-
-    def __iter__(self) -> Iterator[DeliveryRecord]:
-        ids = self._metrics.ids
-        for entry in self._metrics.log:
-            subjects = _by_subject(entry)
-            if subjects is None:
-                continue
-            receivers, topic = entry.receivers, entry.topic
-            for subject, truth_index, duplicates in subjects:
-                # entry[3:8]: uplink to latency_ms, in either record
-                shared = (subject, ids[truth_index], *entry[3:8])
-                flags = duplicates or (False,) * len(receivers)
-                for r, duplicate in zip(receivers, flags):
-                    yield DeliveryRecord(ids[r], *shared, duplicate, topic)
-
-
-class TraceRows(_LogView):
+class TraceRows:
     """The run's trace, one ``(at_ms, kind, actor, subject, detail)``
-    tuple per event.
+    tuple per event: a sized, iterable view of the run's log, whose
+    length is kept as a running count.
 
     User deliveries are held as their delivery record and formatted
     only when their rows are read: a record's rows share its strings,
@@ -253,6 +206,9 @@ class TraceRows(_LogView):
     per distinct value as the rows are read. Every other event is held
     formatted, as a row of strings it shares with the run's other rows.
     """
+
+    def __init__(self, metrics: Metrics):
+        self._metrics = metrics
 
     def __len__(self) -> int:
         metrics = self._metrics
@@ -309,8 +265,7 @@ class Metrics:
     """What a run measures, and its log: every trace entry in event
     order, a formatted row (a tuple of strings, shared with the other
     rows where equal: one ``at_ms`` per instant, one detail per distinct
-    detection outcome or gateway arrival) or a delivery record.
-    ``deliveries`` is a view of the log's records."""
+    detection outcome or gateway arrival) or a delivery record."""
 
     def __init__(self, user_ids: list[str]):
         n = len(user_ids)
@@ -329,9 +284,10 @@ class Metrics:
         self.events_executed = 0
 
     @property
-    def deliveries(self) -> Deliveries:
-        """Every delivery to a road user, read from the log."""
-        return Deliveries(self)
+    def deliveries(self) -> range:
+        """Sized as the run's deliveries. Kept only because perfbench
+        reads its ``len()`` (ROADMAP item 9); read ``delivered``."""
+        return range(self.delivered)
 
     def record_delivery(self, records: list, arrays: list[np.ndarray],
                         delivered_at_us: int) -> None:
@@ -357,16 +313,6 @@ class Metrics:
             if stats is None:
                 stats = path_stats[uplink, downlink] = PathStats()
             stats.add(delivered_at_us - generated_at_us, n)
-
-    def awareness(self) -> dict[tuple[str, str], int]:
-        """(receiver id, subject id) -> when the receiver last heard the
-        subject, in µs, for every pair heard."""
-        ids = self.ids
-        last_heard = self.last_heard
-        return {
-            (ids[r], ids[s]): int(last_heard[r, s])
-            for r, s in zip(*np.nonzero(last_heard != NEVER_HEARD))
-        }
 
 
 class _SeenWindow:
@@ -535,7 +481,7 @@ class Simulation:
             )
         self.rng = np.random.default_rng(self.seed)
         self.frame = LocalFrame(config.origin.lat, config.origin.lon)
-        self.model = load_latency_model(config)
+        self.model = load_latency_model(config.latency_csv)
         self.ipu_processing_us = ms_to_us(config.ipu.processing_ms)
         self.frame_period_us = ms_to_us(config.ipu.frame_period_ms)
         self.freshness_us = ms_to_us(config.freshness_window_ms)
@@ -942,7 +888,7 @@ class Simulation:
                            LinkTech.CAMERA, now_us)
 
     def _on_grace_deadline(self, now_us: int, track_id: int) -> None:
-        bsm = self.gateway.on_grace_deadline(track_id, now_us)
+        bsm = self.gateway.on_grace_deadline(track_id)
         if bsm is None:
             self._trace(now_us, "GraceDeadline", ARSU_CLIENT,
                         f"track={track_id}", "resolved earlier")
@@ -1017,13 +963,13 @@ def _coverage_label(value: Optional[float]) -> str:
     return f"coverage={value:.4f}"
 
 
-def load_latency_model(config: ScenarioConfig) -> LatencyModel:
-    """The scenario's delay table: its ``latency_csv``, else the default.
-    A table that cannot be read or fails its checks is a ConfigError."""
-    if not config.latency_csv:
+def load_latency_model(latency_csv: Optional[str]) -> LatencyModel:
+    """The delay table at ``latency_csv``, else the default. A table
+    that cannot be read or fails its checks is a ConfigError."""
+    if not latency_csv:
         return LatencyModel.default()
     try:
-        return LatencyModel.from_csv(config.latency_csv)
+        return LatencyModel.from_csv(latency_csv)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"latency_csv: {exc}") from None
 

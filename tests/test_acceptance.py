@@ -21,7 +21,14 @@ from arsusim.messages import Detection, LinkTech, Topic
 from arsusim.report import emit_table4, scenario_matrix
 from arsusim.sim import Simulation, run
 
-from conftest import bsm_at, position_at, record_on_rx, record_publishes
+from conftest import (
+    awareness,
+    bsm_at,
+    position_at,
+    record_on_rx,
+    record_publishes,
+    run_collecting,
+)
 
 # Independent transcription of the published composed-delay table (ms).
 PRINTED = (
@@ -133,13 +140,13 @@ def test_criterion_3_serviceability_reproduction():
 def test_criterion_4_end_to_end_latency_fidelity():
     config = parse_scenario(FOUR_USER_60KMH)
     started = time.perf_counter()
-    result = run(config)
+    result, deliveries = run_collecting(config)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"10 s scenario took {elapsed:.2f}s to simulate"
 
-    assert result.metrics.deliveries, "no deliveries in fidelity scenario"
+    assert deliveries, "no deliveries in fidelity scenario"
     worst = 0.0
-    for record in result.metrics.deliveries:
+    for record in deliveries:
         expected = result.model.composed_delay(
             record.uplink, record.downlink, 60.0
         )
@@ -151,7 +158,7 @@ def test_criterion_4_end_to_end_latency_fidelity():
             f"model {expected} ms"
         )
 
-    aware = result.metrics.awareness()
+    aware = awareness(result.metrics)
     everyone = {"U1", "U2", "U3", "P1"}
     for receiver in ("U1", "U2", "U3"):
         peers = {s for (r, s) in aware if r == receiver} - {receiver}
@@ -159,7 +166,7 @@ def test_criterion_4_end_to_end_latency_fidelity():
             f"{receiver} aware of {peers}, expected all three peers"
         )
     assert result.final_coverage == 1.0
-    _announce(4, f"{len(result.metrics.deliveries)} deliveries all within "
+    _announce(4, f"{len(deliveries)} deliveries all within "
                  f"0.001 ms of the model (worst {worst:.6f} ms); full "
                  f"awareness; {elapsed:.2f}s runtime")
 
@@ -173,14 +180,13 @@ users:
   - {kind: native_dsrc, id: U1, x_m: 10, y_m: 0, gnss_error_std_m: 1.0}
 ipu: {noise_std_m: 1.0}
 """)
-    result = run(config)
+    result, deliveries = run_collecting(config)
     frames = sum(1 for r in result.trace_rows if r[1] == "IpuFrame")
     assert frames == 1000, f"expected 1000 camera frames, got {frames}"
     assert result.metrics.detections == 1000
     assert result.gateway.confirmed_tracks == 0, "false NonConnected"
     assert result.ghost_pairs == [], "ghost road users created"
-    camera_bsm = [d for d in result.metrics.deliveries
-                  if d.uplink is LinkTech.CAMERA]
+    camera_bsm = [d for d in deliveries if d.uplink is LinkTech.CAMERA]
     assert camera_bsm == []
     _announce("5a", "1000 frames, noise 1 m, sigma 5 m: zero NonConnected "
                     "confirmations, zero ghosts")
@@ -200,7 +206,7 @@ def test_criterion_5b_filter_completeness_exact_grace():
     assert outcome.status is FilterStatus.PENDING
     assert outcome.deadline_us == 300_000 + 100_000
     # not confirmable earlier: a deadline event fires only at the deadline
-    assert gw.on_grace_deadline(outcome.track_id, 400_000) is not None
+    assert gw.on_grace_deadline(outcome.track_id) is not None
     assert GENERATION_TARGETS == (
         (LinkTech.DSRC, None), (LinkTech.CV2X, None),
         (LinkTech.CELL_MQTT, Topic.IPU),
@@ -278,7 +284,7 @@ def test_criterion_6_relay_rule_conformance():
     gw = Gateway()
     det = Detection(position_at(40.0, 0.0), 0.0, 0.0, 0, 300_000)
     pending = gw.on_detection(det, 300_000)
-    assert gw.on_grace_deadline(pending.track_id, 400_000) is not None
+    assert gw.on_grace_deadline(pending.track_id) is not None
     assert GENERATION_TARGETS == (
         tx_dsrc, tx_cv2x, (LinkTech.CELL_MQTT, Topic.IPU)
     )

@@ -274,7 +274,7 @@ class TestDetectionFilter:
         outcome = gw.on_detection(det, 300_000)
         assert outcome.status is FilterStatus.PENDING
         assert outcome.deadline_us == 400_000
-        payload = gw.on_grace_deadline(outcome.track_id, 400_000)
+        payload = gw.on_grace_deadline(outcome.track_id)
         assert GENERATION_TARGETS == (TX_DSRC, TX_CV2X, publish(Topic.IPU))
         assert payload.id.is_synthetic
         assert payload.origin_tech is LinkTech.CAMERA
@@ -288,7 +288,7 @@ class TestDetectionFilter:
         # matching BSM (2 m away) arrives 50 ms into the grace period
         gw.on_rx(bsm_at("U9", x_m=12.0, tech=LinkTech.DSRC, now_us=348_000),
                  LinkTech.DSRC, 350_000)
-        assert gw.on_grace_deadline(outcome.track_id, 400_000) is None
+        assert gw.on_grace_deadline(outcome.track_id) is None
         assert gw.confirmed_tracks == 0
         assert gw.ghost_count == 0
 
@@ -328,7 +328,7 @@ class TestDetectionFilter:
     def test_confirmed_track_refresh_keeps_synthetic_id(self):
         gw = Gateway()
         first = gw.on_detection(detection_at(10.0, 0.0, captured_us=0), 300_000)
-        synthetic = gw.on_grace_deadline(first.track_id, 400_000).id
+        synthetic = gw.on_grace_deadline(first.track_id).id
         refresh = gw.on_detection(
             detection_at(10.5, 0.0, captured_us=100_000), 400_000
         )
@@ -352,7 +352,7 @@ class TestDetectionFilter:
         gw = Gateway()
         first = gw.on_detection(detection_at(10.0, 0.0, captured_us=0), 300_000)
         gw.on_detection(detection_at(10.2, 0.0, captured_us=100_000), 400_000)
-        bsm = gw.on_grace_deadline(first.track_id, 400_000)
+        bsm = gw.on_grace_deadline(first.track_id)
         assert bsm.generated_at_us == 100_000
 
     def test_detection_before_available_rejected(self):
@@ -364,8 +364,8 @@ class TestDetectionFilter:
         gw = Gateway()
         a = gw.on_detection(detection_at(10.0, 0.0), 300_000)
         b = gw.on_detection(detection_at(80.0, 0.0), 300_000)
-        bsm_a = gw.on_grace_deadline(a.track_id, 400_000)
-        bsm_b = gw.on_grace_deadline(b.track_id, 400_000)
+        bsm_a = gw.on_grace_deadline(a.track_id)
+        bsm_b = gw.on_grace_deadline(b.track_id)
         ids = {bsm_a.id.value, bsm_b.id.value}
         assert ids == {"ipu:1", "ipu:2"}
 
@@ -443,7 +443,7 @@ class TestFilterGrid:
     def test_confirmed_track_found_after_moving_two_bands(self):
         gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
         first = gw.on_detection(detection_at(0.0, 0.0), 300_000)
-        synthetic = gw.on_grace_deadline(first.track_id, 400_000).id
+        synthetic = gw.on_grace_deadline(first.track_id).id
         # each step stays within sigma; the last lands two rows north and
         # two columns east
         for step in range(1, 5):
@@ -477,7 +477,7 @@ class TestFilterGrid:
         gw, outcomes = _gateway_at(
             self.SIGMA, detections=[west] + [p for _, p in fillers])
         for outcome in outcomes:
-            gw.on_grace_deadline(outcome.track_id, 400_000)
+            gw.on_grace_deadline(outcome.track_id)
         outcome = gw.on_detection(
             Detection(east, 0.0, 0.0, 200_000, 500_000), 500_000)
         assert outcome.status is FilterStatus.NON_CONNECTED
@@ -531,8 +531,8 @@ class TestFilterGrid:
         assert (north.track_id, south.track_id) == (1, 2)
         gw.on_rx(bsm_at("U1", now_us=300_000), LinkTech.DSRC, 300_000)
         assert gw.pending_tracks == 0
-        assert gw.on_grace_deadline(north.track_id, 400_000) is None
-        assert gw.on_grace_deadline(south.track_id, 400_000) is None
+        assert gw.on_grace_deadline(north.track_id) is None
+        assert gw.on_grace_deadline(south.track_id) is None
 
     def test_line_of_users_costs_at_most_two_distance_calls(
         self, monkeypatch
@@ -543,7 +543,7 @@ class TestFilterGrid:
         gw = Gateway(FilterConfig(sigma_m=4.0))
         for i in range(1000):
             outcome = gw.on_detection(detection_at(10.0 * i, 0.0), 300_000)
-            gw.on_grace_deadline(outcome.track_id, 400_000)
+            gw.on_grace_deadline(outcome.track_id)
             gw.on_rx(bsm_at(f"U{i}", x_m=10.0 * i + 5.0, now_us=400_000),
                      LinkTech.DSRC, 400_000)
         calls = []
@@ -576,7 +576,7 @@ class TestGhosts:
             detection_at(0.0, 0.0, truth="U1"), 300_000
         )
         assert outcome.status is FilterStatus.PENDING
-        assert gw.on_grace_deadline(outcome.track_id, 400_000) is not None
+        assert gw.on_grace_deadline(outcome.track_id) is not None
         ghosts = gw.ghost_events()
         assert len(ghosts) == 1
         synthetic, truth = ghosts[0]
@@ -598,7 +598,7 @@ class TestGhosts:
         outcome = gw.on_detection(
             detection_at(50.0, 0.0, truth="P1"), 300_000
         )
-        gw.on_grace_deadline(outcome.track_id, 400_000)
+        gw.on_grace_deadline(outcome.track_id)
         assert gw.ghost_count == 0
         assert gw.confirmed_tracks == 1
 
@@ -679,7 +679,7 @@ class LinearScanGateway:
         return ("Pending", None, tid, now_us + self.config.grace_us, None,
                 None)
 
-    def on_grace_deadline(self, track_id, now_us):
+    def on_grace_deadline(self, track_id):
         det = self.pending.pop(track_id, None)
         if det is None:
             return None
@@ -804,8 +804,8 @@ def test_indexed_filter_matches_linear_scan(
             place(kind, [(east + e, north + n) for e, n in offsets])
         else:
             track_id = op[2]
-            got = gw.on_grace_deadline(track_id, now)
-            assert got == ref.on_grace_deadline(track_id, now)
+            got = gw.on_grace_deadline(track_id)
+            assert got == ref.on_grace_deadline(track_id)
         assert list(gw._pending) == list(ref.pending)
         assert list(gw._confirmed) == list(ref.confirmed)
         assert [(bsm.id, at) for bsm, at in gw.history] == [

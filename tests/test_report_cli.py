@@ -262,6 +262,8 @@ class TestCli:
         assert "latency_csv" in capsys.readouterr().err
 
     def _latency_csv_scenario(self, tmp_path, case):
+        """A delay table that fails to load in the way ``case`` names,
+        and a scenario that names it: (scenario path, table path)."""
         if case == "missing":
             table = "/nonexistent/table.csv"
         elif case == "directory":
@@ -278,14 +280,14 @@ class TestCli:
             table.write_text("\n".join(",".join(r) for r in rows) + "\n")
         config = tmp_path / "scenario.yaml"
         config.write_text(f"latency_csv: {table}\n" + RUN_SCENARIO)
-        return config
+        return config, table
 
     @pytest.mark.parametrize(
         "case", ["missing", "bad header", "inconsistent", "directory"])
     def test_validate_config_rejects_the_latency_csv_run_rejects(
         self, tmp_path, capsys, case
     ):
-        config = self._latency_csv_scenario(tmp_path, case)
+        config, _ = self._latency_csv_scenario(tmp_path, case)
         assert main(["validate-config", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -294,6 +296,19 @@ class TestCli:
         assert main(["run", str(config), "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err == captured.err
+
+    @pytest.mark.parametrize(
+        "case", ["missing", "bad header", "inconsistent", "directory"])
+    def test_table4_matrix_and_run_give_one_message_for_a_bad_table(
+        self, tmp_path, capsys, case
+    ):
+        config, table = self._latency_csv_scenario(tmp_path, case)
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("config error: latency_csv: ")
+        for command in ("table4", "matrix"):
+            assert main([command, "--latency-csv", str(table)]) == 2
+            assert capsys.readouterr() == ("", message)
 
     def test_unwritable_output_exits_three(self, tmp_path):
         config = self._write_scenario(tmp_path)
@@ -358,7 +373,7 @@ class TestCli:
         path = self._csv_with_nan(tmp_path, 1)  # DSRC,CV2X
         assert main(["table4", "--latency-csv", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "config error: row 1 at 0 km/h" in err
+        assert "config error: latency_csv: row 1 at 0 km/h" in err
 
     def test_run_with_nan_latency_csv_exits_two(self, tmp_path, capsys):
         path = self._csv_with_nan(tmp_path, 5)  # Cam,DSRC

@@ -21,7 +21,6 @@ from arsusim.messages import (
 from arsusim.sim import (
     DeliveryBatch,
     DeliveryGroup,
-    DeliveryRecord,
     _Arrival,
     _Group,
     _group_by_time,
@@ -33,7 +32,13 @@ from arsusim.sim import (
     step_mobility,
 )
 
-from conftest import record_on_rx, record_publishes
+from conftest import (
+    awareness,
+    collect_deliveries,
+    record_on_rx,
+    record_publishes,
+    run_collecting,
+)
 
 
 def make_user(speed_kmh=0.0, heading_deg=0.0, x=0.0, y=0.0):
@@ -108,9 +113,9 @@ ipu: {noise_std_m: 0}
 
 class TestTwoUserScenario:
     def test_cross_tech_latency_is_table_row_one(self):
-        result = run(scenario(TWO_USER_STATIC))
+        _, deliveries = run_collecting(scenario(TWO_USER_STATIC))
         cross = [
-            d for d in result.metrics.deliveries
+            d for d in deliveries
             if {d.uplink, d.downlink} == {LinkTech.DSRC, LinkTech.CV2X}
         ]
         assert cross, "no cross-technology deliveries observed"
@@ -119,7 +124,7 @@ class TestTwoUserScenario:
 
     def test_peers_hear_each_other(self):
         result = run(scenario(TWO_USER_STATIC))
-        aware = result.metrics.awareness()
+        aware = awareness(result.metrics)
         assert ("U1", "U2") in aware
         assert ("U2", "U1") in aware
 
@@ -131,17 +136,17 @@ class TestTwoUserScenario:
             "origin: {lat: 10, lon: 180}\n"
         )
         result = run(scenario(doc))
-        aware = result.metrics.awareness()
+        aware = awareness(result.metrics)
         assert ("U1", "U2") in aware and ("U2", "U1") in aware
         tx = {(r[2], r[4]) for r in result.trace_rows if r[1] == "BsmTx"}
         assert tx == {("U1", "x_m=10.000 y_m=0.000"),
                       ("U2", "x_m=-10.000 y_m=0.000")}
 
     def test_conservation_every_bsm_relayed_once(self):
-        result = run(scenario(TWO_USER_STATIC))
+        _, deliveries = run_collecting(scenario(TWO_USER_STATIC))
         # BSMs generated up to 1s - path latency arrive; count matches
         relayed_to_u2 = [
-            d for d in result.metrics.deliveries
+            d for d in deliveries
             if d.receiver == "U2" and d.subject == "U1" and not d.duplicate
         ]
         gen_times = {d.generated_at_us for d in relayed_to_u2}
@@ -166,12 +171,10 @@ ipu: {noise_std_m: 1.0}
 
     def test_same_seed_identical_traces(self):
         cfg = scenario(self.SCENARIO)
-        first = run(cfg)
-        second = run(cfg)
+        first, first_deliveries = run_collecting(cfg)
+        second, second_deliveries = run_collecting(cfg)
         assert list(first.trace_rows) == list(second.trace_rows)
-        assert [d for d in first.metrics.deliveries] == [
-            d for d in second.metrics.deliveries
-        ]
+        assert first_deliveries == second_deliveries
 
     def test_seed_override_changes_noise(self):
         cfg = scenario(self.SCENARIO)
@@ -272,9 +275,9 @@ users:
 
 class TestCoverageMetric:
     def test_empty_population_has_no_pairs(self):
-        result = run(scenario("duration_ms: 300\n"))
+        result, deliveries = run_collecting(scenario("duration_ms: 300\n"))
         assert result.final_coverage is None
-        assert list(result.metrics.deliveries) == []
+        assert deliveries == []
 
     def test_full_awareness_reaches_one(self):
         doc = """
@@ -315,7 +318,7 @@ users:
 """
         result = run(scenario(doc))
         assert result.metrics.coverage_samples[0] == (100_000, 2 / 6)
-        assert set(result.metrics.awareness()) == {
+        assert set(awareness(result.metrics)) == {
             ("U1", "U2"), ("U2", "U1"),
         }
 
@@ -337,10 +340,8 @@ ipu: {noise_std_m: 0}
 
 class TestTableOneClosure:
     def test_exactly_the_ten_heterogeneous_paths_plus_none_extra(self):
-        result = run(scenario(MIXED_TABLE1))
-        observed = {
-            (d.uplink, d.downlink) for d in result.metrics.deliveries
-        }
+        _, deliveries = run_collecting(scenario(MIXED_TABLE1))
+        observed = {(d.uplink, d.downlink) for d in deliveries}
         heterogeneous = {p for p in observed if p[0] is not p[1]}
         camera = LinkTech.CAMERA
         dsrc, cv2x, cell = LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT
@@ -356,8 +357,8 @@ class TestTableOneClosure:
         assert len(observed) == 10
 
     def test_max_itt_compliance(self):
-        result = run(scenario(MIXED_TABLE1))
-        worst = max(d.latency_ms for d in result.metrics.deliveries)
+        _, deliveries = run_collecting(scenario(MIXED_TABLE1))
+        worst = max(d.latency_ms for d in deliveries)
         assert worst < 600.0
         # slowest modeled path at 0 km/h is the camera-to-cell bundle
         assert worst <= 341.659 + 0.001
@@ -366,11 +367,11 @@ class TestTableOneClosure:
 class TestDuplicateSuppression:
     def test_keep_earliest_is_marked(self):
         # U3 and U4 both hear U1 via the DSRC topic once; no duplicates
-        result = run(scenario(MIXED_TABLE1))
-        dups = [d for d in result.metrics.deliveries if d.duplicate]
+        _, deliveries = run_collecting(scenario(MIXED_TABLE1))
+        dups = [d for d in deliveries if d.duplicate]
         # cross-check: any duplicate shares (receiver, subject, generated_at)
         seen = set()
-        for d in result.metrics.deliveries:
+        for d in deliveries:
             key = (d.receiver, d.subject, d.generated_at_us)
             if key in seen:
                 assert d.duplicate
@@ -391,8 +392,8 @@ users:
   - {kind: native_dsrc, id: U1, x_m: 0, speed_kmh: 120, heading_deg: 90, gnss_error_std_m: 0}
   - {kind: native_dsrc, id: U2, x_m: 30, speed_kmh: 0, gnss_error_std_m: 0}
 """
-        result = run(scenario(doc))
-        direct = [d for d in result.metrics.deliveries
+        _, deliveries = run_collecting(scenario(doc))
+        direct = [d for d in deliveries
                   if d.uplink is LinkTech.DSRC and d.downlink is LinkTech.DSRC]
         assert direct
         # 2 x half(DSRC, 120 km/h) = 2 x 7.122
@@ -400,8 +401,8 @@ users:
             assert d.latency_ms == pytest.approx(14.244, abs=0.001)
 
     def test_scenario_mode_uses_scenario_speed(self):
-        result = run(scenario(TWO_USER_STATIC))
-        for d in result.metrics.deliveries:
+        result, deliveries = run_collecting(scenario(TWO_USER_STATIC))
+        for d in deliveries:
             expected = result.model.composed_delay(d.uplink, d.downlink, 0.0)
             assert d.latency_ms == pytest.approx(expected, abs=0.001)
 
@@ -435,13 +436,13 @@ users:
                 st.sampled_from([0.0, 0.3, 1.0]))},
             "users": users,
         }))
-        result = run(cfg)
+        result, deliveries = run_collecting(cfg)
         speed = {u["id"]: u["speed_kmh"] for u in users}
 
         def half_us(tech, speed_kmh):
             return ms_to_us(result.model.half_delay(tech, speed_kmh))
 
-        for d in result.metrics.deliveries:
+        for d in deliveries:
             if d.uplink is LinkTech.CAMERA:
                 continue  # carries the IPU processing and grace wait
             sender_kmh, receiver_kmh = speed[d.subject], speed[d.receiver]
@@ -469,8 +470,8 @@ users:
   - {kind: non_connected, id: P1, x_m: 40}
 ipu: {noise_std_m: 0}
 """
-        result = run(scenario(doc))
-        camera = [d for d in result.metrics.deliveries
+        _, deliveries = run_collecting(scenario(doc))
+        camera = [d for d in deliveries
                   if d.uplink is LinkTech.CAMERA
                   and d.downlink is LinkTech.CV2X]
         assert camera, "no camera-path deliveries"
@@ -498,8 +499,9 @@ class TestBrokerContract:
         simulation = Simulation(scenario(
             MIXED_TABLE1 + "mqtt: {drop_probability: 1.0}\n"))
         published = record_publishes(simulation)
+        deliveries = collect_deliveries(simulation)
         result = simulation.run()
-        paths = {(d.uplink, d.downlink) for d in result.metrics.deliveries}
+        paths = {(d.uplink, d.downlink) for d in deliveries}
         assert (LinkTech.DSRC, LinkTech.CV2X) in paths
         assert (LinkTech.CELL_MQTT, LinkTech.DSRC) not in paths
         assert (LinkTech.CELL_MQTT, LinkTech.CV2X) not in paths
@@ -513,9 +515,9 @@ class TestBrokerContract:
 
 class TestNoRegeneration:
     def test_gateway_originates_only_synthetic_ids(self):
-        result = run(scenario(MIXED_TABLE1))
+        _, deliveries = run_collecting(scenario(MIXED_TABLE1))
         connected = {"U1", "U2", "U3", "U4"}
-        for d in result.metrics.deliveries:
+        for d in deliveries:
             if d.uplink is LinkTech.CAMERA:
                 assert d.subject.startswith("ipu:"), (
                     f"camera-path payload carried id {d.subject}"
@@ -540,8 +542,8 @@ users:
   - {{kind: native_cv2x, id: U2, x_m: 20, gnss_error_std_m: 0}}
 ipu: {{noise_std_m: 0}}
 """
-        result = run(scenario(doc))
-        assert result.metrics.deliveries
+        _, deliveries = run_collecting(scenario(doc))
+        assert deliveries
 
     def test_missing_table_is_a_config_error(self):
         from arsusim.config import ConfigError
@@ -613,13 +615,12 @@ class TestTraceRows:
         assert rows[len(result.trace_rows) - 1] == rows[-1]
 
     def test_delivery_row_formatted_from_its_record(self):
-        result = run(scenario(MIXED_TABLE1))
+        result, deliveries = run_collecting(scenario(MIXED_TABLE1))
         rows = list(result.trace_rows)
         topic_rows = [r for r in rows
                       if r[1] == "MqttDelivery" and r[2] != ARSU_CLIENT]
         assert topic_rows
-        first = next(d for d in result.metrics.deliveries
-                     if d.topic is not None)
+        first = next(d for d in deliveries if d.topic is not None)
         assert topic_rows[0] == (
             f"{first.delivered_at_us / 1000:.3f}", "MqttDelivery",
             first.receiver, first.subject,
@@ -628,18 +629,10 @@ class TestTraceRows:
         )
 
     def test_len_counts_the_expanded_rows(self):
-        result = run(scenario(MIXED_TABLE1))
-        for view in (result.trace_rows, result.metrics.deliveries):
-            assert len(view) == len(list(view)) > 100
-
-    def test_delivery_record_is_read_only(self):
-        result = run(scenario(TWO_USER_STATIC))
-        record = next(iter(result.metrics.deliveries))
-        assert isinstance(record, DeliveryRecord)
-        with pytest.raises(AttributeError):
-            record.latency_ms = 0.0
-        with pytest.raises(AttributeError):
-            record.topic = Topic.CELL
+        result, deliveries = run_collecting(scenario(MIXED_TABLE1))
+        rows = result.trace_rows
+        assert len(rows) == len(list(rows)) > 100
+        assert result.metrics.delivered == len(deliveries) > 100
 
 
 #: Two pedestrians, confirmed and then refreshed in every frame, next to
@@ -720,14 +713,14 @@ def _final_coverage_oracle(result):
     connected = [u.id.value for u in result.users if u.spec.kind.is_connected]
     end_us = result.config.duration_us
     freshness_us = ms_to_us(result.config.freshness_window_ms)
-    awareness = result.metrics.awareness()
+    heard = awareness(result.metrics)
     pairs = fresh = 0
     for receiver in connected:
         for subject in ids:
             if subject == receiver:
                 continue
             pairs += 1
-            last = awareness.get((receiver, subject))
+            last = heard.get((receiver, subject))
             if last is not None and end_us - last < freshness_us:
                 fresh += 1
     return fresh / pairs if pairs else None
@@ -776,8 +769,7 @@ class TestTraceProperties:
         is handed its own BSM, reading twice gives the same rows, and the
         final coverage is the share of (connected receiver, other user)
         pairs heard within the freshness window."""
-        cfg = _random_scenario(data)
-        result = run(cfg)
+        result, deliveries = run_collecting(_random_scenario(data))
         rows = result.trace_rows
         assert len(rows) == result.metrics.events_executed + 1
         times = [float(r[0]) for r in rows]
@@ -789,12 +781,20 @@ class TestTraceProperties:
         ]
         assert delivery_rows == [
             (d.receiver, d.subject, f"{d.delivered_at_us / 1000:.3f}")
-            for d in result.metrics.deliveries
+            for d in deliveries
         ]
-        assert all(d.receiver != d.subject for d in result.metrics.deliveries)
+        assert all(d.receiver != d.subject for d in deliveries)
         assert list(rows) == list(rows)
         assert len(list(rows)) == len(rows)
         assert result.final_coverage == _final_coverage_oracle(result)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_collected_deliveries_match_trace_rows(self, data):
+        """On random small scenarios, in both link speed modes and with
+        or without broker drops, ``collect_deliveries`` gives the user
+        delivery rows of the trace."""
+        _assert_collected_match_trace(*run_collecting(_random_scenario(data)))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -851,19 +851,41 @@ class TestTraceProperties:
             ],
         }))
         result = run(cfg)
-        assert ("U2", "U2") in result.metrics.awareness()
+        assert ("U2", "U2") in awareness(result.metrics)
         assert result.final_coverage == _final_coverage_oracle(result)
 
 
-def _per_delivery_reference(result):
+def _assert_collected_match_trace(result, deliveries):
+    """The collected deliveries are the user delivery rows of the trace,
+    field for field and in order, and as many as the run counts."""
+    rows = [
+        r for r in result.trace_rows
+        if r[1] in ("RadioDelivery", "MqttDelivery") and r[2] != ARSU_CLIENT
+    ]
+    expected = []
+    for d in deliveries:
+        kind = "RadioDelivery" if d.topic is None else "MqttDelivery"
+        detail = (f"up={d.uplink.value} down={d.downlink.value}"
+                  f" latency_ms={d.latency_ms:.3f}")
+        if d.topic is not None:
+            detail += f" topic={d.topic.value}"
+        if d.duplicate:
+            detail += " duplicate"
+        expected.append((f"{d.delivered_at_us / 1000:.3f}", kind,
+                         d.receiver, d.subject, detail))
+    assert rows == expected
+    assert len(deliveries) == result.metrics.delivered
+
+
+def _per_delivery_reference(deliveries):
     """Path statistics (count, sum in µs, min and max in ms), awareness
     and duplicate flags, worked out one delivery at a time, in delivery
     order, from the expanded deliveries."""
     stats = {}
-    awareness = {}
+    heard = {}
     seen = set()
     flags = []
-    for d in result.metrics.deliveries:
+    for d in deliveries:
         entry = stats.setdefault(
             (d.uplink, d.downlink), [0, 0, float("inf"), float("-inf")]
         )
@@ -872,24 +894,24 @@ def _per_delivery_reference(result):
         entry[2] = min(entry[2], d.latency_ms)
         entry[3] = max(entry[3], d.latency_ms)
         pair = (d.receiver, d.truth_subject)
-        awareness[pair] = max(awareness.get(pair, -1), d.delivered_at_us)
+        heard[pair] = max(heard.get(pair, -1), d.delivered_at_us)
         key = (d.receiver, d.subject, d.generated_at_us)
         flags.append(key in seen)
         seen.add(key)
-    return stats, awareness, flags
+    return stats, heard, flags
 
 
-def _assert_matches_per_delivery_reference(result):
-    stats, awareness, flags = _per_delivery_reference(result)
+def _assert_matches_per_delivery_reference(result, deliveries):
+    stats, heard, flags = _per_delivery_reference(deliveries)
     recorded = {
         path: [s.count, s.sum_us, s.min_ms, s.max_ms]
         for path, s in result.metrics.path_stats.items()
     }
     assert list(recorded) == list(stats)  # first-seen order
     assert recorded == stats
-    assert result.metrics.awareness() == awareness
-    assert len(result.metrics.awareness()) == len(awareness)
-    assert [d.duplicate for d in result.metrics.deliveries] == flags
+    assert awareness(result.metrics) == heard
+    assert len(awareness(result.metrics)) == len(heard)
+    assert [d.duplicate for d in deliveries] == flags
     assert result.metrics.duplicates_suppressed == sum(flags)
 
 
@@ -935,21 +957,24 @@ class TestGroupRecords:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_batched_metrics_match_per_delivery_reference(self, data):
-        _assert_matches_per_delivery_reference(run(_random_scenario(data)))
+        _assert_matches_per_delivery_reference(
+            *run_collecting(_random_scenario(data)))
 
     def test_duplicate_flags_match_reference(self):
-        result = run(scenario(DUPLICATES))
+        result, deliveries = run_collecting(scenario(DUPLICATES))
         assert result.metrics.duplicates_suppressed == 5
-        _assert_matches_per_delivery_reference(result)
+        _assert_matches_per_delivery_reference(result, deliveries)
+        _assert_collected_match_trace(result, deliveries)
         rows = [r for r in result.trace_rows if r[4].endswith(" duplicate")]
         assert len(rows) == 5
 
     def test_duplicate_flags_of_a_group_cut_by_drops(self):
         """A cut group's mask is built when it is delivered: its
         duplicate flags match the reference too."""
-        result = run(scenario(DROPPED_DUPLICATES))
+        result, deliveries = run_collecting(scenario(DROPPED_DUPLICATES))
         assert result.metrics.duplicates_suppressed == 3
-        _assert_matches_per_delivery_reference(result)
+        _assert_matches_per_delivery_reference(result, deliveries)
+        _assert_collected_match_trace(result, deliveries)
         assert any(
             type(entry.receivers) is not _Group and entry.duplicates
             for entry in result.metrics.log
@@ -1212,10 +1237,10 @@ users:
             simulation._cast(plan, 1_000, bsm, LinkTech.DSRC, LinkTech.CV2X)
         (block,) = [arg for _, _, _, arg in cls._entries(simulation)]
         subjects = [[b.id.value for b in a.bsms] for a in block]
+        deliveries = collect_deliveries(simulation)
         simulation._deliver(9_000, block)
-        metrics = simulation.metrics
-        return subjects, len(metrics.log), [
-            (d.receiver, d.subject) for d in metrics.deliveries]
+        return subjects, len(simulation.metrics.log), [
+            (d.receiver, d.subject) for d in deliveries]
 
     def test_cast_of_the_same_group_joins_its_arrival(self):
         """Two BSMs generated at one instant, cast one after the other
@@ -1376,6 +1401,7 @@ class TestDuplicateWindow:
 
     def test_flags_only_the_receivers_that_already_had_the_bsm(self):
         simulation = Simulation(scenario(MIXED_TABLE1))
+        deliveries = collect_deliveries(simulation)
         bsm = _relay_bsm(simulation, 0)
         simulation._deliver(
             40_000, [_Arrival((2,), [bsm], LinkTech.DSRC, LinkTech.CELL_MQTT)])
@@ -1383,7 +1409,7 @@ class TestDuplicateWindow:
             50_000,
             [_Arrival((3, 2), [bsm], LinkTech.DSRC, LinkTech.CELL_MQTT)])
         metrics = simulation.metrics
-        assert [(d.receiver, d.duplicate) for d in metrics.deliveries] == [
+        assert [(d.receiver, d.duplicate) for d in deliveries] == [
             ("U3", False), ("U4", False), ("U3", True),
         ]
         assert metrics.duplicates_suppressed == 1
