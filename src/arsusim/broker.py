@@ -24,10 +24,6 @@ from .messages import MqttEnvelope, Topic
 #: Client identity of the gateway on the broker.
 ARSU_CLIENT = "A-RSU"
 
-#: Topics only the gateway may publish to; road users own Cell.
-_ARSU_TOPICS = frozenset({Topic.IPU, Topic.DSRC, Topic.CV2X})
-
-
 class TopicOwnershipError(ValueError):
     """Publisher attempted a topic it does not own."""
 
@@ -48,8 +44,9 @@ class Broker:
         self._subscribers: dict[Topic, dict[str, None]] = {
             topic: {} for topic in Topic
         }
-        #: Each topic's subscribers as a tuple, taken at its first publish.
-        self._recipients: dict[Topic, tuple[str, ...]] = {}
+        #: Each topic's subscribers as a tuple, and each one's place in it,
+        #: taken at its first publish.
+        self._fan_out: dict[Topic, tuple[tuple[str, ...], dict[str, int]]] = {}
         self.publish_count = 0
         self.drop_count = 0
 
@@ -61,7 +58,7 @@ class Broker:
         if client in subscribers:
             return False
         subscribers[client] = None
-        self._recipients.pop(topic, None)
+        self._fan_out.pop(topic, None)
         return True
 
     def subscriptions_of(self, client: str) -> set[Topic]:
@@ -80,8 +77,9 @@ class Broker:
         itself.
         """
         topic = envelope.topic
+        # An envelope's topic is a Topic: the gateway owns all but Cell.
         if publisher == ARSU_CLIENT:
-            if topic not in _ARSU_TOPICS:
+            if topic is Topic.CELL:
                 raise TopicOwnershipError(
                     f"{publisher} may not publish to topic {topic.value}"
                 )
@@ -91,12 +89,14 @@ class Broker:
                 f"{Topic.CELL.value}, not {topic.value}"
             )
         self.publish_count += 1
-        subscribers = self._subscribers[topic]
-        recipients = self._recipients.get(topic)
-        if recipients is None:
-            recipients = self._recipients[topic] = tuple(subscribers)
-        if publisher in subscribers:
-            at = recipients.index(publisher)
+        fan_out = self._fan_out.get(topic)
+        if fan_out is None:
+            recipients = tuple(self._subscribers[topic])
+            fan_out = self._fan_out[topic] = (
+                recipients, {client: i for i, client in enumerate(recipients)})
+        recipients, place = fan_out
+        at = place.get(publisher)
+        if at is not None:
             recipients = recipients[:at] + recipients[at + 1:]
         if self.drop_probability > 0.0 and recipients:
             kept = self._rng.random(len(recipients)) >= self.drop_probability

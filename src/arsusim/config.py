@@ -98,8 +98,13 @@ def _link_speed_mode(value, where: str) -> str:
 
 
 def _path(value, where: str) -> Optional[str]:
+    """A path string, or None. An empty path names no file; it is
+    refused as a file that fails to load is: ``<key>: <reason>``."""
     if value is not None and not isinstance(value, str):
         raise ConfigError(f"{where} must be a path string")
+    if value == "":
+        key = where.rpartition(".")[2]
+        raise ConfigError(f"{key}: an empty path names no file")
     return value
 
 

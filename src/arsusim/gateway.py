@@ -37,12 +37,14 @@ the antimeridian:
   ``cos phi2 >= cos phi_far`` while ``phi_far < 90°``. Hence
   ``sin²(dlam/2) < sin²(sigma_m/2R) / (cos phi1 * cos phi_far)``, and as
   ``sin²(x/2)`` rises on [0, 180°], the wrapped ``|dlam|`` is below
-  ``2 * asin(sqrt(...))``: the reach. A lookup works it out once per
-  query, visits the three rows and the columns that cover ``lam1 ±
-  reach``, wrapped modulo ``n``, and passes on only entries whose
-  wrapped ``|dlam|`` is within the reach. Where ``phi_far`` reaches a
-  pole, or the ratio reaches 1, the reach passes 180° and the lookup
-  reads whole rows.
+  ``2 * asin(sqrt(...))``: the reach. It rises with ``|phi1|``, so it is
+  worked out once per row, with ``phi1`` the row's edge nearest the
+  pole, and kept: no narrower than the reach of any position in the
+  row. A lookup takes its row's reach, visits the three rows and the
+  columns that cover ``lam1 ± reach``, wrapped modulo ``n``, and
+  measures only entries whose wrapped ``|dlam|`` is within the reach.
+  Where ``phi_far`` reaches a pole, or the ratio reaches 1, the reach
+  passes 180° and the lookup reads whole rows.
 
 The row height, ``phi_far`` and the reach carry a 1e-6 relative and a
 1e-12 degree absolute margin, far more than float rounding in the bounds
@@ -53,7 +55,8 @@ keyed by arrival count, the tracks by track id. It owns each key's cell
 and first-put sequence, and its items share one shape, ``(position,
 recency_us, sequence, value)``, so one nearest search, keyed ``(distance,
 -recency_us, sequence)``, serves all three in the order a full scan in
-insertion order would give. The history also keeps its arrivals in a
+insertion order would give; it measures each entry as it meets it and
+builds no list of candidates. The history also keeps its arrivals in a
 deque for pruning: a dict used as a FIFO scans past its deleted slots.
 """
 
@@ -102,8 +105,7 @@ class FilterStatus(Enum):
     NON_CONNECTED = "NonConnected"
 
 
-@dataclass
-class DetectionOutcome:
+class DetectionOutcome(NamedTuple):
     status: FilterStatus
     matched_id: Optional[RoadUserId] = None
     track_id: Optional[int] = None
@@ -139,14 +141,15 @@ _MARGIN_DEG = 1e-12
 class _Reach(NamedTuple):
     """Where a lookup around one position looks: the position's row and
     longitude, the largest longitude difference (degrees) a match can
-    have, and the columns that cover it in each of the three rows, as
-    one or two ranges (two across the antimeridian), ``width`` of them
-    in all. A reach of 180 degrees covers every column."""
+    have, and the columns that cover it in each of the three rows:
+    ``width`` of them from ``first`` on, modulo the column count (so
+    across the antimeridian too). A reach of 180 degrees covers every
+    column."""
 
     row: int
     lon_deg: float
     reach_deg: float
-    columns: tuple[range, ...]
+    first: int
     width: int
 
 
@@ -156,13 +159,16 @@ class _GridShape:
     make up 360 degrees exactly (see the module docstring)."""
 
     def __init__(self, sigma_m: float):
-        cell_deg = sigma_m * (1.0 + _MARGIN) / METERS_PER_DEG + _MARGIN_DEG
+        self._cell_deg = cell_deg = (
+            sigma_m * (1.0 + _MARGIN) / METERS_PER_DEG + _MARGIN_DEG)
         self._rows_per_deg = 1.0 / cell_deg
         self._columns = max(1, math.floor(360.0 / cell_deg))
         self._columns_per_deg = self._columns / 360.0
         gate_rad = sigma_m / EARTH_RADIUS_M
         self._gate_deg = math.degrees(gate_rad) * (1.0 + _MARGIN) + _MARGIN_DEG
         self._sin2_half_gate = math.sin(gate_rad / 2.0) ** 2
+        #: The longitude reach of each row looked up so far, by row.
+        self._row_reach: dict[int, float] = {}
 
     def cell(self, position: Position) -> tuple[int, int]:
         return (
@@ -172,33 +178,39 @@ class _GridShape:
         )
 
     def reach(self, position: Position) -> _Reach:
-        """The lookup around ``position``: its longitude reach from
-        sin²(d/2R) ≥ cos φ₁·cos φ₂·sin²(Δλ/2), with φ₂ as far from the
-        equator as a match can lie."""
-        lat, lon = position.lat_deg, position.lon_deg
+        """The lookup around ``position``: its row's longitude reach,
+        and the columns that cover it around the position's longitude."""
+        lat, lon, _ = position
         row = math.floor(lat * self._rows_per_deg)
+        reach_deg = self._row_reach.get(row)
+        if reach_deg is None:
+            reach_deg = self._row_reach[row] = self._reach_of_row(row)
         n = self._columns
-        per_deg = self._columns_per_deg
-        far_deg = abs(lat) + self._gate_deg
+        if reach_deg < 180.0:
+            per_deg = self._columns_per_deg
+            first = math.floor((lon - reach_deg + 180.0) * per_deg)
+            width = math.floor((lon + reach_deg + 180.0) * per_deg) - first + 1
+            if width < n:
+                return _Reach(row, lon, reach_deg, first, width)
+        # Near a pole the reach passes 180 degrees: every column.
+        return _Reach(row, lon, 180.0, 0, n)
+
+    def _reach_of_row(self, row: int) -> float:
+        """The longitude reach of every position in ``row``, from
+        sin²(d/2R) ≥ cos φ₁·cos φ₂·sin²(Δλ/2) with φ₁ the row's edge
+        nearest the pole and φ₂ as far from the equator as a match can
+        lie: no narrower than any of its positions' own reach."""
+        edge_deg = max(abs(row * self._cell_deg),
+                       abs((row + 1) * self._cell_deg))
+        far_deg = edge_deg + self._gate_deg
         if far_deg < 90.0:
-            cos_product = (math.cos(math.radians(lat))
+            cos_product = (math.cos(math.radians(edge_deg))
                            * math.cos(math.radians(far_deg)))
             if cos_product > self._sin2_half_gate:
-                reach_deg = math.degrees(2.0 * math.asin(math.sqrt(
+                return math.degrees(2.0 * math.asin(math.sqrt(
                     self._sin2_half_gate / cos_product
                 ))) * (1.0 + _MARGIN) + _MARGIN_DEG
-                first = math.floor((lon - reach_deg + 180.0) * per_deg)
-                last = math.floor((lon + reach_deg + 180.0) * per_deg)
-                width = last - first + 1
-                if 0 <= first and last < n:
-                    return _Reach(row, lon, reach_deg,
-                                  (range(first, last + 1),), width)
-                if width < n:  # across the antimeridian
-                    return _Reach(row, lon, reach_deg, (
-                        range(first % n, n), range(0, last % n + 1)
-                    ), width)
-        # Near a pole the reach passes 180 degrees: every column.
-        return _Reach(row, lon, 180.0, (range(n),), n)
+        return 180.0
 
 
 class _Index:
@@ -211,6 +223,7 @@ class _Index:
         self._shape = shape
         #: row -> column -> key -> (longitude, item)
         self._rows: dict[int, dict[int, dict[int, tuple[float, tuple]]]] = {}
+        self._columns = shape._columns
         #: key -> (cell, sequence, the cell's dict of items)
         self._held: dict[int, tuple[tuple[int, int], int, dict]] = {}
         self._puts = 0
@@ -253,30 +266,86 @@ class _Index:
                 del self._rows[row]
         return item
 
-    def near(self, reach: _Reach) -> list[tuple]:
-        """Items in the reach's three rows and columns whose longitude
-        lies within its reach: every item within ``sigma_m``, and a few
-        more. A row with no more occupied cells than the reach has
-        columns is read whole."""
-        found = []
-        row, lon_deg, reach_deg, wanted, width = reach
+    def _cells(self, reach: _Reach) -> list[dict]:
+        """The occupied cells of the reach's three rows and columns. A
+        row with no more occupied cells than the reach has columns is
+        read whole."""
+        cells = []
+        row, _, _, first, width = reach
+        rows = self._rows
+        wanted = None
         for r in (row - 1, row, row + 1):
-            columns = self._rows.get(r)
+            columns = rows.get(r)
+            if columns is None:
+                continue
+            if width >= len(columns):
+                cells += columns.values()
+                continue
+            if wanted is None:
+                wanted = range(first, first + width)
+                n = self._columns
+                if first < 0 or first + width > n:  # across the antimeridian
+                    wanted = [c % n for c in wanted]
+            get = columns.get
+            for c in wanted:
+                items = get(c)
+                if items is not None:
+                    cells.append(items)
+        return cells
+
+    def near(self, reach: _Reach) -> list[tuple]:
+        """Items of the reach's cells whose longitude lies within its
+        reach: every item within ``sigma_m``, and a few more."""
+        found = []
+        _, lon_deg, reach_deg, _, _ = reach
+        for items in self._cells(reach):
+            for item_lon, item in items.values():
+                d_lon = abs(item_lon - lon_deg)
+                if d_lon > 180.0:
+                    d_lon = 360.0 - d_lon
+                if d_lon <= reach_deg:
+                    found.append(item)
+        return found
+
+    def nearest(self, estimate: Position, reach: _Reach,
+                sigma_m: float) -> Optional[object]:
+        """The value of the item nearest ``estimate`` within ``sigma_m``,
+        of those ``near(reach)`` gives, each measured as it is met. Ties
+        go to the most recent item, then to the first put.
+
+        The filter's hot loop: it walks the cells as ``_cells`` does,
+        in line, and builds no list."""
+        best = best_key = None
+        row, lon_deg, reach_deg, first, width = reach
+        rows = self._rows
+        wanted = None
+        distance = horizontal_distance_m
+        for r in (row - 1, row, row + 1):
+            columns = rows.get(r)
             if columns is None:
                 continue
             if width >= len(columns):
                 cells = columns.values()
             else:
-                cells = [columns[c] for span in wanted for c in span
-                         if c in columns]
+                if wanted is None:
+                    wanted = range(first, first + width)
+                    n = self._columns
+                    if first < 0 or first + width > n:  # the antimeridian
+                        wanted = [c % n for c in wanted]
+                cells = [columns[c] for c in wanted if c in columns]
             for items in cells:
-                for item_lon, item in items.values():
+                for item_lon, (position, recency_us, sequence, value) in (
+                        items.values()):
                     d_lon = abs(item_lon - lon_deg)
                     if d_lon > 180.0:
                         d_lon = 360.0 - d_lon
                     if d_lon <= reach_deg:
-                        found.append(item)
-        return found
+                        d = distance(estimate, position)
+                        if d < sigma_m:
+                            key = (d, -recency_us, sequence)
+                            if best_key is None or key < best_key:
+                                best, best_key = value, key
+        return best
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._held)
@@ -435,35 +504,32 @@ class Gateway:
             raise ValueError("detection processed before it is available")
         self.history.prune(now_us)
 
-        reach = self._shape.reach(det.estimate)
-        bsm = self._nearest(det, self.history, reach)
+        estimate = det.estimate
+        reach = self._shape.reach(estimate)
+        sigma_m = self.config.sigma_m
+        bsm = self.history.nearest(estimate, reach, sigma_m)
         if bsm is not None:
-            return DetectionOutcome(FilterStatus.CONNECTED, matched_id=bsm.id)
+            return DetectionOutcome(FilterStatus.CONNECTED, bsm.id)
 
-        track = self._nearest(det, self._confirmed, reach)
+        track = self._confirmed.nearest(estimate, reach, sigma_m)
         if track is not None:
             _hold(self._confirmed, track, det)
             return DetectionOutcome(
-                FilterStatus.NON_CONNECTED,
-                track_id=track.track_id,
-                synthetic_id=track.synthetic_id,
-                generated=self._generate(track),
+                FilterStatus.NON_CONNECTED, None, track.track_id, None,
+                track.synthetic_id, self._generate(track),
             )
 
-        track = self._nearest(det, self._pending, reach)
+        track = self._pending.nearest(estimate, reach, sigma_m)
         if track is not None:
             _hold(self._pending, track, det)
-            return DetectionOutcome(
-                FilterStatus.PENDING, track_id=track.track_id
-            )
+            return DetectionOutcome(FilterStatus.PENDING, None, track.track_id)
 
         track = DetectionTrack(track_id=self._next_track_id, latest=det)
         self._next_track_id += 1
         _hold(self._pending, track, det)
         return DetectionOutcome(
-            FilterStatus.PENDING,
-            track_id=track.track_id,
-            deadline_us=now_us + self.config.grace_us,
+            FilterStatus.PENDING, None, track.track_id,
+            now_us + self.config.grace_us,
         )
 
     def on_grace_deadline(self, track_id: int) -> Optional[Bsm]:
@@ -492,21 +558,6 @@ class Gateway:
         # Guard against the generated message echoing back through on_rx.
         self._seen.check_and_add(bsm, track.latest.available_at_us)
         return bsm
-
-    def _nearest(self, det: Detection, index: _Index,
-                 reach: _Reach) -> Optional[object]:
-        """The value of the item nearest ``det`` within ``sigma_m``. Ties
-        go to the most recent item, then to the first put."""
-        best = None
-        estimate = det.estimate
-        for position, recency_us, sequence, value in index.near(reach):
-            d = horizontal_distance_m(estimate, position)
-            if d >= self.config.sigma_m:
-                continue
-            key = (d, -recency_us, sequence)
-            if best is None or key < best[0]:
-                best = (key, value)
-        return best[1] if best else None
 
     # --- introspection ---
 

@@ -18,6 +18,7 @@ EARTH_RADIUS_M = 6_371_000.0
 #: :func:`horizontal_distance_m` is never less than this times the
 #: latitude difference in degrees.
 METERS_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
+_RAD_PER_DEG = math.pi / 180.0
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,12 @@ class LocalFrame:
 
     def position_at(self, x_m: float, y_m: float) -> Position:
         """Geodetic position of local point (x east, y north), meters."""
-        return Position(
-            lat_deg=_clamp_lat(self.origin_lat_deg + y_m / METERS_PER_DEG),
-            lon_deg=_wrap_lon(self.origin_lon_deg + x_m / self._lon_scale),
-        )
+        lat = self.origin_lat_deg + y_m / METERS_PER_DEG
+        lon = self.origin_lon_deg + x_m / self._lon_scale
+        # The common case, both in range, without a call.
+        if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+            return Position(lat, lon)
+        return Position(_clamp_lat(lat), _wrap_lon(lon))
 
     def xy_of(self, position: Position) -> tuple[float, float]:
         return (
@@ -67,8 +70,11 @@ def _wrap_lon(lon_deg: float) -> float:
 def horizontal_distance_m(a: Position, b: Position) -> float:
     """Great-circle distance in meters; elevation is excluded on purpose
     (horizontal error dominates the matching use case)."""
-    lat1, lon1 = math.radians(a.lat_deg), math.radians(a.lon_deg)
-    lat2, lon2 = math.radians(b.lat_deg), math.radians(b.lon_deg)
+    # x * _RAD_PER_DEG is math.radians(x), bit for bit.
+    lat1, lon1, _ = a
+    lat2, lon2, _ = b
+    lat1, lon1 = lat1 * _RAD_PER_DEG, lon1 * _RAD_PER_DEG
+    lat2, lon2 = lat2 * _RAD_PER_DEG, lon2 * _RAD_PER_DEG
     s_lat = math.sin((lat2 - lat1) / 2.0)
     s_lon = math.sin((lon2 - lon1) / 2.0)
     h = s_lat * s_lat + math.cos(lat1) * math.cos(lat2) * s_lon * s_lon

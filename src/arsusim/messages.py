@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 US_PER_MS = 1000
 
@@ -143,6 +143,27 @@ class Detection(_DetectionFields):
             available_at_us, truth_id,
         ))
 
+    @classmethod
+    def of_frame(
+        cls,
+        rows: Iterable[tuple[Position, float, float, Optional[RoadUserId]]],
+        captured_at_us: int,
+        available_at_us: int,
+    ) -> list[Detection]:
+        """One camera frame's detections, one per ``(estimate, speed_kmh,
+        heading_deg, truth_id)`` row. A frame has one capture and one
+        available time, so their check runs once."""
+        if available_at_us < captured_at_us:
+            raise ValidationError(
+                "available_at", "detection available before capture"
+            )
+        new = tuple.__new__
+        return [
+            new(cls, (estimate, speed_kmh, heading_deg, captured_at_us,
+                      available_at_us, truth_id))
+            for estimate, speed_kmh, heading_deg, truth_id in rows
+        ]
+
 
 class _MqttEnvelopeFields(NamedTuple):
     topic: Topic
@@ -207,13 +228,9 @@ def make_ipu_bsm(
             "id", f"generated BSM id must start with {SYNTHETIC_ID_PREFIX!r}"
         )
     return Bsm(
-        id=synthetic_id,
-        position=detection.estimate,
-        accuracy=_camera_accuracy(sigma_m),
-        speed_kmh=detection.speed_kmh,
-        heading_deg=detection.heading_deg % 360.0,
-        generated_at_us=detection.captured_at_us,
-        origin_tech=LinkTech.CAMERA,
+        synthetic_id, detection.estimate, _camera_accuracy(sigma_m),
+        detection.speed_kmh, detection.heading_deg % 360.0,
+        detection.captured_at_us, LinkTech.CAMERA,
     )
 
 

@@ -25,8 +25,11 @@ kept, and keeps the others as they are. A send schedules one arrival per
 group. The arrivals one handler call schedules for one instant share one
 heap entry, a block, and a camera frame's detections share one ready
 event; ``events_executed`` still counts one event per receiver and one
-per detection. A camera frame's generated BSMs join into one arrival
-per plan group (see "Merging"). An arrival is recorded once: as a
+per detection. One ``_send`` serves every gateway send: a relay or a
+confirmation is a run of one BSM, and a camera frame's refreshes are
+sent as runs, each cast to a plan group at once, so they join into one
+arrival per plan group (see "Frames"); the broker still takes one
+publish per BSM. An arrival is recorded once: as a
 ``DeliveryGroup``, or with several BSMs as a ``DeliveryBatch``. A run
 keeps one log, ``Metrics.log``: every trace entry in event order, a
 formatted row or a delivery record. What the log holds is built of
@@ -39,9 +42,11 @@ and a frame's batches on the three media share one tuple of subjects.
 receiver) as it is read. Awareness is the ``last_heard`` matrix. The
 tests see each delivery by wrapping ``Metrics.record_delivery``, which
 is passed every record as it is made.
-Delivery bookkeeping is per arrival, not per (BSM, receiver): the
-duplicate window holds one bitmask per BSM key, and ``last_heard`` is
-written through the group's index array.
+Delivery bookkeeping is per arrival, not per (BSM, receiver): the BSMs
+of an arrival share their generation time, so the duplicate window,
+which holds one bitmask per subject of each generation time, is pruned
+and checked once per arrival; and ``last_heard`` is written through the
+group's index array.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from typing import Any, NamedTuple, Optional
 import numpy as np
 
 from .broker import ARSU_CLIENT, Broker
-from .config import ConfigError, ScenarioConfig, UserSpec
+from .config import ConfigError, ScenarioConfig, UserSpec, _path
 from .gateway import GENERATION_TARGETS, FilterConfig, Gateway, Target
 from .geo import LocalFrame
 from .latency import LatencyModel
@@ -81,7 +86,7 @@ class SimulationInvariantError(RuntimeError):
     """An internal consistency rule was violated during a run."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SimUser:
     """Runtime state of one road user: its spec, plus what the run
     resolves from it (speed, µs timing, link half) or moves."""
@@ -277,6 +282,8 @@ class Metrics:
         #: last_heard[receiver, truth subject]: µs of the latest delivery,
         #: or NEVER_HEARD.
         self.last_heard = np.full((n, n), NEVER_HEARD, dtype=np.int64)
+        #: The last batch's truth indices, and as an index array.
+        self._batch_truth: tuple[tuple, np.ndarray] = ((), np.empty(0))
         self.coverage_samples: list[tuple[int, Optional[float]]] = []
         self.duplicates_suppressed = 0
         self.detections = 0
@@ -304,10 +311,14 @@ class Metrics:
             truth, uplink, downlink, generated_at_us = record[2:6]
             if type(record) is DeliveryGroup:
                 n = len(receivers)
-                last_heard[receivers, truth] = delivered_at_us
+                last_heard[:, truth][receivers] = delivered_at_us
             else:
                 n = len(receivers) * len(truth)
-                last_heard[np.ix_(receivers, truth)] = delivered_at_us
+                # A frame's batches share their truth indices.
+                if truth is not self._batch_truth[0]:
+                    self._batch_truth = (truth, np.array(truth, dtype=np.intp))
+                last_heard[receivers[:, None], self._batch_truth[1]] = (
+                    delivered_at_us)
             self.delivered += n
             stats = path_stats.get((uplink, downlink))
             if stats is None:
@@ -316,45 +327,49 @@ class Metrics:
 
 
 class _SeenWindow:
-    """Which receivers already have each BSM, by (subject id,
-    generated_at) key, for as long as a delivery of it can arrive: one
-    int per key, bit ``r`` set once user index ``r`` has it.
+    """Which receivers already have each BSM, for as long as a delivery
+    of it can arrive: by generation time, in ``receivers``, one int per
+    subject id, bit ``r`` set once user index ``r`` has it; and the
+    generation times in the order first delivered, in ``order``.
 
-    No path takes longer than ``horizon_us``, so a key generated more
-    than that before now is dropped. A delivery of a key generated
+    No path takes longer than ``horizon_us``, so the BSMs generated more
+    than that before now are dropped. A delivery of a BSM generated
     before the latest drop's cutoff raises: the bound is checked, not
     assumed."""
 
     def __init__(self, horizon_us: int):
         self.horizon_us = horizon_us
-        self.watermark_us = 0  # keys generated before this may be dropped
-        self._receivers: dict[tuple[str, int], int] = {}
-        self._order: deque[tuple[str, int]] = deque()
+        self.watermark_us = 0  # BSMs generated before this may be dropped
+        self.receivers: dict[int, dict[str, int]] = {}
+        self.order: deque[int] = deque()
 
     def __len__(self) -> int:
-        return len(self._receivers)
+        """The (subject id, generation time) keys held."""
+        return sum(map(len, self.receivers.values()))
 
-    def add(self, key: tuple[str, int], mask: int, now_us: int) -> int:
-        """Add the receivers of ``mask`` to ``key``'s; return the mask of
-        those that had it before."""
-        order = self._order
-        receivers = self._receivers
+    def held(self, generated_at_us: int, now_us: int) -> dict[str, int]:
+        """The receivers of each BSM generated at ``generated_at_us``, by
+        subject id, for deliveries at ``now_us``: the BSMs generated more
+        than the horizon before now are dropped first, and raise if they
+        include these."""
+        order = self.order
+        receivers = self.receivers
         cutoff = now_us - self.horizon_us
-        if order and order[0][1] < cutoff:
+        if order and order[0] < cutoff:
             self.watermark_us = cutoff
-            while order and order[0][1] < cutoff:
+            while order and order[0] < cutoff:
                 del receivers[order.popleft()]
-        if key[1] < self.watermark_us:
+        if generated_at_us < self.watermark_us:
             raise SimulationInvariantError(
-                f"delivery of {key} arrived after its duplicate window "
-                f"closed at {self.watermark_us} us"
+                f"delivery of a BSM generated at {generated_at_us} us "
+                f"arrived after its duplicate window closed at "
+                f"{self.watermark_us} us"
             )
-        seen = receivers.get(key)
-        if seen is None:
-            order.append(key)
-            seen = 0
-        receivers[key] = seen | mask
-        return seen
+        by_subject = receivers.get(generated_at_us)
+        if by_subject is None:
+            by_subject = receivers[generated_at_us] = {}
+            order.append(generated_at_us)
+        return by_subject
 
 
 @dataclass
@@ -390,7 +405,7 @@ class RunResult:
 # BSM. A group cut by a drop, or an arrival built by hand, is a plain
 # tuple, whose array and mask the delivery builds and does not keep.
 #
-# Blocks. A send schedules one ``_Arrival`` per group of its plan. All
+# Blocks. A cast schedules one ``_Arrival`` per group of its plan. All
 # the arrivals one handler call schedules for one instant go into one
 # list, a block, whose heap entry takes the seq of its first arrival;
 # any other event that call schedules for that instant closes the block,
@@ -402,29 +417,52 @@ class RunResult:
 # delivery schedules nothing, so nothing can run between them either.
 # The loop closes every block when the handler returns.
 #
-# Merging. An arrival that would go at the end of its block joins the
-# block's last arrival instead when both have the same receivers tuple
-# (plan group), uplink, downlink and topic and an equal generation time.
-# Only the last arrival is ever extended, so nothing comes between its
-# BSMs, and expanding it BSM by BSM gives the order separate arrivals
-# give. Its deliveries share one latency; its ``DeliveryBatch`` expands
-# to the rows of the ``DeliveryGroup`` each BSM alone would give. So a
-# camera frame's refreshes give one arrival per plan group, unless an
-# event at that instant (a grace deadline) closes the block or two
-# groups share an instant and interleave.
+# Merging. A cast carries a run: BSMs generated at one instant, in order.
+# One that would go at the end of its block joins the block's last
+# arrival instead, with one ``list.extend``, when both have the same
+# receivers tuple (plan group), uplink, downlink and topic and an equal
+# generation time. Only the last arrival is ever extended, so nothing
+# comes between its BSMs, and expanding it BSM by BSM gives the order
+# that casting each BSM alone, one after another, gives. Its deliveries
+# share one latency; its ``DeliveryBatch`` expands to the rows of the
+# ``DeliveryGroup`` each BSM alone would give. So a camera frame's
+# refreshes give one arrival per plan group, unless an event at that
+# instant (a grace deadline) closes the block, a drop cuts the group, or
+# two groups share an instant and interleave.
 #
-# Drops. A publish that dropped some subscribers casts each group of its
-# plan cut to the receivers kept, skipping the groups left empty; a group
-# that lost none is cast as the plan's own, so it still merges. In
-# ``max_endpoint`` mode the groups' order can then differ from that of
-# their first kept receivers; but that only swaps seqs between entries at
-# distinct instants, which the heap orders by time, and one ``_cast``'s
-# seqs are consecutive, so the run order is the same.
+# Drops. ``_publish`` calls the broker once per BSM, in order, so the drop
+# draws are those of one publish per BSM. The BSMs whose publish kept
+# every subscriber are cast through the plan as runs; one whose publish
+# dropped some is cast alone, after the run before it, through its plan
+# cut to the receivers kept: the groups left empty are skipped, and a
+# group that lost none is cast as the plan's own, so it still merges. At
+# every instant the BSMs then arrive in their order. In ``max_endpoint``
+# mode the groups' order can differ from that of their first kept
+# receivers; but that only swaps seqs between entries at distinct
+# instants, which the heap orders by time, and one ``_cast``'s seqs are
+# consecutive, so the run order is the same.
 #
 # Frames. Every detection of a camera frame becomes available at the same
 # instant, and the frame scheduled them one after another, so one ready
 # event that classifies them in capture order runs them as one event
-# each would.
+# each would. Their refreshes' BSMs, all generated at the frame's capture
+# time, are collected into a run; the run is sent before the frame
+# schedules a grace deadline, and what is left is sent at the end. So
+# each ``_schedule`` call comes in the order that sending each BSM as it
+# is generated would give, and what a deadline closes is the same.
+#
+# Sending BSM by BSM to the generation targets T1..Tm makes, at each
+# instant, the appends "for each BSM b, for each target T: b to T's group
+# at that instant" (a plan has at most one group per instant). Where only
+# one target's plan has a group g at an instant, that is b1..bk to g, one
+# after another: what casting the run to g at once appends. Appends at
+# distinct instants go to distinct blocks, which the heap orders by time,
+# so casting the run target by target, in any order, gives the same run
+# order, as long as no two targets' groups share an instant. Where they
+# do (equal DSRC and C-V2X halves, as at 60.95 km/h), their appends
+# alternate BSM by BSM: ``__init__`` works out once which generation
+# targets share an instant with another, and ``_send`` casts a run to
+# those one BSM at a time, target by target, after the others.
 
 class _Group(tuple):
     """A plan group's receivers (user indices), carrying their rows of
@@ -514,12 +552,13 @@ class Simulation:
         self._seq = 0
         #: The arrival blocks the running handler has open, by time.
         self._blocks: dict[int, list[_Arrival]] = {}
-        #: The last batch's subjects and truth indices.
-        self._batched: tuple[tuple, tuple] = ((), ())
+        #: The last batch's BSMs, and their subjects and truth indices.
+        self._batched: tuple[list, tuple, tuple] = ([], (), ())
         #: The instant last traced, and its ``at_ms`` string.
         self._traced_at: tuple[int, str] = (-1, "")
         #: Trace details built once each, bounded by users and tracks:
-        #: a detection's by (status, matched id, track id), and a gateway
+        #: a detection's by (matched id, track id, whether it generated
+        #: nothing), and a gateway
         #: arrival's ``(kind, detail)`` by (medium, topic, target count).
         self._detection_details: dict[tuple, str] = {}
         self._rx_labels: dict[tuple, tuple[str, str]] = {}
@@ -567,6 +606,16 @@ class Simulation:
             self._relays[tech] = _group_by_time(
                 (u.half_us, u.index) for u in on_tech
             )
+        #: The generation targets whose plan shares an arrival time with
+        #: another's: a frame's run reaches them one BSM at a time.
+        offsets = {target: {offset_us for offset_us, _ in
+                            self._relays[target[0]]}
+                   for target in GENERATION_TARGETS}
+        self._interleaved = frozenset(
+            target for target in GENERATION_TARGETS
+            if any(offsets[target] & offsets[other]
+                   for other in GENERATION_TARGETS if other != target)
+        )
 
     def _make_user(self, index: int, spec: UserSpec) -> SimUser:
         speed = (
@@ -656,7 +705,7 @@ class Simulation:
         spec = user.spec
         tech = spec.kind.tech
         self._advance(user, now_us)
-        noise = self.rng.normal(0.0, spec.gnss_error_std_m, 2)
+        noise = self.rng.normal(0.0, spec.gnss_error_std_m, 2).tolist()
         reported = self.frame.position_at(
             user.x_m + noise[0], user.y_m + noise[1]
         )
@@ -678,9 +727,9 @@ class Simulation:
 
         plan = self._plans[user.index]
         if tech is LinkTech.CELL_MQTT:
-            self._publish(user, plan, bsm, Topic.CELL, tech, now_us)
+            self._publish(user, plan, [bsm], Topic.CELL, tech, now_us)
         else:
-            self._cast(plan, now_us, bsm, tech, tech)
+            self._cast(plan, now_us, [bsm], tech, tech)
             if self.gateway is not None and self._in_coverage(user):
                 self._schedule(
                     now_us + user.half_us, self._on_gateway_rx,
@@ -688,41 +737,54 @@ class Simulation:
                 )
         self._schedule(now_us + user.bsm_interval_us, self._on_bsm_tx, user)
 
-    def _publish(self, publisher: Optional[SimUser], plan: _Plan, bsm: Bsm,
-                 topic: Topic, uplink: LinkTech, now_us: int) -> None:
-        """Publish ``bsm`` on ``topic`` for a road user, or for the gateway
-        when ``publisher`` is None, and cast ``plan`` to the road users
-        the broker kept."""
+    def _publish(self, publisher: Optional[SimUser], plan: _Plan,
+                 bsms: list[Bsm], topic: Topic, uplink: LinkTech,
+                 now_us: int) -> None:
+        """Publish each of ``bsms`` on ``topic``, in order, for a road
+        user, or for the gateway when ``publisher`` is None, and cast
+        ``plan`` to the road users the broker kept: the BSMs whose
+        publish kept every subscriber as runs, each other alone."""
         broker = self.broker
-        drops = broker.drop_count
-        kept = broker.publish(
-            ARSU_CLIENT if publisher is None else publisher.id.value,
-            MqttEnvelope(topic=topic, payload=bsm, published_at_us=now_us),
-        )
-        # The gateway subscribes only to Cell, which only road users
-        # publish to; it hears a publish after the publisher's half, before
-        # any road user does.
-        if ARSU_CLIENT in kept:
-            self._schedule(now_us + publisher.half_us, self._on_gateway_rx,
-                           (bsm, LinkTech.CELL_MQTT, topic))
-        if broker.drop_count != drops:
+        client = ARSU_CLIENT if publisher is None else publisher.id.value
+        run = []
+        for bsm in bsms:
+            drops = broker.drop_count
+            kept = broker.publish(client, MqttEnvelope(topic, bsm, now_us))
+            # The gateway subscribes only to Cell, which only road users
+            # publish to; it hears a publish after the publisher's half,
+            # before any road user does.
+            if publisher is not None and ARSU_CLIENT in kept:
+                self._schedule(now_us + publisher.half_us,
+                               self._on_gateway_rx,
+                               (bsm, LinkTech.CELL_MQTT, topic))
+            if broker.drop_count == drops:
+                run.append(bsm)
+                continue
+            if run:
+                self._cast(plan, now_us, run, uplink, LinkTech.CELL_MQTT,
+                           topic)
+                run = []
             # A road user's client name is its id, its own truth.
             kept_rows = set(map(self._truth_of.get, kept)).__contains__
-            plan = tuple(
+            cut = tuple(
                 (offset_us,
                  receivers if len(group) == len(receivers) else group)
                 for offset_us, receivers in plan
                 if (group := tuple(filter(kept_rows, receivers)))
             )
-        self._cast(plan, now_us, bsm, uplink, LinkTech.CELL_MQTT, topic)
+            self._cast(cut, now_us, [bsm], uplink, LinkTech.CELL_MQTT, topic)
+        if run:
+            self._cast(plan, now_us, run, uplink, LinkTech.CELL_MQTT, topic)
 
-    def _cast(self, plan: _Plan, sent_us: int, bsm: Bsm, uplink: LinkTech,
-              downlink: LinkTech, topic: Optional[Topic] = None) -> None:
-        """Schedule ``bsm``'s arrival at each group of ``plan`` into the
-        block this handler has open at its instant, or a new one, joining
-        the block's last arrival if of the same group, links and time."""
+    def _cast(self, plan: _Plan, sent_us: int, bsms: list[Bsm],
+              uplink: LinkTech, downlink: LinkTech,
+              topic: Optional[Topic] = None) -> None:
+        """Schedule the arrival of ``bsms``, a run generated at one
+        instant, at each group of ``plan`` into the block this handler
+        has open at its instant, or a new one, joining the block's last
+        arrival if of the same group, links and time."""
         blocks = self._blocks
-        generated_at_us = bsm.generated_at_us
+        generated_at_us = bsms[0].generated_at_us
         for offset_us, receivers in plan:
             at_us = sent_us + offset_us
             block = blocks.get(at_us)
@@ -733,9 +795,10 @@ class Simulation:
             elif ((last := block[-1]).receivers is receivers
                   and last[2:] == (uplink, downlink, topic)
                   and last.bsms[0].generated_at_us == generated_at_us):
-                last.bsms.append(bsm)
+                last.bsms.extend(bsms)
                 continue
-            block.append(_Arrival(receivers, [bsm], uplink, downlink, topic))
+            block.append(_Arrival(receivers, list(bsms), uplink, downlink,
+                                  topic))
 
     def _on_gateway_rx(
         self, now_us: int, arg: tuple[Bsm, LinkTech, Optional[Topic]]
@@ -755,31 +818,41 @@ class Simulation:
             label = self._rx_labels[key] = (
                 kind, f"{detail} actions={len(targets)}")
         self._trace(now_us, label[0], ARSU_CLIENT, bsm.id.value, label[1])
-        self._send(bsm, targets, medium, now_us)
+        self._send([bsm], targets, medium, now_us)
 
-    def _send(self, bsm: Bsm, targets: tuple[Target, ...], uplink: LinkTech,
-              now_us: int) -> None:
-        """Send a gateway relay or generated BSM, which reached the
-        gateway over ``uplink``, to each target through its plan."""
+    def _send(self, bsms: list[Bsm], targets: tuple[Target, ...],
+              uplink: LinkTech, now_us: int) -> None:
+        """Send a run of gateway relays or generated BSMs, which reached
+        the gateway over ``uplink`` at one instant, to each target
+        through its plan (see "Frames")."""
+        runs = [(bsms, targets)]
+        if len(bsms) > 1 and self._interleaved:
+            # Targets whose groups share an instant take the run BSM by
+            # BSM, after the others (see "Frames").
+            shared = tuple(t for t in targets if t in self._interleaved)
+            runs = [(bsms, tuple(t for t in targets if t not in shared))]
+            runs += [([bsm], shared) for bsm in bsms]
         relays = self._relays
-        for medium, topic in targets:
-            if topic is None:
-                # A radio relay to every user on ``medium``. The gateway
-                # relays a road user's BSM only onto the other media, and
-                # the camera's under a synthetic id, so the subject is
-                # never on ``medium``.
-                self._cast(relays[medium], now_us, bsm, uplink, medium)
-            else:
-                self._publish(None, relays[medium], bsm, topic, uplink,
-                              now_us)
+        for run, run_targets in runs:
+            for medium, topic in run_targets:
+                if topic is None:
+                    # A radio relay to every user on ``medium``. The gateway
+                    # relays a road user's BSM only onto the other media,
+                    # and the camera's under a synthetic id, so the subject
+                    # is never on ``medium``.
+                    self._cast(relays[medium], now_us, run, uplink, medium)
+                else:
+                    self._publish(None, relays[medium], run, topic, uplink,
+                                  now_us)
 
     def _deliver(self, now_us: int, arrivals: list[_Arrival]) -> None:
         """Hand each arrival's BSMs to its receivers, in schedule order:
         one delivery, and one executed event, per (BSM, receiver); each
-        arrival is recorded once (see ``DeliveryBatch``)."""
+        arrival is recorded once (see ``DeliveryBatch``). The BSMs of an
+        arrival share their generation time, so the duplicate window is
+        pruned and checked once per arrival."""
         metrics = self.metrics
-        truth_of = self._truth_of
-        add_seen = self._seen.add
+        held = self._seen.held
         records = []
         arrays = []  # each record's receivers as rows of last_heard
         delivered = 0
@@ -794,43 +867,75 @@ class Simulation:
             else:
                 array, mask = _rows_and_mask(receivers)
                 arrays.append(array)
-            rows = []
-            for bsm in bsms:
-                subject = bsm.id.value
-                truth_index = truth_of.get(subject)
-                if truth_index is None:
-                    raise SimulationInvariantError(f"{bsm.id} is no road user")
-                # Read per BSM: two BSMs of one arrival can share a key.
-                seen = add_seen((subject, generated_at_us), mask, now_us)
-                duplicates = None
-                if seen & mask:
-                    duplicates = tuple(bool(seen >> r & 1) for r in receivers)
+            subjects, truth = self._subjects(bsms)
+            seen = held(generated_at_us, now_us)
+            flags = None
+            # Read per BSM: two BSMs of one arrival can share a subject.
+            for i, subject in enumerate(subjects):
+                had = seen.get(subject)
+                if had is None:
+                    seen[subject] = mask
+                    continue
+                seen[subject] = had | mask
+                if had & mask:
+                    if flags is None:
+                        flags = [None] * len(subjects)
+                    flags[i] = duplicates = tuple(
+                        bool(had >> r & 1) for r in receivers)
                     metrics.duplicates_suppressed += sum(duplicates)
-                rows.append((subject, truth_index, duplicates))
-            if len(rows) == 1:
+            if len(subjects) == 1:
                 records.append(DeliveryGroup(
-                    receivers, subject, truth_index, uplink, downlink,
-                    generated_at_us, now_us, latency_ms, topic, duplicates))
+                    receivers, subjects[0], truth[0], uplink, downlink,
+                    generated_at_us, now_us, latency_ms, topic,
+                    flags and flags[0]))
             else:
-                subjects, truth, flags = zip(*rows)
-                # A frame's batches on each medium carry the same BSMs.
-                if (subjects, truth) == self._batched:
-                    subjects, truth = self._batched
-                else:
-                    self._batched = (subjects, truth)
                 records.append(DeliveryBatch(
                     receivers, subjects, truth, uplink, downlink,
                     generated_at_us, now_us, latency_ms, topic,
-                    flags if any(flags) else None))
-            delivered += len(receivers) * len(rows)
+                    flags and tuple(flags)))
+            delivered += len(receivers) * len(subjects)
         metrics.events_executed += delivered - 1
         metrics.record_delivery(records, arrays, now_us)
 
+    def _subjects(self, bsms: list[Bsm]) -> tuple[tuple, tuple]:
+        """The subject ids of ``bsms`` and their truth indices. A batch's
+        are worked out once for the arrivals of one run: a frame's
+        batches on each medium carry the same BSMs, and share these
+        tuples."""
+        if len(bsms) == 1:
+            subject = bsms[0].id.value
+            truth_index = self._truth_of.get(subject)
+            if truth_index is None:
+                raise SimulationInvariantError(f"{subject} is no road user")
+            return (subject,), (truth_index,)
+        batched_bsms, subjects, truth = self._batched
+        if bsms == batched_bsms:
+            return subjects, truth
+        new_subjects = tuple([bsm.id.value for bsm in bsms])
+        new_truth = tuple(map(self._truth_of.get, new_subjects))
+        if new_subjects != subjects or new_truth != truth:
+            if None in new_truth:
+                subject = new_subjects[new_truth.index(None)]
+                raise SimulationInvariantError(f"{subject} is no road user")
+            subjects, truth = new_subjects, new_truth
+        self._batched = (bsms, subjects, truth)
+        return subjects, truth
+
     def _on_ipu_frame(self, now_us: int, _: None) -> None:
+        """Capture a camera frame: move every user to now (as
+        ``step_mobility`` does) and detect those in coverage."""
+        arsu = self.config.arsu
+        x_m, y_m, radius_m = arsu.x_m, arsu.y_m, arsu.coverage_radius_m
+        hypot = math.hypot
         in_view = []
         for user in self.users:
-            self._advance(user, now_us)
-            if self._in_coverage(user):
+            dt_us = now_us - user.updated_at_us
+            if dt_us > 0:
+                meters = user.speed_kmh / 3.6 * (dt_us / 1_000_000.0)
+                user.x_m += meters * user.sin_heading
+                user.y_m += meters * user.cos_heading
+                user.updated_at_us = now_us
+            if hypot(user.x_m - x_m, user.y_m - y_m) <= radius_m:
                 in_view.append(user)
         if in_view:
             # One draw for the frame gives the numbers one per user would.
@@ -839,17 +944,12 @@ class Simulation:
             ).tolist()
             available_at_us = now_us + self.ipu_processing_us
             position_at = self.frame.position_at
-            detections = [
-                Detection(
-                    estimate=position_at(user.x_m + dx, user.y_m + dy),
-                    speed_kmh=user.speed_kmh,
-                    heading_deg=user.spec.heading_deg,
-                    captured_at_us=now_us,
-                    available_at_us=available_at_us,
-                    truth_id=user.id,
-                )
-                for user, (dx, dy) in zip(in_view, noise)
-            ]
+            detections = Detection.of_frame(
+                ((position_at(user.x_m + dx, user.y_m + dy), user.speed_kmh,
+                  user.spec.heading_deg, user.id)
+                 for user, (dx, dy) in zip(in_view, noise)),
+                now_us, available_at_us,
+            )
             self._schedule(
                 available_at_us, self._on_detections_ready, detections
             )
@@ -862,30 +962,42 @@ class Simulation:
         self, now_us: int, detections: list[Detection]
     ) -> None:
         """A frame's detections leave the IPU: the gateway classifies each,
-        in capture order, and a refresh's BSM goes to each generation
-        target; one executed event per detection."""
+        in capture order, and the refreshes' BSMs go to each generation
+        target as a run; one executed event per detection. A run is sent
+        before a grace deadline is scheduled (see "Frames")."""
         self.metrics.events_executed += len(detections) - 1
         on_detection = self.gateway.on_detection
         details = self._detection_details
+        log = self.metrics.log
+        at_ms = self._at_ms(now_us)
+        run = []
         for detection in detections:
             outcome = on_detection(detection, now_us)
-            subject = detection.truth_id.value if detection.truth_id else "?"
-            key = (outcome.status, outcome.matched_id, outcome.track_id)
+            status, matched_id, track_id, deadline_us, _, generated = outcome
+            # Only a match is Connected, and only a refresh generates: the
+            # key gives the status without hashing it.
+            key = (matched_id, track_id, generated is None)
             detail = details.get(key)
             if detail is None:
-                detail = outcome.status.value
-                if outcome.matched_id is not None:
-                    detail += f" matched={outcome.matched_id.value}"
-                if outcome.track_id is not None:
-                    detail += f" track={outcome.track_id}"
+                detail = status.value
+                if matched_id is not None:
+                    detail += f" matched={matched_id.value}"
+                if track_id is not None:
+                    detail += f" track={track_id}"
                 details[key] = detail
-            self._trace(now_us, "DetectionReady", ARSU_CLIENT, subject, detail)
-            if outcome.deadline_us is not None:
-                self._schedule(outcome.deadline_us, self._on_grace_deadline,
-                               outcome.track_id)
-            if outcome.generated is not None:
-                self._send(outcome.generated, GENERATION_TARGETS,
-                           LinkTech.CAMERA, now_us)
+            truth = detection.truth_id
+            log.append((at_ms, "DetectionReady", ARSU_CLIENT,
+                        truth.value if truth else "?", detail))
+            if deadline_us is not None:
+                if run:
+                    self._send(run, GENERATION_TARGETS, LinkTech.CAMERA,
+                               now_us)
+                    run = []
+                self._schedule(deadline_us, self._on_grace_deadline, track_id)
+            if generated is not None:
+                run.append(generated)
+        if run:
+            self._send(run, GENERATION_TARGETS, LinkTech.CAMERA, now_us)
 
     def _on_grace_deadline(self, now_us: int, track_id: int) -> None:
         bsm = self.gateway.on_grace_deadline(track_id)
@@ -900,7 +1012,7 @@ class Simulation:
         truth = self.gateway.synthetic_truth[bsm.id]
         if truth is not None:
             self._truth_of[bsm.id.value] = self._truth_of[truth.value]
-        self._send(bsm, GENERATION_TARGETS, LinkTech.CAMERA, now_us)
+        self._send([bsm], GENERATION_TARGETS, LinkTech.CAMERA, now_us)
 
     def _on_metrics_tick(self, now_us: int, _: None) -> None:
         self._sample_coverage(now_us)
@@ -948,13 +1060,18 @@ class Simulation:
     def _trace(
         self, at_us: int, kind: str, actor: str, subject: str, detail: str
     ) -> None:
-        """Log one formatted row. Events run in time order, so the rows
-        of one instant share the one ``at_ms`` string."""
+        """Log one formatted row."""
+        self.metrics.log.append(
+            (self._at_ms(at_us), kind, actor, subject, detail))
+
+    def _at_ms(self, at_us: int) -> str:
+        """``at_us`` formatted for a row. Events run in time order, so the
+        rows of one instant share the one string."""
         traced_us, at_ms = self._traced_at
         if at_us != traced_us:
             at_ms = f"{us_to_ms(at_us):.3f}"
             self._traced_at = (at_us, at_ms)
-        self.metrics.log.append((at_ms, kind, actor, subject, detail))
+        return at_ms
 
 
 def _coverage_label(value: Optional[float]) -> str:
@@ -964,10 +1081,12 @@ def _coverage_label(value: Optional[float]) -> str:
 
 
 def load_latency_model(latency_csv: Optional[str]) -> LatencyModel:
-    """The delay table at ``latency_csv``, else the default. A table
-    that cannot be read or fails its checks is a ConfigError."""
-    if not latency_csv:
+    """The delay table at ``latency_csv``, or the default for None. An
+    empty path, or a table that cannot be read or fails its checks, is a
+    ConfigError."""
+    if latency_csv is None:
         return LatencyModel.default()
+    _path(latency_csv, "latency_csv")
     try:
         return LatencyModel.from_csv(latency_csv)
     except (OSError, ValueError) as exc:

@@ -105,10 +105,10 @@ users:
         radio_relays = [simulation._relays[LinkTech.DSRC],
                         simulation._relays[LinkTech.CV2X]]
 
-        def casting(plan, sent_us, bsm, uplink, *rest):
+        def casting(plan, sent_us, bsms, uplink, *rest):
             if any(plan is relay for relay in radio_relays):
-                relayed.append(bsm)
-            cast(plan, sent_us, bsm, uplink, *rest)
+                relayed.extend(bsms)
+            cast(plan, sent_us, bsms, uplink, *rest)
 
         simulation._cast = casting
         simulation.run()

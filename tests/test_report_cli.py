@@ -264,7 +264,9 @@ class TestCli:
     def _latency_csv_scenario(self, tmp_path, case):
         """A delay table that fails to load in the way ``case`` names,
         and a scenario that names it: (scenario path, table path)."""
-        if case == "missing":
+        if case == "empty":
+            table = ""
+        elif case == "missing":
             table = "/nonexistent/table.csv"
         elif case == "directory":
             table = tmp_path / "tables"
@@ -279,7 +281,7 @@ class TestCli:
             table = tmp_path / "table.csv"
             table.write_text("\n".join(",".join(r) for r in rows) + "\n")
         config = tmp_path / "scenario.yaml"
-        config.write_text(f"latency_csv: {table}\n" + RUN_SCENARIO)
+        config.write_text(f"latency_csv: '{table}'\n" + RUN_SCENARIO)
         return config, table
 
     @pytest.mark.parametrize(
@@ -298,7 +300,8 @@ class TestCli:
         assert capsys.readouterr().err == captured.err
 
     @pytest.mark.parametrize(
-        "case", ["missing", "bad header", "inconsistent", "directory"])
+        "case", ["missing", "bad header", "inconsistent", "directory",
+                 "empty"])
     def test_table4_matrix_and_run_give_one_message_for_a_bad_table(
         self, tmp_path, capsys, case
     ):

@@ -727,8 +727,9 @@ def _final_coverage_oracle(result):
 
 
 def _random_scenario(data):
-    """A small random scenario: 1-8 users of any kind, either link speed
-    mode, with or without the gateway, broker drops and ghosts."""
+    """A small random scenario: 1-9 users of any kind, either link speed
+    mode, with or without the gateway, broker drops, ghosts and
+    duplicate deliveries."""
     speeds = st.integers(0, 1200).map(lambda tenths: tenths / 10)
     kinds = st.sampled_from([k.value for k in RoadUserKind])
     users = [
@@ -745,13 +746,25 @@ def _random_scenario(data):
         }
         for i in range(data.draw(st.integers(1, 8)))
     ]
+    duration = st.integers(1, 600)
+    arsu_present = st.booleans()
+    if data.draw(st.sampled_from([True, False])):
+        # A pedestrian walking beside U0, closer than sigma (5 m), with
+        # U0 made a pedestrian too and both 40 m off the others' line:
+        # from the first refresh on, at about 500 ms, the camera
+        # refreshes their one track twice a frame, so one arrival
+        # carries its key twice.
+        users[0].update(kind="non_connected", y_m=40)
+        users.append(dict(users[0], id=f"U{len(users)}",
+                          x_m=users[0]["x_m"] + data.draw(st.integers(0, 3))))
+        duration, arsu_present = st.integers(600, 800), st.just(True)
     return parse_scenario(yaml.safe_dump({
-        "duration_ms": data.draw(st.integers(1, 600)),
+        "duration_ms": data.draw(duration),
         "scenario_speed_kmh": data.draw(speeds),
         "link_speed_mode": data.draw(
             st.sampled_from(["scenario", "max_endpoint"])),
         "seed": data.draw(st.integers(0, 2**16)),
-        "arsu": {"present": data.draw(st.booleans())},
+        "arsu": {"present": data.draw(arsu_present)},
         "mqtt": {"drop_probability": data.draw(
             st.sampled_from([0.0, 0.3]))},
         "users": users,
@@ -1058,7 +1071,8 @@ users:
         halves = [u.half_us for u in simulation.users]
         assert len(set(halves)) == 3
         bsm = _relay_bsm(simulation, 1_000, "ipu:1")
-        simulation._send(bsm, ((LinkTech.DSRC, None),), LinkTech.CAMERA, 1_000)
+        simulation._send([bsm], ((LinkTech.DSRC, None),), LinkTech.CAMERA,
+                         1_000)
         assert self._arrivals(simulation) == [
             (1_000 + halves[0], (0, 3)),
             (1_000 + halves[1], (1,)),
@@ -1118,7 +1132,7 @@ users:
         broker.drop_probability = 0.5
         broker._rng = self._Draws([0.9, 0.1, 0.9])  # IPU: C0, C1, C2
         bsm = _relay_bsm(simulation, 1_000, "D0")
-        simulation._send(bsm, ((LinkTech.CELL_MQTT, Topic.IPU),),
+        simulation._send([bsm], ((LinkTech.CELL_MQTT, Topic.IPU),),
                          LinkTech.CAMERA, 1_000)
         plan = [group for _, group in simulation._relays[LinkTech.CELL_MQTT]]
         cast = [receivers for _, receivers in self._arrivals(simulation)]
@@ -1202,10 +1216,13 @@ users:
         at_us = 50_000
         plan = ((at_us - 1_000, (0,)),)
         a1, a2, b = (_relay_bsm(simulation, 1_000, f"U{i}") for i in (2, 3, 4))
-        simulation._cast(plan, 1_000, a1, LinkTech.CELL_MQTT, LinkTech.DSRC)
-        simulation._cast(plan, 1_000, a2, LinkTech.CELL_MQTT, LinkTech.DSRC)
+        simulation._cast(plan, 1_000, [a1], LinkTech.CELL_MQTT,
+                         LinkTech.DSRC)
+        simulation._cast(plan, 1_000, [a2], LinkTech.CELL_MQTT,
+                         LinkTech.DSRC)
         simulation._schedule(at_us, simulation._on_grace_deadline, 7)
-        simulation._cast(plan, 1_000, b, LinkTech.CELL_MQTT, LinkTech.DSRC)
+        simulation._cast(plan, 1_000, [b], LinkTech.CELL_MQTT,
+                         LinkTech.DSRC)
         entries = self._entries(simulation)
         assert [(at, handler) for at, _, handler, _ in entries] == [
             (at_us, simulation._deliver),
@@ -1234,7 +1251,7 @@ users:
         simulation = Simulation(scenario(MIXED_TABLE1))
         for plan, subject, generated_at_us in casts:
             bsm = _relay_bsm(simulation, generated_at_us, subject)
-            simulation._cast(plan, 1_000, bsm, LinkTech.DSRC, LinkTech.CV2X)
+            simulation._cast(plan, 1_000, [bsm], LinkTech.DSRC, LinkTech.CV2X)
         (block,) = [arg for _, _, _, arg in cls._entries(simulation)]
         subjects = [[b.id.value for b in a.bsms] for a in block]
         deliveries = collect_deliveries(simulation)
@@ -1320,6 +1337,45 @@ users:
         assert {r[4].split()[0] for r in ready_rows} == {
             "Connected", "Pending", "NonConnected"}
         assert len(rows) == batched.metrics.events_executed + 1
+
+    def test_entry_points_are_called_per_item(self):
+        """A frame's detections are classified, and its generated BSMs
+        published, one by one: the gateway's ``on_detection`` runs once
+        per detection that became available in the run (the camera's
+        count less the last frames', available after the end), and the
+        broker's ``publish`` once per generated BSM, a refresh's or a
+        confirmation's, on IPU. These are the calls perfbench counts as
+        ``gateway.on_detection.calls`` and ``broker.publish.calls``."""
+        simulation = Simulation(scenario(self.FRAME_DOC))
+        classified = []
+        on_detection = simulation.gateway.on_detection
+
+        def classifying(detection, now_us):
+            classified.append(detection)
+            return on_detection(detection, now_us)
+
+        simulation.gateway.on_detection = classifying
+        published = record_publishes(simulation)
+        result = simulation.run()
+        rows = list(result.trace_rows)
+        end_us = result.config.duration_us
+        late = sum(
+            int(r[4].removeprefix("detections=")) for r in rows
+            if r[1] == "IpuFrame"
+            and ms_to_us(float(r[0])) + simulation.ipu_processing_us >= end_us
+        )
+        assert late > 0
+        assert len(classified) == result.metrics.detections - late > 300
+        assert len(classified) == sum(r[1] == "DetectionReady" for r in rows)
+        generated = [
+            r for r in rows
+            if r[1] == "DetectionReady" and r[4].startswith("NonConnected")
+            or r[1] == "GraceDeadline" and r[4].startswith("confirmed")
+        ]
+        ipu = [envelope.payload for _, envelope, _ in published
+               if envelope.topic is Topic.IPU]
+        assert len(ipu) == len(generated) > 100
+        assert len(set(map(id, ipu))) == len(ipu)
 
     @staticmethod
     def _batched_and_apart(doc):
