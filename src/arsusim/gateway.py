@@ -314,7 +314,7 @@ class _Index:
         go to the most recent item, then to the first put.
 
         The filter's hot loop: it walks the cells as ``_cells`` does,
-        in line, and builds no list."""
+        in line, and builds no list of candidates."""
         best = best_key = None
         row, lon_deg, reach_deg, first, width = reach
         rows = self._rows
