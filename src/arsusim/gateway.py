@@ -53,10 +53,13 @@ The row height, ``phi_far`` and the reach carry a 1e-6 relative and a
 One index class, :class:`_Index`, holds all three stores: the history
 keyed by arrival count, the tracks by track id. It owns each key's cell
 and first-put sequence, and its items share one shape, ``(position,
-recency_us, sequence, value)``, so one nearest search, keyed ``(distance,
--recency_us, sequence)``, serves all three in the order a full scan in
-insertion order would give; it measures each entry as it meets it and
-builds no list of candidates. The history also keeps its arrivals in a
+recency_us, sequence, value)``, so one lookup, ``_Index.nearest``, keyed
+``(distance, -recency_us, sequence)``, serves all three in the order a
+full scan in insertion order would give; it measures each entry as it
+meets it and builds no list of candidates. A BSM resolves the pending
+tracks near it through the same lookup, taking the nearest until none
+is left: the key is a total order, so the tracks taken are the same
+whatever order they go in. The history also keeps its arrivals in a
 deque for pruning: a dict used as a FIFO scans past its deleted slots.
 """
 
@@ -266,55 +269,15 @@ class _Index:
                 del self._rows[row]
         return item
 
-    def _cells(self, reach: _Reach) -> list[dict]:
-        """The occupied cells of the reach's three rows and columns. A
-        row with no more occupied cells than the reach has columns is
-        read whole."""
-        cells = []
-        row, _, _, first, width = reach
-        rows = self._rows
-        wanted = None
-        for r in (row - 1, row, row + 1):
-            columns = rows.get(r)
-            if columns is None:
-                continue
-            if width >= len(columns):
-                cells += columns.values()
-                continue
-            if wanted is None:
-                wanted = range(first, first + width)
-                n = self._columns
-                if first < 0 or first + width > n:  # across the antimeridian
-                    wanted = [c % n for c in wanted]
-            get = columns.get
-            for c in wanted:
-                items = get(c)
-                if items is not None:
-                    cells.append(items)
-        return cells
-
-    def near(self, reach: _Reach) -> list[tuple]:
-        """Items of the reach's cells whose longitude lies within its
-        reach: every item within ``sigma_m``, and a few more."""
-        found = []
-        _, lon_deg, reach_deg, _, _ = reach
-        for items in self._cells(reach):
-            for item_lon, item in items.values():
-                d_lon = abs(item_lon - lon_deg)
-                if d_lon > 180.0:
-                    d_lon = 360.0 - d_lon
-                if d_lon <= reach_deg:
-                    found.append(item)
-        return found
-
     def nearest(self, estimate: Position, reach: _Reach,
                 sigma_m: float) -> Optional[object]:
         """The value of the item nearest ``estimate`` within ``sigma_m``,
-        of those ``near(reach)`` gives, each measured as it is met. Ties
-        go to the most recent item, then to the first put.
-
-        The filter's hot loop: it walks the cells as ``_cells`` does,
-        in line, and builds no list of candidates."""
+        or None; ties go to the most recent item, then to the first put.
+        The index's one lookup and the filter's hot loop: it walks the
+        reach's cells in its three rows (a row whole where it holds no
+        more occupied cells than the reach has columns), skips the items
+        beyond the reach's longitude, and measures the others as it
+        meets them, building no list of candidates."""
         best = best_key = None
         row, lon_deg, reach_deg, first, width = reach
         rows = self._rows
@@ -483,13 +446,15 @@ class Gateway:
         return targets
 
     def _resolve_pending_with_bsm(self, bsm: Bsm) -> None:
-        if not self._pending:
+        """Resolve every pending track within ``sigma_m`` of the BSM,
+        nearest first."""
+        pending = self._pending
+        if not pending:
             return
-        sigma_m = self.config.sigma_m
-        for position, _, _, track in self._pending.near(
-                self._shape.reach(bsm.position)):
-            if horizontal_distance_m(position, bsm.position) < sigma_m:
-                self._pending.pop(track.track_id)
+        reach = self._shape.reach(bsm.position)
+        while (track := pending.nearest(
+                bsm.position, reach, self.config.sigma_m)) is not None:
+            pending.pop(track.track_id)
 
     # --- detection filtering ---
 

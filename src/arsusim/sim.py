@@ -29,14 +29,15 @@ per detection. One ``_send`` serves every gateway send: a relay or a
 confirmation is a run of one BSM, and a camera frame's refreshes are
 sent as runs, each cast to a plan group at once, so they join into one
 arrival per plan group (see "Frames"); the broker still takes one
-publish per BSM. An arrival is recorded once: as a
-``DeliveryGroup``, or with several BSMs as a ``DeliveryBatch``. A run
-keeps one log, ``Metrics.log``: every trace entry in event order, a
-formatted row or a delivery record. What the log holds is built of
-objects shared between entries: a row is a tuple of strings, the rows
-of one instant share one ``at_ms``, each distinct detection outcome or
-gateway arrival has one detail string, built the first time it is seen,
-and a frame's batches on the three media share one tuple of subjects.
+publish per BSM. An arrival is recorded once, as a ``DeliveryGroup``
+of one BSM or several. A run keeps one log, ``Metrics.log``: every
+trace entry in event order, a formatted row (a plain tuple) or a
+delivery record. What the log holds is built of objects shared between
+entries: a row is a tuple of strings, the rows of one instant share one
+``at_ms``, each distinct detection outcome or gateway arrival has one
+detail string, built the first time it is seen, the one-BSM records of
+a subject share one tuple of subjects, and a frame's batches on the
+three media share another.
 ``RunResult.trace_rows`` is a view of the log that supports only
 ``len()`` and iteration; it expands each record one row per (subject,
 receiver) as it is read. Awareness is the ``last_heard`` matrix. The
@@ -126,31 +127,14 @@ def step_mobility(user: SimUser, dt_us: int) -> None:
 
 
 class DeliveryGroup(NamedTuple):
-    """One BSM handed to several road users at the same instant: the
-    fields its deliveries share, held once.
+    """BSMs generated at one instant handed to the same road users at one
+    instant: one arrival, the fields its deliveries share held once.
 
-    ``receivers`` (the send's plan's tuple, unless a broker drop cut
-    it) and ``truth_index`` are user indices. ``duplicates`` holds one
-    flag per receiver, or is None when no receiver already had the
-    BSM."""
-
-    receivers: tuple[int, ...]
-    subject: str
-    truth_index: int
-    uplink: LinkTech
-    downlink: LinkTech
-    generated_at_us: int
-    delivered_at_us: int
-    latency_ms: float
-    topic: Optional[Topic]
-    duplicates: Optional[tuple[bool, ...]]
-
-
-class DeliveryBatch(NamedTuple):
-    """Several BSMs generated at one instant handed to the same road
-    users at one instant: a ``DeliveryGroup`` per subject, in order,
-    their shared fields held once. ``duplicates`` holds each group's
-    flags, or is None when no receiver already had any of the BSMs."""
+    ``receivers`` (the send's plan's tuple, unless a broker drop cut it)
+    and ``truth_indices`` are user indices; ``subjects`` and
+    ``truth_indices`` hold one entry per BSM, in order. ``duplicates``
+    holds per BSM one flag per receiver, or None when no receiver
+    already had that BSM; it is None when no receiver had any."""
 
     receivers: tuple[int, ...]
     subjects: tuple[str, ...]
@@ -162,18 +146,6 @@ class DeliveryBatch(NamedTuple):
     latency_ms: float
     topic: Optional[Topic]
     duplicates: Optional[tuple[Optional[tuple[bool, ...]], ...]]
-
-
-def _by_subject(entry) -> Optional[Iterable[tuple]]:
-    """``(subject, truth index, duplicate flags or None)`` of each BSM of
-    a delivery record, in order; None for any other log entry."""
-    kind = type(entry)
-    if kind is DeliveryGroup:
-        return ((entry.subject, entry.truth_index, entry.duplicates),)
-    if kind is DeliveryBatch:
-        return zip(entry.subjects, entry.truth_indices,
-                   entry.duplicates or repeat(None))
-    return None
 
 
 @dataclass
@@ -226,8 +198,7 @@ class TraceRows:
         labels: dict[tuple, tuple[str, str, str]] = {}
         at_us, at_ms = None, ""  # the log is in time order
         for entry in self._metrics.log:
-            subjects = _by_subject(entry)
-            if subjects is None:
+            if type(entry) is tuple:
                 yield entry
                 continue
             path = (entry.uplink, entry.downlink, entry.latency_ms,
@@ -239,7 +210,8 @@ class TraceRows:
             if entry.delivered_at_us != at_us:
                 at_us = entry.delivered_at_us
                 at_ms = f"{us_to_ms(at_us):.3f}"
-            for subject, _, flags in subjects:
+            for subject, flags in zip(entry.subjects,
+                                      entry.duplicates or repeat(None)):
                 if flags is None:
                     for r in entry.receivers:
                         yield (at_ms, kind, ids[r], subject, detail)
@@ -299,19 +271,18 @@ class Metrics:
     def record_delivery(self, records: list, arrays: list[np.ndarray],
                         delivered_at_us: int) -> None:
         """Record the deliveries made at ``delivered_at_us``: a
-        ``DeliveryGroup`` or ``DeliveryBatch`` per arrival, and beside
-        each, in ``arrays``, its receivers as rows of ``last_heard``."""
+        ``DeliveryGroup`` per arrival, and beside each, in ``arrays``,
+        its receivers as rows of ``last_heard``."""
         self.log += records
         self.records += len(records)
         path_stats = self.path_stats
         last_heard = self.last_heard
         # Events run in time order, so these deliveries are the latest.
         for record, receivers in zip(records, arrays):
-            # Both kinds of record hold these fields here.
             truth, uplink, downlink, generated_at_us = record[2:6]
-            if type(record) is DeliveryGroup:
+            if len(truth) == 1:
                 n = len(receivers)
-                last_heard[:, truth][receivers] = delivered_at_us
+                last_heard[:, truth[0]][receivers] = delivered_at_us
             else:
                 n = len(receivers) * len(truth)
                 # A frame's batches share their truth indices.
@@ -424,8 +395,8 @@ class RunResult:
 # generation time. Only the last arrival is ever extended, so nothing
 # comes between its BSMs, and expanding it BSM by BSM gives the order
 # that casting each BSM alone, one after another, gives. Its deliveries
-# share one latency; its ``DeliveryBatch`` expands to the rows of the
-# ``DeliveryGroup`` each BSM alone would give. So a camera frame's
+# share one latency; its ``DeliveryGroup`` expands to the rows of the
+# one-BSM records each BSM alone would give. So a camera frame's
 # refreshes give one arrival per plan group, unless an event at that
 # instant (a grace deadline) closes the block, a drop cuts the group, or
 # two groups share an instant and interleave.
@@ -534,6 +505,9 @@ class Simulation:
         #: The user index of each subject id's road user: its own, or the
         #: detected user of a synthetic id, added when it is confirmed.
         self._truth_of = {user_id: i for i, user_id in enumerate(ids)}
+        #: ``((subject id,), (truth index,))`` by subject id, once
+        #: delivered: the subjects of every one-BSM arrival.
+        self._single: dict[str, tuple[tuple[str], tuple[int]]] = {}
         self._connected_rows = np.array(
             [u.index for u in self.users if u.spec.kind.is_connected],
             dtype=np.intp,
@@ -704,7 +678,7 @@ class Simulation:
     def _on_bsm_tx(self, now_us: int, user: SimUser) -> None:
         spec = user.spec
         tech = spec.kind.tech
-        self._advance(user, now_us)
+        step_mobility(user, now_us - user.updated_at_us)
         noise = self.rng.normal(0.0, spec.gnss_error_std_m, 2).tolist()
         reported = self.frame.position_at(
             user.x_m + noise[0], user.y_m + noise[1]
@@ -848,7 +822,7 @@ class Simulation:
     def _deliver(self, now_us: int, arrivals: list[_Arrival]) -> None:
         """Hand each arrival's BSMs to its receivers, in schedule order:
         one delivery, and one executed event, per (BSM, receiver); each
-        arrival is recorded once (see ``DeliveryBatch``). The BSMs of an
+        arrival is recorded once, as a ``DeliveryGroup``. The BSMs of an
         arrival share their generation time, so the duplicate window is
         pruned and checked once per arrival."""
         metrics = self.metrics
@@ -883,31 +857,30 @@ class Simulation:
                     flags[i] = duplicates = tuple(
                         bool(had >> r & 1) for r in receivers)
                     metrics.duplicates_suppressed += sum(duplicates)
-            if len(subjects) == 1:
-                records.append(DeliveryGroup(
-                    receivers, subjects[0], truth[0], uplink, downlink,
-                    generated_at_us, now_us, latency_ms, topic,
-                    flags and flags[0]))
-            else:
-                records.append(DeliveryBatch(
-                    receivers, subjects, truth, uplink, downlink,
-                    generated_at_us, now_us, latency_ms, topic,
-                    flags and tuple(flags)))
+            records.append(DeliveryGroup(
+                receivers, subjects, truth, uplink, downlink,
+                generated_at_us, now_us, latency_ms, topic,
+                flags and tuple(flags)))
             delivered += len(receivers) * len(subjects)
         metrics.events_executed += delivered - 1
         metrics.record_delivery(records, arrays, now_us)
 
     def _subjects(self, bsms: list[Bsm]) -> tuple[tuple, tuple]:
-        """The subject ids of ``bsms`` and their truth indices. A batch's
-        are worked out once for the arrivals of one run: a frame's
-        batches on each medium carry the same BSMs, and share these
-        tuples."""
+        """The subject ids of ``bsms`` and their truth indices. One BSM's
+        are built once per subject id and shared by all its arrivals. A
+        batch's are worked out once for the arrivals of one run: a
+        frame's batches on each medium carry the same BSMs, and share
+        these tuples."""
         if len(bsms) == 1:
             subject = bsms[0].id.value
-            truth_index = self._truth_of.get(subject)
-            if truth_index is None:
-                raise SimulationInvariantError(f"{subject} is no road user")
-            return (subject,), (truth_index,)
+            single = self._single.get(subject)
+            if single is None:
+                truth_index = self._truth_of.get(subject)
+                if truth_index is None:
+                    raise SimulationInvariantError(
+                        f"{subject} is no road user")
+                single = self._single[subject] = ((subject,), (truth_index,))
+            return single
         batched_bsms, subjects, truth = self._batched
         if bsms == batched_bsms:
             return subjects, truth
@@ -1026,10 +999,6 @@ class Simulation:
         return value
 
     # --- helpers ---
-
-    def _advance(self, user: SimUser, now_us: int) -> None:
-        if now_us > user.updated_at_us:
-            step_mobility(user, now_us - user.updated_at_us)
 
     def _in_coverage(self, user: SimUser) -> bool:
         dx = user.x_m - self.config.arsu.x_m

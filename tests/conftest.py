@@ -19,7 +19,6 @@ from arsusim.messages import (
 )
 from arsusim.sim import (
     NEVER_HEARD,
-    DeliveryGroup,
     Metrics,
     RunResult,
     Simulation,
@@ -109,8 +108,8 @@ class Delivery(NamedTuple):
 def collect_deliveries(simulation: Simulation) -> list[Delivery]:
     """Wrap ``simulation.metrics.record_delivery``; returns the list to
     which each call that returns appends its deliveries: each
-    ``DeliveryGroup`` or ``DeliveryBatch`` passed in, one ``Delivery``
-    per (subject, receiver), subject by subject, in order."""
+    ``DeliveryGroup`` passed in, one ``Delivery`` per (subject,
+    receiver), subject by subject, in order."""
     deliveries = []
     metrics = simulation.metrics
     record_delivery = metrics.record_delivery
@@ -119,14 +118,9 @@ def collect_deliveries(simulation: Simulation) -> list[Delivery]:
     def collecting(records, arrays, delivered_at_us):
         record_delivery(records, arrays, delivered_at_us)
         for record in records:
-            if type(record) is DeliveryGroup:
-                subjects = ((record.subject, record.truth_index,
-                             record.duplicates),)
-            else:
-                subjects = zip(record.subjects, record.truth_indices,
-                               record.duplicates
-                               or (None,) * len(record.subjects))
-            for subject, truth_index, flags in subjects:
+            for subject, truth_index, flags in zip(
+                    record.subjects, record.truth_indices,
+                    record.duplicates or (None,) * len(record.subjects)):
                 flags = flags or (False,) * len(record.receivers)
                 for receiver, duplicate in zip(record.receivers, flags):
                     deliveries.append(Delivery(

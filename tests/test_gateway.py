@@ -525,14 +525,30 @@ class TestFilterGrid:
 
     def test_one_bsm_resolves_pending_tracks_in_two_rows(self):
         gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
-        # track 1 lies in the row north of the equator, track 2 south
+        shape = gw._shape
+        # track 1 lies in the row north of the equator, track 2 south,
+        # track 3 in track 1's cell; each is more than sigma from the
+        # others, so none absorbs another, and within sigma of the BSM
         north = gw.on_detection(detection_at(0.0, 3.0), 300_000)
         south = gw.on_detection(detection_at(0.0, -3.0), 300_000)
-        assert (north.track_id, south.track_id) == (1, 2)
+        beside = gw.on_detection(detection_at(4.5, 0.2), 300_000)
+        assert shape.cell(position_at(4.5, 0.2)) == shape.cell(
+            position_at(0.0, 3.0))
+        # track 4 is inside the lookup's reach, but beyond sigma
+        far_xy = (-4.9, -1.5)
+        far = gw.on_detection(detection_at(*far_xy), 300_000)
+        reach = shape.reach(position_at(0.0, 0.0))
+        far_position = position_at(*far_xy)
+        assert abs(shape.cell(far_position)[0] - reach.row) <= 1
+        assert abs(far_position.lon_deg - reach.lon_deg) <= reach.reach_deg
+        assert (north.track_id, south.track_id, beside.track_id,
+                far.track_id) == (1, 2, 3, 4)
         gw.on_rx(bsm_at("U1", now_us=300_000), LinkTech.DSRC, 300_000)
-        assert gw.pending_tracks == 0
-        assert gw.on_grace_deadline(north.track_id) is None
-        assert gw.on_grace_deadline(south.track_id) is None
+        assert gw.pending_tracks == 1
+        for resolved in (north, south, beside):
+            assert gw.on_grace_deadline(resolved.track_id) is None
+        assert gw.on_grace_deadline(far.track_id) is not None
+        assert (gw.pending_tracks, gw.confirmed_tracks) == (0, 1)
 
     def test_line_of_users_costs_at_most_two_distance_calls(
         self, monkeypatch

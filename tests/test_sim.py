@@ -19,7 +19,6 @@ from arsusim.messages import (
     ms_to_us,
 )
 from arsusim.sim import (
-    DeliveryBatch,
     DeliveryGroup,
     _Arrival,
     _Group,
@@ -690,11 +689,25 @@ class TestSharedStrings:
         assert len(ready) > 2 * len(set(ready))
 
     def test_batches_of_one_frame_share_their_subjects(self):
+        """A frame's batches share one tuple of subjects and one of truth
+        indices; so do the one-BSM records of each subject."""
         result = run(scenario(SHARED))
         frames = {}
+        singles = {}
         for entry in result.metrics.log:
-            if type(entry) is DeliveryBatch:
+            if type(entry) is not DeliveryGroup:
+                continue
+            if len(entry.subjects) > 1:
                 frames.setdefault(entry.generated_at_us, []).append(entry)
+            else:
+                singles.setdefault(entry.subjects[0], []).append(entry)
+        assert {"U1", "U2", "U3", "ipu:1", "ipu:2"} <= set(singles)
+        for records in singles.values():
+            first = records[0]
+            assert len(records) > 1
+            assert all(r.subjects is first.subjects
+                       and r.truth_indices is first.truth_indices
+                       for r in records)
         assert len(frames) > 5
         for batches in frames.values():
             assert [b.downlink for b in batches] == [
@@ -991,7 +1004,7 @@ class TestGroupRecords:
         assert any(
             type(entry.receivers) is not _Group and entry.duplicates
             for entry in result.metrics.log
-            if type(entry) in (DeliveryGroup, DeliveryBatch)
+            if type(entry) is DeliveryGroup
         )
 
 
