@@ -6,8 +6,9 @@ Times one ``Simulation._on_detections_ready`` in steady state, for N in
 and one DSRC, one C-V2X and one Cell user stand outside it to receive.
 Every detection refreshes its track, so the frame classifies N
 detections, publishes N BSMs on IPU one by one, and casts them to each
-generation target as one run: one arrival per plan group. Run from the
-root of a checkout:
+generation target as one run: one arrival, one ``_deliver`` heap entry,
+per plan group. The heap is never run, so each round's three entries
+stay in it. Run from the root of a checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-enable --benchmark-only -q
 
@@ -57,7 +58,6 @@ def steady_frame(n):
     for track_id in range(1, n + 1):
         simulation._on_grace_deadline(deadline_us, track_id)
     assert simulation.gateway.confirmed_tracks == n
-    simulation._blocks.clear()
     return simulation, deadline_us + 1, detections
 
 
@@ -66,17 +66,16 @@ def test_on_detections_ready(benchmark, n):
     simulation, now_us, detections = steady_frame(n)
     publishes = simulation.broker.publish_count
 
-    def frame():
-        simulation._blocks.clear()
-        return (now_us, detections), {}
-
-    benchmark.pedantic(simulation._on_detections_ready, setup=frame,
-                       rounds=20)
+    benchmark.pedantic(simulation._on_detections_ready,
+                       (now_us, detections), rounds=20)
     assert simulation.gateway.confirmed_tracks == n
     assert simulation.gateway.pending_tracks == 0
     rounds = (simulation.broker.publish_count - publishes) // n
     assert rounds >= 1
     assert simulation.broker.publish_count == publishes + rounds * n
     # The last round's refreshes: one arrival per generation target.
-    arrivals = [a for block in simulation._blocks.values() for a in block]
-    assert [len(a.bsms) for a in arrivals] == [n, n, n]
+    arrivals = sorted((entry for entry in simulation._heap
+                       if entry[2] == simulation._deliver),
+                      key=lambda entry: entry[1])
+    assert [len(arrival.subjects) for *_, arrival in arrivals[-3:]] == [
+        n, n, n]

@@ -110,5 +110,6 @@ def test_run_camera_crowd(benchmark):
     assert metrics.delivered == 7_758
     assert len(metrics.log) < metrics.delivered
     # One arrival of one BSM reaches at most 3 users here (one plan
-    # group); merged arrivals hold 11 deliveries a record on average.
+    # group); a frame's run reaches each group as one arrival, so a
+    # record holds 11 deliveries on average.
     assert metrics.delivered > 3 * metrics.records

@@ -21,23 +21,22 @@ carries, built once, its receivers' rows of ``last_heard`` as an index
 array and their bitmask (bit ``r`` for user index ``r``). Only the
 simulation works out arrival times; a publish that dropped some
 subscribers cuts each group that lost one to the receivers the broker
-kept, and keeps the others as they are. A send schedules one arrival per
-group. The arrivals one handler call schedules for one instant share one
-heap entry, a block, and a camera frame's detections share one ready
-event; ``events_executed`` still counts one event per receiver and one
-per detection. One ``_send`` serves every gateway send: a relay or a
+kept, and keeps the others as they are. A send schedules one arrival, one
+event, per group, and a camera frame's detections share one ready event;
+``events_executed`` still counts one event per receiver and one per
+detection. One ``_send`` serves every gateway send: a relay or a
 confirmation is a run of one BSM, and a camera frame's refreshes are
-sent as runs, each cast to a plan group at once, so they join into one
-arrival per plan group (see "Frames"); the broker still takes one
-publish per BSM. An arrival is recorded once, as a ``DeliveryGroup``
-of one BSM or several. A run keeps one log, ``Metrics.log``: every
+sent as runs, each cast to a plan group at once, as one arrival per
+plan group (see "Frames"); the broker still takes one publish per BSM.
+An arrival is recorded once, as a ``DeliveryGroup`` of one BSM or
+several. A run keeps one log, ``Metrics.log``: every
 trace entry in event order, a formatted row (a plain tuple) or a
 delivery record. What the log holds is built of objects shared between
 entries: a row is a tuple of strings, the rows of one instant share one
 ``at_ms``, each distinct detection outcome or gateway arrival has one
 detail string, built the first time it is seen, the one-BSM records of
-a subject share one tuple of subjects, and a frame's batches on the
-three media share another.
+a subject share one tuple of subjects, and a run's arrivals on the three
+media share another.
 ``RunResult.trace_rows`` is a view of the log that supports only
 ``len()`` and iteration; it expands each record one row per (subject,
 receiver) as it is read. Awareness is the ``last_heard`` matrix. The
@@ -268,33 +267,29 @@ class Metrics:
         reads its ``len()`` (ROADMAP item 9); read ``delivered``."""
         return range(self.delivered)
 
-    def record_delivery(self, records: list, arrays: list[np.ndarray],
-                        delivered_at_us: int) -> None:
-        """Record the deliveries made at ``delivered_at_us``: a
-        ``DeliveryGroup`` per arrival, and beside each, in ``arrays``,
-        its receivers as rows of ``last_heard``."""
-        self.log += records
-        self.records += len(records)
-        path_stats = self.path_stats
-        last_heard = self.last_heard
+    def record_delivery(self, record: DeliveryGroup,
+                        rows: np.ndarray) -> None:
+        """Record one arrival's ``DeliveryGroup``, whose receivers are
+        ``rows`` of ``last_heard``."""
+        self.log.append(record)
+        self.records += 1
+        truth, uplink, downlink, generated_at_us, delivered_at_us = record[2:7]
         # Events run in time order, so these deliveries are the latest.
-        for record, receivers in zip(records, arrays):
-            truth, uplink, downlink, generated_at_us = record[2:6]
-            if len(truth) == 1:
-                n = len(receivers)
-                last_heard[:, truth[0]][receivers] = delivered_at_us
-            else:
-                n = len(receivers) * len(truth)
-                # A frame's batches share their truth indices.
-                if truth is not self._batch_truth[0]:
-                    self._batch_truth = (truth, np.array(truth, dtype=np.intp))
-                last_heard[receivers[:, None], self._batch_truth[1]] = (
-                    delivered_at_us)
-            self.delivered += n
-            stats = path_stats.get((uplink, downlink))
-            if stats is None:
-                stats = path_stats[uplink, downlink] = PathStats()
-            stats.add(delivered_at_us - generated_at_us, n)
+        if len(truth) == 1:
+            n = len(rows)
+            self.last_heard[:, truth[0]][rows] = delivered_at_us
+        else:
+            n = len(rows) * len(truth)
+            # A frame's batches share their truth indices.
+            if truth is not self._batch_truth[0]:
+                self._batch_truth = (truth, np.array(truth, dtype=np.intp))
+            self.last_heard[rows[:, None], self._batch_truth[1]] = (
+                delivered_at_us)
+        self.delivered += n
+        stats = self.path_stats.get((uplink, downlink))
+        if stats is None:
+            stats = self.path_stats[uplink, downlink] = PathStats()
+        stats.add(delivered_at_us - generated_at_us, n)
 
 
 class _SeenWindow:
@@ -376,42 +371,29 @@ class RunResult:
 # BSM. A group cut by a drop, or an arrival built by hand, is a plain
 # tuple, whose array and mask the delivery builds and does not keep.
 #
-# Blocks. A cast schedules one ``_Arrival`` per group of its plan. All
-# the arrivals one handler call schedules for one instant go into one
-# list, a block, whose heap entry takes the seq of its first arrival;
-# any other event that call schedules for that instant closes the block,
-# and a later arrival opens a new one. Run in order, a block's arrivals
-# are the entries one event per arrival would have been: those took
-# consecutive seqs at that instant, with no event of their own call
-# between them (it would have closed the block), and none of another
-# call's (it would have a lower or a higher seq than all of them). A
-# delivery schedules nothing, so nothing can run between them either.
-# The loop closes every block when the handler returns.
-#
-# Merging. A cast carries a run: BSMs generated at one instant, in order.
-# One that would go at the end of its block joins the block's last
-# arrival instead, with one ``list.extend``, when both have the same
-# receivers tuple (plan group), uplink, downlink and topic and an equal
-# generation time. Only the last arrival is ever extended, so nothing
-# comes between its BSMs, and expanding it BSM by BSM gives the order
-# that casting each BSM alone, one after another, gives. Its deliveries
-# share one latency; its ``DeliveryGroup`` expands to the rows of the
-# one-BSM records each BSM alone would give. So a camera frame's
-# refreshes give one arrival per plan group, unless an event at that
-# instant (a grace deadline) closes the block, a drop cuts the group, or
-# two groups share an instant and interleave.
+# Arrivals. A cast schedules one ``_Arrival``, one ``_deliver`` event,
+# per group of its plan. An arrival carries a run: BSMs generated at one
+# instant, in order, as their subject ids and truth indices, worked out
+# once per cast. The heap runs one instant's entries in seq order, and
+# one handler's ``_schedule`` calls take increasing seqs; so one
+# instant's arrivals run in the order they were cast, and an event
+# scheduled between two casts runs between them. A delivery schedules
+# nothing. An arrival's deliveries share one latency, and nothing comes
+# between its BSMs: its ``DeliveryGroup`` expands, BSM by BSM, to the
+# rows of the one-BSM records that casting each BSM alone, one after
+# another, would give.
 #
 # Drops. ``_publish`` calls the broker once per BSM, in order, so the drop
 # draws are those of one publish per BSM. The BSMs whose publish kept
 # every subscriber are cast through the plan as runs; one whose publish
 # dropped some is cast alone, after the run before it, through its plan
 # cut to the receivers kept: the groups left empty are skipped, and a
-# group that lost none is cast as the plan's own, so it still merges. At
-# every instant the BSMs then arrive in their order. In ``max_endpoint``
-# mode the groups' order can differ from that of their first kept
-# receivers; but that only swaps seqs between entries at distinct
-# instants, which the heap orders by time, and one ``_cast``'s seqs are
-# consecutive, so the run order is the same.
+# group that lost none is cast as the plan's own, keeping its array and
+# mask. At every instant the BSMs then arrive in their order. In
+# ``max_endpoint`` mode the groups' order can differ from that of their
+# first kept receivers; but that only swaps seqs between entries at
+# distinct instants, which the heap orders by time, and one ``_cast``'s
+# seqs are consecutive, so the run order is the same.
 #
 # Frames. Every detection of a camera frame becomes available at the same
 # instant, and the frame scheduled them one after another, so one ready
@@ -420,17 +402,17 @@ class RunResult:
 # time, are collected into a run; the run is sent before the frame
 # schedules a grace deadline, and what is left is sent at the end. So
 # each ``_schedule`` call comes in the order that sending each BSM as it
-# is generated would give, and what a deadline closes is the same.
+# is generated would give, and a deadline runs between the same BSMs.
 #
-# Sending BSM by BSM to the generation targets T1..Tm makes, at each
-# instant, the appends "for each BSM b, for each target T: b to T's group
-# at that instant" (a plan has at most one group per instant). Where only
-# one target's plan has a group g at an instant, that is b1..bk to g, one
-# after another: what casting the run to g at once appends. Appends at
-# distinct instants go to distinct blocks, which the heap orders by time,
-# so casting the run target by target, in any order, gives the same run
+# Sending BSM by BSM to the generation targets T1..Tm schedules, at each
+# instant, "for each BSM b, for each target T: b at T's group there" (a
+# plan has at most one group per instant), in that order. Where only one
+# target's plan has a group g at an instant, that is b1..bk at g, one
+# after another, which one arrival of the run at g delivers in the same
+# order. The heap orders entries at distinct instants by time, so
+# casting the run target by target, in any order, gives the same run
 # order, as long as no two targets' groups share an instant. Where they
-# do (equal DSRC and C-V2X halves, as at 60.95 km/h), their appends
+# do (equal DSRC and C-V2X halves, as at 60.95 km/h), their arrivals
 # alternate BSM by BSM: ``__init__`` works out once which generation
 # targets share an instant with another, and ``_send`` casts a run to
 # those one BSM at a time, target by target, after the others.
@@ -458,10 +440,13 @@ def _rows_and_mask(receivers: tuple[int, ...]) -> tuple[np.ndarray, int]:
 
 
 class _Arrival(NamedTuple):
-    """BSMs generated at one instant reaching some road users at one."""
+    """BSMs generated at one instant reaching some road users at one:
+    their subject ids and truth indices, in order."""
 
     receivers: tuple[int, ...]  # user indices: a _Group, or a cut of one
-    bsms: list[Bsm]
+    subjects: tuple[str, ...]
+    truth_indices: tuple[int, ...]
+    generated_at_us: int
     uplink: LinkTech
     downlink: LinkTech
     topic: Optional[Topic] = None  # the broker topic; None over the air
@@ -524,8 +509,6 @@ class Simulation:
         )
         self._heap: list[tuple[int, int, Callable[[int, Any], None], Any]] = []
         self._seq = 0
-        #: The arrival blocks the running handler has open, by time.
-        self._blocks: dict[int, list[_Arrival]] = {}
         #: The last batch's BSMs, and their subjects and truth indices.
         self._batched: tuple[list, tuple, tuple] = ([], (), ())
         #: The instant last traced, and its ``at_ms`` string.
@@ -626,9 +609,6 @@ class Simulation:
             raise SimulationInvariantError("event scheduled before time zero")
         heapq.heappush(self._heap, (at_us, self._seq, handler, arg))
         self._seq += 1
-        # Any other event closes the arrival block open at its instant.
-        if self._blocks:
-            self._blocks.pop(at_us, None)
 
     def run(self) -> RunResult:
         duration_us = self.config.duration_us
@@ -640,14 +620,11 @@ class Simulation:
         self._schedule(_METRICS_TICK_US, self._on_metrics_tick)
 
         heap = self._heap
-        blocks = self._blocks
         metrics = self.metrics
         while heap and heap[0][0] < duration_us:
             at_us, _, handler, arg = heapq.heappop(heap)
             metrics.events_executed += 1
             handler(at_us, arg)
-            if blocks:
-                blocks.clear()
         # The events left hold bound handlers: without them, nothing the
         # run made refers back to this simulation.
         heap.clear()
@@ -754,25 +731,13 @@ class Simulation:
               uplink: LinkTech, downlink: LinkTech,
               topic: Optional[Topic] = None) -> None:
         """Schedule the arrival of ``bsms``, a run generated at one
-        instant, at each group of ``plan`` into the block this handler
-        has open at its instant, or a new one, joining the block's last
-        arrival if of the same group, links and time."""
-        blocks = self._blocks
+        instant, at each group of ``plan``: one event per group."""
+        subjects, truth = self._subjects(bsms)
         generated_at_us = bsms[0].generated_at_us
         for offset_us, receivers in plan:
-            at_us = sent_us + offset_us
-            block = blocks.get(at_us)
-            if block is None:
-                block = []
-                self._schedule(at_us, self._deliver, block)
-                blocks[at_us] = block
-            elif ((last := block[-1]).receivers is receivers
-                  and last[2:] == (uplink, downlink, topic)
-                  and last.bsms[0].generated_at_us == generated_at_us):
-                last.bsms.extend(bsms)
-                continue
-            block.append(_Arrival(receivers, list(bsms), uplink, downlink,
-                                  topic))
+            self._schedule(sent_us + offset_us, self._deliver, _Arrival(
+                receivers, subjects, truth, generated_at_us, uplink,
+                downlink, topic))
 
     def _on_gateway_rx(
         self, now_us: int, arg: tuple[Bsm, LinkTech, Optional[Topic]]
@@ -819,58 +784,47 @@ class Simulation:
                     self._publish(None, relays[medium], run, topic, uplink,
                                   now_us)
 
-    def _deliver(self, now_us: int, arrivals: list[_Arrival]) -> None:
-        """Hand each arrival's BSMs to its receivers, in schedule order:
-        one delivery, and one executed event, per (BSM, receiver); each
-        arrival is recorded once, as a ``DeliveryGroup``. The BSMs of an
-        arrival share their generation time, so the duplicate window is
-        pruned and checked once per arrival."""
+    def _deliver(self, now_us: int, arrival: _Arrival) -> None:
+        """Hand an arrival's BSMs to its receivers: one delivery, and one
+        executed event, per (BSM, receiver); the arrival is recorded
+        once, as a ``DeliveryGroup``. Its BSMs share their generation
+        time, so the duplicate window is pruned and checked once."""
+        (receivers, subjects, truth, generated_at_us, uplink, downlink,
+         topic) = arrival
+        latency_ms = us_to_ms(now_us - generated_at_us)
+        if latency_ms < 0:
+            raise SimulationInvariantError("delivery precedes generation")
+        if type(receivers) is _Group:
+            rows, mask = receivers.rows, receivers.mask
+        else:
+            rows, mask = _rows_and_mask(receivers)
         metrics = self.metrics
-        held = self._seen.held
-        records = []
-        arrays = []  # each record's receivers as rows of last_heard
-        delivered = 0
-        for receivers, bsms, uplink, downlink, topic in arrivals:
-            generated_at_us = bsms[0].generated_at_us
-            latency_ms = us_to_ms(now_us - generated_at_us)
-            if latency_ms < 0:
-                raise SimulationInvariantError("delivery precedes generation")
-            if type(receivers) is _Group:
-                arrays.append(receivers.rows)
-                mask = receivers.mask
-            else:
-                array, mask = _rows_and_mask(receivers)
-                arrays.append(array)
-            subjects, truth = self._subjects(bsms)
-            seen = held(generated_at_us, now_us)
-            flags = None
-            # Read per BSM: two BSMs of one arrival can share a subject.
-            for i, subject in enumerate(subjects):
-                had = seen.get(subject)
-                if had is None:
-                    seen[subject] = mask
-                    continue
-                seen[subject] = had | mask
-                if had & mask:
-                    if flags is None:
-                        flags = [None] * len(subjects)
-                    flags[i] = duplicates = tuple(
-                        bool(had >> r & 1) for r in receivers)
-                    metrics.duplicates_suppressed += sum(duplicates)
-            records.append(DeliveryGroup(
-                receivers, subjects, truth, uplink, downlink,
-                generated_at_us, now_us, latency_ms, topic,
-                flags and tuple(flags)))
-            delivered += len(receivers) * len(subjects)
-        metrics.events_executed += delivered - 1
-        metrics.record_delivery(records, arrays, now_us)
+        seen = self._seen.held(generated_at_us, now_us)
+        flags = None
+        # Read per BSM: two BSMs of one arrival can share a subject.
+        for i, subject in enumerate(subjects):
+            had = seen.get(subject)
+            if had is None:
+                seen[subject] = mask
+                continue
+            seen[subject] = had | mask
+            if had & mask:
+                if flags is None:
+                    flags = [None] * len(subjects)
+                flags[i] = duplicates = tuple(
+                    bool(had >> r & 1) for r in receivers)
+                metrics.duplicates_suppressed += sum(duplicates)
+        metrics.events_executed += len(receivers) * len(subjects) - 1
+        metrics.record_delivery(DeliveryGroup(
+            receivers, subjects, truth, uplink, downlink, generated_at_us,
+            now_us, latency_ms, topic, flags and tuple(flags)), rows)
 
     def _subjects(self, bsms: list[Bsm]) -> tuple[tuple, tuple]:
-        """The subject ids of ``bsms`` and their truth indices. One BSM's
-        are built once per subject id and shared by all its arrivals. A
-        batch's are worked out once for the arrivals of one run: a
-        frame's batches on each medium carry the same BSMs, and share
-        these tuples."""
+        """The subject ids of ``bsms`` and their truth indices, for one
+        cast. One BSM's are built once per subject id and shared by all
+        its arrivals. A run's are worked out once: a frame's run, or
+        each piece of it, is cast to each medium one after another, so
+        its arrivals on every medium share these tuples."""
         if len(bsms) == 1:
             subject = bsms[0].id.value
             single = self._single.get(subject)

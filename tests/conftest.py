@@ -107,7 +107,7 @@ class Delivery(NamedTuple):
 
 def collect_deliveries(simulation: Simulation) -> list[Delivery]:
     """Wrap ``simulation.metrics.record_delivery``; returns the list to
-    which each call that returns appends its deliveries: each
+    which each call that returns appends its deliveries: the
     ``DeliveryGroup`` passed in, one ``Delivery`` per (subject,
     receiver), subject by subject, in order."""
     deliveries = []
@@ -115,19 +115,18 @@ def collect_deliveries(simulation: Simulation) -> list[Delivery]:
     record_delivery = metrics.record_delivery
     ids = metrics.ids
 
-    def collecting(records, arrays, delivered_at_us):
-        record_delivery(records, arrays, delivered_at_us)
-        for record in records:
-            for subject, truth_index, flags in zip(
-                    record.subjects, record.truth_indices,
-                    record.duplicates or (None,) * len(record.subjects)):
-                flags = flags or (False,) * len(record.receivers)
-                for receiver, duplicate in zip(record.receivers, flags):
-                    deliveries.append(Delivery(
-                        ids[receiver], subject, ids[truth_index],
-                        record.uplink, record.downlink,
-                        record.generated_at_us, record.delivered_at_us,
-                        record.latency_ms, duplicate, record.topic))
+    def collecting(record, rows):
+        record_delivery(record, rows)
+        for subject, truth_index, flags in zip(
+                record.subjects, record.truth_indices,
+                record.duplicates or (None,) * len(record.subjects)):
+            flags = flags or (False,) * len(record.receivers)
+            for receiver, duplicate in zip(record.receivers, flags):
+                deliveries.append(Delivery(
+                    ids[receiver], subject, ids[truth_index],
+                    record.uplink, record.downlink,
+                    record.generated_at_us, record.delivered_at_us,
+                    record.latency_ms, duplicate, record.topic))
 
     metrics.record_delivery = collecting
     return deliveries

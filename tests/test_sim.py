@@ -1010,9 +1010,8 @@ class TestGroupRecords:
 
 class TestGroupCast:
     """A send schedules one ``_Arrival`` per distinct arrival time, with
-    the receivers that share it in send order. The arrivals one handler
-    call schedules for one instant share one heap entry, a block, until
-    another event that call schedules for that instant closes it."""
+    the receivers that share it in send order, each its own ``_deliver``
+    event. The heap runs the events of one instant in schedule order."""
 
     DOC = """
 duration_ms: 1000
@@ -1034,11 +1033,12 @@ users:
         return sorted(simulation._heap, key=lambda entry: entry[1])
 
     @classmethod
-    def _blocks(cls, simulation):
-        """(time, arrivals) of each scheduled block of user arrivals."""
+    def _deliveries(cls, simulation):
+        """(time, arrival) of each scheduled user arrival, in schedule
+        order."""
         return [
-            (at_us, block)
-            for at_us, _, handler, block in cls._entries(simulation)
+            (at_us, arrival)
+            for at_us, _, handler, arrival in cls._entries(simulation)
             if handler == simulation._deliver
         ]
 
@@ -1048,8 +1048,7 @@ users:
         order."""
         return [
             (at_us, arrival.receivers)
-            for at_us, block in cls._blocks(simulation)
-            for arrival in block
+            for at_us, arrival in cls._deliveries(simulation)
         ]
 
     def _broadcast_from_u0(self, mode):
@@ -1061,7 +1060,6 @@ users:
         simulation, arrivals = self._broadcast_from_u0("scenario")
         half_us = simulation.users[0].half_us
         assert arrivals == [(2 * half_us, (1, 2, 3, 4))]
-        assert len(self._blocks(simulation)) == 1
         # The next broadcast hands on the same receivers, not a copy.
         simulation._on_bsm_tx(100_000, simulation.users[0])
         first, second = self._arrivals(simulation)
@@ -1074,7 +1072,6 @@ users:
         # U1 (10 km/h) and U3 (30) take U0's 30 km/h half; U2 and U4 (50)
         # take their own.
         assert arrivals == [(at_30, (1, 3)), (at_50, (2, 4))]
-        assert len(self._blocks(simulation)) == 2
 
     def test_max_endpoint_relay_is_one_event_per_receiver_half(self):
         """The gateway's relay reaches each user on the medium after that
@@ -1083,6 +1080,8 @@ users:
         simulation = Simulation(scenario(self.DOC.format(mode="max_endpoint")))
         halves = [u.half_us for u in simulation.users]
         assert len(set(halves)) == 3
+        # As a confirmation does.
+        simulation._truth_of["ipu:1"] = simulation._truth_of["U1"]
         bsm = _relay_bsm(simulation, 1_000, "ipu:1")
         simulation._send([bsm], ((LinkTech.DSRC, None),), LinkTech.CAMERA,
                          1_000)
@@ -1091,7 +1090,6 @@ users:
             (1_000 + halves[1], (1,)),
             (1_000 + halves[2], (2, 4)),
         ]
-        assert len(self._blocks(simulation)) == 3
 
     MQTT_DOC = """
 duration_ms: 1000
@@ -1155,8 +1153,8 @@ users:
         else:
             assert cast == [(0, 3)]
             assert type(cast[0]) is tuple
-        for at_us, block in self._blocks(simulation):
-            simulation._deliver(at_us, block)
+        for at_us, arrival in self._deliveries(simulation):
+            simulation._deliver(at_us, arrival)
         heard = simulation.metrics.last_heard[:, 1]
         assert list(heard != -1) == [True, False, False, True]
 
@@ -1221,10 +1219,9 @@ users:
             zip([700, 300, 700, 300, 900], [4, 1, 2, 3, 0])
         ) == ((700, (4, 2)), (300, (1, 3)), (900, (0,)))
 
-    def test_block_closed_by_other_event_at_same_instant(self):
+    def test_event_between_casts_at_one_instant_runs_between_them(self):
         """Arrivals A1 and A2 at T, then a grace deadline at T, then
-        arrival B at T: A1 and A2 share a block, B opens its own after the
-        deadline, and the three run in schedule order."""
+        arrival B at T: four events at T, which run in schedule order."""
         simulation = Simulation(scenario(MIXED_TABLE1))
         at_us = 50_000
         plan = ((at_us - 1_000, (0,)),)
@@ -1239,11 +1236,12 @@ users:
         entries = self._entries(simulation)
         assert [(at, handler) for at, _, handler, _ in entries] == [
             (at_us, simulation._deliver),
+            (at_us, simulation._deliver),
             (at_us, simulation._on_grace_deadline),
             (at_us, simulation._deliver),
         ]
-        assert [a.bsms for a in entries[0][3]] == [[a1, a2]]
-        assert [a.bsms for a in entries[2][3]] == [[b]]
+        assert [entries[i][3].subjects for i in (0, 1, 3)] == [
+            (a1.id.value,), (a2.id.value,), (b.id.value,)]
         # The heap runs them in that order.
         heap = simulation._heap
         while heap:
@@ -1257,52 +1255,46 @@ users:
 
     @classmethod
     def _cast_and_deliver(cls, casts):
-        """Run ``_cast`` for each (plan, BSM, generated_at_us) at 1 ms on
-        MIXED_TABLE1, then deliver the one block: (the block's arrivals
-        as BSM subjects, the log's length, the deliveries as (receiver,
-        subject))."""
+        """Run ``_cast`` for each (plan, subject) at 1 ms on MIXED_TABLE1,
+        of a BSM generated at 0.5 ms, then run the heap: (the arrivals'
+        subjects in schedule order, the log's length, the deliveries as
+        (receiver, subject))."""
         simulation = Simulation(scenario(MIXED_TABLE1))
-        for plan, subject, generated_at_us in casts:
-            bsm = _relay_bsm(simulation, generated_at_us, subject)
+        for plan, subject in casts:
+            bsm = _relay_bsm(simulation, 500, subject)
             simulation._cast(plan, 1_000, [bsm], LinkTech.DSRC, LinkTech.CV2X)
-        (block,) = [arg for _, _, _, arg in cls._entries(simulation)]
-        subjects = [[b.id.value for b in a.bsms] for a in block]
+        subjects = [a.subjects for _, a in cls._deliveries(simulation)]
         deliveries = collect_deliveries(simulation)
-        simulation._deliver(9_000, block)
+        heap = simulation._heap
+        while heap:
+            at_us, _, handler, arg = heapq.heappop(heap)
+            handler(at_us, arg)
         return subjects, len(simulation.metrics.log), [
             (d.receiver, d.subject) for d in deliveries]
 
-    def test_cast_of_the_same_group_joins_its_arrival(self):
+    def test_casts_of_the_same_group_arrive_in_cast_order(self):
         """Two BSMs generated at one instant, cast one after the other
-        through one plan group, make one arrival, recorded once; it
-        expands to the deliveries of two arrivals."""
+        through one plan group, arrive one after the other: one event,
+        and one record, per cast."""
         plan = ((8_000, (0, 1)),)
         subjects, records, deliveries = self._cast_and_deliver(
-            [(plan, "U3", 500), (plan, "U4", 500)])
-        assert subjects == [["U3", "U4"]]
-        assert records == 1
+            [(plan, "U3"), (plan, "U4")])
+        assert subjects == [("U3",), ("U4",)]
+        assert records == 2
         assert deliveries == [
             ("U1", "U3"), ("U2", "U3"), ("U1", "U4"), ("U2", "U4")]
 
-    def test_interleaved_plans_do_not_join(self):
-        """Casts through two groups of one instant alternate, so each BSM
-        only ever follows another group's arrival."""
+    def test_interleaved_plans_arrive_in_cast_order(self):
+        """Casts through two groups of one instant alternate, and so do
+        their arrivals."""
         dsrc, cv2x = ((8_000, (0,)),), ((8_000, (1,)),)
         subjects, records, deliveries = self._cast_and_deliver([
-            (dsrc, "U3", 500), (cv2x, "U3", 500),
-            (dsrc, "U4", 500), (cv2x, "U4", 500),
+            (dsrc, "U3"), (cv2x, "U3"), (dsrc, "U4"), (cv2x, "U4"),
         ])
-        assert subjects == [["U3"], ["U3"], ["U4"], ["U4"]]
+        assert subjects == [("U3",), ("U3",), ("U4",), ("U4",)]
         assert records == 4
         assert deliveries == [
             ("U1", "U3"), ("U2", "U3"), ("U1", "U4"), ("U2", "U4")]
-
-    def test_other_generation_time_does_not_join(self):
-        plan = ((8_000, (0, 1)),)
-        subjects, records, _ = self._cast_and_deliver(
-            [(plan, "U3", 500), (plan, "U4", 600)])
-        assert subjects == [["U3"], ["U4"]]
-        assert records == 2
 
     FRAME_DOC = """
 duration_ms: 3000
@@ -1390,6 +1382,27 @@ users:
         assert len(ipu) == len(generated) > 100
         assert len(set(map(id, ipu))) == len(ipu)
 
+    def test_pieces_of_a_frame_share_their_tuples_across_media(self):
+        """A frame whose run a grace deadline splits sends each piece to
+        DSRC, C-V2X and IPU as its own arrivals: every piece's three
+        records share one subjects tuple and one truth-index tuple."""
+        result = run(scenario(self.FRAME_DOC))
+        frames = {}
+        for entry in result.metrics.log:
+            if type(entry) is DeliveryGroup and len(entry.subjects) > 1:
+                pieces = frames.setdefault(entry.generated_at_us, {})
+                pieces.setdefault(entry.subjects, []).append(entry)
+        assert frames
+        for pieces in frames.values():
+            for records in pieces.values():
+                assert [r.downlink for r in records] == [
+                    LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT]
+                first = records[0]
+                assert all(r.subjects is first.subjects
+                           and r.truth_indices is first.truth_indices
+                           for r in records)
+        assert any(len(pieces) == 2 for pieces in frames.values())
+
     @staticmethod
     def _batched_and_apart(doc):
         """Runs of ``doc`` as it is and with every detection its own
@@ -1453,6 +1466,12 @@ def _relay_bsm(simulation, generated_at_us, user_id="U1"):
     )
 
 
+def _arrival(simulation, receivers, bsm, uplink, downlink):
+    """``bsm``'s arrival at ``receivers``, built as ``_cast`` builds it."""
+    return _Arrival(receivers, *simulation._subjects([bsm]),
+                    bsm.generated_at_us, uplink, downlink)
+
+
 class TestDuplicateWindow:
     def test_delivery_of_a_dropped_key_raises(self):
         simulation = Simulation(scenario(TWO_USER_STATIC))
@@ -1460,23 +1479,23 @@ class TestDuplicateWindow:
         old = _relay_bsm(simulation, 0)
         new = _relay_bsm(simulation, horizon_us + 1_000)
         deliver = simulation._deliver
-        deliver(5_000, [_Arrival((1,), [old], LinkTech.DSRC, LinkTech.CV2X)])
-        deliver(horizon_us + 2_000,
-                [_Arrival((1,), [new], LinkTech.DSRC, LinkTech.CV2X)])
+        deliver(5_000, _arrival(simulation, (1,), old, LinkTech.DSRC,
+                                LinkTech.CV2X))
+        deliver(horizon_us + 2_000, _arrival(simulation, (1,), new,
+                                             LinkTech.DSRC, LinkTech.CV2X))
         assert len(simulation._seen) == 1  # the old key is dropped
         with pytest.raises(SimulationInvariantError, match="window"):
-            deliver(horizon_us + 3_000,
-                    [_Arrival((1,), [old], LinkTech.DSRC, LinkTech.CV2X)])
+            deliver(horizon_us + 3_000, _arrival(
+                simulation, (1,), old, LinkTech.DSRC, LinkTech.CV2X))
 
     def test_flags_only_the_receivers_that_already_had_the_bsm(self):
         simulation = Simulation(scenario(MIXED_TABLE1))
         deliveries = collect_deliveries(simulation)
         bsm = _relay_bsm(simulation, 0)
-        simulation._deliver(
-            40_000, [_Arrival((2,), [bsm], LinkTech.DSRC, LinkTech.CELL_MQTT)])
-        simulation._deliver(
-            50_000,
-            [_Arrival((3, 2), [bsm], LinkTech.DSRC, LinkTech.CELL_MQTT)])
+        simulation._deliver(40_000, _arrival(
+            simulation, (2,), bsm, LinkTech.DSRC, LinkTech.CELL_MQTT))
+        simulation._deliver(50_000, _arrival(
+            simulation, (3, 2), bsm, LinkTech.DSRC, LinkTech.CELL_MQTT))
         metrics = simulation.metrics
         assert [(d.receiver, d.duplicate) for d in deliveries] == [
             ("U3", False), ("U4", False), ("U3", True),

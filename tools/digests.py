@@ -1,0 +1,98 @@
+"""sha256 of the ``report.json`` and ``trace.csv`` that ``arsusim run
+--trace`` writes for 18 fixed cases, one line per case.
+
+Usage, from the root of a checkout:
+
+    python3 tools/digests.py
+
+The cases are the benchmark workloads (``perfbench/workloads.py``)
+radio-dense, cell-fanout and camera-crowd at seeds 7, 101 and 102, and
+each at seed 101 with one setting changed: ``scenario_speed_kmh: 60.95``
+(equal DSRC and C-V2X link halves), ``mqtt.drop_probability: 0.3`` and
+``link_speed_mode: max_endpoint``. Each line reads ``<case> <report
+sha256> <trace sha256>``. A change that must keep outputs byte-identical
+prints the same lines as its parent: run this file in a copy of the
+parent too (``git archive <sha> | tar -x -C <dir>``, then copy the file
+in). The tool runs the ``arsusim`` in the ``src/`` beside it, through
+``arsusim.cli.main``, and leaves nothing behind.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import sys
+import tempfile
+from pathlib import Path
+from typing import Optional
+
+import yaml
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from arsusim.cli import main as arsusim_main  # noqa: E402
+
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(workloads)
+
+WORKLOADS = ("radio-dense", "cell-fanout", "camera-crowd")
+SEEDS = (7, 101, 102)
+#: Each setting changed at seed 101, by name: its top-level key and value.
+EDITS = {
+    "speed-60.95": ("scenario_speed_kmh", 60.95),
+    "drops-0.3": ("mqtt", {"drop_probability": 0.3}),
+    "max_endpoint": ("link_speed_mode", "max_endpoint"),
+}
+
+
+def cases() -> list[tuple[str, str, int, Optional[str]]]:
+    """``(name, workload, seed, edit)`` of every case, in print order."""
+    plain = [(f"{w}@{s}", w, s, None) for w in WORKLOADS for s in SEEDS]
+    edited = [(f"{w}@101+{e}", w, 101, e) for w in WORKLOADS for e in EDITS]
+    return plain + edited
+
+
+def scenario_text(workload: str, seed: int, edit: Optional[str]) -> str:
+    """The workload's scenario document, with ``edit`` applied."""
+    text = workloads.scenario_yaml(workload, seed)
+    if edit is None:
+        return text
+    doc = yaml.safe_load(text)
+    key, value = EDITS[edit]
+    doc[key] = value
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+def digests(workload: str, seed: int,
+            edit: Optional[str] = None) -> tuple[str, str]:
+    """The sha256 of ``report.json`` and of ``trace.csv`` from
+    ``arsusim run --trace`` on one case."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.yaml"
+        scenario.write_text(scenario_text(workload, seed, edit),
+                            encoding="utf-8")
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = arsusim_main(
+                ["run", str(scenario), "--out", str(out), "--trace"])
+        if code != 0:
+            raise RuntimeError(f"arsusim run exited {code} on {workload}"
+                               f"@{seed} {edit or ''}")
+        return tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("report.json", "trace.csv"))
+
+
+def main() -> int:
+    for name, workload, seed, edit in cases():
+        print(name, *digests(workload, seed, edit), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
