@@ -22,7 +22,7 @@ def test_cases_are_eighteen_and_named_apart():
         (w, s) for w in digests.WORKLOADS for s in (7, 101, 102)}
 
 
-def test_one_case_matches_arsusim_run(tmp_path, capsys):
+def test_one_case_matches_arsusim_run(tmp_path):
     workload, seed, edit = "cell-fanout", 101, "drops-0.3"
     text = digests.scenario_text(workload, seed, edit)
     assert parse_scenario(text).mqtt.drop_probability == 0.3

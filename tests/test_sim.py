@@ -1407,8 +1407,8 @@ users:
     def _batched_and_apart(doc):
         """Runs of ``doc`` as it is and with every detection its own
         event, checked equal; a frame's generated BSMs then never share
-        an arrival, so every merged arrival is checked against separate
-        ones."""
+        an arrival, so every arrival of several BSMs is checked against
+        separate ones."""
 
         class EventPerDetection(Simulation):
             def _schedule(self, at_us, handler, arg=None):
@@ -1427,7 +1427,7 @@ users:
         assert np.array_equal(one.last_heard, other.last_heard)
         assert list(one.path_stats.items()) == list(other.path_stats.items())
         assert one.duplicates_suppressed == other.duplicates_suppressed
-        assert len(one.log) < len(other.log)  # some arrivals merged
+        assert len(one.log) < len(other.log)  # some carry several BSMs
         return batched, apart
 
     @pytest.mark.parametrize("edit", [
@@ -1435,7 +1435,7 @@ users:
         # instant and interleave.
         {"scenario_speed_kmh": 60.95},
         # The grace deadline falls at the instant of the frame's DSRC and
-        # C-V2X arrivals and closes their block mid-frame.
+        # C-V2X arrivals and runs between the pieces of its run.
         {"scenario_speed_kmh": 60.95, "filter": {"sigma_m": 4,
                                                  "grace_ms": 4.611}},
         # A publish that drops subscribers casts new, cut groups.
