@@ -3,8 +3,9 @@
 Three responsibilities, all driven by a strictly sequential event feed:
 
 * translate-and-relay: a BSM heard on one medium is re-emitted on the
-  other media per the relaying rules, payload untouched; a seen-set,
-  the unit's loop guard, suppresses a BSM already relayed;
+  other media per the relaying rules, payload untouched; a BSM heard on
+  a medium other than its origin is a relayed copy and is dropped, which
+  is the unit's loop guard;
 * connected/non-connected filtering: camera detections are matched
   against a short history of received BSM positions; unmatched
   detections wait one grace period for late BSMs before being confirmed
@@ -343,38 +344,6 @@ class HistoryStore(_Index):
         return ((bsm, received_at) for bsm, received_at, _ in self._arrivals)
 
 
-#: How long a relayed (id, generated_at) key suppresses its echoes.
-_SEEN_RETENTION_US = 1_000_000
-
-
-class SeenSet:
-    """(id, generated_at) keys already relayed, each a duplicate until
-    ``_SEEN_RETENTION_US`` after it was last seen. A lookup checks that
-    time, so the prune, in first-seen order, only bounds memory."""
-
-    def __init__(self):
-        self._seen: dict[tuple[str, int], int] = {}
-        #: Keys in the order first seen; each is in ``_seen``.
-        self._order: deque[tuple[str, int]] = deque()
-
-    def check_and_add(self, bsm: Bsm, now_us: int) -> bool:
-        """True if this logical BSM was seen within the retention (and
-        refresh it)."""
-        cutoff = now_us - _SEEN_RETENTION_US
-        seen, order = self._seen, self._order
-        while order and seen[order[0]] < cutoff:
-            del seen[order.popleft()]
-        key = (bsm.id.value, bsm.generated_at_us)
-        last_us = seen.get(key)
-        seen[key] = now_us
-        if last_us is None:
-            order.append(key)
-        return last_us is not None and last_us >= cutoff
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-
 @dataclass
 class DetectionTrack:
     track_id: int
@@ -408,7 +377,6 @@ class Gateway:
         self.config = config
         self._shape = _GridShape(config.sigma_m)
         self.history = HistoryStore(config.window_us, self._shape)
-        self._seen = SeenSet()
         self._pending = _Index(self._shape)
         self._confirmed = _Index(self._shape)
         self._next_track_id = 1
@@ -423,23 +391,25 @@ class Gateway:
         self, bsm: Bsm, via: LinkTech, now_us: int
     ) -> tuple[Target, ...]:
         """Handle one BSM that arrived over ``via``; returns the targets
-        to relay it to, or ``()`` when it is suppressed. The return value
+        to relay it to, or ``()`` when it is dropped. The return value
         is the only record of the decision: the gateway keeps no log.
 
-        The seen-set is the unit's loop guard: a BSM whose (id,
-        generated_at) key was already relayed is suppressed, so a relay
-        fed back into the gateway quiesces (acceptance criterion 6 pins
-        this). In a simulated run the gateway never hears its own
-        relays. Every accepted BSM lands in the position history and
-        re-evaluates the pending detection tracks, resolving any track
-        it position-matches (late-arrival allowance). An unknown ``via``
-        raises ``ValueError`` and changes nothing.
+        The loop guard is split horizon (RFC 1058): a road user sends
+        over its own medium and a relay goes out over the others, so a
+        BSM that arrives over a medium other than its ``origin_tech`` is
+        a relayed or generated copy and is dropped, keeping no state. A
+        relay fed back into the gateway thus quiesces (acceptance
+        criterion 6 pins this); in a simulated run every BSM arrives over
+        its origin medium. Every accepted BSM lands in the position
+        history and re-evaluates the pending detection tracks, resolving
+        any track it position-matches (late-arrival allowance). An
+        unknown ``via`` raises ``ValueError`` and changes nothing.
         """
         targets = _RELAY_TARGETS.get(via)
         if targets is None:
             raise ValueError(f"unknown arrival path {via!r}")
         self.history.prune(now_us)
-        if self._seen.check_and_add(bsm, now_us):
+        if bsm.origin_tech is not via:
             return ()
         self.history.append(bsm, now_us)
         self._resolve_pending_with_bsm(bsm)
@@ -481,7 +451,8 @@ class Gateway:
             _hold(self._confirmed, track, det)
             return DetectionOutcome(
                 FilterStatus.NON_CONNECTED, None, track.track_id, None,
-                track.synthetic_id, self._generate(track),
+                track.synthetic_id,
+                make_ipu_bsm(track.synthetic_id, det, self.config.sigma_m),
             )
 
         track = self._pending.nearest(estimate, reach, sigma_m)
@@ -516,13 +487,8 @@ class Gateway:
         self.synthetic_truth[track.synthetic_id] = truth
         if truth is not None and truth in self._connected_ids:
             self._ghosts.append((track.synthetic_id, truth))
-        return self._generate(track)
-
-    def _generate(self, track: DetectionTrack) -> Bsm:
-        bsm = make_ipu_bsm(track.synthetic_id, track.latest, self.config.sigma_m)
-        # Guard against the generated message echoing back through on_rx.
-        self._seen.check_and_add(bsm, track.latest.available_at_us)
-        return bsm
+        return make_ipu_bsm(track.synthetic_id, track.latest,
+                            self.config.sigma_m)
 
     # --- introspection ---
 

@@ -11,8 +11,6 @@ from arsusim.gateway import (
     FilterConfig,
     FilterStatus,
     Gateway,
-    SeenSet,
-    _SEEN_RETENTION_US,
 )
 from arsusim.geo import METERS_PER_DEG, horizontal_distance_m
 from arsusim.messages import (
@@ -138,18 +136,47 @@ users:
         )
         assert all(topic is None for _, topic in cell_targets)
 
-    def test_duplicate_rx_suppressed(self):
+    @pytest.mark.parametrize("origin", [
+        LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT, LinkTech.CAMERA,
+    ], ids=lambda tech: tech.value)
+    def test_echo_on_another_medium_dropped(self, origin):
+        """A copy fed back on a medium other than its origin returns
+        ``()``, enters no history and resolves no pending track within
+        the gate. A camera BSM, which the gateway generates, has no
+        medium of its own, so a copy on any medium is dropped."""
+        if origin is LinkTech.CAMERA:
+            source = Gateway()
+            track_id = source.on_detection(
+                detection_at(0.0, 0.0, truth="P1"), 300_000).track_id
+            bsm = source.on_grace_deadline(track_id)
+        else:
+            bsm = bsm_at("U1", tech=origin, now_us=300_000)
         gw = Gateway()
-        bsm = bsm_at("U1", tech=LinkTech.DSRC)
-        assert gw.on_rx(bsm, LinkTech.DSRC, 0) != ()
-        assert gw.on_rx(bsm, LinkTech.DSRC, 5_000) == ()
+        outcome = gw.on_detection(detection_at(1.0, 0.0), 300_000)
+        assert outcome.status is FilterStatus.PENDING
+        for via in (LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT):
+            if via is not origin:
+                assert gw.on_rx(bsm, via, 301_000) == ()
+        assert (len(gw.history), gw.pending_tracks,
+                gw.confirmed_tracks) == (0, 1, 0)
+        if origin is not LinkTech.CAMERA:
+            # The same BSM over its own medium resolves the track. The
+            # guard keeps no state, so a BSM heard twice over its own
+            # medium is relayed both times.
+            assert gw.on_rx(bsm, origin, 302_000) != ()
+            assert (len(gw.history), gw.pending_tracks) == (1, 0)
+            assert gw.on_rx(bsm, origin, 303_000) != ()
+            assert len(gw.history) == 2
 
-    def test_echo_loop_freedom(self):
+    @pytest.mark.parametrize("origin", [
+        LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT,
+    ], ids=lambda tech: tech.value)
+    def test_echo_loop_freedom(self, origin):
         # feed every Tx output back on the opposite medium until quiet
         gw = Gateway()
-        origin = bsm_at("U1", tech=LinkTech.DSRC, now_us=0)
+        origin_bsm = bsm_at("U1", tech=origin, now_us=0)
         total_targets = 0
-        queue = [(origin, LinkTech.DSRC)]
+        queue = [(origin_bsm, origin)]
         rounds = 0
         now = 0
         while queue and rounds < 50:
@@ -170,52 +197,6 @@ users:
         second = bsm_at("U1", tech=LinkTech.DSRC, now_us=100_000)
         assert gw.on_rx(first, LinkTech.DSRC, 2_000) != ()
         assert gw.on_rx(second, LinkTech.DSRC, 102_000) != ()
-
-
-class TestSeenSet:
-    """Retention of relayed keys. The reference filter below uses the
-    same SeenSet, so the differential test cannot catch a change here."""
-
-    RETENTION = _SEEN_RETENTION_US
-
-    def test_duplicate_within_retention(self):
-        seen, bsm = SeenSet(), bsm_at("U1")
-        assert not seen.check_and_add(bsm, 0)
-        assert seen.check_and_add(bsm, self.RETENTION)
-
-    def test_refresh_extends_retention(self):
-        seen, bsm = SeenSet(), bsm_at("U1")
-        assert not seen.check_and_add(bsm, 0)
-        assert seen.check_and_add(bsm, 600_000)
-        assert seen.check_and_add(bsm, 600_000 + self.RETENTION)
-
-    def test_forgotten_after_retention(self):
-        seen, bsm = SeenSet(), bsm_at("U1")
-        assert not seen.check_and_add(bsm, 0)
-        assert not seen.check_and_add(bsm, self.RETENTION + 1)
-        assert len(seen) == 1
-
-    def test_expires_behind_a_refreshed_key(self):
-        """U1, refreshed at 500 ms, heads the first-seen order and stops
-        the prune; U2, last seen at 10 us, is past its retention at
-        1,000,020 us all the same."""
-        seen, u1, u2 = SeenSet(), bsm_at("U1"), bsm_at("U2")
-        assert not seen.check_and_add(u1, 0)
-        assert not seen.check_and_add(u2, 10)
-        assert seen.check_and_add(u1, 500_000)
-        assert not seen.check_and_add(u2, 20 + self.RETENTION)
-        assert seen.check_and_add(u2, 30 + self.RETENTION)
-
-    def test_len_falls_once_pruned(self):
-        seen = SeenSet()
-        for i, user in enumerate(["U1", "U2", "U3"]):
-            seen.check_and_add(bsm_at(user), i * 1_000)
-        assert len(seen) == 3
-        # Past U1's and U2's retention, not U3's.
-        seen.check_and_add(bsm_at("U4"), 1_500 + self.RETENTION)
-        assert len(seen) == 2
-        seen.check_and_add(bsm_at("U4"), 10 * self.RETENTION)
-        assert len(seen) == 1
 
 
 class TestHistory:
@@ -628,7 +609,6 @@ class LinearScanGateway:
     def __init__(self, config: FilterConfig):
         self.config = config
         self.history = []  # (bsm, received_at_us), oldest first
-        self.seen = SeenSet()
         self.pending = {}  # track id -> latest detection
         self.confirmed = {}  # track id -> [latest detection, synthetic id]
         self.next_track = 1
@@ -649,14 +629,9 @@ class LinearScanGateway:
                     best = (key, value)
         return None if best is None else best[1]
 
-    def _generate(self, synthetic, det):
-        bsm = make_ipu_bsm(synthetic, det, self.config.sigma_m)
-        self.seen.check_and_add(bsm, det.available_at_us)
-        return bsm
-
     def on_rx(self, bsm, via, now_us):
         self._prune(now_us)
-        if self.seen.check_and_add(bsm, now_us):
+        if bsm.origin_tech is not via:
             return ()
         self.history.append((bsm, now_us))
         for tid in [t for t, det in self.pending.items()
@@ -682,7 +657,7 @@ class LinearScanGateway:
             self.confirmed[tid][0] = det
             synthetic = self.confirmed[tid][1]
             return ("NonConnected", None, tid, None, synthetic,
-                    self._generate(synthetic, det))
+                    make_ipu_bsm(synthetic, det, self.config.sigma_m))
         tid = self._nearest(det, [
             (d.estimate, d.available_at_us, t) for t, d in self.pending.items()
         ])
@@ -702,7 +677,7 @@ class LinearScanGateway:
         synthetic = RoadUserId(f"{SYNTHETIC_ID_PREFIX}{self.next_synthetic}")
         self.next_synthetic += 1
         self.confirmed[track_id] = [det, synthetic]
-        return self._generate(synthetic, det)
+        return make_ipu_bsm(synthetic, det, self.config.sigma_m)
 
 
 def outcome_tuple(outcome):
@@ -725,9 +700,12 @@ sigma_units = st.one_of(
 )
 time_steps = st.one_of(st.just(0), st.integers(1, 120_000))
 kinds = st.sampled_from(["rx", "detection"])
+# A BSM of either radio origin, heard over either radio: over the other
+# one it is an echo, which both filters drop.
 rx_ops = st.tuples(
     st.just("rx"), time_steps, sigma_units, sigma_units,
     st.sampled_from(["U1", "U2", "U3"]), st.sampled_from([0, 100_000]),
+    st.sampled_from([LinkTech.DSRC, LinkTech.CV2X]),
     st.sampled_from([LinkTech.DSRC, LinkTech.CV2X]),
 )
 detection_ops = st.tuples(
@@ -782,9 +760,9 @@ def test_indexed_filter_matches_linear_scan(
     config = FilterConfig(sigma_m=sigma)
     gw, ref = Gateway(config), LinearScanGateway(config)
 
-    def rx(user, where, generated_at, via):
+    def rx(user, where, generated_at, origin, via):
         bsm = make_bsm(RoadUserId(user), where, 0.0, 0.0,
-                       PositionAccuracy(1.0), via, generated_at)
+                       PositionAccuracy(1.0), origin, generated_at)
         assert gw.on_rx(bsm, via, now) == ref.on_rx(bsm, via, now)
 
     def detect(where, lag):
@@ -797,7 +775,8 @@ def test_indexed_filter_matches_linear_scan(
     def place(kind, points):
         for i, (east, north) in enumerate(points):
             if kind == "rx":
-                rx(f"L{i}", position(east, north), now, LinkTech.DSRC)
+                rx(f"L{i}", position(east, north), now, LinkTech.DSRC,
+                   LinkTech.DSRC)
             else:
                 detect(position(east, north), 0)
 
@@ -805,8 +784,8 @@ def test_indexed_filter_matches_linear_scan(
     for op in ops:
         now += op[1]
         if op[0] == "rx":
-            _, _, east, north, user, generated_at, via = op
-            rx(user, position(east, north), generated_at, via)
+            _, _, east, north, user, generated_at, origin, via = op
+            rx(user, position(east, north), generated_at, origin, via)
         elif op[0] == "detection":
             _, _, east, north, lag, follow = op
             if follow:

@@ -825,8 +825,10 @@ class TestTraceProperties:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_gateway_never_hears_a_key_twice(self, data):
-        """On random small scenarios the gateway hears each (id,
-        generated_at) key once, so ``on_rx`` never suppresses a BSM: it
+        """On random small scenarios, in both link speed modes, with or
+        without broker drops and with or without ghosts, the gateway
+        hears each (id, generated_at) key once and every BSM over its
+        origin medium, so ``on_rx``'s loop guard never drops one: it
         hears only road users' own sends, and sends only to road users."""
         simulation = Simulation(_random_scenario(data))
         if simulation.gateway is None:
@@ -835,6 +837,7 @@ class TestTraceProperties:
         simulation.run()
         keys = [(bsm.id, bsm.generated_at_us) for bsm, *_ in heard]
         assert len(set(keys)) == len(keys)
+        assert all(bsm.origin_tech is via for bsm, via, *_ in heard)
         assert all(targets != () for *_, targets in heard)
 
     @settings(max_examples=40, deadline=None)
