@@ -16,8 +16,8 @@ confirmed non-connected tracks, in two layouts:
 the history and N pending tracks on the square, for N in 100 and 1000.
 BSMs arrive one window / N apart, so each timed arrival prunes the
 oldest, appends itself and checks the pending tracks near it, each
-7.1 m away, outside the gate. Each carries its own id, so none is
-suppressed as a duplicate.
+7.1 m away, outside the gate. Each arrives over its origin medium, so
+the loop guard drops none.
 
 Run from the root of a checkout:
 
