@@ -29,19 +29,19 @@ confirmation is a run of one BSM, and a camera frame's refreshes are
 sent as runs, each cast to a plan group at once, as one arrival per
 plan group (see "Frames"); the broker still takes one publish per BSM.
 An arrival is recorded once, as a ``DeliveryGroup`` of one BSM or
-several. A run keeps one log, ``Metrics.log``: every
-trace entry in event order, a formatted row (a plain tuple) or a
-delivery record. What the log holds is built of objects shared between
-entries: a row is a tuple of strings, the rows of one instant share one
-``at_ms``, each distinct detection outcome or gateway arrival has one
-detail string, built the first time it is seen, the one-BSM records of
-a subject share one tuple of subjects, and a run's arrivals on the three
-media share another.
-``RunResult.trace_rows`` is a view of the log that supports only
-``len()`` and iteration; it expands each record one row per (subject,
-receiver) as it is read. Awareness is the ``last_heard`` matrix. The
-tests see each delivery by wrapping ``Metrics.record_delivery``, which
-is passed every record as it is made.
+several, which is written to the run's trace and not kept. A run keeps
+its trace as one compact tape, ``Metrics.tape``, a ``TraceRows``: one
+kind byte per entry, in event order, with integer and float columns
+and references to objects the run already shares (plan groups, a
+frame's tuple of subjects, cached detail strings). A camera frame's
+detections are one entry, and a delivery record is one entry however
+many rows it expands to. Nothing is formatted while the run goes:
+``RunResult.trace_rows`` is that tape, which supports only ``len()``
+and iteration, and formats each row as it is read, one ``at_ms`` per
+instant and one label per delivery path and latency. Awareness is the
+``last_heard`` matrix. The tests see each delivery by wrapping
+``Metrics.record_delivery``, which is passed every record as it is
+made.
 Delivery bookkeeping is per arrival, not per (BSM, receiver): the BSMs
 of an arrival share their generation time, so the duplicate window,
 which holds one bitmask per subject of each generation time, is pruned
@@ -53,10 +53,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
@@ -71,6 +72,7 @@ from .messages import (
     Detection,
     LinkTech,
     MqttEnvelope,
+    Position,
     PositionAccuracy,
     RoadUserId,
     Topic,
@@ -80,6 +82,8 @@ from .messages import (
 )
 
 _METRICS_TICK_US = 100_000
+#: A confirmation's GraceDeadline detail.
+_CONFIRMED = f"confirmed NonConnected actions={len(GENERATION_TARGETS)}"
 
 
 class SimulationInvariantError(RuntimeError):
@@ -171,53 +175,184 @@ class PathStats:
         return self.sum_us / self.count / 1000 if self.count else math.nan
 
 
+#: Tape entry kinds, one byte per entry. A delivery record's kind is
+#: ``_DELIVERY`` plus the number of its (uplink, downlink, topic) path.
+_BSM_TX, _IPU_FRAME, _DETECTIONS, _GATEWAY_RX, _GRACE, _TICK, _DELIVERY = (
+    range(7))
+
+
 class TraceRows:
     """The run's trace, one ``(at_ms, kind, actor, subject, detail)``
-    tuple per event: a sized, iterable view of the run's log, whose
-    length is kept as a running count.
+    tuple per event, held as a compact tape and formatted only as it is
+    read: a sized, iterable view, whose length is kept as a running
+    count.
 
-    User deliveries are held as their delivery record and formatted
-    only when their rows are read: a record's rows share its strings,
-    and records share each ``at_ms`` and detail string, formatted once
-    per distinct value as the rows are read. Every other event is held
-    formatted, as a row of strings it shares with the run's other rows.
+    The tape holds one kind byte per entry, in event order, in
+    ``_kinds``; each entry's integers (its instant first) in ``_ints``,
+    its floats in ``_floats``, and references to objects the run already
+    shares in ``_refs``:
+
+    - BsmTx: the user's index; the reported latitude and longitude.
+    - IpuFrame: the detection count.
+    - A frame's DetectionReady rows: their count; per detection, its
+      subject and its cached detail string.
+    - A gateway arrival: its cached ``(kind, detail)`` label and the
+      BSM's subject id.
+    - GraceDeadline: the track id; its detail string.
+    - MetricsTick: the coverage, NaN for none.
+    - A delivery record: its generation time; its receivers (the plan
+      group, or a cut group's bitmask), subjects and duplicate flags.
+
+    The reader formats each instant's ``at_ms`` once, and each delivery
+    path's label once per latency.
     """
 
-    def __init__(self, metrics: Metrics):
-        self._metrics = metrics
+    def __init__(self, user_ids: list[str], frame: LocalFrame):
+        self._ids = user_ids
+        self._frame = frame
+        self._kinds = bytearray()
+        self._ints = array("q")
+        self._floats = array("d")
+        self._refs: list = []
+        #: (uplink, downlink, topic) by path number, and the reverse.
+        self._paths: list[tuple[LinkTech, LinkTech, Optional[Topic]]] = []
+        self._path_numbers: dict[tuple, int] = {}
+        self._rows = 0
 
     def __len__(self) -> int:
-        metrics = self._metrics
-        return len(metrics.log) - metrics.records + metrics.delivered
+        return self._rows
+
+    def bsm_tx(self, at_us: int, user_index: int, reported: Position) -> None:
+        self._kinds.append(_BSM_TX)
+        self._ints.append(at_us)
+        self._ints.append(user_index)
+        self._floats.append(reported.lat_deg)
+        self._floats.append(reported.lon_deg)
+        self._rows += 1
+
+    def ipu_frame(self, at_us: int, detections: int) -> None:
+        self._kinds.append(_IPU_FRAME)
+        self._ints.append(at_us)
+        self._ints.append(detections)
+        self._rows += 1
+
+    def detections(self, at_us: int, ready: list[str]) -> None:
+        """A frame's DetectionReady rows: ``ready`` holds each one's
+        subject and detail, one after the other."""
+        self._kinds.append(_DETECTIONS)
+        self._ints.append(at_us)
+        self._ints.append(len(ready) // 2)
+        self._refs += ready
+        self._rows += len(ready) // 2
+
+    def gateway_rx(self, at_us: int, label: tuple[str, str],
+                   subject: str) -> None:
+        self._kinds.append(_GATEWAY_RX)
+        self._ints.append(at_us)
+        self._refs.append(label)
+        self._refs.append(subject)
+        self._rows += 1
+
+    def grace_deadline(self, at_us: int, track_id: int, detail: str) -> None:
+        self._kinds.append(_GRACE)
+        self._ints.append(at_us)
+        self._ints.append(track_id)
+        self._refs.append(detail)
+        self._rows += 1
+
+    def metrics_tick(self, at_us: int, coverage: Optional[float]) -> None:
+        self._kinds.append(_TICK)
+        self._ints.append(at_us)
+        self._floats.append(math.nan if coverage is None else coverage)
+        self._rows += 1
+
+    def delivery(self, record: DeliveryGroup, rows: int) -> None:
+        """A delivery record of ``rows`` (subject, receiver) pairs."""
+        path = (record.uplink, record.downlink, record.topic)
+        number = self._path_numbers.get(path)
+        if number is None:
+            number = self._path_numbers[path] = len(self._paths)
+            self._paths.append(path)
+        receivers = record.receivers
+        self._kinds.append(_DELIVERY + number)
+        self._ints.append(record.delivered_at_us)
+        self._ints.append(record.generated_at_us)
+        self._refs.append(receivers.mask if type(receivers) is _Cut
+                         else receivers)
+        self._refs.append(record.subjects)
+        self._refs.append(record.duplicates)
+        self._rows += rows
 
     def __iter__(self) -> Iterator[tuple[str, ...]]:
-        ids = self._metrics.ids
-        #: (kind, detail, duplicate detail) by (uplink, downlink,
-        #: latency_ms, topic): bounded by the run's paths.
-        labels: dict[tuple, tuple[str, str, str]] = {}
-        at_us, at_ms = None, ""  # the log is in time order
-        for entry in self._metrics.log:
-            if type(entry) is tuple:
-                yield entry
-                continue
-            path = (entry.uplink, entry.downlink, entry.latency_ms,
-                    entry.topic)
-            label = labels.get(path)
-            if label is None:
-                label = labels[path] = _delivery_label(*path)
-            kind, detail, duplicate = label
-            if entry.delivered_at_us != at_us:
-                at_us = entry.delivered_at_us
-                at_ms = f"{us_to_ms(at_us):.3f}"
-            for subject, flags in zip(entry.subjects,
-                                      entry.duplicates or repeat(None)):
-                if flags is None:
-                    for r in entry.receivers:
-                        yield (at_ms, kind, ids[r], subject, detail)
-                    continue
-                for r, dup in zip(entry.receivers, flags):
-                    yield (at_ms, kind, ids[r], subject,
-                           duplicate if dup else detail)
+        ids = self._ids
+        xy_of = self._frame.xy_of
+        paths = self._paths
+        next_int = iter(self._ints).__next__
+        next_float = iter(self._floats).__next__
+        next_ref = iter(self._refs).__next__
+        #: (kind, detail, duplicate detail) by (path number, latency):
+        #: bounded by the run's paths.
+        labels: dict[tuple[int, int], tuple[str, str, str]] = {}
+        at_us, at_ms = None, ""  # the tape is in time order
+        for kind in self._kinds:
+            now_us = next_int()
+            if now_us != at_us:
+                at_us, at_ms = now_us, f"{us_to_ms(now_us):.3f}"
+            if kind >= _DELIVERY:
+                latency_us = at_us - next_int()
+                receivers, subjects, duplicates = (
+                    next_ref(), next_ref(), next_ref())
+                if type(receivers) is int:
+                    receivers = _receivers_of(receivers)
+                label = labels.get((kind, latency_us))
+                if label is None:
+                    uplink, downlink, topic = paths[kind - _DELIVERY]
+                    label = labels[kind, latency_us] = _delivery_label(
+                        uplink, downlink, us_to_ms(latency_us), topic)
+                kind_name, detail, duplicate = label
+                for subject, flags in zip(subjects,
+                                          duplicates or repeat(None)):
+                    if flags is None:
+                        for r in receivers:
+                            yield (at_ms, kind_name, ids[r], subject, detail)
+                        continue
+                    for r, dup in zip(receivers, flags):
+                        yield (at_ms, kind_name, ids[r], subject,
+                               duplicate if dup else detail)
+            elif kind == _BSM_TX:
+                user = ids[next_int()]
+                x_m, y_m = xy_of(Position(next_float(), next_float()))
+                yield (at_ms, "BsmTx", user, "",
+                       f"x_m={x_m:.3f} y_m={y_m:.3f}")
+            elif kind == _DETECTIONS:
+                for _ in range(next_int()):
+                    yield (at_ms, "DetectionReady", ARSU_CLIENT, next_ref(),
+                           next_ref())
+            elif kind == _GATEWAY_RX:
+                kind_name, detail = next_ref()
+                yield (at_ms, kind_name, ARSU_CLIENT, next_ref(), detail)
+            elif kind == _IPU_FRAME:
+                yield (at_ms, "IpuFrame", ARSU_CLIENT, "",
+                       f"detections={next_int()}")
+            elif kind == _GRACE:
+                yield (at_ms, "GraceDeadline", ARSU_CLIENT,
+                       f"track={next_int()}", next_ref())
+            else:
+                coverage = next_float()
+                yield (at_ms, "MetricsTick", "sim", "",
+                       "coverage=no-pairs" if math.isnan(coverage)
+                       else f"coverage={coverage:.4f}")
+
+
+#: Maps the digits of ``bin()`` to bytes 0 and 1.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _receivers_of(mask: int) -> tuple[int, ...]:
+    """The user indices whose bits are set in ``mask``, in increasing
+    order: a cut group's receivers."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    return tuple(compress(range(len(bits)), bits))
 
 
 def _delivery_label(uplink: LinkTech, downlink: LinkTech, latency_ms: float,
@@ -238,17 +373,14 @@ NEVER_HEARD = -1
 
 
 class Metrics:
-    """What a run measures, and its log: every trace entry in event
-    order, a formatted row (a tuple of strings, shared with the other
-    rows where equal: one ``at_ms`` per instant, one detail per distinct
-    detection outcome or gateway arrival) or a delivery record."""
+    """What a run measures, and its trace, held as a compact tape
+    (``TraceRows``)."""
 
-    def __init__(self, user_ids: list[str]):
+    def __init__(self, user_ids: list[str], frame: LocalFrame):
         n = len(user_ids)
         self.ids = user_ids  # user id by index
-        self.log: list = []
-        self.records = 0  # delivery records in the log
-        self.delivered = 0  # their (subject, receiver) pairs
+        self.tape = TraceRows(user_ids, frame)
+        self.delivered = 0  # the (subject, receiver) pairs delivered
         self.path_stats: dict[tuple[LinkTech, LinkTech], PathStats] = {}
         #: last_heard[receiver, truth subject]: µs of the latest delivery,
         #: or NEVER_HEARD.
@@ -270,9 +402,8 @@ class Metrics:
     def record_delivery(self, record: DeliveryGroup,
                         rows: np.ndarray) -> None:
         """Record one arrival's ``DeliveryGroup``, whose receivers are
-        ``rows`` of ``last_heard``."""
-        self.log.append(record)
-        self.records += 1
+        ``rows`` of ``last_heard``: its fields go to the tape, and the
+        record is not kept."""
         truth, uplink, downlink, generated_at_us, delivered_at_us = record[2:7]
         # Events run in time order, so these deliveries are the latest.
         if len(truth) == 1:
@@ -286,6 +417,7 @@ class Metrics:
             self.last_heard[rows[:, None], self._batch_truth[1]] = (
                 delivered_at_us)
         self.delivered += n
+        self.tape.delivery(record, n)
         stats = self.path_stats.get((uplink, downlink))
         if stats is None:
             stats = self.path_stats[uplink, downlink] = PathStats()
@@ -365,11 +497,14 @@ class RunResult:
 #
 # Groups. A plan group is a ``_Group``: its receivers' tuple, with their
 # ``last_heard`` rows as an index array and their bitmask, built once at
-# setup. A delivery of it tests and updates the duplicate window with one
-# int operation per BSM, and writes ``last_heard`` through the array; it
-# works out per-receiver flags only when some receiver already had the
-# BSM. A group cut by a drop, or an arrival built by hand, is a plain
-# tuple, whose array and mask the delivery builds and does not keep.
+# setup, its receivers in increasing user index. A delivery of it tests
+# and updates the duplicate window with one int operation per BSM, and
+# writes ``last_heard`` through the array; it works out per-receiver flags
+# only when some receiver already had the BSM. A group cut by a drop is a
+# ``_Cut``, whose array and mask are built with it; the tape keeps only
+# its mask, from which the reader rebuilds its receivers. An arrival
+# built by hand is a plain tuple, whose array and mask the delivery
+# builds and does not keep.
 #
 # Arrivals. A cast schedules one ``_Arrival``, one ``_deliver`` event,
 # per group of its plan. An arrival carries a run: BSMs generated at one
@@ -430,6 +565,11 @@ class _Group(tuple):
         return group
 
 
+class _Cut(_Group):
+    """A plan group cut to the receivers a publish kept, in the plan's
+    order: increasing user index, so the tape holds only its mask."""
+
+
 def _rows_and_mask(receivers: tuple[int, ...]) -> tuple[np.ndarray, int]:
     """``receivers`` as an index array of ``last_heard`` rows, and as a
     bitmask."""
@@ -458,7 +598,8 @@ _Plan = tuple[tuple[int, tuple[int, ...]], ...]
 
 def _group_by_time(arrivals: Iterable[tuple[int, int]]) -> _Plan:
     """``(µs, user index)`` pairs grouped by time, the groups and their
-    receivers in first-seen order."""
+    receivers in first-seen order. Every caller passes users in index
+    order, so each group's receivers increase, as ``_Cut`` needs."""
     groups: dict[int, list[int]] = {}
     for at_us, receiver in arrivals:
         groups.setdefault(at_us, []).append(receiver)
@@ -497,7 +638,7 @@ class Simulation:
             [u.index for u in self.users if u.spec.kind.is_connected],
             dtype=np.intp,
         )
-        self.metrics = Metrics(ids)
+        self.metrics = Metrics(ids, self.frame)
         # The longest path: one link half at each end, plus the camera's
         # processing and grace wait on a camera path.
         self._seen = _SeenWindow(
@@ -509,10 +650,9 @@ class Simulation:
         )
         self._heap: list[tuple[int, int, Callable[[int, Any], None], Any]] = []
         self._seq = 0
+        self._ran = False
         #: The last batch's BSMs, and their subjects and truth indices.
         self._batched: tuple[list, tuple, tuple] = ([], (), ())
-        #: The instant last traced, and its ``at_ms`` string.
-        self._traced_at: tuple[int, str] = (-1, "")
         #: Trace details built once each, bounded by users and tracks:
         #: a detection's by (matched id, track id, whether it generated
         #: nothing), and a gateway
@@ -611,6 +751,12 @@ class Simulation:
         self._seq += 1
 
     def run(self) -> RunResult:
+        """Run the scenario to its end, once: a second call raises
+        before it changes anything."""
+        if self._ran:
+            raise SimulationInvariantError(
+                "a Simulation runs once; make a new one to run again")
+        self._ran = True
         duration_us = self.config.duration_us
         for user in self.users:
             if user.spec.kind.is_connected:
@@ -641,7 +787,7 @@ class Simulation:
             metrics=self.metrics,
             broker=self.broker,
             gateway=gateway,
-            trace_rows=TraceRows(self.metrics),
+            trace_rows=self.metrics.tape,
             final_coverage=final,
             mean_coverage=mean_cov,
             ghost_pairs=[
@@ -670,11 +816,7 @@ class Simulation:
             now_us,
         )
         self.metrics.bsm_tx += 1
-        rep_x, rep_y = self.frame.xy_of(reported)
-        self._trace(
-            now_us, "BsmTx", user.id.value, "",
-            f"x_m={rep_x:.3f} y_m={rep_y:.3f}",
-        )
+        self.metrics.tape.bsm_tx(now_us, user.index, reported)
 
         plan = self._plans[user.index]
         if tech is LinkTech.CELL_MQTT:
@@ -719,7 +861,7 @@ class Simulation:
             kept_rows = set(map(self._truth_of.get, kept)).__contains__
             cut = tuple(
                 (offset_us,
-                 receivers if len(group) == len(receivers) else group)
+                 receivers if len(group) == len(receivers) else _Cut(group))
                 for offset_us, receivers in plan
                 if (group := tuple(filter(kept_rows, receivers)))
             )
@@ -756,7 +898,7 @@ class Simulation:
                 kind, detail = "MqttDelivery", f"topic={topic.value}"
             label = self._rx_labels[key] = (
                 kind, f"{detail} actions={len(targets)}")
-        self._trace(now_us, label[0], ARSU_CLIENT, bsm.id.value, label[1])
+        self.metrics.tape.gateway_rx(now_us, label, bsm.id.value)
         self._send([bsm], targets, medium, now_us)
 
     def _send(self, bsms: list[Bsm], targets: tuple[Target, ...],
@@ -794,7 +936,7 @@ class Simulation:
         latency_ms = us_to_ms(now_us - generated_at_us)
         if latency_ms < 0:
             raise SimulationInvariantError("delivery precedes generation")
-        if type(receivers) is _Group:
+        if isinstance(receivers, _Group):
             rows, mask = receivers.rows, receivers.mask
         else:
             rows, mask = _rows_and_mask(receivers)
@@ -881,8 +1023,7 @@ class Simulation:
                 available_at_us, self._on_detections_ready, detections
             )
         self.metrics.detections += len(in_view)
-        self._trace(now_us, "IpuFrame", ARSU_CLIENT, "",
-                    f"detections={len(in_view)}")
+        self.metrics.tape.ipu_frame(now_us, len(in_view))
         self._schedule(now_us + self.frame_period_us, self._on_ipu_frame)
 
     def _on_detections_ready(
@@ -895,8 +1036,7 @@ class Simulation:
         self.metrics.events_executed += len(detections) - 1
         on_detection = self.gateway.on_detection
         details = self._detection_details
-        log = self.metrics.log
-        at_ms = self._at_ms(now_us)
+        ready = []  # each detection's subject and detail
         run = []
         for detection in detections:
             outcome = on_detection(detection, now_us)
@@ -913,8 +1053,8 @@ class Simulation:
                     detail += f" track={track_id}"
                 details[key] = detail
             truth = detection.truth_id
-            log.append((at_ms, "DetectionReady", ARSU_CLIENT,
-                        truth.value if truth else "?", detail))
+            ready.append(truth.value if truth else "?")
+            ready.append(detail)
             if deadline_us is not None:
                 if run:
                     self._send(run, GENERATION_TARGETS, LinkTech.CAMERA,
@@ -925,17 +1065,15 @@ class Simulation:
                 run.append(generated)
         if run:
             self._send(run, GENERATION_TARGETS, LinkTech.CAMERA, now_us)
+        self.metrics.tape.detections(now_us, ready)
 
     def _on_grace_deadline(self, now_us: int, track_id: int) -> None:
         bsm = self.gateway.on_grace_deadline(track_id)
+        tape = self.metrics.tape
         if bsm is None:
-            self._trace(now_us, "GraceDeadline", ARSU_CLIENT,
-                        f"track={track_id}", "resolved earlier")
+            tape.grace_deadline(now_us, track_id, "resolved earlier")
             return
-        self._trace(
-            now_us, "GraceDeadline", ARSU_CLIENT, f"track={track_id}",
-            f"confirmed NonConnected actions={len(GENERATION_TARGETS)}",
-        )
+        tape.grace_deadline(now_us, track_id, _CONFIRMED)
         truth = self.gateway.synthetic_truth[bsm.id]
         if truth is not None:
             self._truth_of[bsm.id.value] = self._truth_of[truth.value]
@@ -949,7 +1087,7 @@ class Simulation:
         """Record and trace one coverage sample, and return it."""
         value = self._coverage(now_us)
         self.metrics.coverage_samples.append((now_us, value))
-        self._trace(now_us, "MetricsTick", "sim", "", _coverage_label(value))
+        self.metrics.tape.metrics_tick(now_us, value)
         return value
 
     # --- helpers ---
@@ -979,28 +1117,6 @@ class Simulation:
         fresh = np.count_nonzero(last_heard[rows] > oldest_us)
         fresh -= np.count_nonzero(last_heard[rows, rows] > oldest_us)
         return int(fresh) / pairs
-
-    def _trace(
-        self, at_us: int, kind: str, actor: str, subject: str, detail: str
-    ) -> None:
-        """Log one formatted row."""
-        self.metrics.log.append(
-            (self._at_ms(at_us), kind, actor, subject, detail))
-
-    def _at_ms(self, at_us: int) -> str:
-        """``at_us`` formatted for a row. Events run in time order, so the
-        rows of one instant share the one string."""
-        traced_us, at_ms = self._traced_at
-        if at_us != traced_us:
-            at_ms = f"{us_to_ms(at_us):.3f}"
-            self._traced_at = (at_us, at_ms)
-        return at_ms
-
-
-def _coverage_label(value: Optional[float]) -> str:
-    if value is None:
-        return "coverage=no-pairs"
-    return f"coverage={value:.4f}"
 
 
 def load_latency_model(latency_csv: Optional[str]) -> LatencyModel:

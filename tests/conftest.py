@@ -19,6 +19,7 @@ from arsusim.messages import (
 )
 from arsusim.sim import (
     NEVER_HEARD,
+    DeliveryGroup,
     Metrics,
     RunResult,
     Simulation,
@@ -103,6 +104,22 @@ class Delivery(NamedTuple):
     latency_ms: float
     duplicate: bool
     topic: Optional[Topic] = None
+
+
+def collect_records(simulation: Simulation) -> list[DeliveryGroup]:
+    """Wrap ``simulation.metrics.record_delivery``; returns the list to
+    which each call that returns appends the ``DeliveryGroup`` passed
+    in: one record per arrival, in delivery order."""
+    records = []
+    metrics = simulation.metrics
+    record_delivery = metrics.record_delivery
+
+    def recording(record, rows):
+        record_delivery(record, rows)
+        records.append(record)
+
+    metrics.record_delivery = recording
+    return records
 
 
 def collect_deliveries(simulation: Simulation) -> list[Delivery]:

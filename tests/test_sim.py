@@ -1,5 +1,6 @@
 import gc
 import heapq
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,9 +20,8 @@ from arsusim.messages import (
     ms_to_us,
 )
 from arsusim.sim import (
-    DeliveryGroup,
     _Arrival,
-    _Group,
+    _Cut,
     _group_by_time,
     Simulation,
     SimulationInvariantError,
@@ -34,6 +34,7 @@ from arsusim.sim import (
 from conftest import (
     awareness,
     collect_deliveries,
+    collect_records,
     record_on_rx,
     record_publishes,
     run_collecting,
@@ -634,6 +635,38 @@ class TestTraceRows:
         assert result.metrics.delivered == len(deliveries) > 100
 
 
+TWO_PEDESTRIANS = """
+duration_ms: 1000
+scenario_speed_kmh: 3
+seed: 2
+users:
+  - {kind: non_connected, id: P1, x_m: 10}
+  - {kind: non_connected, id: P2, x_m: 40}
+"""
+
+
+class TestRunOnce:
+    @pytest.mark.parametrize("doc, detections", [
+        (TWO_PEDESTRIANS, 10 * 2),
+        # Connected users: a second run stepped them back in time.
+        (MIXED_TABLE1, 40 * 5),
+    ], ids=["pedestrians", "connected"])
+    def test_second_run_raises_and_changes_nothing(self, doc, detections):
+        """A second ``run()`` raises before it schedules anything: the
+        first result's metrics, trace and report stay as they were."""
+        simulation = Simulation(scenario(doc))
+        result = simulation.run()
+        assert result.metrics.detections == detections
+        rows = list(result.trace_rows)
+        report = build_report_dict(result)
+        with pytest.raises(SimulationInvariantError, match="runs once"):
+            simulation.run()
+        assert simulation._heap == []
+        assert result.metrics.detections == detections
+        assert list(result.trace_rows) == rows
+        assert build_report_dict(result) == report
+
+
 #: Two pedestrians, confirmed and then refreshed in every frame, next to
 #: a connected user of each technology.
 SHARED = """
@@ -661,28 +694,25 @@ def _assert_one_object_per_value(strings):
 
 
 class TestSharedStrings:
-    """What a run holds is built of shared objects: the log's rows are
-    tuples, the rows of one instant share one time string, and each
-    repeating detail, label or batch of subjects is one object."""
+    """What a run holds is built of shared objects, and so are the rows
+    its trace yields: the rows of one instant share one time string, and
+    each repeating detail, label or batch of subjects is one object."""
 
     def test_rows_of_one_instant_share_one_time_string(self):
         result = run(scenario(SHARED))
-        rows = [e for e in result.metrics.log if type(e) is tuple]
-        instants = _assert_one_object_per_value(row[0] for row in rows)
-        assert instants < len(rows)  # some instants hold several rows
         trace = list(result.trace_rows)
         assert all(type(row) is tuple for row in trace)
+        instants = _assert_one_object_per_value(row[0] for row in trace)
+        assert instants < len(trace)  # some instants hold several rows
         deliveries = [row for row in trace
                       if row[1].endswith("Delivery") and row[2] != ARSU_CLIENT]
-        assert _assert_one_object_per_value(
-            row[0] for row in deliveries) < len(deliveries)
         assert _assert_one_object_per_value(
             row[4] for row in deliveries) < len(deliveries)
 
     def test_refreshes_of_a_track_share_their_labels(self):
         result = run(scenario(SHARED))
-        ready = [row[4] for row in result.metrics.log
-                 if type(row) is tuple and row[1] == "DetectionReady"]
+        ready = [row[4] for row in result.trace_rows
+                 if row[1] == "DetectionReady"]
         _assert_one_object_per_value(ready)
         assert {"NonConnected track=1", "NonConnected track=2",
                 "Connected matched=U1"} <= set(ready)
@@ -691,23 +721,23 @@ class TestSharedStrings:
     def test_batches_of_one_frame_share_their_subjects(self):
         """A frame's batches share one tuple of subjects and one of truth
         indices; so do the one-BSM records of each subject."""
-        result = run(scenario(SHARED))
+        simulation = Simulation(scenario(SHARED))
+        records = collect_records(simulation)
+        simulation.run()
         frames = {}
         singles = {}
-        for entry in result.metrics.log:
-            if type(entry) is not DeliveryGroup:
-                continue
-            if len(entry.subjects) > 1:
-                frames.setdefault(entry.generated_at_us, []).append(entry)
+        for record in records:
+            if len(record.subjects) > 1:
+                frames.setdefault(record.generated_at_us, []).append(record)
             else:
-                singles.setdefault(entry.subjects[0], []).append(entry)
+                singles.setdefault(record.subjects[0], []).append(record)
         assert {"U1", "U2", "U3", "ipu:1", "ipu:2"} <= set(singles)
-        for records in singles.values():
-            first = records[0]
-            assert len(records) > 1
+        for group in singles.values():
+            first = group[0]
+            assert len(group) > 1
             assert all(r.subjects is first.subjects
                        and r.truth_indices is first.truth_indices
-                       for r in records)
+                       for r in group)
         assert len(frames) > 5
         for batches in frames.values():
             assert [b.downlink for b in batches] == [
@@ -816,6 +846,24 @@ class TestTraceProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
+    def test_tape_reads_as_rows_formatted_when_written(self, data):
+        """On random small scenarios, the tape's reader gives, for every
+        entry kind, the rows formatted from what each write was passed,
+        in write order; its length is the rows read, a second read gives
+        the same rows, and the delivery rows are the collected
+        deliveries."""
+        simulation = Simulation(_random_scenario(data))
+        written = _eager_rows(simulation)
+        deliveries = collect_deliveries(simulation)
+        result = simulation.run()
+        rows = list(result.trace_rows)
+        assert len(result.trace_rows) == len(rows)
+        assert list(result.trace_rows) == rows
+        assert rows == written
+        _assert_collected_match_trace(result, deliveries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
     def test_collected_deliveries_match_trace_rows(self, data):
         """On random small scenarios, in both link speed modes and with
         or without broker drops, ``collect_deliveries`` gives the user
@@ -904,6 +952,72 @@ def _assert_collected_match_trace(result, deliveries):
                          d.receiver, d.subject, detail))
     assert rows == expected
     assert len(deliveries) == result.metrics.delivered
+
+
+def _eager_rows(simulation):
+    """Wrap the writers of ``simulation``'s tape; returns the list to
+    which each write appends its rows, formatted from its arguments as
+    it is written, as a run that formatted every row as it went would
+    hold them."""
+    tape = simulation.metrics.tape
+    ids = simulation.metrics.ids
+    xy_of = simulation.frame.xy_of
+    rows = []
+
+    def at(at_us):
+        return f"{at_us / 1000:.3f}"
+
+    def bsm_tx(at_us, user_index, reported):
+        x_m, y_m = xy_of(reported)
+        return [(at(at_us), "BsmTx", ids[user_index], "",
+                 f"x_m={x_m:.3f} y_m={y_m:.3f}")]
+
+    def ipu_frame(at_us, detections):
+        return [(at(at_us), "IpuFrame", ARSU_CLIENT, "",
+                 f"detections={detections}")]
+
+    def detections(at_us, ready):
+        return [(at(at_us), "DetectionReady", ARSU_CLIENT, subject, detail)
+                for subject, detail in zip(ready[::2], ready[1::2])]
+
+    def gateway_rx(at_us, label, subject):
+        return [(at(at_us), label[0], ARSU_CLIENT, subject, label[1])]
+
+    def grace_deadline(at_us, track_id, detail):
+        return [(at(at_us), "GraceDeadline", ARSU_CLIENT,
+                 f"track={track_id}", detail)]
+
+    def metrics_tick(at_us, coverage):
+        label = ("no-pairs" if coverage is None else f"{coverage:.4f}")
+        return [(at(at_us), "MetricsTick", "sim", "", f"coverage={label}")]
+
+    def delivery(record, count):
+        kind = "RadioDelivery" if record.topic is None else "MqttDelivery"
+        detail = (f"up={record.uplink.value} down={record.downlink.value}"
+                  f" latency_ms={record.latency_ms:.3f}")
+        if record.topic is not None:
+            detail += f" topic={record.topic.value}"
+        written = [
+            (at(record.delivered_at_us), kind, ids[receiver], subject,
+             detail + " duplicate" if duplicate else detail)
+            for subject, flags in zip(
+                record.subjects,
+                record.duplicates or (None,) * len(record.subjects))
+            for receiver, duplicate in zip(
+                record.receivers, flags or (False,) * len(record.receivers))
+        ]
+        assert len(written) == count
+        return written
+
+    for rows_of in (bsm_tx, ipu_frame, detections, gateway_rx,
+                    grace_deadline, metrics_tick, delivery):
+        def writing(*args, write=getattr(tape, rows_of.__name__),
+                    rows_of=rows_of):
+            write(*args)
+            rows.extend(rows_of(*args))
+
+        setattr(tape, rows_of.__name__, writing)
+    return rows
 
 
 def _per_delivery_reference(deliveries):
@@ -1000,15 +1114,15 @@ class TestGroupRecords:
     def test_duplicate_flags_of_a_group_cut_by_drops(self):
         """A cut group's mask is built when it is delivered: its
         duplicate flags match the reference too."""
-        result, deliveries = run_collecting(scenario(DROPPED_DUPLICATES))
+        simulation = Simulation(scenario(DROPPED_DUPLICATES))
+        records = collect_records(simulation)
+        deliveries = collect_deliveries(simulation)
+        result = simulation.run()
         assert result.metrics.duplicates_suppressed == 3
         _assert_matches_per_delivery_reference(result, deliveries)
         _assert_collected_match_trace(result, deliveries)
-        assert any(
-            type(entry.receivers) is not _Group and entry.duplicates
-            for entry in result.metrics.log
-            if type(entry) is DeliveryGroup
-        )
+        assert any(type(record.receivers) is _Cut and record.duplicates
+                   for record in records)
 
 
 class TestGroupCast:
@@ -1155,7 +1269,7 @@ users:
             assert cast[0] is plan[0] and cast[1] is plan[2]
         else:
             assert cast == [(0, 3)]
-            assert type(cast[0]) is tuple
+            assert type(cast[0]) is _Cut
         for at_us, arrival in self._deliveries(simulation):
             simulation._deliver(at_us, arrival)
         heard = simulation.metrics.last_heard[:, 1]
@@ -1250,7 +1364,7 @@ users:
         while heap:
             at, _, handler, arg = heapq.heappop(heap)
             handler(at, arg)
-        rows = [(r[1], r[3]) for r in TraceRows(simulation.metrics)]
+        rows = [(r[1], r[3]) for r in simulation.metrics.tape]
         assert rows == [
             ("RadioDelivery", "U2"), ("RadioDelivery", "U3"),
             ("GraceDeadline", "track=7"), ("RadioDelivery", "U4"),
@@ -1260,19 +1374,20 @@ users:
     def _cast_and_deliver(cls, casts):
         """Run ``_cast`` for each (plan, subject) at 1 ms on MIXED_TABLE1,
         of a BSM generated at 0.5 ms, then run the heap: (the arrivals'
-        subjects in schedule order, the log's length, the deliveries as
+        subjects in schedule order, the records made, the deliveries as
         (receiver, subject))."""
         simulation = Simulation(scenario(MIXED_TABLE1))
         for plan, subject in casts:
             bsm = _relay_bsm(simulation, 500, subject)
             simulation._cast(plan, 1_000, [bsm], LinkTech.DSRC, LinkTech.CV2X)
         subjects = [a.subjects for _, a in cls._deliveries(simulation)]
+        records = collect_records(simulation)
         deliveries = collect_deliveries(simulation)
         heap = simulation._heap
         while heap:
             at_us, _, handler, arg = heapq.heappop(heap)
             handler(at_us, arg)
-        return subjects, len(simulation.metrics.log), [
+        return subjects, len(records), [
             (d.receiver, d.subject) for d in deliveries]
 
     def test_casts_of_the_same_group_arrive_in_cast_order(self):
@@ -1389,12 +1504,14 @@ users:
         """A frame whose run a grace deadline splits sends each piece to
         DSRC, C-V2X and IPU as its own arrivals: every piece's three
         records share one subjects tuple and one truth-index tuple."""
-        result = run(scenario(self.FRAME_DOC))
+        simulation = Simulation(scenario(self.FRAME_DOC))
+        records = collect_records(simulation)
+        simulation.run()
         frames = {}
-        for entry in result.metrics.log:
-            if type(entry) is DeliveryGroup and len(entry.subjects) > 1:
-                pieces = frames.setdefault(entry.generated_at_us, {})
-                pieces.setdefault(entry.subjects, []).append(entry)
+        for record in records:
+            if len(record.subjects) > 1:
+                pieces = frames.setdefault(record.generated_at_us, {})
+                pieces.setdefault(record.subjects, []).append(record)
         assert frames
         for pieces in frames.values():
             for records in pieces.values():
@@ -1422,7 +1539,9 @@ users:
                 super()._schedule(at_us, handler, arg)
 
         cfg = scenario(doc)
-        batched, apart = Simulation(cfg).run(), EventPerDetection(cfg).run()
+        batched, apart = Simulation(cfg), EventPerDetection(cfg)
+        records = collect_records(batched), collect_records(apart)
+        batched, apart = batched.run(), apart.run()
         one, other = batched.metrics, apart.metrics
         assert one.events_executed == other.events_executed
         assert list(batched.trace_rows) == list(apart.trace_rows)
@@ -1430,7 +1549,8 @@ users:
         assert np.array_equal(one.last_heard, other.last_heard)
         assert list(one.path_stats.items()) == list(other.path_stats.items())
         assert one.duplicates_suppressed == other.duplicates_suppressed
-        assert len(one.log) < len(other.log)  # some carry several BSMs
+        # Some records carry several BSMs.
+        assert len(records[0]) < len(records[1])
         return batched, apart
 
     @pytest.mark.parametrize("edit", [
@@ -1459,6 +1579,95 @@ users:
         doc = yaml.safe_load(self.FRAME_DOC)
         doc.update(edit)
         self._batched_and_apart(yaml.safe_dump(doc))
+
+
+class TestTape:
+    def test_every_entry_kind_reads_as_written(self):
+        """Two runs that write every entry kind, cut groups, records of
+        several BSMs and duplicate flags on a cut group read as the rows
+        formatted when written."""
+        frame_doc = yaml.safe_load(TestGroupCast.FRAME_DOC)
+        frame_doc["mqtt"] = {"drop_probability": 0.3}
+        kinds = set()
+        records = []
+        for doc in (yaml.safe_dump(frame_doc), DROPPED_DUPLICATES):
+            simulation = Simulation(scenario(doc))
+            written = _eager_rows(simulation)
+            recorded = collect_records(simulation)
+            result = simulation.run()
+            assert list(result.trace_rows) == written
+            kinds |= {row[1] for row in written}
+            records += recorded
+        assert kinds == {
+            "BsmTx", "IpuFrame", "DetectionReady", "RadioDelivery",
+            "MqttDelivery", "GraceDeadline", "MetricsTick"}
+        assert any(len(r.subjects) > 1 for r in records)
+        assert any(type(r.receivers) is _Cut and r.duplicates
+                   for r in records)
+
+
+    #: Twenty users of the four kinds in coverage, with broker drops.
+    MEMORY_DOC = """
+duration_ms: {duration_ms}
+scenario_speed_kmh: 30
+seed: 3
+arsu: {{coverage_radius_m: 400}}
+mqtt: {{drop_probability: 0.05}}
+users:
+  - {{kind: native_dsrc, count: 5}}
+  - {{kind: native_cv2x, count: 5}}
+  - {{kind: nonnative_cell, count: 5}}
+  - {{kind: non_connected, count: 5}}
+"""
+    #: Bytes the tape holds per log entry: 50.5 at 1 s and 41.6 at 3 s
+    #: when measured, plus 25%.
+    BYTES_PER_ENTRY = 63
+    #: Live bytes after ``run()`` gained per simulated second when every
+    #: row was held formatted (Python 3.11): 168,328.
+    FORMATTED_GROWTH_PER_S = 168_328
+
+    @classmethod
+    def _live_and_held(cls, duration_ms):
+        """Live bytes after ``run()``, the tape's share of them, and the
+        log entries: rows held apart from deliveries, plus delivery
+        records."""
+        cfg = scenario(cls.MEMORY_DOC.format(duration_ms=duration_ms))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            simulation = Simulation(cfg)
+            records = 0
+            record_delivery = simulation.metrics.record_delivery
+
+            def counting(record, rows):
+                nonlocal records
+                records += 1
+                record_delivery(record, rows)
+
+            simulation.metrics.record_delivery = counting
+            result = simulation.run()
+            del simulation, record_delivery, counting
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0]
+            metrics = result.metrics
+            entries = len(result.trace_rows) - metrics.delivered + records
+            result.trace_rows = metrics.tape = None
+            gc.collect()
+            held = live - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return live, held, entries
+
+    def test_log_is_compact_and_grows_slowly(self):
+        """The tape holds at most ``BYTES_PER_ENTRY`` bytes per log
+        entry, and live memory after ``run()`` grows at most a third as
+        fast per simulated second as it did with formatted rows."""
+        self._live_and_held(1_000)  # lazy imports and caches fill
+        short, long = self._live_and_held(1_000), self._live_and_held(3_000)
+        for _, held, entries in (short, long):
+            assert held <= self.BYTES_PER_ENTRY * entries, (held, entries)
+        growth_per_s = (long[0] - short[0]) / 2
+        assert 0 < growth_per_s <= self.FORMATTED_GROWTH_PER_S / 3
 
 
 def _relay_bsm(simulation, generated_at_us, user_id="U1"):
@@ -1505,7 +1714,7 @@ class TestDuplicateWindow:
         ]
         assert metrics.duplicates_suppressed == 1
         assert [r[4].endswith(" duplicate")
-                for r in TraceRows(metrics)] == [False, False, True]
+                for r in metrics.tape] == [False, False, True]
 
     def test_held_keys_do_not_grow_with_run_length(self):
         doc = """
