@@ -268,19 +268,20 @@ class TraceRows:
 
     def delivery(self, record: DeliveryGroup, rows: int) -> None:
         """A delivery record of ``rows`` (subject, receiver) pairs."""
-        path = (record.uplink, record.downlink, record.topic)
+        (receivers, subjects, _, uplink, downlink, generated_at_us,
+         delivered_at_us, _, topic, duplicates) = record
+        path = (uplink, downlink, topic)
         number = self._path_numbers.get(path)
         if number is None:
             number = self._path_numbers[path] = len(self._paths)
             self._paths.append(path)
-        receivers = record.receivers
         self._kinds.append(_DELIVERY + number)
-        self._ints.append(record.delivered_at_us)
-        self._ints.append(record.generated_at_us)
+        self._ints.append(delivered_at_us)
+        self._ints.append(generated_at_us)
         self._refs.append(receivers.mask if type(receivers) is _Cut
-                         else receivers)
-        self._refs.append(record.subjects)
-        self._refs.append(record.duplicates)
+                          else receivers)
+        self._refs.append(subjects)
+        self._refs.append(duplicates)
         self._rows += rows
 
     def __iter__(self) -> Iterator[tuple[str, ...]]:

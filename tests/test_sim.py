@@ -988,7 +988,7 @@ def _eager_rows(simulation):
                  f"track={track_id}", detail)]
 
     def metrics_tick(at_us, coverage):
-        label = ("no-pairs" if coverage is None else f"{coverage:.4f}")
+        label = "no-pairs" if coverage is None else f"{coverage:.4f}"
         return [(at(at_us), "MetricsTick", "sim", "", f"coverage={label}")]
 
     def delivery(record, count):
@@ -1112,8 +1112,9 @@ class TestGroupRecords:
         assert len(rows) == 5
 
     def test_duplicate_flags_of_a_group_cut_by_drops(self):
-        """A cut group's mask is built when it is delivered: its
-        duplicate flags match the reference too."""
+        """A cut group's mask is built when it is cut: its duplicate
+        flags match the reference too, and the trace, which holds the
+        cut as that mask, reads the same rows."""
         simulation = Simulation(scenario(DROPPED_DUPLICATES))
         records = collect_records(simulation)
         deliveries = collect_deliveries(simulation)
