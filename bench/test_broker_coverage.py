@@ -23,7 +23,6 @@ from arsusim.messages import (
     LinkTech,
     MqttEnvelope,
     PositionAccuracy,
-    RoadUserId,
     Topic,
     make_bsm,
 )
@@ -54,7 +53,7 @@ def subscribed_broker(drop_probability=0.0):
 
 def _cell_envelope():
     bsm = make_bsm(
-        RoadUserId(USERS[0]), LocalFrame(0.0, 0.0).position_at(0.0, 0.0),
+        USERS[0], LocalFrame(0.0, 0.0).position_at(0.0, 0.0),
         0.0, 0.0, PositionAccuracy(horizontal_sigma_m=1.0),
         LinkTech.CELL_MQTT, 0,
     )

@@ -6,9 +6,10 @@ Times one ``Simulation._on_detections_ready`` in steady state, for N in
 and one DSRC, one C-V2X and one Cell user stand outside it to receive.
 Every detection refreshes its track, so the frame classifies N
 detections, publishes N BSMs on IPU one by one, and casts them to each
-generation target as one run: one arrival, one ``_deliver`` heap entry,
-per plan group. The heap is never run, so each round's three entries
-stay in it. Run from the root of a checkout:
+generation target as one run: one arrival, one ``_deliver`` heap entry
+carrying its ``DeliveryGroup``, per plan group. The heap is never run,
+so each round's three entries stay in it. Run from the root of a
+checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-enable --benchmark-only -q
 

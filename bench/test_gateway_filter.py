@@ -37,7 +37,6 @@ from arsusim.messages import (
     Detection,
     LinkTech,
     PositionAccuracy,
-    RoadUserId,
     Topic,
     make_bsm,
 )
@@ -78,7 +77,7 @@ def loaded_gateway(points, bsm_offset, sigma_m=5.0):
     dx, dy = bsm_offset
     for i, (x, y) in enumerate(points):
         bsm = make_bsm(
-            RoadUserId(f"U{i}"), FRAME.position_at(x + dx, y + dy),
+            f"U{i}", FRAME.position_at(x + dx, y + dy),
             0.0, 0.0, PositionAccuracy(1.0), LinkTech.DSRC, 400_000,
         )
         gw.on_rx(bsm, LinkTech.DSRC, 400_000)
@@ -123,7 +122,7 @@ def test_on_rx(benchmark, n):
         """The i-th BSM to arrive, at (x_m, y_m), as on_rx arguments."""
         at = PROCESSING_US + i * step_us
         bsm = make_bsm(
-            RoadUserId(f"U{i}"), FRAME.position_at(x_m, y_m),
+            f"U{i}", FRAME.position_at(x_m, y_m),
             0.0, 0.0, PositionAccuracy(1.0), LinkTech.DSRC, at,
         )
         return (bsm, LinkTech.DSRC, at), {}

@@ -112,10 +112,10 @@ def test_run_camera_crowd(benchmark):
     records = 0
     record_delivery = simulation.metrics.record_delivery
 
-    def counting(record, rows):
+    def counting(record):
         nonlocal records
         records += 1
-        record_delivery(record, rows)
+        record_delivery(record)
 
     simulation.metrics.record_delivery = counting
     assert simulation.run().metrics.delivered == 7_758

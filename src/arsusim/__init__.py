@@ -36,7 +36,6 @@ from .messages import (
     MqttEnvelope,
     Position,
     PositionAccuracy,
-    RoadUserId,
     Topic,
     ValidationError,
     make_bsm,
@@ -65,7 +64,6 @@ __all__ = [
     "MqttEnvelope",
     "Position",
     "PositionAccuracy",
-    "RoadUserId",
     "RoadUserKind",
     "RunResult",
     "SAFETY_APPS",

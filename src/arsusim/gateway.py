@@ -78,7 +78,6 @@ from .messages import (
     Detection,
     LinkTech,
     Position,
-    RoadUserId,
     SYNTHETIC_ID_PREFIX,
     Topic,
     make_ipu_bsm,
@@ -111,13 +110,13 @@ class FilterStatus(Enum):
 
 class DetectionOutcome(NamedTuple):
     status: FilterStatus
-    matched_id: Optional[RoadUserId] = None
+    matched_id: Optional[str] = None
     track_id: Optional[int] = None
     #: Set only when this detection opened a new pending track; the
     #: caller is expected to schedule a grace-deadline event.
     deadline_us: Optional[int] = None
-    synthetic_id: Optional[RoadUserId] = None
-    #: The BSM a refresh generated, for each of ``GENERATION_TARGETS``.
+    #: The BSM a refresh generated, under the track's synthetic id, for
+    #: each of ``GENERATION_TARGETS``.
     generated: Optional[Bsm] = None
 
 
@@ -348,7 +347,7 @@ class HistoryStore(_Index):
 class DetectionTrack:
     track_id: int
     latest: Detection
-    synthetic_id: Optional[RoadUserId] = None
+    synthetic_id: Optional[str] = None
 
 
 def _hold(index: _Index, track: DetectionTrack, det: Detection) -> None:
@@ -372,7 +371,7 @@ class Gateway:
     def __init__(
         self,
         config: FilterConfig = FilterConfig(),
-        connected_ids: Optional[frozenset[RoadUserId]] = None,
+        connected_ids: Optional[frozenset[str]] = None,
     ):
         self.config = config
         self._shape = _GridShape(config.sigma_m)
@@ -382,8 +381,8 @@ class Gateway:
         self._next_track_id = 1
         self._next_synthetic = 1
         self._connected_ids = connected_ids or frozenset()
-        self._ghosts: list[tuple[RoadUserId, RoadUserId]] = []
-        self.synthetic_truth: dict[RoadUserId, Optional[RoadUserId]] = {}
+        self._ghosts: list[tuple[str, str]] = []
+        self.synthetic_truth: dict[str, Optional[str]] = {}
 
     # --- relaying ---
 
@@ -451,7 +450,6 @@ class Gateway:
             _hold(self._confirmed, track, det)
             return DetectionOutcome(
                 FilterStatus.NON_CONNECTED, None, track.track_id, None,
-                track.synthetic_id,
                 make_ipu_bsm(track.synthetic_id, det, self.config.sigma_m),
             )
 
@@ -478,9 +476,7 @@ class Gateway:
         track = self._pending.pop(track_id)
         if track is None:
             return None
-        track.synthetic_id = RoadUserId(
-            f"{SYNTHETIC_ID_PREFIX}{self._next_synthetic}"
-        )
+        track.synthetic_id = f"{SYNTHETIC_ID_PREFIX}{self._next_synthetic}"
         self._next_synthetic += 1
         _hold(self._confirmed, track, track.latest)
         truth = track.latest.truth_id
@@ -492,7 +488,7 @@ class Gateway:
 
     # --- introspection ---
 
-    def ghost_events(self) -> list[tuple[RoadUserId, RoadUserId]]:
+    def ghost_events(self) -> list[tuple[str, str]]:
         """(synthetic id, true id) pairs for confirmations of users that
         were in fact connected."""
         return list(self._ghosts)

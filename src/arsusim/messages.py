@@ -14,7 +14,6 @@ milliseconds (3 decimals) appear only in reports and traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
@@ -58,26 +57,8 @@ class Topic(str, Enum):
 SYNTHETIC_ID_PREFIX = "ipu:"
 
 
-@dataclass(frozen=True, order=True)
-class RoadUserId:
-    """Opaque, scenario-unique road user identifier (BSM transmitter id)."""
-
-    value: str
-
-    @property
-    def is_synthetic(self) -> bool:
-        return self.value.startswith(SYNTHETIC_ID_PREFIX)
-
-    def __str__(self) -> str:
-        return self.value
-
-
 class ValidationError(ValueError):
     """A message field is outside its allowed range."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 class Position(NamedTuple):
@@ -94,9 +75,10 @@ class PositionAccuracy(NamedTuple):
 
 
 class Bsm(NamedTuple):
-    """One road user's basic safety message (semantic subset)."""
+    """One road user's basic safety message (semantic subset). ``id`` is
+    the road user's scenario-unique transmitter id."""
 
-    id: RoadUserId
+    id: str
     position: Position
     accuracy: PositionAccuracy
     speed_kmh: float
@@ -111,7 +93,7 @@ class _DetectionFields(NamedTuple):
     heading_deg: float
     captured_at_us: int
     available_at_us: int
-    truth_id: Optional[RoadUserId] = None
+    truth_id: Optional[str] = None
 
 
 class Detection(_DetectionFields):
@@ -132,12 +114,10 @@ class Detection(_DetectionFields):
         heading_deg: float,
         captured_at_us: int,
         available_at_us: int,
-        truth_id: Optional[RoadUserId] = None,
+        truth_id: Optional[str] = None,
     ):
         if available_at_us < captured_at_us:
-            raise ValidationError(
-                "available_at", "detection available before capture"
-            )
+            raise ValidationError("detection available before capture")
         return tuple.__new__(cls, (
             estimate, speed_kmh, heading_deg, captured_at_us,
             available_at_us, truth_id,
@@ -146,7 +126,7 @@ class Detection(_DetectionFields):
     @classmethod
     def of_frame(
         cls,
-        rows: Iterable[tuple[Position, float, float, Optional[RoadUserId]]],
+        rows: Iterable[tuple[Position, float, float, Optional[str]]],
         captured_at_us: int,
         available_at_us: int,
     ) -> list[Detection]:
@@ -154,9 +134,7 @@ class Detection(_DetectionFields):
         heading_deg, truth_id)`` row. A frame has one capture and one
         available time, so their check runs once."""
         if available_at_us < captured_at_us:
-            raise ValidationError(
-                "available_at", "detection available before capture"
-            )
+            raise ValidationError("detection available before capture")
         new = tuple.__new__
         return [
             new(cls, (estimate, speed_kmh, heading_deg, captured_at_us,
@@ -176,12 +154,12 @@ class MqttEnvelope(_MqttEnvelopeFields):
 
     def __new__(cls, topic: Topic, payload: Bsm, published_at_us: int):
         if not isinstance(topic, Topic):
-            raise ValidationError("topic", f"unknown topic {topic!r}")
+            raise ValidationError(f"unknown topic {topic!r}")
         return tuple.__new__(cls, (topic, payload, published_at_us))
 
 
 def make_bsm(
-    user_id: RoadUserId,
+    user_id: str,
     position: Position,
     speed_kmh: float,
     heading_deg: float,
@@ -196,7 +174,7 @@ def make_bsm(
     confirmed non-connected users (see :func:`make_ipu_bsm`).
     """
     if tech is LinkTech.CAMERA:
-        raise ValidationError("origin_tech", "camera is not a BSM origin")
+        raise ValidationError("camera is not a BSM origin")
     bsm = Bsm(
         id=user_id,
         position=position,
@@ -208,12 +186,12 @@ def make_bsm(
     )
     violations = validate_bsm(bsm)
     if violations:
-        raise ValidationError("bsm", violations[0])
+        raise ValidationError(violations[0])
     return bsm
 
 
 def make_ipu_bsm(
-    synthetic_id: RoadUserId,
+    synthetic_id: str,
     detection: Detection,
     sigma_m: float,
 ) -> Bsm:
@@ -223,9 +201,9 @@ def make_ipu_bsm(
     calibration error as its reported accuracy, and the capture time as
     its data epoch.
     """
-    if not synthetic_id.is_synthetic:
+    if not synthetic_id.startswith(SYNTHETIC_ID_PREFIX):
         raise ValidationError(
-            "id", f"generated BSM id must start with {SYNTHETIC_ID_PREFIX!r}"
+            f"generated BSM id must start with {SYNTHETIC_ID_PREFIX!r}"
         )
     return Bsm(
         synthetic_id, detection.estimate, _camera_accuracy(sigma_m),
@@ -263,7 +241,8 @@ def validate_bsm(bsm: Bsm, now_us: Optional[int] = None) -> list[str]:
         violations.append("negative timestamp")
     elif now_us is not None and bsm.generated_at_us > now_us:
         violations.append("generated_at exceeds current simulation time")
-    if bsm.origin_tech is LinkTech.CAMERA and not bsm.id.is_synthetic:
+    if (bsm.origin_tech is LinkTech.CAMERA
+            and not bsm.id.startswith(SYNTHETIC_ID_PREFIX)):
         violations.append("camera origin requires a synthetic id")
     return violations
 

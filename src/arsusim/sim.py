@@ -28,10 +28,13 @@ detection. One ``_send`` serves every gateway send: a relay or a
 confirmation is a run of one BSM, and a camera frame's refreshes are
 sent as runs, each cast to a plan group at once, as one arrival per
 plan group (see "Frames"); the broker still takes one publish per BSM.
-An arrival is recorded once, as a ``DeliveryGroup`` of one BSM or
-several, which is written to the run's trace and not kept. A run keeps
-its trace as one compact tape, ``Metrics.tape``, a ``TraceRows``: one
-kind byte per entry, in event order, with integer and float columns
+An arrival is one record, a ``DeliveryGroup`` of one BSM or several,
+from its cast to the trace: the cast builds and schedules it, its
+delivery adds duplicate flags only where a receiver already had a BSM,
+and it is written to the run's trace and not kept. Road users are named
+by their plain string ids throughout. A run keeps its trace as one
+compact tape, ``Metrics.tape``, a ``TraceRows``: one kind byte per
+entry, in event order, with integer and float columns
 and references to objects the run already shares (plan groups, a
 frame's tuple of subjects, cached detail strings). A camera frame's
 detections are one entry, and a delivery record is one entry however
@@ -41,7 +44,7 @@ and iteration, and formats each row as it is read, one ``at_ms`` per
 instant and one label per delivery path and latency. Awareness is the
 ``last_heard`` matrix. The tests see each delivery by wrapping
 ``Metrics.record_delivery``, which is passed every record as it is
-made.
+delivered.
 Delivery bookkeeping is per arrival, not per (BSM, receiver): the BSMs
 of an arrival share their generation time, so the duplicate window,
 which holds one bitmask per subject of each generation time, is pruned
@@ -74,7 +77,6 @@ from .messages import (
     MqttEnvelope,
     Position,
     PositionAccuracy,
-    RoadUserId,
     Topic,
     make_bsm,
     ms_to_us,
@@ -96,7 +98,7 @@ class SimUser:
     resolves from it (speed, µs timing, link half) or moves."""
 
     index: int
-    id: RoadUserId
+    id: str
     spec: UserSpec
     x_m: float
     y_m: float
@@ -131,22 +133,25 @@ def step_mobility(user: SimUser, dt_us: int) -> None:
 
 class DeliveryGroup(NamedTuple):
     """BSMs generated at one instant handed to the same road users at one
-    instant: one arrival, the fields its deliveries share held once.
+    instant: one arrival, the fields its deliveries share held once. It
+    is the arrival's one record: ``_cast`` builds it and schedules it,
+    ``_deliver`` adds its duplicate flags, and the tape keeps its fields.
 
-    ``receivers`` (the send's plan's tuple, unless a broker drop cut it)
+    ``receivers`` (the send's plan group, unless a broker drop cut it)
     and ``truth_indices`` are user indices; ``subjects`` and
-    ``truth_indices`` hold one entry per BSM, in order. ``duplicates``
-    holds per BSM one flag per receiver, or None when no receiver
-    already had that BSM; it is None when no receiver had any."""
+    ``truth_indices`` hold one entry per BSM, in order. ``topic`` is the
+    broker topic, None over the air. ``duplicates`` holds per BSM one
+    flag per receiver, or None when no receiver already had that BSM; it
+    is None when no receiver had any, and until the arrival is
+    delivered."""
 
-    receivers: tuple[int, ...]
+    receivers: _Group
     subjects: tuple[str, ...]
     truth_indices: tuple[int, ...]
     uplink: LinkTech
     downlink: LinkTech
     generated_at_us: int
     delivered_at_us: int
-    latency_ms: float
     topic: Optional[Topic]
     duplicates: Optional[tuple[Optional[tuple[bool, ...]], ...]]
 
@@ -269,7 +274,7 @@ class TraceRows:
     def delivery(self, record: DeliveryGroup, rows: int) -> None:
         """A delivery record of ``rows`` (subject, receiver) pairs."""
         (receivers, subjects, _, uplink, downlink, generated_at_us,
-         delivered_at_us, _, topic, duplicates) = record
+         delivered_at_us, topic, duplicates) = record
         path = (uplink, downlink, topic)
         number = self._path_numbers.get(path)
         if number is None:
@@ -400,12 +405,11 @@ class Metrics:
         reads its ``len()`` (ROADMAP item 9); read ``delivered``."""
         return range(self.delivered)
 
-    def record_delivery(self, record: DeliveryGroup,
-                        rows: np.ndarray) -> None:
-        """Record one arrival's ``DeliveryGroup``, whose receivers are
-        ``rows`` of ``last_heard``: its fields go to the tape, and the
-        record is not kept."""
+    def record_delivery(self, record: DeliveryGroup) -> None:
+        """Record one arrival's ``DeliveryGroup``: its fields go to the
+        tape, and the record is not kept."""
         truth, uplink, downlink, generated_at_us, delivered_at_us = record[2:7]
+        rows = record.receivers.rows
         # Events run in time order, so these deliveries are the latest.
         if len(truth) == 1:
             n = len(rows)
@@ -503,20 +507,20 @@ class RunResult:
 # writes ``last_heard`` through the array; it works out per-receiver flags
 # only when some receiver already had the BSM. A group cut by a drop is a
 # ``_Cut``, whose array and mask are built with it; the tape keeps only
-# its mask, from which the reader rebuilds its receivers. An arrival
-# built by hand is a plain tuple, whose array and mask the delivery
-# builds and does not keep.
+# its mask, from which the reader rebuilds its receivers.
 #
-# Arrivals. A cast schedules one ``_Arrival``, one ``_deliver`` event,
-# per group of its plan. An arrival carries a run: BSMs generated at one
-# instant, in order, as their subject ids and truth indices, worked out
-# once per cast. The heap runs one instant's entries in seq order, and
-# one handler's ``_schedule`` calls take increasing seqs; so one
-# instant's arrivals run in the order they were cast, and an event
-# scheduled between two casts runs between them. A delivery schedules
-# nothing. An arrival's deliveries share one latency, and nothing comes
-# between its BSMs: its ``DeliveryGroup`` expands, BSM by BSM, to the
-# rows of the one-BSM records that casting each BSM alone, one after
+# Arrivals. A cast schedules one ``_deliver`` event per group of its
+# plan, whose argument is the arrival's ``DeliveryGroup``: the one record
+# of it, from the cast to the tape. An arrival carries a run: BSMs
+# generated at one instant, in order, as their subject ids and truth
+# indices, worked out once per cast. A cast checks once that it is not
+# sent before its BSMs were generated. The heap runs one instant's
+# entries in seq order, and one handler's ``_schedule`` calls take
+# increasing seqs; so one instant's arrivals run in the order they were
+# cast, and an event scheduled between two casts runs between them. A
+# delivery schedules nothing. An arrival's deliveries share one latency,
+# and nothing comes between its BSMs: its record expands, BSM by BSM, to
+# the rows of the one-BSM records that casting each BSM alone, one after
 # another, would give.
 #
 # Drops. ``_publish`` calls the broker once per BSM, in order, so the drop
@@ -562,7 +566,10 @@ class _Group(tuple):
 
     def __new__(cls, receivers: Iterable[int]) -> _Group:
         group = super().__new__(cls, receivers)
-        group.rows, group.mask = _rows_and_mask(group)
+        mask = 0
+        for r in group:
+            mask |= 1 << r
+        group.rows, group.mask = np.array(group, dtype=np.intp), mask
         return group
 
 
@@ -571,30 +578,8 @@ class _Cut(_Group):
     order: increasing user index, so the tape holds only its mask."""
 
 
-def _rows_and_mask(receivers: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """``receivers`` as an index array of ``last_heard`` rows, and as a
-    bitmask."""
-    mask = 0
-    for r in receivers:
-        mask |= 1 << r
-    return np.array(receivers, dtype=np.intp), mask
-
-
-class _Arrival(NamedTuple):
-    """BSMs generated at one instant reaching some road users at one:
-    their subject ids and truth indices, in order."""
-
-    receivers: tuple[int, ...]  # user indices: a _Group, or a cut of one
-    subjects: tuple[str, ...]
-    truth_indices: tuple[int, ...]
-    generated_at_us: int
-    uplink: LinkTech
-    downlink: LinkTech
-    topic: Optional[Topic] = None  # the broker topic; None over the air
-
-
 #: A send's ``(µs, receivers)`` groups, one per distinct arrival time.
-_Plan = tuple[tuple[int, tuple[int, ...]], ...]
+_Plan = tuple[tuple[int, _Group], ...]
 
 
 def _group_by_time(arrivals: Iterable[tuple[int, int]]) -> _Plan:
@@ -628,7 +613,7 @@ class Simulation:
             if tech is not None:
                 by_tech.setdefault(tech, []).append(user)
         cell_users = by_tech.get(LinkTech.CELL_MQTT, [])
-        ids = [u.id.value for u in self.users]
+        ids = [u.id for u in self.users]
         #: The user index of each subject id's road user: its own, or the
         #: detected user of a synthetic id, added when it is confirmed.
         self._truth_of = {user_id: i for i, user_id in enumerate(ids)}
@@ -682,7 +667,7 @@ class Simulation:
         # Nonnative users subscribe to all four topics (their downlink).
         for user in cell_users:
             for topic in Topic:
-                self.broker.subscribe(user.id.value, topic)
+                self.broker.subscribe(user.id, topic)
 
         # Plans follow those subscriptions' order. A broadcast's link half
         # is its faster endpoint's (max(speeds) is one endpoint's speed); a
@@ -731,7 +716,7 @@ class Simulation:
             half_us = ms_to_us(self.model.half_delay(tech, link_speed))
         return SimUser(
             index=index,
-            id=RoadUserId(spec.user_id),
+            id=spec.user_id,
             spec=spec,
             x_m=spec.x_m,
             y_m=spec.y_m,
@@ -791,10 +776,7 @@ class Simulation:
             trace_rows=self.metrics.tape,
             final_coverage=final,
             mean_coverage=mean_cov,
-            ghost_pairs=[
-                (syn.value, truth.value)
-                for syn, truth in (gateway.ghost_events() if gateway else [])
-            ],
+            ghost_pairs=gateway.ghost_events() if gateway else [],
         )
 
     # --- event handlers ---
@@ -839,7 +821,7 @@ class Simulation:
         ``plan`` to the road users the broker kept: the BSMs whose
         publish kept every subscriber as runs, each other alone."""
         broker = self.broker
-        client = ARSU_CLIENT if publisher is None else publisher.id.value
+        client = ARSU_CLIENT if publisher is None else publisher.id
         run = []
         for bsm in bsms:
             drops = broker.drop_count
@@ -874,13 +856,18 @@ class Simulation:
               uplink: LinkTech, downlink: LinkTech,
               topic: Optional[Topic] = None) -> None:
         """Schedule the arrival of ``bsms``, a run generated at one
-        instant, at each group of ``plan``: one event per group."""
-        subjects, truth = self._subjects(bsms)
+        instant, at each group of ``plan``: one event per group, whose
+        argument is the arrival's ``DeliveryGroup``."""
         generated_at_us = bsms[0].generated_at_us
+        if sent_us < generated_at_us:
+            raise SimulationInvariantError(
+                "a send precedes its BSM's generation")
+        subjects, truth = self._subjects(bsms)
         for offset_us, receivers in plan:
-            self._schedule(sent_us + offset_us, self._deliver, _Arrival(
-                receivers, subjects, truth, generated_at_us, uplink,
-                downlink, topic))
+            at_us = sent_us + offset_us
+            self._schedule(at_us, self._deliver, DeliveryGroup(
+                receivers, subjects, truth, uplink, downlink,
+                generated_at_us, at_us, topic, None))
 
     def _on_gateway_rx(
         self, now_us: int, arg: tuple[Bsm, LinkTech, Optional[Topic]]
@@ -899,7 +886,7 @@ class Simulation:
                 kind, detail = "MqttDelivery", f"topic={topic.value}"
             label = self._rx_labels[key] = (
                 kind, f"{detail} actions={len(targets)}")
-        self.metrics.tape.gateway_rx(now_us, label, bsm.id.value)
+        self.metrics.tape.gateway_rx(now_us, label, bsm.id)
         self._send([bsm], targets, medium, now_us)
 
     def _send(self, bsms: list[Bsm], targets: tuple[Target, ...],
@@ -927,22 +914,17 @@ class Simulation:
                     self._publish(None, relays[medium], run, topic, uplink,
                                   now_us)
 
-    def _deliver(self, now_us: int, arrival: _Arrival) -> None:
+    def _deliver(self, now_us: int, record: DeliveryGroup) -> None:
         """Hand an arrival's BSMs to its receivers: one delivery, and one
-        executed event, per (BSM, receiver); the arrival is recorded
-        once, as a ``DeliveryGroup``. Its BSMs share their generation
-        time, so the duplicate window is pruned and checked once."""
-        (receivers, subjects, truth, generated_at_us, uplink, downlink,
-         topic) = arrival
-        latency_ms = us_to_ms(now_us - generated_at_us)
-        if latency_ms < 0:
-            raise SimulationInvariantError("delivery precedes generation")
-        if isinstance(receivers, _Group):
-            rows, mask = receivers.rows, receivers.mask
-        else:
-            rows, mask = _rows_and_mask(receivers)
+        executed event, per (BSM, receiver); the arrival's record gains
+        duplicate flags only where a receiver already had a BSM, and is
+        recorded once. Its BSMs share their generation time, so the
+        duplicate window is pruned and checked once."""
+        receivers = record.receivers
+        subjects = record.subjects
+        mask = receivers.mask
         metrics = self.metrics
-        seen = self._seen.held(generated_at_us, now_us)
+        seen = self._seen.held(record.generated_at_us, now_us)
         flags = None
         # Read per BSM: two BSMs of one arrival can share a subject.
         for i, subject in enumerate(subjects):
@@ -958,9 +940,9 @@ class Simulation:
                     bool(had >> r & 1) for r in receivers)
                 metrics.duplicates_suppressed += sum(duplicates)
         metrics.events_executed += len(receivers) * len(subjects) - 1
-        metrics.record_delivery(DeliveryGroup(
-            receivers, subjects, truth, uplink, downlink, generated_at_us,
-            now_us, latency_ms, topic, flags and tuple(flags)), rows)
+        if flags is not None:
+            record = record._replace(duplicates=tuple(flags))
+        metrics.record_delivery(record)
 
     def _subjects(self, bsms: list[Bsm]) -> tuple[tuple, tuple]:
         """The subject ids of ``bsms`` and their truth indices, for one
@@ -969,7 +951,7 @@ class Simulation:
         each piece of it, is cast to each medium one after another, so
         its arrivals on every medium share these tuples."""
         if len(bsms) == 1:
-            subject = bsms[0].id.value
+            subject = bsms[0].id
             single = self._single.get(subject)
             if single is None:
                 truth_index = self._truth_of.get(subject)
@@ -981,7 +963,7 @@ class Simulation:
         batched_bsms, subjects, truth = self._batched
         if bsms == batched_bsms:
             return subjects, truth
-        new_subjects = tuple([bsm.id.value for bsm in bsms])
+        new_subjects = tuple([bsm.id for bsm in bsms])
         new_truth = tuple(map(self._truth_of.get, new_subjects))
         if new_subjects != subjects or new_truth != truth:
             if None in new_truth:
@@ -1041,7 +1023,7 @@ class Simulation:
         run = []
         for detection in detections:
             outcome = on_detection(detection, now_us)
-            status, matched_id, track_id, deadline_us, _, generated = outcome
+            status, matched_id, track_id, deadline_us, generated = outcome
             # Only a match is Connected, and only a refresh generates: the
             # key gives the status without hashing it.
             key = (matched_id, track_id, generated is None)
@@ -1049,12 +1031,11 @@ class Simulation:
             if detail is None:
                 detail = status.value
                 if matched_id is not None:
-                    detail += f" matched={matched_id.value}"
+                    detail += f" matched={matched_id}"
                 if track_id is not None:
                     detail += f" track={track_id}"
                 details[key] = detail
-            truth = detection.truth_id
-            ready.append(truth.value if truth else "?")
+            ready.append(detection.truth_id or "?")
             ready.append(detail)
             if deadline_us is not None:
                 if run:
@@ -1077,7 +1058,7 @@ class Simulation:
         tape.grace_deadline(now_us, track_id, _CONFIRMED)
         truth = self.gateway.synthetic_truth[bsm.id]
         if truth is not None:
-            self._truth_of[bsm.id.value] = self._truth_of[truth.value]
+            self._truth_of[bsm.id] = self._truth_of[truth]
         self._send([bsm], GENERATION_TARGETS, LinkTech.CAMERA, now_us)
 
     def _on_metrics_tick(self, now_us: int, _: None) -> None:

@@ -13,9 +13,9 @@ from arsusim.messages import (
     MqttEnvelope,
     Position,
     PositionAccuracy,
-    RoadUserId,
     Topic,
     make_bsm,
+    us_to_ms,
 )
 from arsusim.sim import (
     NEVER_HEARD,
@@ -40,7 +40,7 @@ def bsm_at(
 ) -> Bsm:
     """A valid BSM at a local-frame position, for filter/relay tests."""
     return make_bsm(
-        RoadUserId(user),
+        user,
         FRAME.position_at(x_m, y_m),
         speed_kmh,
         heading_deg,
@@ -114,8 +114,8 @@ def collect_records(simulation: Simulation) -> list[DeliveryGroup]:
     metrics = simulation.metrics
     record_delivery = metrics.record_delivery
 
-    def recording(record, rows):
-        record_delivery(record, rows)
+    def recording(record):
+        record_delivery(record)
         records.append(record)
 
     metrics.record_delivery = recording
@@ -132,8 +132,8 @@ def collect_deliveries(simulation: Simulation) -> list[Delivery]:
     record_delivery = metrics.record_delivery
     ids = metrics.ids
 
-    def collecting(record, rows):
-        record_delivery(record, rows)
+    def collecting(record):
+        record_delivery(record)
         for subject, truth_index, flags in zip(
                 record.subjects, record.truth_indices,
                 record.duplicates or (None,) * len(record.subjects)):
@@ -143,7 +143,8 @@ def collect_deliveries(simulation: Simulation) -> list[Delivery]:
                     ids[receiver], subject, ids[truth_index],
                     record.uplink, record.downlink,
                     record.generated_at_us, record.delivered_at_us,
-                    record.latency_ms, duplicate, record.topic))
+                    us_to_ms(record.delivered_at_us - record.generated_at_us),
+                    duplicate, record.topic))
 
     metrics.record_delivery = collecting
     return deliveries

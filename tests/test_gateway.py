@@ -18,7 +18,6 @@ from arsusim.messages import (
     LinkTech,
     Position,
     PositionAccuracy,
-    RoadUserId,
     SYNTHETIC_ID_PREFIX,
     Topic,
     make_bsm,
@@ -40,7 +39,7 @@ def detection_at(
         heading_deg=heading,
         captured_at_us=captured_us,
         available_at_us=captured_us + processing_us,
-        truth_id=RoadUserId(truth) if truth else None,
+        truth_id=truth,
     )
 
 
@@ -233,7 +232,7 @@ class TestHistory:
         gw.on_rx(bsm_at("U3", x_m=90, tech=LinkTech.DSRC, now_us=150_000),
                  LinkTech.DSRC, 150_000)
         gw.history.prune(240_000)  # cutoff 40 ms: drops the first only
-        ids = [bsm.id.value for bsm, _ in gw.history]
+        ids = [bsm.id for bsm, _ in gw.history]
         assert ids == ["U2", "U3"]
 
 
@@ -244,7 +243,7 @@ class TestDetectionFilter:
                  LinkTech.DSRC, 250_000)
         outcome = gw.on_detection(detection_at(10.0, 0.0), 300_000)
         assert outcome.status is FilterStatus.CONNECTED
-        assert outcome.matched_id == RoadUserId("U1")
+        assert outcome.matched_id == "U1"
         assert outcome.generated is None
 
     def test_ten_meters_off_goes_pending_then_non_connected(self):
@@ -257,7 +256,7 @@ class TestDetectionFilter:
         assert outcome.deadline_us == 400_000
         payload = gw.on_grace_deadline(outcome.track_id)
         assert GENERATION_TARGETS == (TX_DSRC, TX_CV2X, publish(Topic.IPU))
-        assert payload.id.is_synthetic
+        assert payload.id.startswith(SYNTHETIC_ID_PREFIX)
         assert payload.origin_tech is LinkTech.CAMERA
         assert payload.generated_at_us == det.captured_at_us
 
@@ -287,7 +286,7 @@ class TestDetectionFilter:
         gw.on_rx(bsm_at("FAR", x_m=13.0, tech=LinkTech.DSRC, now_us=250_000),
                  LinkTech.DSRC, 251_000)
         outcome = gw.on_detection(detection_at(10.0, 0.0), 300_000)
-        assert outcome.matched_id == RoadUserId("NEAR")
+        assert outcome.matched_id == "NEAR"
 
     def test_distance_tie_broken_by_most_recent(self):
         gw = Gateway()
@@ -296,7 +295,7 @@ class TestDetectionFilter:
         gw.on_rx(bsm_at("NEW", x_m=12.0, tech=LinkTech.DSRC, now_us=251_000),
                  LinkTech.DSRC, 251_000)
         outcome = gw.on_detection(detection_at(12.0, 0.0), 300_000)
-        assert outcome.matched_id == RoadUserId("NEW")
+        assert outcome.matched_id == "NEW"
 
     def test_boundary_distance_is_not_a_match(self):
         gw = Gateway(FilterConfig(sigma_m=5.0))
@@ -314,7 +313,6 @@ class TestDetectionFilter:
             detection_at(10.5, 0.0, captured_us=100_000), 400_000
         )
         assert refresh.status is FilterStatus.NON_CONNECTED
-        assert refresh.synthetic_id == synthetic
         assert refresh.generated.id == synthetic
         assert refresh.generated.generated_at_us == 100_000
         assert gw.confirmed_tracks == 1
@@ -347,7 +345,7 @@ class TestDetectionFilter:
         b = gw.on_detection(detection_at(80.0, 0.0), 300_000)
         bsm_a = gw.on_grace_deadline(a.track_id)
         bsm_b = gw.on_grace_deadline(b.track_id)
-        ids = {bsm_a.id.value, bsm_b.id.value}
+        ids = {bsm_a.id, bsm_b.id}
         assert ids == {"ipu:1", "ipu:2"}
 
 
@@ -357,7 +355,7 @@ def _gateway_at(sigma_m, bsms=(), detections=()):
     the detections' outcomes."""
     gw = Gateway(FilterConfig(sigma_m=sigma_m))
     for user, position in bsms:
-        bsm = make_bsm(RoadUserId(user), position, 0.0, 0.0,
+        bsm = make_bsm(user, position, 0.0, 0.0,
                        PositionAccuracy(1.0), LinkTech.DSRC, 300_000)
         gw.on_rx(bsm, LinkTech.DSRC, 300_000)
     outcomes = [
@@ -434,7 +432,7 @@ class TestFilterGrid:
                 detection_at(offset, offset, captured_us=now - 300_000), now
             )
             assert outcome.status is FilterStatus.NON_CONNECTED
-            assert outcome.synthetic_id == synthetic
+            assert outcome.generated.id == synthetic
         assert gw.pending_tracks == 0
         assert gw.confirmed_tracks == 1
 
@@ -453,7 +451,7 @@ class TestFilterGrid:
             _, (outcome,) = _gateway_at(
                 self.SIGMA, bsms=[("U1", bsm_at_)] + fillers,
                 detections=[det_at])
-            assert outcome.matched_id == RoadUserId("U1")
+            assert outcome.matched_id == "U1"
         # A confirmed track follows its user across the antimeridian.
         gw, outcomes = _gateway_at(
             self.SIGMA, detections=[west] + [p for _, p in fillers])
@@ -474,7 +472,7 @@ class TestFilterGrid:
         assert shape.reach(Position(60.0, 30.0)).width < 10
         _, (outcome,) = _gateway_at(
             self.SIGMA, bsms=[("U1", there)], detections=[here])
-        assert outcome.matched_id == RoadUserId("U1")
+        assert outcome.matched_id == "U1"
 
     def test_full_tie_goes_to_first_added(self):
         # mirror images about the equator are exactly equidistant from it;
@@ -485,7 +483,7 @@ class TestFilterGrid:
         gw.on_rx(bsm_at("SOUTH", y_m=-3.0, now_us=300_000),
                  LinkTech.DSRC, 300_000)
         outcome = gw.on_detection(detection_at(0.0, 0.0), 300_000)
-        assert outcome.matched_id == RoadUserId("NORTH")
+        assert outcome.matched_id == "NORTH"
 
         gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
         north = gw.on_detection(detection_at(0.0, 3.0), 300_000)
@@ -502,7 +500,7 @@ class TestFilterGrid:
         _, (outcome,) = _gateway_at(
             self.SIGMA, bsms=[("EAST", east), ("WEST", west)],
             detections=[position_at(0.0, 0.0)])
-        assert outcome.matched_id == RoadUserId("EAST")
+        assert outcome.matched_id == "EAST"
 
     def test_one_bsm_resolves_pending_tracks_in_two_rows(self):
         gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
@@ -560,12 +558,12 @@ class TestFilterGrid:
 
 class TestGhosts:
     def test_no_camera_means_no_ghosts(self):
-        gw = Gateway(connected_ids=frozenset({RoadUserId("U1")}))
+        gw = Gateway(connected_ids=frozenset({"U1"}))
         gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC), LinkTech.DSRC, 0)
         assert gw.ghost_events() == []
 
     def test_connected_user_beyond_sigma_becomes_ghost(self):
-        gw = Gateway(connected_ids=frozenset({RoadUserId("U1")}))
+        gw = Gateway(connected_ids=frozenset({"U1"}))
         # reported position 8 m from the camera estimate, sigma 5 m
         gw.on_rx(bsm_at("U1", x_m=8.0, tech=LinkTech.DSRC, now_us=250_000),
                  LinkTech.DSRC, 250_000)
@@ -577,11 +575,11 @@ class TestGhosts:
         ghosts = gw.ghost_events()
         assert len(ghosts) == 1
         synthetic, truth = ghosts[0]
-        assert truth == RoadUserId("U1")
-        assert synthetic.is_synthetic
+        assert truth == "U1"
+        assert synthetic.startswith(SYNTHETIC_ID_PREFIX)
 
     def test_matched_user_is_not_a_ghost(self):
-        gw = Gateway(connected_ids=frozenset({RoadUserId("U1")}))
+        gw = Gateway(connected_ids=frozenset({"U1"}))
         gw.on_rx(bsm_at("U1", x_m=1.0, tech=LinkTech.DSRC, now_us=250_000),
                  LinkTech.DSRC, 250_000)
         outcome = gw.on_detection(
@@ -591,7 +589,7 @@ class TestGhosts:
         assert gw.ghost_count == 0
 
     def test_truly_non_connected_confirmation_is_not_a_ghost(self):
-        gw = Gateway(connected_ids=frozenset({RoadUserId("U1")}))
+        gw = Gateway(connected_ids=frozenset({"U1"}))
         outcome = gw.on_detection(
             detection_at(50.0, 0.0, truth="P1"), 300_000
         )
@@ -648,7 +646,7 @@ class LinearScanGateway:
         matched = self._nearest(
             det, [(b.position, at, b.id) for b, at in self.history])
         if matched is not None:
-            return ("Connected", matched, None, None, None, None)
+            return ("Connected", matched, None, None, None)
         tid = self._nearest(det, [
             (d.estimate, d.available_at_us, t)
             for t, (d, _) in self.confirmed.items()
@@ -656,25 +654,24 @@ class LinearScanGateway:
         if tid is not None:
             self.confirmed[tid][0] = det
             synthetic = self.confirmed[tid][1]
-            return ("NonConnected", None, tid, None, synthetic,
+            return ("NonConnected", None, tid, None,
                     make_ipu_bsm(synthetic, det, self.config.sigma_m))
         tid = self._nearest(det, [
             (d.estimate, d.available_at_us, t) for t, d in self.pending.items()
         ])
         if tid is not None:
             self.pending[tid] = det
-            return ("Pending", None, tid, None, None, None)
+            return ("Pending", None, tid, None, None)
         tid = self.next_track
         self.next_track += 1
         self.pending[tid] = det
-        return ("Pending", None, tid, now_us + self.config.grace_us, None,
-                None)
+        return ("Pending", None, tid, now_us + self.config.grace_us, None)
 
     def on_grace_deadline(self, track_id):
         det = self.pending.pop(track_id, None)
         if det is None:
             return None
-        synthetic = RoadUserId(f"{SYNTHETIC_ID_PREFIX}{self.next_synthetic}")
+        synthetic = f"{SYNTHETIC_ID_PREFIX}{self.next_synthetic}"
         self.next_synthetic += 1
         self.confirmed[track_id] = [det, synthetic]
         return make_ipu_bsm(synthetic, det, self.config.sigma_m)
@@ -682,7 +679,7 @@ class LinearScanGateway:
 
 def outcome_tuple(outcome):
     return (outcome.status.value, outcome.matched_id, outcome.track_id,
-            outcome.deadline_us, outcome.synthetic_id, outcome.generated)
+            outcome.deadline_us, outcome.generated)
 
 
 # Offsets in units of sigma from a walker that some detections follow,
@@ -761,7 +758,7 @@ def test_indexed_filter_matches_linear_scan(
     gw, ref = Gateway(config), LinearScanGateway(config)
 
     def rx(user, where, generated_at, origin, via):
-        bsm = make_bsm(RoadUserId(user), where, 0.0, 0.0,
+        bsm = make_bsm(user, where, 0.0, 0.0,
                        PositionAccuracy(1.0), origin, generated_at)
         assert gw.on_rx(bsm, via, now) == ref.on_rx(bsm, via, now)
 

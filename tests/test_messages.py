@@ -9,7 +9,6 @@ from arsusim.messages import (
     MqttEnvelope,
     Position,
     PositionAccuracy,
-    RoadUserId,
     ValidationError,
     make_bsm,
     make_ipu_bsm,
@@ -22,7 +21,7 @@ def _make(
     tech=LinkTech.DSRC, now=0, sigma=1.0, dop=1.0, user="U1",
 ):
     return make_bsm(
-        RoadUserId(user),
+        user,
         Position(lat, lon, elev),
         speed,
         heading,
@@ -62,14 +61,14 @@ class TestValidateBsm:
 
     def test_heading_boundary(self):
         bsm = Bsm(
-            RoadUserId("U1"), Position(0, 0), PositionAccuracy(1.0),
+            "U1", Position(0, 0), PositionAccuracy(1.0),
             0.0, 360.0, 0, LinkTech.DSRC,
         )
         assert any("heading" in v for v in validate_bsm(bsm))
 
     def test_negative_timestamp(self):
         bsm = Bsm(
-            RoadUserId("U1"), Position(0, 0), PositionAccuracy(1.0),
+            "U1", Position(0, 0), PositionAccuracy(1.0),
             0.0, 0.0, -1, LinkTech.DSRC,
         )
         assert any("negative timestamp" in v for v in validate_bsm(bsm))
@@ -81,7 +80,7 @@ class TestValidateBsm:
 
     def test_camera_origin_needs_synthetic_id(self):
         bsm = Bsm(
-            RoadUserId("U1"), Position(0, 0), PositionAccuracy(1.0),
+            "U1", Position(0, 0), PositionAccuracy(1.0),
             0.0, 0.0, 0, LinkTech.CAMERA,
         )
         assert any("synthetic" in v for v in validate_bsm(bsm))
@@ -113,7 +112,7 @@ class TestIpuBsm:
         )
 
     def test_carries_detection_kinematics_and_capture_epoch(self):
-        bsm = make_ipu_bsm(RoadUserId("ipu:1"), self._detection(), 5.0)
+        bsm = make_ipu_bsm("ipu:1", self._detection(), 5.0)
         assert bsm.generated_at_us == 1_000_000
         assert bsm.origin_tech is LinkTech.CAMERA
         assert bsm.accuracy.horizontal_sigma_m == 5.0
@@ -121,7 +120,7 @@ class TestIpuBsm:
 
     def test_rejects_non_synthetic_id(self):
         with pytest.raises(ValidationError):
-            make_ipu_bsm(RoadUserId("U1"), self._detection(), 5.0)
+            make_ipu_bsm("U1", self._detection(), 5.0)
 
 
 class TestDetection:

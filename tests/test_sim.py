@@ -12,17 +12,19 @@ from arsusim.broker import ARSU_CLIENT
 from arsusim.config import RoadUserKind, UserSpec, parse_scenario
 from arsusim.report import build_report_dict
 from arsusim.messages import (
+    SYNTHETIC_ID_PREFIX,
     LinkTech,
     PositionAccuracy,
-    RoadUserId,
     Topic,
     make_bsm,
     ms_to_us,
+    us_to_ms,
 )
 from arsusim.sim import (
-    _Arrival,
     _Cut,
+    _Group,
     _group_by_time,
+    DeliveryGroup,
     Simulation,
     SimulationInvariantError,
     SimUser,
@@ -53,7 +55,7 @@ def make_user(speed_kmh=0.0, heading_deg=0.0, x=0.0, y=0.0):
     )
     return SimUser(
         index=0,
-        id=RoadUserId("U1"),
+        id="U1",
         spec=spec,
         x_m=x,
         y_m=y,
@@ -209,11 +211,7 @@ ipu: {noise_std_m: 0}
 """
         result = run(scenario(doc))
         assert result.gateway.confirmed_tracks == 1
-        truth_by_synthetic = {
-            syn.value: truth.value
-            for syn, truth in result.gateway.synthetic_truth.items()
-        }
-        assert truth_by_synthetic == {"ipu:1": "P1"}
+        assert result.gateway.synthetic_truth == {"ipu:1": "P1"}
         assert result.ghost_pairs == []
 
     def test_three_users_in_coverage_three_detections_per_frame(self):
@@ -752,8 +750,8 @@ def _final_coverage_oracle(result):
     """Final coverage by brute force: the share of (connected receiver,
     other user) pairs whose awareness entry is within the freshness
     window at the end of the run."""
-    ids = [u.id.value for u in result.users]
-    connected = [u.id.value for u in result.users if u.spec.kind.is_connected]
+    ids = [u.id for u in result.users]
+    connected = [u.id for u in result.users if u.spec.kind.is_connected]
     end_us = result.config.duration_us
     freshness_us = ms_to_us(result.config.freshness_window_ms)
     heard = awareness(result.metrics)
@@ -905,7 +903,7 @@ class TestTraceProperties:
             if publisher != ARSU_CLIENT:
                 assert topic is Topic.CELL
             elif topic is Topic.IPU:
-                assert bsm.id.is_synthetic
+                assert bsm.id.startswith(SYNTHETIC_ID_PREFIX)
                 assert bsm.origin_tech is LinkTech.CAMERA
             else:
                 assert id(bsm) in heard_ids
@@ -993,8 +991,9 @@ def _eager_rows(simulation):
 
     def delivery(record, count):
         kind = "RadioDelivery" if record.topic is None else "MqttDelivery"
+        latency_ms = us_to_ms(record.delivered_at_us - record.generated_at_us)
         detail = (f"up={record.uplink.value} down={record.downlink.value}"
-                  f" latency_ms={record.latency_ms:.3f}")
+                  f" latency_ms={latency_ms:.3f}")
         if record.topic is not None:
             detail += f" topic={record.topic.value}"
         written = [
@@ -1127,9 +1126,9 @@ class TestGroupRecords:
 
 
 class TestGroupCast:
-    """A send schedules one ``_Arrival`` per distinct arrival time, with
-    the receivers that share it in send order, each its own ``_deliver``
-    event. The heap runs the events of one instant in schedule order."""
+    """A send schedules one ``DeliveryGroup`` per distinct arrival time,
+    with the receivers that share it in send order, each its own
+    ``_deliver`` event. The heap runs the events of one instant in schedule order."""
 
     DOC = """
 duration_ms: 1000
@@ -1328,9 +1327,31 @@ users:
         assert cell_users
         for user in cell_users:
             assert reached(simulation._plans[user.index], cell) == [
-                c for c in cell if c not in (user.id.value, ARSU_CLIENT)]
+                c for c in cell if c not in (user.id, ARSU_CLIENT)]
         ipu = list(subscribers[Topic.IPU])
         assert reached(simulation._relays[LinkTech.CELL_MQTT], ipu) == ipu
+
+    @pytest.mark.parametrize("generated", [[2_000], [2_000, 2_000]],
+                             ids=["one", "run"])
+    def test_send_before_generation_raises_and_schedules_nothing(
+            self, generated):
+        """A cast sent before its BSMs were generated raises, and leaves
+        the heap as it was; one sent at their generation instant is
+        scheduled."""
+        simulation = Simulation(scenario(MIXED_TABLE1))
+        plan = ((1_000, _Group((0, 1))),)
+        bsms = [_relay_bsm(simulation, at_us, f"U{i + 3}")
+                for i, at_us in enumerate(generated)]
+        with pytest.raises(SimulationInvariantError,
+                           match="send precedes its BSM's generation"):
+            simulation._cast(plan, 1_999, bsms, LinkTech.DSRC,
+                             LinkTech.CV2X)
+        assert (simulation._heap, simulation._seq) == ([], 0)
+        simulation._cast(plan, 2_000, bsms, LinkTech.DSRC, LinkTech.CV2X)
+        [(at_us, _, handler, record)] = simulation._heap
+        assert (at_us, handler) == (3_000, simulation._deliver)
+        assert (record.generated_at_us, record.delivered_at_us) == (
+            2_000, 3_000)
 
     def test_mixed_times_group_in_first_seen_order(self):
         assert _group_by_time(
@@ -1342,7 +1363,7 @@ users:
         arrival B at T: four events at T, which run in schedule order."""
         simulation = Simulation(scenario(MIXED_TABLE1))
         at_us = 50_000
-        plan = ((at_us - 1_000, (0,)),)
+        plan = ((at_us - 1_000, _Group((0,))),)
         a1, a2, b = (_relay_bsm(simulation, 1_000, f"U{i}") for i in (2, 3, 4))
         simulation._cast(plan, 1_000, [a1], LinkTech.CELL_MQTT,
                          LinkTech.DSRC)
@@ -1359,7 +1380,7 @@ users:
             (at_us, simulation._deliver),
         ]
         assert [entries[i][3].subjects for i in (0, 1, 3)] == [
-            (a1.id.value,), (a2.id.value,), (b.id.value,)]
+            (a1.id,), (a2.id,), (b.id,)]
         # The heap runs them in that order.
         heap = simulation._heap
         while heap:
@@ -1395,7 +1416,7 @@ users:
         """Two BSMs generated at one instant, cast one after the other
         through one plan group, arrive one after the other: one event,
         and one record, per cast."""
-        plan = ((8_000, (0, 1)),)
+        plan = ((8_000, _Group((0, 1))),)
         subjects, records, deliveries = self._cast_and_deliver(
             [(plan, "U3"), (plan, "U4")])
         assert subjects == [("U3",), ("U4",)]
@@ -1406,7 +1427,7 @@ users:
     def test_interleaved_plans_arrive_in_cast_order(self):
         """Casts through two groups of one instant alternate, and so do
         their arrivals."""
-        dsrc, cv2x = ((8_000, (0,)),), ((8_000, (1,)),)
+        dsrc, cv2x = ((8_000, _Group((0,))),), ((8_000, _Group((1,))),)
         subjects, records, deliveries = self._cast_and_deliver([
             (dsrc, "U3"), (cv2x, "U3"), (dsrc, "U4"), (cv2x, "U4"),
         ])
@@ -1443,8 +1464,8 @@ users:
         assert len(ready) == 1
         at_us, detections = ready[0]
         assert at_us == simulation.ipu_processing_us
-        assert [d.truth_id.value for d in detections] == [
-            u.id.value for u in simulation.users]
+        assert [d.truth_id for d in detections] == [
+            u.id for u in simulation.users]
 
         class EventPerDetection(Simulation):
             def _schedule(self, at_us, handler, arg=None):
@@ -1640,10 +1661,10 @@ users:
             records = 0
             record_delivery = simulation.metrics.record_delivery
 
-            def counting(record, rows):
+            def counting(record):
                 nonlocal records
                 records += 1
-                record_delivery(record, rows)
+                record_delivery(record)
 
             simulation.metrics.record_delivery = counting
             result = simulation.run()
@@ -1673,16 +1694,18 @@ users:
 
 def _relay_bsm(simulation, generated_at_us, user_id="U1"):
     return make_bsm(
-        RoadUserId(user_id), simulation.frame.position_at(10.0, 0.0), 0.0,
+        user_id, simulation.frame.position_at(10.0, 0.0), 0.0,
         0.0, PositionAccuracy(horizontal_sigma_m=0.0), LinkTech.DSRC,
         generated_at_us,
     )
 
 
-def _arrival(simulation, receivers, bsm, uplink, downlink):
-    """``bsm``'s arrival at ``receivers``, built as ``_cast`` builds it."""
-    return _Arrival(receivers, *simulation._subjects([bsm]),
-                    bsm.generated_at_us, uplink, downlink)
+def _deliver(simulation, at_us, receivers, bsm, uplink, downlink):
+    """Deliver ``bsm`` to ``receivers`` at ``at_us``, its record built as
+    ``_cast`` builds it."""
+    simulation._deliver(at_us, DeliveryGroup(
+        _Group(receivers), *simulation._subjects([bsm]), uplink, downlink,
+        bsm.generated_at_us, at_us, None, None))
 
 
 class TestDuplicateWindow:
@@ -1691,24 +1714,22 @@ class TestDuplicateWindow:
         horizon_us = simulation._seen.horizon_us
         old = _relay_bsm(simulation, 0)
         new = _relay_bsm(simulation, horizon_us + 1_000)
-        deliver = simulation._deliver
-        deliver(5_000, _arrival(simulation, (1,), old, LinkTech.DSRC,
-                                LinkTech.CV2X))
-        deliver(horizon_us + 2_000, _arrival(simulation, (1,), new,
-                                             LinkTech.DSRC, LinkTech.CV2X))
+        _deliver(simulation, 5_000, (1,), old, LinkTech.DSRC, LinkTech.CV2X)
+        _deliver(simulation, horizon_us + 2_000, (1,), new, LinkTech.DSRC,
+                 LinkTech.CV2X)
         assert len(simulation._seen) == 1  # the old key is dropped
         with pytest.raises(SimulationInvariantError, match="window"):
-            deliver(horizon_us + 3_000, _arrival(
-                simulation, (1,), old, LinkTech.DSRC, LinkTech.CV2X))
+            _deliver(simulation, horizon_us + 3_000, (1,), old,
+                     LinkTech.DSRC, LinkTech.CV2X)
 
     def test_flags_only_the_receivers_that_already_had_the_bsm(self):
         simulation = Simulation(scenario(MIXED_TABLE1))
         deliveries = collect_deliveries(simulation)
         bsm = _relay_bsm(simulation, 0)
-        simulation._deliver(40_000, _arrival(
-            simulation, (2,), bsm, LinkTech.DSRC, LinkTech.CELL_MQTT))
-        simulation._deliver(50_000, _arrival(
-            simulation, (3, 2), bsm, LinkTech.DSRC, LinkTech.CELL_MQTT))
+        _deliver(simulation, 40_000, (2,), bsm, LinkTech.DSRC,
+                 LinkTech.CELL_MQTT)
+        _deliver(simulation, 50_000, (3, 2), bsm, LinkTech.DSRC,
+                 LinkTech.CELL_MQTT)
         metrics = simulation.metrics
         assert [(d.receiver, d.duplicate) for d in deliveries] == [
             ("U3", False), ("U4", False), ("U3", True),
