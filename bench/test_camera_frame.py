@@ -55,7 +55,7 @@ def steady_frame(n):
     ]
     assert len(detections) == n
     simulation._on_detections_ready(at_us, detections)
-    deadline_us = at_us + simulation.gateway.config.grace_us
+    deadline_us = at_us + simulation.gateway.grace_us
     for track_id in range(1, n + 1):
         simulation._on_grace_deadline(deadline_us, track_id)
     assert simulation.gateway.confirmed_tracks == n

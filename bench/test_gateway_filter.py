@@ -31,7 +31,8 @@ import math
 
 import pytest
 
-from arsusim.gateway import FilterConfig, FilterStatus, Gateway
+from arsusim.config import FilterSettings
+from arsusim.gateway import FilterStatus, Gateway
 from arsusim.geo import LocalFrame
 from arsusim.messages import (
     Detection,
@@ -70,7 +71,7 @@ def line(n):
 def loaded_gateway(points, bsm_offset, sigma_m=5.0):
     """A gateway holding a confirmed track at each point and a BSM at
     each point plus ``bsm_offset``, at 400 ms."""
-    gw = Gateway(FilterConfig(sigma_m=sigma_m))
+    gw = Gateway(FilterSettings(sigma_m=sigma_m))
     for x, y in points:
         outcome = gw.on_detection(detection(x, y, 0), PROCESSING_US)
         gw.on_grace_deadline(outcome.track_id)
@@ -110,9 +111,8 @@ def test_on_detection_line(benchmark, n):
 
 @pytest.mark.parametrize("n", [100, 1000])
 def test_on_rx(benchmark, n):
-    config = FilterConfig()
-    gw = Gateway(config)
-    step_us = config.window_us // n
+    gw = Gateway()
+    step_us = gw.history.window_us // n
     half = SPACING_M / 2
     points = grid(n)
     for x, y in points:

@@ -17,7 +17,7 @@ from .config import (
     load_scenario,
     parse_scenario,
 )
-from .gateway import DetectionOutcome, FilterConfig, FilterStatus, Gateway
+from .gateway import DetectionOutcome, FilterStatus, Gateway
 from .latency import (
     DEFAULT_COMPOSED_DELAYS_MS,
     DelayCategory,
@@ -54,7 +54,6 @@ __all__ = [
     "DelayCategory",
     "Detection",
     "DetectionOutcome",
-    "FilterConfig",
     "FilterStatus",
     "Gateway",
     "InconsistentDelayTable",

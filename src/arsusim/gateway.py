@@ -72,6 +72,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional
 
+from .config import FilterSettings
 from .geo import EARTH_RADIUS_M, METERS_PER_DEG, horizontal_distance_m
 from .messages import (
     Bsm,
@@ -81,6 +82,7 @@ from .messages import (
     SYNTHETIC_ID_PREFIX,
     Topic,
     make_ipu_bsm,
+    ms_to_us,
 )
 
 
@@ -118,21 +120,6 @@ class DetectionOutcome(NamedTuple):
     #: The BSM a refresh generated, under the track's synthetic id, for
     #: each of ``GENERATION_TARGETS``.
     generated: Optional[Bsm] = None
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    """Matching gate and timing of the detection filter."""
-
-    sigma_m: float = 5.0
-    window_us: int = 200_000
-    grace_us: int = 100_000
-
-    def __post_init__(self):
-        if self.sigma_m <= 0.0:
-            raise ValueError("calibration error sigma must be positive")
-        if self.window_us <= 0 or self.grace_us <= 0:
-            raise ValueError("window and grace must be positive")
 
 
 #: Relative and absolute (degrees) widening of the grid's cells and of a
@@ -360,8 +347,10 @@ def _hold(index: _Index, track: DetectionTrack, det: Detection) -> None:
 class Gateway:
     """Sequential state machine fed by the simulation's event loop.
 
-    ``connected_ids`` is the simulation's ground-truth oracle used only
-    by the ghost metric; the filter itself never consults it.
+    ``settings`` is the scenario's ``filter`` section; its window and
+    grace wait are held in µs. ``connected_ids`` is the simulation's
+    ground-truth oracle used only by the ghost metric; the filter itself
+    never consults it.
     """
 
     #: Always empty: kept only because perfbench's
@@ -370,12 +359,18 @@ class Gateway:
 
     def __init__(
         self,
-        config: FilterConfig = FilterConfig(),
+        settings: FilterSettings = FilterSettings(),
         connected_ids: Optional[frozenset[str]] = None,
     ):
-        self.config = config
-        self._shape = _GridShape(config.sigma_m)
-        self.history = HistoryStore(config.window_us, self._shape)
+        self.sigma_m = settings.sigma_m
+        window_us = ms_to_us(settings.window_ms)
+        self.grace_us = ms_to_us(settings.grace_ms)
+        if self.sigma_m <= 0.0:
+            raise ValueError("calibration error sigma must be positive")
+        if window_us <= 0 or self.grace_us <= 0:
+            raise ValueError("window and grace must be positive")
+        self._shape = _GridShape(self.sigma_m)
+        self.history = HistoryStore(window_us, self._shape)
         self._pending = _Index(self._shape)
         self._confirmed = _Index(self._shape)
         self._next_track_id = 1
@@ -422,7 +417,7 @@ class Gateway:
             return
         reach = self._shape.reach(bsm.position)
         while (track := pending.nearest(
-                bsm.position, reach, self.config.sigma_m)) is not None:
+                bsm.position, reach, self.sigma_m)) is not None:
             pending.pop(track.track_id)
 
     # --- detection filtering ---
@@ -440,7 +435,7 @@ class Gateway:
 
         estimate = det.estimate
         reach = self._shape.reach(estimate)
-        sigma_m = self.config.sigma_m
+        sigma_m = self.sigma_m
         bsm = self.history.nearest(estimate, reach, sigma_m)
         if bsm is not None:
             return DetectionOutcome(FilterStatus.CONNECTED, bsm.id)
@@ -450,7 +445,7 @@ class Gateway:
             _hold(self._confirmed, track, det)
             return DetectionOutcome(
                 FilterStatus.NON_CONNECTED, None, track.track_id, None,
-                make_ipu_bsm(track.synthetic_id, det, self.config.sigma_m),
+                make_ipu_bsm(track.synthetic_id, det, sigma_m),
             )
 
         track = self._pending.nearest(estimate, reach, sigma_m)
@@ -463,7 +458,7 @@ class Gateway:
         _hold(self._pending, track, det)
         return DetectionOutcome(
             FilterStatus.PENDING, None, track.track_id,
-            now_us + self.config.grace_us,
+            now_us + self.grace_us,
         )
 
     def on_grace_deadline(self, track_id: int) -> Optional[Bsm]:
@@ -483,8 +478,7 @@ class Gateway:
         self.synthetic_truth[track.synthetic_id] = truth
         if truth is not None and truth in self._connected_ids:
             self._ghosts.append((track.synthetic_id, truth))
-        return make_ipu_bsm(track.synthetic_id, track.latest,
-                            self.config.sigma_m)
+        return make_ipu_bsm(track.synthetic_id, track.latest, self.sigma_m)
 
     # --- introspection ---
 

@@ -67,7 +67,7 @@ import numpy as np
 
 from .broker import ARSU_CLIENT, Broker
 from .config import ConfigError, ScenarioConfig, UserSpec, _path
-from .gateway import GENERATION_TARGETS, FilterConfig, Gateway, Target
+from .gateway import GENERATION_TARGETS, Gateway, Target
 from .geo import LocalFrame
 from .latency import LatencyModel
 from .messages import (
@@ -386,7 +386,6 @@ class Metrics:
         n = len(user_ids)
         self.ids = user_ids  # user id by index
         self.tape = TraceRows(user_ids, frame)
-        self.delivered = 0  # the (subject, receiver) pairs delivered
         self.path_stats: dict[tuple[LinkTech, LinkTech], PathStats] = {}
         #: last_heard[receiver, truth subject]: µs of the latest delivery,
         #: or NEVER_HEARD.
@@ -398,6 +397,11 @@ class Metrics:
         self.detections = 0
         self.bsm_tx = 0
         self.events_executed = 0
+
+    @property
+    def delivered(self) -> int:
+        """The (subject, receiver) pairs delivered, over every path."""
+        return sum(stats.count for stats in self.path_stats.values())
 
     @property
     def deliveries(self) -> range:
@@ -421,7 +425,6 @@ class Metrics:
                 self._batch_truth = (truth, np.array(truth, dtype=np.intp))
             self.last_heard[rows[:, None], self._batch_truth[1]] = (
                 delivered_at_us)
-        self.delivered += n
         self.tape.delivery(record, n)
         stats = self.path_stats.get((uplink, downlink))
         if stats is None:
@@ -620,10 +623,8 @@ class Simulation:
         #: ``((subject id,), (truth index,))`` by subject id, once
         #: delivered: the subjects of every one-BSM arrival.
         self._single: dict[str, tuple[tuple[str], tuple[int]]] = {}
-        self._connected_rows = np.array(
-            [u.index for u in self.users if u.spec.kind.is_connected],
-            dtype=np.intp,
-        )
+        self._connected = sum(
+            user.spec.kind.is_connected for user in self.users)
         self.metrics = Metrics(ids, self.frame)
         # The longest path: one link half at each end, plus the camera's
         # processing and grace wait on a camera path.
@@ -642,7 +643,7 @@ class Simulation:
         #: Trace details built once each, bounded by users and tracks:
         #: a detection's by (matched id, track id, whether it generated
         #: nothing), and a gateway
-        #: arrival's ``(kind, detail)`` by (medium, topic, target count).
+        #: arrival's ``(kind, detail)`` by (medium, target count).
         self._detection_details: dict[tuple, str] = {}
         self._rx_labels: dict[tuple, tuple[str, str]] = {}
 
@@ -655,14 +656,7 @@ class Simulation:
             connected = frozenset(
                 u.id for u in self.users if u.spec.kind.is_connected
             )
-            self.gateway = Gateway(
-                FilterConfig(
-                    sigma_m=config.filter.sigma_m,
-                    window_us=ms_to_us(config.filter.window_ms),
-                    grace_us=ms_to_us(config.filter.grace_ms),
-                ),
-                connected_ids=connected,
-            )
+            self.gateway = Gateway(config.filter, connected_ids=connected)
             self.broker.subscribe(ARSU_CLIENT, Topic.CELL)
         # Nonnative users subscribe to all four topics (their downlink).
         for user in cell_users:
@@ -808,8 +802,7 @@ class Simulation:
             self._cast(plan, now_us, [bsm], tech, tech)
             if self.gateway is not None and self._in_coverage(user):
                 self._schedule(
-                    now_us + user.half_us, self._on_gateway_rx,
-                    (bsm, tech, None),
+                    now_us + user.half_us, self._on_gateway_rx, (bsm, tech)
                 )
         self._schedule(now_us + user.bsm_interval_us, self._on_bsm_tx, user)
 
@@ -831,8 +824,7 @@ class Simulation:
             # before any road user does.
             if publisher is not None and ARSU_CLIENT in kept:
                 self._schedule(now_us + publisher.half_us,
-                               self._on_gateway_rx,
-                               (bsm, LinkTech.CELL_MQTT, topic))
+                               self._on_gateway_rx, (bsm, LinkTech.CELL_MQTT))
             if broker.drop_count == drops:
                 run.append(bsm)
                 continue
@@ -869,21 +861,19 @@ class Simulation:
                 receivers, subjects, truth, uplink, downlink,
                 generated_at_us, at_us, topic, None))
 
-    def _on_gateway_rx(
-        self, now_us: int, arg: tuple[Bsm, LinkTech, Optional[Topic]]
-    ) -> None:
+    def _on_gateway_rx(self, now_us: int, arg: tuple[Bsm, LinkTech]) -> None:
         """The gateway hears ``bsm`` on ``medium``: a road user's own radio
-        broadcast, or the Cell topic only road users publish to. So the
-        uplink is the downlink."""
-        bsm, medium, topic = arg
+        broadcast, or a publish on Cell, the one topic it subscribes to.
+        So the uplink is the downlink."""
+        bsm, medium = arg
         targets = self.gateway.on_rx(bsm, medium, now_us)
-        key = (medium, topic, len(targets))
+        key = (medium, len(targets))
         label = self._rx_labels.get(key)
         if label is None:
-            if topic is None:
-                kind, detail = "RadioDelivery", f"via={medium.value}"
+            if medium is LinkTech.CELL_MQTT:
+                kind, detail = "MqttDelivery", f"topic={Topic.CELL.value}"
             else:
-                kind, detail = "MqttDelivery", f"topic={topic.value}"
+                kind, detail = "RadioDelivery", f"via={medium.value}"
             label = self._rx_labels[key] = (
                 kind, f"{detail} actions={len(targets)}")
         self.metrics.tape.gateway_rx(now_us, label, bsm.id)
@@ -1083,12 +1073,12 @@ class Simulation:
         """Share of (connected receiver, other user) pairs heard within
         the freshness window; None when there are no such pairs.
 
-        Only connected users receive, so the connected rows of
-        ``last_heard`` hold every pair, plus the diagonal a ghost fills:
-        (U, U) when U hears its own ghost.
+        Only connected users receive, so every other row of
+        ``last_heard`` stays NEVER_HEARD: the fresh entries of the whole
+        matrix are those of the pairs, plus the diagonal a ghost fills,
+        (U, U) when U hears its own ghost. Both are counted in place.
         """
-        rows = self._connected_rows
-        pairs = len(rows) * (len(self.users) - 1)
+        pairs = self._connected * (len(self.users) - 1)
         if pairs == 0:
             return None
         # Before a whole window has passed, now − freshness is below
@@ -1096,8 +1086,8 @@ class Simulation:
         # heard is never fresh.
         oldest_us = max(now_us - self.freshness_us, NEVER_HEARD)
         last_heard = self.metrics.last_heard
-        fresh = np.count_nonzero(last_heard[rows] > oldest_us)
-        fresh -= np.count_nonzero(last_heard[rows, rows] > oldest_us)
+        fresh = np.count_nonzero(last_heard > oldest_us)
+        fresh -= np.count_nonzero(last_heard.diagonal() > oldest_us)
         return int(fresh) / pairs
 
 

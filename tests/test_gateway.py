@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from arsusim import gateway as gateway_module
 from arsusim.broker import ARSU_CLIENT
-from arsusim.config import parse_scenario
+from arsusim.config import FilterSettings, parse_scenario
 from arsusim.gateway import (
     GENERATION_TARGETS,
-    FilterConfig,
     FilterStatus,
     Gateway,
 )
@@ -22,6 +21,7 @@ from arsusim.messages import (
     Topic,
     make_bsm,
     make_ipu_bsm,
+    ms_to_us,
 )
 
 from arsusim.sim import Simulation
@@ -50,6 +50,35 @@ TX_CV2X = (LinkTech.CV2X, None)
 
 def publish(topic):
     return (LinkTech.CELL_MQTT, topic)
+
+
+class TestFilterSettings:
+    @pytest.mark.parametrize("filter_settings, message", [
+        (FilterSettings(sigma_m=0.0),
+         "calibration error sigma must be positive"),
+        (FilterSettings(window_ms=0.0004),
+         "window and grace must be positive"),
+        (FilterSettings(grace_ms=0.0004),
+         "window and grace must be positive"),
+    ])
+    def test_gate_and_times_in_us_must_be_positive(
+            self, filter_settings, message):
+        """A window or grace wait that rounds to 0 µs is refused, as a
+        gate of 0 m is."""
+        with pytest.raises(ValueError, match=message):
+            Gateway(filter_settings)
+
+    def test_default_is_the_scenario_default(self):
+        """``Gateway()`` filters as the gateway of a scenario with no
+        ``filter`` section does."""
+        parsed = Gateway(parse_scenario("duration_ms: 100\n").filter)
+        default = Gateway()
+        assert (default.sigma_m, default.history.window_us,
+                default.grace_us) == (parsed.sigma_m,
+                                      parsed.history.window_us,
+                                      parsed.grace_us)
+        assert default.history.window_us == 200_000
+        assert default.grace_us == 100_000
 
 
 class TestRelayRules:
@@ -298,7 +327,7 @@ class TestDetectionFilter:
         assert outcome.matched_id == "NEW"
 
     def test_boundary_distance_is_not_a_match(self):
-        gw = Gateway(FilterConfig(sigma_m=5.0))
+        gw = Gateway(FilterSettings(sigma_m=5.0))
         gw.on_rx(bsm_at("U1", x_m=5.0, tech=LinkTech.DSRC, now_us=250_000),
                  LinkTech.DSRC, 250_000)
         # exactly sigma away: strict less-than, so pending
@@ -353,7 +382,7 @@ def _gateway_at(sigma_m, bsms=(), detections=()):
     """A gateway that heard ``bsms`` (user id, position) and then
     classified ``detections`` (positions), all at 300 ms; returns it and
     the detections' outcomes."""
-    gw = Gateway(FilterConfig(sigma_m=sigma_m))
+    gw = Gateway(FilterSettings(sigma_m=sigma_m))
     for user, position in bsms:
         bsm = make_bsm(user, position, 0.0, 0.0,
                        PositionAccuracy(1.0), LinkTech.DSRC, 300_000)
@@ -382,14 +411,14 @@ class TestFilterGrid:
 
     def _column_edge(self, lat_deg):
         """A column edge near longitude 10 degrees east, at ``lat_deg``."""
-        shape = Gateway(FilterConfig(sigma_m=self.SIGMA))._shape
+        shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
         columns = shape._columns
         edge = round((10.0 + 180.0) * columns / 360.0)
         lon = edge * 360.0 / columns - 180.0
         return Position(lat_deg, lon), shape
 
     def test_match_due_north_across_band_edge(self):
-        shape = Gateway(FilterConfig(sigma_m=self.SIGMA))._shape
+        shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
         edge_y = METERS_PER_DEG / shape._rows_per_deg
         assert edge_y == pytest.approx(self.EDGE_Y)
         below_edge = edge_y - 0.0005
@@ -397,7 +426,7 @@ class TestFilterGrid:
             (self.SIGMA - 0.001, FilterStatus.CONNECTED),
             (self.SIGMA, FilterStatus.PENDING),  # strict less-than
         ):
-            gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
+            gw = Gateway(FilterSettings(sigma_m=self.SIGMA))
             gw.on_rx(bsm_at("U1", y_m=below_edge + offset, now_us=250_000),
                      LinkTech.DSRC, 250_000)
             outcome = gw.on_detection(detection_at(0.0, below_edge), 300_000)
@@ -420,7 +449,7 @@ class TestFilterGrid:
                 assert outcome.status is status
 
     def test_confirmed_track_found_after_moving_two_bands(self):
-        gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
+        gw = Gateway(FilterSettings(sigma_m=self.SIGMA))
         first = gw.on_detection(detection_at(0.0, 0.0), 300_000)
         synthetic = gw.on_grace_deadline(first.track_id).id
         # each step stays within sigma; the last lands two rows north and
@@ -437,7 +466,7 @@ class TestFilterGrid:
         assert gw.confirmed_tracks == 1
 
     def test_match_across_the_antimeridian(self):
-        shape = Gateway(FilterConfig(sigma_m=self.SIGMA))._shape
+        shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
         west = Position(45.0, 180.0 - 1e-6)
         east = _east_of(west, self.SIGMA - 0.01)
         assert east.lon_deg < -179.0
@@ -467,7 +496,7 @@ class TestFilterGrid:
         lat = 90.0 - 2.0 / METERS_PER_DEG
         here, there = Position(lat, 30.0), Position(lat, -150.0)
         assert horizontal_distance_m(here, there) == pytest.approx(4.0)
-        shape = Gateway(FilterConfig(sigma_m=self.SIGMA))._shape
+        shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
         assert shape.reach(here).width == shape._columns
         assert shape.reach(Position(60.0, 30.0)).width < 10
         _, (outcome,) = _gateway_at(
@@ -477,7 +506,7 @@ class TestFilterGrid:
     def test_full_tie_goes_to_first_added(self):
         # mirror images about the equator are exactly equidistant from it;
         # the first added lies in the row a lookup reads last
-        gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
+        gw = Gateway(FilterSettings(sigma_m=self.SIGMA))
         gw.on_rx(bsm_at("NORTH", y_m=3.0, now_us=300_000),
                  LinkTech.DSRC, 300_000)
         gw.on_rx(bsm_at("SOUTH", y_m=-3.0, now_us=300_000),
@@ -485,7 +514,7 @@ class TestFilterGrid:
         outcome = gw.on_detection(detection_at(0.0, 0.0), 300_000)
         assert outcome.matched_id == "NORTH"
 
-        gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
+        gw = Gateway(FilterSettings(sigma_m=self.SIGMA))
         north = gw.on_detection(detection_at(0.0, 3.0), 300_000)
         gw.on_detection(detection_at(0.0, -3.0), 300_000)
         outcome = gw.on_detection(detection_at(0.0, 0.0), 300_000)
@@ -494,7 +523,7 @@ class TestFilterGrid:
     def test_full_tie_across_a_column_edge_goes_to_first_added(self):
         # at this sigma the prime meridian is a column edge, and mirror
         # images about it are exactly equidistant from it
-        shape = Gateway(FilterConfig(sigma_m=self.SIGMA))._shape
+        shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
         east, west = position_at(3.0, 0.0), position_at(-3.0, 0.0)
         assert shape.cell(east)[1] == shape.cell(west)[1] + 1
         _, (outcome,) = _gateway_at(
@@ -503,7 +532,7 @@ class TestFilterGrid:
         assert outcome.matched_id == "EAST"
 
     def test_one_bsm_resolves_pending_tracks_in_two_rows(self):
-        gw = Gateway(FilterConfig(sigma_m=self.SIGMA))
+        gw = Gateway(FilterSettings(sigma_m=self.SIGMA))
         shape = gw._shape
         # track 1 lies in the row north of the equator, track 2 south,
         # track 3 in track 1's cell; each is more than sigma from the
@@ -535,7 +564,7 @@ class TestFilterGrid:
         """1,000 confirmed tracks 10 m apart on one latitude and BSMs
         halfway between them, outside a 4 m gate: a detection at a track
         measures at most two entries, not the whole line."""
-        gw = Gateway(FilterConfig(sigma_m=4.0))
+        gw = Gateway(FilterSettings(sigma_m=4.0))
         for i in range(1000):
             outcome = gw.on_detection(detection_at(10.0 * i, 0.0), 300_000)
             gw.on_grace_deadline(outcome.track_id)
@@ -604,8 +633,10 @@ class LinearScanGateway:
     :func:`outcome_tuple` also builds from the gateway's outcomes, relay
     targets, and generated BSMs."""
 
-    def __init__(self, config: FilterConfig):
-        self.config = config
+    def __init__(self, config: FilterSettings):
+        self.sigma_m = config.sigma_m
+        self.window_us = ms_to_us(config.window_ms)
+        self.grace_us = ms_to_us(config.grace_ms)
         self.history = []  # (bsm, received_at_us), oldest first
         self.pending = {}  # track id -> latest detection
         self.confirmed = {}  # track id -> [latest detection, synthetic id]
@@ -613,7 +644,7 @@ class LinearScanGateway:
         self.next_synthetic = 1
 
     def _prune(self, now_us):
-        cutoff = now_us - self.config.window_us
+        cutoff = now_us - self.window_us
         self.history = [e for e in self.history if e[1] >= cutoff]
 
     def _nearest(self, det, candidates):
@@ -621,7 +652,7 @@ class LinearScanGateway:
         best = None
         for position, recency, value in candidates:
             d = horizontal_distance_m(det.estimate, position)
-            if d < self.config.sigma_m:
+            if d < self.sigma_m:
                 key = (d, -recency)
                 if best is None or key < best[0]:
                     best = (key, value)
@@ -634,7 +665,7 @@ class LinearScanGateway:
         self.history.append((bsm, now_us))
         for tid in [t for t, det in self.pending.items()
                     if horizontal_distance_m(det.estimate, bsm.position)
-                    < self.config.sigma_m]:
+                    < self.sigma_m]:
             del self.pending[tid]
         return {
             LinkTech.DSRC: (TX_CV2X, publish(Topic.DSRC)),
@@ -655,7 +686,7 @@ class LinearScanGateway:
             self.confirmed[tid][0] = det
             synthetic = self.confirmed[tid][1]
             return ("NonConnected", None, tid, None,
-                    make_ipu_bsm(synthetic, det, self.config.sigma_m))
+                    make_ipu_bsm(synthetic, det, self.sigma_m))
         tid = self._nearest(det, [
             (d.estimate, d.available_at_us, t) for t, d in self.pending.items()
         ])
@@ -665,7 +696,7 @@ class LinearScanGateway:
         tid = self.next_track
         self.next_track += 1
         self.pending[tid] = det
-        return ("Pending", None, tid, now_us + self.config.grace_us, None)
+        return ("Pending", None, tid, now_us + self.grace_us, None)
 
     def on_grace_deadline(self, track_id):
         det = self.pending.pop(track_id, None)
@@ -674,7 +705,7 @@ class LinearScanGateway:
         synthetic = f"{SYNTHETIC_ID_PREFIX}{self.next_synthetic}"
         self.next_synthetic += 1
         self.confirmed[track_id] = [det, synthetic]
-        return make_ipu_bsm(synthetic, det, self.config.sigma_m)
+        return make_ipu_bsm(synthetic, det, self.sigma_m)
 
 
 def outcome_tuple(outcome):
@@ -754,7 +785,7 @@ def test_indexed_filter_matches_linear_scan(
             lon = (lon + 180.0) % 360.0 - 180.0
         return Position(max(-90.0, min(90.0, lat)), lon)
 
-    config = FilterConfig(sigma_m=sigma)
+    config = FilterSettings(sigma_m=sigma)
     gw, ref = Gateway(config), LinearScanGateway(config)
 
     def rx(user, where, generated_at, origin, via):

@@ -21,6 +21,7 @@ from arsusim.messages import (
     us_to_ms,
 )
 from arsusim.sim import (
+    NEVER_HEARD,
     _Cut,
     _Group,
     _group_by_time,
@@ -319,6 +320,33 @@ users:
         assert set(awareness(result.metrics)) == {
             ("U1", "U2"), ("U2", "U1"),
         }
+
+    def test_coverage_counts_last_heard_in_place(self):
+        """One coverage sample of 400 users of the four kinds allocates
+        under 2·n² bytes at its peak: the n×n boolean of fresh entries,
+        and no copy of the connected users' int64 rows (about 6·n²)."""
+        doc = """
+duration_ms: 200
+scenario_speed_kmh: 30
+seed: 7
+arsu: {coverage_radius_m: 400}
+users:
+  - {kind: native_dsrc, count: 100}
+  - {kind: native_cv2x, count: 100}
+  - {kind: nonnative_cell, count: 100}
+  - {kind: non_connected, count: 100}
+"""
+        simulation = Simulation(scenario(doc))
+        result = simulation.run()
+        n = len(result.users)
+        tracemalloc.start()
+        try:
+            coverage = simulation._coverage(result.config.duration_us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coverage == result.final_coverage > 0
+        assert peak < 2 * n * n, peak
 
 
 MIXED_TABLE1 = """
@@ -820,9 +848,10 @@ class TestTraceProperties:
         without broker drops and with or without ghosts: one trace row per
         executed event plus the final tick, time never runs backwards, the
         user delivery rows are the recorded deliveries in order, no user
-        is handed its own BSM, reading twice gives the same rows, and the
+        is handed its own BSM, reading twice gives the same rows, the
         final coverage is the share of (connected receiver, other user)
-        pairs heard within the freshness window."""
+        pairs heard within the freshness window, and every ``last_heard``
+        row of a non-connected user is NEVER_HEARD."""
         result, deliveries = run_collecting(_random_scenario(data))
         rows = result.trace_rows
         assert len(rows) == result.metrics.events_executed + 1
@@ -841,6 +870,12 @@ class TestTraceProperties:
         assert list(rows) == list(rows)
         assert len(list(rows)) == len(rows)
         assert result.final_coverage == _final_coverage_oracle(result)
+        # Only connected users receive: ``_coverage`` counts the whole
+        # matrix on that premise.
+        last_heard = result.metrics.last_heard
+        for user in result.users:
+            if not user.spec.kind.is_connected:
+                assert (last_heard[user.index] == NEVER_HEARD).all()
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -1237,8 +1272,7 @@ users:
             for at_us, _, handler, arg in self._entries(simulation)
             if handler == simulation._on_gateway_rx
         ]
-        assert heard == [
-            (10_000 + c0.half_us, (LinkTech.CELL_MQTT, Topic.CELL))]
+        assert heard == [(10_000 + c0.half_us, (LinkTech.CELL_MQTT,))]
 
     class _Draws:
         """A broker's drop draws, fixed in advance."""
