@@ -26,7 +26,6 @@ from .latency import (
     MAX_ITT_MS,
     SAFETY_APPS,
     SafetyApp,
-    SpeedClampWarning,
     classify,
 )
 from .messages import (
@@ -69,7 +68,6 @@ __all__ = [
     "SafetyApp",
     "ScenarioConfig",
     "SimulationInvariantError",
-    "SpeedClampWarning",
     "Topic",
     "TopicOwnershipError",
     "UserSpec",

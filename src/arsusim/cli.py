@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from itertools import chain
 from pathlib import Path
 
 from .config import MAX_SCENARIO_SPEED_KMH, ConfigError, load_scenario
@@ -33,6 +32,7 @@ from .sim import (
     load_latency_model,
     run as run_simulation,
 )
+from .trace import write_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,10 +114,9 @@ def _cmd_run(args) -> int:
         _write_csv(out_dir / "table4.csv", table_rows)
         _write_csv(out_dir / "matrix.csv", matrix_rows)
         if args.trace:
-            _write_csv(out_dir / "trace.csv", chain(
-                [["at_ms", "kind", "actor", "subject", "detail"]],
-                result.trace_rows,
-            ))
+            with open(out_dir / "trace.csv", "w", newline="",
+                      encoding="utf-8") as fh:
+                write_trace(fh, result.trace_rows)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

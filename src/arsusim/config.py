@@ -29,7 +29,7 @@ from .latency import DEFAULT_IPU_PROCESSING_MS, MAX_ITT_MS, SPEEDS_KMH
 from .messages import SYNTHETIC_ID_PREFIX, LinkTech, ms_to_us
 
 #: Fastest speed a scenario or a user may run at: the delay table's last
-#: sample, so the latency model never clamps.
+#: sample, the fastest the latency model accepts.
 MAX_SCENARIO_SPEED_KMH = SPEEDS_KMH[-1]
 
 

@@ -10,15 +10,14 @@ recompose from those halves. That consistency check runs whenever a
 matrix is loaded. The decode is fixed: columns at ``SPEEDS_KMH`` and a
 ``DEFAULT_IPU_PROCESSING_MS`` overhead.
 
-Between tabulated speeds the model interpolates linearly; above the last
-sample it clamps (with a warning) rather than invent an extrapolation.
+Between tabulated speeds the model interpolates linearly; a speed above
+the last sample is rejected rather than extrapolated.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -111,10 +110,6 @@ SAFETY_APPS: tuple[SafetyApp, ...] = (
 
 class InconsistentDelayTable(ValueError):
     """The composed matrix does not recompose from its own halves."""
-
-
-class SpeedClampWarning(UserWarning):
-    """Queried speed above the last tabulated sample; value clamped."""
 
 
 def recomposition_residuals(
@@ -213,8 +208,8 @@ class LatencyModel:
         return cls.from_composed(load_composed_csv(path))
 
     def half_delay(self, tech: LinkTech, speed_kmh: float) -> float:
-        """Half-RTT (ms) for one leg: exact at samples, linear between,
-        clamped (with a SpeedClampWarning) above the last sample."""
+        """Half-RTT (ms) for one leg: exact at samples, linear between;
+        a speed outside the table raises."""
         if tech is LinkTech.CAMERA:
             raise ValueError("camera has no half-RTT; use composed_delay")
         if speed_kmh < 0.0:
@@ -222,13 +217,8 @@ class LatencyModel:
         speeds = SPEEDS_KMH
         values = self.half_ms[tech]
         if speed_kmh > speeds[-1]:
-            warnings.warn(
-                f"speed {speed_kmh:g} km/h above table maximum "
-                f"{speeds[-1]:g}; clamping",
-                SpeedClampWarning,
-                stacklevel=2,
-            )
-            return values[-1]
+            raise ValueError(f"speed {speed_kmh:g} km/h above table maximum "
+                             f"{speeds[-1]:g}")
         i = bisect_left(speeds, speed_kmh)
         if speeds[i] == speed_kmh:
             return values[i]

@@ -219,7 +219,7 @@ def _camera_accuracy(sigma_m: float) -> PositionAccuracy:
     return PositionAccuracy(horizontal_sigma_m=sigma_m, dop=1.0)
 
 
-def validate_bsm(bsm: Bsm, now_us: Optional[int] = None) -> list[str]:
+def validate_bsm(bsm: Bsm) -> list[str]:
     """Return every invariant violation (empty list means valid).
 
     Violations are data, not failures: callers decide whether to raise.
@@ -239,8 +239,6 @@ def validate_bsm(bsm: Bsm, now_us: Optional[int] = None) -> list[str]:
         violations.append("heading out of [0, 360)")
     if bsm.generated_at_us < 0:
         violations.append("negative timestamp")
-    elif now_us is not None and bsm.generated_at_us > now_us:
-        violations.append("generated_at exceeds current simulation time")
     if (bsm.origin_tech is LinkTech.CAMERA
             and not bsm.id.startswith(SYNTHETIC_ID_PREFIX)):
         violations.append("camera origin requires a synthetic id")

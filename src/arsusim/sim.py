@@ -32,19 +32,11 @@ An arrival is one record, a ``DeliveryGroup`` of one BSM or several,
 from its cast to the trace: the cast builds and schedules it, its
 delivery adds duplicate flags only where a receiver already had a BSM,
 and it is written to the run's trace and not kept. Road users are named
-by their plain string ids throughout. A run keeps its trace as one
-compact tape, ``Metrics.tape``, a ``TraceRows``: one kind byte per
-entry, in event order, with integer and float columns
-and references to objects the run already shares (plan groups, a
-frame's tuple of subjects, cached detail strings). A camera frame's
-detections are one entry, and a delivery record is one entry however
-many rows it expands to. Nothing is formatted while the run goes:
-``RunResult.trace_rows`` is that tape, which supports only ``len()``
-and iteration, and formats each row as it is read, one ``at_ms`` per
-instant and one label per delivery path and latency. Awareness is the
-``last_heard`` matrix. The tests see each delivery by wrapping
-``Metrics.record_delivery``, which is passed every record as it is
-delivered.
+by their plain string ids throughout. The handlers write facts, not
+text, to the run's trace, ``Metrics.tape``: ``arsusim.trace`` keeps it
+and words its rows. Awareness is the ``last_heard`` matrix. The tests
+see each delivery by wrapping ``Metrics.record_delivery``, which is
+passed every record as it is delivered.
 Delivery bookkeeping is per arrival, not per (BSM, receiver): the BSMs
 of an arrival share their generation time, so the duplicate window,
 which holds one bitmask per subject of each generation time, is pruned
@@ -56,11 +48,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import compress, repeat
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
@@ -75,17 +65,15 @@ from .messages import (
     Detection,
     LinkTech,
     MqttEnvelope,
-    Position,
     PositionAccuracy,
     Topic,
     make_bsm,
     ms_to_us,
     us_to_ms,
 )
+from .trace import TraceRows
 
 _METRICS_TICK_US = 100_000
-#: A confirmation's GraceDeadline detail.
-_CONFIRMED = f"confirmed NonConnected actions={len(GENERATION_TARGETS)}"
 
 
 class SimulationInvariantError(RuntimeError):
@@ -178,200 +166,6 @@ class PathStats:
     @property
     def mean_ms(self) -> float:
         return self.sum_us / self.count / 1000 if self.count else math.nan
-
-
-#: Tape entry kinds, one byte per entry. A delivery record's kind is
-#: ``_DELIVERY`` plus the number of its (uplink, downlink, topic) path.
-_BSM_TX, _IPU_FRAME, _DETECTIONS, _GATEWAY_RX, _GRACE, _TICK, _DELIVERY = (
-    range(7))
-
-
-class TraceRows:
-    """The run's trace, one ``(at_ms, kind, actor, subject, detail)``
-    tuple per event, held as a compact tape and formatted only as it is
-    read: a sized, iterable view, whose length is kept as a running
-    count.
-
-    The tape holds one kind byte per entry, in event order, in
-    ``_kinds``; each entry's integers (its instant first) in ``_ints``,
-    its floats in ``_floats``, and references to objects the run already
-    shares in ``_refs``:
-
-    - BsmTx: the user's index; the reported latitude and longitude.
-    - IpuFrame: the detection count.
-    - A frame's DetectionReady rows: their count; per detection, its
-      subject and its cached detail string.
-    - A gateway arrival: its cached ``(kind, detail)`` label and the
-      BSM's subject id.
-    - GraceDeadline: the track id; its detail string.
-    - MetricsTick: the coverage, NaN for none.
-    - A delivery record: its generation time; its receivers (the plan
-      group, or a cut group's bitmask), subjects and duplicate flags.
-
-    The reader formats each instant's ``at_ms`` once, and each delivery
-    path's label once per latency.
-    """
-
-    def __init__(self, user_ids: list[str], frame: LocalFrame):
-        self._ids = user_ids
-        self._frame = frame
-        self._kinds = bytearray()
-        self._ints = array("q")
-        self._floats = array("d")
-        self._refs: list = []
-        #: (uplink, downlink, topic) by path number, and the reverse.
-        self._paths: list[tuple[LinkTech, LinkTech, Optional[Topic]]] = []
-        self._path_numbers: dict[tuple, int] = {}
-        self._rows = 0
-
-    def __len__(self) -> int:
-        return self._rows
-
-    def bsm_tx(self, at_us: int, user_index: int, reported: Position) -> None:
-        self._kinds.append(_BSM_TX)
-        self._ints.append(at_us)
-        self._ints.append(user_index)
-        self._floats.append(reported.lat_deg)
-        self._floats.append(reported.lon_deg)
-        self._rows += 1
-
-    def ipu_frame(self, at_us: int, detections: int) -> None:
-        self._kinds.append(_IPU_FRAME)
-        self._ints.append(at_us)
-        self._ints.append(detections)
-        self._rows += 1
-
-    def detections(self, at_us: int, ready: list[str]) -> None:
-        """A frame's DetectionReady rows: ``ready`` holds each one's
-        subject and detail, one after the other."""
-        self._kinds.append(_DETECTIONS)
-        self._ints.append(at_us)
-        self._ints.append(len(ready) // 2)
-        self._refs += ready
-        self._rows += len(ready) // 2
-
-    def gateway_rx(self, at_us: int, label: tuple[str, str],
-                   subject: str) -> None:
-        self._kinds.append(_GATEWAY_RX)
-        self._ints.append(at_us)
-        self._refs.append(label)
-        self._refs.append(subject)
-        self._rows += 1
-
-    def grace_deadline(self, at_us: int, track_id: int, detail: str) -> None:
-        self._kinds.append(_GRACE)
-        self._ints.append(at_us)
-        self._ints.append(track_id)
-        self._refs.append(detail)
-        self._rows += 1
-
-    def metrics_tick(self, at_us: int, coverage: Optional[float]) -> None:
-        self._kinds.append(_TICK)
-        self._ints.append(at_us)
-        self._floats.append(math.nan if coverage is None else coverage)
-        self._rows += 1
-
-    def delivery(self, record: DeliveryGroup, rows: int) -> None:
-        """A delivery record of ``rows`` (subject, receiver) pairs."""
-        (receivers, subjects, _, uplink, downlink, generated_at_us,
-         delivered_at_us, topic, duplicates) = record
-        path = (uplink, downlink, topic)
-        number = self._path_numbers.get(path)
-        if number is None:
-            number = self._path_numbers[path] = len(self._paths)
-            self._paths.append(path)
-        self._kinds.append(_DELIVERY + number)
-        self._ints.append(delivered_at_us)
-        self._ints.append(generated_at_us)
-        self._refs.append(receivers.mask if type(receivers) is _Cut
-                          else receivers)
-        self._refs.append(subjects)
-        self._refs.append(duplicates)
-        self._rows += rows
-
-    def __iter__(self) -> Iterator[tuple[str, ...]]:
-        ids = self._ids
-        xy_of = self._frame.xy_of
-        paths = self._paths
-        next_int = iter(self._ints).__next__
-        next_float = iter(self._floats).__next__
-        next_ref = iter(self._refs).__next__
-        #: (kind, detail, duplicate detail) by (path number, latency):
-        #: bounded by the run's paths.
-        labels: dict[tuple[int, int], tuple[str, str, str]] = {}
-        at_us, at_ms = None, ""  # the tape is in time order
-        for kind in self._kinds:
-            now_us = next_int()
-            if now_us != at_us:
-                at_us, at_ms = now_us, f"{us_to_ms(now_us):.3f}"
-            if kind >= _DELIVERY:
-                latency_us = at_us - next_int()
-                receivers, subjects, duplicates = (
-                    next_ref(), next_ref(), next_ref())
-                if type(receivers) is int:
-                    receivers = _receivers_of(receivers)
-                label = labels.get((kind, latency_us))
-                if label is None:
-                    uplink, downlink, topic = paths[kind - _DELIVERY]
-                    label = labels[kind, latency_us] = _delivery_label(
-                        uplink, downlink, us_to_ms(latency_us), topic)
-                kind_name, detail, duplicate = label
-                for subject, flags in zip(subjects,
-                                          duplicates or repeat(None)):
-                    if flags is None:
-                        for r in receivers:
-                            yield (at_ms, kind_name, ids[r], subject, detail)
-                        continue
-                    for r, dup in zip(receivers, flags):
-                        yield (at_ms, kind_name, ids[r], subject,
-                               duplicate if dup else detail)
-            elif kind == _BSM_TX:
-                user = ids[next_int()]
-                x_m, y_m = xy_of(Position(next_float(), next_float()))
-                yield (at_ms, "BsmTx", user, "",
-                       f"x_m={x_m:.3f} y_m={y_m:.3f}")
-            elif kind == _DETECTIONS:
-                for _ in range(next_int()):
-                    yield (at_ms, "DetectionReady", ARSU_CLIENT, next_ref(),
-                           next_ref())
-            elif kind == _GATEWAY_RX:
-                kind_name, detail = next_ref()
-                yield (at_ms, kind_name, ARSU_CLIENT, next_ref(), detail)
-            elif kind == _IPU_FRAME:
-                yield (at_ms, "IpuFrame", ARSU_CLIENT, "",
-                       f"detections={next_int()}")
-            elif kind == _GRACE:
-                yield (at_ms, "GraceDeadline", ARSU_CLIENT,
-                       f"track={next_int()}", next_ref())
-            else:
-                coverage = next_float()
-                yield (at_ms, "MetricsTick", "sim", "",
-                       "coverage=no-pairs" if math.isnan(coverage)
-                       else f"coverage={coverage:.4f}")
-
-
-#: Maps the digits of ``bin()`` to bytes 0 and 1.
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _receivers_of(mask: int) -> tuple[int, ...]:
-    """The user indices whose bits are set in ``mask``, in increasing
-    order: a cut group's receivers."""
-    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-    return tuple(compress(range(len(bits)), bits))
-
-
-def _delivery_label(uplink: LinkTech, downlink: LinkTech, latency_ms: float,
-                    topic: Optional[Topic]) -> tuple[str, str, str]:
-    """A delivery row's kind, detail, and detail when it is a
-    duplicate."""
-    detail = (f"up={uplink.value} down={downlink.value}"
-              f" latency_ms={latency_ms:.3f}")
-    kind = "RadioDelivery"
-    if topic is not None:
-        kind = "MqttDelivery"
-        detail += f" topic={topic.value}"
-    return kind, detail, detail + " duplicate"
 
 
 #: ``last_heard`` of a (receiver, subject) pair never heard.
@@ -566,6 +360,9 @@ class _Group(tuple):
 
     rows: np.ndarray
     mask: int
+    #: Whether the tape keeps only the mask: a ``_Cut``'s receivers are
+    #: rebuilt from it.
+    cut = False
 
     def __new__(cls, receivers: Iterable[int]) -> _Group:
         group = super().__new__(cls, receivers)
@@ -579,6 +376,8 @@ class _Group(tuple):
 class _Cut(_Group):
     """A plan group cut to the receivers a publish kept, in the plan's
     order: increasing user index, so the tape holds only its mask."""
+
+    cut = True
 
 
 #: A send's ``(µs, receivers)`` groups, one per distinct arrival time.
@@ -640,12 +439,6 @@ class Simulation:
         self._ran = False
         #: The last batch's BSMs, and their subjects and truth indices.
         self._batched: tuple[list, tuple, tuple] = ([], (), ())
-        #: Trace details built once each, bounded by users and tracks:
-        #: a detection's by (matched id, track id, whether it generated
-        #: nothing), and a gateway
-        #: arrival's ``(kind, detail)`` by (medium, target count).
-        self._detection_details: dict[tuple, str] = {}
-        self._rx_labels: dict[tuple, tuple[str, str]] = {}
 
         drop = config.mqtt.drop_probability
         self.broker = Broker(
@@ -867,16 +660,7 @@ class Simulation:
         So the uplink is the downlink."""
         bsm, medium = arg
         targets = self.gateway.on_rx(bsm, medium, now_us)
-        key = (medium, len(targets))
-        label = self._rx_labels.get(key)
-        if label is None:
-            if medium is LinkTech.CELL_MQTT:
-                kind, detail = "MqttDelivery", f"topic={Topic.CELL.value}"
-            else:
-                kind, detail = "RadioDelivery", f"via={medium.value}"
-            label = self._rx_labels[key] = (
-                kind, f"{detail} actions={len(targets)}")
-        self.metrics.tape.gateway_rx(now_us, label, bsm.id)
+        self.metrics.tape.gateway_rx(now_us, medium, len(targets), bsm.id)
         self._send([bsm], targets, medium, now_us)
 
     def _send(self, bsms: list[Bsm], targets: tuple[Target, ...],
@@ -1008,25 +792,12 @@ class Simulation:
         before a grace deadline is scheduled (see "Frames")."""
         self.metrics.events_executed += len(detections) - 1
         on_detection = self.gateway.on_detection
-        details = self._detection_details
-        ready = []  # each detection's subject and detail
+        outcomes = []
         run = []
         for detection in detections:
             outcome = on_detection(detection, now_us)
-            status, matched_id, track_id, deadline_us, generated = outcome
-            # Only a match is Connected, and only a refresh generates: the
-            # key gives the status without hashing it.
-            key = (matched_id, track_id, generated is None)
-            detail = details.get(key)
-            if detail is None:
-                detail = status.value
-                if matched_id is not None:
-                    detail += f" matched={matched_id}"
-                if track_id is not None:
-                    detail += f" track={track_id}"
-                details[key] = detail
-            ready.append(detection.truth_id or "?")
-            ready.append(detail)
+            outcomes.append(outcome)
+            _, _, track_id, deadline_us, generated = outcome
             if deadline_us is not None:
                 if run:
                     self._send(run, GENERATION_TARGETS, LinkTech.CAMERA,
@@ -1037,15 +808,13 @@ class Simulation:
                 run.append(generated)
         if run:
             self._send(run, GENERATION_TARGETS, LinkTech.CAMERA, now_us)
-        self.metrics.tape.detections(now_us, ready)
+        self.metrics.tape.detections(now_us, detections, outcomes)
 
     def _on_grace_deadline(self, now_us: int, track_id: int) -> None:
         bsm = self.gateway.on_grace_deadline(track_id)
-        tape = self.metrics.tape
+        self.metrics.tape.grace_deadline(now_us, track_id, bsm is not None)
         if bsm is None:
-            tape.grace_deadline(now_us, track_id, "resolved earlier")
             return
-        tape.grace_deadline(now_us, track_id, _CONFIRMED)
         truth = self.gateway.synthetic_truth[bsm.id]
         if truth is not None:
             self._truth_of[bsm.id] = self._truth_of[truth]

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and the
+package's modules import one another without a cycle.
 
 A name counts as used when the module reads it anywhere (as a bare name,
 or as the root of an attribute chain), or lists it in ``__all__``, which
@@ -59,3 +60,54 @@ def test_an_unused_import_is_found():
         "    pass\n"
     )
     assert unused_imports(source) == ["2 os"]
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules ``source`` imports with ``from .x import``."""
+    return {node.module for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module}
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """A cycle of ``graph`` (module to the modules it imports), as the
+    modules along it, first one repeated at the end; [] if there is
+    none."""
+    done: set[str] = set()
+    path: list[str] = []
+
+    def visit(module: str) -> list[str]:
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        path.append(module)
+        for imported in sorted(graph.get(module, ())):
+            cycle = visit(imported)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        cycle = visit(module)
+        if cycle:
+            return cycle
+    return []
+
+
+def test_package_imports_have_no_cycle():
+    graph = {path.stem: package_imports(path.read_text())
+             for path in MODULES}
+    # So ``trace`` cannot come to import ``sim``.
+    assert "trace" in graph["sim"]
+    assert import_cycle(graph) == []
+
+
+def test_an_import_cycle_is_found():
+    source = "from . import x\nfrom .b import y\nfrom .c.d import z\n"
+    assert package_imports(source) == {"b", "c.d"}
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"b"}}) == [
+        "b", "c", "b"]

@@ -22,7 +22,6 @@ from arsusim.latency import (
     PAIR_ROWS,
     SAFETY_APPS,
     SPEEDS_KMH,
-    SpeedClampWarning,
     classify,
     composed_csv_rows,
     load_composed_csv,
@@ -120,11 +119,12 @@ class TestHalfDelay:
         assert expected == pytest.approx(2.4565)
         assert model.half_delay(LinkTech.DSRC, 15.0) == pytest.approx(expected)
 
-    def test_clamps_above_table_with_warning(self):
+    def test_speed_above_table_rejected(self):
         model = LatencyModel.default()
-        with pytest.warns(SpeedClampWarning):
-            value = model.half_delay(LinkTech.CELL_MQTT, 150.0)
-        assert value == pytest.approx(82.741)
+        assert model.half_delay(LinkTech.CELL_MQTT, 120.0) == pytest.approx(
+            82.741)
+        with pytest.raises(ValueError, match="above table maximum 120"):
+            model.half_delay(LinkTech.CELL_MQTT, 120.5)
 
     def test_camera_has_no_half_rtt(self):
         model = LatencyModel.default()

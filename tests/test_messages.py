@@ -73,11 +73,6 @@ class TestValidateBsm:
         )
         assert any("negative timestamp" in v for v in validate_bsm(bsm))
 
-    def test_future_timestamp_against_now(self):
-        bsm = _make(now=5_000)
-        assert validate_bsm(bsm, now_us=4_000) != []
-        assert validate_bsm(bsm, now_us=5_000) == []
-
     def test_camera_origin_needs_synthetic_id(self):
         bsm = Bsm(
             "U1", Position(0, 0), PositionAccuracy(1.0),

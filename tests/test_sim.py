@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from arsusim.broker import ARSU_CLIENT
 from arsusim.config import RoadUserKind, UserSpec, parse_scenario
+from arsusim.gateway import GENERATION_TARGETS
 from arsusim.report import build_report_dict
 from arsusim.messages import (
     SYNTHETIC_ID_PREFIX,
@@ -29,10 +30,10 @@ from arsusim.sim import (
     Simulation,
     SimulationInvariantError,
     SimUser,
-    TraceRows,
     run,
     step_mobility,
 )
+from arsusim.trace import TraceRows
 
 from conftest import (
     awareness,
@@ -1009,14 +1010,29 @@ def _eager_rows(simulation):
         return [(at(at_us), "IpuFrame", ARSU_CLIENT, "",
                  f"detections={detections}")]
 
-    def detections(at_us, ready):
-        return [(at(at_us), "DetectionReady", ARSU_CLIENT, subject, detail)
-                for subject, detail in zip(ready[::2], ready[1::2])]
+    def detections(at_us, detections, outcomes):
+        written = []
+        for detection, outcome in zip(detections, outcomes):
+            detail = outcome.status.value
+            if outcome.matched_id is not None:
+                detail += f" matched={outcome.matched_id}"
+            if outcome.track_id is not None:
+                detail += f" track={outcome.track_id}"
+            written.append((at(at_us), "DetectionReady", ARSU_CLIENT,
+                            detection.truth_id or "?", detail))
+        return written
 
-    def gateway_rx(at_us, label, subject):
-        return [(at(at_us), label[0], ARSU_CLIENT, subject, label[1])]
+    def gateway_rx(at_us, medium, actions, subject):
+        if medium is LinkTech.CELL_MQTT:
+            kind, detail = "MqttDelivery", f"topic={Topic.CELL.value}"
+        else:
+            kind, detail = "RadioDelivery", f"via={medium.value}"
+        return [(at(at_us), kind, ARSU_CLIENT, subject,
+                 f"{detail} actions={actions}")]
 
-    def grace_deadline(at_us, track_id, detail):
+    def grace_deadline(at_us, track_id, confirmed):
+        detail = (f"confirmed NonConnected actions={len(GENERATION_TARGETS)}"
+                  if confirmed else "resolved earlier")
         return [(at(at_us), "GraceDeadline", ARSU_CLIENT,
                  f"track={track_id}", detail)]
 
