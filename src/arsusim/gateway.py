@@ -6,10 +6,10 @@ Three responsibilities, all driven by a strictly sequential event feed:
   other media per the relaying rules, payload untouched; a BSM heard on
   a medium other than its origin is a relayed copy and is dropped, which
   is the unit's loop guard;
-* connected/non-connected filtering: camera detections are matched
-  against a short history of received BSM positions; unmatched
-  detections wait one grace period for late BSMs before being confirmed
-  non-connected;
+* connected/non-connected filtering: a camera frame's detections come
+  in one ``on_frame`` call and are matched against a short history of
+  received BSM positions; unmatched detections wait one grace period
+  for late BSMs before being confirmed non-connected;
 * message generation: confirmed non-connected users get gateway-built
   BSMs under synthetic ids, sent to each of ``GENERATION_TARGETS``. The
   gateway never generates messages on behalf of connected users.
@@ -421,6 +421,14 @@ class Gateway:
             pending.pop(track.track_id)
 
     # --- detection filtering ---
+
+    def on_frame(self, detections: list[Detection],
+                 now_us: int) -> list[DetectionOutcome]:
+        """Classify one camera frame; returns the outcomes in capture
+        order. For now ``self.on_detection`` classifies each detection in
+        turn, so a wrapper set on the instance sees every one, in order."""
+        on_detection = self.on_detection
+        return [on_detection(det, now_us) for det in detections]
 
     def on_detection(self, det: Detection, now_us: int) -> DetectionOutcome:
         """Classify one camera detection.

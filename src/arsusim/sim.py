@@ -127,15 +127,15 @@ class DeliveryGroup(NamedTuple):
 
     ``receivers`` (the send's plan group, unless a broker drop cut it)
     and ``truth_indices`` are user indices; ``subjects`` and
-    ``truth_indices`` hold one entry per BSM, in order. ``topic`` is the
-    broker topic, None over the air. ``duplicates`` holds per BSM one
-    flag per receiver, or None when no receiver already had that BSM; it
-    is None when no receiver had any, and until the arrival is
-    delivered."""
+    ``truth_indices`` hold one entry per BSM, in order: a tuple for one
+    BSM, an index array for a run. ``topic`` is the broker topic, None
+    over the air. ``duplicates`` holds per BSM one flag per receiver, or
+    None when no receiver already had that BSM; it is None when no
+    receiver had any, and until the arrival is delivered."""
 
     receivers: _Group
     subjects: tuple[str, ...]
-    truth_indices: tuple[int, ...]
+    truth_indices: tuple[int] | np.ndarray
     uplink: LinkTech
     downlink: LinkTech
     generated_at_us: int
@@ -184,8 +184,6 @@ class Metrics:
         #: last_heard[receiver, truth subject]: µs of the latest delivery,
         #: or NEVER_HEARD.
         self.last_heard = np.full((n, n), NEVER_HEARD, dtype=np.int64)
-        #: The last batch's truth indices, and as an index array.
-        self._batch_truth: tuple[tuple, np.ndarray] = ((), np.empty(0))
         self.coverage_samples: list[tuple[int, Optional[float]]] = []
         self.duplicates_suppressed = 0
         self.detections = 0
@@ -209,16 +207,11 @@ class Metrics:
         truth, uplink, downlink, generated_at_us, delivered_at_us = record[2:7]
         rows = record.receivers.rows
         # Events run in time order, so these deliveries are the latest.
+        n = len(rows) * len(truth)
         if len(truth) == 1:
-            n = len(rows)
             self.last_heard[:, truth[0]][rows] = delivered_at_us
         else:
-            n = len(rows) * len(truth)
-            # A frame's batches share their truth indices.
-            if truth is not self._batch_truth[0]:
-                self._batch_truth = (truth, np.array(truth, dtype=np.intp))
-            self.last_heard[rows[:, None], self._batch_truth[1]] = (
-                delivered_at_us)
+            self.last_heard[rows[:, None], truth] = delivered_at_us
         self.tape.delivery(record, n)
         stats = self.path_stats.get((uplink, downlink))
         if stats is None:
@@ -334,12 +327,13 @@ class RunResult:
 #
 # Frames. Every detection of a camera frame becomes available at the same
 # instant, and the frame scheduled them one after another, so one ready
-# event that classifies them in capture order runs them as one event
-# each would. Their refreshes' BSMs, all generated at the frame's capture
-# time, are collected into a run; the run is sent before the frame
-# schedules a grace deadline, and what is left is sent at the end. So
-# each ``_schedule`` call comes in the order that sending each BSM as it
-# is generated would give, and a deadline runs between the same BSMs.
+# event in which ``Gateway.on_frame`` classifies them in capture order
+# runs them as one event each would. Sends and deadlines only schedule
+# events, so they follow the frame's outcomes: the refreshes' BSMs, all
+# generated at the capture time, form a run, sent before the frame
+# schedules a grace deadline, and what is left at the end. So each
+# ``_schedule`` call comes in the order that sending each BSM as it is
+# generated would give, and a deadline runs between the same BSMs.
 #
 # Sending BSM by BSM to the generation targets T1..Tm schedules, at each
 # instant, "for each BSM b, for each target T: b at T's group there" (a
@@ -437,8 +431,8 @@ class Simulation:
         self._heap: list[tuple[int, int, Callable[[int, Any], None], Any]] = []
         self._seq = 0
         self._ran = False
-        #: The last batch's BSMs, and their subjects and truth indices.
-        self._batched: tuple[list, tuple, tuple] = ([], (), ())
+        #: The last run's BSMs, subjects and truth index array.
+        self._batched: tuple[list, tuple, np.ndarray] = ([], (), np.empty(0))
 
         drop = config.mqtt.drop_probability
         self.broker = Broker(
@@ -718,12 +712,13 @@ class Simulation:
             record = record._replace(duplicates=tuple(flags))
         metrics.record_delivery(record)
 
-    def _subjects(self, bsms: list[Bsm]) -> tuple[tuple, tuple]:
+    def _subjects(self, bsms: list[Bsm]) -> tuple[tuple, tuple | np.ndarray]:
         """The subject ids of ``bsms`` and their truth indices, for one
         cast. One BSM's are built once per subject id and shared by all
-        its arrivals. A run's are worked out once: a frame's run, or
+        its arrivals. A run's are worked out once, the truth indices as
+        an index array, whenever its subjects change: a frame's run, or
         each piece of it, is cast to each medium one after another, so
-        its arrivals on every medium share these tuples."""
+        its arrivals on every medium share them."""
         if len(bsms) == 1:
             subject = bsms[0].id
             single = self._single.get(subject)
@@ -738,12 +733,13 @@ class Simulation:
         if bsms == batched_bsms:
             return subjects, truth
         new_subjects = tuple([bsm.id for bsm in bsms])
-        new_truth = tuple(map(self._truth_of.get, new_subjects))
-        if new_subjects != subjects or new_truth != truth:
+        # A subject's truth index never changes once it is set.
+        if new_subjects != subjects:
+            new_truth = tuple(map(self._truth_of.get, new_subjects))
             if None in new_truth:
                 subject = new_subjects[new_truth.index(None)]
                 raise SimulationInvariantError(f"{subject} is no road user")
-            subjects, truth = new_subjects, new_truth
+            subjects, truth = new_subjects, np.array(new_truth, dtype=np.intp)
         self._batched = (bsms, subjects, truth)
         return subjects, truth
 
@@ -786,18 +782,14 @@ class Simulation:
     def _on_detections_ready(
         self, now_us: int, detections: list[Detection]
     ) -> None:
-        """A frame's detections leave the IPU: the gateway classifies each,
-        in capture order, and the refreshes' BSMs go to each generation
-        target as a run; one executed event per detection. A run is sent
-        before a grace deadline is scheduled (see "Frames")."""
+        """A frame's detections leave the IPU: the gateway classifies the
+        frame in one ``on_frame`` call, and the refreshes' BSMs go to each
+        generation target as a run; one executed event per detection. A
+        run is sent before a grace deadline is scheduled (see "Frames")."""
         self.metrics.events_executed += len(detections) - 1
-        on_detection = self.gateway.on_detection
-        outcomes = []
+        outcomes = self.gateway.on_frame(detections, now_us)
         run = []
-        for detection in detections:
-            outcome = on_detection(detection, now_us)
-            outcomes.append(outcome)
-            _, _, track_id, deadline_us, generated = outcome
+        for _, _, track_id, deadline_us, generated in outcomes:
             if deadline_us is not None:
                 if run:
                     self._send(run, GENERATION_TARGETS, LinkTech.CAMERA,

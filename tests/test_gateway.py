@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arsusim import gateway as gateway_module
+from arsusim import sim as sim_module
 from arsusim.broker import ARSU_CLIENT
 from arsusim.config import FilterSettings, parse_scenario
 from arsusim.gateway import (
@@ -376,6 +379,105 @@ class TestDetectionFilter:
         bsm_b = gw.on_grace_deadline(b.track_id)
         ids = {bsm_a.id, bsm_b.id}
         assert ids == {"ipu:1", "ipu:2"}
+
+
+def frame_at(*points, captured_us=100_000):
+    """One camera frame's detections at ``(x_m, y_m)`` points, in capture
+    order, available 300 ms after capture."""
+    return Detection.of_frame(
+        ((position_at(x_m, y_m), 0.0, 0.0, None) for x_m, y_m in points),
+        captured_us, captured_us + 300_000,
+    )
+
+
+def _confirmed_at(x_m, y_m):
+    """A gateway holding one confirmed track, ``ipu:1``, at the point."""
+    gw = Gateway()
+    first = gw.on_detection(detection_at(x_m, y_m), 300_000)
+    assert gw.on_grace_deadline(first.track_id).id == "ipu:1"
+    return gw
+
+
+class TestFrame:
+    """``on_frame`` classifies one camera frame: the simulation's only
+    entry into the detection filter."""
+
+    @staticmethod
+    def _mixed():
+        """A gateway with a confirmed track at (50, 0) m and U1's BSM at
+        (0, 0) m, and a frame that meets each stage of the filter."""
+        gw = _confirmed_at(50.0, 0.0)
+        gw.on_rx(bsm_at("U1", tech=LinkTech.DSRC, now_us=350_000),
+                 LinkTech.DSRC, 350_000)
+        return gw, frame_at((0.0, 0.0), (50.5, 0.0), (100.0, 0.0),
+                            (100.5, 0.0))
+
+    def test_empty_frame_returns_no_outcomes(self):
+        gw = Gateway()
+        assert gw.on_frame([], 400_000) == []
+        assert gw.pending_tracks == gw.confirmed_tracks == 0
+
+    def test_one_outcome_per_detection_in_capture_order(self):
+        gw, frame = self._mixed()
+        outcomes = gw.on_frame(frame, 400_000)
+        assert [(o.status, o.matched_id, o.track_id, o.deadline_us)
+                for o in outcomes] == [
+            (FilterStatus.CONNECTED, "U1", None, None),
+            (FilterStatus.NON_CONNECTED, None, 1, None),
+            (FilterStatus.PENDING, None, 2, 500_000),
+            (FilterStatus.PENDING, None, 2, None),
+        ]
+        assert outcomes[1].generated.id == "ipu:1"
+        # As classifying the detections one by one gives.
+        one_by_one, frame = self._mixed()
+        assert outcomes == [one_by_one.on_detection(det, 400_000)
+                            for det in frame]
+
+    def test_wrapper_on_the_instance_sees_each_detection_once(self):
+        """perfbench counts ``gateway.on_detection`` calls through a
+        wrapper set on the instance."""
+        gw, frame = self._mixed()
+        seen = []
+        on_detection = gw.on_detection
+
+        def wrapped(det, now_us):
+            seen.append((det, now_us))
+            return on_detection(det, now_us)
+
+        gw.on_detection = wrapped
+        outcomes = gw.on_frame(frame, 400_000)
+        assert len(seen) == len(outcomes) == len(frame)
+        assert all(det is expected and now_us == 400_000
+                   for (det, now_us), expected in zip(seen, frame))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_a_track_takes_at_most_one_detection_per_frame(self):
+        """Two users 1 m either side of a confirmed track: today both
+        refresh it, and two BSMs go out keyed (``ipu:1``, capture time)."""
+        gw = _confirmed_at(0.0, 0.0)
+        outcomes = gw.on_frame(frame_at((0.0, 1.0), (0.0, -1.0)), 400_000)
+        tracks = [o.track_id for o in outcomes if o.track_id is not None]
+        assert len(tracks) == len(set(tracks))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_a_subject_explains_at_most_one_detection_per_frame(self):
+        """A phone user's BSM at (0, 0) m and detections 0.5 m and 2.5 m
+        from it: today both match the phone, masking the second user."""
+        gw = Gateway()
+        gw.on_rx(bsm_at("cell1", tech=LinkTech.CELL_MQTT, now_us=350_000),
+                 LinkTech.CELL_MQTT, 350_000)
+        outcomes = gw.on_frame(frame_at((0.0, 0.5), (0.0, 2.5)), 400_000)
+        matched = [o.matched_id for o in outcomes if o.matched_id is not None]
+        assert len(matched) == len(set(matched))
+
+    def test_sim_enters_the_filter_only_through_on_frame(self):
+        """``sim.py`` reads no ``on_detection`` attribute, so how the
+        filter goes through a frame is ``on_frame``'s alone."""
+        tree = ast.parse(Path(sim_module.__file__).read_text())
+        read = [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)]
+        assert "on_frame" in read
+        assert "on_detection" not in read
 
 
 def _gateway_at(sigma_m, bsms=(), detections=()):

@@ -1517,15 +1517,7 @@ users:
         assert [d.truth_id for d in detections] == [
             u.id for u in simulation.users]
 
-        class EventPerDetection(Simulation):
-            def _schedule(self, at_us, handler, arg=None):
-                if handler == self._on_detections_ready:
-                    for detection in arg:
-                        super()._schedule(at_us, handler, [detection])
-                    return
-                super()._schedule(at_us, handler, arg)
-
-        batched, apart = self._batched_and_apart(self.FRAME_DOC)
+        batched = self._batched_and_apart(self.FRAME_DOC)
         rows = list(batched.trace_rows)
         ready_rows = [r for r in rows if r[1] == "DetectionReady"]
         assert len(ready_rows) > 13
@@ -1600,7 +1592,7 @@ users:
         """Runs of ``doc`` as it is and with every detection its own
         event, checked equal; a frame's generated BSMs then never share
         an arrival, so every arrival of several BSMs is checked against
-        separate ones."""
+        separate ones. Returns the run of ``doc`` as it is."""
 
         class EventPerDetection(Simulation):
             def _schedule(self, at_us, handler, arg=None):
@@ -1623,7 +1615,7 @@ users:
         assert one.duplicates_suppressed == other.duplicates_suppressed
         # Some records carry several BSMs.
         assert len(records[0]) < len(records[1])
-        return batched, apart
+        return batched
 
     @pytest.mark.parametrize("edit", [
         # DSRC and C-V2X halves are both 4,611 us: their groups share an
