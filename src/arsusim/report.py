@@ -98,9 +98,7 @@ def scenario_matrix(
     observed mean latency on that uplink/downlink path; rows whose
     observation disagrees with the model beyond tolerance are flagged.
     """
-    observed_model_speed = None
-    if result is not None and result.config.link_speed_mode == "scenario":
-        observed_model_speed = result.config.scenario_speed_kmh
+    observed_model_speed = None if result is None else _model_speed(result)
     rows = []
     for sc in SCENARIOS:
         worst = model.max_composed_delay(
@@ -169,15 +167,21 @@ def matrix_csv_rows(rows: Sequence[dict]) -> list[list[str]]:
     return out
 
 
+def _model_speed(result: RunResult) -> Optional[float]:
+    """The speed (km/h) at which a run's observed path latencies are
+    checked against the model: the scenario speed in ``scenario`` mode;
+    None in ``max_endpoint`` mode, where each link has its own."""
+    config = result.config
+    if config.link_speed_mode == "scenario":
+        return config.scenario_speed_kmh
+    return None
+
+
 def build_report_dict(result: RunResult) -> dict:
     """Assemble the full machine-readable report for one run."""
     metrics = result.metrics
     paths = {}
-    model_speed = (
-        result.config.scenario_speed_kmh
-        if result.config.link_speed_mode == "scenario"
-        else None
-    )
+    model_speed = _model_speed(result)
     for (up, down), stats in metrics.path_stats.items():
         label = f"{TECH_LABEL[up]}->{TECH_LABEL[down]}"
         entry = {

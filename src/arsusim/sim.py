@@ -34,7 +34,8 @@ delivery adds duplicate flags only where a receiver already had a BSM,
 and it is written to the run's trace and not kept. Road users are named
 by their plain string ids throughout. The handlers write facts, not
 text, to the run's trace, ``Metrics.tape``: ``arsusim.trace`` keeps it
-and words its rows. Awareness is the ``last_heard`` matrix. The tests
+and words its rows. Awareness is the ``last_heard`` matrix, one row per
+receiver: only connected users hear anything. The tests
 see each delivery by wrapping ``Metrics.record_delivery``, which is
 passed every record as it is delivered.
 Delivery bookkeeping is per arrival, not per (BSM, receiver): the BSMs
@@ -51,6 +52,7 @@ import math
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
@@ -129,9 +131,10 @@ class DeliveryGroup(NamedTuple):
     and ``truth_indices`` are user indices; ``subjects`` and
     ``truth_indices`` hold one entry per BSM, in order: a tuple for one
     BSM, an index array for a run. ``topic`` is the broker topic, None
-    over the air. ``duplicates`` holds per BSM one flag per receiver, or
-    None when no receiver already had that BSM; it is None when no
-    receiver had any, and until the arrival is delivered."""
+    over the air. ``duplicates`` holds a ``(position in subjects, one
+    flag per receiver)`` pair for each BSM that some receiver already
+    had, in order; it is None when no receiver had any, and until the
+    arrival is delivered."""
 
     receivers: _Group
     subjects: tuple[str, ...]
@@ -141,7 +144,7 @@ class DeliveryGroup(NamedTuple):
     generated_at_us: int
     delivered_at_us: int
     topic: Optional[Topic]
-    duplicates: Optional[tuple[Optional[tuple[bool, ...]], ...]]
+    duplicates: Optional[tuple[tuple[int, tuple[bool, ...]], ...]]
 
 
 @dataclass
@@ -174,16 +177,20 @@ NEVER_HEARD = -1
 
 class Metrics:
     """What a run measures, and its trace, held as a compact tape
-    (``TraceRows``)."""
+    (``TraceRows``). ``receivers`` are the users that can hear anything,
+    the connected ones, in user index order: ``last_heard`` has a row for
+    each of them and a column for every user."""
 
-    def __init__(self, user_ids: list[str], frame: LocalFrame):
-        n = len(user_ids)
+    def __init__(self, user_ids: list[str], frame: LocalFrame,
+                 receivers: list[int]):
         self.ids = user_ids  # user id by index
+        self.receivers = receivers  # user index by row of last_heard
         self.tape = TraceRows(user_ids, frame)
         self.path_stats: dict[tuple[LinkTech, LinkTech], PathStats] = {}
-        #: last_heard[receiver, truth subject]: µs of the latest delivery,
-        #: or NEVER_HEARD.
-        self.last_heard = np.full((n, n), NEVER_HEARD, dtype=np.int64)
+        #: last_heard[receivers' row, truth subject]: µs of the latest
+        #: delivery, or NEVER_HEARD.
+        self.last_heard = np.full((len(receivers), len(user_ids)),
+                                  NEVER_HEARD, dtype=np.int64)
         self.coverage_samples: list[tuple[int, Optional[float]]] = []
         self.duplicates_suppressed = 0
         self.detections = 0
@@ -291,8 +298,10 @@ class RunResult:
 # entry.
 #
 # Groups. A plan group is a ``_Group``: its receivers' tuple, with their
-# ``last_heard`` rows as an index array and their bitmask, built once at
-# setup, its receivers in increasing user index. A delivery of it tests
+# ``last_heard`` rows as an index array, looked up in the row map, and
+# their bitmask, built once at setup, its receivers in increasing user
+# index. Only connected users are in a plan, so every receiver has a
+# row. A delivery of it tests
 # and updates the duplicate window with one int operation per BSM, and
 # writes ``last_heard`` through the array; it works out per-receiver flags
 # only when some receiver already had the BSM. A group cut by a drop is a
@@ -335,18 +344,15 @@ class RunResult:
 # ``_schedule`` call comes in the order that sending each BSM as it is
 # generated would give, and a deadline runs between the same BSMs.
 #
-# Sending BSM by BSM to the generation targets T1..Tm schedules, at each
+# Sending BSM by BSM to the generation targets schedules, at each
 # instant, "for each BSM b, for each target T: b at T's group there" (a
-# plan has at most one group per instant), in that order. Where only one
-# target's plan has a group g at an instant, that is b1..bk at g, one
-# after another, which one arrival of the run at g delivers in the same
-# order. The heap orders entries at distinct instants by time, so
-# casting the run target by target, in any order, gives the same run
-# order, as long as no two targets' groups share an instant. Where they
-# do (equal DSRC and C-V2X halves, as at 60.95 km/h), their arrivals
-# alternate BSM by BSM: ``__init__`` works out once which generation
-# targets share an instant with another, and ``_send`` casts a run to
-# those one BSM at a time, target by target, after the others.
+# plan has at most one group per instant). Where only one target has a
+# group g at an instant, that is b1..bk at g, which one arrival of the
+# run at g delivers in the same order; so, while no two targets' groups
+# share an instant, casting the run target by target gives the same
+# order. ``__init__`` works out once whether two do (equal DSRC and
+# C-V2X halves, as at 60.95 km/h); then ``_send`` sends a run BSM by
+# BSM, to every target in order.
 
 class _Group(tuple):
     """A plan group's receivers (user indices), carrying their rows of
@@ -358,12 +364,13 @@ class _Group(tuple):
     #: rebuilt from it.
     cut = False
 
-    def __new__(cls, receivers: Iterable[int]) -> _Group:
+    def __new__(cls, receivers: Iterable[int], row_of: np.ndarray) -> _Group:
         group = super().__new__(cls, receivers)
         mask = 0
         for r in group:
             mask |= 1 << r
-        group.rows, group.mask = np.array(group, dtype=np.intp), mask
+        group.rows = row_of[np.array(group, dtype=np.intp)]
+        group.mask = mask
         return group
 
 
@@ -378,14 +385,17 @@ class _Cut(_Group):
 _Plan = tuple[tuple[int, _Group], ...]
 
 
-def _group_by_time(arrivals: Iterable[tuple[int, int]]) -> _Plan:
+def _group_by_time(arrivals: Iterable[tuple[int, int]],
+                   row_of: np.ndarray) -> _Plan:
     """``(µs, user index)`` pairs grouped by time, the groups and their
-    receivers in first-seen order. Every caller passes users in index
-    order, so each group's receivers increase, as ``_Cut`` needs."""
+    receivers in first-seen order; ``row_of`` maps a receiver to its row
+    of ``last_heard``. Every caller passes users in index order, so each
+    group's receivers increase, as ``_Cut`` needs."""
     groups: dict[int, list[int]] = {}
     for at_us, receiver in arrivals:
         groups.setdefault(at_us, []).append(receiver)
-    return tuple((at_us, _Group(group)) for at_us, group in groups.items())
+    return tuple((at_us, _Group(group, row_of))
+                 for at_us, group in groups.items())
 
 
 class Simulation:
@@ -416,9 +426,15 @@ class Simulation:
         #: ``((subject id,), (truth index,))`` by subject id, once
         #: delivered: the subjects of every one-BSM arrival.
         self._single: dict[str, tuple[tuple[str], tuple[int]]] = {}
-        self._connected = sum(
-            user.spec.kind.is_connected for user in self.users)
-        self.metrics = Metrics(ids, self.frame)
+        # Only connected users receive: each has a row of ``last_heard``,
+        # and a user that does not receive maps to row -1.
+        receivers = [u.index for u in self.users if u.spec.kind.is_connected]
+        self._row_of = np.full(len(self.users), -1, dtype=np.intp)
+        self._row_of[receivers] = np.arange(len(receivers))
+        #: Each receiver's cell of its own column of ``last_heard``.
+        self._own = (np.arange(len(receivers)),
+                     np.array(receivers, dtype=np.intp))
+        self.metrics = Metrics(ids, self.frame, receivers)
         # The longest path: one link half at each end, plus the camera's
         # processing and grace wait on a camera path.
         self._seen = _SeenWindow(
@@ -462,24 +478,21 @@ class Simulation:
             on_tech = by_tech.get(tech, [])
             for u in on_tech:
                 self._plans[u.index] = _group_by_time(
-                    (u.half_us + p.half_us if tech is LinkTech.CELL_MQTT
-                     else 2 * (u.half_us if u.speed_kmh >= p.speed_kmh
-                               else p.half_us), p.index)
-                    for p in on_tech if p is not u
+                    ((u.half_us + p.half_us if tech is LinkTech.CELL_MQTT
+                      else 2 * (u.half_us if u.speed_kmh >= p.speed_kmh
+                                else p.half_us), p.index)
+                     for p in on_tech if p is not u),
+                    self._row_of,
                 )
             self._relays[tech] = _group_by_time(
-                (u.half_us, u.index) for u in on_tech
+                ((u.half_us, u.index) for u in on_tech), self._row_of
             )
-        #: The generation targets whose plan shares an arrival time with
-        #: another's: a frame's run reaches them one BSM at a time.
-        offsets = {target: {offset_us for offset_us, _ in
-                            self._relays[target[0]]}
-                   for target in GENERATION_TARGETS}
-        self._interleaved = frozenset(
-            target for target in GENERATION_TARGETS
-            if any(offsets[target] & offsets[other]
-                   for other in GENERATION_TARGETS if other != target)
-        )
+        #: Whether two generation targets' plans share an arrival time: a
+        #: frame's run then reaches the targets one BSM at a time.
+        offsets = [{offset_us for offset_us, _ in self._relays[medium]}
+                   for medium, _ in GENERATION_TARGETS]
+        self._interleaved = any(
+            one & other for one, other in combinations(offsets, 2))
 
     def _make_user(self, index: int, spec: UserSpec) -> SimUser:
         speed = (
@@ -623,7 +636,8 @@ class Simulation:
             kept_rows = set(map(self._truth_of.get, kept)).__contains__
             cut = tuple(
                 (offset_us,
-                 receivers if len(group) == len(receivers) else _Cut(group))
+                 receivers if len(group) == len(receivers)
+                 else _Cut(group, self._row_of))
                 for offset_us, receivers in plan
                 if (group := tuple(filter(kept_rows, receivers)))
             )
@@ -662,16 +676,12 @@ class Simulation:
         """Send a run of gateway relays or generated BSMs, which reached
         the gateway over ``uplink`` at one instant, to each target
         through its plan (see "Frames")."""
-        runs = [(bsms, targets)]
-        if len(bsms) > 1 and self._interleaved:
-            # Targets whose groups share an instant take the run BSM by
-            # BSM, after the others (see "Frames").
-            shared = tuple(t for t in targets if t in self._interleaved)
-            runs = [(bsms, tuple(t for t in targets if t not in shared))]
-            runs += [([bsm], shared) for bsm in bsms]
+        # Where two targets' groups share an instant, the run goes BSM by
+        # BSM (see "Frames").
+        runs = [[bsm] for bsm in bsms] if self._interleaved else [bsms]
         relays = self._relays
-        for run, run_targets in runs:
-            for medium, topic in run_targets:
+        for run in runs:
+            for medium, topic in targets:
                 if topic is None:
                     # A radio relay to every user on ``medium``. The gateway
                     # relays a road user's BSM only onto the other media,
@@ -702,10 +712,10 @@ class Simulation:
                 continue
             seen[subject] = had | mask
             if had & mask:
+                duplicates = tuple(bool(had >> r & 1) for r in receivers)
                 if flags is None:
-                    flags = [None] * len(subjects)
-                flags[i] = duplicates = tuple(
-                    bool(had >> r & 1) for r in receivers)
+                    flags = []
+                flags.append((i, duplicates))
                 metrics.duplicates_suppressed += sum(duplicates)
         metrics.events_executed += len(receivers) * len(subjects) - 1
         if flags is not None:
@@ -834,21 +844,21 @@ class Simulation:
         """Share of (connected receiver, other user) pairs heard within
         the freshness window; None when there are no such pairs.
 
-        Only connected users receive, so every other row of
-        ``last_heard`` stays NEVER_HEARD: the fresh entries of the whole
-        matrix are those of the pairs, plus the diagonal a ghost fills,
-        (U, U) when U hears its own ghost. Both are counted in place.
+        ``last_heard`` has a row for each connected user: its fresh
+        entries are those of the pairs, plus each receiver's own column
+        when a ghost fills it, (U, U) when U hears its own ghost. Both
+        are counted in place.
         """
-        pairs = self._connected * (len(self.users) - 1)
+        last_heard = self.metrics.last_heard
+        pairs = len(last_heard) * (len(self.users) - 1)
         if pairs == 0:
             return None
         # Before a whole window has passed, now − freshness is below
         # NEVER_HEARD; the cutoff never drops below it, so a pair never
         # heard is never fresh.
         oldest_us = max(now_us - self.freshness_us, NEVER_HEARD)
-        last_heard = self.metrics.last_heard
         fresh = np.count_nonzero(last_heard > oldest_us)
-        fresh -= np.count_nonzero(last_heard.diagonal() > oldest_us)
+        fresh -= np.count_nonzero(last_heard[self._own] > oldest_us)
         return int(fresh) / pairs
 
 

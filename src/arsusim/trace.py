@@ -16,7 +16,8 @@ already shares in ``_refs``:
 - GraceDeadline: the track id; its detail.
 - MetricsTick: the coverage, NaN for none.
 - A delivery record: its generation time; its receivers (the plan
-  group, or a cut group's bitmask), subjects and duplicate flags.
+  group, or a cut group's bitmask), subjects and duplicate flags, held
+  only for the BSMs some receiver already had, by their position.
 
 A detail or label is built once per distinct value, so entries share
 it; the caches are bounded by users and tracks. Nothing is formatted
@@ -188,8 +189,9 @@ class TraceRows:
                     label = labels[kind, latency_us] = _delivery_label(
                         uplink, downlink, us_to_ms(latency_us), topic)
                 kind_name, detail, duplicate = label
-                for subject, flags in zip(subjects,
-                                          duplicates or repeat(None)):
+                flags_of = (repeat(None) if duplicates is None else
+                            map(dict(duplicates).get, range(len(subjects))))
+                for subject, flags in zip(subjects, flags_of):
                     if flags is None:
                         for r in receivers:
                             yield (at_ms, kind_name, ids[r], subject, detail)

@@ -134,10 +134,10 @@ def collect_deliveries(simulation: Simulation) -> list[Delivery]:
 
     def collecting(record):
         record_delivery(record)
-        for subject, truth_index, flags in zip(
-                record.subjects, record.truth_indices,
-                record.duplicates or (None,) * len(record.subjects)):
-            flags = flags or (False,) * len(record.receivers)
+        flags_at = dict(record.duplicates or ())
+        for i, (subject, truth_index) in enumerate(zip(
+                record.subjects, record.truth_indices)):
+            flags = flags_at.get(i, (False,) * len(record.receivers))
             for receiver, duplicate in zip(record.receivers, flags):
                 deliveries.append(Delivery(
                     ids[receiver], subject, ids[truth_index],
@@ -166,8 +166,8 @@ def awareness(metrics: Metrics) -> dict[tuple[str, str], int]:
     ids = metrics.ids
     last_heard = metrics.last_heard
     return {
-        (ids[r], ids[s]): int(last_heard[r, s])
-        for r, s in zip(*np.nonzero(last_heard != NEVER_HEARD))
+        (ids[metrics.receivers[row]], ids[s]): int(last_heard[row, s])
+        for row, s in zip(*np.nonzero(last_heard != NEVER_HEARD))
     }
 
 

@@ -22,7 +22,6 @@ from arsusim.messages import (
     us_to_ms,
 )
 from arsusim.sim import (
-    NEVER_HEARD,
     _Cut,
     _Group,
     _group_by_time,
@@ -348,6 +347,28 @@ users:
             tracemalloc.stop()
         assert coverage == result.final_coverage > 0
         assert peak < 2 * n * n, peak
+
+    def test_last_heard_holds_a_row_per_receiver(self):
+        """``last_heard`` has one row per connected user, in user index
+        order, and none for a pedestrian; with pedestrians between the
+        cars, a car's row is not its user index, and each pair heard is
+        read back from the right row."""
+        doc = """
+duration_ms: 1000
+scenario_speed_kmh: 30
+seed: 7
+users:
+  - {kind: non_connected, id: P1, x_m: 5}
+  - {kind: native_dsrc, id: D1, x_m: 10}
+  - {kind: non_connected, id: P2, x_m: 15}
+  - {kind: native_cv2x, id: C1, x_m: 20}
+"""
+        metrics = run(scenario(doc)).metrics
+        assert metrics.receivers == [1, 3]
+        assert metrics.last_heard.shape == (2, 4)
+        assert {receiver for receiver, _ in awareness(metrics)} == {
+            "D1", "C1"}
+        assert {("D1", "C1"), ("C1", "D1")} <= set(awareness(metrics))
 
 
 MIXED_TABLE1 = """
@@ -851,8 +872,8 @@ class TestTraceProperties:
         user delivery rows are the recorded deliveries in order, no user
         is handed its own BSM, reading twice gives the same rows, the
         final coverage is the share of (connected receiver, other user)
-        pairs heard within the freshness window, and every ``last_heard``
-        row of a non-connected user is NEVER_HEARD."""
+        pairs heard within the freshness window, and ``last_heard`` holds
+        a row for each connected user only."""
         result, deliveries = run_collecting(_random_scenario(data))
         rows = result.trace_rows
         assert len(rows) == result.metrics.events_executed + 1
@@ -871,12 +892,13 @@ class TestTraceProperties:
         assert list(rows) == list(rows)
         assert len(list(rows)) == len(rows)
         assert result.final_coverage == _final_coverage_oracle(result)
-        # Only connected users receive: ``_coverage`` counts the whole
-        # matrix on that premise.
-        last_heard = result.metrics.last_heard
-        for user in result.users:
-            if not user.spec.kind.is_connected:
-                assert (last_heard[user.index] == NEVER_HEARD).all()
+        # Only connected users receive, and only they have a row of
+        # ``last_heard``: ``_coverage`` counts the whole matrix.
+        receivers = [u.index for u in result.users
+                     if u.spec.kind.is_connected]
+        assert result.metrics.receivers == receivers
+        assert result.metrics.last_heard.shape == (
+            len(receivers), len(result.users))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -1047,14 +1069,14 @@ def _eager_rows(simulation):
                   f" latency_ms={latency_ms:.3f}")
         if record.topic is not None:
             detail += f" topic={record.topic.value}"
+        flags_at = dict(record.duplicates or ())
         written = [
             (at(record.delivered_at_us), kind, ids[receiver], subject,
              detail + " duplicate" if duplicate else detail)
-            for subject, flags in zip(
-                record.subjects,
-                record.duplicates or (None,) * len(record.subjects))
+            for i, subject in enumerate(record.subjects)
             for receiver, duplicate in zip(
-                record.receivers, flags or (False,) * len(record.receivers))
+                record.receivers,
+                flags_at.get(i, (False,) * len(record.receivers)))
         ]
         assert len(written) == count
         return written
@@ -1160,6 +1182,28 @@ class TestGroupRecords:
         _assert_collected_match_trace(result, deliveries)
         rows = [r for r in result.trace_rows if r[4].endswith(" duplicate")]
         assert len(rows) == 5
+
+    def test_duplicate_flags_only_for_the_bsms_a_receiver_had(self):
+        """A record holds one ``(position, flags)`` pair for each of its
+        BSMs that some receiver already had, and None when no receiver
+        had any; a flag is set for each receiver that had the BSM."""
+        simulation = Simulation(scenario(DUPLICATES))
+        records = collect_records(simulation)
+        simulation.run()
+        had = set()  # (receiver, subject, generation time)
+        pairs = 0
+        for record in records:
+            expected = []
+            for i, subject in enumerate(record.subjects):
+                keys = [(r, subject, record.generated_at_us)
+                        for r in record.receivers]
+                flags = tuple(key in had for key in keys)
+                if any(flags):
+                    expected.append((i, flags))
+                had.update(keys)
+            assert record.duplicates == (tuple(expected) or None)
+            pairs += len(expected)
+        assert pairs > 0
 
     def test_duplicate_flags_of_a_group_cut_by_drops(self):
         """A cut group's mask is built when it is cut: its duplicate
@@ -1389,7 +1433,7 @@ users:
         the heap as it was; one sent at their generation instant is
         scheduled."""
         simulation = Simulation(scenario(MIXED_TABLE1))
-        plan = ((1_000, _Group((0, 1))),)
+        plan = ((1_000, _group((0, 1))),)
         bsms = [_relay_bsm(simulation, at_us, f"U{i + 3}")
                 for i, at_us in enumerate(generated)]
         with pytest.raises(SimulationInvariantError,
@@ -1405,7 +1449,7 @@ users:
 
     def test_mixed_times_group_in_first_seen_order(self):
         assert _group_by_time(
-            zip([700, 300, 700, 300, 900], [4, 1, 2, 3, 0])
+            zip([700, 300, 700, 300, 900], [4, 1, 2, 3, 0]), np.arange(5)
         ) == ((700, (4, 2)), (300, (1, 3)), (900, (0,)))
 
     def test_event_between_casts_at_one_instant_runs_between_them(self):
@@ -1413,7 +1457,7 @@ users:
         arrival B at T: four events at T, which run in schedule order."""
         simulation = Simulation(scenario(MIXED_TABLE1))
         at_us = 50_000
-        plan = ((at_us - 1_000, _Group((0,))),)
+        plan = ((at_us - 1_000, _group((0,))),)
         a1, a2, b = (_relay_bsm(simulation, 1_000, f"U{i}") for i in (2, 3, 4))
         simulation._cast(plan, 1_000, [a1], LinkTech.CELL_MQTT,
                          LinkTech.DSRC)
@@ -1466,7 +1510,7 @@ users:
         """Two BSMs generated at one instant, cast one after the other
         through one plan group, arrive one after the other: one event,
         and one record, per cast."""
-        plan = ((8_000, _Group((0, 1))),)
+        plan = ((8_000, _group((0, 1))),)
         subjects, records, deliveries = self._cast_and_deliver(
             [(plan, "U3"), (plan, "U4")])
         assert subjects == [("U3",), ("U4",)]
@@ -1477,7 +1521,7 @@ users:
     def test_interleaved_plans_arrive_in_cast_order(self):
         """Casts through two groups of one instant alternate, and so do
         their arrivals."""
-        dsrc, cv2x = ((8_000, _Group((0,))),), ((8_000, _Group((1,))),)
+        dsrc, cv2x = ((8_000, _group((0,))),), ((8_000, _group((1,))),)
         subjects, records, deliveries = self._cast_and_deliver([
             (dsrc, "U3"), (cv2x, "U3"), (dsrc, "U4"), (cv2x, "U4"),
         ])
@@ -1588,11 +1632,13 @@ users:
         assert any(len(pieces) == 2 for pieces in frames.values())
 
     @staticmethod
-    def _batched_and_apart(doc):
+    def _batched_and_apart(doc, runs=True):
         """Runs of ``doc`` as it is and with every detection its own
         event, checked equal; a frame's generated BSMs then never share
         an arrival, so every arrival of several BSMs is checked against
-        separate ones. Returns the run of ``doc`` as it is."""
+        separate ones. Some records of ``doc`` carry several BSMs, or,
+        unless ``runs``, none does. Returns the run of ``doc`` as it
+        is."""
 
         class EventPerDetection(Simulation):
             def _schedule(self, at_us, handler, arg=None):
@@ -1613,22 +1659,25 @@ users:
         assert np.array_equal(one.last_heard, other.last_heard)
         assert list(one.path_stats.items()) == list(other.path_stats.items())
         assert one.duplicates_suppressed == other.duplicates_suppressed
-        # Some records carry several BSMs.
-        assert len(records[0]) < len(records[1])
+        if runs:  # Some records carry several BSMs.
+            assert len(records[0]) < len(records[1])
+        else:
+            assert len(records[0]) == len(records[1])
         return batched
 
-    @pytest.mark.parametrize("edit", [
+    @pytest.mark.parametrize("edit, runs", [
         # DSRC and C-V2X halves are both 4,611 us: their groups share an
-        # instant and interleave.
-        {"scenario_speed_kmh": 60.95},
+        # instant and interleave, so a frame's run goes BSM by BSM.
+        ({"scenario_speed_kmh": 60.95}, False),
         # The grace deadline falls at the instant of the frame's DSRC and
         # C-V2X arrivals and runs between the pieces of its run.
-        {"scenario_speed_kmh": 60.95, "filter": {"sigma_m": 4,
-                                                 "grace_ms": 4.611}},
+        ({"scenario_speed_kmh": 60.95, "filter": {"sigma_m": 4,
+                                                  "grace_ms": 4.611}},
+         False),
         # A publish that drops subscribers casts new, cut groups.
-        {"mqtt": {"drop_probability": 0.3}},
+        ({"mqtt": {"drop_probability": 0.3}}, True),
         # Each receiver's own half: a relay plan has a group per half.
-        {"link_speed_mode": "max_endpoint", "users": [
+        ({"link_speed_mode": "max_endpoint", "users": [
             {"kind": "native_dsrc", "count": 2},
             {"kind": "native_dsrc", "count": 1, "speed_kmh": 50},
             {"kind": "native_cv2x", "count": 2, "speed_kmh": 50},
@@ -1637,12 +1686,12 @@ users:
             {"kind": "nonnative_cell", "count": 1, "speed_kmh": 50},
             {"kind": "non_connected", "count": 6},
             {"kind": "non_connected", "id": "P-twin", "x_m": 110, "y_m": 1},
-        ]},
+        ]}, True),
     ], ids=["equal-halves", "grace-at-arrival", "drops", "max_endpoint"])
-    def test_merged_frame_matches_event_per_detection(self, edit):
+    def test_merged_frame_matches_event_per_detection(self, edit, runs):
         doc = yaml.safe_load(self.FRAME_DOC)
         doc.update(edit)
-        self._batched_and_apart(yaml.safe_dump(doc))
+        self._batched_and_apart(yaml.safe_dump(doc), runs)
 
 
 class TestTape:
@@ -1734,6 +1783,13 @@ users:
         assert 0 < growth_per_s <= self.FORMATTED_GROWTH_PER_S / 3
 
 
+def _group(receivers):
+    """A plan group of ``receivers``, for a scenario whose users up to
+    the last of them are all connected: each one's row of ``last_heard``
+    is its user index."""
+    return _Group(receivers, np.arange(max(receivers) + 1))
+
+
 def _relay_bsm(simulation, generated_at_us, user_id="U1"):
     return make_bsm(
         user_id, simulation.frame.position_at(10.0, 0.0), 0.0,
@@ -1746,7 +1802,7 @@ def _deliver(simulation, at_us, receivers, bsm, uplink, downlink):
     """Deliver ``bsm`` to ``receivers`` at ``at_us``, its record built as
     ``_cast`` builds it."""
     simulation._deliver(at_us, DeliveryGroup(
-        _Group(receivers), *simulation._subjects([bsm]), uplink, downlink,
+        _group(receivers), *simulation._subjects([bsm]), uplink, downlink,
         bsm.generated_at_us, at_us, None, None))
 
 
