@@ -63,7 +63,7 @@ def measure(scenario: str, traced: bool) -> dict:
     tracemalloc.start()
     simulation = Simulation(config)
     tracemalloc.reset_peak()
-    result = simulation.run()
+    result = simulation.run()  # held, with the simulation, until measured
     peak = tracemalloc.get_traced_memory()[1]
     gc.collect()
     held = tracemalloc.get_traced_memory()[0]
