@@ -19,6 +19,11 @@ oldest, appends itself and checks the pending tracks near it, each
 7.1 m away, outside the gate. Each arrives over its origin medium, so
 the loop guard drops none.
 
+Each case runs at two origins: (0, 0), where the x axis of the filter's
+Earth-centred cubes is normal to the ground, and (48.1, 11.6), where no
+axis is, so a lookup there meets more occupied cubes. The (0, 0) cases
+are named by N alone.
+
 Run from the root of a checkout:
 
     PYTHONPATH=src python -m pytest bench --benchmark-enable --benchmark-only -q
@@ -42,9 +47,16 @@ from arsusim.messages import (
     make_bsm,
 )
 
-FRAME = LocalFrame(0.0, 0.0)
+#: The frames the cases run in, by the prefix of their ids.
+FRAMES = {"": LocalFrame(0.0, 0.0), "48.1,11.6-": LocalFrame(48.1, 11.6)}
 SPACING_M = 10.0
 PROCESSING_US = 300_000
+
+
+def cases(sizes):
+    """``(frame, n)`` for each frame and each of ``sizes``."""
+    return [pytest.param(frame, n, id=f"{prefix}{n}")
+            for prefix, frame in FRAMES.items() for n in sizes]
 
 
 def grid(n):
@@ -55,9 +67,9 @@ def grid(n):
     ]
 
 
-def detection(x_m, y_m, captured_us):
+def detection(frame, x_m, y_m, captured_us):
     return Detection(
-        FRAME.position_at(x_m, y_m), 0.0, 0.0,
+        frame.position_at(x_m, y_m), 0.0, 0.0,
         captured_at_us=captured_us,
         available_at_us=captured_us + PROCESSING_US,
     )
@@ -68,17 +80,17 @@ def line(n):
     return [(i * SPACING_M, 0.0) for i in range(n)]
 
 
-def loaded_gateway(points, bsm_offset, sigma_m=5.0):
+def loaded_gateway(frame, points, bsm_offset, sigma_m=5.0):
     """A gateway holding a confirmed track at each point and a BSM at
     each point plus ``bsm_offset``, at 400 ms."""
     gw = Gateway(FilterSettings(sigma_m=sigma_m))
     for x, y in points:
-        outcome = gw.on_detection(detection(x, y, 0), PROCESSING_US)
+        outcome = gw.on_detection(detection(frame, x, y, 0), PROCESSING_US)
         gw.on_grace_deadline(outcome.track_id)
     dx, dy = bsm_offset
     for i, (x, y) in enumerate(points):
         bsm = make_bsm(
-            f"U{i}", FRAME.position_at(x + dx, y + dy),
+            f"U{i}", frame.position_at(x + dx, y + dy),
             0.0, 0.0, PositionAccuracy(1.0), LinkTech.DSRC, 400_000,
         )
         gw.on_rx(bsm, LinkTech.DSRC, 400_000)
@@ -87,42 +99,43 @@ def loaded_gateway(points, bsm_offset, sigma_m=5.0):
     return gw
 
 
-def time_refresh(benchmark, gw, points):
+def time_refresh(benchmark, frame, gw, points):
     n = len(points)
     x, y = points[n // 2]
-    det = detection(x, y, 100_000)
+    det = detection(frame, x, y, 100_000)
     outcome = benchmark(gw.on_detection, det, 400_000)
     assert outcome.status is FilterStatus.NON_CONNECTED
     assert outcome.track_id == n // 2 + 1
     assert gw.confirmed_tracks == n and gw.pending_tracks == 0
 
 
-@pytest.mark.parametrize("n", [10, 100, 1000])
-def test_on_detection(benchmark, n):
+@pytest.mark.parametrize("frame, n", cases([10, 100, 1000]))
+def test_on_detection(benchmark, frame, n):
     half = SPACING_M / 2
-    time_refresh(benchmark, loaded_gateway(grid(n), (half, half)), grid(n))
+    gw = loaded_gateway(frame, grid(n), (half, half))
+    time_refresh(benchmark, frame, gw, grid(n))
 
 
-@pytest.mark.parametrize("n", [100, 1000])
-def test_on_detection_line(benchmark, n):
-    gw = loaded_gateway(line(n), (SPACING_M / 2, 0.0), sigma_m=4.0)
-    time_refresh(benchmark, gw, line(n))
+@pytest.mark.parametrize("frame, n", cases([100, 1000]))
+def test_on_detection_line(benchmark, frame, n):
+    gw = loaded_gateway(frame, line(n), (SPACING_M / 2, 0.0), sigma_m=4.0)
+    time_refresh(benchmark, frame, gw, line(n))
 
 
-@pytest.mark.parametrize("n", [100, 1000])
-def test_on_rx(benchmark, n):
+@pytest.mark.parametrize("frame, n", cases([100, 1000]))
+def test_on_rx(benchmark, frame, n):
     gw = Gateway()
     step_us = gw.history.window_us // n
     half = SPACING_M / 2
     points = grid(n)
     for x, y in points:
-        gw.on_detection(detection(x, y, 0), PROCESSING_US)
+        gw.on_detection(detection(frame, x, y, 0), PROCESSING_US)
 
     def arrival(i, x_m, y_m):
         """The i-th BSM to arrive, at (x_m, y_m), as on_rx arguments."""
         at = PROCESSING_US + i * step_us
         bsm = make_bsm(
-            f"U{i}", FRAME.position_at(x_m, y_m),
+            f"U{i}", frame.position_at(x_m, y_m),
             0.0, 0.0, PositionAccuracy(1.0), LinkTech.DSRC, at,
         )
         return (bsm, LinkTech.DSRC, at), {}

@@ -19,44 +19,31 @@ decided (the relay targets, a ``DetectionOutcome``, a generated BSM), and
 a caller that wants a record keeps what the calls return.
 
 Every match is "nearest within ``sigma_m`` by :func:`horizontal_distance_m`".
-The history and the pending and confirmed tracks are each indexed in a
-grid of degrees, and a lookup measures only the few entries the grid
-cannot rule out. Rows are latitude bands ``h = sigma_m * (1 + 1e-6) /
-METERS_PER_DEG + 1e-12`` degrees tall; columns are longitude cells at
-least ``h`` wide, ``n = floor(360 / h)`` of them, so that a whole number
-of columns spans the circle and the antimeridian is a column edge. The
-grid needs no local frame, and it is exact at any latitude and across
-the antimeridian:
+The history and the pending and confirmed tracks are each indexed in
+cubes of Earth-centred Cartesian coordinates (:func:`earth_centred_m`),
+and a lookup measures only the few entries the cubes cannot rule out.
+It is exact everywhere, poles and antimeridian included, as neither is
+an edge of anything in these coordinates:
 
-* Rows. The great-circle distance is never less than the meridian arc,
-  ``R * |dphi|``, so anything within ``sigma_m`` lies at most one row
-  away.
-* Longitude. By the haversine formula, ``sin²(d/2R) = sin²(dphi/2) +
-  cos phi1 * cos phi2 * sin²(dlam/2) >= cos phi1 * cos phi2 *
-  sin²(dlam/2)``. A match has ``d < sigma_m`` and so ``|dphi| <=
-  sigma_m / R``: ``|phi2| <= |phi1| + sigma_m / R = phi_far``, and
-  ``cos phi2 >= cos phi_far`` while ``phi_far < 90°``. Hence
-  ``sin²(dlam/2) < sin²(sigma_m/2R) / (cos phi1 * cos phi_far)``, and as
-  ``sin²(x/2)`` rises on [0, 180°], the wrapped ``|dlam|`` is below
-  ``2 * asin(sqrt(...))``: the reach. It rises with ``|phi1|``, so it is
-  worked out once per row, with ``phi1`` the row's edge nearest the
-  pole, and kept: no narrower than the reach of any position in the
-  row. A lookup takes its row's reach, visits the three rows and the
-  columns that cover ``lam1 ± reach``, wrapped modulo ``n``, and
-  measures only entries whose wrapped ``|dlam|`` is within the reach.
-  Where ``phi_far`` reaches a pole, or the ratio reaches 1, the reach
-  passes 180° and the lookup reads whole rows.
+* A chord is never longer than its arc, so a position within ``sigma_m``
+  of another differs from it by less than ``sigma_m`` on each of x, y
+  and z, and lies within ``sigma_m`` of it in a straight line.
+* The gate is ``sigma_m * (1 + 1e-6) + 1e-6`` m: its margin is far
+  above float rounding, a few 1e-9 m in the coordinates and a few 1e-16
+  relative in the distance. Cubes are two gates wide, so everything
+  within the gate of a coordinate ``v`` lies in the cells from
+  ``floor((v - gate) / side)`` to ``floor((v + gate) / side)``: two per
+  axis, eight in all.
 
-The row height, ``phi_far`` and the reach carry a 1e-6 relative and a
-1e-12 degree absolute margin, far more than float rounding in the bounds
-(a few 1e-16 relative, about 1e-14 degrees absolute).
+A lookup walks those cells, screens each entry by its squared chord
+against the squared gate, and measures only the entries that pass.
 
 One index class, :class:`_Index`, holds all three stores: the history
 keyed by arrival count, the tracks by track id. It owns each key's cell
-and first-put sequence, and its items share one shape, ``(position,
-recency_us, sequence, value)``, so one lookup, ``_Index.nearest``, keyed
-``(distance, -recency_us, sequence)``, serves all three in the order a
-full scan in insertion order would give; it measures each entry as it
+and first-put sequence, and its items share one shape, ``(x, y, z,
+position, recency_us, sequence, value)``, so one lookup,
+``_Index.nearest``, keyed ``(distance, -recency_us, sequence)``, serves
+all three in the order a full scan in insertion order would give; it measures each entry as it
 meets it and builds no list of candidates. A BSM resolves the pending
 tracks near it through the same lookup, taking the nearest until none
 is left: the key is a total order, so the tracks taken are the same
@@ -73,7 +60,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple, Optional
 
 from .config import FilterSettings
-from .geo import EARTH_RADIUS_M, METERS_PER_DEG, horizontal_distance_m
+from .geo import earth_centred_m, horizontal_distance_m
 from .messages import (
     Bsm,
     Detection,
@@ -122,107 +109,61 @@ class DetectionOutcome(NamedTuple):
     generated: Optional[Bsm] = None
 
 
-#: Relative and absolute (degrees) widening of the grid's cells and of a
-#: lookup's longitude reach, against float rounding.
-_MARGIN = 1e-6
-_MARGIN_DEG = 1e-12
+#: Where a lookup around one position looks: the position's coordinates,
+#: and the cells on each of x, y and z that can hold a match. A plain
+#: tuple, as a lookup's hot path builds one per detection and per BSM.
+_Reach = tuple[tuple[float, float, float], range, range, range]
 
 
-class _Reach(NamedTuple):
-    """Where a lookup around one position looks: the position's row and
-    longitude, the largest longitude difference (degrees) a match can
-    have, and the columns that cover it in each of the three rows:
-    ``width`` of them from ``first`` on, modulo the column count (so
-    across the antimeridian too). A reach of 180 degrees covers every
-    column."""
-
-    row: int
-    lon_deg: float
-    reach_deg: float
-    first: int
-    width: int
-
-
-class _GridShape:
-    """The filter grid's geometry: rows of latitude a little taller than
-    ``sigma_m``, and columns of longitude at least as wide, as many as
-    make up 360 degrees exactly (see the module docstring)."""
+class _CubeShape:
+    """The filter's cubes: Earth-centred cells two gates wide, the gate
+    a little over ``sigma_m`` (see the module docstring)."""
 
     def __init__(self, sigma_m: float):
-        self._cell_deg = cell_deg = (
-            sigma_m * (1.0 + _MARGIN) / METERS_PER_DEG + _MARGIN_DEG)
-        self._rows_per_deg = 1.0 / cell_deg
-        self._columns = max(1, math.floor(360.0 / cell_deg))
-        self._columns_per_deg = self._columns / 360.0
-        gate_rad = sigma_m / EARTH_RADIUS_M
-        self._gate_deg = math.degrees(gate_rad) * (1.0 + _MARGIN) + _MARGIN_DEG
-        self._sin2_half_gate = math.sin(gate_rad / 2.0) ** 2
-        #: The longitude reach of each row looked up so far, by row.
-        self._row_reach: dict[int, float] = {}
+        self.gate_m = sigma_m * (1.0 + 1e-6) + 1e-6
+        self._cells_per_m = 1.0 / (2.0 * self.gate_m)
 
-    def cell(self, position: Position) -> tuple[int, int]:
-        return (
-            math.floor(position.lat_deg * self._rows_per_deg),
-            math.floor((position.lon_deg + 180.0) * self._columns_per_deg)
-            % self._columns,
-        )
+    def cell(self, xyz: tuple[float, float, float]) -> tuple[int, int, int]:
+        per_m = self._cells_per_m
+        x, y, z = xyz
+        return (math.floor(x * per_m), math.floor(y * per_m),
+                math.floor(z * per_m))
 
     def reach(self, position: Position) -> _Reach:
-        """The lookup around ``position``: its row's longitude reach,
-        and the columns that cover it around the position's longitude."""
-        lat, lon, _ = position
-        row = math.floor(lat * self._rows_per_deg)
-        reach_deg = self._row_reach.get(row)
-        if reach_deg is None:
-            reach_deg = self._row_reach[row] = self._reach_of_row(row)
-        n = self._columns
-        if reach_deg < 180.0:
-            per_deg = self._columns_per_deg
-            first = math.floor((lon - reach_deg + 180.0) * per_deg)
-            width = math.floor((lon + reach_deg + 180.0) * per_deg) - first + 1
-            if width < n:
-                return _Reach(row, lon, reach_deg, first, width)
-        # Near a pole the reach passes 180 degrees: every column.
-        return _Reach(row, lon, 180.0, 0, n)
-
-    def _reach_of_row(self, row: int) -> float:
-        """The longitude reach of every position in ``row``, from
-        sin²(d/2R) ≥ cos φ₁·cos φ₂·sin²(Δλ/2) with φ₁ the row's edge
-        nearest the pole and φ₂ as far from the equator as a match can
-        lie: no narrower than any of its positions' own reach."""
-        edge_deg = max(abs(row * self._cell_deg),
-                       abs((row + 1) * self._cell_deg))
-        far_deg = edge_deg + self._gate_deg
-        if far_deg < 90.0:
-            cos_product = (math.cos(math.radians(edge_deg))
-                           * math.cos(math.radians(far_deg)))
-            if cos_product > self._sin2_half_gate:
-                return math.degrees(2.0 * math.asin(math.sqrt(
-                    self._sin2_half_gate / cos_product
-                ))) * (1.0 + _MARGIN) + _MARGIN_DEG
-        return 180.0
+        """The lookup around ``position``: its coordinates, and the
+        cells within the gate of them on each axis."""
+        per_m, gate, floor = self._cells_per_m, self.gate_m, math.floor
+        xyz = x, y, z = earth_centred_m(position)
+        return (
+            xyz,
+            range(floor((x - gate) * per_m), floor((x + gate) * per_m) + 1),
+            range(floor((y - gate) * per_m), floor((y + gate) * per_m) + 1),
+            range(floor((z - gate) * per_m), floor((z + gate) * per_m) + 1),
+        )
 
 
 class _Index:
-    """Keyed items in the grid cell of their position, each item
-    ``(position, recency_us, sequence, value)``. The sequence numbers
-    keys in the order they were first put; a key keeps it when it moves.
+    """Keyed items in the cube of their position, each item ``(x, y, z,
+    position, recency_us, sequence, value)``. The sequence numbers keys
+    in the order they were first put; a key keeps it when it moves.
     Iteration gives the held keys in that order."""
 
-    def __init__(self, shape: _GridShape):
+    def __init__(self, shape: _CubeShape):
         self._shape = shape
-        #: row -> column -> key -> (longitude, item)
-        self._rows: dict[int, dict[int, dict[int, tuple[float, tuple]]]] = {}
-        self._columns = shape._columns
+        self._gate2 = shape.gate_m ** 2
+        #: x -> y -> z -> key -> item
+        self._planes: dict[int, dict[int, dict[int, dict[int, tuple]]]] = {}
         #: key -> (cell, sequence, the cell's dict of items)
-        self._held: dict[int, tuple[tuple[int, int], int, dict]] = {}
+        self._held: dict[int, tuple[tuple[int, int, int], int, dict]] = {}
         self._puts = 0
 
     def put(
-        self, key: int, position: Position, recency_us: int, value: object
+        self, key: int, position: Position, xyz: tuple[float, float, float],
+        recency_us: int, value: object,
     ) -> None:
-        """Add ``key``, or move it if it is held."""
-        cell = self._shape.cell(position)
+        """Add ``key`` at ``position``, whose coordinates are ``xyz``, or
+        move it if it is held."""
+        cell = self._shape.cell(xyz)
         held = self._held.get(key)
         if held is not None and held[0] == cell:
             _, sequence, items = held
@@ -233,27 +174,33 @@ class _Index:
             else:
                 sequence = held[1]
                 self._leave(key, held)
-            row, column = cell
-            items = self._rows.setdefault(row, {}).setdefault(column, {})
+            x, y, z = cell
+            items = self._planes.setdefault(x, {}).setdefault(
+                y, {}).setdefault(z, {})
             self._held[key] = (cell, sequence, items)
-        items[key] = (position.lon_deg, (position, recency_us, sequence, value))
+        items[key] = (*xyz, position, recency_us, sequence, value)
 
     def pop(self, key: int) -> Optional[object]:
         """Remove ``key``; returns its value, or None if it is not held."""
         held = self._held.pop(key, None)
         if held is None:
             return None
-        return self._leave(key, held)[3]
+        return self._leave(key, held)[-1]
 
     def _leave(self, key: int, held: tuple) -> tuple:
-        """Take ``key``'s item out of its cell; returns the item."""
-        (row, column), _, items = held
-        _, item = items.pop(key)
+        """Take ``key``'s item out of its cell, and drop the dicts this
+        empties; returns the item."""
+        (x, y, z), _, items = held
+        item = items.pop(key)
         if not items:
-            columns = self._rows[row]
-            del columns[column]
-            if not columns:
-                del self._rows[row]
+            planes = self._planes
+            rows = planes[x]
+            cells = rows[y]
+            del cells[z]
+            if not cells:
+                del rows[y]
+                if not rows:
+                    del planes[x]
         return item
 
     def nearest(self, estimate: Position, reach: _Reach,
@@ -261,40 +208,35 @@ class _Index:
         """The value of the item nearest ``estimate`` within ``sigma_m``,
         or None; ties go to the most recent item, then to the first put.
         The index's one lookup and the filter's hot loop: it walks the
-        reach's cells in its three rows (a row whole where it holds no
-        more occupied cells than the reach has columns), skips the items
-        beyond the reach's longitude, and measures the others as it
-        meets them, building no list of candidates."""
+        reach's cells, skips the items beyond the gate in a straight
+        line, and measures the others as it meets them, building no
+        list of candidates."""
         best = best_key = None
-        row, lon_deg, reach_deg, first, width = reach
-        rows = self._rows
-        wanted = None
+        (qx, qy, qz), xs, ys, zs = reach
+        gate2 = self._gate2
+        planes = self._planes
         distance = horizontal_distance_m
-        for r in (row - 1, row, row + 1):
-            columns = rows.get(r)
-            if columns is None:
+        for x in xs:
+            rows = planes.get(x)
+            if rows is None:
                 continue
-            if width >= len(columns):
-                cells = columns.values()
-            else:
-                if wanted is None:
-                    wanted = range(first, first + width)
-                    n = self._columns
-                    if first < 0 or first + width > n:  # the antimeridian
-                        wanted = [c % n for c in wanted]
-                cells = [columns[c] for c in wanted if c in columns]
-            for items in cells:
-                for item_lon, (position, recency_us, sequence, value) in (
-                        items.values()):
-                    d_lon = abs(item_lon - lon_deg)
-                    if d_lon > 180.0:
-                        d_lon = 360.0 - d_lon
-                    if d_lon <= reach_deg:
-                        d = distance(estimate, position)
-                        if d < sigma_m:
-                            key = (d, -recency_us, sequence)
-                            if best_key is None or key < best_key:
-                                best, best_key = value, key
+            for y in ys:
+                cells = rows.get(y)
+                if cells is None:
+                    continue
+                for z in zs:
+                    items = cells.get(z)
+                    if items is None:
+                        continue
+                    for ix, iy, iz, position, recency_us, sequence, value in (
+                            items.values()):
+                        dx, dy, dz = ix - qx, iy - qy, iz - qz
+                        if dx * dx + dy * dy + dz * dz <= gate2:
+                            d = distance(estimate, position)
+                            if d < sigma_m:
+                                key = (d, -recency_us, sequence)
+                                if best_key is None or key < best_key:
+                                    best, best_key = value, key
         return best
 
     def __iter__(self) -> Iterator[int]:
@@ -306,18 +248,20 @@ class _Index:
 
 class HistoryStore(_Index):
     """BSMs received over the last ``window_us``, keyed by arrival count,
-    each item ``(bsm.position, received_at_us, sequence, bsm)``.
+    each item ``(x, y, z, bsm.position, received_at_us, sequence, bsm)``.
     Iteration gives ``(bsm, received_at_us)``, oldest first."""
 
-    def __init__(self, window_us: int, shape: _GridShape):
+    def __init__(self, window_us: int, shape: _CubeShape):
         super().__init__(shape)
         self.window_us = window_us
         #: (bsm, received_at_us, key), oldest first: the pruning order.
         self._arrivals: deque[tuple[Bsm, int, int]] = deque()
 
-    def append(self, bsm: Bsm, received_at_us: int) -> None:
+    def append(self, bsm: Bsm, received_at_us: int,
+               xyz: tuple[float, float, float]) -> None:
+        """Add ``bsm``, whose position's coordinates are ``xyz``."""
         key = self._puts  # the arrival count
-        self.put(key, bsm.position, received_at_us, bsm)
+        self.put(key, bsm.position, xyz, received_at_us, bsm)
         self._arrivals.append((bsm, received_at_us, key))
 
     def prune(self, now_us: int) -> None:
@@ -337,11 +281,13 @@ class DetectionTrack:
     synthetic_id: Optional[str] = None
 
 
-def _hold(index: _Index, track: DetectionTrack, det: Detection) -> None:
-    """Make ``det`` the track's latest detection and put the track in
-    ``index`` there; only here, so its place in the index stays current."""
+def _hold(index: _Index, track: DetectionTrack, det: Detection,
+          xyz: tuple[float, float, float]) -> None:
+    """Make ``det``, whose estimate's coordinates are ``xyz``, the
+    track's latest detection and put the track in ``index`` there; only
+    here, so its place in the index stays current."""
     track.latest = det
-    index.put(track.track_id, det.estimate, det.available_at_us, track)
+    index.put(track.track_id, det.estimate, xyz, det.available_at_us, track)
 
 
 class Gateway:
@@ -369,7 +315,7 @@ class Gateway:
             raise ValueError("calibration error sigma must be positive")
         if window_us <= 0 or self.grace_us <= 0:
             raise ValueError("window and grace must be positive")
-        self._shape = _GridShape(self.sigma_m)
+        self._shape = _CubeShape(self.sigma_m)
         self.history = HistoryStore(window_us, self._shape)
         self._pending = _Index(self._shape)
         self._confirmed = _Index(self._shape)
@@ -405,17 +351,17 @@ class Gateway:
         self.history.prune(now_us)
         if bsm.origin_tech is not via:
             return ()
-        self.history.append(bsm, now_us)
-        self._resolve_pending_with_bsm(bsm)
+        reach = self._shape.reach(bsm.position)
+        self.history.append(bsm, now_us, reach[0])
+        self._resolve_pending_with_bsm(bsm, reach)
         return targets
 
-    def _resolve_pending_with_bsm(self, bsm: Bsm) -> None:
+    def _resolve_pending_with_bsm(self, bsm: Bsm, reach: _Reach) -> None:
         """Resolve every pending track within ``sigma_m`` of the BSM,
-        nearest first."""
+        nearest first; ``reach`` is the lookup around the BSM."""
         pending = self._pending
         if not pending:
             return
-        reach = self._shape.reach(bsm.position)
         while (track := pending.nearest(
                 bsm.position, reach, self.sigma_m)) is not None:
             pending.pop(track.track_id)
@@ -443,6 +389,7 @@ class Gateway:
 
         estimate = det.estimate
         reach = self._shape.reach(estimate)
+        xyz = reach[0]
         sigma_m = self.sigma_m
         bsm = self.history.nearest(estimate, reach, sigma_m)
         if bsm is not None:
@@ -450,7 +397,7 @@ class Gateway:
 
         track = self._confirmed.nearest(estimate, reach, sigma_m)
         if track is not None:
-            _hold(self._confirmed, track, det)
+            _hold(self._confirmed, track, det, xyz)
             return DetectionOutcome(
                 FilterStatus.NON_CONNECTED, None, track.track_id, None,
                 make_ipu_bsm(track.synthetic_id, det, sigma_m),
@@ -458,12 +405,12 @@ class Gateway:
 
         track = self._pending.nearest(estimate, reach, sigma_m)
         if track is not None:
-            _hold(self._pending, track, det)
+            _hold(self._pending, track, det, xyz)
             return DetectionOutcome(FilterStatus.PENDING, None, track.track_id)
 
         track = DetectionTrack(track_id=self._next_track_id, latest=det)
         self._next_track_id += 1
-        _hold(self._pending, track, det)
+        _hold(self._pending, track, det, xyz)
         return DetectionOutcome(
             FilterStatus.PENDING, None, track.track_id,
             now_us + self.grace_us,
@@ -481,7 +428,8 @@ class Gateway:
             return None
         track.synthetic_id = f"{SYNTHETIC_ID_PREFIX}{self._next_synthetic}"
         self._next_synthetic += 1
-        _hold(self._confirmed, track, track.latest)
+        _hold(self._confirmed, track, track.latest,
+              earth_centred_m(track.latest.estimate))
         truth = track.latest.truth_id
         self.synthetic_truth[track.synthetic_id] = truth
         if truth is not None and truth in self._connected_ids:

@@ -1,4 +1,5 @@
-"""Small geodesy helpers: a local planar frame and horizontal distance.
+"""Small geodesy helpers: a local planar frame, horizontal distance and
+Earth-centred coordinates.
 
 Scenario geometry lives in a local east/north frame (meters) anchored at
 a configurable origin; messages carry geodetic positions. Both sides use
@@ -79,3 +80,17 @@ def horizontal_distance_m(a: Position, b: Position) -> float:
     s_lon = math.sin((lon2 - lon1) / 2.0)
     h = s_lat * s_lat + math.cos(lat1) * math.cos(lat2) * s_lon * s_lon
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
+def earth_centred_m(position: Position) -> tuple[float, float, float]:
+    """Earth-centred Cartesian coordinates ``(x, y, z)`` of ``position``,
+    in meters on the model sphere: x towards latitude 0 on the prime
+    meridian, y towards longitude 90 east, z towards the north pole.
+    Elevation is left out, as :func:`horizontal_distance_m` leaves it
+    out, so the chord between two positions' coordinates is never longer
+    than their distance, the arc it spans."""
+    lat, lon, _ = position
+    lat, lon = lat * _RAD_PER_DEG, lon * _RAD_PER_DEG
+    ground = EARTH_RADIUS_M * math.cos(lat)
+    return (ground * math.cos(lon), ground * math.sin(lon),
+            EARTH_RADIUS_M * math.sin(lat))

@@ -456,10 +456,10 @@ class Simulation:
         )
         self.gateway: Optional[Gateway] = None
         if config.arsu.present:
-            connected = frozenset(
-                u.id for u in self.users if u.spec.kind.is_connected
+            self.gateway = Gateway(
+                config.filter,
+                connected_ids=frozenset(ids[i] for i in receivers),
             )
-            self.gateway = Gateway(config.filter, connected_ids=connected)
             self.broker.subscribe(ARSU_CLIENT, Topic.CELL)
         # Nonnative users subscribe to all four topics (their downlink).
         for user in cell_users:
@@ -467,10 +467,10 @@ class Simulation:
                 self.broker.subscribe(user.id, topic)
 
         # Plans follow those subscriptions' order. A broadcast's link half
-        # is its faster endpoint's (max(speeds) is one endpoint's speed); a
-        # Cell publish pays its publisher's half and each receiver's, the
-        # gateway's side of the broker being free; a gateway relay or
-        # publish pays each receiver's own half.
+        # is its faster endpoint's, the larger half, as a half never falls
+        # with speed; a Cell publish pays its publisher's half and each
+        # receiver's, the gateway's side of the broker being free; a
+        # gateway relay or publish pays each receiver's own half.
         self._plans: list[_Plan] = [()] * len(self.users)
         #: The gateway's send plan on each medium: a relay or a publish.
         self._relays: dict[LinkTech, _Plan] = {}
@@ -479,8 +479,7 @@ class Simulation:
             for u in on_tech:
                 self._plans[u.index] = _group_by_time(
                     ((u.half_us + p.half_us if tech is LinkTech.CELL_MQTT
-                      else 2 * (u.half_us if u.speed_kmh >= p.speed_kmh
-                                else p.half_us), p.index)
+                      else 2 * max(u.half_us, p.half_us), p.index)
                      for p in on_tech if p is not u),
                     self._row_of,
                 )

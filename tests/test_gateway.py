@@ -14,7 +14,7 @@ from arsusim.gateway import (
     FilterStatus,
     Gateway,
 )
-from arsusim.geo import METERS_PER_DEG, horizontal_distance_m
+from arsusim.geo import METERS_PER_DEG, earth_centred_m, horizontal_distance_m
 from arsusim.messages import (
     Detection,
     LinkTech,
@@ -503,59 +503,77 @@ def _east_of(position, meters):
     return Position(position.lat_deg, (lon + 180.0) % 360.0 - 180.0)
 
 
+def _walk(lat_deg, lon_deg, north):
+    """Steps in meters from a start, due north or due east, wrapped."""
+    if north:
+        return lambda t: Position(lat_deg + t / METERS_PER_DEG, lon_deg)
+    return lambda t: _east_of(Position(lat_deg, lon_deg), t)
+
+
 class TestFilterGrid:
-    """Matches across the edges of the filter's grid: rows a little over
-    sigma tall that start at the equator, and longitude columns at least
-    as wide whose edges include the antimeridian."""
+    """Matches across the faces of the filter's cubes: Earth-centred
+    cells a little over two sigma wide, with faces at multiples of their
+    side on each of x, y and z."""
 
     SIGMA = 5.0
-    EDGE_Y = SIGMA * (1 + 1e-6)  # first row edge north of the frame origin
 
-    def _column_edge(self, lat_deg):
-        """A column edge near longitude 10 degrees east, at ``lat_deg``."""
-        shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
-        columns = shape._columns
-        edge = round((10.0 + 180.0) * columns / 360.0)
-        lon = edge * 360.0 / columns - 180.0
-        return Position(lat_deg, lon), shape
+    #: By axis, walks along which the ground crosses that axis's faces:
+    #: (start latitude, start longitude, due north). Each crosses a face
+    #: within 10 m of the plane where the coordinate is 0, so a gate a
+    #: few 1e-9 m wider moves the face by far less than a millimetre.
+    #: The second y walk crosses the antimeridian.
+    WALKS = {
+        0: [(0.0, 90.0, False), (60.0, -90.0, False)],
+        1: [(0.0, 0.0, False), (-60.0, 179.9999, False)],
+        2: [(0.0, 0.0, True), (-0.00001, 135.0, True)],
+    }
 
-    def test_match_due_north_across_band_edge(self):
-        shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
-        edge_y = METERS_PER_DEG / shape._rows_per_deg
-        assert edge_y == pytest.approx(self.EDGE_Y)
-        below_edge = edge_y - 0.0005
-        for offset, status in (
-            (self.SIGMA - 0.001, FilterStatus.CONNECTED),
-            (self.SIGMA, FilterStatus.PENDING),  # strict less-than
-        ):
-            gw = Gateway(FilterSettings(sigma_m=self.SIGMA))
-            gw.on_rx(bsm_at("U1", y_m=below_edge + offset, now_us=250_000),
-                     LinkTech.DSRC, 250_000)
-            outcome = gw.on_detection(detection_at(0.0, below_edge), 300_000)
-            assert outcome.status is status
+    @staticmethod
+    def _face(shape, walk, axis):
+        """The first step along ``walk`` past which ``shape``'s cell on
+        ``axis`` differs from the cell at step 0, to within 1e-7 m."""
+        def cell(t):
+            return shape.cell(earth_centred_m(walk(t)))[axis]
 
-    def test_match_due_east_across_column_edge(self):
-        for lat in (0.0, 60.0, -89.0):
-            edge, shape = self._column_edge(lat)
-            west = _east_of(edge, -0.001)
-            assert shape.cell(west)[1] + 1 == shape.cell(edge)[1]
-            for offset, status in (
-                (self.SIGMA - 0.001, FilterStatus.CONNECTED),
-                (self.SIGMA + 0.001, FilterStatus.PENDING),
-            ):
-                east = _east_of(west, offset)
-                assert (horizontal_distance_m(west, east) < self.SIGMA) is (
-                    status is FilterStatus.CONNECTED)
-                _, (outcome,) = _gateway_at(
-                    self.SIGMA, bsms=[("U1", east)], detections=[west])
-                assert outcome.status is status
+        start, lo, hi = cell(0.0), 0.0, 0.0
+        while cell(hi) == start:
+            lo, hi = hi, hi + 1.0
+        while hi - lo > 1e-7:
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if cell(mid) == start else (lo, mid)
+        return hi
+
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
+    def test_match_across_a_cube_face(self, axis):
+        """A detection 0.5 mm short of a face and a BSM beyond it: a
+        match at sigma - 1 mm, and none where the distance is sigma."""
+        for lat, lon, north in self.WALKS[axis]:
+            walk = _walk(lat, lon, north)
+            shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
+            face = self._face(shape, walk, axis)
+            for sign in (1.0, -1.0):  # towards the face from either side
+                here = walk(face - sign * 0.0005)
+                near = walk(face - sign * 0.0005 + sign * (self.SIGMA - 0.001))
+                edge = walk(face - sign * 0.0005 + sign * self.SIGMA)
+                # The gate is sigma itself: the edge BSM lies exactly on it.
+                at_edge = horizontal_distance_m(here, edge)
+                for sigma, there, status in (
+                    (self.SIGMA, near, FilterStatus.CONNECTED),
+                    (at_edge, edge, FilterStatus.PENDING),  # strict <
+                ):
+                    gw, (outcome,) = _gateway_at(
+                        sigma, bsms=[("U1", there)], detections=[here])
+                    cells = [gw._shape.cell(earth_centred_m(p))[axis]
+                             for p in (here, there)]
+                    assert abs(cells[1] - cells[0]) == 1
+                    assert outcome.status is status
 
     def test_confirmed_track_found_after_moving_two_bands(self):
         gw = Gateway(FilterSettings(sigma_m=self.SIGMA))
         first = gw.on_detection(detection_at(0.0, 0.0), 300_000)
         synthetic = gw.on_grace_deadline(first.track_id).id
-        # each step stays within sigma; the last lands two rows north and
-        # two columns east
+        # each step stays within sigma; the last lands a cube north (z)
+        # and a cube east (y)
         for step in range(1, 5):
             offset = 0.6 * self.SIGMA * step
             now = 400_000 + 100_000 * step
@@ -564,18 +582,17 @@ class TestFilterGrid:
             )
             assert outcome.status is FilterStatus.NON_CONNECTED
             assert outcome.generated.id == synthetic
+        cells = [gw._shape.cell(earth_centred_m(position_at(xy, xy)))
+                 for xy in (0.0, offset)]
+        assert cells[1][1:] == (cells[0][1] + 1, cells[0][2] + 1)
         assert gw.pending_tracks == 0
         assert gw.confirmed_tracks == 1
 
     def test_match_across_the_antimeridian(self):
-        shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
         west = Position(45.0, 180.0 - 1e-6)
         east = _east_of(west, self.SIGMA - 0.01)
         assert east.lon_deg < -179.0
-        assert shape.cell(Position(45.0, 180.0)) == shape.cell(
-            Position(45.0, -180.0))
-        # Users further east fill more of the row than a lookup's reach
-        # has columns, so the lookup reads the row column by column.
+        # Users further east share the cubes around the antimeridian.
         fillers = [(f"F{i}", _east_of(east, 4.0 * self.SIGMA * i))
                    for i in range(1, 11)]
         for bsm_at_, det_at in ((east, west), (west, east)):
@@ -593,21 +610,22 @@ class TestFilterGrid:
         assert outcome.status is FilterStatus.NON_CONNECTED
         assert outcome.track_id == outcomes[0].track_id
 
-    def test_pole_row_reads_every_column(self):
-        # 2 m short of the north pole on opposite meridians: 4 m apart
+    def test_match_across_the_pole(self):
+        # 2 m short of the north pole on opposite meridians: 4 m apart,
+        # on either side of the face x = 0
         lat = 90.0 - 2.0 / METERS_PER_DEG
         here, there = Position(lat, 30.0), Position(lat, -150.0)
         assert horizontal_distance_m(here, there) == pytest.approx(4.0)
         shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
-        assert shape.reach(here).width == shape._columns
-        assert shape.reach(Position(60.0, 30.0)).width < 10
+        assert shape.cell(earth_centred_m(here))[0] == shape.cell(
+            earth_centred_m(there))[0] + 1
         _, (outcome,) = _gateway_at(
             self.SIGMA, bsms=[("U1", there)], detections=[here])
         assert outcome.matched_id == "U1"
 
     def test_full_tie_goes_to_first_added(self):
         # mirror images about the equator are exactly equidistant from it;
-        # the first added lies in the row a lookup reads last
+        # the first added lies in the cube a lookup reads last
         gw = Gateway(FilterSettings(sigma_m=self.SIGMA))
         gw.on_rx(bsm_at("NORTH", y_m=3.0, now_us=300_000),
                  LinkTech.DSRC, 300_000)
@@ -623,11 +641,12 @@ class TestFilterGrid:
         assert outcome.track_id == north.track_id
 
     def test_full_tie_across_a_column_edge_goes_to_first_added(self):
-        # at this sigma the prime meridian is a column edge, and mirror
-        # images about it are exactly equidistant from it
+        # the prime meridian is the face y = 0, and mirror images about
+        # it are exactly equidistant from it
         shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
         east, west = position_at(3.0, 0.0), position_at(-3.0, 0.0)
-        assert shape.cell(east)[1] == shape.cell(west)[1] + 1
+        assert shape.cell(earth_centred_m(east))[1] == shape.cell(
+            earth_centred_m(west))[1] + 1
         _, (outcome,) = _gateway_at(
             self.SIGMA, bsms=[("EAST", east), ("WEST", west)],
             detections=[position_at(0.0, 0.0)])
@@ -636,21 +655,25 @@ class TestFilterGrid:
     def test_one_bsm_resolves_pending_tracks_in_two_rows(self):
         gw = Gateway(FilterSettings(sigma_m=self.SIGMA))
         shape = gw._shape
-        # track 1 lies in the row north of the equator, track 2 south,
-        # track 3 in track 1's cell; each is more than sigma from the
-        # others, so none absorbs another, and within sigma of the BSM
+
+        def cell(xy):
+            return shape.cell(earth_centred_m(position_at(*xy)))
+
+        # track 1 lies in the cube north of the equator, track 2 in the
+        # one south, track 3 in track 1's cube; each is more than sigma
+        # from the others, so none absorbs another, and within sigma of
+        # the BSM
         north = gw.on_detection(detection_at(0.0, 3.0), 300_000)
         south = gw.on_detection(detection_at(0.0, -3.0), 300_000)
         beside = gw.on_detection(detection_at(4.5, 0.2), 300_000)
-        assert shape.cell(position_at(4.5, 0.2)) == shape.cell(
-            position_at(0.0, 3.0))
-        # track 4 is inside the lookup's reach, but beyond sigma
+        assert cell((0.0, 3.0)) != cell((0.0, -3.0))
+        assert cell((4.5, 0.2)) == cell((0.0, 3.0))
+        # track 4 is in a cube the lookup reads, but beyond sigma
         far_xy = (-4.9, -1.5)
         far = gw.on_detection(detection_at(*far_xy), 300_000)
-        reach = shape.reach(position_at(0.0, 0.0))
-        far_position = position_at(*far_xy)
-        assert abs(shape.cell(far_position)[0] - reach.row) <= 1
-        assert abs(far_position.lon_deg - reach.lon_deg) <= reach.reach_deg
+        _, *axes = shape.reach(position_at(0.0, 0.0))
+        assert all(v in cells for v, cells in zip(cell(far_xy), axes))
+        assert len({cell(xy) for xy in ((0.0, 3.0), (0.0, -3.0), far_xy)}) == 3
         assert (north.track_id, south.track_id, beside.track_id,
                 far.track_id) == (1, 2, 3, 4)
         gw.on_rx(bsm_at("U1", now_us=300_000), LinkTech.DSRC, 300_000)
@@ -816,7 +839,7 @@ def outcome_tuple(outcome):
 
 
 # Offsets in units of sigma from a walker that some detections follow,
-# so its track crosses rows and columns. Half-sigma steps give equal
+# so its track crosses cube faces. Half-sigma steps give equal
 # distances and exact-sigma gaps; offsets within 1e-6 m of sigma (sigma
 # is at most 20 m) land on either side of the gate; floats give
 # everything in between.
@@ -864,7 +887,8 @@ cluster_ops = st.tuples(
 @given(
     origin_lat=st.one_of(st.floats(-89.9, 89.9),
                          st.sampled_from([-89.99999, 89.99999])),
-    origin_lon=st.one_of(st.floats(179.9999, 180.0),
+    origin_lon=st.one_of(st.floats(-180.0, 180.0),
+                         st.floats(179.9999, 180.0),
                          st.floats(-180.0, -179.9999)),
     sigma=st.floats(0.5, 20.0),
     walk=st.one_of(st.sampled_from([-0.9, 0.9]), st.floats(-0.95, 0.95)),

@@ -3,7 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from arsusim.geo import METERS_PER_DEG, LocalFrame, horizontal_distance_m
+from arsusim.geo import (
+    METERS_PER_DEG,
+    LocalFrame,
+    earth_centred_m,
+    horizontal_distance_m,
+)
 from arsusim.messages import Position
 
 
@@ -72,8 +77,51 @@ longitudes = st.floats(-180.0, 180.0)
 
 @given(latitudes, longitudes, latitudes, longitudes)
 def test_distance_never_below_meridian_arc(lat1, lon1, lat2, lon2):
-    # The gateway's latitude-band index relies on this bound. The 1 nm
-    # absolute slack covers squared sines that underflow below ~1e-154.
+    # The 1 nm absolute slack covers squared sines that underflow below
+    # ~1e-154.
     a, b = Position(lat1, lon1), Position(lat2, lon2)
     arc = METERS_PER_DEG * abs(a.lat_deg - b.lat_deg)
     assert horizontal_distance_m(a, b) >= arc * (1 - 1e-9) - 1e-9
+
+
+def test_coordinates_lie_on_the_model_sphere():
+    assert earth_centred_m(Position(0.0, 0.0)) == (6_371_000.0, 0.0, 0.0)
+    x, y, z = earth_centred_m(Position(90.0, 123.0, 500.0))
+    assert (x, y) == pytest.approx((0.0, 0.0), abs=1e-9)
+    assert z == 6_371_000.0  # elevation left out
+    x, y, z = earth_centred_m(Position(-30.0, 90.0))
+    assert math.hypot(x, y, z) == pytest.approx(6_371_000.0, rel=1e-15)
+    assert (x, z) == pytest.approx((0.0, -3_185_500.0), abs=1e-6)
+
+
+# Positions anywhere, with the poles and both sides of the antimeridian
+# drawn on their own, and a second position at the first, or up to 0.9
+# degrees from it on each axis (at most 100 km at the equator), or
+# anywhere.
+anywhere = st.builds(
+    Position,
+    st.one_of(latitudes, st.sampled_from([-90.0, 90.0])),
+    st.one_of(longitudes, st.sampled_from([-180.0, 180.0]),
+              st.floats(179.999, 180.0), st.floats(-180.0, -179.999)),
+)
+
+
+def _near(position, d_lat, d_lon):
+    lat = max(-90.0, min(90.0, position.lat_deg + d_lat))
+    lon = (position.lon_deg + d_lon + 180.0) % 360.0 - 180.0
+    return Position(lat, lon)
+
+
+pairs = anywhere.flatmap(lambda a: st.tuples(st.just(a), st.one_of(
+    st.just(a),
+    st.builds(_near, st.just(a), st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)),
+    anywhere,
+)))
+
+
+@given(pairs)
+def test_chord_never_longer_than_distance(pair):
+    # The gateway's cubes rely on this bound, with this margin.
+    a, b = pair
+    chord = math.dist(earth_centred_m(a), earth_centred_m(b))
+    assert chord <= horizontal_distance_m(a, b) * (1 + 1e-6) + 1e-6
