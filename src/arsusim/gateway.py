@@ -43,12 +43,13 @@ keyed by arrival count, the tracks by track id. It owns each key's cell
 and first-put sequence, and its items share one shape, ``(x, y, z,
 position, recency_us, sequence, value)``, so one lookup,
 ``_Index.nearest``, keyed ``(distance, -recency_us, sequence)``, serves
-all three in the order a full scan in insertion order would give; it measures each entry as it
-meets it and builds no list of candidates. A BSM resolves the pending
-tracks near it through the same lookup, taking the nearest until none
-is left: the key is a total order, so the tracks taken are the same
-whatever order they go in. The history also keeps its arrivals in a
-deque for pruning: a dict used as a FIFO scans past its deleted slots.
+all three in the order a full scan in insertion order would give; it
+measures each entry as it meets it and builds no list of candidates. A
+BSM resolves the pending tracks near it through the same lookup, taking
+the nearest until none is left: the key is a total order, so the tracks
+taken are the same whatever order they go in. The history also keeps its
+arrivals in a deque for pruning: a dict used as a FIFO scans past its
+deleted slots.
 """
 
 from __future__ import annotations

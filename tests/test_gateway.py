@@ -552,10 +552,12 @@ class TestFilterGrid:
             shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
             face = self._face(shape, walk, axis)
             for sign in (1.0, -1.0):  # towards the face from either side
-                here = walk(face - sign * 0.0005)
-                near = walk(face - sign * 0.0005 + sign * (self.SIGMA - 0.001))
-                edge = walk(face - sign * 0.0005 + sign * self.SIGMA)
-                # The gate is sigma itself: the edge BSM lies exactly on it.
+                start = face - sign * 0.0005
+                here = walk(start)
+                near = walk(start + sign * (self.SIGMA - 0.001))
+                edge = walk(start + sign * self.SIGMA)
+                # A sigma equal to the edge BSM's distance, whatever
+                # rounding made of it, puts that BSM exactly on the gate.
                 at_edge = horizontal_distance_m(here, edge)
                 for sigma, there, status in (
                     (self.SIGMA, near, FilterStatus.CONNECTED),
@@ -572,8 +574,8 @@ class TestFilterGrid:
         gw = Gateway(FilterSettings(sigma_m=self.SIGMA))
         first = gw.on_detection(detection_at(0.0, 0.0), 300_000)
         synthetic = gw.on_grace_deadline(first.track_id).id
-        # each step stays within sigma; the last lands a cube north (z)
-        # and a cube east (y)
+        # each step stays within sigma; the last lands in the next band of
+        # cubes north (z) and the next east (y)
         for step in range(1, 5):
             offset = 0.6 * self.SIGMA * step
             now = 400_000 + 100_000 * step
@@ -641,8 +643,8 @@ class TestFilterGrid:
         assert outcome.track_id == north.track_id
 
     def test_full_tie_across_a_column_edge_goes_to_first_added(self):
-        # the prime meridian is the face y = 0, and mirror images about
-        # it are exactly equidistant from it
+        # the prime meridian is the face y = 0 between two columns of
+        # cubes, and mirror images about it are exactly equidistant from it
         shape = Gateway(FilterSettings(sigma_m=self.SIGMA))._shape
         east, west = position_at(3.0, 0.0), position_at(-3.0, 0.0)
         assert shape.cell(earth_centred_m(east))[1] == shape.cell(
@@ -659,10 +661,10 @@ class TestFilterGrid:
         def cell(xy):
             return shape.cell(earth_centred_m(position_at(*xy)))
 
-        # track 1 lies in the cube north of the equator, track 2 in the
-        # one south, track 3 in track 1's cube; each is more than sigma
-        # from the others, so none absorbs another, and within sigma of
-        # the BSM
+        # track 1 lies in the row of cubes north of the equator (the face
+        # z = 0), track 2 in the row south, track 3 in track 1's cube;
+        # each is more than sigma from the others, so none absorbs
+        # another, and within sigma of the BSM
         north = gw.on_detection(detection_at(0.0, 3.0), 300_000)
         south = gw.on_detection(detection_at(0.0, -3.0), 300_000)
         beside = gw.on_detection(detection_at(4.5, 0.2), 300_000)
