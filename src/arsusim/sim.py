@@ -29,27 +29,40 @@ confirmation is a run of one BSM, and a camera frame's refreshes are
 sent as runs, each cast to a plan group at once, as one arrival per
 plan group (see "Frames"); the broker still takes one publish per BSM.
 An arrival is one record, a ``DeliveryGroup`` of one BSM or several,
-from its cast to the trace: the cast builds and schedules it, its
-delivery adds duplicate flags only where a receiver already had a BSM,
-and it is written to the run's trace and not kept. Road users are named
-by their plain string ids throughout. The handlers write facts, not
-text, to the run's trace, ``Metrics.tape``: ``arsusim.trace`` keeps it
-and words its rows. Awareness is the ``last_heard`` matrix, one row per
+from its cast to the trace: the cast builds it, with duplicate flags
+only where a receiver already had a BSM, and schedules it; its delivery
+records it, and it is written to the run's trace and not kept. Road
+users are named by their plain string ids throughout. The handlers
+write facts, not text, to the run's trace, ``Metrics.tape``:
+``arsusim.trace`` keeps it and words its rows. Awareness is the ``last_heard`` matrix, one row per
 receiver: only connected users hear anything. The tests
 see each delivery by wrapping ``Metrics.record_delivery``, which is
 passed every record as it is delivered.
-Delivery bookkeeping is per arrival, not per (BSM, receiver): the BSMs
-of an arrival share their generation time, so the duplicate window,
-which holds one bitmask per subject of each generation time, is pruned
-and checked once per arrival; and ``last_heard`` is written through the
-group's index array.
+Delivery bookkeeping is per arrival, not per (BSM, receiver):
+``last_heard`` is written through the group's index array, and a
+delivery looks up no per-subject state. Duplicate flags are set when a
+camera frame's BSMs are cast, from one receiver bitmask per subject id
+that lives for one ``_on_detections_ready`` call; every other send
+carries none. That is exact:
+
+- a key (subject id, generation time) reaches a receiver twice only
+  when a frame refreshes one track twice. The gateway hears each road
+  user's key once, and relays it only onto the other media;
+- a refresh's generation time is its frame's capture time, so keys of
+  different frames differ. A confirmation carries its track's latest
+  capture time, and no refresh repeats that;
+- every copy of a frame's key reaches a receiver through the same plan
+  group, at the same instant, in cast order. So flags worked out in
+  cast order are those worked out in delivery order, drops included: a
+  cut group's mask holds the receivers the broker kept;
+- ``duplicates_suppressed`` is counted from the flags when an arrival
+  is delivered, so arrivals after the run's end count nothing.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -124,8 +137,9 @@ def step_mobility(user: SimUser, dt_us: int) -> None:
 class DeliveryGroup(NamedTuple):
     """BSMs generated at one instant handed to the same road users at one
     instant: one arrival, the fields its deliveries share held once. It
-    is the arrival's one record: ``_cast`` builds it and schedules it,
-    ``_deliver`` adds its duplicate flags, and the tape keeps its fields.
+    is the arrival's one record: ``_cast`` builds it, with its duplicate
+    flags, and schedules it, ``_deliver`` records it, and the tape keeps
+    its fields.
 
     ``receivers`` (the send's plan group, unless a broker drop cut it)
     and ``truth_indices`` are user indices; ``subjects`` and
@@ -133,8 +147,7 @@ class DeliveryGroup(NamedTuple):
     BSM, an index array for a run. ``topic`` is the broker topic, None
     over the air. ``duplicates`` holds a ``(position in subjects, one
     flag per receiver)`` pair for each BSM that some receiver already
-    had, in order; it is None when no receiver had any, and until the
-    arrival is delivered."""
+    had, in order; it is None when no receiver had any."""
 
     receivers: _Group
     subjects: tuple[str, ...]
@@ -226,52 +239,6 @@ class Metrics:
         stats.add(delivered_at_us - generated_at_us, n)
 
 
-class _SeenWindow:
-    """Which receivers already have each BSM, for as long as a delivery
-    of it can arrive: by generation time, in ``receivers``, one int per
-    subject id, bit ``r`` set once user index ``r`` has it; and the
-    generation times in the order first delivered, in ``order``.
-
-    No path takes longer than ``horizon_us``, so the BSMs generated more
-    than that before now are dropped. A delivery of a BSM generated
-    before the latest drop's cutoff raises: the bound is checked, not
-    assumed."""
-
-    def __init__(self, horizon_us: int):
-        self.horizon_us = horizon_us
-        self.watermark_us = 0  # BSMs generated before this may be dropped
-        self.receivers: dict[int, dict[str, int]] = {}
-        self.order: deque[int] = deque()
-
-    def __len__(self) -> int:
-        """The (subject id, generation time) keys held."""
-        return sum(map(len, self.receivers.values()))
-
-    def held(self, generated_at_us: int, now_us: int) -> dict[str, int]:
-        """The receivers of each BSM generated at ``generated_at_us``, by
-        subject id, for deliveries at ``now_us``: the BSMs generated more
-        than the horizon before now are dropped first, and raise if they
-        include these."""
-        order = self.order
-        receivers = self.receivers
-        cutoff = now_us - self.horizon_us
-        if order and order[0] < cutoff:
-            self.watermark_us = cutoff
-            while order and order[0] < cutoff:
-                del receivers[order.popleft()]
-        if generated_at_us < self.watermark_us:
-            raise SimulationInvariantError(
-                f"delivery of a BSM generated at {generated_at_us} us "
-                f"arrived after its duplicate window closed at "
-                f"{self.watermark_us} us"
-            )
-        by_subject = receivers.get(generated_at_us)
-        if by_subject is None:
-            by_subject = receivers[generated_at_us] = {}
-            order.append(generated_at_us)
-        return by_subject
-
-
 @dataclass
 class RunResult:
     """Everything a run produced; consumed by reporting and tests."""
@@ -301,12 +268,12 @@ class RunResult:
 # ``last_heard`` rows as an index array, looked up in the row map, and
 # their bitmask, built once at setup, its receivers in increasing user
 # index. Only connected users are in a plan, so every receiver has a
-# row. A delivery of it tests
-# and updates the duplicate window with one int operation per BSM, and
-# writes ``last_heard`` through the array; it works out per-receiver flags
-# only when some receiver already had the BSM. A group cut by a drop is a
-# ``_Cut``, whose array and mask are built with it; the tape keeps only
-# its mask, from which the reader rebuilds its receivers.
+# row. A camera frame's cast to it tests and updates the frame's
+# bitmasks with one int operation per BSM, and works out per-receiver
+# flags only when some receiver already had the BSM; a delivery writes
+# ``last_heard`` through the array. A group cut by a drop is a ``_Cut``,
+# whose array and mask are built with it; the tape keeps only its mask,
+# from which the reader rebuilds its receivers.
 #
 # Arrivals. A cast schedules one ``_deliver`` event per group of its
 # plan, whose argument is the arrival's ``DeliveryGroup``: the one record
@@ -342,7 +309,9 @@ class RunResult:
 # generated at the capture time, form a run, sent before the frame
 # schedules a grace deadline, and what is left at the end. So each
 # ``_schedule`` call comes in the order that sending each BSM as it is
-# generated would give, and a deadline runs between the same BSMs.
+# generated would give, and a deadline runs between the same BSMs. Only
+# the duplicate flags need the frame in one call: its runs share one
+# ``seen``, which one event per detection would start anew.
 #
 # Sending BSM by BSM to the generation targets schedules, at each
 # instant, "for each BSM b, for each target T: b at T's group there" (a
@@ -435,15 +404,6 @@ class Simulation:
         self._own = (np.arange(len(receivers)),
                      np.array(receivers, dtype=np.intp))
         self.metrics = Metrics(ids, self.frame, receivers)
-        # The longest path: one link half at each end, plus the camera's
-        # processing and grace wait on a camera path.
-        self._seen = _SeenWindow(
-            2 * max(
-                (u.half_us for u in self.users if u.half_us is not None),
-                default=0,
-            )
-            + self.ipu_processing_us + ms_to_us(config.filter.grace_ms)
-        )
         self._heap: list[tuple[int, int, Callable[[int, Any], None], Any]] = []
         self._seq = 0
         self._ran = False
@@ -607,11 +567,12 @@ class Simulation:
 
     def _publish(self, publisher: Optional[SimUser], plan: _Plan,
                  bsms: list[Bsm], topic: Topic, uplink: LinkTech,
-                 now_us: int) -> None:
+                 now_us: int, seen: Optional[dict[str, int]] = None) -> None:
         """Publish each of ``bsms`` on ``topic``, in order, for a road
         user, or for the gateway when ``publisher`` is None, and cast
         ``plan`` to the road users the broker kept: the BSMs whose
-        publish kept every subscriber as runs, each other alone."""
+        publish kept every subscriber as runs, each other alone. ``seen``
+        goes to each cast."""
         broker = self.broker
         client = ARSU_CLIENT if publisher is None else publisher.id
         run = []
@@ -629,7 +590,7 @@ class Simulation:
                 continue
             if run:
                 self._cast(plan, now_us, run, uplink, LinkTech.CELL_MQTT,
-                           topic)
+                           topic, seen)
                 run = []
             # A road user's client name is its id, its own truth.
             kept_rows = set(map(self._truth_of.get, kept)).__contains__
@@ -640,26 +601,49 @@ class Simulation:
                 for offset_us, receivers in plan
                 if (group := tuple(filter(kept_rows, receivers)))
             )
-            self._cast(cut, now_us, [bsm], uplink, LinkTech.CELL_MQTT, topic)
+            self._cast(cut, now_us, [bsm], uplink, LinkTech.CELL_MQTT, topic,
+                       seen)
         if run:
-            self._cast(plan, now_us, run, uplink, LinkTech.CELL_MQTT, topic)
+            self._cast(plan, now_us, run, uplink, LinkTech.CELL_MQTT, topic,
+                       seen)
 
     def _cast(self, plan: _Plan, sent_us: int, bsms: list[Bsm],
               uplink: LinkTech, downlink: LinkTech,
-              topic: Optional[Topic] = None) -> None:
+              topic: Optional[Topic] = None,
+              seen: Optional[dict[str, int]] = None) -> None:
         """Schedule the arrival of ``bsms``, a run generated at one
         instant, at each group of ``plan``: one event per group, whose
-        argument is the arrival's ``DeliveryGroup``."""
+        argument is the arrival's ``DeliveryGroup``. A camera frame's
+        sends pass ``seen``, the bitmask of the receivers each of its
+        subject ids was cast to so far, from which each group's duplicate
+        flags are set; every other send passes None."""
         generated_at_us = bsms[0].generated_at_us
         if sent_us < generated_at_us:
             raise SimulationInvariantError(
                 "a send precedes its BSM's generation")
         subjects, truth = self._subjects(bsms)
         for offset_us, receivers in plan:
+            flags = None
+            if seen is not None:
+                mask = receivers.mask
+                # Read per BSM: two BSMs of one arrival can share a subject.
+                for i, subject in enumerate(subjects):
+                    had = seen.get(subject)
+                    if had is None:
+                        seen[subject] = mask
+                        continue
+                    seen[subject] = had | mask
+                    if had & mask:
+                        duplicates = tuple(bool(had >> r & 1)
+                                           for r in receivers)
+                        if flags is None:
+                            flags = []
+                        flags.append((i, duplicates))
             at_us = sent_us + offset_us
             self._schedule(at_us, self._deliver, DeliveryGroup(
                 receivers, subjects, truth, uplink, downlink,
-                generated_at_us, at_us, topic, None))
+                generated_at_us, at_us, topic,
+                None if flags is None else tuple(flags)))
 
     def _on_gateway_rx(self, now_us: int, arg: tuple[Bsm, LinkTech]) -> None:
         """The gateway hears ``bsm`` on ``medium``: a road user's own radio
@@ -671,10 +655,11 @@ class Simulation:
         self._send([bsm], targets, medium, now_us)
 
     def _send(self, bsms: list[Bsm], targets: tuple[Target, ...],
-              uplink: LinkTech, now_us: int) -> None:
+              uplink: LinkTech, now_us: int,
+              seen: Optional[dict[str, int]] = None) -> None:
         """Send a run of gateway relays or generated BSMs, which reached
         the gateway over ``uplink`` at one instant, to each target
-        through its plan (see "Frames")."""
+        through its plan (see "Frames"); ``seen`` goes to each cast."""
         # Where two targets' groups share an instant, the run goes BSM by
         # BSM (see "Frames").
         runs = [[bsm] for bsm in bsms] if self._interleaved else [bsms]
@@ -686,39 +671,23 @@ class Simulation:
                     # relays a road user's BSM only onto the other media,
                     # and the camera's under a synthetic id, so the subject
                     # is never on ``medium``.
-                    self._cast(relays[medium], now_us, run, uplink, medium)
+                    self._cast(relays[medium], now_us, run, uplink, medium,
+                               None, seen)
                 else:
                     self._publish(None, relays[medium], run, topic, uplink,
-                                  now_us)
+                                  now_us, seen)
 
     def _deliver(self, now_us: int, record: DeliveryGroup) -> None:
         """Hand an arrival's BSMs to its receivers: one delivery, and one
-        executed event, per (BSM, receiver); the arrival's record gains
-        duplicate flags only where a receiver already had a BSM, and is
-        recorded once. Its BSMs share their generation time, so the
-        duplicate window is pruned and checked once."""
-        receivers = record.receivers
-        subjects = record.subjects
-        mask = receivers.mask
+        executed event, per (BSM, receiver), recorded once. The record's
+        duplicate flags were set when it was cast; each one set counts a
+        duplicate suppressed."""
         metrics = self.metrics
-        seen = self._seen.held(record.generated_at_us, now_us)
-        flags = None
-        # Read per BSM: two BSMs of one arrival can share a subject.
-        for i, subject in enumerate(subjects):
-            had = seen.get(subject)
-            if had is None:
-                seen[subject] = mask
-                continue
-            seen[subject] = had | mask
-            if had & mask:
-                duplicates = tuple(bool(had >> r & 1) for r in receivers)
-                if flags is None:
-                    flags = []
-                flags.append((i, duplicates))
-                metrics.duplicates_suppressed += sum(duplicates)
-        metrics.events_executed += len(receivers) * len(subjects) - 1
-        if flags is not None:
-            record = record._replace(duplicates=tuple(flags))
+        if record.duplicates is not None:
+            metrics.duplicates_suppressed += sum(
+                sum(flags) for _, flags in record.duplicates)
+        metrics.events_executed += (
+            len(record.receivers) * len(record.subjects) - 1)
         metrics.record_delivery(record)
 
     def _subjects(self, bsms: list[Bsm]) -> tuple[tuple, tuple | np.ndarray]:
@@ -794,21 +763,25 @@ class Simulation:
         """A frame's detections leave the IPU: the gateway classifies the
         frame in one ``on_frame`` call, and the refreshes' BSMs go to each
         generation target as a run; one executed event per detection. A
-        run is sent before a grace deadline is scheduled (see "Frames")."""
+        run is sent before a grace deadline is scheduled (see "Frames").
+        Every run of the frame shares one ``seen``, by which a key that
+        the frame sends twice is flagged at each receiver that had it."""
         self.metrics.events_executed += len(detections) - 1
         outcomes = self.gateway.on_frame(detections, now_us)
+        seen: dict[str, int] = {}
         run = []
         for _, _, track_id, deadline_us, generated in outcomes:
             if deadline_us is not None:
                 if run:
                     self._send(run, GENERATION_TARGETS, LinkTech.CAMERA,
-                               now_us)
+                               now_us, seen)
                     run = []
                 self._schedule(deadline_us, self._on_grace_deadline, track_id)
             if generated is not None:
                 run.append(generated)
         if run:
-            self._send(run, GENERATION_TARGETS, LinkTech.CAMERA, now_us)
+            self._send(run, GENERATION_TARGETS, LinkTech.CAMERA, now_us,
+                       seen)
         self.metrics.tape.detections(now_us, detections, outcomes)
 
     def _on_grace_deadline(self, now_us: int, track_id: int) -> None:

@@ -34,3 +34,51 @@ def test_one_case_matches_arsusim_run(tmp_path):
         hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("report.json", "trace.csv"))
     assert digests.digests(workload, seed, edit) == expected
+
+
+def _fake_digests(workload, seed, edit=None):
+    """Two made-up digests per case, so that no workload runs."""
+    name = f"{workload}@{seed}+{edit}"
+    return tuple(hashlib.sha256(f"{name} {file}".encode()).hexdigest()
+                 for file in ("report", "trace"))
+
+
+def _lines():
+    return [digests.header()] + [
+        " ".join((name, *_fake_digests(workload, seed, edit)))
+        for name, workload, seed, edit in digests.cases()]
+
+
+def test_check_passes_on_the_lines_it_printed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(digests, "digests", _fake_digests)
+    assert digests.main([]) == 0
+    printed = capsys.readouterr().out
+    assert printed.splitlines() == _lines()
+    committed = tmp_path / "digests.txt"
+    committed.write_text(printed, encoding="utf-8")
+    assert digests.main(["--check", str(committed)]) == 0
+    assert capsys.readouterr().out == "0 of 18 lines differ\n"
+
+
+def test_check_prints_the_case_that_differs_and_fails(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(digests, "digests", _fake_digests)
+    lines = _lines()
+    name, report, trace = lines[5].split()
+    lines[5] = " ".join((name, report, "0" * 64))
+    committed = tmp_path / "digests.txt"
+    committed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert digests.main(["--check", str(committed)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name} differs: {report} {trace}", "1 of 18 lines differ"]
+
+
+def test_committed_lines_are_every_case_under_a_numpy_header():
+    """``tests/digests.txt`` names each case once, after a header that
+    names a numpy version."""
+    committed = (_PATH.parent.parent / "tests" / "digests.txt").read_text(
+        encoding="utf-8").splitlines()
+    assert committed[0].startswith("# numpy ")
+    assert [line.split()[0] for line in committed[1:]] == [
+        name for name, *_ in digests.cases()]
+    assert all(len(line.split()) == 3 for line in committed[1:])

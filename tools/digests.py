@@ -3,22 +3,32 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/digests.py
+    python3 tools/digests.py                          # print every line
+    python3 tools/digests.py --check tests/digests.txt
 
 The cases are the benchmark workloads (``perfbench/workloads.py``)
 radio-dense, cell-fanout and camera-crowd at seeds 7, 101 and 102, and
 each at seed 101 with one setting changed: ``scenario_speed_kmh: 60.95``
 (equal DSRC and C-V2X link halves), ``mqtt.drop_probability: 0.3`` and
 ``link_speed_mode: max_endpoint``. Each line reads ``<case> <report
-sha256> <trace sha256>``. A change that must keep outputs byte-identical
-prints the same lines as its parent: run this file in a copy of the
-parent too (``git archive <sha> | tar -x -C <dir>``, then copy the file
-in). The tool runs the ``arsusim`` in the ``src/`` beside it, through
+sha256> <trace sha256>``, after a header line ``# numpy <version>``: the digests
+rest on numpy's ``Generator`` stream.
+
+``--check FILE`` works out every case and compares it with FILE's line
+of that name, as printed before; it prints each case that differs or
+that FILE lacks, and each line of FILE that names no case, and exits 1
+if there is any. ``tests/digests.txt`` holds the lines of the committed
+code: a change that must keep outputs byte-identical passes the check,
+and one that changes outputs rewrites the file
+(``python3 tools/digests.py > tests/digests.txt``).
+
+The tool runs the ``arsusim`` in the ``src/`` beside it, through
 ``arsusim.cli.main``, and leaves nothing behind.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -28,6 +38,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,7 +99,46 @@ def digests(workload: str, seed: int,
             for name in ("report.json", "trace.csv"))
 
 
-def main() -> int:
+def header() -> str:
+    """The first line printed: the numpy version the digests rest on."""
+    return f"# numpy {np.__version__}"
+
+
+def check(path: str) -> int:
+    """Compare every case with its line in ``path``; print each case
+    that differs or is missing, and each line that names no case. 1 if
+    there is any, else 0."""
+    expected = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.startswith("# numpy ") and line != header():
+            print(f"{path} was written at {line[2:]}; this is {header()[2:]}")
+        elif line and not line.startswith("#"):
+            name, *hashes = line.split()
+            expected[name] = tuple(hashes)
+    failed = 0
+    for name, workload, seed, edit in cases():
+        got = digests(workload, seed, edit)
+        want = expected.pop(name, None)
+        if want is None:
+            print(f"{name} missing from {path}: {' '.join(got)}", flush=True)
+        elif want != got:
+            print(f"{name} differs: {' '.join(got)}", flush=True)
+        failed += want != got
+    for name in expected:
+        print(f"{name} in {path} names no case")
+    failed += len(expected)
+    print(f"{failed} of {len(cases()) + len(expected)} lines differ")
+    return 1 if failed else 0
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with FILE's lines; exit 1 on a change")
+    args = parser.parse_args(argv)
+    if args.check is not None:
+        return check(args.check)
+    print(header())
     for name, workload, seed, edit in cases():
         print(name, *digests(workload, seed, edit), flush=True)
     return 0
