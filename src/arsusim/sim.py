@@ -3,8 +3,11 @@
 Road users move at constant velocity in a local planar frame, emit BSMs
 on their own technology, and hear each other directly (same technology),
 through the gateway's relays (cross technology), or through the broker
-(cellular). The camera samples everything inside the coverage radius and
-feeds the gateway's detection filter.
+(cellular). The camera samples everything inside the A-RSU's coverage
+disc, where the gateway also hears radio BSMs, and feeds the gateway's
+detection filter. Users move lazily, at their BSMs and at camera frames,
+through ``Simulation._move``, the one method that also answers who is
+in that disc.
 
 Every delay is injected from the latency model, never emergent, so a
 run's measured path latencies are exactly the model's composed values.
@@ -120,18 +123,6 @@ class SimUser:
     def __post_init__(self):
         rad = math.radians(self.spec.heading_deg)
         self.sin_heading, self.cos_heading = math.sin(rad), math.cos(rad)
-
-
-def step_mobility(user: SimUser, dt_us: int) -> None:
-    """Advance a user along its heading at constant speed."""
-    if dt_us < 0:
-        raise ValueError("dt must be non-negative")
-    if dt_us == 0:
-        return
-    meters = user.speed_kmh / 3.6 * (dt_us / 1_000_000.0)
-    user.x_m += meters * user.sin_heading
-    user.y_m += meters * user.cos_heading
-    user.updated_at_us += dt_us
 
 
 class DeliveryGroup(NamedTuple):
@@ -381,6 +372,9 @@ class Simulation:
         self.ipu_processing_us = ms_to_us(config.ipu.processing_ms)
         self.frame_period_us = ms_to_us(config.ipu.frame_period_ms)
         self.freshness_us = ms_to_us(config.freshness_window_ms)
+        arsu = config.arsu
+        #: The A-RSU's coverage disc: centre x and y, and radius (m).
+        self._disc = (arsu.x_m, arsu.y_m, arsu.coverage_radius_m)
         self.users = [self._make_user(i, s) for i, s in enumerate(config.users)]
         by_tech: dict[LinkTech, list[SimUser]] = {}
         for user in self.users:
@@ -537,7 +531,7 @@ class Simulation:
     def _on_bsm_tx(self, now_us: int, user: SimUser) -> None:
         spec = user.spec
         tech = spec.kind.tech
-        step_mobility(user, now_us - user.updated_at_us)
+        in_disc = self._move((user,), now_us)
         noise = self.rng.normal(0.0, spec.gnss_error_std_m, 2).tolist()
         reported = self.frame.position_at(
             user.x_m + noise[0], user.y_m + noise[1]
@@ -559,7 +553,7 @@ class Simulation:
             self._publish(user, plan, [bsm], Topic.CELL, tech, now_us)
         else:
             self._cast(plan, now_us, [bsm], tech, tech)
-            if self.gateway is not None and self._in_coverage(user):
+            if self.gateway is not None and in_disc:
                 self._schedule(
                     now_us + user.half_us, self._on_gateway_rx, (bsm, tech)
                 )
@@ -722,21 +716,10 @@ class Simulation:
         return subjects, truth
 
     def _on_ipu_frame(self, now_us: int, _: None) -> None:
-        """Capture a camera frame: move every user to now (as
-        ``step_mobility`` does) and detect those in coverage."""
-        arsu = self.config.arsu
-        x_m, y_m, radius_m = arsu.x_m, arsu.y_m, arsu.coverage_radius_m
-        hypot = math.hypot
-        in_view = []
-        for user in self.users:
-            dt_us = now_us - user.updated_at_us
-            if dt_us > 0:
-                meters = user.speed_kmh / 3.6 * (dt_us / 1_000_000.0)
-                user.x_m += meters * user.sin_heading
-                user.y_m += meters * user.cos_heading
-                user.updated_at_us = now_us
-            if hypot(user.x_m - x_m, user.y_m - y_m) <= radius_m:
-                in_view.append(user)
+        """Capture a camera frame: move every user to now and detect
+        those in the coverage disc, both through ``_move`` (users move
+        lazily, at their BSMs and at camera frames)."""
+        in_view = self._move(self.users, now_us)
         if in_view:
             # One draw for the frame gives the numbers one per user would.
             noise = self.rng.normal(
@@ -807,10 +790,26 @@ class Simulation:
 
     # --- helpers ---
 
-    def _in_coverage(self, user: SimUser) -> bool:
-        dx = user.x_m - self.config.arsu.x_m
-        dy = user.y_m - self.config.arsu.y_m
-        return math.hypot(dx, dy) <= self.config.arsu.coverage_radius_m
+    def _move(self, users: Iterable[SimUser], now_us: int) -> list[SimUser]:
+        """Move each of ``users`` along its heading, at constant speed,
+        to ``now_us``, and return those inside the A-RSU's coverage disc,
+        in order. Moving a user back in time raises."""
+        x_m, y_m, radius_m = self._disc
+        hypot = math.hypot
+        in_disc = []
+        for user in users:
+            dt_us = now_us - user.updated_at_us
+            if dt_us:
+                if dt_us < 0:
+                    raise SimulationInvariantError(
+                        f"{user.id} moved back in time")
+                meters = user.speed_kmh / 3.6 * (dt_us / 1_000_000.0)
+                user.x_m += meters * user.sin_heading
+                user.y_m += meters * user.cos_heading
+                user.updated_at_us = now_us
+            if hypot(user.x_m - x_m, user.y_m - y_m) <= radius_m:
+                in_disc.append(user)
+        return in_disc
 
     def _coverage(self, now_us: int) -> Optional[float]:
         """Share of (connected receiver, other user) pairs heard within

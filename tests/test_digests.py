@@ -13,10 +13,10 @@ digests = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(digests)
 
 
-def test_cases_are_eighteen_and_named_apart():
+def test_cases_are_twenty_four_and_named_apart():
     cases = digests.cases()
-    assert len(cases) == 18
-    assert len({name for name, *_ in cases}) == 18
+    assert len(cases) == 24
+    assert len({name for name, *_ in cases}) == 24
     assert {(workload, seed) for _, workload, seed, edit in cases
             if edit is None} == {
         (w, s) for w in digests.WORKLOADS for s in (7, 101, 102)}
@@ -57,7 +57,7 @@ def test_check_passes_on_the_lines_it_printed(tmp_path, monkeypatch, capsys):
     committed = tmp_path / "digests.txt"
     committed.write_text(printed, encoding="utf-8")
     assert digests.main(["--check", str(committed)]) == 0
-    assert capsys.readouterr().out == "0 of 18 lines differ\n"
+    assert capsys.readouterr().out == "0 of 24 lines differ\n"
 
 
 def test_check_prints_the_case_that_differs_and_fails(
@@ -70,7 +70,7 @@ def test_check_prints_the_case_that_differs_and_fails(
     committed.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert digests.main(["--check", str(committed)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        f"{name} differs: {report} {trace}", "1 of 18 lines differ"]
+        f"{name} differs: {report} {trace}", "1 of 24 lines differ"]
 
 
 def test_committed_lines_are_every_case_under_a_numpy_header():

@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from arsusim.broker import ARSU_CLIENT
-from arsusim.config import RoadUserKind, UserSpec, parse_scenario
+from arsusim.config import RoadUserKind, parse_scenario
 from arsusim.gateway import GENERATION_TARGETS
 from arsusim.report import build_report_dict
 from arsusim.messages import (
@@ -28,9 +28,7 @@ from arsusim.sim import (
     _group_by_time,
     Simulation,
     SimulationInvariantError,
-    SimUser,
     run,
-    step_mobility,
 )
 from arsusim.trace import TraceRows
 
@@ -44,63 +42,55 @@ from conftest import (
 )
 
 
-def make_user(speed_kmh=0.0, heading_deg=0.0, x=0.0, y=0.0):
-    spec = UserSpec(
-        kind=RoadUserKind.NATIVE_DSRC,
-        user_id="U1",
-        x_m=x,
-        y_m=y,
-        heading_deg=heading_deg,
-        speed_kmh=speed_kmh,
-        gnss_error_std_m=0.0,
-    )
-    return SimUser(
-        index=0,
-        id="U1",
-        spec=spec,
-        x_m=x,
-        y_m=y,
-        speed_kmh=speed_kmh,
-        bsm_interval_us=100_000,
-        bsm_phase_us=0,
-    )
-
-
 def scenario(text: str):
     return parse_scenario(text)
 
 
+def moving_user(speed_kmh=0.0, heading_deg=0.0):
+    """A simulation of one road user at the A-RSU, and that user."""
+    simulation = Simulation(scenario(
+        "duration_ms: 1000\nusers:\n"
+        f"  - {{kind: native_dsrc, id: U1, speed_kmh: {speed_kmh},"
+        f" heading_deg: {heading_deg}}}\n"))
+    return simulation, simulation.users[0]
+
+
 class TestMobility:
+    """``Simulation._move``, the one home of a user's position."""
+
     def test_zero_speed_stays_put(self):
-        user = make_user(speed_kmh=0.0)
-        step_mobility(user, 5_000_000)
+        simulation, user = moving_user(speed_kmh=0.0)
+        assert simulation._move((user,), 5_000_000) == [user]
         assert (user.x_m, user.y_m) == (0.0, 0.0)
+        assert user.updated_at_us == 5_000_000
 
     def test_sixty_kmh_one_second_north(self):
-        user = make_user(speed_kmh=60.0, heading_deg=0.0)
-        step_mobility(user, 1_000_000)
+        simulation, user = moving_user(speed_kmh=60.0, heading_deg=0.0)
+        simulation._move((user,), 1_000_000)
         # 60 km/h = 16.667 m/s
         assert user.y_m == pytest.approx(16.667, abs=1e-3)
         assert user.x_m == pytest.approx(0.0, abs=1e-12)
 
     def test_heading_east(self):
-        user = make_user(speed_kmh=36.0, heading_deg=90.0)
-        step_mobility(user, 500_000)
+        simulation, user = moving_user(speed_kmh=36.0, heading_deg=90.0)
+        simulation._move((user,), 500_000)
         assert user.x_m == pytest.approx(5.0, abs=1e-9)
         assert user.y_m == pytest.approx(0.0, abs=1e-9)
 
     def test_two_steps_equal_one_double_step(self):
-        a = make_user(speed_kmh=75.0, heading_deg=33.0)
-        b = make_user(speed_kmh=75.0, heading_deg=33.0)
-        step_mobility(a, 250_000)
-        step_mobility(a, 250_000)
-        step_mobility(b, 500_000)
+        first, a = moving_user(speed_kmh=75.0, heading_deg=33.0)
+        second, b = moving_user(speed_kmh=75.0, heading_deg=33.0)
+        first._move((a,), 250_000)
+        first._move((a,), 500_000)
+        second._move((b,), 500_000)
         assert a.x_m == pytest.approx(b.x_m, abs=1e-9)
         assert a.y_m == pytest.approx(b.y_m, abs=1e-9)
 
     def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError):
-            step_mobility(make_user(), -1)
+        simulation, user = moving_user(speed_kmh=30.0)
+        simulation._move((user,), 200_000)
+        with pytest.raises(SimulationInvariantError):
+            simulation._move((user,), 199_999)
 
 
 TWO_USER_STATIC = """
@@ -270,6 +260,44 @@ users:
 """
         result = run(scenario(doc))
         assert result.metrics.detections == 0
+
+
+class TestCoverageDisc:
+    """The gateway hears radio BSMs, and the camera sees road users, in
+    one disc: centred on the A-RSU, its edge included."""
+
+    DOC = """
+duration_ms: 1000
+seed: 0
+arsu: {x_m: 120, y_m: -80, coverage_radius_m: 50}
+ipu: {noise_std_m: 0}
+users:
+  - {kind: native_dsrc, id: car-in, x_m: 170, y_m: -80, speed_kmh: 0,
+     gnss_error_std_m: 0}
+  - {kind: non_connected, id: ped-in, x_m: 170, y_m: -80, speed_kmh: 0}
+  - {kind: native_dsrc, id: car-out, x_m: 170.01, y_m: -80, speed_kmh: 0,
+     gnss_error_std_m: 0}
+  - {kind: non_connected, id: ped-out, x_m: 170.01, y_m: -80,
+     speed_kmh: 0}
+"""
+
+    def test_users_on_the_edge_are_heard_and_seen_and_beyond_are_not(self):
+        simulation = Simulation(scenario(self.DOC))
+        heard = record_on_rx(simulation)
+        frames = []
+        on_frame = simulation.gateway.on_frame
+
+        def seeing(detections, now_us):
+            frames.append([d.truth_id for d in detections])
+            return on_frame(detections, now_us)
+
+        simulation.gateway.on_frame = seeing
+        simulation.run()
+        # Every BSM car-in sends is heard; car-out's never are.
+        assert [(bsm.id, bsm.generated_at_us) for bsm, *_ in heard] == [
+            ("car-in", at_us) for at_us in range(0, 1_000_000, 100_000)]
+        # Frames captured at 0..600 ms are ready before the end.
+        assert frames == [["car-in", "ped-in"]] * 7
 
 
 class TestCoverageMetric:

@@ -1,5 +1,5 @@
 """sha256 of the ``report.json`` and ``trace.csv`` that ``arsusim run
---trace`` writes for 18 fixed cases, one line per case.
+--trace`` writes for 24 fixed cases, one line per case.
 
 Usage, from the root of a checkout:
 
@@ -9,10 +9,12 @@ Usage, from the root of a checkout:
 The cases are the benchmark workloads (``perfbench/workloads.py``)
 radio-dense, cell-fanout and camera-crowd at seeds 7, 101 and 102, and
 each at seed 101 with one setting changed: ``scenario_speed_kmh: 60.95``
-(equal DSRC and C-V2X link halves), ``mqtt.drop_probability: 0.3`` and
-``link_speed_mode: max_endpoint``. Each line reads ``<case> <report
-sha256> <trace sha256>``, after a header line ``# numpy <version>``: the digests
-rest on numpy's ``Generator`` stream.
+(equal DSRC and C-V2X link halves), ``mqtt.drop_probability: 0.3``,
+``link_speed_mode: max_endpoint``, ``arsu: {coverage_radius_m: 120}``
+and ``arsu: {x_m: 120, y_m: -80, coverage_radius_m: 150}``; in the last
+two, users cross the coverage disc's edge during the run. Each line
+reads ``<case> <report sha256> <trace sha256>``, after a header line
+``# numpy <version>``: the digests rest on numpy's ``Generator`` stream.
 
 ``--check FILE`` works out every case and compares it with FILE's line
 of that name, as printed before; it prints each case that differs or
@@ -58,6 +60,9 @@ EDITS = {
     "speed-60.95": ("scenario_speed_kmh", 60.95),
     "drops-0.3": ("mqtt", {"drop_probability": 0.3}),
     "max_endpoint": ("link_speed_mode", "max_endpoint"),
+    "coverage-120": ("arsu", {"coverage_radius_m": 120}),
+    "arsu-offset": ("arsu", {"x_m": 120, "y_m": -80,
+                             "coverage_radius_m": 150}),
 }
 
 
