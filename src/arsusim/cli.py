@@ -87,40 +87,19 @@ def _write_csv(path: Path, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _cmd_run(args) -> int:
-    try:
-        config = load_scenario(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        result = run_simulation(config, seed=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SimulationInvariantError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-
+def _cmd_run(args) -> None:
+    result = run_simulation(load_scenario(args.config), seed=args.seed)
     report = build_report_dict(result)
-    _, table_text, table_rows = emit_table4(result.model)
-    matrix_rows = matrix_csv_rows(report["scenario_matrix"])
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(
-            report_json(report), encoding="utf-8"
-        )
-        _write_csv(out_dir / "table4.csv", table_rows)
-        _write_csv(out_dir / "matrix.csv", matrix_rows)
-        if args.trace:
-            with open(out_dir / "trace.csv", "w", newline="",
-                      encoding="utf-8") as fh:
-                write_trace(fh, result.trace_rows)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.json").write_text(report_json(report), encoding="utf-8")
+    _write_csv(out_dir / "table4.csv", emit_table4(result.model)[2])
+    _write_csv(out_dir / "matrix.csv",
+               matrix_csv_rows(report["scenario_matrix"]))
+    if args.trace:
+        with open(out_dir / "trace.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            write_trace(fh, result.trace_rows)
     cov = report["coverage"]["final"]
     print(f"run complete: seed={result.seed} "
           f"events={report['counts']['events_executed']} "
@@ -128,38 +107,21 @@ def _cmd_run(args) -> int:
           f"coverage={'n/a' if cov is None else cov} "
           f"ghosts={report['ghosts']['count']}")
     print(f"outputs in {out_dir}")
-    return EXIT_OK
 
 
-def _cmd_table4(args) -> int:
-    try:
-        model = load_latency_model(args.latency_csv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    _, text, rows = emit_table4(model)
+def _cmd_table4(args) -> None:
+    _, text, rows = emit_table4(load_latency_model(args.latency_csv))
     print(text)
     if args.csv:
-        try:
-            _write_csv(Path(args.csv), rows)
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    return EXIT_OK
+        _write_csv(Path(args.csv), rows)
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args) -> None:
     lo, hi = args.speed_range
     if not 0.0 <= lo <= hi <= MAX_SCENARIO_SPEED_KMH:
-        print("config error: speed range must satisfy "
-              f"0 <= LO <= HI <= {MAX_SCENARIO_SPEED_KMH:g}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        model = load_latency_model(args.latency_csv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    rows = scenario_matrix(model, (lo, hi))
+        raise ConfigError("speed range must satisfy "
+                          f"0 <= LO <= HI <= {MAX_SCENARIO_SPEED_KMH:g}")
+    rows = scenario_matrix(load_latency_model(args.latency_csv), (lo, hi))
     width = max(len(r["internetworking"]) for r in rows)
     print(f"{'#':>2} {'uplink':>6} {'bridge':<{width}} {'downlink':>8} "
           f"{'max ms':>9}  {'category':<15} apps")
@@ -169,28 +131,20 @@ def _cmd_matrix(args) -> int:
               f"{r['internetworking']:<{width}} {r['downlink']:>8} "
               f"{r['max_delay_ms']:>9.3f}  {r['category']:<15} {apps}")
     if args.csv:
-        try:
-            _write_csv(Path(args.csv), matrix_csv_rows(rows))
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    return EXIT_OK
+        _write_csv(Path(args.csv), matrix_csv_rows(rows))
 
 
-def _cmd_validate(args) -> int:
-    try:
-        config = load_scenario(args.config)
-        load_latency_model(config.latency_csv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_validate(args) -> None:
+    config = load_scenario(args.config)
+    load_latency_model(config.latency_csv)
     print(f"ok: {len(config.users)} users, "
           f"duration {config.duration_ms:g} ms, "
           f"speed {config.scenario_speed_kmh:g} km/h, seed {config.seed}")
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place a failure becomes an exit code
+    and a one-line message on stderr."""
     args = _build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
@@ -198,7 +152,18 @@ def main(argv=None) -> int:
         "matrix": _cmd_matrix,
         "validate-config": _cmd_validate,
     }
-    return handlers[args.command](args)
+    try:
+        handlers[args.command](args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except SimulationInvariantError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

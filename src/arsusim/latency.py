@@ -112,6 +112,18 @@ class InconsistentDelayTable(ValueError):
     """The composed matrix does not recompose from its own halves."""
 
 
+def _decode(
+    composed_ms: Sequence[Sequence[float]],
+) -> dict[LinkTech, list[float]]:
+    """Each technology's half-RTTs: its camera row (5-7, the downlink
+    of ``PAIR_ROWS[4:]``) less the processing overhead."""
+    _check_shape(composed_ms)
+    return {
+        down: [v - DEFAULT_IPU_PROCESSING_MS for v in row]
+        for (_, down), row in zip(PAIR_ROWS[4:], composed_ms[4:])
+    }
+
+
 def recomposition_residuals(
     composed_ms: Sequence[Sequence[float]],
 ) -> list[list[float]]:
@@ -120,23 +132,12 @@ def recomposition_residuals(
     Returns a 4 x n_speeds matrix; entry [i][j] is |printed - recomposed|
     for composed row i at speed column j.
     """
-    _check_shape(composed_ms)
-    camera_rows = {
-        LinkTech.DSRC: composed_ms[4],
-        LinkTech.CV2X: composed_ms[5],
-        LinkTech.CELL_MQTT: composed_ms[6],
-    }
-    residuals = []
-    for i in range(4):
-        up, down = PAIR_ROWS[i]
-        row = []
-        for j in range(len(composed_ms[i])):
-            recomposed = (camera_rows[up][j] - DEFAULT_IPU_PROCESSING_MS) + (
-                camera_rows[down][j] - DEFAULT_IPU_PROCESSING_MS
-            )
-            row.append(abs(composed_ms[i][j] - recomposed))
-        residuals.append(row)
-    return residuals
+    half = _decode(composed_ms)
+    return [
+        [abs(printed - (half[up][j] + half[down][j]))
+         for j, printed in enumerate(composed_ms[i])]
+        for i, (up, down) in enumerate(PAIR_ROWS[:4])
+    ]
 
 
 def _check_shape(composed_ms: Sequence[Sequence[float]]) -> None:
@@ -194,14 +195,8 @@ class LatencyModel:
                         f"km/h, residual {residual:.3f} ms exceeds "
                         f"{RECOMPOSITION_TOLERANCE_MS} ms"
                     )
-        return cls({
-            tech: tuple(
-                v - DEFAULT_IPU_PROCESSING_MS for v in composed_ms[4 + k]
-            )
-            for k, tech in enumerate(
-                (LinkTech.DSRC, LinkTech.CV2X, LinkTech.CELL_MQTT)
-            )
-        })
+        return cls({tech: tuple(values)
+                    for tech, values in _decode(composed_ms).items()})
 
     @classmethod
     def from_csv(cls, path) -> "LatencyModel":
@@ -227,18 +222,20 @@ class LatencyModel:
         return values[i - 1] + frac * (values[i] - values[i - 1])
 
     def composed_delay(
-        self, uplink: LinkTech, downlink: LinkTech, speed_kmh: float
+        self, uplink: LinkTech, downlink: LinkTech, speed_kmh: float,
+        processing_ms: float = DEFAULT_IPU_PROCESSING_MS,
     ) -> float:
         """End-to-end delay (ms) of one uplink/downlink bundle.
 
-        A camera uplink contributes the fixed processing overhead instead
-        of a half-RTT; a camera downlink does not exist.
+        A camera uplink contributes ``processing_ms`` (the published
+        table's 300 ms unless a run's IPU sets another) instead of a
+        half-RTT; a camera downlink does not exist.
         """
         if downlink is LinkTech.CAMERA:
             raise ValueError("camera cannot be a downlink")
         down = self.half_delay(downlink, speed_kmh)
         if uplink is LinkTech.CAMERA:
-            return DEFAULT_IPU_PROCESSING_MS + down
+            return processing_ms + down
         return self.half_delay(uplink, speed_kmh) + down
 
     def max_composed_delay(

@@ -132,7 +132,8 @@ def scenario_matrix(
                 row["observed_count"] = stats.count
                 if observed_model_speed is not None:
                     expected = model.composed_delay(
-                        sc.uplink, sc.downlink, observed_model_speed
+                        sc.uplink, sc.downlink, observed_model_speed,
+                        result.config.ipu.processing_ms,
                     )
                     row["flagged"] = (
                         abs(stats.mean_ms - expected) > OBSERVED_TOLERANCE_MS
@@ -191,7 +192,8 @@ def build_report_dict(result: RunResult) -> dict:
             "max_ms": round(stats.max_ms, 3),
         }
         if model_speed is not None:
-            expected = result.model.composed_delay(up, down, model_speed)
+            expected = result.model.composed_delay(
+                up, down, model_speed, result.config.ipu.processing_ms)
             entry["model_ms"] = round(expected, 3)
             entry["max_abs_error_ms"] = round(
                 max(abs(stats.min_ms - expected), abs(stats.max_ms - expected)),
@@ -199,7 +201,6 @@ def build_report_dict(result: RunResult) -> dict:
             )
         paths[label] = entry
 
-    table_values, _, _ = emit_table4(result.model)
     gateway = result.gateway
     return {
         "seed": result.seed,
@@ -237,7 +238,8 @@ def build_report_dict(result: RunResult) -> dict:
                     "downlink": TECH_LABEL[down],
                     "delays_ms": [round(v, 3) for v in row],
                 }
-                for (up, down), row in zip(PAIR_ROWS, table_values)
+                for (up, down), row in zip(PAIR_ROWS,
+                                           result.model.composed_matrix())
             ],
         },
         "scenario_matrix": scenario_matrix(result.model, result=result),

@@ -11,6 +11,7 @@ import arsusim
 from arsusim.cli import main
 from arsusim.config import parse_scenario
 from arsusim.latency import LatencyModel, composed_csv_rows
+from arsusim.messages import LinkTech
 from arsusim.report import (
     build_report_dict,
     emit_table4,
@@ -18,7 +19,7 @@ from arsusim.report import (
     report_json,
     scenario_matrix,
 )
-from arsusim.sim import run
+from arsusim.sim import SimulationInvariantError, run
 
 PRINTED_ROW1 = (5.470, 7.354, 9.166, 10.906, 12.574)
 
@@ -124,6 +125,26 @@ class TestReportDocument:
         entry = report["paths"]["DSRC->CV2X"]
         assert entry["model_ms"] == pytest.approx(9.166, abs=0.01)
         assert entry["max_abs_error_ms"] <= 0.001
+
+    @pytest.mark.parametrize("processing_ms", [300.0, 120.0, 37.5])
+    def test_camera_paths_are_checked_at_the_scenario_processing_time(
+        self, processing_ms
+    ):
+        """A standing pedestrian seen without noise reaches each
+        technology after the IPU's processing time plus the downlink
+        half: the run's ``processing_ms``, not the table's 300 ms."""
+        text = RUN_SCENARIO.replace(
+            "id: P1, x_m: 60}", "id: P1, x_m: 60, speed_kmh: 0}").replace(
+            "ipu: {noise_std_m: 1.0}",
+            f"ipu: {{noise_std_m: 0.0, processing_ms: {processing_ms}}}")
+        result = run(parse_scenario(text))
+        paths = build_report_dict(result)["paths"]
+        for down, label in ((LinkTech.DSRC, "DSRC"), (LinkTech.CV2X, "CV2X"),
+                            (LinkTech.CELL_MQTT, "Cell")):
+            entry = paths[f"Cam->{label}"]
+            expected = round(
+                processing_ms + result.model.half_delay(down, 60.0), 3)
+            assert entry["model_ms"] == expected == entry["min_ms"], label
 
 
 class TestCli:
@@ -319,6 +340,39 @@ class TestCli:
         blocker.write_text("not a directory")
         code = main(["run", str(config), "--out", str(blocker / "out")])
         assert code == 3
+
+    def test_output_under_a_file_is_an_i_o_error(self, tmp_path, capsys):
+        config = self._write_scenario(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        assert main(["run", str(config), "--out", str(blocker / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, printed", [("table4", "5.470"), ("matrix", "near real-time")])
+    def test_csv_under_a_file_exits_three_after_printing(
+        self, tmp_path, capsys, command, printed
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        assert main([command, "--csv", str(blocker / "out.csv")]) == 3
+        out, err = capsys.readouterr()
+        assert printed in out
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+    def test_invariant_violation_exits_four_without_outputs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def broken(config, seed=None):
+            raise SimulationInvariantError("broken rule")
+
+        monkeypatch.setattr("arsusim.cli.run_simulation", broken)
+        config = self._write_scenario(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "invariant violation: broken rule\n"
+        assert not out.exists()
 
     def test_unwritable_output_permissions_exits_three(self, tmp_path):
         if os.geteuid() == 0:

@@ -1,5 +1,5 @@
 """sha256 of the ``report.json`` and ``trace.csv`` that ``arsusim run
---trace`` writes for 24 fixed cases, one line per case.
+--trace`` writes for 36 fixed cases, one line per case.
 
 Usage, from the root of a checkout:
 
@@ -10,9 +10,11 @@ The cases are the benchmark workloads (``perfbench/workloads.py``)
 radio-dense, cell-fanout and camera-crowd at seeds 7, 101 and 102, and
 each at seed 101 with one setting changed: ``scenario_speed_kmh: 60.95``
 (equal DSRC and C-V2X link halves), ``mqtt.drop_probability: 0.3``,
-``link_speed_mode: max_endpoint``, ``arsu: {coverage_radius_m: 120}``
-and ``arsu: {x_m: 120, y_m: -80, coverage_radius_m: 150}``; in the last
-two, users cross the coverage disc's edge during the run. Each line
+``link_speed_mode: max_endpoint``, ``arsu: {coverage_radius_m: 120}``,
+``arsu: {x_m: 120, y_m: -80, coverage_radius_m: 150}`` (in these two,
+users cross the coverage disc's edge during the run),
+``bsm_interval_ms: 150`` on every user, ``ipu: {frame_period_ms: 33}``,
+``ipu: {processing_ms: 120}`` and ``freshness_window_ms: 150``. Each line
 reads ``<case> <report sha256> <trace sha256>``, after a header line
 ``# numpy <version>``: the digests rest on numpy's ``Generator`` stream.
 
@@ -55,7 +57,8 @@ _SPEC.loader.exec_module(workloads)
 
 WORKLOADS = ("radio-dense", "cell-fanout", "camera-crowd")
 SEEDS = (7, 101, 102)
-#: Each setting changed at seed 101, by name: its top-level key and value.
+#: Each setting changed at seed 101, by name: its top-level key and value;
+#: under ``users``, the fields set on every user entry.
 EDITS = {
     "speed-60.95": ("scenario_speed_kmh", 60.95),
     "drops-0.3": ("mqtt", {"drop_probability": 0.3}),
@@ -63,6 +66,10 @@ EDITS = {
     "coverage-120": ("arsu", {"coverage_radius_m": 120}),
     "arsu-offset": ("arsu", {"x_m": 120, "y_m": -80,
                              "coverage_radius_m": 150}),
+    "interval-150": ("users", {"bsm_interval_ms": 150}),
+    "frame-33": ("ipu", {"frame_period_ms": 33}),
+    "processing-120": ("ipu", {"processing_ms": 120}),
+    "freshness-150": ("freshness_window_ms", 150),
 }
 
 
@@ -80,7 +87,11 @@ def scenario_text(workload: str, seed: int, edit: Optional[str]) -> str:
         return text
     doc = yaml.safe_load(text)
     key, value = EDITS[edit]
-    doc[key] = value
+    if key == "users":
+        for user in doc["users"]:
+            user.update(value)
+    else:
+        doc[key] = value
     return yaml.safe_dump(doc, sort_keys=False)
 
 
