@@ -43,10 +43,10 @@ see each delivery by wrapping ``Metrics.record_delivery``, which is
 passed every record as it is delivered.
 Delivery bookkeeping is per arrival, not per (BSM, receiver):
 ``last_heard`` is written through the group's index array, and a
-delivery looks up no per-subject state. Duplicate flags are set when a
-camera frame's BSMs are cast, from one receiver bitmask per subject id
-that lives for one ``_on_detections_ready`` call; every other send
-carries none. That is exact:
+delivery looks up no per-subject state. Duplicate flags, receiver
+bitmasks, are set when a camera frame's BSMs are cast, from one bitmask
+per subject id that lives for one ``_on_detections_ready`` call; every
+other send carries none. That is exact:
 
 - a key (subject id, generation time) reaches a receiver twice only
   when a frame refreshes one track twice. The gateway hears each road
@@ -136,9 +136,9 @@ class DeliveryGroup(NamedTuple):
     and ``truth_indices`` are user indices; ``subjects`` and
     ``truth_indices`` hold one entry per BSM, in order: a tuple for one
     BSM, an index array for a run. ``topic`` is the broker topic, None
-    over the air. ``duplicates`` holds a ``(position in subjects, one
-    flag per receiver)`` pair for each BSM that some receiver already
-    had, in order; it is None when no receiver had any."""
+    over the air. ``duplicates`` holds a ``(position in subjects, mask
+    of the receivers that had it)`` pair for each BSM that some receiver
+    already had, in order; it is None when no receiver had any."""
 
     receivers: _Group
     subjects: tuple[str, ...]
@@ -148,7 +148,7 @@ class DeliveryGroup(NamedTuple):
     generated_at_us: int
     delivered_at_us: int
     topic: Optional[Topic]
-    duplicates: Optional[tuple[tuple[int, tuple[bool, ...]], ...]]
+    duplicates: Optional[tuple[tuple[int, int], ...]]
 
 
 @dataclass
@@ -213,12 +213,17 @@ class Metrics:
         return range(self.delivered)
 
     def record_delivery(self, record: DeliveryGroup) -> None:
-        """Record one arrival's ``DeliveryGroup``: its fields go to the
-        tape, and the record is not kept."""
+        """Record one arrival's ``DeliveryGroup``: one executed event and
+        delivery per (BSM, receiver), and a duplicate per flag set at its
+        cast. Its fields go to the tape; the record is not kept."""
         truth, uplink, downlink, generated_at_us, delivered_at_us = record[2:7]
         rows = record.receivers.rows
         # Events run in time order, so these deliveries are the latest.
         n = len(rows) * len(truth)
+        self.events_executed += n - 1
+        if record.duplicates is not None:
+            self.duplicates_suppressed += sum(
+                flags.bit_count() for _, flags in record.duplicates)
         if len(truth) == 1:
             self.last_heard[:, truth[0]][rows] = delivered_at_us
         else:
@@ -260,8 +265,8 @@ class RunResult:
 # their bitmask, built once at setup, its receivers in increasing user
 # index. Only connected users are in a plan, so every receiver has a
 # row. A camera frame's cast to it tests and updates the frame's
-# bitmasks with one int operation per BSM, and works out per-receiver
-# flags only when some receiver already had the BSM; a delivery writes
+# bitmasks with one int operation per BSM, and keeps the receivers that
+# already had the BSM, as a bitmask, when some did; a delivery writes
 # ``last_heard`` through the array. A group cut by a drop is a ``_Cut``,
 # whose array and mask are built with it; the tape keeps only its mask,
 # from which the reader rebuilds its receivers.
@@ -628,11 +633,9 @@ class Simulation:
                         continue
                     seen[subject] = had | mask
                     if had & mask:
-                        duplicates = tuple(bool(had >> r & 1)
-                                           for r in receivers)
                         if flags is None:
                             flags = []
-                        flags.append((i, duplicates))
+                        flags.append((i, had & mask))
             at_us = sent_us + offset_us
             self._schedule(at_us, self._deliver, DeliveryGroup(
                 receivers, subjects, truth, uplink, downlink,
@@ -672,17 +675,10 @@ class Simulation:
                                   now_us, seen)
 
     def _deliver(self, now_us: int, record: DeliveryGroup) -> None:
-        """Hand an arrival's BSMs to its receivers: one delivery, and one
-        executed event, per (BSM, receiver), recorded once. The record's
-        duplicate flags were set when it was cast; each one set counts a
-        duplicate suppressed."""
-        metrics = self.metrics
-        if record.duplicates is not None:
-            metrics.duplicates_suppressed += sum(
-                sum(flags) for _, flags in record.duplicates)
-        metrics.events_executed += (
-            len(record.receivers) * len(record.subjects) - 1)
-        metrics.record_delivery(record)
+        """Hand an arrival's BSMs to its receivers, through
+        ``Metrics.record_delivery``, looked up per event so that it can
+        be wrapped on the instance."""
+        self.metrics.record_delivery(record)
 
     def _subjects(self, bsms: list[Bsm]) -> tuple[tuple, tuple | np.ndarray]:
         """The subject ids of ``bsms`` and their truth indices, for one

@@ -16,8 +16,8 @@ already shares in ``_refs``:
 - GraceDeadline: the track id; its detail.
 - MetricsTick: the coverage, NaN for none.
 - A delivery record: its generation time; its receivers (the plan
-  group, or a cut group's bitmask), subjects and duplicate flags, held
-  only for the BSMs some receiver already had, by their position.
+  group, or a cut group's bitmask), subjects and duplicate flags, a
+  receiver bitmask for each BSM some receiver already had, by position.
 
 A detail or label is built once per distinct value, so entries share
 it; the caches are bounded by users and tracks. Nothing is formatted
@@ -196,9 +196,9 @@ class TraceRows:
                         for r in receivers:
                             yield (at_ms, kind_name, ids[r], subject, detail)
                         continue
-                    for r, dup in zip(receivers, flags):
+                    for r in receivers:
                         yield (at_ms, kind_name, ids[r], subject,
-                               duplicate if dup else detail)
+                               duplicate if flags >> r & 1 else detail)
             elif kind == _BSM_TX:
                 user = ids[next_int()]
                 x_m, y_m = xy_of(Position(next_float(), next_float()))

@@ -137,14 +137,14 @@ def collect_deliveries(simulation: Simulation) -> list[Delivery]:
         flags_at = dict(record.duplicates or ())
         for i, (subject, truth_index) in enumerate(zip(
                 record.subjects, record.truth_indices)):
-            flags = flags_at.get(i, (False,) * len(record.receivers))
-            for receiver, duplicate in zip(record.receivers, flags):
+            flags = flags_at.get(i, 0)
+            for receiver in record.receivers:
                 deliveries.append(Delivery(
                     ids[receiver], subject, ids[truth_index],
                     record.uplink, record.downlink,
                     record.generated_at_us, record.delivered_at_us,
                     us_to_ms(record.delivered_at_us - record.generated_at_us),
-                    duplicate, record.topic))
+                    bool(flags >> receiver & 1), record.topic))
 
     metrics.record_delivery = collecting
     return deliveries

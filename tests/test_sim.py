@@ -1100,11 +1100,10 @@ def _eager_rows(simulation):
         flags_at = dict(record.duplicates or ())
         written = [
             (at(record.delivered_at_us), kind, ids[receiver], subject,
-             detail + " duplicate" if duplicate else detail)
+             detail + " duplicate" if flags_at.get(i, 0) >> receiver & 1
+             else detail)
             for i, subject in enumerate(record.subjects)
-            for receiver, duplicate in zip(
-                record.receivers,
-                flags_at.get(i, (False,) * len(record.receivers)))
+            for receiver in record.receivers
         ]
         assert len(written) == count
         return written
@@ -1238,7 +1237,8 @@ class TestGroupRecords:
     def test_duplicate_flags_only_for_the_bsms_a_receiver_had(self):
         """A record holds one ``(position, flags)`` pair for each of its
         BSMs that some receiver already had, and None when no receiver
-        had any; a flag is set for each receiver that had the BSM."""
+        had any; ``flags`` has bit ``r`` set for each receiver ``r`` that
+        had the BSM."""
         simulation = Simulation(scenario(DUPLICATES))
         records = collect_records(simulation)
         simulation.run()
@@ -1249,8 +1249,9 @@ class TestGroupRecords:
             for i, subject in enumerate(record.subjects):
                 keys = [(r, subject, record.generated_at_us)
                         for r in record.receivers]
-                flags = tuple(key in had for key in keys)
-                if any(flags):
+                flags = sum(1 << r for r, key in zip(record.receivers, keys)
+                            if key in had)
+                if flags:
                     expected.append((i, flags))
                 had.update(keys)
             assert record.duplicates == (tuple(expected) or None)
@@ -1869,8 +1870,7 @@ class TestFrameDuplicates:
             at_us, _, handler, arg = heapq.heappop(heap)
             handler(at_us, arg)
         metrics = simulation.metrics
-        assert [r.duplicates for r in records] == [
-            None, ((0, (False, True)),)]
+        assert [r.duplicates for r in records] == [None, ((0, 1 << 2),)]
         assert [(d.receiver, d.duplicate) for d in deliveries] == [
             ("U3", False), ("U4", False), ("U3", True),
         ]
