@@ -17,7 +17,9 @@ A user entry writes ``UserSpec.user_id`` as ``id``.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+import os
+from dataclasses import (
+    MISSING, dataclass, field, fields, is_dataclass, replace)
 from enum import Enum
 from typing import Optional
 
@@ -276,12 +278,17 @@ def _check_pole_reach(config: ScenarioConfig) -> None:
 
 
 def load_scenario(path) -> ScenarioConfig:
+    """Read and parse the scenario file at ``path``, and join a relative
+    ``latency_csv`` to its directory: the table is found beside it."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from None
-    return parse_scenario(text, source=str(path))
+    config = parse_scenario(text, source=str(path))
+    table = config.latency_csv  # None, or a path that is not empty
+    return replace(config, latency_csv=table and os.path.join(
+        os.path.dirname(path), table))
 
 
 # --- strict builders ---

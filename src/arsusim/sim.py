@@ -19,12 +19,12 @@ bit-identical.
 Road users and their subscriptions are fixed for a run, so
 ``Simulation.__init__`` plans every send once: a road user's broadcast
 or Cell publish, and a gateway relay or publish, as ``(offset_us,
-receivers)`` groups, one per distinct arrival time. A plan group also
-carries, built once, its receivers' rows of ``last_heard`` as an index
-array and their bitmask (bit ``r`` for user index ``r``). Only the
-simulation works out arrival times; a publish that dropped some
-subscribers cuts each group that lost one to the receivers the broker
-kept, and keeps the others as they are. A send schedules one arrival, one
+group)`` pairs, one per distinct arrival time. A plan group is its
+receivers' bitmask (bit ``r`` for user index ``r``), with their rows of
+``last_heard`` as an index array, built once. Only the simulation works
+out arrival times; a publish that dropped some subscribers cuts each
+group that lost one to the receivers the broker kept, and keeps the
+others as they are. A send schedules one arrival, one
 event, per group, and a camera frame's detections share one ready event;
 ``events_executed`` still counts one event per receiver and one per
 detection. One ``_send`` serves every gateway send: a relay or a
@@ -37,10 +37,11 @@ only where a receiver already had a BSM, and schedules it; its delivery
 records it, and it is written to the run's trace and not kept. Road
 users are named by their plain string ids throughout. The handlers
 write facts, not text, to the run's trace, ``Metrics.tape``:
-``arsusim.trace`` keeps it and words its rows. Awareness is the ``last_heard`` matrix, one row per
-receiver: only connected users hear anything. The tests
-see each delivery by wrapping ``Metrics.record_delivery``, which is
-passed every record as it is delivered.
+``arsusim.trace`` keeps it and words its rows. Awareness is the
+``last_heard`` matrix, one row per receiver: only connected users hear
+anything. The tests see each delivery by wrapping
+``Metrics.record_delivery``, which is passed every record as it is
+delivered.
 Delivery bookkeeping is per arrival, not per (BSM, receiver):
 ``last_heard`` is written through the group's index array, and a
 delivery looks up no per-subject state. Duplicate flags, receiver
@@ -89,7 +90,7 @@ from .messages import (
     ms_to_us,
     us_to_ms,
 )
-from .trace import TraceRows
+from .trace import TraceRows, _receivers_of
 
 _METRICS_TICK_US = 100_000
 
@@ -132,13 +133,13 @@ class DeliveryGroup(NamedTuple):
     flags, and schedules it, ``_deliver`` records it, and the tape keeps
     its fields.
 
-    ``receivers`` (the send's plan group, unless a broker drop cut it)
-    and ``truth_indices`` are user indices; ``subjects`` and
-    ``truth_indices`` hold one entry per BSM, in order: a tuple for one
-    BSM, an index array for a run. ``topic`` is the broker topic, None
-    over the air. ``duplicates`` holds a ``(position in subjects, mask
-    of the receivers that had it)`` pair for each BSM that some receiver
-    already had, in order; it is None when no receiver had any."""
+    ``receivers`` is the send's plan group, unless a broker drop cut it.
+    ``subjects`` and ``truth_indices`` (user indices) hold one entry per
+    BSM, in order: a tuple for one BSM, an index array for a run.
+    ``topic`` is the broker topic, None over the air. ``duplicates``
+    holds a ``(position in subjects, mask of the receivers that had
+    it)`` pair for each BSM that some receiver already had, in order; it
+    is None when no receiver had any."""
 
     receivers: _Group
     subjects: tuple[str, ...]
@@ -260,16 +261,15 @@ class RunResult:
 # them; and the loop runs a handler to the end before it pops the next
 # entry.
 #
-# Groups. A plan group is a ``_Group``: its receivers' tuple, with their
-# ``last_heard`` rows as an index array, looked up in the row map, and
-# their bitmask, built once at setup, its receivers in increasing user
-# index. Only connected users are in a plan, so every receiver has a
-# row. A camera frame's cast to it tests and updates the frame's
-# bitmasks with one int operation per BSM, and keeps the receivers that
-# already had the BSM, as a bitmask, when some did; a delivery writes
-# ``last_heard`` through the array. A group cut by a drop is a ``_Cut``,
-# whose array and mask are built with it; the tape keeps only its mask,
-# from which the reader rebuilds its receivers.
+# Groups. A plan group is a ``_Group``: its receivers' bitmask and their
+# ``last_heard`` rows as an index array, looked up in the row map, built
+# once at setup, a cut group when it is cut. Its receivers are the
+# mask's bits, in increasing user index. Only connected users are in a
+# plan, so every receiver has a row. A camera frame's cast to it tests
+# and updates the frame's bitmasks with one int operation per BSM, and
+# keeps the receivers that already had the BSM, as a bitmask, when some
+# did; a delivery writes ``last_heard`` through the array. The tape
+# keeps the mask, which its reader decodes (``trace._receivers_of``).
 #
 # Arrivals. A cast schedules one ``_deliver`` event per group of its
 # plan, whose argument is the arrival's ``DeliveryGroup``: the one record
@@ -289,13 +289,14 @@ class RunResult:
 # draws are those of one publish per BSM. The BSMs whose publish kept
 # every subscriber are cast through the plan as runs; one whose publish
 # dropped some is cast alone, after the run before it, through its plan
-# cut to the receivers kept: the groups left empty are skipped, and a
-# group that lost none is cast as the plan's own, keeping its array and
-# mask. At every instant the BSMs then arrive in their order. In
-# ``max_endpoint`` mode the groups' order can differ from that of their
-# first kept receivers; but that only swaps seqs between entries at
-# distinct instants, which the heap orders by time, and one ``_cast``'s
-# seqs are consecutive, so the run order is the same.
+# cut to the receivers kept, a mask: a group that shares no bit with it
+# is skipped, one that lost none is cast as the plan's own object, and
+# each other becomes a new group of the bits both hold. At every instant
+# the BSMs then arrive in their order. In ``max_endpoint`` mode the
+# groups' order can differ from that of their first kept receivers; but
+# that only swaps seqs between entries at distinct instants, which the
+# heap orders by time, and one ``_cast``'s seqs are consecutive, so the
+# run order is the same.
 #
 # Frames. Every detection of a camera frame becomes available at the same
 # instant, and the frame scheduled them one after another, so one ready
@@ -319,48 +320,35 @@ class RunResult:
 # C-V2X halves, as at 60.95 km/h); then ``_send`` sends a run BSM by
 # BSM, to every target in order.
 
-class _Group(tuple):
-    """A plan group's receivers (user indices), carrying their rows of
-    ``last_heard`` as an index array and their bitmask."""
+class _Group(NamedTuple):
+    """A plan group: its receivers' bitmask, bit ``r`` for user index
+    ``r``, and their rows of ``last_heard`` as an index array."""
 
-    rows: np.ndarray
     mask: int
-    #: Whether the tape keeps only the mask: a ``_Cut``'s receivers are
-    #: rebuilt from it.
-    cut = False
-
-    def __new__(cls, receivers: Iterable[int], row_of: np.ndarray) -> _Group:
-        group = super().__new__(cls, receivers)
-        mask = 0
-        for r in group:
-            mask |= 1 << r
-        group.rows = row_of[np.array(group, dtype=np.intp)]
-        group.mask = mask
-        return group
+    rows: np.ndarray
 
 
-class _Cut(_Group):
-    """A plan group cut to the receivers a publish kept, in the plan's
-    order: increasing user index, so the tape holds only its mask."""
-
-    cut = True
-
-
-#: A send's ``(µs, receivers)`` groups, one per distinct arrival time.
+#: A send's ``(µs, group)`` pairs, one per distinct arrival time.
 _Plan = tuple[tuple[int, _Group], ...]
 
 
 def _group_by_time(arrivals: Iterable[tuple[int, int]],
                    row_of: np.ndarray) -> _Plan:
-    """``(µs, user index)`` pairs grouped by time, the groups and their
-    receivers in first-seen order; ``row_of`` maps a receiver to its row
-    of ``last_heard``. Every caller passes users in index order, so each
-    group's receivers increase, as ``_Cut`` needs."""
+    """``(µs, user index)`` pairs grouped by time, the groups in
+    first-seen order; ``row_of`` maps a receiver to its row of
+    ``last_heard``."""
     groups: dict[int, list[int]] = {}
     for at_us, receiver in arrivals:
         groups.setdefault(at_us, []).append(receiver)
-    return tuple((at_us, _Group(group, row_of))
-                 for at_us, group in groups.items())
+    plan = []
+    # One pass of numpy per group builds its mask and its rows: an int
+    # operation per receiver took most of a 4000-user set-up.
+    for at_us, receivers in groups.items():
+        bits = np.zeros(len(row_of), dtype=bool)
+        bits[receivers] = True
+        mask = int.from_bytes(np.packbits(bits, bitorder="little"), "little")
+        plan.append((at_us, _Group(mask, row_of[bits])))
+    return tuple(plan)
 
 
 class Simulation:
@@ -592,13 +580,13 @@ class Simulation:
                            topic, seen)
                 run = []
             # A road user's client name is its id, its own truth.
-            kept_rows = set(map(self._truth_of.get, kept)).__contains__
+            kept_mask = sum(1 << self._truth_of[client_id]
+                            for client_id in kept if client_id != ARSU_CLIENT)
             cut = tuple(
-                (offset_us,
-                 receivers if len(group) == len(receivers)
-                 else _Cut(group, self._row_of))
-                for offset_us, receivers in plan
-                if (group := tuple(filter(kept_rows, receivers)))
+                (offset_us, group if mask == group.mask else _Group(
+                    mask, self._row_of[list(_receivers_of(mask))]))
+                for offset_us, group in plan
+                if (mask := group.mask & kept_mask)
             )
             self._cast(cut, now_us, [bsm], uplink, LinkTech.CELL_MQTT, topic,
                        seen)
@@ -621,10 +609,10 @@ class Simulation:
             raise SimulationInvariantError(
                 "a send precedes its BSM's generation")
         subjects, truth = self._subjects(bsms)
-        for offset_us, receivers in plan:
+        for offset_us, group in plan:
             flags = None
             if seen is not None:
-                mask = receivers.mask
+                mask = group.mask
                 # Read per BSM: two BSMs of one arrival can share a subject.
                 for i, subject in enumerate(subjects):
                     had = seen.get(subject)
@@ -638,7 +626,7 @@ class Simulation:
                         flags.append((i, had & mask))
             at_us = sent_us + offset_us
             self._schedule(at_us, self._deliver, DeliveryGroup(
-                receivers, subjects, truth, uplink, downlink,
+                group, subjects, truth, uplink, downlink,
                 generated_at_us, at_us, topic,
                 None if flags is None else tuple(flags)))
 

@@ -15,9 +15,10 @@ already shares in ``_refs``:
 - A gateway arrival: its ``(kind, detail)`` label and the BSM's subject.
 - GraceDeadline: the track id; its detail.
 - MetricsTick: the coverage, NaN for none.
-- A delivery record: its generation time; its receivers (the plan
-  group, or a cut group's bitmask), subjects and duplicate flags, a
-  receiver bitmask for each BSM some receiver already had, by position.
+- A delivery record: its generation time; its receivers' bitmask
+  (bit ``r`` for user index ``r``, decoded by ``_receivers_of``),
+  subjects and duplicate flags, a receiver bitmask for each BSM some
+  receiver already had, by position.
 
 A detail or label is built once per distinct value, so entries share
 it; the caches are bounded by users and tracks. Nothing is formatted
@@ -157,7 +158,7 @@ class TraceRows:
         self._kinds.append(_DELIVERY + number)
         self._ints.append(delivered_at_us)
         self._ints.append(generated_at_us)
-        self._refs.append(receivers.mask if receivers.cut else receivers)
+        self._refs.append(receivers.mask)
         self._refs.append(subjects)
         self._refs.append(duplicates)
         self._rows += rows
@@ -179,10 +180,8 @@ class TraceRows:
                 at_us, at_ms = now_us, f"{us_to_ms(now_us):.3f}"
             if kind >= _DELIVERY:
                 latency_us = at_us - next_int()
-                receivers, subjects, duplicates = (
-                    next_ref(), next_ref(), next_ref())
-                if type(receivers) is int:
-                    receivers = _receivers_of(receivers)
+                mask, subjects, duplicates = next_ref(), next_ref(), next_ref()
+                receivers = _receivers_of(mask, ids)
                 label = labels.get((kind, latency_us))
                 if label is None:
                     uplink, downlink, topic = paths[kind - _DELIVERY]
@@ -193,11 +192,11 @@ class TraceRows:
                             map(dict(duplicates).get, range(len(subjects))))
                 for subject, flags in zip(subjects, flags_of):
                     if flags is None:
-                        for r in receivers:
-                            yield (at_ms, kind_name, ids[r], subject, detail)
+                        for receiver in receivers:
+                            yield (at_ms, kind_name, receiver, subject, detail)
                         continue
-                    for r in receivers:
-                        yield (at_ms, kind_name, ids[r], subject,
+                    for receiver, r in zip(receivers, _receivers_of(mask)):
+                        yield (at_ms, kind_name, receiver, subject,
                                duplicate if flags >> r & 1 else detail)
             elif kind == _BSM_TX:
                 user = ids[next_int()]
@@ -228,11 +227,12 @@ class TraceRows:
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _receivers_of(mask: int) -> tuple[int, ...]:
+def _receivers_of(mask: int, names: Optional[list[str]] = None) -> tuple:
     """The user indices whose bits are set in ``mask``, in increasing
-    order: a cut group's receivers."""
+    order: a plan group's receivers; or, given ``names``, the entries of
+    ``names`` at those indices."""
     bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-    return tuple(compress(range(len(bits)), bits))
+    return tuple(compress(range(len(bits)) if names is None else names, bits))
 
 
 def _delivery_label(uplink: LinkTech, downlink: LinkTech, latency_ms: float,

@@ -24,6 +24,7 @@ from arsusim.sim import (
     RunResult,
     Simulation,
 )
+from arsusim.trace import _receivers_of
 
 FRAME = LocalFrame(0.0, 0.0)
 
@@ -138,7 +139,7 @@ def collect_deliveries(simulation: Simulation) -> list[Delivery]:
         for i, (subject, truth_index) in enumerate(zip(
                 record.subjects, record.truth_indices)):
             flags = flags_at.get(i, 0)
-            for receiver in record.receivers:
+            for receiver in _receivers_of(record.receivers.mask):
                 deliveries.append(Delivery(
                     ids[receiver], subject, ids[truth_index],
                     record.uplink, record.downlink,

@@ -16,10 +16,10 @@ digests = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(digests)
 
 
-def test_cases_are_sixty_and_named_apart():
+def test_cases_are_sixty_three_and_named_apart():
     cases = digests.cases()
-    assert len(cases) == 60
-    assert len({name for name, *_ in cases}) == 60
+    assert len(cases) == 63
+    assert len({name for name, *_ in cases}) == 63
     assert {(workload, seed) for _, workload, seed, edit in cases
             if edit is None} == {
         (w, s) for w in digests.WORKLOADS for s in (7, 101, 102)}
@@ -60,7 +60,7 @@ def test_check_passes_on_the_lines_it_printed(tmp_path, monkeypatch, capsys):
     committed = tmp_path / "digests.txt"
     committed.write_text(printed, encoding="utf-8")
     assert digests.main(["--check", str(committed)]) == 0
-    assert capsys.readouterr().out == "0 of 60 lines differ\n"
+    assert capsys.readouterr().out == "0 of 63 lines differ\n"
 
 
 def test_check_prints_the_case_that_differs_and_fails(
@@ -73,7 +73,7 @@ def test_check_prints_the_case_that_differs_and_fails(
     committed.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert digests.main(["--check", str(committed)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        f"{name} differs: {report} {trace}", "1 of 60 lines differ"]
+        f"{name} differs: {report} {trace}", "1 of 63 lines differ"]
 
 
 def test_committed_lines_are_every_case_under_a_numpy_header():
@@ -134,6 +134,17 @@ def test_filter_cases_match_the_committed_lines():
     origin fails here."""
     cases = [case for case in digests.cases() if case[0] in FILTER_CASES]
     assert len(cases) == len(FILTER_CASES)
+    _assert_cases_match_the_committed_lines(cases)
+
+
+def test_a_drop_that_cuts_one_of_several_groups_matches_its_line():
+    """cell-fanout with ``max_endpoint`` link speeds and 30% drops, where
+    a publish's plan has one group per Cell speed, and a drop cuts the
+    groups that lost a receiver and keeps the others as the plan's own,
+    digests to its line in ``tests/digests.txt``."""
+    cases = [case for case in digests.cases()
+             if case[0] == "cell-fanout@101+max_endpoint-drops"]
+    assert len(cases) == 1
     _assert_cases_match_the_committed_lines(cases)
 
 

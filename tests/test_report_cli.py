@@ -305,6 +305,31 @@ class TestCli:
         config.write_text(f"latency_csv: '{table}'\n" + RUN_SCENARIO)
         return config, table
 
+    def test_a_relative_latency_csv_is_read_beside_its_scenario(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A relative ``latency_csv`` names a file in the scenario's own
+        directory: ``run`` and ``validate-config`` find it from that
+        directory's parent as from inside it. The report echoes the path
+        that was read, as written when the scenario is in the working
+        directory."""
+        scenario_dir = tmp_path / "dir"
+        scenario_dir.mkdir()
+        rows = composed_csv_rows(LatencyModel.default().composed_matrix())
+        (scenario_dir / "table.csv").write_text(
+            "\n".join(",".join(r) for r in rows) + "\n")
+        (scenario_dir / "s.yaml").write_text(
+            "latency_csv: table.csv\n" + RUN_SCENARIO)
+        for cwd, path, echo in ((tmp_path, "dir/s.yaml", "dir/table.csv"),
+                                (scenario_dir, "s.yaml", "table.csv")):
+            monkeypatch.chdir(cwd)
+            assert main(["validate-config", path]) == 0
+            out = tmp_path / "out" / cwd.name
+            assert main(["run", path, "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["config"]["latency_csv"] == echo
+        assert "error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "case", ["missing", "bad header", "inconsistent", "directory"])
     def test_validate_config_rejects_the_latency_csv_run_rejects(

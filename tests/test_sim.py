@@ -23,14 +23,13 @@ from arsusim.messages import (
     us_to_ms,
 )
 from arsusim.sim import (
-    _Cut,
     _Group,
     _group_by_time,
     Simulation,
     SimulationInvariantError,
     run,
 )
-from arsusim.trace import TraceRows
+from arsusim.trace import TraceRows, _receivers_of
 
 from conftest import (
     awareness,
@@ -1103,7 +1102,7 @@ def _eager_rows(simulation):
              detail + " duplicate" if flags_at.get(i, 0) >> receiver & 1
              else detail)
             for i, subject in enumerate(record.subjects)
-            for receiver in record.receivers
+            for receiver in _receivers_of(record.receivers.mask)
         ]
         assert len(written) == count
         return written
@@ -1246,10 +1245,11 @@ class TestGroupRecords:
         pairs = 0
         for record in records:
             expected = []
+            receivers = _receivers_of(record.receivers.mask)
             for i, subject in enumerate(record.subjects):
                 keys = [(r, subject, record.generated_at_us)
-                        for r in record.receivers]
-                flags = sum(1 << r for r, key in zip(record.receivers, keys)
+                        for r in receivers]
+                flags = sum(1 << r for r, key in zip(receivers, keys)
                             if key in had)
                 if flags:
                     expected.append((i, flags))
@@ -1269,7 +1269,7 @@ class TestGroupRecords:
         assert result.metrics.duplicates_suppressed == 3
         _assert_matches_per_delivery_reference(result, deliveries)
         _assert_collected_match_trace(result, deliveries)
-        assert any(type(record.receivers) is _Cut and record.duplicates
+        assert any(_is_cut(simulation, record.receivers) and record.duplicates
                    for record in records)
 
 
@@ -1309,10 +1309,10 @@ users:
 
     @classmethod
     def _arrivals(cls, simulation):
-        """(time, receivers) of each scheduled user arrival, in schedule
-        order."""
+        """(time, receivers' user indices) of each scheduled user
+        arrival, in schedule order."""
         return [
-            (at_us, arrival.receivers)
+            (at_us, _receivers_of(arrival.receivers.mask))
             for at_us, arrival in cls._deliveries(simulation)
         ]
 
@@ -1325,10 +1325,10 @@ users:
         simulation, arrivals = self._broadcast_from_u0("scenario")
         half_us = simulation.users[0].half_us
         assert arrivals == [(2 * half_us, (1, 2, 3, 4))]
-        # The next broadcast hands on the same receivers, not a copy.
+        # The next broadcast hands on the same group, not a copy.
         simulation._on_bsm_tx(100_000, simulation.users[0])
-        first, second = self._arrivals(simulation)
-        assert second[1] is first[1]
+        first, second = self._deliveries(simulation)
+        assert second[1].receivers is first[1].receivers
 
     def test_max_endpoint_mode_is_one_event_per_time(self):
         simulation, arrivals = self._broadcast_from_u0("max_endpoint")
@@ -1410,13 +1410,15 @@ users:
         simulation._send([bsm], ((LinkTech.CELL_MQTT, Topic.IPU),),
                          LinkTech.CAMERA, 1_000)
         plan = [group for _, group in simulation._relays[LinkTech.CELL_MQTT]]
-        cast = [receivers for _, receivers in self._arrivals(simulation)]
+        cast = [record.receivers
+                for _, record in self._deliveries(simulation)]
+        assert [_receivers_of(group.mask) for group in cast] == (
+            [(0,), (3,)] if mode == "max_endpoint" else [(0, 3)])
         if mode == "max_endpoint":
-            assert cast == [(0,), (3,)]
             assert cast[0] is plan[0] and cast[1] is plan[2]
         else:
-            assert cast == [(0, 3)]
-            assert type(cast[0]) is _Cut
+            assert _is_cut(simulation, cast[0])
+            assert cast[0].rows.tolist() == [0, 3]
         for at_us, arrival in self._deliveries(simulation):
             simulation._deliver(at_us, arrival)
         heard = simulation.metrics.last_heard[:, 1]
@@ -1425,12 +1427,12 @@ users:
     def test_user_to_user_pays_two_legs(self):
         simulation = self._mqtt()
         half_us = simulation.users[0].half_us
-        assert simulation._plans[0] == ((2 * half_us, (2, 3)),)
+        assert _decoded(simulation._plans[0]) == ((2 * half_us, (2, 3)),)
 
     def test_arsu_publish_pays_one_leg_per_user(self):
         simulation = self._mqtt()
         half_us = simulation.users[0].half_us
-        assert simulation._relays[LinkTech.CELL_MQTT] == (
+        assert _decoded(simulation._relays[LinkTech.CELL_MQTT]) == (
             (half_us, (0, 2, 3)),)
 
     def test_per_client_leg_delays(self):
@@ -1440,9 +1442,11 @@ users:
         simulation = self._mqtt("max_endpoint")
         h0, h1, h2 = (simulation.users[i].half_us for i in (0, 2, 3))
         assert len({h0, h1, h2}) == 3
-        assert simulation._plans[0] == ((h0 + h1, (2,)), (h0 + h2, (3,)))
-        assert simulation._plans[2] == ((h1 + h0, (0,)), (h1 + h2, (3,)))
-        assert simulation._relays[LinkTech.CELL_MQTT] == (
+        assert _decoded(simulation._plans[0]) == (
+            (h0 + h1, (2,)), (h0 + h2, (3,)))
+        assert _decoded(simulation._plans[2]) == (
+            (h1 + h0, (0,)), (h1 + h2, (3,)))
+        assert _decoded(simulation._relays[LinkTech.CELL_MQTT]) == (
             (h0, (0,)), (h1, (2,)), (h2, (3,)))
 
     @pytest.mark.parametrize("doc", [
@@ -1460,11 +1464,11 @@ users:
         subscribers = simulation.broker._subscribers
 
         def reached(plan, order):
-            for _, group in plan:
-                assert list(group) == sorted(
-                    group, key=lambda r: order.index(ids[r]))
-            return sorted((ids[r] for _, group in plan for r in group),
-                          key=order.index)
+            for _, receivers in _decoded(plan):
+                assert list(receivers) == sorted(
+                    receivers, key=lambda r: order.index(ids[r]))
+            return sorted((ids[r] for _, receivers in _decoded(plan)
+                           for r in receivers), key=order.index)
 
         cell = list(subscribers[Topic.CELL])
         cell_users = [
@@ -1500,10 +1504,37 @@ users:
         assert (record.generated_at_us, record.delivered_at_us) == (
             2_000, 3_000)
 
+    @pytest.mark.parametrize("doc", [
+        MQTT_DOC.format(mode="max_endpoint"),
+        MIXED_TABLE1,
+        DROPPED_DUPLICATES,
+    ], ids=["mqtt-max_endpoint", "mixed", "dropped-duplicates"])
+    def test_every_group_holds_the_rows_of_its_mask(self, doc):
+        """Every plan group, and every group a record carries, cut ones
+        included, holds as ``rows`` the ``last_heard`` rows of the
+        receivers its mask decodes to."""
+        simulation = Simulation(scenario(doc))
+        records = collect_records(simulation)
+        simulation.run()
+        groups = _plan_groups(simulation)
+        groups += [record.receivers for record in records]
+        for group in groups:
+            receivers = _receivers_of(group.mask)
+            assert receivers
+            assert group.rows.tolist() == (
+                simulation._row_of[list(receivers)].tolist())
+        if doc is DROPPED_DUPLICATES:
+            assert any(_is_cut(simulation, group) for group in groups)
+
     def test_mixed_times_group_in_first_seen_order(self):
-        assert _group_by_time(
-            zip([700, 300, 700, 300, 900], [4, 1, 2, 3, 0]), np.arange(5)
-        ) == ((700, (4, 2)), (300, (1, 3)), (900, (0,)))
+        """The groups come in first-seen order, each one's receivers in
+        increasing user index, whatever order they came in."""
+        plan = _group_by_time(
+            zip([700, 300, 700, 300, 900], [4, 1, 2, 3, 0]),
+            np.arange(5)[::-1])
+        assert _decoded(plan) == ((700, (2, 4)), (300, (1, 3)), (900, (0,)))
+        assert [group.rows.tolist() for _, group in plan] == [
+            [2, 0], [3, 1], [4]]
 
     def test_event_between_casts_at_one_instant_runs_between_them(self):
         """Arrivals A1 and A2 at T, then a grace deadline at T, then
@@ -1769,7 +1800,7 @@ class TestTape:
             "BsmTx", "IpuFrame", "DetectionReady", "RadioDelivery",
             "MqttDelivery", "GraceDeadline", "MetricsTick"}
         assert any(len(r.subjects) > 1 for r in records)
-        assert any(type(r.receivers) is _Cut and r.duplicates
+        assert any(_is_cut(simulation, r.receivers) and r.duplicates
                    for r in records)
 
 
@@ -1841,7 +1872,26 @@ def _group(receivers):
     """A plan group of ``receivers``, for a scenario whose users up to
     the last of them are all connected: each one's row of ``last_heard``
     is its user index."""
-    return _Group(receivers, np.arange(max(receivers) + 1))
+    return _Group(sum(1 << r for r in receivers),
+                  np.array(sorted(receivers), dtype=np.intp))
+
+
+def _decoded(plan):
+    """``plan`` with each group as its receivers' user indices."""
+    return tuple((at_us, _receivers_of(group.mask)) for at_us, group in plan)
+
+
+def _plan_groups(simulation):
+    """Every group of ``simulation``'s plans, its users' and the
+    gateway's."""
+    return [group for plan in (*simulation._plans,
+                               *simulation._relays.values())
+            for _, group in plan]
+
+
+def _is_cut(simulation, group):
+    """Whether ``group`` was cut by a broker drop: no plan holds it."""
+    return not any(group is other for other in _plan_groups(simulation))
 
 
 def _relay_bsm(simulation, generated_at_us, user_id="U1"):
@@ -1855,14 +1905,14 @@ def _relay_bsm(simulation, generated_at_us, user_id="U1"):
 class TestFrameDuplicates:
     def test_flags_only_the_receivers_that_already_had_the_bsm(self):
         """One BSM cast twice through one frame's ``seen``, to groups
-        (2,) then (3, 2): the second arrival flags U3 alone, as the cast
+        (2,) then (2, 3): the second arrival flags U3 alone, as the cast
         sets it, and its delivery counts that one flag."""
         simulation = Simulation(scenario(MIXED_TABLE1))
         records = collect_records(simulation)
         deliveries = collect_deliveries(simulation)
         bsm = _relay_bsm(simulation, 0)
         seen = {}
-        for at_us, receivers in ((40_000, (2,)), (50_000, (3, 2))):
+        for at_us, receivers in ((40_000, (2,)), (50_000, (2, 3))):
             simulation._cast(((at_us, _group(receivers)),), 0, [bsm],
                              LinkTech.DSRC, LinkTech.CELL_MQTT, seen=seen)
         heap = simulation._heap
@@ -1872,11 +1922,11 @@ class TestFrameDuplicates:
         metrics = simulation.metrics
         assert [r.duplicates for r in records] == [None, ((0, 1 << 2),)]
         assert [(d.receiver, d.duplicate) for d in deliveries] == [
-            ("U3", False), ("U4", False), ("U3", True),
+            ("U3", False), ("U3", True), ("U4", False),
         ]
         assert metrics.duplicates_suppressed == 1
         assert [r[4].endswith(" duplicate")
-                for r in metrics.tape] == [False, False, True]
+                for r in metrics.tape] == [False, True, False]
 
 
 class TestRunIsFreed:

@@ -1,5 +1,5 @@
 """sha256 of the ``report.json`` and ``trace.csv`` that ``arsusim run
---trace`` writes for 60 fixed cases, one line per case.
+--trace`` writes for 63 fixed cases, one line per case.
 
 Usage, from the root of a checkout:
 
@@ -8,7 +8,7 @@ Usage, from the root of a checkout:
 
 The cases are the benchmark workloads (``perfbench/workloads.py``)
 radio-dense, cell-fanout and camera-crowd at seeds 7, 101 and 102, and
-each at seed 101 with one setting changed (``EDITS``):
+each at seed 101 with one setting changed, or two (``EDITS``):
 ``scenario_speed_kmh: 60.95`` (equal DSRC and C-V2X link halves),
 ``mqtt.drop_probability: 0.3``, ``link_speed_mode: max_endpoint``,
 ``arsu: {coverage_radius_m: 120}``, ``arsu: {x_m: 120, y_m: -80,
@@ -20,9 +20,11 @@ disc's edge during the run), ``bsm_interval_ms: 150`` on every user,
 the origin at (48.1, 11.6), at (-33.9, 179.999), where users east of
 x = 92 m wrap past 180°, and at (89.9975, 0), as near the pole as the
 workloads allow, and ``latency_csv: latency.csv``, a table the tool
-writes (``latency_table``). Each line reads ``<case> <report sha256>
-<trace sha256>``, after a header line ``# numpy <version>``: the
-digests rest on numpy's ``Generator`` stream.
+writes (``latency_table``); and ``link_speed_mode: max_endpoint`` with
+``mqtt.drop_probability: 0.3``, where a drop cuts one of a publish's
+several plan groups and keeps the others. Each line reads ``<case>
+<report sha256> <trace sha256>``, after a header line ``# numpy
+<version>``: the digests rest on numpy's ``Generator`` stream.
 
 ``--check FILE`` works out every case and compares it with FILE's line
 of that name, as printed before; it prints each case that differs or
@@ -76,27 +78,29 @@ SEEDS = (7, 101, 102)
 #: directory a case runs in, so that ``report.json``'s echo of it names
 #: no temporary directory.
 LATENCY_CSV = "latency.csv"
-#: Each setting changed at seed 101, by name: its top-level key and value;
-#: under ``users``, the fields set on every user entry.
+#: The settings changed at seed 101, by case name: each top-level key
+#: and its value; under ``users``, the fields set on every user entry.
 EDITS = {
-    "speed-60.95": ("scenario_speed_kmh", 60.95),
-    "drops-0.3": ("mqtt", {"drop_probability": 0.3}),
-    "max_endpoint": ("link_speed_mode", "max_endpoint"),
-    "coverage-120": ("arsu", {"coverage_radius_m": 120}),
-    "arsu-offset": ("arsu", {"x_m": 120, "y_m": -80,
-                             "coverage_radius_m": 150}),
-    "interval-150": ("users", {"bsm_interval_ms": 150}),
-    "frame-33": ("ipu", {"frame_period_ms": 33}),
-    "processing-120": ("ipu", {"processing_ms": 120}),
-    "freshness-150": ("freshness_window_ms", 150),
-    "sigma-3": ("filter", {"sigma_m": 3}),
-    "sigma-8": ("filter", {"sigma_m": 8}),
-    "window-120": ("filter", {"window_ms": 120}),
-    "noise-2": ("ipu", {"noise_std_m": 2}),
-    "origin-48.1": ("origin", {"lat": 48.1, "lon": 11.6}),
-    "origin-antimeridian": ("origin", {"lat": -33.9, "lon": 179.999}),
-    "origin-pole": ("origin", {"lat": 89.9975, "lon": 0}),
-    "latency-table": ("latency_csv", LATENCY_CSV),
+    "speed-60.95": {"scenario_speed_kmh": 60.95},
+    "drops-0.3": {"mqtt": {"drop_probability": 0.3}},
+    "max_endpoint": {"link_speed_mode": "max_endpoint"},
+    "coverage-120": {"arsu": {"coverage_radius_m": 120}},
+    "arsu-offset": {"arsu": {"x_m": 120, "y_m": -80,
+                             "coverage_radius_m": 150}},
+    "interval-150": {"users": {"bsm_interval_ms": 150}},
+    "frame-33": {"ipu": {"frame_period_ms": 33}},
+    "processing-120": {"ipu": {"processing_ms": 120}},
+    "freshness-150": {"freshness_window_ms": 150},
+    "sigma-3": {"filter": {"sigma_m": 3}},
+    "sigma-8": {"filter": {"sigma_m": 8}},
+    "window-120": {"filter": {"window_ms": 120}},
+    "noise-2": {"ipu": {"noise_std_m": 2}},
+    "origin-48.1": {"origin": {"lat": 48.1, "lon": 11.6}},
+    "origin-antimeridian": {"origin": {"lat": -33.9, "lon": 179.999}},
+    "origin-pole": {"origin": {"lat": 89.9975, "lon": 0}},
+    "latency-table": {"latency_csv": LATENCY_CSV},
+    "max_endpoint-drops": {"link_speed_mode": "max_endpoint",
+                           "mqtt": {"drop_probability": 0.3}},
 }
 
 
@@ -115,12 +119,12 @@ def scenario_text(workload: str, seed: int, edit: Optional[str]) -> str:
     # libyaml's loader and dumper, where PyYAML has them, build and write
     # the same documents as the pure-Python ones, several times faster.
     doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    key, value = EDITS[edit]
-    if key == "users":
-        for user in doc["users"]:
-            user.update(value)
-    else:
-        doc[key] = value
+    for key, value in EDITS[edit].items():
+        if key == "users":
+            for user in doc["users"]:
+                user.update(value)
+        else:
+            doc[key] = value
     return yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper),
                      sort_keys=False)
 
